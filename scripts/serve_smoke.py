@@ -50,7 +50,7 @@ SRC = os.path.join(REPO, "src")
 sys.path.insert(0, SRC)
 
 from repro.bench import all_benchmarks                    # noqa: E402
-from repro.service import Job, request                    # noqa: E402
+from repro.service import CompileOptions, Job, request    # noqa: E402
 
 
 def start_daemon(socket_path, cache_dir, max_sessions, extra_env=None):
@@ -163,10 +163,11 @@ def main(argv=None):
             assert pong["ok"], pong
             jobs = {}
             for spec in specs:
-                jobs[spec.name] = Job.from_kwargs(
-                    spec.source, spec.loop_labels, args.threads,
-                    True, backend=backend, workers=args.threads,
-                    engine=engine,
+                jobs[spec.name] = Job(
+                    spec.source, spec.loop_labels,
+                    CompileOptions(engine=engine),
+                    nthreads=args.threads, backend=backend,
+                    workers=args.threads,
                     # race observers would gate the native parent tier
                     check_races=(args.engine != "native"),
                 )

@@ -70,217 +70,96 @@ class OutputDivergence(DiagnosableError, AssertionError):
 
 
 class ExpandAndRunOutcome:
-    """Convenience bundle returned by :func:`expand_and_run`."""
+    """Convenience bundle returned by :func:`expand_and_run`: the
+    :class:`TransformResult` beside the run's
+    :class:`~repro.service.runner.JobOutcome` fields."""
 
-    def __init__(self, transform: TransformResult,
-                 sequential: Machine, parallel: ParallelOutcome,
-                 diagnostics: Optional[List[Diagnostic]] = None,
-                 trace: Optional[Tracer] = None,
-                 verified: bool = True):
+    def __init__(self, transform: TransformResult, job_outcome):
         self.transform = transform
-        self.sequential = sequential
-        self.parallel = parallel
-        self.output = parallel.output
-        self.races = parallel.races
+        self.parallel: ParallelOutcome = job_outcome.parallel
+        self.output = self.parallel.output
+        self.races = self.parallel.races
         #: structured findings from transform + runtime (quarantines,
         #: recoveries, divergence), in emission order
-        self.diagnostics = list(diagnostics or [])
+        self.diagnostics: List[Diagnostic] = job_outcome.diagnostics
         #: the :class:`repro.obs.Tracer` observing the run, or None
-        self.trace = trace
+        self.trace: Optional[Tracer] = job_outcome.trace
         #: parallel output matched the sequential original
-        self.verified = verified
-
-    @property
-    def loop_speedup(self) -> float:
-        """Candidate-loop speedup of the parallel run over sequential."""
-        par = sum(
-            ex.makespan + ex.runtime_cycles
-            for ex in self.parallel.loops.values()
-        )
-        seq = sum(tl.profile.loop_cycles for tl in self.transform.loops)
-        return seq / par if par else 0.0
-
-    @property
-    def total_speedup(self) -> float:
-        return (self.sequential.cost.cycles / self.parallel.total_cycles
-                if self.parallel.total_cycles else 0.0)
-
-
-class _SequentialFacade:
-    """Stand-in for the sequential baseline :class:`Machine` when the
-    baseline came out of the stage cache instead of a live run."""
-
-    class _Cost:
-        def __init__(self, cycles):
-            self.cycles = cycles
-
-    def __init__(self, baseline: Optional[dict]):
-        baseline = baseline or {}
-        self.output = list(baseline.get("output", []))
-        self.exit_code = baseline.get("exit_code", 0)
-        self.cost = self._Cost(baseline.get("cycles", 0))
-
-
-#: sentinel marking a config kwarg the caller did not pass
-_UNSET = object()
-
-_LEGACY_EXPAND_WARNING = (
-    "passing compile/run configuration kwargs ({names}) to "
-    "expand_and_run() is deprecated; build a repro.service.Job and "
-    "pass job=..."
-)
+        self.verified = job_outcome.verified
+        #: candidate-loop speedup of the parallel run over sequential
+        self.loop_speedup = job_outcome.loop_speedup
+        self.total_speedup = job_outcome.total_speedup
+        #: per-stage "hit"/"miss" report of the staged compile
+        self.cache_report = job_outcome.cache
 
 
 def expand_and_run(source: Optional[str] = None, loop_labels=None,
                    nthreads: int = 4,
                    optimize=True, *,
-                   entry=_UNSET,
-                   strict=_UNSET,
-                   sink: Optional[DiagnosticSink] = None,
-                   chunk=_UNSET,
-                   watchdog=_UNSET,
-                   layout=_UNSET,
-                   expansion_source=_UNSET,
-                   check_races=_UNSET,
-                   tracer: Optional[Tracer] = None,
-                   trace: bool = False,
-                   engine=_UNSET,
                    job=None,
                    cache=None,
-                   pool=None) -> ExpandAndRunOutcome:
+                   pool=None,
+                   sink: Optional[DiagnosticSink] = None,
+                   tracer: Optional[Tracer] = None,
+                   trace: bool = False) -> ExpandAndRunOutcome:
     """One-call API: parse, analyze, profile, expand, run in parallel.
 
     The labeled loops must carry ``#pragma expand parallel(doall)`` or
     ``parallel(doacross)`` annotations.  The parallel run's output is
     verified against the sequential original.
 
-    ``optimize`` accepts a bool (all §3.4 optimizations on/off) or an
-    :class:`~repro.transform.OptFlags` for per-optimization ablation.
+    ``source``, ``loop_labels``, ``nthreads`` and ``optimize`` (a bool —
+    all §3.4 optimizations on/off — or an
+    :class:`~repro.transform.OptFlags` for per-optimization ablation)
+    are conveniences that build a default :class:`repro.service.Job`.
+    Anything else — entry point, strictness, layout, engine, chunking,
+    watchdog, backend — is a field of the ``Job`` /
+    :class:`~repro.service.CompileOptions` passed as ``job=`` instead.
 
-    ``strict=True`` (default) raises :class:`OutputDivergence` when the
-    parallel output differs from sequential, and fails fast on pipeline
-    or runtime faults.  ``strict=False`` degrades gracefully instead:
-    failing loops are quarantined, races/faults recover by sequential
-    re-execution, and a divergence is recorded as an ``RT-DIVERGED``
-    diagnostic with ``outcome.verified == False``.
-
-    ``entry``, ``chunk``, ``watchdog``, ``layout``,
-    ``expansion_source`` and ``sink`` forward to
-    :func:`~repro.transform.expand_for_threads` and
-    :func:`~repro.runtime.run_parallel`.
+    A strict job (the default) raises :class:`OutputDivergence` when
+    the parallel output differs from sequential, and fails fast on
+    pipeline or runtime faults.  ``CompileOptions(strict=False)``
+    degrades gracefully instead: failing loops are quarantined,
+    races/faults recover by sequential re-execution, and a divergence
+    is recorded as an ``RT-DIVERGED`` diagnostic with
+    ``outcome.verified == False``.
 
     ``trace=True`` (or an explicit ``tracer=``) records phase spans,
     the per-thread runtime timeline and the transform/runtime metrics;
     the tracer is attached as ``outcome.trace``.
 
-    ``engine`` picks the interpreter tier (see
-    :data:`repro.interp.ENGINES`; defaults to ``$REPRO_ENGINE``).  The
-    sequential verification baseline needs no observers, so under the
-    bytecode engine it runs the bare variant; the parallel run itself
-    uses the instrumented variant.
-
-    ``job`` (a :class:`repro.service.Job`) is the canonical way to pass
-    the whole configuration as one value object; the individual config
-    kwargs remain as a deprecated shim.  ``cache`` (a
-    :class:`repro.service.StageCache`) routes the compile through the
-    staged pipeline — every stage is probed from / published to the
-    cache — and ``pool`` (a :class:`repro.service.SessionPool`) lets a
+    ``cache`` (a :class:`repro.service.StageCache`) lets every compile
+    stage and the sequential baseline be probed from / published to the
+    cache, and ``pool`` (a :class:`repro.service.SessionPool`) lets a
     process-backend job draw a warm worker session.
     """
-    if tracer is None:
-        tracer = Tracer() if trace else NULL_TRACER
-    sink = sink if sink is not None else DiagnosticSink()
-
-    given = {name: value for name, value in (
-        ("entry", entry), ("strict", strict), ("chunk", chunk),
-        ("watchdog", watchdog), ("layout", layout),
-        ("expansion_source", expansion_source),
-        ("check_races", check_races), ("engine", engine),
-    ) if value is not _UNSET}
-    if job is not None:
-        if source is not None or loop_labels is not None or given:
-            extras = sorted(given)
-            if source is not None:
-                extras.insert(0, "source")
-            raise TypeError(
-                "expand_and_run() got both job= and the legacy "
-                f"arguments {extras}; the Job already carries them"
-            )
-    else:
+    if job is None:
         if source is None or loop_labels is None:
             raise TypeError(
                 "expand_and_run() needs source and loop_labels "
                 "(or job=)"
             )
-        if given:
-            import warnings
-            warnings.warn(
-                _LEGACY_EXPAND_WARNING.format(
-                    names=", ".join(sorted(given))),
-                DeprecationWarning, stacklevel=2,
-            )
-        job = service.Job.from_kwargs(
-            source, loop_labels, nthreads, optimize, **given)
-
-    if cache is not None or pool is not None:
-        # staged pipeline path: memoizable stages + cached baseline +
-        # (optionally) a pooled warm session
-        compiled = service.StagedCompiler(
-            cache=cache, tracer=tracer, sink=sink,
-        ).compile(job)
-        job_outcome = service.run_job(compiled, tracer=tracer,
-                                      sink=sink, pool=pool, cache=cache)
-        result = ExpandAndRunOutcome(
-            compiled.result, _SequentialFacade(job_outcome.baseline),
-            job_outcome.parallel,
-            diagnostics=job_outcome.diagnostics,
-            trace=tracer if tracer else None,
-            verified=job_outcome.verified,
+        job = Job(source, loop_labels, CompileOptions.make(optimize),
+                  nthreads=nthreads)
+    elif source is not None or loop_labels is not None:
+        raise TypeError(
+            "expand_and_run() got both job= and source/loop_labels; "
+            "the Job already carries them"
         )
-        #: per-stage "hit"/"miss" report of the staged compile
-        result.cache_report = job_outcome.cache
-        return result
-
-    opts = job.options
-    program, sema = parse_and_analyze(job.source, tracer=tracer)
-    eng = resolve_engine(opts.engine)
-    with tracer.phase("sequential-baseline"):
-        seq = Machine(program, sema,
-                      engine="bytecode-bare" if eng != "ast" else "ast")
-        seq.exit_code = seq.run(opts.entry)
-    transform = expand_for_threads(
-        program, sema, list(job.loop_labels), optimize=opts.flags,
-        expansion_source=opts.expansion_source, entry=opts.entry,
-        layout=opts.layout, strict=opts.strict, sink=sink,
-        tracer=tracer,
-    )
-    outcome = run_parallel(transform, sink=sink, tracer=tracer,
-                           job=job.with_options(engine=eng))
-    verified = outcome.output == seq.output
-    if not verified:
-        message = (
-            f"parallel output diverged: {outcome.output} != {seq.output}"
-        )
-        if opts.strict:
-            exc = OutputDivergence(message)
-            sink.emit(exc.diagnostic)
-            raise exc
-        sink.error("RT-DIVERGED", message, phase="runtime")
-    result = ExpandAndRunOutcome(
-        transform, seq, outcome,
-        diagnostics=list(sink.diagnostics),
-        trace=tracer if tracer else None,
-        verified=verified,
-    )
-    result.cache_report = None
-    return result
+    if tracer is None:
+        tracer = Tracer() if trace else NULL_TRACER
+    sink = sink if sink is not None else DiagnosticSink()
+    compiled = StagedCompiler(cache=cache, tracer=tracer,
+                              sink=sink).compile(job)
+    job_outcome = run_job(compiled, tracer=tracer, sink=sink, pool=pool,
+                          cache=cache)
+    return ExpandAndRunOutcome(compiled.result, job_outcome)
 
 
-__version__ = "1.7.0"
+__version__ = "1.8.0"
 
 # the service layer resolves __version__ lazily for cache keys, so it
 # imports after the version is bound
-from . import service
 from .service import (
     CompileOptions, ExpansionService, Job, SessionPool, StageCache,
     StagedCompiler, run_job,

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..frontend import ast
 from ..frontend.sema import SemaResult
 from ..interp.machine import (
-    BreakSignal, ContinueSignal, Machine, resolve_engine,
+    BreakSignal, ContinueSignal, Machine, observed_engine,
 )
 from .ddg import ANTI, DDG, FLOW, OUTPUT
 
@@ -287,10 +287,7 @@ def profile_loop(
     ``engine`` picks the interpreter tier; the bare bytecode variant is
     promoted to instrumented (the profiler is an observer).
     """
-    eng = resolve_engine(engine)
-    if eng == "bytecode-bare":
-        eng = "bytecode"
-    machine = Machine(program, sema, engine=eng)
+    machine = Machine(program, sema, engine=observed_engine(engine))
     profile = LoopProfile(loop)
     observer = _ProfileObserver(machine, profile)
     controller = _ProfileController(observer, profile)

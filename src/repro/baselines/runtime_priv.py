@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Set
 
 from ..frontend import ast
 from ..interp import memory as mem
-from ..interp.machine import Machine, resolve_engine
+from ..interp.machine import Machine, observed_engine
 from ..interp.trace import RaceChecker
 from ..analysis.privatization import PrivatizationResult
 from ..analysis.profiler import LoopProfile
@@ -192,12 +192,9 @@ class BaselineRunner:
     ):
         self.nthreads = nthreads
         self.outcome = ParallelOutcome(nthreads)
-        # the baseline needs observers + the access-control redirector,
-        # so bare is promoted to the instrumented bytecode variant
-        eng = resolve_engine(engine)
-        if eng == "bytecode-bare":
-            eng = "bytecode"
-        self.machine = Machine(program, sema, engine=eng)
+        # the baseline needs observers + the access-control redirector
+        self.machine = Machine(program, sema,
+                               engine=observed_engine(engine))
         self.machine.nthreads = nthreads
         self.privatize = privatize
         all_private: Set[int] = set()

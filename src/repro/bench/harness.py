@@ -30,7 +30,7 @@ from ..analysis import (
     Breakdown, build_access_classes, classify, compute_breakdown,
     profile_loop,
 )
-from ..interp import Machine, resolve_engine
+from ..interp import Machine, resolve_engine, unobserved_engine
 from ..runtime import run_parallel
 from ..baselines import run_runtime_privatization, run_sync_only
 from ..transform import expand_for_threads
@@ -95,11 +95,9 @@ class BenchmarkResult:
 
 
 def _seq_run(program, sema, engine: str = "ast") -> Machine:
-    # unobserved straight-line run: the bare tier is behaviorally
-    # identical and fastest of the bytecode variants; native keeps
-    # native (the hardware-speed sequential run is the measurement)
-    eng = engine if engine in ("ast", "native") else "bytecode-bare"
-    machine = Machine(program, sema, engine=eng)
+    # native keeps native: the hardware-speed sequential run is the
+    # measurement
+    machine = Machine(program, sema, engine=unobserved_engine(engine))
     machine.exit_code = machine.run()
     return machine
 
@@ -223,12 +221,9 @@ class Harness:
         t = clock("transform", t)
 
         # 4. figure 9: sequential single-core overhead of the transform
-        # (unobserved, so the bare tier applies like the baseline run)
         for tresult, attr in ((opt, "overhead_opt"), (unopt, "overhead_unopt")):
-            machine = Machine(
-                tresult.program, tresult.sema,
-                engine="bytecode-bare" if eng != "ast" else "ast",
-            )
+            machine = Machine(tresult.program, tresult.sema,
+                              engine=unobserved_engine(eng))
             machine.nthreads = 1
             machine.run()
             _check_output(spec, result.seq_output, machine.output,
@@ -249,21 +244,18 @@ class Harness:
         # wall-timed: on the process backend wallclock[1]/wallclock[n]
         # is the real end-to-end host speedup (simulated-cycle speedups
         # are backend-invariant by the bit-identity contract).
-        from ..service import Job
+        from ..service import CompileOptions, Job
         for n in self.thread_counts:
-            job = Job.from_kwargs(
-                spec.source, spec.loop_labels, n, True, engine=eng,
-                backend=self.backend, workers=self.workers,
-            )
+            job = Job(spec.source, spec.loop_labels,
+                      CompileOptions(engine=eng), nthreads=n,
+                      backend=self.backend, workers=self.workers)
             t_par = time.perf_counter()
             out = run_parallel(opt, job=job, tracer=tracer)
             result.wallclock[n] = time.perf_counter() - t_par
             _check_output(spec, result.seq_output, out.output,
                           f"parallel(N={n})")
             point = ParallelPoint(n)
-            par_loop = sum(
-                ex.makespan + ex.runtime_cycles for ex in out.loops.values()
-            )
+            par_loop = out.loop_makespan
             point.loop_speedup = loop_cycles / par_loop if par_loop else 0.0
             point.total_speedup = result.seq_cycles / out.total_cycles
             point.memory_multiple = out.peak_memory / result.seq_memory
@@ -281,9 +273,7 @@ class Harness:
             _check_output(spec, result.seq_output, rt.output,
                           f"rt-priv(N={n})")
             rpoint = ParallelPoint(n)
-            rt_loop = sum(
-                ex.makespan + ex.runtime_cycles for ex in rt.loops.values()
-            )
+            rt_loop = rt.loop_makespan
             rpoint.loop_speedup = loop_cycles / rt_loop if rt_loop else 0.0
             rpoint.total_speedup = result.seq_cycles / rt.total_cycles
             rpoint.memory_multiple = rt.peak_memory / result.seq_memory
@@ -296,9 +286,7 @@ class Harness:
         so = run_sync_only(program, sema, spec.loop_labels, profiles,
                            nthreads=max(self.thread_counts), engine=eng)
         _check_output(spec, result.seq_output, so.output, "sync-only")
-        so_loop = sum(
-            ex.makespan + ex.runtime_cycles for ex in so.loops.values()
-        )
+        so_loop = so.loop_makespan
         result.sync_only_speedup = loop_cycles / so_loop if so_loop else 0.0
         clock("sync-only", t)
         wall["total"] = time.perf_counter() - t_start

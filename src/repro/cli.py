@@ -21,9 +21,8 @@ viewable in chrome://tracing or Perfetto) and ``--trace-summary``
 
 The §3.4 optimizations are individually addressable: ``--no-opt-NAME``
 disables one (``selective-promotion``, ``trivial-span-elim``,
-``constant-spans``, ``hoisting``, ``licm``), ``--opt NAME`` re-enables
-one, and the blunt ``--no-optimize`` (kept for compatibility) disables
-them all.
+``constant-spans``, ``hoisting``, ``licm``) and ``--opt NAME``
+re-enables one.
 
 Examples::
 
@@ -120,22 +119,12 @@ def _opt_flags(args):
     """Build :class:`OptFlags` from the granular CLI switches."""
     from .transform import OptFlags
 
-    if args.no_optimize:
-        # parsed for one more release; the granular switches are the
-        # supported surface
-        print(
-            "warning[CLI-DEPRECATED]: --no-optimize is deprecated; use "
-            "the granular --no-opt-<name> switches (or --no-opt-"
-            + " --no-opt-".join(OPT_NAMES) + " for all of them)",
-            file=sys.stderr,
-        )
-    base_on = not args.no_optimize
     enabled = {name.replace("-", "_") for name in args.opt}
     kwargs = {}
     for name in OPT_NAMES:
         field = name.replace("-", "_")
-        on = base_on and not getattr(args, f"no_opt_{field}")
-        kwargs[field] = on or field in enabled
+        kwargs[field] = (not getattr(args, f"no_opt_{field}")
+                         or field in enabled)
     return OptFlags(**kwargs)
 
 
@@ -193,7 +182,7 @@ def _render_diagnostics(sink) -> None:
         print(diag.render(), file=sys.stderr)
 
 
-def _transform(args, sink=None, tracer=None, flags=None):
+def _transform(args, sink=None, tracer=None):
     from .frontend import ast
     from .transform import expand_for_threads
 
@@ -208,7 +197,7 @@ def _transform(args, sink=None, tracer=None, flags=None):
                 raise SystemExit(1)
     result = expand_for_threads(
         program, sema, args.loop,
-        optimize=flags if flags is not None else _opt_flags(args),
+        optimize=_opt_flags(args),
         layout=args.layout,
         entry=args.entry,
         strict=args.strict,
@@ -216,7 +205,7 @@ def _transform(args, sink=None, tracer=None, flags=None):
         tracer=tracer,
         commutative=not getattr(args, "no_commutative", False),
     )
-    return program, sema, result
+    return result
 
 
 def _cmd_expand(args) -> int:
@@ -226,7 +215,7 @@ def _cmd_expand(args) -> int:
     sink = DiagnosticSink()
     tracer = _make_tracer(args)
     try:
-        _, _, result = _transform(args, sink=sink, tracer=tracer)
+        result = _transform(args, sink=sink, tracer=tracer)
     finally:
         _finish_trace(args, tracer)
     print(print_program(result.program))
@@ -247,12 +236,37 @@ def _cmd_expand(args) -> int:
     return 0
 
 
-def _parallel_staged(args, job, sink, tracer, cache_dir) -> int:
-    """``parallel --cache DIR``: route the compile through the staged
-    pipeline so every stage is probed from / published to the cache."""
-    from .service import StageCache, StagedCompiler, run_job
+def _cmd_parallel(args) -> int:
+    from .diagnostics import DiagnosticSink
+    from .service import (
+        CompileOptions, Job, StageCache, StagedCompiler, run_job,
+    )
 
-    cache = StageCache(root=cache_dir, sink=sink)
+    sink = DiagnosticSink()
+    tracer = _make_tracer(args)
+    eng = _resolve_engine_cli(args)
+    with open(args.file) as fh:
+        source = fh.read()
+    job = Job(
+        source, args.loop,
+        CompileOptions.make(
+            _opt_flags(args), layout=args.layout, entry=args.entry,
+            strict=args.strict, engine=eng,
+            commutative=not args.no_commutative,
+        ),
+        nthreads=args.threads, chunk=args.chunk, watchdog=args.watchdog,
+        backend=args.backend, workers=args.workers,
+    )
+    mc = {name: getattr(args, name)
+          for name in ("max_restarts", "retry_budget")
+          if getattr(args, name) is not None}
+    injectors = None
+    if args.chaos:
+        from .runtime import parse_chaos_spec
+        injectors = [parse_chaos_spec(spec, seed=i)
+                     for i, spec in enumerate(args.chaos)]
+    # --cache DIR: every stage is probed from / published to the cache
+    cache = StageCache(root=args.cache, sink=sink) if args.cache else None
     try:
         try:
             compiled = StagedCompiler(
@@ -262,7 +276,8 @@ def _parallel_staged(args, job, sink, tracer, cache_dir) -> int:
             print(f"error[PIPE-NO-LOOP]: {exc.args[0]} in {args.file}",
                   file=sys.stderr)
             return 1
-        jo = run_job(compiled, tracer=tracer, sink=sink, cache=cache)
+        jo = run_job(compiled, tracer=tracer, sink=sink, cache=cache,
+                     mc=mc or None, fault_injectors=injectors)
     finally:
         _finish_trace(args, tracer)
     for line in jo.output:
@@ -273,98 +288,19 @@ def _parallel_staged(args, job, sink, tracer, cache_dir) -> int:
         status.append(f"quarantined {len(compiled.result.quarantined)}")
     if jo.parallel.recoveries:
         status.append(f"recovered {len(jo.parallel.recoveries)}")
-    hits = sum(1 for v in jo.cache.values() if v == "hit")
+    cached = ""
+    if cache is not None:
+        cached = f"; stage cache {compiled.hits}/{compiled.stage_count}"
     print(
         f"[{args.threads} threads: output "
         f"{'VERIFIED' if jo.verified else 'DIVERGED!'}; "
         f"loop speedup {jo.loop_speedup:.2f}x; "
         f"total speedup {jo.total_speedup:.2f}x; "
         f"races {jo.races}"
-        f"{'; ' + ', '.join(status) if status else ''}; "
-        f"stage cache {hits}/{len(jo.cache)}]",
+        f"{'; ' + ', '.join(status) if status else ''}{cached}]",
         file=sys.stderr,
     )
     return 0 if jo.verified else 1
-
-
-def _cmd_parallel(args) -> int:
-    from .diagnostics import DiagnosticSink
-    from .interp import Machine
-    from .runtime import run_parallel
-    from .service import Job
-
-    sink = DiagnosticSink()
-    tracer = _make_tracer(args)
-    eng = _resolve_engine_cli(args)
-    with open(args.file) as fh:
-        source = fh.read()
-    job = Job.from_kwargs(
-        source, list(args.loop), args.threads, _opt_flags(args),
-        entry=args.entry, strict=args.strict, chunk=args.chunk,
-        watchdog=args.watchdog, layout=args.layout, engine=eng,
-        backend=args.backend, workers=args.workers,
-        commutative=not args.no_commutative,
-    )
-    mc = {}
-    if getattr(args, "max_restarts", None) is not None:
-        mc["max_restarts"] = args.max_restarts
-    if getattr(args, "retry_budget", None) is not None:
-        mc["retry_budget"] = args.retry_budget
-    injectors = None
-    if getattr(args, "chaos", None):
-        from .runtime import parse_chaos_spec
-        injectors = [parse_chaos_spec(spec, seed=i)
-                     for i, spec in enumerate(args.chaos)]
-    cache_dir = getattr(args, "cache", None)
-    if cache_dir and (mc or injectors):
-        # the staged runner has no chaos/supervision plumbing — honor
-        # the fault flags and skip the cache rather than silently
-        # dropping them
-        print("warning[CLI-CACHE]: --cache does not compose with "
-              "chaos/supervision flags; running uncached",
-              file=sys.stderr)
-        cache_dir = None
-    if cache_dir:
-        return _parallel_staged(args, job, sink, tracer, cache_dir)
-    try:
-        program, sema, result = _transform(args, sink=sink,
-                                           tracer=tracer,
-                                           flags=job.options.flags)
-        # the baseline is unobserved, so the bare tier is safe for it
-        # (native keeps native: the hardware-speed run IS the point)
-        base_eng = eng if eng in ("ast", "native") else "bytecode-bare"
-        base = Machine(program, sema, engine=base_eng)
-        with tracer.phase("sequential-baseline"):
-            base.run(args.entry)
-        outcome = run_parallel(result, job=job, sink=sink,
-                               tracer=tracer, mc=mc or None,
-                               fault_injectors=injectors)
-    finally:
-        _finish_trace(args, tracer)
-    for line in outcome.output:
-        print(line)
-    _render_diagnostics(sink)
-    ok = outcome.output == base.output
-    loop_par = sum(
-        ex.makespan + ex.runtime_cycles for ex in outcome.loops.values()
-    )
-    loop_seq = sum(tl.profile.loop_cycles for tl in result.loops)
-    status = []
-    if result.quarantined:
-        status.append(f"quarantined {len(result.quarantined)}")
-    if outcome.recoveries:
-        status.append(f"recovered {len(outcome.recoveries)}")
-    print(
-        f"[{args.threads} threads: output "
-        f"{'VERIFIED' if ok else 'DIVERGED!'}; "
-        f"loop speedup {loop_seq / loop_par if loop_par else 0:.2f}x; "
-        "total speedup "
-        f"{base.cost.cycles / outcome.total_cycles:.2f}x; "
-        f"races {len(outcome.races)}"
-        f"{'; ' + ', '.join(status) if status else ''}]",
-        file=sys.stderr,
-    )
-    return 0 if ok else 1
 
 
 def _cmd_serve(args) -> int:
@@ -672,17 +608,14 @@ def build_parser() -> argparse.ArgumentParser:
             add_trace(p)
         else:
             add_common(p, needs_loop=True)
-        p.add_argument("--no-optimize", action="store_true",
-                       help="disable all §3.4 optimizations (Fig. 9a "
-                            "mode; shorthand for every --no-opt-*)")
         for opt in OPT_NAMES:
             p.add_argument(f"--no-opt-{opt}", action="store_true",
                            help=f"disable the {opt.replace('-', ' ')} "
                                 "optimization")
         p.add_argument("--opt", action="append", default=[],
                        choices=OPT_NAMES, metavar="NAME",
-                       help="re-enable one optimization (combine with "
-                            "--no-optimize for single-opt ablations)")
+                       help="re-enable one optimization (wins over "
+                            "its --no-opt-NAME)")
         p.add_argument("--layout", choices=("bonded", "interleaved",
                                             "adaptive"),
                        default="bonded")

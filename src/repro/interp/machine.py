@@ -203,6 +203,22 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return name
 
 
+def unobserved_engine(engine: Optional[str] = None) -> str:
+    """Engine for a run nothing observes (sequential baselines,
+    overhead measurements): the bare tier is behaviorally identical and
+    the fastest bytecode variant; ``ast`` and ``native`` stay as asked."""
+    name = resolve_engine(engine)
+    return name if name in ("ast", "native") else "bytecode-bare"
+
+
+def observed_engine(engine: Optional[str] = None) -> str:
+    """Engine for a run with observers, a redirector or watchdog
+    accounting attached: the bare tier has no fan-out, so it is promoted
+    to instrumented bytecode (``native`` keeps its own bare fallback)."""
+    name = resolve_engine(engine)
+    return "bytecode" if name == "bytecode-bare" else name
+
+
 class Machine:
     """Interpreter for one analyzed program.
 

@@ -38,7 +38,7 @@ from ..frontend import ast
 from ..obs import NULL_TRACER, ensure_tracer
 from ..interp.machine import (
     BreakSignal, ContinueSignal, CostSink, InterpError, Machine,
-    WatchdogTimeout, resolve_engine,
+    WatchdogTimeout, observed_engine,
 )
 from ..interp.memory import MemoryError_
 from ..interp.trace import RaceChecker
@@ -711,12 +711,8 @@ class ParallelRunner:
         self.session = None
         memory = None
         # the parallel runtime needs observer fan-out (race checker)
-        # and per-statement watchdog accounting, so the bare variant
-        # is promoted to the instrumented bytecode engine; the native
-        # tier stays native (its own fallback is the bare closures)
-        eng = resolve_engine(engine)
-        if eng == "bytecode-bare":
-            eng = "bytecode"
+        # and per-statement watchdog accounting
+        eng = observed_engine(engine)
         if session is not None:
             # adopt a pre-built (possibly pooled) session: the caller
             # guarantees it was created for this tresult's program and
@@ -978,50 +974,26 @@ class _QuarantineHost:
         self.access_control = access_control
 
 
-#: sentinel marking a config kwarg the caller did not pass (the
-#: deprecation shim needs "explicitly given" to be distinguishable
-#: from the default)
-_UNSET = object()
-
-#: the run_parallel config kwargs subsumed by :class:`repro.service.Job`
-_LEGACY_RUN_KWARGS = ("check_races", "entry", "chunk", "strict",
-                      "watchdog", "engine", "backend", "workers")
-
-_LEGACY_WARNING = (
-    "passing run configuration kwargs ({names}) to run_parallel() is "
-    "deprecated; build a repro.service.Job and pass job=..."
-)
-
-
 def run_parallel(
     tresult: TransformResult,
     nthreads: Optional[int] = None,
-    check_races=_UNSET,
-    entry=_UNSET,
-    raise_on_race: bool = True,
-    chunk=_UNSET,
-    strict=_UNSET,
-    sink: Optional[DiagnosticSink] = None,
-    watchdog=_UNSET,
-    fault_injectors: Optional[List] = None,
-    tracer=None,
-    engine=_UNSET,
-    backend=_UNSET,
-    workers=_UNSET,
-    mc: Optional[dict] = None,
     *,
     job=None,
-    session=None,
+    entry: Optional[str] = None,
+    raise_on_race: bool = True,
+    **runner_kwargs,
 ) -> ParallelOutcome:
     """Run a transformed program on ``nthreads`` virtual threads.
 
-    ``job`` (a :class:`repro.service.Job`) is the canonical way to pass
-    the run configuration — thread count, chunking, strictness,
-    backend, engine, entry point — as one value object; the individual
-    config kwargs remain as a deprecated shim for pre-1.5 callers.
-    ``session`` injects a pre-built (typically pooled)
-    :class:`~repro.runtime.multicore.ProcessSession` so a resident
-    service reuses warm forked workers across requests.
+    The low-level "run this :class:`TransformResult`" call:
+    ``runner_kwargs`` are :class:`ParallelRunner`'s keyword parameters
+    (``check_races``, ``chunk``, ``strict``, ``watchdog``, ``engine``,
+    ``backend``, ``workers``, ``sink``, ``tracer``, ``fault_injectors``,
+    ``mc``, ``session``) and ``entry`` names the entry point (default
+    ``main``).  ``job`` (a :class:`repro.service.Job`) is the driver's
+    spelling: it carries the thread count, entry point and the run
+    configuration as one value object, so passing any of those beside
+    it is a ``TypeError``.
 
     ``chunk`` sets the DOACROSS dynamic-scheduling chunk size (the
     paper uses 1; larger chunks trade scheduling overhead for pipeline
@@ -1041,60 +1013,42 @@ def run_parallel(
     simulated-cycle timestamps, and is attached to the outcome as
     ``outcome.trace``.
 
-    ``engine`` picks the interpreter tier (``"ast"`` or
-    ``"bytecode"``; defaults to ``$REPRO_ENGINE``).  The bare bytecode
-    variant is promoted to instrumented — the runtime needs the race
-    checker's observer fan-out and watchdog accounting.
+    ``engine`` picks the interpreter tier (see
+    :data:`repro.interp.ENGINES`; defaults to ``$REPRO_ENGINE``).  The
+    bare bytecode variant is promoted to instrumented — the runtime
+    needs the race checker's observer fan-out and watchdog accounting.
 
     ``backend="process"`` executes capable parallel loops on real
     worker processes over one OS shared-memory segment (see
     :mod:`repro.runtime.multicore`); ``workers`` sizes the pool
-    (default ``nthreads``) and ``mc`` tunes segment/arena sizes and
-    timeouts.  Output, diagnostics, modeled cycles and the final heap
-    image stay bit-identical to the simulated backend; loops the
-    capability audit rejects fall back to the simulated controllers on
-    the same shared buffer."""
-    given = {name: value for name, value in (
-        ("check_races", check_races), ("entry", entry), ("chunk", chunk),
-        ("strict", strict), ("watchdog", watchdog), ("engine", engine),
-        ("backend", backend), ("workers", workers),
-    ) if value is not _UNSET}
+    (default ``nthreads``), ``mc`` tunes segment/arena sizes and
+    timeouts, and ``session`` injects a pre-built (typically pooled)
+    :class:`~repro.runtime.multicore.ProcessSession` so a resident
+    service reuses warm forked workers across requests.  Output,
+    diagnostics, modeled cycles and the final heap image stay
+    bit-identical to the simulated backend; loops the capability audit
+    rejects fall back to the simulated controllers on the same shared
+    buffer."""
     if job is not None:
-        if given:
-            raise TypeError(
-                "run_parallel() got both job= and the legacy kwargs "
-                f"{sorted(given)}; the Job already carries them"
-            )
+        config = dict(
+            check_races=job.check_races, chunk=job.chunk,
+            strict=job.options.strict, watchdog=job.watchdog,
+            engine=job.options.engine, backend=job.backend,
+            workers=job.workers,
+        )
+        clash = sorted(config.keys() & runner_kwargs.keys())
         if nthreads is not None:
+            clash.insert(0, "nthreads")
+        if entry is not None:
+            clash.append("entry")
+        if clash:
             raise TypeError(
-                "run_parallel() got both job= and nthreads; the Job "
-                "already carries the thread count"
+                f"run_parallel() got both job= and {clash}; the Job "
+                "already carries them"
             )
-        nthreads = job.nthreads
-        config = dict(
-            check_races=job.check_races, entry=job.options.entry,
-            chunk=job.chunk, strict=job.options.strict,
-            watchdog=job.watchdog, engine=job.options.engine,
-            backend=job.backend, workers=job.workers,
-        )
-    else:
-        if nthreads is None:
-            raise TypeError("run_parallel() needs nthreads (or job=)")
-        if given:
-            import warnings
-            warnings.warn(
-                _LEGACY_WARNING.format(names=", ".join(sorted(given))),
-                DeprecationWarning, stacklevel=2,
-            )
-        config = dict(
-            check_races=True, entry="main", chunk=1, strict=True,
-            watchdog=None, engine=None, backend="simulated",
-            workers=None,
-        )
-        config.update(given)
-    entry_point = config.pop("entry")
-    runner = ParallelRunner(tresult, nthreads, sink=sink,
-                            fault_injectors=fault_injectors,
-                            tracer=tracer, mc=mc, session=session,
-                            **config)
-    return runner.run(entry_point, raise_on_race=raise_on_race)
+        nthreads, entry = job.nthreads, job.options.entry
+        runner_kwargs.update(config)
+    elif nthreads is None:
+        raise TypeError("run_parallel() needs nthreads (or job=)")
+    runner = ParallelRunner(tresult, nthreads, **runner_kwargs)
+    return runner.run(entry or "main", raise_on_race=raise_on_race)

@@ -12,7 +12,7 @@ stages, and the ``repro serve`` wire protocol (``to_dict`` /
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 from ..transform.pipeline import OptFlags
@@ -135,36 +135,6 @@ class Job:
             raise ValueError(f"backend must be one of {BACKENDS}")
         if self.nthreads < 1:
             raise ValueError("nthreads must be >= 1")
-
-    @classmethod
-    def from_kwargs(cls, source: str, loop_labels, nthreads: int = 4,
-                    optimize=True, *, entry: str = "main",
-                    strict: bool = True, chunk: int = 1,
-                    watchdog: Optional[int] = None,
-                    layout: str = "bonded",
-                    expansion_source: str = "static",
-                    check_races: bool = True,
-                    engine: Optional[str] = None,
-                    commutative: bool = True,
-                    backend: str = "simulated",
-                    workers: Optional[int] = None,
-                    verify: bool = True) -> "Job":
-        """Build a Job from the pre-1.5 kwarg surface (the deprecation
-        shims in :func:`repro.expand_and_run` / ``run_parallel`` route
-        through this)."""
-        options = CompileOptions.make(
-            optimize, layout=layout, expansion_source=expansion_source,
-            entry=entry, strict=strict, engine=engine,
-            commutative=commutative,
-        )
-        return cls(source=source, loop_labels=tuple(loop_labels),
-                   options=options, nthreads=nthreads, chunk=chunk,
-                   check_races=check_races, watchdog=watchdog,
-                   backend=backend, workers=workers, verify=verify)
-
-    def with_options(self, **kwargs) -> "Job":
-        """A copy with ``options`` fields replaced."""
-        return replace(self, options=replace(self.options, **kwargs))
 
     def to_dict(self) -> dict:
         return {

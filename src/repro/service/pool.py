@@ -11,7 +11,8 @@ after every run.  A session the supervisor degraded (worker crashes
 exhausted the restart budget) or closed mid-run is *evicted* — closed
 and dropped — never handed to another request; the next acquire forks
 a fresh pool.  Idle sessions beyond ``max_sessions`` are evicted
-oldest-first.
+oldest-first, and one key parks at most one session: a second session
+released under the same key evicts the one already idle.
 """
 
 from __future__ import annotations
@@ -93,14 +94,15 @@ class SessionPool:
         if key is None:
             self._evict(session)
             return
-        overflow = None
         with self._lock:
+            # two concurrent clients of one program both come back under
+            # the same key: the one already parked is displaced
+            displaced = self._idle.pop(key, None)
             self._idle[key] = session
-            self._idle.move_to_end(key)
             if len(self._idle) > self.max_sessions:
-                _, overflow = self._idle.popitem(last=False)
-        if overflow is not None:
-            self._evict(overflow)
+                _, displaced = self._idle.popitem(last=False)
+        if displaced is not None:
+            self._evict(displaced)
 
     def _evict(self, session: ProcessSession) -> None:
         session.pool = None

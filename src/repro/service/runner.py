@@ -1,12 +1,13 @@
 """Execute a :class:`~repro.service.stages.CompiledJob`.
 
-The run phase mirrors :func:`repro.expand_and_run` — sequential
-baseline, parallel execution, output verification — but every piece is
-cache/pool aware: the baseline is a durable side-stage artifact (keyed
-off the ``sema`` key: it depends only on the original program), and a
-process-backend run draws its worker session from a
-:class:`~repro.service.pool.SessionPool` instead of forking per
-request.
+:func:`run_job` is the toolchain's one run phase — sequential baseline,
+parallel execution, output verification, speedups — behind
+:func:`repro.expand_and_run`, ``repro parallel``, the serve daemon and
+the benchmarks.  Every piece is cache/pool aware: the baseline is a
+durable side-stage artifact (keyed off the ``sema`` key: it depends
+only on the original program), and a process-backend run draws its
+worker session from a :class:`~repro.service.pool.SessionPool` instead
+of forking per request.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import time
 from typing import List, Optional
 
 from ..diagnostics import Diagnostic, DiagnosticSink
-from ..interp import Machine
+from ..interp import Machine, unobserved_engine
 from ..obs import ensure_tracer
 from ..runtime.parallel import run_parallel
 from .cache import MISS, StageCache
@@ -90,13 +91,9 @@ def _sequential_baseline(compiled: CompiledJob, tracer,
             if tracer:
                 tracer.metrics.inc("cache.baseline.hit")
             return hit
-    eng = opts.resolved_engine()
-    if eng not in ("ast", "native"):
-        # unobserved straight-line run: the bare tier is behaviorally
-        # identical and fastest of the bytecode variants
-        eng = "bytecode-bare"
     with tracer.phase("sequential-baseline"):
-        machine = Machine(ctx.program, ctx.sema, engine=eng)
+        machine = Machine(ctx.program, ctx.sema,
+                          engine=unobserved_engine(opts.engine))
         exit_code = machine.run(opts.entry)
     baseline = {
         "output": list(machine.output),
@@ -113,14 +110,18 @@ def _sequential_baseline(compiled: CompiledJob, tracer,
 
 def run_job(compiled: CompiledJob, tracer=None,
             sink: Optional[DiagnosticSink] = None,
-            pool=None, cache: Optional[StageCache] = None) -> JobOutcome:
+            pool=None, cache: Optional[StageCache] = None,
+            mc: Optional[dict] = None,
+            fault_injectors: Optional[List] = None) -> JobOutcome:
     """Run a compiled job: (cached) sequential baseline, parallel
     execution — on a pooled warm session when the process backend and a
-    pool are available — and output verification.
+    pool are available — and output verification.  ``mc`` (process-
+    backend supervision/segment tuning) and ``fault_injectors`` forward
+    to :func:`~repro.runtime.run_parallel`.
 
-    Strict jobs raise :class:`repro.OutputDivergence` on mismatch,
-    mirroring :func:`repro.expand_and_run`; permissive jobs record an
-    ``RT-DIVERGED`` diagnostic and return ``verified=False``.
+    Strict jobs raise :class:`repro.OutputDivergence` on mismatch;
+    permissive jobs record an ``RT-DIVERGED`` diagnostic and return
+    ``verified=False``.
     """
     job = compiled.job
     tracer = ensure_tracer(tracer)
@@ -139,7 +140,8 @@ def run_job(compiled: CompiledJob, tracer=None,
             session = pool.acquire(compiled.result, job,
                                    fingerprint=compiled.ctx.fingerprint)
     outcome = run_parallel(compiled.result, job=job, session=session,
-                           sink=sink, tracer=tracer)
+                           sink=sink, tracer=tracer, mc=mc,
+                           fault_injectors=fault_injectors)
     session_reused = bool(session is not None and session.reused)
     if tracer and session is not None:
         tracer.metrics.inc("serve.session_reused"
@@ -160,8 +162,7 @@ def run_job(compiled: CompiledJob, tracer=None,
                 raise exc
             sink.error("RT-DIVERGED", message, phase="runtime")
 
-    par = sum(ex.makespan + ex.runtime_cycles
-              for ex in outcome.loops.values())
+    par = outcome.loop_makespan
     seq_loop = sum(tl.profile.loop_cycles
                    for tl in compiled.result.loops)
     loop_speedup = seq_loop / par if par else 0.0

@@ -37,9 +37,6 @@ import hashlib
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import commutative as _commutative
-from ..analysis.access_classes import build_access_classes
-from ..analysis.privatization import classify
-from ..analysis.profiler import profile_loop
 from ..diagnostics import DiagnosticSink
 from ..frontend import ast, parse
 from ..frontend.sema import analyze
@@ -55,10 +52,6 @@ from .job import Job
 #: only when the job's engine is "native")
 STAGES = ("parse", "sema", "profile", "classify", "expand", "optimize",
           "plan", "lower", "lower-native")
-
-#: transform stages that collapse into one monolithic unit when the
-#: job is permissive
-_TRANSFORM_STAGES = ("profile", "classify", "expand", "optimize", "plan")
 
 
 def _h(prev: str, *parts) -> str:
@@ -312,30 +305,12 @@ class StagedCompiler:
             ctx.sema = analyze(ctx.program)
 
     def _stage_profile(self, job: Job, ctx: StageContext) -> None:
-        profiles = {}
-        for loop in ctx.loops():
-            with self.tracer.phase("profile", loop=loop.label):
-                profiles[loop.label] = profile_loop(
-                    ctx.program, ctx.sema, loop, job.options.entry,
-                )
-        ctx.profiles = profiles
+        _, ctx.profiles = self._pipeline_for(ctx).stage_profile(
+            ctx.loops())
 
     def _stage_classify(self, job: Job, ctx: StageContext) -> None:
-        privs = {}
-        loops = {loop.label: loop for loop in ctx.loops()}
-        for label in job.loop_labels:
-            profile = ctx.profiles[label]
-            with self.tracer.phase("classify", loop=label):
-                priv = classify(
-                    profile.ddg, build_access_classes(profile.ddg)
-                )
-                if job.options.commutative:
-                    _commutative.upgrade_commutative(
-                        ctx.program, ctx.sema, loops[label], profile,
-                        priv,
-                    )
-                privs[label] = priv
-        ctx.privs = privs
+        _, ctx.privs = self._pipeline_for(ctx).stage_classify(
+            ctx.loops(), ctx.profiles)
 
     def _stage_expand(self, job: Job, ctx: StageContext) -> None:
         pipeline = self._pipeline_for(ctx)

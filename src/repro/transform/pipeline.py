@@ -399,39 +399,6 @@ class ExpansionPipeline:
                 self._quarantine(lbl, "lookup", exc)
         return loops
 
-    def _profile_and_classify(self, loops: List[ast.LoopStmt]):
-        profiles: Dict[str, LoopProfile] = {}
-        privs: Dict[str, PrivatizationResult] = {}
-        kept: List[ast.LoopStmt] = []
-        for loop in loops:
-            label = loop.label
-            try:
-                with self.tracer.phase("profile", loop=label):
-                    profile = self._given_profiles.get(label) or \
-                        profile_loop(
-                            self.program, self.sema, loop, self.entry
-                        )
-            except PIPELINE_FAULTS as exc:
-                self._quarantine(label, "profile", exc, loop=loop)
-                continue
-            try:
-                with self.tracer.phase("classify", loop=label):
-                    priv = classify(
-                        profile.ddg, build_access_classes(profile.ddg)
-                    )
-                    if self.commutative:
-                        upgrade_commutative(
-                            self.program, self.sema, loop, profile, priv
-                        )
-            except PIPELINE_FAULTS as exc:
-                self._quarantine(label, "classify", exc, loop=loop,
-                                 profile=profile)
-                continue
-            profiles[label] = profile
-            privs[label] = priv
-            kept.append(loop)
-        return kept, profiles, privs
-
     def _attribute_failure(
         self,
         loops: List[ast.LoopStmt],
@@ -486,7 +453,8 @@ class ExpansionPipeline:
         with self.tracer.phase("expand-pipeline",
                                loops=",".join(self.loop_labels)):
             loops = self._resolve_labels()
-            loops, profiles, privs = self._profile_and_classify(loops)
+            loops, profiles = self.stage_profile(loops)
+            loops, privs = self.stage_classify(loops, profiles)
             try:
                 self._run_transform(loops, profiles, privs)
             except PIPELINE_FAULTS as exc:
@@ -521,6 +489,54 @@ class ExpansionPipeline:
         self.stage_optimize(loops)
         self.stage_plan(loops, profiles, privs)
         return self.result
+
+    def stage_profile(self, loops: List[ast.LoopStmt]):
+        """Dependence-profile each candidate loop (one instrumented run
+        per loop).  Returns the loops that profiled and their profiles;
+        the rest are quarantined (permissive) or re-raised (strict)."""
+        profiles: Dict[str, LoopProfile] = {}
+        kept: List[ast.LoopStmt] = []
+        for loop in loops:
+            label = loop.label
+            try:
+                with self.tracer.phase("profile", loop=label):
+                    profile = self._given_profiles.get(label) or \
+                        profile_loop(
+                            self.program, self.sema, loop, self.entry
+                        )
+            except PIPELINE_FAULTS as exc:
+                self._quarantine(label, "profile", exc, loop=loop)
+                continue
+            profiles[label] = profile
+            kept.append(loop)
+        return kept, profiles
+
+    def stage_classify(self, loops: List[ast.LoopStmt],
+                       profiles: Dict[str, LoopProfile]):
+        """Access classes + Definition-5 privatizability per profiled
+        loop, then the commutativity prover's upgrade.  Returns the
+        loops that classified and their privatization results."""
+        privs: Dict[str, PrivatizationResult] = {}
+        kept: List[ast.LoopStmt] = []
+        for loop in loops:
+            label = loop.label
+            profile = profiles[label]
+            try:
+                with self.tracer.phase("classify", loop=label):
+                    priv = classify(
+                        profile.ddg, build_access_classes(profile.ddg)
+                    )
+                    if self.commutative:
+                        upgrade_commutative(
+                            self.program, self.sema, loop, profile, priv
+                        )
+            except PIPELINE_FAULTS as exc:
+                self._quarantine(label, "classify", exc, loop=loop,
+                                 profile=profile)
+                continue
+            privs[label] = priv
+            kept.append(loop)
+        return kept, privs
 
     def stage_expand(
         self,

@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from repro import expand_and_run
+from repro import CompileOptions, Job, expand_and_run
 from repro.frontend import parse_and_analyze
 from repro.interp import ENGINES, Machine, RecordingObserver, resolve_engine
 from repro.interp.bytecode import BytecodeMachine, invalidate_code
@@ -204,6 +204,12 @@ int main(void) {
 }
 """
 
+
+def par_job(engine, nthreads=4):
+    return Job(PAR_SRC, ["L"], CompileOptions(engine=engine),
+               nthreads=nthreads)
+
+
 RACY_SRC = """
 int buf[16];
 int out[12];
@@ -223,14 +229,14 @@ int main(void) {
 class TestParallelContract:
     @pytest.mark.parametrize("engine", ["bytecode", "bytecode-bare"])
     def test_expand_and_run_verified(self, engine):
-        outcome = expand_and_run(PAR_SRC, ["L"], nthreads=4, engine=engine)
+        outcome = expand_and_run(job=par_job(engine))
         assert outcome.verified
         assert outcome.races == []
         assert outcome.loop_speedup > 1.0
 
     def test_same_speedups_as_walker(self):
-        a = expand_and_run(PAR_SRC, ["L"], nthreads=4, engine="ast")
-        b = expand_and_run(PAR_SRC, ["L"], nthreads=4, engine="bytecode")
+        a = expand_and_run(job=par_job("ast"))
+        b = expand_and_run(job=par_job("bytecode"))
         assert a.output == b.output
         assert a.loop_speedup == b.loop_speedup
         assert a.total_speedup == b.total_speedup
@@ -270,13 +276,13 @@ class TestParallelContract:
         assert diag.loop == "L"
 
     def test_interp_engine_metric_recorded(self):
-        outcome = expand_and_run(PAR_SRC, ["L"], nthreads=2,
-                                 engine="bytecode", trace=True)
+        outcome = expand_and_run(job=par_job("bytecode", nthreads=2),
+                                 trace=True)
         assert outcome.trace.metrics.as_dict()["interp.engine"] == "bytecode"
 
     def test_compile_phase_traced(self):
-        outcome = expand_and_run(PAR_SRC, ["L"], nthreads=2,
-                                 engine="bytecode", trace=True)
+        outcome = expand_and_run(job=par_job("bytecode", nthreads=2),
+                                 trace=True)
         phases = {s.name for s in outcome.trace.spans}
         assert "compile-bytecode" in phases
 

@@ -44,8 +44,10 @@ def test_expand(demo_file, capsys):
 
 
 def test_expand_no_optimize(demo_file, capsys):
-    assert main(["expand", demo_file, "--loop", "L",
-                 "--no-optimize"]) == 0
+    from repro.cli import OPT_NAMES
+
+    assert main(["expand", demo_file, "--loop", "L"]
+                + [f"--no-opt-{name}" for name in OPT_NAMES]) == 0
     assert "__tid" in capsys.readouterr().out
 
 
@@ -95,3 +97,29 @@ def test_missing_loop_quarantined_permissive(demo_file, capsys):
     assert main(["expand", demo_file, "--loop", "L", "--loop", "NOPE",
                  "--permissive"]) == 0
     assert "quarantined" in capsys.readouterr().err
+
+
+def test_parallel_cache_composes_with_chaos(demo_file, tmp_path, capsys):
+    """One driver: --cache no longer has to give way to the chaos /
+    supervision flags, and a repeat run hits every durable stage."""
+    import re
+
+    from repro.runtime import process_backend_available
+
+    ok, why = process_backend_available()
+    if not ok:
+        pytest.skip(f"process backend unavailable: {why}")
+    argv = ["parallel", demo_file, "--loop", "L", "-n", "2",
+            "--backend", "process", "--cache", str(tmp_path / "cache"),
+            "--chaos", "kill:task=0"]
+    reports = []
+    for _ in range(2):
+        assert main(argv) == 0
+        err = capsys.readouterr().err
+        assert "VERIFIED" in err
+        assert "MC-RESTART" in err           # the kill was supervised
+        reports.append(re.search(r"stage cache (\d+)/(\d+)", err).groups())
+    (cold_hits, total), (warm_hits, _) = reports
+    assert cold_hits == "0"
+    # `lower` is memory-only: a fresh process re-lowers, all else hits
+    assert int(warm_hits) == int(total) - 1

@@ -15,7 +15,7 @@ from repro.frontend import ast, parse_and_analyze
 from repro.frontend.ctypes import INT
 from repro.interp import Machine
 from repro.runtime import RaceError, process_backend_available
-from repro.service import Job
+from repro.service import CompileOptions, Job
 from repro.transform import expand_for_threads
 
 
@@ -172,10 +172,11 @@ class TestPipelineIntegration:
 
 
 class TestEndToEnd:
-    def _outputs(self, **kwargs):
+    def _outputs(self, engine, **kwargs):
         spec = get("histogram")
         return expand_and_run(
-            job=Job.from_kwargs(spec.source, ["L"], 4, True, **kwargs))
+            job=Job(spec.source, ["L"], CompileOptions(engine=engine),
+                    **kwargs))
 
     def test_bit_identical_simulated_ast(self):
         out = self._outputs(engine="ast")
@@ -220,7 +221,7 @@ class TestStageCacheCertificates:
     def test_warm_hit_restores_certificate(self, tmp_path):
         from repro.service import StageCache
         spec = get("histogram")
-        job = Job.from_kwargs(spec.source, ["L"], 4, True)
+        job = Job(spec.source, ["L"])
         out1 = expand_and_run(job=job, cache=StageCache(tmp_path))
         assert out1.cache_report["classify"] == "miss"
         out2 = expand_and_run(job=job, cache=StageCache(tmp_path))
@@ -238,7 +239,7 @@ class TestStageCacheCertificates:
         from repro.analysis import commutative
         from repro.service.stages import stage_keys
         spec = get("histogram")
-        job = Job.from_kwargs(spec.source, ["L"], 4, True)
+        job = Job(spec.source, ["L"])
         before = stage_keys(job)
         monkeypatch.setattr(commutative, "CERT_SCHEMA_VERSION",
                             commutative.CERT_SCHEMA_VERSION + 1)
@@ -250,14 +251,13 @@ class TestStageCacheCertificates:
     def test_commutative_toggle_changes_classify_key(self):
         from repro.service.stages import stage_keys
         spec = get("histogram")
-        on = stage_keys(Job.from_kwargs(spec.source, ["L"], 4, True))
-        off = stage_keys(Job.from_kwargs(spec.source, ["L"], 4, True,
-                                         commutative=False))
+        on = stage_keys(Job(spec.source, ["L"]))
+        off = stage_keys(Job(spec.source, ["L"],
+                             CompileOptions(commutative=False)))
         assert on["profile"] == off["profile"]
         assert on["classify"] != off["classify"]
 
     def test_options_wire_roundtrip(self):
-        from repro.service.job import CompileOptions
         opts = CompileOptions(commutative=False)
         assert CompileOptions.from_dict(opts.to_dict()) == opts
         # pre-1.6 payloads (no commutative field) still decode

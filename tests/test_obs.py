@@ -47,9 +47,8 @@ int main(void) {
 #: phases the full expand_and_run workflow must record, in order of
 #: first appearance
 EXPECTED_PHASES = [
-    "parse", "sema", "sequential-baseline", "expand-pipeline",
-    "profile", "classify", "pointsto", "promote", "expand",
-    "redirect", "plan", "run",
+    "parse", "sema", "profile", "classify", "pointsto", "promote",
+    "expand", "redirect", "plan", "sequential-baseline", "run",
 ]
 
 
@@ -152,7 +151,7 @@ class TestChromeExport:
         doc = json.loads(path.read_text())
         assert doc["traceEvents"]
         text = trace_summary(traced_outcome.trace)
-        assert "expand-pipeline" in text
+        assert "classify" in text
         assert "iteration" in text
         assert "runtime.total_cycles" in text
 
@@ -251,7 +250,7 @@ class TestCLI:
         events = doc["traceEvents"]
         span_names = {e["name"] for e in events
                       if e["ph"] == "X" and e["pid"] == COMPILE_PID}
-        assert {"parse", "expand-pipeline", "run"} <= span_names
+        assert {"parse", "classify", "plan", "run"} <= span_names
         assert any(e["pid"] == RUNTIME_PID for e in events)
         assert "VERIFIED" in capsys.readouterr().err
 
@@ -265,12 +264,13 @@ class TestCLI:
         assert "__tid" in capsys.readouterr().out
 
     def test_opt_reenable_roundtrip(self):
-        from repro.cli import build_parser, _opt_flags
+        from repro.cli import OPT_NAMES, build_parser, _opt_flags
 
         parser = build_parser()
         args = parser.parse_args(
-            ["expand", "x.c", "--loop", "L", "--no-optimize",
-             "--opt", "hoisting"]
+            ["expand", "x.c", "--loop", "L"]
+            + [f"--no-opt-{name}" for name in OPT_NAMES]
+            + ["--opt", "hoisting"]
         )
         flags = _opt_flags(args)
         assert flags.hoisting

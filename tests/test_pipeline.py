@@ -334,9 +334,9 @@ class TestStagedPipelineCache:
         assert first.output == second.output
         assert all(v == "miss" for v in first.cache_report.values())
         assert all(v == "hit" for v in second.cache_report.values())
-        # the legacy path reports no cache activity
+        # without a cache it is the same staged compile, all misses
         third = expand_and_run(FIGURE1, ["L"])
-        assert third.cache_report is None
+        assert third.cache_report == first.cache_report
 
     def test_optflag_change_reuses_analysis_only(self, tmp_path):
         from repro.service import (
@@ -376,3 +376,82 @@ class TestStagedPipelineCache:
                    for d in sink.diagnostics)
         outcome = run_job(compiled, cache=fresh)
         assert outcome.verified and not outcome.races
+
+
+DOACROSS_KERNEL = """
+int buf[16];
+int acc;
+int main(void) {
+    int i; int k;
+    #pragma expand parallel(doacross)
+    L: for (i = 0; i < 12; i++) {
+        for (k = 0; k < 16; k++) buf[k] = i * k + 1;
+        acc = acc * 7 + buf[15];
+    }
+    print_int(acc);
+    return 0;
+}
+"""
+
+
+def _driver_cells():
+    from repro.bench import get
+    from repro.interp.native import native_backend_available
+    from repro.service import CompileOptions, Job
+    histogram = get("histogram").source
+    native_ok, native_why = native_backend_available()
+    return [
+        pytest.param(Job(histogram, ["L"]), id="histogram"),
+        # prover off: the reduction races and permissive mode recovers
+        pytest.param(
+            Job(histogram, ["L"],
+                CompileOptions(commutative=False, strict=False)),
+            id="histogram-no-commutative"),
+        pytest.param(Job(DOACROSS_KERNEL, ["L"], chunk=2), id="doacross"),
+        pytest.param(Job(FIGURE1, ["L"], verify=False), id="no-verify"),
+        pytest.param(
+            Job(FIGURE1, ["L"], CompileOptions(engine="native"),
+                check_races=False),
+            id="native",
+            marks=pytest.mark.skipif(not native_ok, reason=native_why)),
+    ]
+
+
+class TestOneDriver:
+    """``expand_and_run`` with and without a cache is one path through
+    ``StagedCompiler`` + ``run_job``: every ``Job`` field means the same
+    thing on both."""
+
+    @pytest.mark.parametrize("job", _driver_cells())
+    def test_cache_does_not_change_the_run(self, job, monkeypatch):
+        from repro import expand_and_run
+        from repro.service import StageCache, runner
+
+        baseline_engines = []
+        real_machine = runner.Machine
+
+        def spy(*args, **kwargs):
+            baseline_engines.append(kwargs["engine"])
+            return real_machine(*args, **kwargs)
+
+        monkeypatch.setattr(runner, "Machine", spy)
+        outcomes = [expand_and_run(job=job, trace=True),
+                    expand_and_run(job=job, cache=StageCache(),
+                                   trace=True)]
+        fingerprints = [
+            (out.output, out.parallel.exit_code,
+             out.parallel.total_cycles,
+             len(out.transform.commutative_sites),
+             [d.code for d in out.diagnostics], out.verified)
+            for out in outcomes
+        ]
+        assert fingerprints[0] == fingerprints[1]
+        assert outcomes[0].verified
+        for out in outcomes:
+            spans = {span.name for span in out.trace.spans}
+            assert ("sequential-baseline" in spans) == job.verify
+        if not job.options.commutative:
+            assert not outcomes[0].transform.commutative_sites
+            assert "RT-RECOVERED" in fingerprints[0][4]
+        if job.options.engine == "native":
+            assert baseline_engines == ["native", "native"]

@@ -6,6 +6,7 @@ Process-backend cells (the pool's warm sessions) skip on hosts without
 ``fork`` or a usable ``/dev/shm``; everything else runs anywhere.
 """
 
+import glob
 import json
 import os
 import socket
@@ -19,6 +20,7 @@ from repro import expand_and_run
 from repro.diagnostics import DiagnosticSink
 from repro.obs import Tracer
 from repro.runtime import process_backend_available, run_parallel
+from repro.runtime.multicore import SEGMENT_PREFIX
 from repro.service import (
     MISS, CompileOptions, ExpansionService, Job, SessionPool,
     StageCache, StagedCompiler, request, run_job, stage_keys,
@@ -101,42 +103,24 @@ class TestJobObject:
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims on the legacy kwarg surfaces
+# job= is the whole configuration: nothing it carries may ride beside it
 # ---------------------------------------------------------------------------
 
 class TestLegacyShims:
-    def test_expand_and_run_config_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning,
-                          match="expand_and_run.. is deprecated"):
-            outcome = expand_and_run(KERNEL, ["L1", "L2"], nthreads=2,
-                                     chunk=2)
-        assert outcome.output == EXPECTED
-
     def test_expand_and_run_job_plus_legacy_conflict(self):
         with pytest.raises(TypeError, match="both job="):
             expand_and_run(KERNEL, ["L1", "L2"], job=make_job())
-        with pytest.raises(TypeError, match="both job="):
+        # the pre-1.8 config kwargs are gone, not silently ignored
+        with pytest.raises(TypeError, match="chunk"):
             expand_and_run(job=make_job(), chunk=2)
-
-    def test_run_parallel_config_kwargs_warn(self):
-        program, sema = parse_and_analyze(KERNEL)
-        tresult = expand_for_threads(program, sema, ["L1", "L2"])
-        with pytest.warns(DeprecationWarning,
-                          match="run_parallel.. is deprecated"):
-            outcome = run_parallel(tresult, 2, chunk=2)
-        assert outcome.output == EXPECTED
 
     def test_run_parallel_job_plus_legacy_conflict(self):
         program, sema = parse_and_analyze(KERNEL)
         tresult = expand_for_threads(program, sema, ["L1", "L2"])
         with pytest.raises(TypeError, match="both job="):
             run_parallel(tresult, job=make_job(), chunk=2)
-
-    def test_job_path_warns_nothing(self, recwarn):
-        outcome = expand_and_run(job=make_job(nthreads=2))
-        assert outcome.output == EXPECTED
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, DeprecationWarning)]
+        with pytest.raises(TypeError, match="both job="):
+            run_parallel(tresult, 2, job=make_job())
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +359,34 @@ class TestSessionPool:
             assert pool.stats()["evicted"] >= 1
         finally:
             pool.close()
+
+    def test_same_key_release_evicts_the_displaced_session(self):
+        """Two concurrent clients of one program: both sessions come
+        back under one key, and the one already parked must be closed,
+        not silently dropped with its workers and segment alive."""
+        def segments():
+            return set(glob.glob(
+                f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-*"))
+
+        pool = SessionPool(max_sessions=2)
+        job, compiled = self._compiled(None)
+        before = segments()
+        try:
+            first = pool.acquire(compiled.result, job,
+                                 fingerprint=compiled.ctx.fingerprint)
+            second = pool.acquire(compiled.result, job,
+                                  fingerprint=compiled.ctx.fingerprint)
+            assert first is not second
+            pool.release(first)
+            pool.release(second)
+            stats = pool.stats()
+            assert stats["idle"] == 1
+            assert stats["evicted"] == 1
+            assert first.closed and not second.closed
+            assert len(segments() - before) == 1
+        finally:
+            pool.close()
+        assert segments() == before
 
     def test_closed_pool_creates_nothing(self, tmp_path):
         cache = StageCache(root=str(tmp_path))
