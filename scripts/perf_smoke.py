@@ -31,7 +31,10 @@ of at least ``--min-native-speedup`` (default 10) over the walker.
 With ``--backend process`` the multi-core differential instead runs
 its worker pool on the native tier — DOALL chunks dispatch into the
 compiled entry points — and additionally requires zero accounted
-native fallbacks across the suite.
+native fallbacks across the suite, and that the parent machine of a
+DOALL kernel interprets no more loop entries
+(``runtime.parent_interp_loops``) than enclose a controlled loop: a
+count gate, not a timing gate.
 
 ``--membench`` appends the zero-copy memory micro-benchmark: bulk
 ``read_bytes``/``write_bytes``/``read_cstring`` against the historical
@@ -275,6 +278,36 @@ def _parallel_fingerprint(tresult, nthreads, backend, workers=None,
     return elapsed, fingerprint, metrics
 
 
+def enclosing_loop_entries(tresult, nthreads):
+    """How often a run enters a loop that encloses a controlled loop,
+    in its own body or through a call — the only loop entries a native
+    parent may still interpret.  Counted on a sequential bare run of
+    the transformed program, by a pass-through controller on each such
+    loop."""
+    from repro.frontend import ast
+    from repro.runtime.multicore import _walk_subtree
+
+    controlled = {tl.loop.nid for tl in tresult.loops}
+    entries = 0
+
+    def counting(machine, loop):
+        nonlocal entries
+        entries += 1
+        machine.exec_loop_sequential(loop)
+
+    machine = Machine(tresult.program, tresult.sema,
+                      engine="bytecode-bare")
+    machine.nthreads = nthreads
+    for loop in ast.iter_loops(tresult.program):
+        # the audit's walk: the loop's subtree plus every callee body
+        if loop.nid not in controlled and any(
+                isinstance(node, ast.LoopStmt) and node.nid in controlled
+                for node in _walk_subtree(loop, tresult.sema)[0]):
+            machine.loop_controllers[loop.nid] = counting
+    machine.run()
+    return entries
+
+
 def measure_process(spec, repeat, workers, engine="bytecode"):
     """Differential simulated-vs-process measurement of one kernel."""
     from repro.transform import expand_for_threads
@@ -305,6 +338,13 @@ def measure_process(spec, repeat, workers, engine="bytecode"):
                 "runtime.native_chunks", 0)
             row["native_fallbacks"] = metrics.get(
                 "runtime.native_fallbacks", 0)
+            row["parent_native_dispatches"] = metrics.get(
+                "runtime.parent_native_dispatches", 0)
+            row["parent_interp_loops"] = metrics.get(
+                "runtime.parent_interp_loops", 0)
+            row["enclosing_loop_entries"] = enclosing_loop_entries(
+                tresult, workers)
+            row["doall"] = spec.parallelism == "DOALL"
     row["parity"] = prints["simulated"] == prints["process"]
     if not row["parity"]:
         row["diff"] = sorted(
@@ -378,6 +418,14 @@ def process_smoke(args):
                   f"{row['native_fallbacks']} chunk(s) on the Python "
                   f"loop instead of the native entry point",
                   file=sys.stderr)
+            failed = True
+        if engine == "native" and row["doall"] and \
+                row["parent_interp_loops"] > row["enclosing_loop_entries"]:
+            print(f"FAIL: {row['name']} interpreted "
+                  f"{row['parent_interp_loops']} loop entries on the "
+                  f"native parent, but only "
+                  f"{row['enclosing_loop_entries']} enclose a "
+                  f"controlled loop", file=sys.stderr)
             failed = True
     if engine == "native" and not any(
             r.get("native_chunks", 0) for r in rows):

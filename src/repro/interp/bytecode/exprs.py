@@ -1269,10 +1269,15 @@ def _c_call(c, e):
     fn = c.sema.functions.get(name) if name else None
     if fn is not None:
         fnid = fn.nid
+        bare = not c.instrumented
 
         def run(m):
             m.cost.instructions += 1
             args = [a(m) for a in arg_ops]
+            if bare:
+                hook = m._native_call
+                if hook is not None:
+                    return hook(fn, args)
             code = fns.get(fnid)
             if code is None:
                 code = c.function(fn)

@@ -39,6 +39,12 @@ from .compiler import BARE, INSTRUMENTED, compiler_for
 class BytecodeMachine(Machine):
     """Drop-in ``Machine`` executing compiled closures."""
 
+    #: re-entry hooks the bare closures read at loop entry
+    #: (``hook(loop) -> ran``) and at direct call sites
+    #: (``hook(fn, args) -> result``); bound on ``NativeMachine`` only
+    _native_loop = None
+    _native_call = None
+
     def __init__(
         self,
         program: ast.Program,

@@ -16,7 +16,9 @@ Statement closures come in two compile-time variants:
 
 Loop closures check ``m.loop_controllers`` at run time in both
 variants, so the profiler and the parallel runtime drive candidate
-loops exactly as they do on the tree walker.
+loops exactly as they do on the tree walker.  An uncontrolled bare
+loop then offers itself to ``m._native_loop`` (``None`` except on a
+``NativeMachine``, whose compiled unit may run the loop instead).
 """
 
 from __future__ import annotations
@@ -206,7 +208,9 @@ def _wrap_loop(c, s, drive):
             if ctrl is not None:
                 ctrl(m, s)
                 return
-            drive(m)
+            hook = m._native_loop
+            if hook is None or not hook(s):
+                drive(m)
     return body
 
 

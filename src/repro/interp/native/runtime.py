@@ -9,6 +9,17 @@ nests.  Everything the C code cannot reproduce exactly (per-function
 free variables) falls back to the ``bytecode-bare`` closures this class
 inherits, which is always semantics-preserving.
 
+One gate is structural: loop controllers are Python callables, so no
+entry point may run over a controlled loop (``_controllers_clear``) —
+and a function that holds one, ``main`` in every parallel job, is
+interpreted.  The fallback does not stay there: at every loop
+statement and every direct call the bare closures ask the machine
+again (the ``_native_loop`` / ``_native_call`` hooks, through the same
+``_dispatch_unit`` / ``call_function`` that ``exec_stmt`` and
+``Machine.run`` use), so only statements that enclose a controlled
+loop, and the straight-line code around them, run in Python.
+``native_dispatches`` and ``interp_loops`` count the two sides.
+
 The C side communicates through one Env struct (see
 ``codegen._PRELUDE``): cost counters in cy8 units (cycles x 8), a step
 budget shared with the Python watchdog, and a callback used for heap
@@ -122,6 +133,9 @@ class NativeMachine(BytecodeMachine):
         #: the differential/smoke gates assert this is non-zero when a
         #: run claims to be native
         self.native_dispatches = 0
+        #: loop entries that ran the Python ``drive`` instead of a unit
+        #: (gate closed, unit not lowered, or a controller inside)
+        self.interp_loops = 0
 
     # -- gates -------------------------------------------------------------
     def _native_ok(self) -> bool:
@@ -228,12 +242,9 @@ class NativeMachine(BytecodeMachine):
         self._refresh_gaddr()
         self._refresh_saddr()
         if daddr:
-            arr = self._daddr_arr
-            if len(arr) < len(daddr):
-                arr = (ctypes.c_int64 * len(daddr))()
-                self._daddr_arr = arr
-            for i, a in enumerate(daddr):
-                arr[i] = a
+            # a fresh array per dispatch: units read E->daddr lazily, and
+            # a callback may re-enter another unit before this one ends
+            self._daddr_arr = (ctypes.c_int64 * len(daddr))(*daddr)
             E.daddr = self._daddr_arr
         self._pending = None
 
@@ -350,11 +361,15 @@ class NativeMachine(BytecodeMachine):
     # -- entry invocation --------------------------------------------------
     def _invoke(self, cname: str, daddr: Optional[List[int]] = None) -> int:
         self.native_dispatches += 1
+        outer = self._daddr_arr
         self._enter(daddr)
         try:
             rc = self._handles[cname](self._env_addr)
         finally:
             self._exit()
+            if self._daddr_arr is not outer:
+                self._daddr_arr = outer
+                self._env.daddr = outer
         if self._pending is not None:
             exc = self._pending
             self._pending = None
@@ -397,6 +412,8 @@ class NativeMachine(BytecodeMachine):
 
     # -- Machine contract overrides ---------------------------------------
     def call_function(self, fn: ast.FunctionDef, args: List):
+        """Also the bare closures' ``_native_call`` hook: a direct call
+        in an interpreted function lands in the callee's runner."""
         if self._native_ok():
             meta = self._low.fns.get(fn.nid)
             if (meta is not None and meta.runner is not None
@@ -415,23 +432,42 @@ class NativeMachine(BytecodeMachine):
                 return self._decode_return()
         return super().call_function(fn, args)
 
+    _native_call = call_function
+
+    def _dispatch_unit(self, stmt: ast.Stmt) -> bool:
+        """Run ``stmt`` as its compiled unit if the gate is open, the
+        unit's loop closure holds no controller and its free variables
+        resolve in the current frame; False leaves it to the closures."""
+        if not self._native_ok():
+            return False
+        meta = self._low.units.get(stmt.nid)
+        if meta is None or not self._controllers_clear(meta):
+            return False
+        daddr = self._resolve_free(meta.free)
+        if daddr is None:
+            return False
+        rc = self._invoke(meta.cname, daddr)
+        if rc == RC_OK:
+            return True
+        if rc == RC_BREAK:
+            raise BreakSignal()
+        if rc == RC_CONTINUE:
+            raise ContinueSignal()
+        if rc == RC_RETURN:
+            raise ReturnSignal(self._decode_return())
+        raise InterpError(f"bad native rc {rc}")
+
     def exec_stmt(self, stmt: ast.Stmt) -> None:
-        if self._native_ok():
-            meta = self._low.units.get(stmt.nid)
-            if meta is not None and self._controllers_clear(meta):
-                daddr = self._resolve_free(meta.free)
-                if daddr is not None:
-                    rc = self._invoke(meta.cname, daddr)
-                    if rc == RC_OK:
-                        return
-                    if rc == RC_BREAK:
-                        raise BreakSignal()
-                    if rc == RC_CONTINUE:
-                        raise ContinueSignal()
-                    if rc == RC_RETURN:
-                        raise ReturnSignal(self._decode_return())
-                    raise InterpError(f"bad native rc {rc}")
-        super().exec_stmt(stmt)
+        if not self._dispatch_unit(stmt):
+            super().exec_stmt(stmt)
+
+    def _native_loop(self, loop: ast.LoopStmt) -> bool:
+        """The bare closures' loop-entry hook (controller check already
+        done): False sends the loop to the Python ``drive``."""
+        if self._dispatch_unit(loop):
+            return True
+        self.interp_loops += 1
+        return False
 
     # -- DOALL chunk driver ------------------------------------------------
     def native_chunk(self, loop_nid: int):

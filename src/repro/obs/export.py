@@ -205,6 +205,19 @@ def trace_summary(tracer) -> str:
         parts.append("Supervision (process backend)\n" + _table(
             ["event", "count"], sup_rows))
 
+    # the native parent's controller gate: entry points dispatched vs.
+    # loops that stayed on the Python fallback
+    gate_rows = [
+        [label, f"{metrics_all[key]:,g}"]
+        for label, key in (
+            ("native dispatches", "runtime.parent_native_dispatches"),
+            ("interpreted loops", "runtime.parent_interp_loops"),
+        ) if key in metrics_all
+    ]
+    if gate_rows:
+        parts.append("Native parent (controller gate)\n" + _table(
+            ["event", "count"], gate_rows))
+
     # stage-cache hit/miss counters (the staged pipeline / serve
     # daemon), folded into one per-stage table
     cache_stages: Dict[str, Dict[str, float]] = {}

@@ -1029,6 +1029,9 @@ class ProcessSession:
             #: True when the pool handed out a warm (previously used)
             #: session for the current request
             self.reused = False
+            #: static audit verdicts of the pinned program's loops; they
+            #: depend on nothing :meth:`reset` touches, so they survive it
+            self.audits: Dict[tuple, object] = {}
         except BaseException:
             try:
                 self.shm.close()
@@ -1275,42 +1278,49 @@ def _fingerprint_for(program: ast.Program) -> str:
 
 class _ProcessMixin:
     """Shared plumbing for the process controllers: the capability
-    audit (cached per loop), fallback routing, and sink/trace notes."""
+    audit (memoized on the session, so a pooled session audits each
+    loop once, not once per request), fallback routing, and sink/trace
+    notes."""
 
     session: ProcessSession
 
     def _init_process(self, session: ProcessSession, kind_doall: bool):
         self.session = session
         self._kind_doall = kind_doall
-        self._audit: Optional[LoopAudit] = None
-        self._retry_audit: Optional[List[str]] = None
         self._noted_fallback: Set[str] = set()
 
     def _retry_safe(self) -> bool:
-        """Cached chunk retry-safety verdict for this loop (DOALL only;
-        see :func:`audit_retry_safety`)."""
-        if self._retry_audit is None:
-            runner = self.runner
+        """Chunk retry-safety verdict for this loop (DOALL only; see
+        :func:`audit_retry_safety`), memoized on the session."""
+        memo = self.session.audits
+        key = ("retry", self.tloop.loop.nid)
+        reasons = memo.get(key)
+        if reasons is None:
             priv = getattr(self.tloop, "priv", None)
             # commutative-class accumulators are privatized but NOT
             # idempotent (a replayed chunk re-applies its increments),
             # so they never count as retry-safe
-            self._retry_audit = audit_retry_safety(
-                self.tloop.loop, runner.tresult.sema,
+            reasons = memo[key] = audit_retry_safety(
+                self.tloop.loop, self.runner.tresult.sema,
                 set(getattr(priv, "private_sites", None) or ())
                 - set(getattr(priv, "commutative_sites", None) or ()),
             )
-        return not self._retry_audit
+        return not reasons
 
     def _loop_audit(self) -> LoopAudit:
-        if self._audit is None:
-            runner = self.runner
-            self._audit = audit_loop(
+        runner = self.runner
+        controlled = frozenset(runner.machine.loop_controllers)
+        memo = self.session.audits
+        key = ("loop", self.tloop.loop.nid, self._kind_doall,
+               runner.nthreads, runner.chunk, controlled)
+        audit = memo.get(key)
+        if audit is None:
+            audit = memo[key] = audit_loop(
                 self.tloop.loop, runner.tresult.sema, self._kind_doall,
                 runner.nthreads, self.session.workers, runner.chunk,
-                set(runner.machine.loop_controllers),
+                controlled,
             )
-        return self._audit
+        return audit
 
     def _dispatch_reasons(self, machine: Machine) -> List[str]:
         """Audit verdict plus dispatch-time conditions (pool health,

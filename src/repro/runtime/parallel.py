@@ -896,6 +896,13 @@ class ParallelRunner:
             metrics.inc("runtime.races_detected", len(outcome.races))
             metrics.set("runtime.total_cycles", outcome.total_cycles)
             metrics.set("runtime.peak_memory_bytes", outcome.peak_memory)
+            if self.machine.engine == "native":
+                # the controller gate, visible: what the parent ran as
+                # compiled code vs. loops it interpreted in Python
+                metrics.set("runtime.parent_native_dispatches",
+                            self.machine.native_dispatches)
+                metrics.set("runtime.parent_interp_loops",
+                            self.machine.interp_loops)
             for label, ex in outcome.loops.items():
                 prefix = f"runtime.loop.{label}"
                 metrics.set(f"{prefix}.makespan", ex.makespan)

@@ -9,7 +9,7 @@ requests — compile once, serve many.
 Protocol::
 
     → {"op": "ping"}
-    ← {"ok": true, "result": {"version": "1.5.0", "pid": 1234}}
+    ← {"ok": true, "result": {"version": "1.8.0", "pid": 1234}}
 
     → {"op": "run", "job": {"source": "...", "loop_labels": ["L"],
                              "nthreads": 4, "options": {"strict": true}}}
@@ -36,6 +36,7 @@ while the other request waits for the (then cached) artifacts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import socket
@@ -105,6 +106,7 @@ class ExpansionService:
         self.requests = 0
         self.errors = 0
         self._counter_lock = threading.Lock()
+        #: lower key -> [lock, requests holding or waiting for it]
         self._inflight: dict = {}
         self._inflight_lock = threading.Lock()
         self._server: Optional[_Server] = None
@@ -187,12 +189,23 @@ class ExpansionService:
             return _error_payload(
                 "SRV-INTERNAL", f"{type(exc).__name__}: {exc}")
 
-    def _compile_lock(self, key: str) -> threading.Lock:
+    @contextlib.contextmanager
+    def _compiling(self, key: str):
+        """Hold the in-flight lock of ``key``; its table entry lives
+        only while some request holds or waits for it."""
         with self._inflight_lock:
-            lock = self._inflight.get(key)
-            if lock is None:
-                lock = self._inflight[key] = threading.Lock()
-            return lock
+            entry = self._inflight.get(key)
+            if entry is None:
+                entry = self._inflight[key] = [threading.Lock(), 0]
+            entry[1] += 1
+        try:
+            with entry[0]:
+                yield
+        finally:
+            with self._inflight_lock:
+                entry[1] -= 1
+                if not entry[1]:
+                    del self._inflight[key]
 
     # -- ops ---------------------------------------------------------------
     def _op_ping(self, payload: dict) -> dict:
@@ -207,10 +220,11 @@ class ExpansionService:
         tracer = Tracer()
         # coalesce identical concurrent compiles: the second request
         # blocks here, then hits the freshly published artifacts
-        with self._compile_lock(stage_keys(job)["lower"]):
+        keys = stage_keys(job)
+        with self._compiling(keys["lower"]):
             compiled = StagedCompiler(
                 cache=self.cache, tracer=tracer, sink=sink,
-            ).compile(job)
+            ).compile(job, keys)
         outcome = run_job(compiled, tracer=tracer, sink=sink,
                           pool=self.pool, cache=self.cache)
         return outcome.to_dict()

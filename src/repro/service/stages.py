@@ -88,12 +88,14 @@ def stage_keys(job: Job) -> Dict[str, str]:
     # the native lowering folds everything a .so depends on that the
     # chain above does not already: codegen ABI, opt flags, and the
     # host compiler's identity (path + version).  The key exists for
-    # every engine (key derivation must be total); only native jobs
-    # put the stage in their chain.
+    # every engine (key derivation must be total), but only native jobs
+    # put the stage in their chain, so only they ask the host for its
+    # compiler (a ``cc --version`` subprocess, once per process).
     from ..interp.native import NATIVE_ABI_VERSION
     from ..interp.native.backend import CFLAGS, cc_identity
-    keys["lower-native"] = _h(keys["lower"], NATIVE_ABI_VERSION,
-                              CFLAGS, cc_identity())
+    keys["lower-native"] = _h(
+        keys["lower"], NATIVE_ABI_VERSION, CFLAGS,
+        cc_identity() if engine == "native" else None)
     keys["baseline"] = _h(keys["sema"], opts.entry, engine)
     return keys
 
@@ -199,8 +201,12 @@ class StagedCompiler:
             cache.sink = self.sink
 
     # -- public -----------------------------------------------------------
-    def compile(self, job: Job) -> CompiledJob:
-        keys = stage_keys(job)
+    def compile(self, job: Job,
+                keys: Optional[Dict[str, str]] = None) -> CompiledJob:
+        """``keys`` is ``stage_keys(job)`` when the caller already
+        derived it (the daemon locks on one before compiling)."""
+        if keys is None:
+            keys = stage_keys(job)
         ctx = StageContext(job)
         report: Dict[str, str] = {}
         chain = self._chain_for(job)

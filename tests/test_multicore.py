@@ -875,3 +875,136 @@ class TestSpinBackoff:
         assert _fingerprint(runner, outcome) == \
             _fingerprint(runner2, outcome2)
         assert tracer.metrics.get("runtime.mc_spin_backoffs", 0) > 0
+
+
+# ---------------------------------------------------------------------------
+# session-level audit memo
+# ---------------------------------------------------------------------------
+
+TWO_LOOPS_SRC = """
+int a[32];
+int b[32];
+int main(void) {
+    int i;
+    #pragma expand parallel(doall)
+    L: for (i = 0; i < 32; i++) { a[i] = i + 1; }
+    #pragma expand parallel(doall)
+    M: for (i = 0; i < 32; i++) { b[i] = a[i] * 2; }
+    print_int(b[31]);
+    return 0;
+}
+"""
+
+
+class TestSessionAuditMemo:
+    """The static audits run once per pooled session, not once per
+    request — and never across anything their verdict depends on."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import repro.runtime.multicore as mc
+
+        counts = {"loop": 0, "retry": 0}
+
+        def counting(name, real):
+            def audit(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return audit
+
+        monkeypatch.setattr(mc, "audit_loop",
+                            counting("loop", mc.audit_loop))
+        monkeypatch.setattr(mc, "audit_retry_safety",
+                            counting("retry", mc.audit_retry_safety))
+        return counts
+
+    @pytest.fixture
+    def pool(self):
+        from repro.service import SessionPool
+
+        pool = SessionPool(mc=dict(SMALL_MC))
+        yield pool
+        pool.close()
+
+    @staticmethod
+    def _job(source, **kw):
+        from repro.service import CompileOptions, Job
+
+        kw.setdefault("nthreads", 2)
+        return Job(source, ("L",), CompileOptions(engine="bytecode"),
+                   workers=kw["nthreads"], backend="process", **kw)
+
+    def test_two_requests_audit_once(self, calls, pool):
+        from repro.service import StagedCompiler, run_job
+
+        compiled = StagedCompiler().compile(self._job(DOALL_SRC))
+        first = run_job(compiled, pool=pool)
+        second = run_job(compiled, pool=pool)
+        assert not first.session_reused and second.session_reused
+        assert first.output == second.output and second.verified
+        assert "MC-FALLBACK" not in [d.code for d in second.diagnostics]
+        assert calls == {"loop": 1, "retry": 1}
+
+    def test_other_program_object_audits_again(self, calls, pool):
+        from repro.service import StagedCompiler, run_job
+
+        # no stage cache: each compile builds its own program object,
+        # so the pool evicts the first session instead of sharing it
+        for _ in range(2):
+            compiled = StagedCompiler().compile(self._job(DOALL_SRC))
+            assert not run_job(compiled, pool=pool).session_reused
+        assert calls == {"loop": 2, "retry": 2}
+
+    def test_other_chunk_size_audits_again(self, calls, pool):
+        from repro.service import StageCache, StagedCompiler, run_job
+
+        cache = StageCache()
+        codes = []
+        for chunk in (1, 2):
+            job = self._job(DOACROSS_SRC, nthreads=4, chunk=chunk)
+            compiled = StagedCompiler(cache=cache).compile(job)
+            outcome = run_job(compiled, pool=pool, cache=cache)
+            codes.append([d.message for d in outcome.diagnostics
+                          if d.code == "MC-FALLBACK"])
+        assert outcome.session_reused
+        assert calls["loop"] == 2
+        # the chunk=1 verdict (capable) was not reused for chunk=2
+        assert codes[0] == [] and "MC-CHUNK" in codes[1][0]
+
+    def test_other_controlled_set_audits_again(self, calls, pool):
+        program, sema = parse_and_analyze(TWO_LOOPS_SRC)
+        tresult = expand_for_threads(program, sema, ["L", "M"],
+                                     optimize=True)
+        job = self._job(TWO_LOOPS_SRC)
+        m_nid = ast.find_loop(tresult.program, "M").nid
+        for drop_m in (False, True, True):
+            session = pool.acquire(tresult, job)
+            runner = ParallelRunner(tresult, 2, engine="bytecode",
+                                    session=session)
+            if drop_m:
+                del runner.machine.loop_controllers[m_nid]
+            assert runner.run().output == ["64"]
+        assert session.reused
+        # {L, M}: L and M audited; {L}: L audited again, then memoized
+        assert calls["loop"] == 3
+
+    def test_commutative_loop_is_never_retry_safe(self, calls, pool):
+        from repro.service import StageCache, StagedCompiler, run_job
+
+        spec = get("histogram")
+        cache = StageCache()
+        job = self._job(spec.source)
+        for _ in range(2):
+            compiled = StagedCompiler(cache=cache).compile(job)
+            run_job(compiled, pool=pool, cache=cache)
+        assert calls["retry"] == 1
+        # the memoized verdict a third request would dispatch with
+        session = pool.acquire(compiled.result, job,
+                               fingerprint=compiled.ctx.fingerprint)
+        try:
+            assert session.reused
+            verdicts = [v for k, v in session.audits.items()
+                        if k[0] == "retry"]
+            assert len(verdicts) == 1 and verdicts[0]
+        finally:
+            pool.release(session)

@@ -281,3 +281,171 @@ class TestServeLowerNative:
         outcome = run_job(compiled, cache=cache)
         assert outcome.verified
         assert outcome.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# the re-entry rule: interpreted code beside a controlled loop lands in
+# compiled code again at every loop and direct call
+# ---------------------------------------------------------------------------
+
+#: ``main`` holds the controlled DOALL ``L`` (so it is interpreted) and
+#: sibling loops of every shape the rule must get right; ``LEAVE`` is
+#: how the last loop leaves the program
+_REENTRY_SRC = """
+int out[24];
+int buf[16];
+int tally[8];
+
+int square_sum(int n) {
+    int j; int s = 0;
+    for (j = 0; j < n; j++) s += j * j;
+    return s;
+}
+int fact(int n) {
+    if (n < 2) return 1;
+    return n * fact(n - 1);
+}
+int twice(int x) {
+    int j; int s = 0;
+    for (j = 0; j < 2; j++) s += x;
+    return s;
+}
+int thrice(int x) { return 3 * x; }
+int pick(int i, int x) {
+    int j; int s = 0;
+    for (j = 0; j < 3; j++) s += j + x;
+    return s + (i % 2 ? twice : thrice)(x);
+}
+int find(int key) {
+    int j;
+    for (j = 0; j < 24; j++) { if (out[j] == key) return j; }
+    return -1;
+}
+int main(void) {
+    int i; int k; int acc = 0; int n = 5;
+    for (i = 0; i < 8; i++) tally[i] = i;
+    #pragma expand parallel(doall)
+    L: for (i = 0; i < 24; i++) {
+        for (k = 0; k < 16; k++) buf[k] = i * k + 1;
+        out[i] = buf[15] + buf[3];
+    }
+    for (i = 0; i < 24; i++) {
+        if (i % 3 == 0) continue;
+        if (i > 17) break;
+        acc += out[i];
+    }
+    i = 0;
+    while (i < 8) { acc += tally[i]; i++; }
+    do { acc += i; i--; } while (i > 3);
+    print_int(acc);
+    int bias = acc % 7;
+    for (i = 0; i < 8; i++) tally[i] += bias;
+    int scratch[n];
+    for (i = 0; i < n; i++) scratch[i] = out[i] + bias;
+    for (i = 0; i < n; i++) acc += scratch[i] + tally[i];
+    for (i = 0; i < 6; i++) acc += square_sum(i) + fact(i);
+    for (i = 0; i < 6; i++) acc += (i % 2 ? twice : thrice)(i);
+    for (i = 0; i < 4; i++) acc += pick(i, i + bias);
+    print_int(acc);
+    print_int(find(out[9]));
+    for (i = 0; i < 24; i++) {
+        if (out[i] > 100) { print_int(i); LEAVE }
+    }
+    return 1;
+}
+"""
+_REENTRY_ENDS = {"return": "return 3;", "exit": "exit(4);"}
+_REENTRY_MATRIX = [(end, layout) for end in _REENTRY_ENDS
+                   for layout in ("bonded", "interleaved")]
+_reentry_cache = {}
+
+
+def _reentry(end, layout):
+    """(expansion, walker fingerprint) of one variant, computed once."""
+    key = (end, layout)
+    if key not in _reentry_cache:
+        program, sema = parse_and_analyze(
+            _REENTRY_SRC.replace("LEAVE", _REENTRY_ENDS[end]))
+        tresult = expand_for_threads(program, sema, ["L"], optimize=True,
+                                     layout=layout)
+        runner = ParallelRunner(tresult, NTHREADS, engine="ast",
+                                backend="simulated", check_races=False)
+        outcome = runner.run()
+        assert outcome.exit_code == {"return": 3, "exit": 4}[end]
+        _reentry_cache[key] = (tresult, _fingerprint(runner, outcome))
+    return _reentry_cache[key]
+
+
+def _reentry_run(end, layout, backend, **kwargs):
+    tresult, reference = _reentry(end, layout)
+    if backend == "process":
+        kwargs.update(workers=NTHREADS, mc=dict(SMALL_MC))
+    kwargs.setdefault("check_races", False)
+    runner = ParallelRunner(tresult, NTHREADS, engine="native",
+                            backend=backend, **kwargs)
+    return runner, runner.run(), reference
+
+
+class TestReentryRule:
+    """Loops and direct calls beside a controlled loop run as compiled
+    code; results stay bit-identical to the walker."""
+
+    def _check(self, end, layout, backend):
+        runner, outcome, reference = _reentry_run(end, layout, backend)
+        assert _fingerprint(runner, outcome) == reference
+        machine = runner.machine
+        # lowered: everything except the two functions that call
+        # through a function pointer
+        assert {k for k in machine._low.nl if k.startswith("fn:")} == \
+            {"fn:main", "fn:pick"}
+        assert machine.native_dispatches > 20
+        # the one loop that stays in Python is main's own
+        # function-pointer loop (no unit); the loops of its callee
+        # ``twice`` and of the interpreted ``pick`` re-enter
+        assert machine.interp_loops == 1
+
+    @pytest.mark.parametrize("end,layout", _REENTRY_MATRIX)
+    def test_simulated_bit_identical_to_walker(self, end, layout):
+        self._check(end, layout, "simulated")
+
+    @needs_process
+    @pytest.mark.parametrize("end,layout", _REENTRY_MATRIX)
+    def test_process_bit_identical_to_walker(self, end, layout):
+        self._check(end, layout, "process")
+
+    def test_race_checker_keeps_the_rule_closed(self):
+        runner, outcome, reference = _reentry_run(
+            "return", "bonded", "simulated", check_races=True)
+        assert runner.machine.native_dispatches == 0
+        assert runner.machine.interp_loops > 1
+        got = _fingerprint(runner, outcome)
+        for field in ("exit", "output", "heap"):
+            assert got[field] == reference[field]
+
+    def test_fault_injector_keeps_the_rule_closed(self):
+        from repro.runtime import CopyIndexSkew
+        runner, outcome, reference = _reentry_run(
+            "exit", "bonded", "simulated",
+            fault_injectors=[CopyIndexSkew(seed=1, rate=0.0)])
+        assert not runner.machine._native_ok()
+        assert runner.machine.native_dispatches == 0
+        assert _fingerprint(runner, outcome) == reference
+
+    @needs_process
+    @pytest.mark.parametrize("name,enclosing", [("mpeg2-decoder", 1),
+                                                ("histogram", 0)])
+    def test_only_enclosing_loops_are_interpreted(self, name, enclosing):
+        # mpeg2-decoder: the ``pic`` loop around L, entered once;
+        # histogram: no loop encloses L
+        tracer = Tracer()
+        runner = ParallelRunner(_expanded(name, "bonded"), 2,
+                                engine="native", backend="process",
+                                check_races=False, tracer=tracer,
+                                workers=2, mc=dict(SMALL_MC))
+        outcome = runner.run()
+        assert outcome.exit_code == 0
+        metrics = tracer.metrics.as_dict()
+        assert metrics["runtime.parent_interp_loops"] == enclosing
+        assert metrics["runtime.parent_native_dispatches"] > 0
+        assert metrics["runtime.parent_native_dispatches"] == \
+            runner.machine.native_dispatches

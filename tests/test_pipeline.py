@@ -354,6 +354,33 @@ class TestStagedPipelineCache:
         for stage in ("expand", "optimize", "plan", "lower"):
             assert ablated.report[stage] == "miss"
 
+    def test_bytecode_job_never_asks_for_the_c_compiler(self, monkeypatch):
+        from repro.interp.native import NATIVE_ABI_VERSION, backend
+        from repro.service import (
+            CompileOptions, StagedCompiler, stage_keys,
+        )
+        from repro.service.stages import STAGES, _h
+
+        def no_subprocess(*args, **kwargs):
+            raise AssertionError(f"subprocess spawned: {args}")
+
+        monkeypatch.setattr(backend, "_CC_IDENTITY", None)
+        monkeypatch.setattr(backend.subprocess, "run", no_subprocess)
+        job = self._job(options=CompileOptions(engine="bytecode"))
+        keys = stage_keys(job)
+        assert set(STAGES) <= set(keys)  # derivation stays total
+        compiled = StagedCompiler().compile(job)
+        assert compiled.keys == keys
+        assert backend._CC_IDENTITY is None
+        monkeypatch.undo()
+        # a native job's key still folds the compiler identity exactly
+        # as before, so cached .so files keep their names
+        native = stage_keys(self._job(
+            options=CompileOptions(engine="native")))
+        assert native["lower-native"] == _h(
+            native["lower"], NATIVE_ABI_VERSION, backend.CFLAGS,
+            backend.cc_identity())
+
     def test_corrupt_entry_recovers_with_diagnostic(self, tmp_path):
         import os
         from repro.diagnostics import DiagnosticSink

@@ -463,6 +463,64 @@ class TestServeDaemon:
         assert resp["error"]["code"]
         assert resp["error"]["message"]
 
+    def test_inflight_table_drains(self, tmp_path):
+        service = ExpansionService(str(tmp_path / "s.sock"),
+                                   cache_root=False)
+        try:
+            for n in range(50):
+                # every third source fails to compile: the error path
+                # must drop its entry too
+                body = "return x;" if n % 3 == 0 else "return 0;"
+                job = make_job(
+                    source=f"int main(void) {{ print_int({n}); {body} }}",
+                    loop_labels=(), nthreads=2)
+                resp = service.handle_line(json.dumps(
+                    {"op": "run", "job": job.to_dict()}))
+                assert resp["ok"] == (n % 3 != 0)
+            assert len(service._inflight) == 0
+        finally:
+            service.close()
+
+    def test_concurrent_identical_cold_jobs_compile_once(
+            self, tmp_path, monkeypatch):
+        service = ExpansionService(str(tmp_path / "s.sock"),
+                                   cache_root=False)
+        real = StagedCompiler.compile
+        compiling, peak, waiting = [], [], []
+
+        def slow_compile(self, job, keys=None):
+            compiling.append(job)
+            peak.append(len(compiling))
+            time.sleep(0.3)  # lets the other request reach the lock
+            waiting.append([n for _, n in service._inflight.values()])
+            try:
+                return real(self, job, keys)
+            finally:
+                compiling.pop()
+
+        monkeypatch.setattr(StagedCompiler, "compile", slow_compile)
+        line = json.dumps(
+            {"op": "run", "job": make_job(nthreads=2).to_dict()})
+        results = []
+        threads = [threading.Thread(
+            target=lambda: results.append(service.handle_line(line)))
+            for _ in range(2)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            service.close()
+        assert all(r["ok"] for r in results)
+        # one compile at a time under one shared entry, then none
+        assert peak == [1, 1] and waiting[0] == [2]
+        assert len(service._inflight) == 0
+        hits = sorted(r["result"]["cache_hits"] for r in results)
+        assert hits == [0, results[0]["result"]["cache_stages"]]
+        assert service.cache.misses["parse"] == 1
+
     def test_shutdown_handshake(self, tmp_path):
         service = ExpansionService(str(tmp_path / "s.sock"),
                                    cache_root=False)
