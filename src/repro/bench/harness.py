@@ -96,8 +96,10 @@ class BenchmarkResult:
 
 def _seq_run(program, sema, engine: str = "ast") -> Machine:
     # native keeps native: the hardware-speed sequential run is the
-    # measurement
-    machine = Machine(program, sema, engine=unobserved_engine(engine))
+    # measurement (no controller ever sits on the original's loops)
+    eng = unobserved_engine(engine)
+    declared = {"controlled": frozenset()} if eng == "native" else {}
+    machine = Machine(program, sema, engine=eng, **declared)
     machine.exit_code = machine.run()
     return machine
 
@@ -222,8 +224,13 @@ class Harness:
 
         # 4. figure 9: sequential single-core overhead of the transform
         for tresult, attr in ((opt, "overhead_opt"), (unopt, "overhead_unopt")):
+            # declared like the parallel runs below, which share the
+            # program's native context
+            seq_eng = unobserved_engine(eng)
+            declared = {"controlled": tresult.controlled_loops()} \
+                if seq_eng == "native" else {}
             machine = Machine(tresult.program, tresult.sema,
-                              engine=unobserved_engine(eng))
+                              engine=seq_eng, **declared)
             machine.nthreads = 1
             machine.run()
             _check_output(spec, result.seq_output, machine.output,

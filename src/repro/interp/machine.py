@@ -212,11 +212,12 @@ def unobserved_engine(engine: Optional[str] = None) -> str:
 
 
 def observed_engine(engine: Optional[str] = None) -> str:
-    """Engine for a run with observers, a redirector or watchdog
-    accounting attached: the bare tier has no fan-out, so it is promoted
-    to instrumented bytecode (``native`` keeps its own bare fallback)."""
+    """Engine for a run with observers, store taps or watchdog
+    accounting attached: only the walker and instrumented bytecode fan
+    accesses out — the bare tier has the fan-out compiled out and
+    ``native`` falls back to the bare tier — so both are promoted."""
     name = resolve_engine(engine)
-    return "bytecode" if name == "bytecode-bare" else name
+    return name if name == "ast" else "bytecode"
 
 
 class Machine:

@@ -7,12 +7,21 @@ to ``bytecode-bare`` with a diagnostic instead of erroring.
 
 Compilation runs ``cc -shared -O2 -fPIC -fwrapv`` (cffi's API mode
 needs the same C compiler, so the compiler's presence is the real
-gate); binding prefers cffi's ABI-mode ``dlopen`` when cffi is
-importable and falls back to ``ctypes.CDLL``.  Compiled artifacts are
-cached on disk keyed by source hash, ABI version, flags and compiler
-identity — a warm cache hit never invokes the C compiler (asserted by
-the serve smoke test via :data:`COMPILER_INVOCATIONS` /
-``$REPRO_NATIVE_CC_LOG``).
+gate).  :func:`compile_sources` starts every missing compile of a batch
+before it waits for any — a job's two translation units (transformed
+program, sequential baseline) build side by side, one compiler process
+each — and :func:`compile_source` is the batch of one.  Binding
+prefers cffi's ABI-mode ``dlopen`` when cffi is importable and falls
+back to ``ctypes.CDLL``.  Compiled artifacts are cached on disk keyed
+by source hash, ABI version, flags and compiler identity — a warm
+cache hit never invokes the C compiler (asserted by the serve smoke
+test via :data:`COMPILER_INVOCATIONS` / ``$REPRO_NATIVE_CC_LOG``).
+
+Which entry points a translation unit exports depends on where a loop
+controller can sit (``controlled``, see :mod:`.codegen`); the
+per-program context registry never serves a caller declaring a wider
+set than the one a context was lowered for, and holds a context only
+as long as the program object lives.
 """
 
 from __future__ import annotations
@@ -24,7 +33,8 @@ import subprocess
 import sys
 import tempfile
 import time
-from typing import Dict, Optional, Tuple
+import weakref
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .codegen import NATIVE_ABI_VERSION, Lowering, lower_program
 
@@ -186,47 +196,86 @@ def _bind(path: str, exports) -> Tuple[Dict, str]:
     return handles, "ctypes"
 
 
+def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
+                    cache_dir: Optional[str] = None
+                    ) -> Tuple[List[CompiledLib], float]:
+    """Compile ``(source, exports, tag)`` units to cached .so files and
+    bind their exports.  Every unit the cache misses gets its compiler
+    process before any is waited for.  Returns the libraries, in order,
+    and the wall-clock seconds during which a compiler was running
+    (each ``CompiledLib.compile_seconds`` stays that process's own:
+    the CPU seconds of the compiler and the passes it ran)."""
+    global COMPILER_INVOCATIONS, SO_CACHE_HITS, SO_CACHE_MISSES
+    global COMPILE_SECONDS
+    directory = _cache_dir(cache_dir)
+    so_paths = [os.path.join(directory, f"{tag}-{so_cache_key(source)}.so")
+                for source, _, tag in units]
+    tmp_suffix = f".tmp{os.getpid()}"
+    procs: Dict[str, subprocess.Popen] = {}
+    seconds: Dict[str, float] = {}
+    t0 = time.perf_counter()
+    try:
+        for (source, _, _), so_path in zip(units, so_paths):
+            if so_path in procs or os.path.exists(so_path):
+                continue
+            cc = _find_cc()
+            if cc is None:
+                raise RuntimeError("NL-NO-CC: no C compiler on PATH")
+            c_path = os.path.splitext(so_path)[0] + ".c"
+            with open(c_path, "w") as fh:
+                fh.write(source)
+            procs[so_path] = subprocess.Popen(
+                [cc, *CFLAGS, "-o", so_path + tmp_suffix, c_path],
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                text=True)
+        for so_path, proc in procs.items():
+            with proc.stderr:
+                stderr = proc.stderr.read()  # to EOF: the compiler is done
+            # reaped here, not by Popen, for the child's own rusage: a
+            # wall clock would charge it the siblings waited for first
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)
+            seconds[so_path] = usage.ru_utime + usage.ru_stime
+            COMPILER_INVOCATIONS += 1
+            log = os.environ.get(CC_LOG_ENV)
+            if log:
+                with open(log, "a") as fh:
+                    name = os.path.splitext(os.path.basename(so_path))[0]
+                    fh.write(f"{name} rc={proc.returncode} "
+                             f"{seconds[so_path]:.3f}s\n")
+            if proc.returncode != 0:
+                raise RuntimeError(
+                    f"NL-CC-FAIL: {proc.args[0]} exited {proc.returncode}: "
+                    f"{stderr[-2000:]}")
+            os.replace(so_path + tmp_suffix, so_path)  # atomic vs others
+    finally:
+        # leave no child and no partial output behind
+        for so_path, proc in procs.items():
+            if proc.returncode is None:  # never waited for
+                proc.kill()
+                proc.communicate()
+            if os.path.exists(so_path + tmp_suffix):
+                os.unlink(so_path + tmp_suffix)
+    wall = time.perf_counter() - t0 if procs else 0.0
+    libs = []
+    for (_, exports, _), so_path in zip(units, so_paths):
+        spent = seconds.pop(so_path, None)  # a repeated unit hits
+        if spent is None:
+            SO_CACHE_HITS += 1
+        else:
+            SO_CACHE_MISSES += 1
+            COMPILE_SECONDS += spent
+        handles, binder = _bind(so_path, exports)
+        libs.append(CompiledLib(so_path, handles, spent is None,
+                                spent or 0.0, binder))
+    return libs, wall
+
+
 def compile_source(source: str, exports, cache_dir: Optional[str] = None,
                    tag: str = "native") -> CompiledLib:
     """Compile ``source`` to a cached .so and bind ``exports``."""
-    global COMPILER_INVOCATIONS, SO_CACHE_HITS, SO_CACHE_MISSES
-    global COMPILE_SECONDS
-    key = so_cache_key(source)
-    directory = _cache_dir(cache_dir)
-    so_path = os.path.join(directory, f"{tag}-{key}.so")
-    hit = os.path.exists(so_path)
-    seconds = 0.0
-    if not hit:
-        cc = _find_cc()
-        if cc is None:
-            raise RuntimeError("NL-NO-CC: no C compiler on PATH")
-        c_path = os.path.join(directory, f"{tag}-{key}.c")
-        with open(c_path, "w") as fh:
-            fh.write(source)
-        tmp_so = so_path + f".tmp{os.getpid()}"
-        t0 = time.perf_counter()
-        proc = subprocess.run(
-            [cc, *CFLAGS, "-o", tmp_so, c_path],
-            capture_output=True, text=True)
-        seconds = time.perf_counter() - t0
-        COMPILER_INVOCATIONS += 1
-        log = os.environ.get(CC_LOG_ENV)
-        if log:
-            with open(log, "a") as fh:
-                fh.write(f"{tag}-{key} rc={proc.returncode} "
-                         f"{seconds:.3f}s\n")
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"NL-CC-FAIL: {cc} exited {proc.returncode}: "
-                f"{proc.stderr[-2000:]}")
-        os.replace(tmp_so, so_path)  # atomic vs concurrent builders
-    if hit:
-        SO_CACHE_HITS += 1
-    else:
-        SO_CACHE_MISSES += 1
-        COMPILE_SECONDS += seconds
-    handles, binder = _bind(so_path, exports)
-    return CompiledLib(so_path, handles, hit, seconds, binder)
+    libs, _wall = compile_sources([(source, exports, tag)], cache_dir)
+    return libs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,26 +291,51 @@ class NativeContext:
         self.lib = lib
 
 
-_CONTEXTS: Dict[int, Tuple[object, NativeContext]] = {}
+#: program -> context, weakly keyed: a context must not reference its
+#: Program strongly (``Lowering.node_by_nid`` leaves the root out), so
+#: it is collected with the program — e.g. when the stage cache's
+#: bounded memory tier evicts the ``lower-native`` artifact
+_CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def native_context_for(program, sema,
-                       cache_dir: Optional[str] = None) -> NativeContext:
-    """The (lowered, compiled, bound) native context for ``program``.
+def native_contexts_for(requests: Sequence[Tuple], cache_dir: Optional[str]
+                        = None) -> Tuple[List[NativeContext], float]:
+    """The (lowered, compiled, bound) native contexts for a batch of
+    ``(program, sema, controlled)`` requests, and the wall-clock seconds
+    a C compiler ran for them (the misses compile side by side).
 
-    Raises ``RuntimeError`` with an ``NL-*`` reason when the backend is
-    unavailable.  Results are memoized per program object and inherited
-    by forked workers."""
-    entry = _CONTEXTS.get(id(program))
-    if entry is not None and entry[0] is program:
-        return entry[1]
+    ``controlled`` is the set of loop nids that may carry a controller
+    (``None``: any loop).  Raises ``RuntimeError`` with an ``NL-*``
+    reason when the backend is unavailable.  Results are memoized per
+    program object and inherited by forked workers; a memoized context
+    serves only requests its own set covers; any other re-lowers for
+    the union of the two sets, so a program's context only ever widens."""
+    contexts = [_CONTEXTS.get(program) for program, _, _ in requests]
+    missing = [i for i, (ctx, (_, _, controlled))
+               in enumerate(zip(contexts, requests))
+               if ctx is None or not ctx.lowering.covers(controlled)]
+    if not missing:
+        return contexts, 0.0
     ok, reason = native_backend_available()
     if not ok:
         raise RuntimeError(reason)
-    lowering = lower_program(program, sema)
-    lib = compile_source(lowering.source, lowering.exports,
-                         cache_dir=cache_dir,
-                         tag=f"prog-{lowering.fingerprint}")
-    ctx = NativeContext(lowering, lib)
-    _CONTEXTS[id(program)] = (program, ctx)
-    return ctx
+    lowerings = []
+    for i in missing:
+        program, sema, controlled = requests[i]
+        if contexts[i] is not None and controlled is not None:
+            controlled = contexts[i].lowering.controlled | controlled
+        lowerings.append(lower_program(program, sema, controlled))
+    libs, wall = compile_sources(
+        [(low.source, low.exports, f"prog-{low.fingerprint}")
+         for low in lowerings], cache_dir)
+    for i, low, lib in zip(missing, lowerings, libs):
+        contexts[i] = _CONTEXTS[requests[i][0]] = NativeContext(low, lib)
+    return contexts, wall
+
+
+def native_context_for(program, sema, cache_dir: Optional[str] = None,
+                       controlled=None) -> NativeContext:
+    """:func:`native_contexts_for` for one program."""
+    contexts, _wall = native_contexts_for(
+        [(program, sema, controlled)], cache_dir)
+    return contexts[0]

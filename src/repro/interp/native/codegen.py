@@ -1,11 +1,15 @@
 """C code generator for the native execution tier.
 
-Lowers each analyzed function (and each statement the runtime may
-dispatch through ``exec_stmt`` — loop nests, blocks, DOACROSS stage
-statements — plus a per-DOALL-loop chunk driver) to a C translation
-unit operating directly on the machine's flat byte buffer.  The emitted
-code replicates the *bare* bytecode tier's observable semantics
-exactly: the same cost accounting (cycles are carried as ``cy8`` =
+Lowers each analyzed function to a C translation unit operating
+directly on the machine's flat byte buffer, and exports an entry point
+only where the runtime can enter compiled code: a runner ``r_<nid>``
+per function, a unit ``u_<nid>`` per loop that an *interpreted*
+function can arrive at, the body and body-child (DOACROSS stage) units
+of a loop that may carry a controller, and a chunk driver ``k_<nid>``
+for such a ``for`` (:meth:`Lowerer._emit_entries` is the one rule;
+``controlled=None`` — any loop may carry one — is its widest case).
+The emitted code replicates the *bare* bytecode tier's observable
+semantics exactly: the same cost accounting (cycles are carried as ``cy8`` =
 cycles x 8 in int64, every COSTS entry being a multiple of 0.125), the
 same wrap/convert rules (two's complement wrapping via truncating
 casts, Python's truncating integer division formula via ``__int128``),
@@ -39,7 +43,7 @@ from ..builtins import BUILTIN_IMPLS
 from ..machine import COSTS
 
 #: bump when emitted code or ABI changes shape (part of the .so cache key)
-NATIVE_ABI_VERSION = 3
+NATIVE_ABI_VERSION = 4
 
 # callback opcodes (Env->cb protocol)
 OP_GROW = 1
@@ -220,9 +224,40 @@ class Lowering:
         self.strlit_idx: Dict[int, int] = {}
         self.nl: Dict[str, str] = {}
         self.exports: List[str] = []
+        #: loop nids that may carry a controller (None = any loop): the
+        #: set the entry points were emitted for
+        self.controlled: Optional[frozenset] = None
         #: filled by the Lowerer for runtime dispatch
         self.sema = None
         self.node_by_nid: Dict[int, ast.Node] = {}
+        self._closures: Dict[int, frozenset] = {}
+
+    def covers(self, controlled: Optional[frozenset]) -> bool:
+        """Whether a caller declaring ``controlled`` may use these
+        entry points (a narrower lowering never serves a wider set)."""
+        if self.controlled is None:
+            return True
+        return controlled is not None and controlled <= self.controlled
+
+    def loop_closure(self, meta) -> frozenset:
+        """All loop nids reachable through ``meta`` (incl. callees)."""
+        cached = self._closures.get(id(meta))
+        if cached is not None:
+            return cached
+        loops = set(meta.loop_nids)
+        seen = set()
+        stack = list(meta.callees)
+        while stack:
+            nid = stack.pop()
+            if nid in seen:
+                continue
+            seen.add(nid)
+            fm = self.fns.get(nid)
+            if fm is not None:
+                loops |= fm.loop_nids
+                stack.extend(fm.callees)
+        out = self._closures[id(meta)] = frozenset(loops)
+        return out
 
 
 _PRELUDE = r"""
@@ -315,18 +350,6 @@ static int64_t rp_fldiv(int64_t a, int64_t b) {
   return q;
 }
 """
-
-
-def _walk_stmts(s):
-    yield s
-    for name in getattr(s, "_fields", ()):
-        child = getattr(s, name, None)
-        if isinstance(child, ast.Stmt):
-            yield from _walk_stmts(child)
-        elif isinstance(child, (list, tuple)):
-            for item in child:
-                if isinstance(item, ast.Stmt):
-                    yield from _walk_stmts(item)
 
 
 class _Emit:
@@ -1404,13 +1427,16 @@ class Lowerer:
     (all functions assumed lowerable) and iterates to a fixpoint:
     removing a function may invalidate callers (their native call
     becomes a callback, which has its own limits).  Pass 2 re-emits the
-    survivors — plus per-statement units and per-DOALL chunk drivers —
-    into the final :class:`Lowering` with clean fault/call registries.
+    survivors — plus the units and chunk drivers ``controlled`` calls
+    for (:meth:`_emit_entries`) — into the final :class:`Lowering` with
+    clean fault/call registries.
     """
 
-    def __init__(self, program: ast.Program, sema):
+    def __init__(self, program: ast.Program, sema,
+                 controlled: Optional[frozenset] = None):
         self.program = program
         self.sema = sema
+        self.controlled = controlled
         self.tid_decl = sema.thread_context.get("__tid")
         self.nthreads_decl = sema.thread_context.get("__nthreads")
         self.global_idx: Dict[ast.VarDecl, int] = {
@@ -1580,12 +1606,14 @@ class Lowerer:
         """DOALL chunk driver: replays ``_task_doall``'s per-iteration
         protocol — eval cond (cost only), body, eval step — for k in
         [args[0], args[1]), with the iteration counter mirrored to the
-        heartbeat slot at args[4] and reported back via args[6]."""
+        heartbeat slot at args[4] and reported back via args[6].  The
+        bounds and the slot address are read once, up front: a callback
+        in the body marshals its own arguments through ``E->args``."""
         cname = f"k_{s.nid}"
         em = _Emit(self)
         brk_lbl, cont_lbl = f"KB_{s.nid}", f"KC_{s.nid}"
         em.loops.append((brk_lbl, cont_lbl))
-        em.o("for (k_ = E->args[0]; k_ < E->args[1]; k_++) {")
+        em.o("for (k_ = k0_; k_ < k1_; k_++) {")
         if s.cond is not None:
             em.expr(s.cond)
         em.stmt(s.body)
@@ -1608,6 +1636,7 @@ class Lowerer:
         prologue = _unit_prologue(cname)
         prologue += [
             "  { int64_t k_, iters_ = 0; volatile int64_t *hb_;",
+            "  const int64_t k0_ = E->args[0], k1_ = E->args[1];",
             "  hb_ = E->args[4] ? (volatile int64_t *)(intptr_t)"
             "E->args[4] : (volatile int64_t *)0;",
         ]
@@ -1618,8 +1647,6 @@ class Lowerer:
         self._probe_functions()
         while True:  # final pass; restart if a survivor regresses
             self.result = Lowering()
-            chunks_src: List[str] = []
-            units_src: List[str] = []
             fns_src: List[str] = []
             runners_src: List[str] = []
             regressed = None
@@ -1642,32 +1669,17 @@ class Lowerer:
                 del self.native_fns[nid]
                 self._nl[f"fn:{name}"] = reason
                 continue
-            for root in self._unit_roots():
-                try:
-                    units_src += self._emit_unit(root)
-                except NLError as err:
-                    self._nl[f"unit:{root.nid}"] = err.reason
-                except _EMIT_BUGS:
-                    self._nl[f"unit:{root.nid}"] = "NL-EMIT"
-            for loop in ast.iter_loops(self.program):
-                if not isinstance(loop, ast.For):
-                    continue
-                control = self._control_of(loop)
-                if control is None:
-                    self._nl[f"chunk:{loop.nid}"] = "NL-CONTROL"
-                    continue
-                try:
-                    chunks_src += self._emit_chunk(loop, control)
-                except NLError as err:
-                    self._nl[f"chunk:{loop.nid}"] = err.reason
-                except _EMIT_BUGS:
-                    self._nl[f"chunk:{loop.nid}"] = "NL-EMIT"
+            entries_src = self._emit_entries()
             break
         res = self.result
         res.sema = self.sema
+        res.controlled = self.controlled
         res.globals_order = tuple(self.sema.globals)
         res.nl = dict(self._nl)
-        res.node_by_nid = {n.nid: n for n in self.program.walk()}
+        # not the Program node itself: the context registry is keyed
+        # weakly on it, and nothing dispatches through the root
+        res.node_by_nid = {n.nid: n for n in self.program.walk()
+                           if n is not self.program}
         fwd = [self._fn_sig(m) + ";" for m in
                (res.fns[k] for k in sorted(res.fns))]
         res.exports = (
@@ -1676,41 +1688,106 @@ class Lowerer:
             [m.runner for m in res.fns.values() if m.runner]
         )
         res.source = "\n".join(
-            [_PRELUDE] + fwd + [""] + fns_src + [""] + units_src +
-            [""] + chunks_src + [""] + runners_src + [""]
+            [_PRELUDE] + fwd + [""] + fns_src + [""] + entries_src +
+            [""] + runners_src + [""]
         )
         res.fingerprint = hashlib.sha256(
             (f"abi{NATIVE_ABI_VERSION}\n" + res.source).encode()
         ).hexdigest()[:16]
         return res
 
-    def _unit_roots(self):
-        """Statements the runtime may dispatch through ``exec_stmt``:
-        loops, loop bodies, and DOACROSS stage candidates (immediate
-        children of loop body blocks).  DeclStmt roots are excluded —
-        their bindings must outlive the unit (the Python fallback binds
-        them in the machine frame where sibling stages can see them)."""
-        seen: Set[int] = set()
-        roots: List[ast.Stmt] = []
+    def _emit_entries(self) -> List[str]:
+        """Units and chunk drivers, emitted only where the runtime can
+        enter compiled code beside the runners.
 
-        def add(s):
-            if s.nid in seen or isinstance(s, ast.DeclStmt):
+        A function is *interpreted* when it did not lower, its loop
+        closure holds a controlled loop (``call_function`` refuses its
+        runner), it has no runner to be entered through, or its address
+        is taken (a call through a pointer stays in the closures).  A
+        statement running in Python re-enters at every loop it arrives
+        at, so each outermost loop of an interpreted function gets a
+        unit; the walk looks inside a loop only where Python itself
+        goes inside — the loop's closure holds a controlled loop
+        (``_dispatch_unit`` refuses the unit) or the unit did not lower.
+        A controlled loop's controller also dispatches the loop's body,
+        the body's child statements (DOACROSS stages) and, for a
+        ``for``, a chunk driver.  DeclStmts get no unit: their bindings
+        must outlive it (the Python fallback binds them in the machine
+        frame, where sibling stages can see them).  ``controlled=None``
+        makes every loop controlled, hence every loop a root."""
+        res = self.result
+        controlled = self.controlled
+        src: List[str] = []
+        tried: Set[str] = set()
+
+        def emit_once(key: str, emit, *args):
+            if key in tried:
                 return
-            seen.add(s.nid)
-            roots.append(s)
+            tried.add(key)
+            try:
+                src.extend(emit(*args))
+            except NLError as err:
+                self._nl[key] = err.reason
+            except _EMIT_BUGS:
+                self._nl[key] = "NL-EMIT"
 
-        for loop in ast.iter_loops(self.program):
-            add(loop)
-            add(loop.body)
-            if isinstance(loop.body, ast.Block):
-                for child in loop.body.stmts:
-                    add(child)
-        return roots
+        def hit(meta) -> bool:
+            return controlled is None or \
+                not controlled.isdisjoint(res.loop_closure(meta))
+
+        def unit(s: ast.Stmt) -> Optional[UnitMeta]:
+            if not isinstance(s, ast.DeclStmt):
+                emit_once(f"unit:{s.nid}", self._emit_unit, s)
+            return res.units.get(s.nid)
+
+        def chunk(loop: ast.For):
+            control = self._control_of(loop)
+            if control is None:
+                self._nl[f"chunk:{loop.nid}"] = "NL-CONTROL"
+            else:
+                emit_once(f"chunk:{loop.nid}", self._emit_chunk, loop,
+                          control)
+
+        def interpreted(s: ast.Stmt):
+            if isinstance(s, ast.LoopStmt):
+                meta = unit(s)
+                if controlled is None or s.nid in controlled:
+                    unit(s.body)
+                    if isinstance(s.body, ast.Block):
+                        for child in s.body.stmts:
+                            unit(child)
+                    if isinstance(s, ast.For):
+                        chunk(s)
+                if meta is not None and not hit(meta):
+                    return
+            for child in s.children():
+                if isinstance(child, ast.Stmt):
+                    interpreted(child)
+
+        direct = {id(n.func) for n in self.program.walk()
+                  if isinstance(n, ast.Call)}
+        addr_taken = {n.decl.nid for n in self.program.walk()
+                      if isinstance(n, ast.Ident) and id(n) not in direct
+                      and isinstance(n.decl, ast.FunctionDef)}
+        for fn in self.sema.functions.values():
+            if fn.body is None:
+                continue
+            meta = res.fns.get(fn.nid)
+            if meta is None or meta.runner is None or hit(meta) \
+                    or fn.nid in addr_taken:
+                interpreted(fn.body)
+        return src
 
 
-def lower_program(program: ast.Program, sema) -> Lowering:
-    """Lower ``program`` to a C translation unit + dispatch metadata."""
-    return Lowerer(program, sema).lower()
+def lower_program(program: ast.Program, sema,
+                  controlled: Optional[frozenset] = None) -> Lowering:
+    """Lower ``program`` to a C translation unit + dispatch metadata.
+
+    ``controlled`` is the set of loop nids that may carry a controller;
+    ``None`` means any loop may (every loop gets the full entry set)."""
+    if controlled is not None:
+        controlled = frozenset(controlled)
+    return Lowerer(program, sema, controlled).lower()
 
 
 _X = {

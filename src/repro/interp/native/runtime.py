@@ -18,7 +18,12 @@ again (the ``_native_loop`` / ``_native_call`` hooks, through the same
 ``_dispatch_unit`` / ``call_function`` that ``exec_stmt`` and
 ``Machine.run`` use), so only statements that enclose a controlled
 loop, and the straight-line code around them, run in Python.
-``native_dispatches`` and ``interp_loops`` count the two sides.
+``native_dispatches`` and ``interp_loops`` count the two sides.  The
+units that re-entry lands in, and the body/stage units and chunk
+drivers a controller dispatches, exist for the loops the machine's
+creator declared as ``controlled`` (``None``: any loop); a controller
+on a loop outside that set finds no entry point and its loop runs in
+Python — counted, never wrong.
 
 The C side communicates through one Env struct (see
 ``codegen._PRELUDE``): cost counters in cy8 units (cycles x 8), a step
@@ -33,7 +38,7 @@ builtins see every native-allocated byte.
 from __future__ import annotations
 
 import ctypes
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ...frontend import ast
 from .. import memory as mem
@@ -99,7 +104,7 @@ class NativeMachine(BytecodeMachine):
                  max_steps: int = 500_000_000,
                  max_loop_steps: Optional[int] = None,
                  engine: Optional[str] = None, tracer=None,
-                 memory=None):
+                 memory=None, controlled=None):
         # the fallback tier is always the bare closures: identical cost
         # model, no per-statement instrumentation — same as native
         super().__init__(program, sema, check_bounds, max_steps,
@@ -112,7 +117,7 @@ class NativeMachine(BytecodeMachine):
         self._handles = None
         try:
             from .backend import native_context_for
-            ctx = native_context_for(program, sema)
+            ctx = native_context_for(program, sema, controlled=controlled)
             self._low = ctx.lowering
             self._lib = ctx.lib
             self._handles = ctx.lib.handles
@@ -127,7 +132,6 @@ class NativeMachine(BytecodeMachine):
         self._gaddr_key: Optional[Tuple[int, int]] = None
         self._daddr_arr = (ctypes.c_int64 * 1)()
         self._saddr_arr = None
-        self._closure_cache: Dict[int, frozenset] = {}
         self._env_addr = ctypes.addressof(self._env)
         #: entry-point calls made (runners + units + chunk drivers);
         #: the differential/smoke gates assert this is non-zero when a
@@ -147,32 +151,10 @@ class NativeMachine(BytecodeMachine):
                 and self._tid_hook is None
                 and not self._store_taps)
 
-    def _loop_closure(self, meta) -> frozenset:
-        """All loop nids reachable through ``meta`` (incl. callees)."""
-        cached = self._closure_cache.get(id(meta))
-        if cached is not None:
-            return cached
-        loops = set(meta.loop_nids)
-        seen = set()
-        stack = list(meta.callees)
-        fns = self._low.fns
-        while stack:
-            nid = stack.pop()
-            if nid in seen:
-                continue
-            seen.add(nid)
-            fm = fns.get(nid)
-            if fm is not None:
-                loops |= fm.loop_nids
-                stack.extend(fm.callees)
-        out = frozenset(loops)
-        self._closure_cache[id(meta)] = out
-        return out
-
     def _controllers_clear(self, meta) -> bool:
         if not self.loop_controllers:
             return True
-        return not (self.loop_controllers.keys() & self._loop_closure(meta))
+        return self._low.loop_closure(meta).isdisjoint(self.loop_controllers)
 
     def _resolve_free(self, free) -> Optional[List[int]]:
         if not free:

@@ -604,7 +604,8 @@ def _post_token(data, slots: Dict[int, int], origin: int, k: int,
 def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
                  arena_base: int, arena_limit: int, hb_base: int,
                  hb_interval: float,
-                 engine: str = "bytecode-bare") -> None:
+                 engine: str = "bytecode-bare",
+                 controlled=None) -> None:
     """Worker process entry point.  Serves task messages until an
     ``("exit",)`` sentinel or pipe EOF, then hard-exits — ``os._exit``
     skips the multiprocessing atexit machinery, so the fork-inherited
@@ -620,10 +621,10 @@ def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
         compiler_for_hash(fingerprint, program, sema, BARE)
         memory = mem.Memory(check_bounds=False, buffer=shm.buf,
                             base=arena_base, limit=arena_limit)
-        machine = Machine(
-            program, sema, check_bounds=False,
-            engine="native" if engine == "native" else "bytecode-bare",
-            memory=memory)
+        tier = {"engine": "native", "controlled": controlled} \
+            if engine == "native" else {"engine": "bytecode-bare"}
+        machine = Machine(program, sema, check_bounds=False, memory=memory,
+                          **tier)
         decls = _decl_index(program, sema)
         loops: Dict[str, ast.LoopStmt] = {}
         hb = _WorkerHB(shm.buf, hb_base)
@@ -956,7 +957,8 @@ class ProcessSession:
     def __init__(self, program: ast.Program, sema, nthreads: int,
                  workers: Optional[int] = None,
                  options: Optional[dict] = None,
-                 engine: Optional[str] = None):
+                 engine: Optional[str] = None,
+                 controlled=None):
         from multiprocessing import shared_memory
         opts = dict(options or {})
         self.nthreads = nthreads
@@ -967,6 +969,9 @@ class ProcessSession:
         #: chunks/stages into compiled entry points; anything else runs
         #: the bare bytecode closures)
         self.engine = engine or "bytecode-bare"
+        #: loop nids that may carry a controller (None = any): the set
+        #: the native entry points the workers inherit are emitted for
+        self.controlled = controlled
         self.parent_limit = int(opts.get("segment_bytes",
                                          DEFAULT_SEGMENT_BYTES))
         self.arena_bytes = int(opts.get("arena_bytes",
@@ -1077,7 +1082,7 @@ class ProcessSession:
                   self.arena_base + wid * self.arena_bytes,
                   self.arena_base + (wid + 1) * self.arena_bytes,
                   self.hb_addr(wid), self.heartbeat_interval,
-                  self.engine),
+                  self.engine, self.controlled),
             daemon=True,
             name=f"repro-mc-{wid}",
         )
@@ -1102,7 +1107,8 @@ class ProcessSession:
             # so a warm fork never invokes the C compiler
             from ..interp.native import native_context_for
             try:
-                native_context_for(self.program, self.sema)
+                native_context_for(self.program, self.sema,
+                                   controlled=self.controlled)
             except Exception:
                 # workers degrade per-machine with a native_diag; the
                 # task replies carry the NL-* reason

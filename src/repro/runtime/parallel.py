@@ -38,13 +38,13 @@ from ..frontend import ast
 from ..obs import NULL_TRACER, ensure_tracer
 from ..interp.machine import (
     BreakSignal, ContinueSignal, CostSink, InterpError, Machine,
-    WatchdogTimeout, observed_engine,
+    WatchdogTimeout, observed_engine, resolve_engine,
 )
 from ..interp.memory import MemoryError_
 from ..interp.trace import RaceChecker
 from ..analysis.profiler import find_control_decl
 from ..transform.pipeline import (
-    DOALL, QuarantinedLoop, TransformResult, TransformedLoop, parse_loop_kind,
+    DOALL, TransformResult, TransformedLoop, parse_loop_kind,
 )
 from ..transform.rewrite import origin_of
 from . import sync
@@ -710,9 +710,18 @@ class ParallelRunner:
         self.workers = workers
         self.session = None
         memory = None
-        # the parallel runtime needs observer fan-out (race checker)
-        # and per-statement watchdog accounting
-        eng = observed_engine(engine)
+        # the parallel runtime needs per-statement watchdog accounting,
+        # and whatever observes the parent machine (race checker,
+        # machine-level injectors' store taps / statement hooks) needs
+        # the instrumented tier's fan-out.  Only an unobserved native
+        # parent stays native; workers run the requested engine.
+        requested_engine = resolve_engine(engine)
+        observed = check_races or any(
+            not getattr(injector, "process_level", False)
+            for injector in fault_injectors or [])
+        eng = ("native" if requested_engine == "native" and not observed
+               else observed_engine(requested_engine))
+        controlled = tresult.controlled_loops()
         if session is not None:
             # adopt a pre-built (possibly pooled) session: the caller
             # guarantees it was created for this tresult's program and
@@ -734,7 +743,8 @@ class ParallelRunner:
             else:
                 self.session = ProcessSession(
                     tresult.program, tresult.sema, nthreads,
-                    workers=workers, options=mc, engine=eng,
+                    workers=workers, options=mc, engine=requested_engine,
+                    controlled=controlled,
                 )
                 memory = self.session.memory
                 self.backend = "process"
@@ -742,20 +752,21 @@ class ParallelRunner:
                 self.session.sink = self.sink
         self.outcome.backend = self.backend
         try:
-            if eng == "native" and check_races:
+            if requested_engine == "native" and check_races:
                 # race observation hooks every access in Python; the
                 # native tier cannot fan accesses out, so the parent
-                # machine's native dispatch gate stays closed and the
-                # sequential sections run on the bare fallback instead
+                # machine is the instrumented bytecode tier instead
                 self.sink.note(
                     "NL-OBSERVERS",
                     "race checking keeps the parent machine on the "
                     "bytecode fallback; pass check_races=False for "
                     "native parent execution", phase="runtime",
                 )
+            declared = {"controlled": controlled} if eng == "native" else {}
             self.machine = Machine(tresult.program, tresult.sema,
                                    max_loop_steps=watchdog, engine=eng,
-                                   tracer=self.tracer, memory=memory)
+                                   tracer=self.tracer, memory=memory,
+                                   **declared)
             self.machine.nthreads = nthreads
             if self.tracer:
                 self.tracer.metrics.set("interp.engine",
@@ -825,14 +836,9 @@ class ParallelRunner:
         no controller.  ``runtime-priv`` reuses the SpiceC baseline's
         access-control layer on this machine, with the original-program
         private sites translated into the transformed program."""
-        quarantined = getattr(self.tresult, "quarantined", None) or []
         plans = []
-        for q in quarantined:
-            if q.fallback != QuarantinedLoop.RUNTIME_PRIV:
-                continue
-            try:
-                clone_loop = ast.find_loop(self.tresult.program, q.label)
-            except KeyError:
+        for q, clone_loop in self.tresult.runtime_priv_loops():
+            if clone_loop is None:
                 self.sink.warning(
                     "RT-QUARANTINE-LOST",
                     f"quarantined loop {q.label!r} not found in the "

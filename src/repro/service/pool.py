@@ -76,6 +76,7 @@ class SessionPool:
             tresult.program, tresult.sema, job.nthreads,
             workers=job.workers, options=self.mc,
             engine=job.options.resolved_engine(),
+            controlled=tresult.controlled_loops(),
         )
         session._pool_key = key
         session.pool = self

@@ -92,8 +92,10 @@ def _sequential_baseline(compiled: CompiledJob, tracer,
                 tracer.metrics.inc("cache.baseline.hit")
             return hit
     with tracer.phase("sequential-baseline"):
-        machine = Machine(ctx.program, ctx.sema,
-                          engine=unobserved_engine(opts.engine))
+        engine = unobserved_engine(opts.engine)
+        # no controller ever sits on the original program's loops
+        declared = {"controlled": frozenset()} if engine == "native" else {}
+        machine = Machine(ctx.program, ctx.sema, engine=engine, **declared)
         exit_code = machine.run(opts.entry)
     baseline = {
         "output": list(machine.output),

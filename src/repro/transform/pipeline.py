@@ -183,6 +183,27 @@ class TransformResult:
                 return tl
         raise KeyError(f"no transformed loop labeled {label!r}")
 
+    def runtime_priv_loops(self):
+        """``(quarantined loop, its clone in the output program)`` for
+        every quarantined loop that falls back to runtime privatization
+        (the clone is ``None`` if the transform lost the label)."""
+        for q in self.quarantined:
+            if q.fallback == QuarantinedLoop.RUNTIME_PRIV:
+                try:
+                    yield q, ast.find_loop(self.program, q.label)
+                except KeyError:
+                    yield q, None
+
+    def controlled_loops(self) -> frozenset:
+        """Nids of the loops the parallel runtime puts a controller on:
+        every transformed loop and every runtime-privatized quarantined
+        clone.  The native tier compiles entry points for exactly these
+        (see ``interp.native.codegen``)."""
+        return frozenset(
+            [tl.loop.nid for tl in self.loops]
+            + [clone.nid for _, clone in self.runtime_priv_loops()
+               if clone is not None])
+
 
 def parse_loop_kind(loop: ast.LoopStmt) -> str:
     """Read the parallelism kind from ``#pragma expand parallel(...)``."""

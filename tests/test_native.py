@@ -213,8 +213,9 @@ class TestLoudFallbacks:
         assert machine._low.nl == {"fn:helper": "NL-NO-BODY"}
 
     def test_race_checker_gates_parent_with_nl_observers(self):
-        # check_races hooks every access in Python; the runner keeps
-        # the parent machine on the bytecode fallback and says so
+        # check_races hooks every access in Python; the runner builds
+        # the parent machine on the instrumented bytecode tier — the
+        # one whose closures fan accesses out — and says so
         name, layout = "dijkstra", "bonded"
         sink = DiagnosticSink()
         runner = ParallelRunner(_expanded(name, layout), NTHREADS,
@@ -223,9 +224,9 @@ class TestLoudFallbacks:
         outcome = runner.run()
         codes = [d.code for d in sink.diagnostics]
         assert "NL-OBSERVERS" in codes
-        # gated, not wrong: parent dispatched nothing natively yet the
-        # final state still matches the walker bit for bit
-        assert runner.machine.native_dispatches == 0
+        # gated, not wrong and not blind: the final state still matches
+        # the walker bit for bit
+        assert runner.machine.engine == "bytecode"
         got = _fingerprint(runner, outcome)
         ref = _walker_reference(name, layout)
         assert got["heap"] == ref["heap"]
@@ -416,8 +417,8 @@ class TestReentryRule:
     def test_race_checker_keeps_the_rule_closed(self):
         runner, outcome, reference = _reentry_run(
             "return", "bonded", "simulated", check_races=True)
-        assert runner.machine.native_dispatches == 0
-        assert runner.machine.interp_loops > 1
+        # no native machine at all: the checker sees every access
+        assert runner.machine.engine == "bytecode"
         got = _fingerprint(runner, outcome)
         for field in ("exit", "output", "heap"):
             assert got[field] == reference[field]
@@ -427,8 +428,8 @@ class TestReentryRule:
         runner, outcome, reference = _reentry_run(
             "exit", "bonded", "simulated",
             fault_injectors=[CopyIndexSkew(seed=1, rate=0.0)])
-        assert not runner.machine._native_ok()
-        assert runner.machine.native_dispatches == 0
+        # store taps and statement hooks exist on the instrumented tier
+        assert runner.machine.engine == "bytecode"
         assert _fingerprint(runner, outcome) == reference
 
     @needs_process
@@ -449,3 +450,373 @@ class TestReentryRule:
         assert metrics["runtime.parent_native_dispatches"] > 0
         assert metrics["runtime.parent_native_dispatches"] == \
             runner.machine.native_dispatches
+
+
+# ---------------------------------------------------------------------------
+# the entry-point rule: units and chunk drivers exist only where the
+# runtime can enter compiled code; a narrower set changes which symbols
+# the .so exports, never what a run computes or how it is dispatched
+# ---------------------------------------------------------------------------
+
+_ANY = "any"            # lower_program(controlled=None): every loop
+_DECLARED = "declared"  # TransformResult.controlled_loops()
+
+
+def _run_lowered(tresult, how, backend, **kwargs):
+    """One native run of ``tresult`` on entry points lowered ``how``.
+    The registry serves a wider context to a narrower request, so
+    priming it with the any-loop lowering is all ``_ANY`` takes."""
+    from repro.interp.native import backend as nb, native_context_for
+
+    nb._CONTEXTS.pop(tresult.program, None)
+    if how == _ANY:
+        native_context_for(tresult.program, tresult.sema)
+    if backend == "process":
+        kwargs.update(workers=NTHREADS, mc=dict(SMALL_MC))
+    kwargs.setdefault("check_races", False)
+    runner = ParallelRunner(tresult, NTHREADS, engine="native",
+                            backend=backend, **kwargs)
+    expect = None if how == _ANY else tresult.controlled_loops()
+    assert runner.machine._low.controlled == expect
+    outcome = runner.run()
+    nb._CONTEXTS.pop(tresult.program, None)
+    return runner, outcome
+
+
+def _entry_names(lowering, prefixes):
+    return {e for e in lowering.exports if e[:2] in prefixes}
+
+
+class TestEntryPointRule:
+
+    def _same_run_either_way(self, tresult, reference, backend):
+        runs = {how: _run_lowered(tresult, how, backend)
+                for how in (_DECLARED, _ANY)}
+        for how, (runner, outcome) in runs.items():
+            assert _fingerprint(runner, outcome) == reference, how
+        narrow, wide = (runs[how][0].machine
+                        for how in (_DECLARED, _ANY))
+        assert narrow.native_dispatches == wide.native_dispatches
+        assert narrow.interp_loops == wide.interp_loops
+        assert set(narrow._low.exports) < set(wide._low.exports)
+
+    @pytest.mark.parametrize("name,layout", MATRIX, ids=_IDS)
+    def test_kernels_simulated(self, name, layout):
+        self._same_run_either_way(_expanded(name, layout),
+                                  _walker_reference(name, layout),
+                                  "simulated")
+
+    @needs_process
+    @pytest.mark.parametrize("name,layout", MATRIX, ids=_IDS)
+    def test_kernels_process(self, name, layout):
+        self._same_run_either_way(_expanded(name, layout),
+                                  _walker_reference(name, layout),
+                                  "process")
+
+    @pytest.mark.parametrize("end,layout", _REENTRY_MATRIX)
+    def test_reentry_program_simulated(self, end, layout):
+        self._same_run_either_way(*_reentry(end, layout), "simulated")
+
+    @needs_process
+    @pytest.mark.parametrize("end,layout", _REENTRY_MATRIX)
+    def test_reentry_program_process(self, end, layout):
+        self._same_run_either_way(*_reentry(end, layout), "process")
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_baseline_program_exports_only_runners(self, name):
+        from repro.interp.native import lower_program
+        program, sema = parse_and_analyze(get(name).source)
+        low = lower_program(program, sema, frozenset())
+        assert low.exports and not low.units and not low.chunks
+        assert not _entry_names(low, ("u_", "k_"))
+
+    def test_controlled_loop_gets_exactly_its_entries(self):
+        from repro.frontend import ast
+        from repro.interp.native import lower_program
+        tresult, _ = _reentry("return", "bonded")
+        low = lower_program(tresult.program, tresult.sema,
+                            tresult.controlled_loops())
+        (loop,) = [tl.loop for tl in tresult.loops]
+        assert set(low.chunks) == {loop.nid}
+        body_units = {loop.body.nid} | {
+            s.nid for s in loop.body.stmts
+            if not isinstance(s, ast.DeclStmt)}
+        assert body_units <= set(low.units)
+        # every other unit is a loop an interpreted function arrives
+        # at: main's and pick's outermost loops, and the loop of
+        # ``twice``, which main calls through a pointer
+        rest = set(low.units) - body_units
+        loops = {n.nid: n for n in ast.iter_loops(tresult.program)}
+        assert rest <= set(loops)
+        inner = {n.nid for outer in loops.values()
+                 for n in ast.iter_loops(outer.body)}
+        assert not (rest - {loop.nid}) & inner
+
+    _NL_UNIT_SRC = """
+    int out[8];
+    int twice(int x) { return 2 * x; }
+    int thrice(int x) { return 3 * x; }
+    int main(void) {
+        int i; int k; int acc = 0;
+        #pragma expand parallel(doall)
+        L: for (i = 0; i < 8; i++) out[i] = i * i;
+        for (i = 0; i < 3; i++) {
+            acc += (i % 2 ? twice : thrice)(i);
+            for (k = 0; k < 5; k++) acc += out[k] + i;
+        }
+        print_int(acc);
+        return 0;
+    }
+    """
+
+    def test_loops_beneath_a_unit_that_did_not_lower_get_units(self):
+        from repro.frontend import ast
+        program, sema = parse_and_analyze(self._NL_UNIT_SRC)
+        tresult = expand_for_threads(program, sema, ["L"], optimize=True)
+        walker = ParallelRunner(tresult, NTHREADS, engine="ast",
+                                backend="simulated", check_races=False)
+        reference = _fingerprint(walker, walker.run())
+        runner, outcome = _run_lowered(tresult, _DECLARED, "simulated")
+        low = runner.machine._low
+        main = tresult.sema.functions["main"]
+        outer = [s for s in main.body.stmts
+                 if isinstance(s, ast.For) and s.label != "L"][-1]
+        (beneath,) = list(ast.iter_loops(outer.body))
+        assert low.nl[f"unit:{outer.nid}"] == "NL-FNPTR"
+        assert beneath.nid in low.units
+        assert _fingerprint(runner, outcome) == reference
+        # Python drove the outer loop only; its three inner loops ran
+        # as the unit
+        assert runner.machine.interp_loops == 1
+
+    @pytest.mark.parametrize("backend", [
+        "simulated", pytest.param("process", marks=needs_process)])
+    def test_controller_outside_the_declared_set(self, backend,
+                                                 monkeypatch):
+        # the runner declares nothing yet controls L: no unit, no chunk
+        # driver — the loop's pieces run in Python, loudly, and right
+        from repro.transform.pipeline import TransformResult
+        tresult, reference = _reentry("return", "bonded")
+        declared, _ = _run_lowered(tresult, _DECLARED, backend)
+        monkeypatch.setattr(TransformResult, "controlled_loops",
+                            lambda self: frozenset())
+        tracer = Tracer()
+        runner, outcome = _run_lowered(tresult, _DECLARED, backend,
+                                       tracer=tracer)
+        assert not _entry_names(runner.machine._low, ("k_",))
+        assert _fingerprint(runner, outcome) == reference
+        metrics = tracer.metrics.as_dict()
+        if backend == "process":
+            assert metrics["runtime.native_fallbacks"] == \
+                metrics["runtime.worker_tasks"] > 0
+            assert any(d.code == "NL-FALLBACK"
+                       for d in outcome.diagnostics)
+        else:
+            assert runner.machine.interp_loops > \
+                declared.machine.interp_loops
+
+
+class TestChunkDriverBounds:
+    """A callback inside a DOALL chunk marshals its arguments through
+    ``E->args``; the driver must not re-read its bounds from there."""
+
+    SRC = """
+    int scratch[8];
+    int out[16];
+    int main(void) {
+        int i; int s = 0;
+        #pragma expand parallel(doall)
+        L: for (i = 0; i < 16; i++) {
+            memset(scratch, i, 32);
+            out[i] = scratch[3] + i;
+        }
+        for (i = 0; i < 16; i++) s = s + out[i];
+        print_int(s);
+        return 0;
+    }
+    """
+
+    @pytest.mark.parametrize("backend,workers", [
+        ("simulated", None),
+        pytest.param("process", 2, marks=needs_process)])
+    def test_builtin_call_in_chunk_body(self, backend, workers):
+        program, sema = parse_and_analyze(self.SRC)
+        tresult = expand_for_threads(program, sema, ["L"], optimize=True)
+        walker = ParallelRunner(tresult, 2, engine="ast",
+                                backend="simulated", check_races=False)
+        reference = _fingerprint(walker, walker.run())
+        assert reference["output"] == ["2021161200"]
+        tracer = Tracer()
+        kwargs = {"mc": dict(SMALL_MC)} if workers else {}
+        runner = ParallelRunner(tresult, 2, engine="native",
+                                backend=backend, workers=workers,
+                                check_races=False, tracer=tracer,
+                                **kwargs)
+        outcome = runner.run()
+        assert _fingerprint(runner, outcome) == reference
+        if workers:
+            metrics = tracer.metrics.as_dict()
+            assert metrics["runtime.native_chunks"] == 2
+            assert metrics.get("runtime.native_fallbacks", 0) == 0
+
+
+class TestObserversSeeNativeJobs:
+    """``engine="native"`` never blinds an observer: whatever is about
+    to be observed runs on the instrumented bytecode tier."""
+
+    @pytest.mark.parametrize("name", ["dijkstra", "histogram",
+                                      "mpeg2-decoder"])
+    def test_profile_equals_the_walkers_and_compiles_nothing(self, name):
+        from repro.analysis import profile_loop
+        from repro.frontend import ast
+        from repro.interp.native import backend as nb
+        spec = get(name)
+        program, sema = parse_and_analyze(spec.source)
+        loop = ast.find_loop(program, spec.loop_labels[0])
+        cc0 = nb.COMPILER_INVOCATIONS
+        hits0 = nb.SO_CACHE_HITS
+        got = profile_loop(program, sema, loop, engine="native")
+        assert (nb.COMPILER_INVOCATIONS, nb.SO_CACHE_HITS) == (cc0, hits0)
+        ref = profile_loop(program, sema, loop, engine="ast")
+        assert got.ddg.sites and got.ddg.edges
+        for field in ("sites", "edges", "upward_exposed",
+                      "downward_exposed", "dyn_counts", "store_sites",
+                      "load_sites"):
+            assert getattr(got.ddg, field) == getattr(ref.ddg, field)
+        assert got.loop_cycles == ref.loop_cycles
+        assert got.iterations == ref.iterations
+
+    @staticmethod
+    def _checked_run(tresult, engine, fault_injectors=None):
+        runner = ParallelRunner(tresult, NTHREADS, engine=engine,
+                                backend="simulated", check_races=True,
+                                fault_injectors=fault_injectors)
+        seen = [0]
+        on_access = runner.checker.on_access
+
+        def counting(site, addr, size, is_store):
+            seen[0] += 1
+            on_access(site, addr, size, is_store)
+
+        runner.checker.on_access = counting
+        outcome = runner.run(raise_on_race=False)
+        return seen[0], sorted(outcome.races), list(outcome.output)
+
+    def test_race_checker_sees_every_access(self):
+        tresult = _expanded("histogram", "bonded")
+        native = self._checked_run(tresult, "native")
+        assert native[0] > 10_000 and native[1] == []
+        assert native == self._checked_run(tresult, "bytecode")
+
+    def test_ablation_and_injection_report_the_same_races(self):
+        from repro.runtime import CopyIndexSkew
+        spec = get("histogram")
+        program, sema = parse_and_analyze(spec.source)
+        ablated = expand_for_threads(program, sema, spec.loop_labels,
+                                     optimize=True, commutative=False)
+        native = self._checked_run(ablated, "native")
+        assert native[1], "--no-commutative histogram must race"
+        assert native == self._checked_run(ablated, "bytecode")
+        # tests/test_faults.py's DOALL kernel: statically sized scratch,
+        # so a skewed copy index makes threads collide on the structure
+        program, sema = parse_and_analyze("""
+        int buf[16];
+        int out[12];
+        int main(void) {
+            int i; int k;
+            #pragma expand parallel(doall)
+            L: for (i = 0; i < 12; i++) {
+                for (k = 0; k < 16; k++) buf[k] = i * k + 1;
+                out[i] = buf[15];
+            }
+            for (i = 0; i < 12; i++) print_int(out[i]);
+            return 0;
+        }
+        """)
+        tresult = expand_for_threads(program, sema, ["L"], optimize=False)
+        runs = [self._checked_run(
+                    tresult, engine,
+                    [CopyIndexSkew(seed=3, rate=0.5)])
+                for engine in ("native", "bytecode")]
+        assert runs[0][1], "a skewed copy index must race"
+        assert runs[0] == runs[1]
+
+
+class TestContextRegistry:
+
+    def test_contexts_die_with_their_programs(self):
+        import gc
+        import weakref
+        from repro.interp.native import backend as nb, native_context_for
+        gc.collect()
+        before = len(nb._CONTEXTS)
+        programs, contexts = [], []
+        for i in range(40):
+            program, sema = parse_and_analyze(
+                "int main(void) { int i; int s = 0; "
+                f"for (i = 0; i < {i + 2}; i++) s += i; "
+                "print_int(s); return 0; }")
+            ctx = native_context_for(program, sema)
+            assert native_context_for(program, sema) is ctx
+            programs.append(program)
+            contexts.append(weakref.ref(ctx))
+            del ctx, sema
+        assert len(nb._CONTEXTS) == before + 40
+        del programs, program
+        gc.collect()
+        assert len(nb._CONTEXTS) == before
+        assert all(ref() is None for ref in contexts)
+
+    def test_a_narrower_context_never_serves_a_wider_request(self):
+        from repro.interp.native import backend as nb, native_context_for
+        tresult, _ = _reentry("return", "bonded")
+        program, sema = tresult.program, tresult.sema
+        declared = tresult.controlled_loops()
+        nb._CONTEXTS.pop(program, None)
+        narrow = native_context_for(program, sema, controlled=declared)
+        assert native_context_for(program, sema,
+                                  controlled=declared) is narrow
+        assert native_context_for(program, sema,
+                                  controlled=frozenset()) is narrow
+        # a set it does not cover widens it to the union: two callers
+        # with non-nested sets do not take turns recompiling
+        from repro.frontend import ast
+        other = frozenset(loop.nid for loop in ast.iter_loops(program)
+                          if loop.nid not in declared)
+        both = native_context_for(program, sema, controlled=other)
+        assert both.lowering.controlled == declared | other
+        assert native_context_for(program, sema,
+                                  controlled=declared) is both
+        wide = native_context_for(program, sema)
+        assert wide is not both and wide.lowering.controlled is None
+        # ... and the wider one serves everybody afterwards
+        assert native_context_for(program, sema,
+                                  controlled=declared) is wide
+        nb._CONTEXTS.pop(program, None)
+
+    @needs_process
+    def test_forked_workers_find_the_parents_context(self, monkeypatch):
+        from repro.interp.native import backend as nb
+        tresult = _expanded("histogram", "bonded")
+        nb._CONTEXTS.pop(tresult.program, None)
+        tracer = Tracer()
+        runner = ParallelRunner(tresult, 2, engine="native",
+                                backend="process", workers=2,
+                                check_races=False, tracer=tracer,
+                                mc=dict(SMALL_MC))
+        assert nb._CONTEXTS[tresult.program].lowering is \
+            runner.machine._low
+
+        def no_relowering(*_args, **_kwargs):
+            raise AssertionError("the registry missed")
+
+        # the pool forks at the first dispatch: from here on, a lookup
+        # that misses (in the parent or in a worker, whose machine then
+        # carries a native_diag and runs fallback chunks) shows
+        monkeypatch.setattr(nb, "lower_program", no_relowering)
+        outcome = runner.run()
+        assert outcome.exit_code == 0
+        metrics = tracer.metrics.as_dict()
+        assert metrics["runtime.native_chunks"] == \
+            metrics["runtime.worker_tasks"] > 0
+        assert metrics.get("runtime.native_fallbacks", 0) == 0

@@ -482,3 +482,85 @@ class TestOneDriver:
             assert "RT-RECOVERED" in fingerprints[0][4]
         if job.options.engine == "native":
             assert baseline_engines == ["native", "native"]
+
+
+def _native_ok():
+    from repro.interp.native import native_backend_available
+    return native_backend_available()
+
+
+@pytest.mark.skipif(not _native_ok()[0], reason=_native_ok()[1])
+class TestColdNativeCompile:
+    """The ``lower-native`` stage of a cold job: two translation units
+    (transformed program, sequential baseline), two compiler processes,
+    side by side."""
+
+    @staticmethod
+    def _job():
+        from repro.service import CompileOptions, Job
+        return Job(FIGURE1, ["L"], CompileOptions(engine="native"),
+                   check_races=False)
+
+    @staticmethod
+    def _spy_on_compilers(monkeypatch):
+        """Every compiler child started from here on, and how many of
+        the earlier ones nobody had waited for yet when each started."""
+        from repro.interp.native import backend as nb
+        real = nb.subprocess.Popen
+        children, live_at_start = [], []
+
+        def popen(argv, *args, **kwargs):
+            compiling = "-shared" in argv
+            if compiling:
+                live_at_start.append(
+                    sum(child.returncode is None for child in children))
+            child = real(argv, *args, **kwargs)
+            if compiling:
+                children.append(child)
+            return child
+
+        monkeypatch.setattr(nb.subprocess, "Popen", popen)
+        return children, live_at_start
+
+    def test_both_compilers_run_at_once(self, tmp_path, monkeypatch):
+        from repro.obs import Tracer
+        from repro.service import StageCache, StagedCompiler
+        children, live_at_start = self._spy_on_compilers(monkeypatch)
+        tracer = Tracer()
+        compiled = StagedCompiler(cache=StageCache(root=str(tmp_path)),
+                                  tracer=tracer).compile(self._job())
+        assert compiled.report["lower-native"] == "miss"
+        # the second compiler started before the first was waited for
+        assert live_at_start == [0, 1]
+        assert all(child.returncode == 0 for child in children)
+        libs = [compiled.ctx.native.lib, compiled.ctx.native_baseline.lib]
+        assert not any(lib.cache_hit for lib in libs)
+        # the stage's cc time is wall-clock with a compiler running:
+        # inside the stage's span, no less than the slower process
+        (span,) = [s for s in tracer.spans if s.name == "lower-native"]
+        cc_wall = tracer.metrics["native.compile_seconds"]
+        each = [lib.compile_seconds for lib in libs]
+        assert max(each) <= cc_wall <= span.dur_us / 1e6
+
+    def test_failing_compiler_leaves_nothing_behind(self, tmp_path,
+                                                    monkeypatch):
+        import os
+        from repro.interp.native import backend as nb
+        from repro.service import StageCache, StagedCompiler
+        # args: -shared -O2 -fPIC -fwrapv -o OUT SRC
+        fake_cc = tmp_path / "cc"
+        fake_cc.write_text('#!/bin/sh\necho partial > "$6"\n'
+                           'echo "fake cc: boom" >&2\nexit 3\n')
+        fake_cc.chmod(0o755)
+        monkeypatch.setattr(nb, "_find_cc", lambda: str(fake_cc))
+        children, live_at_start = self._spy_on_compilers(monkeypatch)
+        cache = StageCache(root=str(tmp_path / "cache"))
+        with pytest.raises(RuntimeError, match="NL-CC-FAIL.*boom"):
+            StagedCompiler(cache=cache).compile(self._job())
+        # both were started; the first failed, the second was reaped
+        # (finished or killed) before the error left the stage
+        assert live_at_start == [0, 1]
+        assert children[0].returncode == 3
+        assert children[1].returncode is not None
+        left = os.listdir(str(tmp_path / "cache" / "native-so"))
+        assert left and all(name.endswith(".c") for name in left)
