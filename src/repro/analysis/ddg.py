@@ -54,7 +54,12 @@ class DDG:
         (self.store_sites if is_store else self.load_sites).add(site)
 
     def add_edge(self, src: int, dst: int, kind: str, carried: bool) -> None:
-        self.edges.add(Dep(src, dst, kind, carried))
+        # the profiler re-adds the same few edges once per access: probe
+        # with a plain tuple (a Dep hashes and compares as one) and build
+        # the named one only when the edge is new
+        edge = (src, dst, kind, carried)
+        if edge not in self.edges:
+            self.edges.add(Dep._make(edge))
 
     def merge(self, other: "DDG") -> None:
         """Union another execution's graph into this one (candidate

@@ -4,10 +4,20 @@ The paper obtained its dependence graphs by off-line data dependence
 profiling (their refs [38, 39]) followed by manual verification.  This
 module does the same against the MiniC machine: it runs the program
 once sequentially, drives the candidate loop iteration-by-iteration
-through a loop controller, and observes every memory access at *byte*
-granularity.  Byte granularity matters because benchmarks recast
-buffers between element sizes (256.bzip2's ``zptr``), where word-level
-tracking would miss partial overlaps.
+through a loop controller, and observes every memory access.  The
+*results* are byte-exact — benchmarks recast buffers between element
+sizes (256.bzip2's ``zptr``), where word-level tracking would miss
+partial overlaps — but the *bookkeeping* is per cell of a
+:class:`~repro.interp.shadow.Shadow`: the ``(addr, size)`` range an
+access used is one entry, every byte of it being in one state, so the
+common aligned access costs one lookup, one edge and one reader-span
+update however wide it is.  A cell is cut, both pieces inheriting its
+state, only when an access of another shape overlaps it: a recast, a
+``memset`` over elements, a freed block reused under another layout,
+or a control variable's bytes inside a wider access.  The byte-per-byte
+tracker this replaced lives on as the test oracle
+(``tests/byte_oracle.py``); the two agree field for field on every
+kernel and on random access streams.
 
 Outputs per candidate loop:
 
@@ -27,13 +37,14 @@ their carried dependences are not real obstacles.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..frontend import ast
 from ..frontend.sema import SemaResult
 from ..interp.machine import (
     BreakSignal, ContinueSignal, Machine, observed_engine,
 )
+from ..interp.shadow import SIZE, Shadow
 from .ddg import ANTI, DDG, FLOW, OUTPUT
 
 #: an object key: (segment-kind, allocation-site tag)
@@ -75,14 +86,39 @@ class LoopProfile:
         )
 
 
-class _ProfileObserver:
-    """Byte-granular dependence tracker.
+#: profiler cell payload (slot 0 is the shadow's SIZE): the last in-loop
+#: store to the cell as ``WSITE`` in iteration ``WITER`` — ``WITER`` is
+#: None once that store belongs to an earlier execution of the loop, which
+#: is exactly "pending downward exposure" — the loop execution the cell
+#: was last touched in, and the readers since the store as ``site ->
+#: [first_iter, last_iter]`` (None when there are none)
+WSITE, WITER, EXEC, READERS = 1, 2, 3, 4
 
-    Maintains, per byte address: the last in-loop writer ``(site,
-    iteration)`` and the readers since that write ``site -> (first_iter,
-    last_iter)``.  Dependence edges come from the classic last-writer
-    construction, which realizes Definition 1 including its covered-
-    write refinement of loop-carried flow dependences.
+
+def _clone_cell(cell: list) -> list:
+    piece = list(cell)
+    readers = piece[READERS]
+    if readers:
+        piece[READERS] = {s: list(span) for s, span in readers.items()}
+    return piece
+
+
+class _ProfileObserver:
+    """Byte-exact dependence tracker over a cell-granular shadow.
+
+    Maintains, per cell of :class:`~repro.interp.shadow.Shadow`: the
+    last in-loop writer ``(site, iteration)`` and the readers since
+    that write ``site -> [first_iter, last_iter]``.  Dependence edges
+    come from the classic last-writer construction, which realizes
+    Definition 1 including its covered-write refinement of loop-carried
+    flow dependences.
+
+    Cells outlive a loop execution; their in-loop state does not.  Each
+    cell is stamped with the execution that last touched it and rolls
+    over lazily on its first touch in a later one: the readers go, and
+    the last writer stays as the store whose value later code may still
+    read (Definition 3) until any store, in the loop or after it,
+    overwrites the cell.
     """
 
     def __init__(self, machine: Machine, profile: LoopProfile):
@@ -90,23 +126,21 @@ class _ProfileObserver:
         self.profile = profile
         self.in_loop = False
         self.iteration = 0
-        self.exempt: Set[int] = set()
-        # in-loop state (reset per loop execution)
-        self.last_write: Dict[int, Tuple[int, int]] = {}
-        self.readers: Dict[int, Dict[int, List[int]]] = {}
-        # post-loop exposure state (survives across executions)
-        self.pending_down: Dict[int, int] = {}  # byte -> last in-loop store site
+        self.execution = 0
+        #: bytes of the loop-control variable while the loop runs
+        self.exempt = range(0)
+        self.shadow = Shadow((None, None, 0, None), _clone_cell)
+        #: site -> the object it touched last, already on the books (by
+        #: key, not by allocation record: the allocator recycles freed
+        #: records under a new tag)
+        self._site_object: Dict[int, ObjectKey] = {}
 
     # -- execution boundaries ---------------------------------------------
     def begin_execution(self) -> None:
         self.in_loop = True
-        self.last_write.clear()
-        self.readers.clear()
+        self.execution += 1
 
-    def end_execution(self, last_store_site: Optional[Dict[int, int]] = None):
-        # archive this execution's final writers for downward-exposure
-        for byte, (site, _iter) in self.last_write.items():
-            self.pending_down[byte] = site
+    def end_execution(self) -> None:
         self.in_loop = False
 
     def begin_iteration(self, k: int) -> None:
@@ -114,82 +148,89 @@ class _ProfileObserver:
 
     # -- the hook -------------------------------------------------------------
     def on_access(self, site: int, addr: int, size: int, is_store: bool):
+        shadow = self.shadow
+        cell = shadow.cells.get(addr)
         if not self.in_loop:
-            self._post_access(addr, size, is_store)
+            # only cells can hold a store some execution left behind
+            if cell is not None and cell[SIZE] == size:
+                group = (cell,)
+            elif shadow.cells:
+                group = shadow.resolve(addr, size, create=False)
+            else:
+                return
+            if is_store:
+                for cell in group:
+                    cell[WSITE] = None
+            else:
+                down = self.profile.ddg.downward_exposed
+                for cell in group:
+                    if cell[WSITE] is not None:
+                        down.add(cell[WSITE])
             return
-        ddg = self.profile.ddg
+        profile = self.profile
+        ddg = profile.ddg
         cur = self.iteration
         record = self.machine.memory.find(addr)
-        if record is not None:
+        if record is not None and self._site_object.get(site) != (
+                record.kind, record.tag):
             key: ObjectKey = (record.kind, record.tag)
-            self.profile.site_objects.setdefault(site, set()).add(key)
-            if key not in self.profile.object_labels:
-                self.profile.object_labels[key] = record.label
-                self.profile.object_sizes[key] = record.size
+            self._site_object[site] = key
+            profile.site_objects.setdefault(site, set()).add(key)
+            if key not in profile.object_labels:
+                profile.object_labels[key] = record.label
+                profile.object_sizes[key] = record.size
+        ddg.add_site(site, is_store)
         exempt = self.exempt
+        if cell is not None and cell[SIZE] == size and not (
+                addr < exempt.stop and exempt.start < addr + size):
+            group = (cell,)
+        else:
+            group = shadow.resolve(addr, size, exempt)
+        execution = self.execution
+        add_edge = ddg.add_edge
         if is_store:
-            ddg.add_site(site, True)
-            add_edge = ddg.add_edge
-            last_write = self.last_write
-            readers = self.readers
-            for byte in range(addr, addr + size):
-                if byte in exempt:
-                    continue
-                prev = last_write.get(byte)
-                if prev is not None:
-                    add_edge(prev[0], site, OUTPUT, prev[1] != cur)
-                reads = readers.get(byte)
+            for cell in group:
+                if cell[EXEC] != execution:
+                    cell[EXEC] = execution
+                    cell[READERS] = None
+                elif cell[WITER] is not None:
+                    add_edge(cell[WSITE], site, OUTPUT, cell[WITER] != cur)
+                reads = cell[READERS]
                 if reads:
                     for rsite, (first, last) in reads.items():
                         if first < cur:
                             add_edge(rsite, site, ANTI, True)
                         if last == cur:
                             add_edge(rsite, site, ANTI, False)
-                    readers[byte] = {}
-                last_write[byte] = (site, cur)
-                # a write inside the loop also kills pending downward
-                # exposure from earlier executions
-                if byte in self.pending_down:
-                    del self.pending_down[byte]
-        else:
-            ddg.add_site(site, False)
-            add_edge = ddg.add_edge
-            last_write = self.last_write
-            readers = self.readers
-            exposed = False
-            for byte in range(addr, addr + size):
-                if byte in exempt:
-                    continue
-                prev = last_write.get(byte)
-                if prev is None:
-                    exposed = True
-                else:
-                    add_edge(prev[0], site, FLOW, prev[1] != cur)
-                entry = readers.setdefault(byte, {})
-                span = entry.get(site)
-                if span is None:
-                    entry[site] = [cur, cur]
-                else:
-                    span[1] = cur
+                    cell[READERS] = None
+                cell[WSITE] = site
+                cell[WITER] = cur
+            return
+        exposed = False
+        for cell in group:
+            if cell[EXEC] != execution:
+                cell[EXEC] = execution
+                cell[READERS] = None
+                cell[WITER] = None
+            if cell[WITER] is not None:
+                add_edge(cell[WSITE], site, FLOW, cell[WITER] != cur)
+            else:
+                exposed = True
                 # reading a value stored by a previous execution of the
                 # loop marks that store downwards-exposed (Definition 3)
-                down_site = self.pending_down.get(byte)
-                if down_site is not None and prev is None:
-                    self.profile.ddg.downward_exposed.add(down_site)
-            if exposed:
-                ddg.upward_exposed.add(site)
-
-    def _post_access(self, addr: int, size: int, is_store: bool) -> None:
-        pending = self.pending_down
-        if not pending:
-            return
-        for byte in range(addr, addr + size):
-            if is_store:
-                pending.pop(byte, None)
+                if cell[WSITE] is not None:
+                    ddg.downward_exposed.add(cell[WSITE])
+            reads = cell[READERS]
+            if reads is None:
+                cell[READERS] = {site: [cur, cur]}
             else:
-                site = pending.get(byte)
-                if site is not None:
-                    self.profile.ddg.downward_exposed.add(site)
+                span = reads.get(site)
+                if span is None:
+                    reads[site] = [cur, cur]
+                else:
+                    span[1] = cur
+        if exposed:
+            ddg.upward_exposed.add(site)
 
 
 def find_control_decl(loop: ast.LoopStmt) -> Optional[ast.VarDecl]:
@@ -226,7 +267,7 @@ class _ProfileController:
             machine.exec_stmt(loop.init)
         if control is not None:
             addr = machine.var_addr(control)
-            observer.exempt = set(range(addr, addr + control.ctype.size))
+            observer.exempt = range(addr, addr + control.ctype.size)
         observer.begin_execution()
         k = profile.iterations
         try:
@@ -254,7 +295,7 @@ class _ProfileController:
         finally:
             profile.iterations = k
             observer.end_execution()
-            observer.exempt = set()
+            observer.exempt = range(0)
             profile.loop_cycles += machine.cost.cycles - start_cycles
 
     def _run_body(self, machine: Machine, body: ast.Stmt) -> None:

@@ -42,7 +42,9 @@ class Compiler:
 
     def __init__(self, program: ast.Program, sema: SemaResult,
                  variant: str = INSTRUMENTED, tracer=None):
-        self.program = program
+        # weakly: _CODE_CACHE keys on the Program and holds this Compiler,
+        # a strong reference back would keep every entry alive for ever
+        self._program = weakref.ref(program)
         self.sema = sema
         self.variant = variant
         self.instrumented = variant != BARE
@@ -57,6 +59,11 @@ class Compiler:
         tc = getattr(sema, "thread_context", None) or {}
         self.tid_decl = tc.get("__tid")
         self.nthreads_decl = tc.get("__nthreads")
+
+    @property
+    def program(self) -> Optional[ast.Program]:
+        """The program this code was lowered from (None once it died)."""
+        return self._program()
 
     # -- compile entry points (memoized) ---------------------------------
     def expr(self, e):
@@ -145,7 +152,9 @@ class Compiler:
 
 #: Program -> {(id(sema), variant): Compiler}.  The Compiler holds the
 #: sema strongly, so the id() key cannot be recycled while the entry
-#: lives; the outer mapping dies with the Program.
+#: lives; it holds the Program weakly (compiled closures capture AST
+#: nodes below the root, never the root), so the outer mapping dies
+#: with the Program.
 _CODE_CACHE: "weakref.WeakKeyDictionary[ast.Program, dict]" = \
     weakref.WeakKeyDictionary()
 

@@ -213,6 +213,7 @@ def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
     tmp_suffix = f".tmp{os.getpid()}"
     procs: Dict[str, subprocess.Popen] = {}
     seconds: Dict[str, float] = {}
+    unstarted_c: Optional[str] = None  # written, its compiler not started
     t0 = time.perf_counter()
     try:
         for (source, _, _), so_path in zip(units, so_paths):
@@ -221,13 +222,14 @@ def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
             cc = _find_cc()
             if cc is None:
                 raise RuntimeError("NL-NO-CC: no C compiler on PATH")
-            c_path = os.path.splitext(so_path)[0] + ".c"
+            unstarted_c = c_path = os.path.splitext(so_path)[0] + ".c"
             with open(c_path, "w") as fh:
                 fh.write(source)
             procs[so_path] = subprocess.Popen(
                 [cc, *CFLAGS, "-o", so_path + tmp_suffix, c_path],
                 stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
                 text=True)
+            unstarted_c = None
         for so_path, proc in procs.items():
             with proc.stderr:
                 stderr = proc.stderr.read()  # to EOF: the compiler is done
@@ -256,6 +258,10 @@ def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
                 proc.communicate()
             if os.path.exists(so_path + tmp_suffix):
                 os.unlink(so_path + tmp_suffix)
+        # a source no compiler ever read explains no failure: unlike the
+        # .c of a unit cc rejected, it is not worth keeping
+        if unstarted_c is not None and os.path.exists(unstarted_c):
+            os.unlink(unstarted_c)
     wall = time.perf_counter() - t0 if procs else 0.0
     libs = []
     for (_, exports, _), so_path in zip(units, so_paths):

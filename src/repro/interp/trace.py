@@ -4,11 +4,20 @@ Observers attach to a :class:`~repro.interp.machine.Machine` and
 receive one ``on_access(site, addr, size, is_store)`` call per memory
 access.  ``site`` is the AST node id of the access expression — the
 vertex identity in the paper's loop-level data dependence graph.
+
+"Byte granularity" here means byte-exact *results*: the race checker
+reports one ``(address, kind)`` pair per conflicting byte, whatever
+the sizes and alignments of the accesses that met there.  Its
+*bookkeeping* is per cell of a :class:`~repro.interp.shadow.Shadow` —
+the range an access used, cut only where an access of another shape
+overlaps it — and is expanded to bytes when the report is asked for.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Set, Tuple
+
+from .shadow import SIZE, Shadow
 
 
 class AccessEvent(NamedTuple):
@@ -41,6 +50,11 @@ class FootprintObserver:
         bucket[site] = bucket.get(site, 0) + size
 
 
+#: race-checker cell payload (slot 0 is the shadow's SIZE): bitmasks of
+#: the threads that wrote / read the cell in the current region
+WRITERS, READERS = 1, 2
+
+
 class RaceChecker:
     """Cross-thread conflict detector for simulated parallel runs.
 
@@ -50,6 +64,13 @@ class RaceChecker:
     transform must produce an empty report for DOALL loops — this is
     the reproduction's substitute for the paper's "runs correctly on
     real hardware" evidence.
+
+    The report is byte-exact; the bookkeeping is per cell of a
+    :class:`~repro.interp.shadow.Shadow`, so an access that repeats the
+    shape of the one before it at that address costs one lookup however
+    wide it is, and a cell splits into bytes only when accesses of
+    different shapes overlap (thread 0 stores an ``int``, thread 1 its
+    third byte).
     """
 
     def __init__(self):
@@ -58,26 +79,28 @@ class RaceChecker:
         #: written before the loop and read by every thread is sharing,
         #: not racing.  Controllers call begin_region()/end_region().
         self.enabled = False
-        #: byte address -> set of (thread, was_write)
-        self._writers: Dict[int, Set[int]] = {}
-        self._readers: Dict[int, Set[int]] = {}
+        self._shadow = Shadow((0, 0))
         #: addresses exempt from checking (loop control variables the
-        #: scheduler itself rebinds per chunk)
+        #: scheduler itself rebinds per chunk); consulted at each access
         self.exempt: Set[int] = set()
 
     def on_access(self, site: int, addr: int, size: int, is_store: bool):
         if not self.enabled:
             return
-        for byte in range(addr, addr + size):
-            if byte in self.exempt:
-                continue
-            bucket = self._writers if is_store else self._readers
-            bucket.setdefault(byte, set()).add(self.current_thread)
+        slot = WRITERS if is_store else READERS
+        bit = 1 << self.current_thread
+        exempt = self.exempt
+        cell = self._shadow.cells.get(addr)
+        if cell is not None and cell[SIZE] == size and (
+                not exempt or exempt.isdisjoint(range(addr, addr + size))):
+            cell[slot] |= bit
+            return
+        for cell in self._shadow.resolve(addr, size, exempt):
+            cell[slot] |= bit
 
     def begin_region(self) -> None:
         """Start checking a parallel region (clears per-region state)."""
-        self._writers.clear()
-        self._readers.clear()
+        self._shadow.clear()
         self.enabled = True
 
     def end_region(self) -> List[Tuple[int, str]]:
@@ -87,13 +110,16 @@ class RaceChecker:
         return found
 
     def races(self) -> List[Tuple[int, str]]:
-        """(address, kind) pairs where threads conflict."""
+        """(address, kind) pairs where threads conflict, one per byte,
+        in address order."""
         out: List[Tuple[int, str]] = []
-        for addr, writers in self._writers.items():
-            if len(writers) > 1:
-                out.append((addr, "write-write"))
+        for addr, (size, writers, readers) in self._shadow.cells.items():
+            if writers & (writers - 1):
+                kind = "write-write"
+            elif writers and readers & ~writers:
+                kind = "read-write"
+            else:
                 continue
-            readers = self._readers.get(addr)
-            if readers and (readers - writers):
-                out.append((addr, "read-write"))
+            out.extend((byte, kind) for byte in range(addr, addr + size))
+        out.sort()
         return out

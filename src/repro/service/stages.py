@@ -296,7 +296,7 @@ class StagedCompiler:
             optimize=opts.flags, expansion_source=opts.expansion_source,
             entry=opts.entry, profiles=ctx.profiles, layout=opts.layout,
             strict=True, sink=self.sink, tracer=self.tracer,
-            commutative=opts.commutative,
+            commutative=opts.commutative, engine=opts.resolved_engine(),
         )
         if ctx.result is not None:
             pipeline.result = ctx.result
@@ -350,7 +350,7 @@ class StagedCompiler:
             optimize=opts.flags, expansion_source=opts.expansion_source,
             entry=opts.entry, layout=opts.layout, strict=False,
             sink=self.sink, tracer=self.tracer,
-            commutative=opts.commutative,
+            commutative=opts.commutative, engine=opts.resolved_engine(),
         )
         ctx.result = result
         ctx.profiles = {tl.loop.label: tl.profile for tl in result.loops}

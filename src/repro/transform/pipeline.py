@@ -351,6 +351,7 @@ class ExpansionPipeline:
         sink: Optional[DiagnosticSink] = None,
         tracer=None,
         commutative: bool = True,
+        engine: Optional[str] = None,
     ):
         if expansion_source not in ("static", "profile"):
             raise ValueError("expansion_source must be 'static' or 'profile'")
@@ -372,6 +373,9 @@ class ExpansionPipeline:
         self._given_profiles = profiles or {}
         self.strict = strict
         self.commutative = commutative
+        #: interpreter tier the profile stage runs on (None: the
+        #: process default, ``$REPRO_ENGINE`` or the walker)
+        self.engine = engine
         # empty sinks are falsy (len 0) — compare to None explicitly
         self.sink = sink if sink is not None else DiagnosticSink()
         self.tracer = ensure_tracer(tracer)
@@ -523,7 +527,8 @@ class ExpansionPipeline:
                 with self.tracer.phase("profile", loop=label):
                     profile = self._given_profiles.get(label) or \
                         profile_loop(
-                            self.program, self.sema, loop, self.entry
+                            self.program, self.sema, loop, self.entry,
+                            engine=self.engine,
                         )
             except PIPELINE_FAULTS as exc:
                 self._quarantine(label, "profile", exc, loop=loop)
@@ -1087,6 +1092,7 @@ def expand_for_threads(
     sink: Optional[DiagnosticSink] = None,
     tracer=None,
     commutative: bool = True,
+    engine: Optional[str] = None,
 ) -> TransformResult:
     """Transform ``program`` so the labeled loops can run multithreaded.
 
@@ -1121,12 +1127,16 @@ def expand_for_threads(
     access class, expanded per worker, and merged back at loop exit,
     with a parallelism certificate on each
     :class:`TransformedLoop`.
+
+    ``engine`` is the interpreter tier the dependence profile runs on
+    (every tier yields the same profile; the bare and native tiers are
+    promoted to instrumented bytecode, which observers need).
     """
     pipeline = ExpansionPipeline(
         program, sema, loop_labels, optimize=optimize,
         expansion_source=expansion_source, entry=entry, profiles=profiles,
         layout=layout, strict=strict, sink=sink, tracer=tracer,
-        commutative=commutative,
+        commutative=commutative, engine=engine,
     )
     return pipeline.run()
 

@@ -322,6 +322,31 @@ class TestMutationInvalidation:
         assert mutated == self._outcome(result, "ast")
 
 
+class TestCodeCacheLifetime:
+    def test_compiled_code_dies_with_its_program(self):
+        """The cache is keyed weakly by the Program; the Compiler it
+        holds must not keep that key alive (both engine variants)."""
+        import gc
+        import weakref
+        from repro.interp.bytecode.compiler import _CODE_CACHE
+        gc.collect()
+        before = len(_CODE_CACHE)
+        program, sema = parse_and_analyze(PAR_SRC)
+        outputs = []
+        for engine in ("bytecode", "bytecode-bare"):
+            machine = Machine(program, sema, engine=engine)
+            machine.run()
+            outputs.append(tuple(machine.output))
+        assert outputs[0] == outputs[1] and outputs[0]
+        assert len(_CODE_CACHE) == before + 1
+        assert machine.compiler.program is program
+        alive = weakref.ref(program)
+        del program, sema, machine
+        gc.collect()
+        assert alive() is None
+        assert len(_CODE_CACHE) == before
+
+
 # ---------------------------------------------------------------------------
 # memory fast paths
 # ---------------------------------------------------------------------------

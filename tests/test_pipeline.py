@@ -484,6 +484,59 @@ class TestOneDriver:
             assert baseline_engines == ["native", "native"]
 
 
+class TestProfileStageEngine:
+    """The ``profile`` stage runs on the job's own engine — promoted to
+    instrumented bytecode where the engine has no observer fan-out —
+    which is what its cache key has always said."""
+
+    @staticmethod
+    def _compile(engine, cache, monkeypatch):
+        from repro.analysis import profiler
+        from repro.service import CompileOptions, Job, StagedCompiler
+        machines = []
+        real_machine = profiler.Machine
+
+        def spy(*args, **kwargs):
+            machine = real_machine(*args, **kwargs)
+            machines.append(machine)
+            return machine
+
+        monkeypatch.setattr(profiler, "Machine", spy)
+        job = Job(FIGURE3, ["L"], CompileOptions(engine=engine),
+                  check_races=False)
+        compiled = StagedCompiler(cache=cache).compile(job)
+        (machine,) = machines           # one candidate loop, one run
+        return machine, compiled
+
+    def test_stage_runs_where_its_key_says(self, monkeypatch):
+        from repro.interp.bytecode import BytecodeMachine
+        from repro.interp.bytecode.compiler import INSTRUMENTED
+        from repro.service import StageCache
+        from .byte_oracle import profile_diff
+        # one cache: the engine-independent parse and sema artifacts are
+        # shared, so all three jobs profile the same AST (same nids)
+        cache = StageCache()
+        walker, compiled = self._compile("ast", cache, monkeypatch)
+        assert type(walker) is Machine
+        reference = compiled.ctx
+        for engine in ("native", "bytecode-bare"):
+            machine, compiled = self._compile(engine, cache, monkeypatch)
+            assert compiled.report["sema"] == "hit"
+            assert compiled.report["profile"] == "miss"
+            ctx = compiled.ctx
+            assert ctx.program is reference.program
+            assert isinstance(machine, BytecodeMachine)
+            assert machine.compiler.variant == INSTRUMENTED
+            assert not profile_diff(ctx.profiles["L"],
+                                    reference.profiles["L"])
+            for field in ("private_sites", "shared_sites",
+                          "commutative_sites"):
+                assert getattr(ctx.privs["L"], field) == getattr(
+                    reference.privs["L"], field)
+            assert [repr(c) for c in ctx.privs["L"].class_infos] == \
+                [repr(c) for c in reference.privs["L"].class_infos]
+
+
 def _native_ok():
     from repro.interp.native import native_backend_available
     return native_backend_available()
@@ -564,3 +617,31 @@ class TestColdNativeCompile:
         assert children[1].returncode is not None
         left = os.listdir(str(tmp_path / "cache" / "native-so"))
         assert left and all(name.endswith(".c") for name in left)
+
+    def test_compiler_that_cannot_start_leaves_no_source_behind(
+            self, tmp_path, monkeypatch):
+        """``Popen`` raising on the second unit: its ``.c`` was already
+        written and no compiler will ever read it — it goes, with the
+        first unit's half-built output, and the first child is reaped."""
+        import os
+        from repro.interp.native import backend as nb
+        real = nb.subprocess.Popen
+        children = []
+
+        def popen(argv, *args, **kwargs):
+            if children:
+                raise OSError(24, "Too many open files")
+            children.append(real(argv, *args, **kwargs))
+            return children[0]
+
+        monkeypatch.setattr(nb.subprocess, "Popen", popen)
+        unit = "#include <stdint.h>\nint64_t f%d(void *e) { return %d; }\n"
+        with pytest.raises(OSError, match="Too many open files"):
+            nb.compile_sources(
+                [(unit % (i, i), [f"f{i}"], f"unit{i}") for i in (1, 2)],
+                cache_dir=str(tmp_path))
+        (first,) = children
+        assert first.returncode is not None
+        left = sorted(os.listdir(str(tmp_path)))
+        assert len(left) == 1 and left[0].startswith("unit1-")
+        assert left[0].endswith(".c")

@@ -6,6 +6,8 @@ from repro.analysis import ANTI, FLOW, OUTPUT, profile_loop
 from repro.analysis.profiler import find_control_decl
 from repro.frontend import ast, parse_and_analyze
 
+from .byte_oracle import oracle_profile_loop, profile_diff
+
 
 def profile(source, label="L"):
     program, sema = parse_and_analyze(source)
@@ -153,6 +155,122 @@ class TestByteGranularity:
                    "char buf[16]; int y;")
         p, _ = profile(src)
         assert len(p.ddg.store_sites) >= 2
+
+    # The tracker keeps state per (addr, size) cell and cuts a cell
+    # where an access of another shape overlaps it; each case below
+    # forces one kind of cut and must still match the byte-per-byte
+    # oracle field for field.
+
+    @staticmethod
+    def _aliased(body, post=""):
+        """``wrap`` around a global ``int x`` whose bytes ``char *c``
+        aliases."""
+        return wrap(body, "int x;", post).replace(
+            "int i;", "int i; char *c = (char*)&x;")
+
+    @staticmethod
+    def _checked(src):
+        """The profile of ``L``, checked against the oracle's."""
+        program, sema = parse_and_analyze(src)
+        loop = ast.find_loop(program, "L")
+        got = profile_loop(program, sema, loop)
+        assert not profile_diff(
+            got, oracle_profile_loop(program, sema, loop))
+        return got
+
+    @staticmethod
+    def _stores(ddg):
+        """Store sites bar the exempt ``i++``, which has no edges."""
+        return {s for s in ddg.store_sites if ddg.edges_of(s)}
+
+    def test_int_store_then_char_loads_of_each_byte(self):
+        ddg = self._checked(self._aliased(
+            "x = i + 1; print_int(c[0] + c[1] + c[2] + c[3]);")).ddg
+        (store,) = self._stores(ddg)
+        flows = {e.dst for e in ddg.edges if e.src == store
+                 and e.kind == FLOW and not e.carried}
+        assert len(flows) == 4          # one per char load site
+        assert flows == {e.src for e in ddg.edges if e.dst == store
+                         and e.kind == ANTI and e.carried}
+
+    def test_char_stores_then_one_int_load(self):
+        ddg = self._checked(self._aliased(
+            "c[0] = 1; c[1] = 2; c[2] = 3; c[3] = i; print_int(x);")).ddg
+        assert len(self._stores(ddg)) == 4
+        flows = [e for e in ddg.edges if e.kind == FLOW]
+        assert {e.src for e in flows} == self._stores(ddg)
+        assert len({e.dst for e in flows}) == 1     # the int load
+        assert not any(e.carried for e in flows)    # covered every time
+
+    def test_access_straddling_two_cells(self):
+        ddg = self._checked(wrap(
+            "a[0] = i; a[1] = i + 1; print_int(*p);", "int a[2];"
+        ).replace("int i;", "int i; int *p = (int*)((char*)a + 2);")).ddg
+        assert len(self._stores(ddg)) == 2
+        flows = [e for e in ddg.edges if e.kind == FLOW]
+        assert {e.src for e in flows} == self._stores(ddg)
+        assert len({e.dst for e in flows}) == 1
+        assert not any(e.carried for e in flows)
+
+    def test_split_keeps_readers_of_earlier_iterations(self):
+        """Iterations 0-1 read ``x`` whole; iteration 2 stores one of
+        its bytes.  The cell splits with readers on it, and the carried
+        anti dependence from those reads must survive the split."""
+        ddg = self._checked(self._aliased(
+            "if (i < 2) print_int(x); if (i == 2) c[1] = 7;",
+            post="print_int(x);")).ddg
+        (store,) = self._stores(ddg)
+        (anti,) = [e for e in ddg.edges if e.kind == ANTI]
+        assert anti.dst == store and anti.carried
+        assert anti.src in ddg.upward_exposed
+        assert ddg.downward_exposed == {store}
+
+    def test_freed_address_reused_at_another_element_size(self):
+        ddg = self._checked("""
+        int *p; char *q;
+        int main(void) {
+            int i;
+            L: for (i = 0; i < 6; i++) {
+                if (i % 2 == 0) {
+                    p = (int*)malloc(8);
+                    p[0] = i; p[1] = i; print_int(p[1]);
+                    free(p);
+                } else {
+                    q = (char*)malloc(8);
+                    q[5] = (char)i; print_int(q[5]);
+                    free(q);
+                }
+            }
+            return 0;
+        }
+        """).ddg
+        # the allocator hands the block back: the char store lands in
+        # the middle of the cell p[1] made, one iteration later
+        crossing = {(e.src, e.dst) for e in ddg.edges
+                    if e.kind == OUTPUT and e.carried and e.src != e.dst}
+        assert len(crossing) == 2       # p[1] ~> q[5] and back
+        assert {pair[::-1] for pair in crossing} == crossing
+
+    def test_recycled_block_counts_for_both_allocation_sites(self):
+        """The allocator recycles a freed block *record* for the next
+        ``malloc`` of that size, retagged: one access site, one address,
+        two objects."""
+        got = self._checked("""
+        int *p;
+        int main(void) {
+            int i;
+            L: for (i = 0; i < 6; i++) {
+                if (i % 2 == 0) p = (int*)malloc(8);
+                else p = (int*)malloc(8);
+                p[0] = i;
+                free(p);
+            }
+            return 0;
+        }
+        """)
+        heap = [objs for objs in got.site_objects.values()
+                if all(kind == "heap" for kind, _ in objs)]
+        assert heap and all(len(objs) == 2 for objs in heap)
 
 
 class TestControlVariable:

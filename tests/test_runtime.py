@@ -200,6 +200,44 @@ class TestRaceDetection:
         outcome = run_parallel(result, 8)
         assert outcome.races == []
 
+    @staticmethod
+    def _races(monkeypatch, result, checker_cls, **kwargs):
+        from repro.runtime import parallel
+        monkeypatch.setattr(parallel, "RaceChecker", checker_cls)
+        outcome = run_parallel(result, 4, engine="bytecode",
+                               raise_on_race=False, **kwargs)
+        assert len(set(outcome.races)) == len(outcome.races)
+        return set(outcome.races)
+
+    def test_ablated_histogram_races_match_the_byte_oracle(
+            self, monkeypatch):
+        """``--no-commutative`` histogram: every thread updates the
+        shared bins.  The cell-granular checker must name the same
+        bytes, with the same kinds, as the byte-per-byte one."""
+        from repro.bench import get
+        from repro.interp import RaceChecker
+        from .byte_oracle import ByteRaceChecker
+        spec = get("histogram")
+        program, sema = parse_and_analyze(spec.source)
+        ablated = expand_for_threads(program, sema, spec.loop_labels,
+                                     commutative=False)
+        want = self._races(monkeypatch, ablated, ByteRaceChecker)
+        assert "write-write" in {kind for _, kind in want}
+        assert self._races(monkeypatch, ablated, RaceChecker) == want
+
+    def test_skewed_copy_index_races_match_the_byte_oracle(
+            self, monkeypatch):
+        from repro.interp import RaceChecker
+        from repro.runtime import CopyIndexSkew
+        from .byte_oracle import ByteRaceChecker
+        program, sema = parse_and_analyze(DOALL_SRC)
+        result = expand_for_threads(program, sema, ["L"], optimize=False)
+        want, got = (
+            self._races(monkeypatch, result, cls,
+                        fault_injectors=[CopyIndexSkew(seed=3, rate=0.5)])
+            for cls in (ByteRaceChecker, RaceChecker))
+        assert want and got == want
+
 
 class TestTimingModel:
     def test_bandwidth_ceiling(self):
