@@ -22,6 +22,11 @@ Implementation: the access-control layer is a *redirector* installed on
 the MiniC machine — the loads and stores really land in the per-thread
 copies, so the baseline is executable and race-checked, not merely a
 cost annotation.
+
+Scheduling is *not* this module's: a baseline loop is a
+:class:`~repro.runtime.plan.LoopPlan` run by the expansion runtime's own
+controller, as the paper runs every configuration through one GOMP — so
+Figures 10-13 differ by the privatization mechanism and nothing else.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from ..interp.machine import Machine, observed_engine
 from ..interp.trace import RaceChecker
 from ..analysis.privatization import PrivatizationResult
 from ..analysis.profiler import LoopProfile
-from ..runtime.stats import LoopExecution, ParallelOutcome
-from ..transform.pipeline import (
-    DOACROSS, DOALL, parse_loop_kind,
-)
+from ..runtime.parallel import loop_controller
+from ..runtime.plan import LoopPlan, RaceError, RunContext
+from ..runtime.stats import ParallelOutcome
+from ..transform.pipeline import DOACROSS, parse_loop_kind
 
 #: cycles per monitored access: runtime call + heap-prefix/table lookup
 MONITOR_COST = 35.0
@@ -54,7 +59,8 @@ class AccessControl:
     privatized loop is running.
     """
 
-    def __init__(self, machine: Machine, private_sites: Set[int]):
+    def __init__(self, machine: Machine, private_sites: Set[int],
+                 checker=None):
         self.machine = machine
         self.private_sites = private_sites
         #: per-thread: shared Allocation -> local copy address
@@ -65,7 +71,7 @@ class AccessControl:
         #: copies are single-owner by construction; their recycling
         #: through the allocator is runtime-library bookkeeping, not a
         #: program race)
-        self.checker = None
+        self.checker = checker
         machine.free_hooks.append(self._on_free)
 
     def begin_loop(self, nthreads: int) -> None:
@@ -141,17 +147,6 @@ class AccessControl:
                 self.machine.memory.free(copy_addr)
 
 
-class _LoopPlan:
-    """What the baseline needs to know about one candidate loop."""
-
-    def __init__(self, loop: ast.LoopStmt, kind: str,
-                 private_sites: Set[int], serial_stmt_nids: Set[int]):
-        self.loop = loop
-        self.kind = kind
-        self.private_sites = private_sites
-        self.serial_stmt_nids = serial_stmt_nids
-
-
 def _serial_stmts_for(
     loop: ast.LoopStmt, profile: LoopProfile,
     private_sites: Set[int],
@@ -177,16 +172,15 @@ def _serial_stmts_for(
 
 
 class BaselineRunner:
-    """Runs the *original* program with runtime privatization (or with
-    no privatization at all — the sync-only baseline)."""
+    """Runs the *original* program with runtime privatization of its
+    plans' private sites (none at all: the sync-only baseline)."""
 
     def __init__(
         self,
         program: ast.Program,
         sema,
-        plans: List[_LoopPlan],
+        plans: List[LoopPlan],
         nthreads: int,
-        privatize: bool = True,
         check_races: bool = True,
         engine: Optional[str] = None,
     ):
@@ -196,21 +190,19 @@ class BaselineRunner:
         self.machine = Machine(program, sema,
                                engine=observed_engine(engine))
         self.machine.nthreads = nthreads
-        self.privatize = privatize
+        self.checker = RaceChecker() if check_races else None
+        if self.checker is not None:
+            self.machine.observers.append(self.checker)
         all_private: Set[int] = set()
         for plan in plans:
             all_private |= plan.private_sites
-        self.access_control = AccessControl(
-            self.machine, all_private if privatize else set()
-        )
-        self.checker: Optional[RaceChecker] = None
-        if check_races:
-            self.checker = RaceChecker()
-            self.machine.observers.append(self.checker)
-            self.access_control.checker = self.checker
+        self.access_control = AccessControl(self.machine, all_private,
+                                            self.checker)
+        # the defaults: strict, untraced, unwatched, chunk 1
+        ctx = RunContext(nthreads, self.outcome, checker=self.checker)
         for plan in plans:
             self.machine.loop_controllers[plan.loop.nid] = \
-                _BaselineController(self, plan)
+                _BaselineController(ctx, plan, self.access_control)
 
     def run(self, entry: str = "main",
             raise_on_race: bool = True) -> ParallelOutcome:
@@ -220,69 +212,35 @@ class BaselineRunner:
         outcome.total_cycles = self.machine.cost.cycles
         outcome.peak_memory = self.machine.memory.peak_footprint()
         if outcome.races and raise_on_race:
-            raise RuntimeError(
+            raise RaceError(
                 f"runtime privatization left {len(outcome.races)} "
-                "cross-thread conflicts"
+                "cross-thread conflicts",
+                data={"races": outcome.races[:5]},
             )
         return outcome
 
 
 class _BaselineController:
-    """Executes a candidate loop under the baseline: same scheduling as
-    the expansion runtime (static chunks for DOALL, dynamic chunk=1
-    with pipelined serial sections for DOACROSS), but privatization is
-    performed by the access-control layer at run time."""
+    """Executes a candidate loop under the baseline: the same scheduler
+    as the expansion runtime (static chunks for DOALL, dynamic chunk=1
+    with pipelined serial sections for DOACROSS), with privatization
+    performed around it by the access-control layer at run time."""
 
-    def __init__(self, runner: BaselineRunner, plan: _LoopPlan):
-        self.runner = runner
-        self.plan = plan
-        self.execution = runner.outcome.loops.setdefault(
-            plan.loop.label, LoopExecution(plan.loop.label, runner.nthreads)
-        )
+    def __init__(self, ctx: RunContext, plan: LoopPlan,
+                 access_control: AccessControl):
+        self.access_control = access_control
+        self.schedule = loop_controller(ctx, plan)
 
     def __call__(self, machine: Machine, loop: ast.LoopStmt) -> None:
-        runner = self.runner
-        self.execution.executions += 1
-        runner.access_control.begin_loop(runner.nthreads)
+        # the access-control epoch counts as an execution beside the
+        # scheduler's own (every recorded baseline trajectory has both)
+        self.schedule.execution.executions += 1
+        self.access_control.begin_loop(self.schedule.ctx.nthreads)
         try:
-            inner = self._make_inner(loop)
-            inner(machine, loop)
+            self.schedule(machine, loop)
         finally:
             # commit runs on the main clock, as a serial epilogue
-            runner.access_control.commit_and_release()
-
-    def _make_inner(self, loop: ast.LoopStmt):
-        from ..runtime import parallel as par
-
-        runner = self.runner
-        plan = self.plan
-
-        class _Shim:
-            """Adapts a baseline plan to the parallel controllers'
-            TransformedLoop interface."""
-            def __init__(self):
-                self.loop = plan.loop
-                self.kind = plan.kind
-                self.serial_stmt_origins = plan.serial_stmt_nids
-
-        shim_runner = _ShimRunner(runner, self.execution)
-        if plan.kind == DOALL:
-            controller = par._DoallController(shim_runner, _Shim())
-        else:
-            controller = par._DoacrossController(shim_runner, _Shim())
-        return controller
-
-
-class _ShimRunner:
-    """Minimal runner facade reused by the baseline's controllers."""
-
-    def __init__(self, runner: BaselineRunner, execution: LoopExecution):
-        self.nthreads = runner.nthreads
-        self.checker = runner.checker
-        self.chunk = 1
-        self.outcome = runner.outcome
-        # the controller looks up the LoopExecution by label
-        self.outcome.loops[execution.label] = execution
+            self.access_control.commit_and_release()
 
 
 def run_runtime_privatization(
@@ -302,13 +260,14 @@ def run_runtime_privatization(
     for label in loop_labels:
         loop = ast.find_loop(program, label)
         priv = privs[label]
-        plans.append(_LoopPlan(
-            loop, parse_loop_kind(loop), priv.private_sites,
+        plans.append(LoopPlan(
+            loop, parse_loop_kind(loop),
             _serial_stmts_for(loop, profiles[label], priv.private_sites),
+            priv.private_sites,
         ))
     runner = BaselineRunner(
-        program, sema, plans, nthreads, privatize=True,
-        check_races=check_races, engine=engine,
+        program, sema, plans, nthreads, check_races=check_races,
+        engine=engine,
     )
     return runner.run(entry, raise_on_race=raise_on_race)
 
@@ -330,9 +289,8 @@ def run_sync_only(
         loop = ast.find_loop(program, label)
         # no privatization: nothing is private, everything carried syncs
         serial = _serial_stmts_for(loop, profiles[label], set())
-        plans.append(_LoopPlan(loop, DOACROSS, set(), serial))
+        plans.append(LoopPlan(loop, DOACROSS, serial))
     runner = BaselineRunner(
-        program, sema, plans, nthreads, privatize=False, check_races=False,
-        engine=engine,
+        program, sema, plans, nthreads, check_races=False, engine=engine,
     )
     return runner.run(entry, raise_on_race=False)

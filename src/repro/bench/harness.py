@@ -97,9 +97,8 @@ class BenchmarkResult:
 def _seq_run(program, sema, engine: str = "ast") -> Machine:
     # native keeps native: the hardware-speed sequential run is the
     # measurement (no controller ever sits on the original's loops)
-    eng = unobserved_engine(engine)
-    declared = {"controlled": frozenset()} if eng == "native" else {}
-    machine = Machine(program, sema, engine=eng, **declared)
+    machine = Machine(program, sema, engine=unobserved_engine(engine),
+                      controlled=frozenset())
     machine.exit_code = machine.run()
     return machine
 
@@ -226,11 +225,9 @@ class Harness:
         for tresult, attr in ((opt, "overhead_opt"), (unopt, "overhead_unopt")):
             # declared like the parallel runs below, which share the
             # program's native context
-            seq_eng = unobserved_engine(eng)
-            declared = {"controlled": tresult.controlled_loops()} \
-                if seq_eng == "native" else {}
             machine = Machine(tresult.program, tresult.sema,
-                              engine=seq_eng, **declared)
+                              engine=unobserved_engine(eng),
+                              controlled=tresult.controlled_loops())
             machine.nthreads = 1
             machine.run()
             _check_output(spec, result.seq_output, machine.output,

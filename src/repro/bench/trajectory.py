@@ -30,8 +30,8 @@ per-benchmark ``native`` is ``null`` unless the measurements ran on
 (host wall-clock spent in the C compiler for this benchmark) and the
 ``so_cache_hits`` / ``so_cache_misses`` of the on-disk shared-object
 cache — a warm cache shows all hits and ``compile_seconds == 0``.
-``load_trajectory`` reads older schemas too, normalizing the missing
-fields.
+``load_trajectory`` reads schema 4 only: the files of earlier schemas
+predate the native tier and no gate compares against them.
 """
 
 from __future__ import annotations
@@ -170,43 +170,18 @@ def trajectory_payload(results, timestamp: Optional[str] = None,
 
 
 def load_trajectory(path: str) -> dict:
-    """Read a ``BENCH_*.json`` trajectory, accepting any schema up to
-    :data:`TRAJECTORY_SCHEMA`.
-
-    Older files are normalized in place so callers can index the
-    current fields unconditionally: schema-1 benchmarks gain
-    ``engine="ast"`` (the only tier that existed then) and an empty
-    ``wall_seconds`` (plus top-level ``engines`` and
-    ``summary.wall_seconds_total = 0.0``); schema-2 benchmarks gain
-    ``backend="simulated"`` (the only backend that existed then) and an
-    empty ``wallclock_seconds`` (plus top-level ``backends``); schema-3
-    benchmarks gain ``native=None`` (the native tier did not exist).
-    """
+    """Read a ``BENCH_*.json`` trajectory of schema
+    :data:`TRAJECTORY_SCHEMA`; any other schema, older or newer, is a
+    ``ValueError`` naming the file and both numbers."""
     with open(path) as fh:
         payload = json.load(fh)
     schema = payload.get("schema", 1)
-    if schema > TRAJECTORY_SCHEMA:
+    if schema != TRAJECTORY_SCHEMA:
+        age = "newer" if schema > TRAJECTORY_SCHEMA else "older"
         raise ValueError(
-            f"{path}: trajectory schema {schema} is newer than this "
-            f"reader (max {TRAJECTORY_SCHEMA})"
+            f"{path}: trajectory schema {schema} is {age} than this "
+            f"reader (reads schema {TRAJECTORY_SCHEMA})"
         )
-    if schema < 2:
-        for bench in payload.get("benchmarks", {}).values():
-            bench.setdefault("engine", "ast")
-            bench.setdefault("wall_seconds", {})
-        payload.setdefault("engines", ["ast"])
-        payload.setdefault("summary", {}).setdefault(
-            "wall_seconds_total", 0.0
-        )
-    if schema < 3:
-        for bench in payload.get("benchmarks", {}).values():
-            bench.setdefault("backend", "simulated")
-            bench.setdefault("wallclock_seconds", {})
-        payload.setdefault("backends", ["simulated"])
-    if schema < 4:
-        # the native tier did not exist: no benchmark ran on it
-        for bench in payload.get("benchmarks", {}).values():
-            bench.setdefault("native", None)
     return payload
 
 

@@ -55,6 +55,7 @@ class BytecodeMachine(Machine):
         engine: Optional[str] = None,
         tracer=None,
         memory=None,
+        controlled=None,
     ):
         super().__init__(program, sema, check_bounds, max_steps,
                          max_loop_steps, memory=memory)

@@ -255,7 +255,10 @@ class Machine:
         engine: Optional[str] = None,
         tracer=None,
         memory: Optional[mem.Memory] = None,
+        controlled=None,
     ):
+        # ``controlled`` (loop nids that may carry a controller) shapes
+        # only what the native tier compiles; every tier accepts it
         self.program = program
         self.sema = sema
         # an injected Memory lets the multi-core backend run the machine

@@ -1603,7 +1603,7 @@ class Lowerer:
 
     def _emit_chunk(self, s: ast.For,
                     control: ast.VarDecl) -> List[str]:
-        """DOALL chunk driver: replays ``_task_doall``'s per-iteration
+        """DOALL chunk driver: ``runtime.plan.doall_iteration``'s
         protocol — eval cond (cost only), body, eval step — for k in
         [args[0], args[1]), with the iteration counter mirrored to the
         heartbeat slot at args[4] and reported back via args[6].  The

@@ -1,9 +1,7 @@
 """Simulated parallel runtime: schedulers, sync model, statistics."""
 
-from .parallel import (
-    MachineSnapshot, ParallelError, ParallelRunner, RaceError,
-    run_parallel,
-)
+from .plan import LoopPlan, ParallelError, RaceError, RunContext
+from .parallel import MachineSnapshot, ParallelRunner, run_parallel
 from .stats import (
     LoopExecution, ParallelOutcome, RecoveryEvent, ThreadStats,
 )
@@ -22,7 +20,7 @@ from . import sync
 __all__ = [
     "run_parallel", "ParallelRunner", "ParallelError", "RaceError",
     "ParallelOutcome", "LoopExecution", "ThreadStats", "sync",
-    "MachineSnapshot", "RecoveryEvent",
+    "MachineSnapshot", "RecoveryEvent", "LoopPlan", "RunContext",
     "FaultInjector", "SpanCorruptor", "CopyIndexSkew",
     "SyncTokenDropper", "ThreadAborter", "ThreadAbortFault",
     "ProcessChaosInjector", "WorkerKiller", "HeartbeatStaller",

@@ -99,19 +99,15 @@ class FaultInjector:
 
     # -- helpers ------------------------------------------------------------
     def _in_region(self) -> bool:
-        checker = getattr(self.runner, "checker", None)
-        if checker is not None:
-            return checker.enabled
-        return True
+        checker = self.runner.checker
+        return checker.enabled if checker is not None else True
 
     def _record(self, message: str, **data) -> None:
         """Count a fire; report the first occurrence to the sink."""
         self.fired += 1
-        if self.fired > 1 or self.runner is None:
-            return
-        sink = getattr(self.runner, "sink", None)
-        if sink is not None:
-            sink.note(self.code, message, phase="fault", data=data)
+        if self.fired == 1 and self.runner is not None:
+            self.runner.sink.note(self.code, message, phase="fault",
+                                  data=data)
 
 
 class SpanCorruptor(FaultInjector):

@@ -1,8 +1,12 @@
 """True multi-core execution backend over OS shared memory.
 
-The simulated runtime (:mod:`repro.runtime.parallel`) executes chunks
-one after another on virtual threads; this module executes them *at
-the same time* on real worker processes.  The entire expanded heap
+The in-process executor (:mod:`repro.runtime.parallel`) runs a plan's
+chunks one after another on virtual threads; :class:`ProcessExecutor`
+runs them *at the same time* on real worker processes, with the same
+iteration drivers.  The controller holding it still owns loop entry,
+settle and the DOACROSS clock (:mod:`repro.runtime.plan`), which this
+path *replays* from the segments its workers stream back.  The
+entire expanded heap
 lives in one ``multiprocessing.shared_memory`` segment, so a
 redirected access from any worker hits the same bytes the parent (and
 every other worker) sees — exactly the property the paper's expansion
@@ -37,8 +41,9 @@ task on a warm worker reuses the lowered closures.
 
 Process-capability is audited per loop (``MC-*`` reason codes below);
 loops that cannot run safely on workers — e.g. they allocate heap, so
-address assignment would race — fall back to the simulated controller
-on the same shared buffer, which is bit-identical by construction.
+address assignment would race — run on the controller's in-process
+executor on the same shared buffer, which is bit-identical by
+construction.
 
 Memory model note: token posts rely on x86-TSO store ordering plus
 CPython's per-process GIL — all data stores of a serialized section
@@ -62,21 +67,23 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..frontend import ast, print_program
 from ..frontend.ctypes import PointerType
 from ..interp import memory as mem
-from ..interp.machine import (
-    BreakSignal, ContinueSignal, CostSink, Frame, Machine,
-)
+from ..interp.machine import BreakSignal, CostSink, Frame, Machine
 from ..analysis.cfg import build_loop_body_cfg
 from ..analysis.dataflow import UpwardExposure, solve
 from ..analysis.profiler import find_control_decl
 from ..obs import NULL_TRACER
+from ..transform.pipeline import DOALL
 from ..transform.rewrite import origin_of
 from . import sync
-from .parallel import (
-    ParallelError, _DoacrossController, _DoallController, _canonical_bounds,
+from .plan import (
+    LoopBounds, LoopPlan, ParallelError, PipelineClock, RunContext, Segment,
+    body_steps, doacross_iteration, doacross_owner, doall_iteration,
+    loop_bounds, noncanonical,
 )
+from .stats import LoopExecution
 
 # ---------------------------------------------------------------------------
-# audit reason codes (why a loop fell back to the simulated controller)
+# audit reason codes (why a loop fell back to the in-process executor)
 # ---------------------------------------------------------------------------
 
 MC_ALLOC = "MC-ALLOC"              # heap alloc/free inside the loop
@@ -242,6 +249,13 @@ def _assigned_decls(nodes: List[ast.Node]) -> Set[int]:
     return written
 
 
+def _canonical_writers(loop: ast.LoopStmt) -> Set[int]:
+    """ids of the nodes of a for loop's own init/step subtrees."""
+    parts = (loop.init, loop.step) if isinstance(loop, ast.For) else ()
+    return {id(n) for part in parts if part is not None
+            for n in part.walk()}
+
+
 def _has_toplevel_break(body: ast.Stmt) -> bool:
     """Whether a ``break`` in ``body`` targets the *enclosing* loop
     (breaks bound to loops nested inside ``body`` do not count)."""
@@ -281,34 +295,21 @@ def audit_loop(loop: ast.LoopStmt, sema, kind_doall: bool,
         # the simulated path; workers cannot replicate that
         reasons.append(MC_RETURN)
 
-    if not isinstance(loop, ast.For):
+    # canonical as the scheduler defines it, with a *literal* stride:
+    # workers get the step as a number
+    if not isinstance(loop, ast.For) or noncanonical(loop) or (
+            isinstance(loop.step, ast.Assign)
+            and not isinstance(loop.step.value, ast.IntLit)):
         reasons.append(MC_NONCANONICAL)
         return LoopAudit(reasons, strlits)
     control = find_control_decl(loop)
     cond = loop.cond
-    canonical = (
-        control is not None
-        and isinstance(cond, ast.Binary) and cond.op in ("<", "<=")
-        and isinstance(cond.left, ast.Ident) and cond.left.decl is control
-        and (
-            (isinstance(loop.step, ast.Unary)
-             and loop.step.op in ("++", "p++"))
-            or (isinstance(loop.step, ast.Assign) and loop.step.op == "+="
-                and isinstance(loop.step.value, ast.IntLit))
-        )
-    )
-    if not canonical:
-        reasons.append(MC_NONCANONICAL)
-        return LoopAudit(reasons, strlits)
 
     # the trip count is precomputed parent-side, so writes to the
     # induction variable inside the body would desynchronize chunks.
     # The loop's own init/step subtrees are the canonical writes —
     # exclude them before scanning for rogue assignments.
-    canonical_writers: Set[int] = set()
-    for part in (loop.init, loop.step):
-        if part is not None:
-            canonical_writers |= {id(n) for n in part.walk()}
+    canonical_writers = _canonical_writers(loop)
     written = _assigned_decls(
         [n for n in nodes if id(n) not in canonical_writers]
     )
@@ -435,11 +436,7 @@ def audit_retry_safety(loop: ast.LoopStmt, sema,
     except Exception:
         reasons.append("region dataflow unavailable")
         exposed = set()
-    canonical_writers: Set[int] = set()
-    if isinstance(loop, ast.For):
-        for part in (loop.init, loop.step):
-            if part is not None:
-                canonical_writers |= {id(n) for n in part.walk()}
+    canonical_writers = _canonical_writers(loop)
     scalar_writes = _assigned_decls(
         [n for n in loop.body.walk() if id(n) not in canonical_writers]
     )
@@ -621,10 +618,10 @@ def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
         compiler_for_hash(fingerprint, program, sema, BARE)
         memory = mem.Memory(check_bounds=False, buffer=shm.buf,
                             base=arena_base, limit=arena_limit)
-        tier = {"engine": "native", "controlled": controlled} \
-            if engine == "native" else {"engine": "bytecode-bare"}
-        machine = Machine(program, sema, check_bounds=False, memory=memory,
-                          **tier)
+        machine = Machine(
+            program, sema, check_bounds=False, memory=memory,
+            engine="native" if engine == "native" else "bytecode-bare",
+            controlled=controlled)
         decls = _decl_index(program, sema)
         loops: Dict[str, ast.LoopStmt] = {}
         hb = _WorkerHB(shm.buf, hb_base)
@@ -664,6 +661,9 @@ def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
                                            arena_base, spec, conn, hb)
             except _SpinTimeout as exc:
                 reply = ("err", spec.get("tid"), "RT-SYNC-TIMEOUT",
+                         str(exc))
+            except ParallelError as exc:     # the body drivers' RT-BREAK
+                reply = ("err", spec.get("tid"), exc.diagnostic.code,
                          str(exc))
             except BaseException as exc:
                 reply = ("err", spec.get("tid"), type(exc).__name__,
@@ -709,11 +709,17 @@ def _bind_task(machine: Machine, memory: mem.Memory,
     return caddr, control.ctype.fmt
 
 
+def _cost4(sink: CostSink, since=(0.0, 0, 0, 0)) -> tuple:
+    """(cycles, instructions, loads, stores) since an earlier reading."""
+    return (sink.cycles - since[0], sink.instructions - since[1],
+            sink.loads - since[2], sink.stores - since[3])
+
+
 def _task_doall(machine, memory, decls, loop, arena_base, spec, hb):
     """One DOALL chunk: iterations [chunk_lo, chunk_hi) with the
-    private induction variable pre-seeded, mirroring the simulated
-    controller's per-chunk execution exactly (uncosted control seed;
-    per-iteration cond / body / step).
+    private induction variable pre-seeded (uncosted), each run by the
+    same :func:`~repro.runtime.plan.doall_iteration` the in-process
+    executor uses.
 
     STATUS is the write fence: it stays at PHASE_BOUND until just
     before the first body statement can store into program memory, so
@@ -758,31 +764,16 @@ def _task_doall(machine, memory, decls, loop, arena_base, spec, hb):
         except BreakSignal:
             return ("err", tid, "RT-BREAK",
                     f"break inside DOALL loop {spec['label']!r}")
-        t_end = time.perf_counter_ns()
-        hb.status(tid, PHASE_DONE)
-        return ("ok", tid, machine.output,
-                (sink.cycles, sink.instructions, sink.loads,
-                 sink.stores), iters, (t_start, t_end), meta)
-    for _k in range(spec["chunk_lo"], spec["chunk_hi"]):
-        if loop.cond is not None:
-            machine.eval(loop.cond)
-        try:
-            machine.exec_stmt(loop.body)
-        except ContinueSignal:
-            pass
-        except BreakSignal:
-            return ("err", tid, "RT-BREAK",
-                    f"break inside DOALL loop {spec['label']!r}")
-        if loop.step is not None:
-            machine.eval(loop.step)
-        if kill_after is not None and iters == kill_after:
-            os.kill(os.getpid(), signal.SIGKILL)
-        iters += 1
+    else:
+        for _k in range(spec["chunk_lo"], spec["chunk_hi"]):
+            doall_iteration(machine, loop)
+            if kill_after is not None and iters == kill_after:
+                os.kill(os.getpid(), signal.SIGKILL)
+            iters += 1
     t_end = time.perf_counter_ns()
     hb.status(tid, PHASE_DONE)
-    return ("ok", tid, machine.output,
-            (sink.cycles, sink.instructions, sink.loads, sink.stores),
-            iters, (t_start, t_end), meta)
+    return ("ok", tid, machine.output, _cost4(sink), iters,
+            (t_start, t_end), meta)
 
 
 def _task_doacross(machine, memory, decls, loop, arena_base, spec, conn,
@@ -812,57 +803,47 @@ def _task_doacross(machine, memory, decls, loop, arena_base, spec, conn,
     lo, step = spec["lo"], spec["step"]
     total, nthreads = spec["total"], spec["nthreads"]
     slots: Dict[int, int] = dict(spec["slots"])
-    serial = set(slots)
     timeout = spec["spin_timeout"]
-    stmts = loop.body.stmts if isinstance(loop.body, ast.Block) \
-        else [loop.body]
+    steps = body_steps(loop, set(slots))
     data = memory.data
     sink = machine.cost
     output = machine.output
     counters = {"backoffs": 0}
     local = resume
+
+    def wait_token(origin: int) -> None:
+        _spin_wait(data, slots[origin], k, timeout, counters)
+
+    def post_token(origin: int) -> None:
+        posted.add(origin)
+        _post_token(data, slots, origin, k, chaos, dropped)
+
     t_start = time.perf_counter_ns()
     hb.set_iter(resume)
     hb.set_dirty(0)
     hb.status(tid, PHASE_BODY)
     for k in range(tid + resume * nthreads, total, nthreads):
         hb.set_dirty(1)
-        c0 = (sink.cycles, sink.instructions, sink.loads, sink.stores)
+        c0 = _cost4(sink)
         memory.write_scalar(caddr, fmt, lo + k * step)
         if loop.cond is not None:
             machine.eval(loop.cond)
-        segments: List[Tuple[int, bool, float]] = []
+        segments: List[Segment] = []
         posted: Set[int] = set()
         dropped: List[Tuple[int, int]] = []
         n0 = len(output)
         broke = False
         try:
-            for stmt in stmts:
-                origin = origin_of(stmt)
-                is_serial = origin in serial
-                if is_serial:
-                    _spin_wait(data, slots[origin], k, timeout, counters)
-                before = sink.cycles
-                try:
-                    machine.exec_stmt(stmt)
-                finally:
-                    segments.append(
-                        (origin, is_serial, sink.cycles - before))
-                    if is_serial:
-                        posted.add(origin)
-                        _post_token(data, slots, origin, k, chaos,
-                                    dropped)
-        except ContinueSignal:
-            pass
+            segments = doacross_iteration(machine, steps, wait_token,
+                                          post_token)
         except BreakSignal:
             broke = True
         # tokens for serialized statements this iteration skipped
         # (continue / break / short bodies): post them once the
         # iteration is over, in statement order, so later iterations
         # never deadlock waiting on work that will not happen
-        for stmt in stmts:
-            origin = origin_of(stmt)
-            if origin in serial and origin not in posted:
+        for _stmt, origin, is_serial in steps:
+            if is_serial and origin not in posted:
                 _spin_wait(data, slots[origin], k, timeout, counters)
                 _post_token(data, slots, origin, k, chaos, dropped)
         if broke:
@@ -872,8 +853,7 @@ def _task_doacross(machine, memory, decls, loop, arena_base, spec, conn,
             machine.eval(loop.step)
         # commit point: the iteration exists once this write lands
         conn.send(("it", tid, k, segments, output[n0:],
-                   (sink.cycles - c0[0], sink.instructions - c0[1],
-                    sink.loads - c0[2], sink.stores - c0[3]), dropped))
+                   _cost4(sink, c0), dropped))
         # dirty clears *before* ITER advances: a death between the two
         # then reads dirty=0 (resume at drained count) instead of the
         # ambiguous dirty=1 ∧ drained==ITER that means mid-iteration
@@ -882,7 +862,7 @@ def _task_doacross(machine, memory, decls, loop, arena_base, spec, conn,
         if kill_after is not None and local == kill_after:
             os.kill(os.getpid(), signal.SIGKILL)
         local += 1
-    c0 = (sink.cycles, sink.instructions, sink.loads, sink.stores)
+    c0 = _cost4(sink)
     if spec["final_cond_tid"] == tid and loop.cond is not None:
         # the failing condition evaluation is this thread's work, just
         # as in the simulated dynamic schedule
@@ -890,10 +870,7 @@ def _task_doacross(machine, memory, decls, loop, arena_base, spec, conn,
         machine.eval(loop.cond)
     t_end = time.perf_counter_ns()
     hb.status(tid, PHASE_DONE)
-    return ("ok", tid, (t_start, t_end),
-            (sink.cycles - c0[0], sink.instructions - c0[1],
-             sink.loads - c0[2], sink.stores - c0[3]),
-            (sink.cycles, sink.instructions, sink.loads, sink.stores),
+    return ("ok", tid, (t_start, t_end), _cost4(sink, c0), _cost4(sink),
             {"backoffs": counters["backoffs"], "resumed": resume})
 
 
@@ -1239,22 +1216,11 @@ class ProcessSession:
         return Supervisor(self, kind, specs, retry_safe=retry_safe).run()
 
     # -- task-spec helpers ------------------------------------------------
-    def context_maps(self, machine: Machine) -> Tuple[list, list, list]:
-        """(globals, frame, strlits) nid->address bindings currently in
-        scope on the parent machine, as pickle-cheap pair lists."""
-        globals_map = [(decl.nid, addr) for decl, addr
-                       in machine.globals_frame.vars.items()]
-        frame_map = []
-        if machine.frames:
-            frame_map = [(decl.nid, addr) for decl, addr
-                         in machine.frames[-1].vars.items()]
-        strlits = list(machine._strlit_cache.items())
-        return globals_map, frame_map, strlits
-
     def sync_slots_for(self, origins: List[int]) -> Dict[int, int]:
-        """Absolute slot addresses for serialized-statement origins;
-        slots are assigned once per origin and zeroed by the caller
-        before each loop execution."""
+        """Absolute slot addresses for serialized-statement origins, all
+        zeroed for a new loop execution; a slot is assigned once per
+        origin."""
+        zero = b"\0" * _SLOT_BYTES
         for origin in origins:
             if origin not in self._origin_slots:
                 index = len(self._origin_slots)
@@ -1265,12 +1231,9 @@ class ProcessSession:
                     )
                 self._origin_slots[origin] = \
                     self.sync_base + index * _SLOT_BYTES
-        return {origin: self._origin_slots[origin] for origin in origins}
-
-    def zero_slots(self, slots: Dict[int, int]) -> None:
-        zero = b"\0" * _SLOT_BYTES
-        for addr in slots.values():
+            addr = self._origin_slots[origin]
             self.memory.data[addr:addr + _SLOT_BYTES] = zero
+        return {origin: self._origin_slots[origin] for origin in origins}
 
 
 def _fingerprint_for(program: ast.Program) -> str:
@@ -1279,333 +1242,194 @@ def _fingerprint_for(program: ast.Program) -> str:
 
 
 # ---------------------------------------------------------------------------
-# parent side: controllers
+# parent side: the process executor
 # ---------------------------------------------------------------------------
 
-class _ProcessMixin:
-    """Shared plumbing for the process controllers: the capability
-    audit (memoized on the session, so a pooled session audits each
-    loop once, not once per request), fallback routing, and sink/trace
-    notes."""
+def replay_pipeline(clock: PipelineClock, execution: LoopExecution,
+                    output: List[str], iterations: List[tuple]) -> None:
+    """Feed what the workers reported — ``(tid, segments, output
+    lines)`` per iteration, in program order — to the loop's clock, just
+    as the in-process executor feeds it while running them."""
+    for k, (tid, segments, lines) in enumerate(iterations):
+        execution.threads[tid].sync_cycles += sync.DYNAMIC_DEQUEUE
+        output.extend(lines)
+        clock.feed(tid, k, segments)
 
-    session: ProcessSession
 
-    def _init_process(self, session: ProcessSession, kind_doall: bool):
+class ProcessExecutor:
+    """Runs one plan's loop executions on the session's workers:
+    capability audit (memoized on the session: a pooled session audits
+    each loop once, not once per request), supervised dispatch, and the
+    merge of the replies into the loop's :class:`LoopExecution`.  Guard,
+    bounds, clock, settle and the fallback stay with the controller."""
+
+    def __init__(self, session: ProcessSession, ctx: RunContext,
+                 plan: LoopPlan):
         self.session = session
-        self._kind_doall = kind_doall
+        self.ctx = ctx
+        self.plan = plan
+        self._kind_doall = plan.kind == DOALL
         self._noted_fallback: Set[str] = set()
 
-    def _retry_safe(self) -> bool:
-        """Chunk retry-safety verdict for this loop (DOALL only; see
-        :func:`audit_retry_safety`), memoized on the session."""
+    def _audited(self, key: tuple, audit):
+        """Static verdicts outlive a session reset: one audit per key."""
         memo = self.session.audits
-        key = ("retry", self.tloop.loop.nid)
-        reasons = memo.get(key)
-        if reasons is None:
-            priv = getattr(self.tloop, "priv", None)
-            # commutative-class accumulators are privatized but NOT
-            # idempotent (a replayed chunk re-applies its increments),
-            # so they never count as retry-safe
-            reasons = memo[key] = audit_retry_safety(
-                self.tloop.loop, self.runner.tresult.sema,
-                set(getattr(priv, "private_sites", None) or ())
-                - set(getattr(priv, "commutative_sites", None) or ()),
-            )
-        return not reasons
+        if key not in memo:
+            memo[key] = audit()
+        return memo[key]
 
-    def _loop_audit(self) -> LoopAudit:
-        runner = self.runner
-        controlled = frozenset(runner.machine.loop_controllers)
-        memo = self.session.audits
-        key = ("loop", self.tloop.loop.nid, self._kind_doall,
-               runner.nthreads, runner.chunk, controlled)
-        audit = memo.get(key)
-        if audit is None:
-            audit = memo[key] = audit_loop(
-                self.tloop.loop, runner.tresult.sema, self._kind_doall,
-                runner.nthreads, self.session.workers, runner.chunk,
-                controlled,
-            )
-        return audit
-
-    def _dispatch_reasons(self, machine: Machine) -> List[str]:
-        """Audit verdict plus dispatch-time conditions (pool health,
-        injector/watchdog instrumentation, string-literal interning)."""
-        runner = self.runner
-        audit = self._loop_audit()
+    def refuses(self, machine: Machine, loop: ast.LoopStmt) -> bool:
+        """Whether this execution must run in-process instead: the audit
+        verdict plus dispatch-time conditions (pool health, injectors /
+        watchdog, string-literal interning).  A refusal is counted, and
+        noted once per distinct reason set."""
+        ctx, session = self.ctx, self.session
+        controlled = frozenset(machine.loop_controllers)
+        audit = self._audited(
+            ("loop", loop.nid, self._kind_doall, ctx.nthreads, ctx.chunk,
+             controlled),
+            lambda: audit_loop(loop, machine.sema, self._kind_doall,
+                               ctx.nthreads, session.workers, ctx.chunk,
+                               controlled))
         reasons = list(audit.reasons)
-        if self.session.degraded:
+        if session.degraded:
             reasons.append(MC_DEGRADED)
-        if not self._kind_doall and self.session.forked \
-                and self.session.live_workers < runner.nthreads:
+        if not self._kind_doall and session.forked \
+                and session.live_workers < ctx.nthreads:
             # DOACROSS pins stage tid to worker tid mod N; a shrunken
             # pool would stack two stages on one (FIFO) worker and
             # deadlock the token pipeline
             reasons.append(MC_WORKERS)
-        if getattr(runner, "fault_injectors", None) \
-                or getattr(runner, "watchdog", None) is not None:
+        if ctx.injectors or ctx.watchdog is not None:
             # injected faults and statement watchdogs hook the *parent*
             # machine; running on workers would silently disarm them
             reasons.append(MC_INSTRUMENTED)
         if any(nid not in machine._strlit_cache for nid in audit.strlits):
             reasons.append(MC_STRLIT)
-        return reasons
-
-    def _note_fallback(self, loop: ast.LoopStmt,
-                       reasons: List[str]) -> None:
+        if not reasons:
+            return False
+        if ctx.tracer:
+            ctx.tracer.metrics.inc("runtime.mc_fallbacks")
         key = ",".join(reasons)
-        tracer = self._tracer
-        if tracer:
-            tracer.metrics.inc("runtime.mc_fallbacks")
-        if key in self._noted_fallback:
-            return
-        self._noted_fallback.add(key)
-        sink = getattr(self.runner, "sink", None)
-        if sink is not None:
-            sink.note(
+        if key not in self._noted_fallback:
+            self._noted_fallback.add(key)
+            ctx.sink.note(
                 "MC-FALLBACK",
                 f"loop {loop.label!r} ran on the simulated backend "
                 f"({', '.join(reasons)})",
                 loop=loop.label, loc=loop.loc, phase="runtime",
             )
+        return True
 
-    def _merge_sink(self, stats, payload: tuple) -> None:
-        cycles, instructions, loads, stores = payload
-        sink = stats.sink
-        sink.cycles += cycles
-        sink.instructions += instructions
-        sink.loads += loads
-        sink.stores += stores
-
-    def _raise_task_error(self, loop: ast.LoopStmt, reply: tuple) -> None:
-        code = reply[1]
-        if not code.startswith("RT-"):
-            code = "RT-WORKER-FAULT"
-        raise ParallelError(
-            f"worker task failed in loop {loop.label!r}: "
-            f"{reply[1]}: {reply[2]}",
-            code=code, loop=loop.label, loc=loop.loc,
-        )
-
-    def _finish_accounting(self, machine: Machine, execution,
-                           makespan: float) -> None:
-        """The simulated controllers' common tail: bandwidth cap, fork
-        cost, program-clock advance (bit-identical formulae)."""
-        from ..interp.machine import COSTS
-        nthreads = self.runner.nthreads
-        mem_cycles = sum(
-            (execution.threads[t].sink.loads
-             + execution.threads[t].sink.stores) * COSTS["load"]
-            for t in range(nthreads)
-        ) - sum(execution._mem_seen)
-        execution._mem_seen = [
-            (execution.threads[t].sink.loads
-             + execution.threads[t].sink.stores) * COSTS["load"]
-            for t in range(nthreads)
-        ]
-        makespan = max(makespan, sync.bandwidth_makespan(mem_cycles))
-        fork = sync.fork_join_cost(nthreads)
-        execution.makespan += makespan
-        execution.runtime_cycles += fork
-        machine.cost.cycles += makespan + fork
-
-
-class _ProcessDoallController(_ProcessMixin, _DoallController):
-    """DOALL over real worker processes: the same static chunking as
-    the simulated controller, but chunks execute concurrently against
-    the shared segment.  Worker cost sinks are merged per thread and
-    the makespan/bandwidth/fork tail replays the simulated arithmetic,
-    so modeled cycles stay bit-identical."""
-
-    def __init__(self, runner, tloop, session: ProcessSession):
-        super().__init__(runner, tloop)
-        self._init_process(session, kind_doall=True)
-
-    def _parallel_exec(self, machine: Machine, loop: ast.For) -> None:
-        reasons = self._dispatch_reasons(machine)
-        if reasons:
-            self._note_fallback(loop, reasons)
-            _DoallController._parallel_exec(self, machine, loop)
-            return
-        execution = self.execution
-        execution.executions += 1
-        nthreads = self.runner.nthreads
-        if loop.init is not None:
-            machine.exec_stmt(loop.init)
-        control, addr, lo, hi, step, inclusive = _canonical_bounds(
-            machine, loop
-        )
-        if inclusive:
-            hi += 1
-        total = max(0, -(-(hi - lo) // step))
-        tracer = self._tracer
-        t0 = machine.cost.cycles
-        globals_map, frame_map, strlits = self.session.context_maps(machine)
-        tasks = []
-        for tid in range(nthreads):
-            chunk_lo = tid * total // nthreads
-            chunk_hi = (tid + 1) * total // nthreads
-            if chunk_lo >= chunk_hi:
-                continue
-            tasks.append({
-                "label": loop.label, "tid": tid, "nthreads": nthreads,
-                "chunk_lo": chunk_lo, "chunk_hi": chunk_hi,
-                "lo": lo, "step": step, "control_nid": control.nid,
-                "globals": globals_map, "frame": frame_map,
-                "strlits": strlits,
-            })
-        replies = self.session.run_tasks(
-            "doall", tasks, retry_safe=self._retry_safe()
-        ) if tasks else []
+    def _run(self, kind: str, machine: Machine, loop: ast.LoopStmt,
+             bounds: LoopBounds, execution: LoopExecution,
+             lanes: List[dict], **supervision) -> List[tuple]:
+        """One task per lane (its own fields on top of what the loop
+        execution's tasks share), run to completion under supervision.
+        A task error raises; else every reply's cost sink is folded
+        into its thread's and its wall-clock sample recorded."""
+        session = self.session
+        # the nid->address bindings in scope on the parent machine, as
+        # pickle-cheap pair lists: no program state crosses the pipe
+        frame = machine.frames[-1].vars if machine.frames else {}
+        shared = {
+            "label": loop.label, "nthreads": self.ctx.nthreads,
+            "lo": bounds.lo, "step": bounds.step,
+            "control_nid": bounds.control.nid,
+            "globals": [(decl.nid, addr) for decl, addr
+                        in machine.globals_frame.vars.items()],
+            "frame": [(decl.nid, addr) for decl, addr in frame.items()],
+            "strlits": list(machine._strlit_cache.items()),
+        }
+        replies = session.run_tasks(
+            kind, [dict(shared, **lane) for lane in lanes], **supervision
+        ) if lanes else []
         for reply in replies:
             if reply[0] != "ok":
-                self._raise_task_error(loop, reply)
-        lane_wids = self.session.lane_wids
-        spans = [0.0] * nthreads
-        for lane, reply in enumerate(replies):
-            _ok, tid, lines, sink_payload, iters, wall = reply
+                code = reply[1]
+                raise ParallelError(
+                    f"worker task failed in loop {loop.label!r}: "
+                    f"{code}: {reply[2]}",
+                    code=code if code.startswith("RT-")
+                    else "RT-WORKER-FAULT",
+                    loop=loop.label, loc=loop.loc,
+                )
+        name = "doall-chunk" if kind == "doall" else "doacross-strip"
+        for lane, (_ok, tid, _lines, cost, iters, wall) in enumerate(replies):
+            sink = execution.threads[tid].sink
+            sink.cycles += cost[0]
+            sink.instructions += cost[1]
+            sink.loads += cost[2]
+            sink.stores += cost[3]
+            session.worker_samples.append(
+                (session.lane_wids[lane], name, wall[0], wall[1],
+                 {"loop": loop.label, "tid": tid,
+                  "iterations": iters if kind == "doall" else len(iters)})
+            )
+        return replies
+
+    def doall(self, machine: Machine, loop: ast.For, bounds: LoopBounds,
+              chunks: List[Tuple[int, int, int]],
+              execution: LoopExecution) -> List[float]:
+        """Chunks execute concurrently against the shared segment;
+        returns each thread's span (its worker's busy cycles)."""
+        plan = self.plan
+        # commutative-class accumulators are privatized but NOT
+        # idempotent (a replayed chunk re-applies its increments), so
+        # they never count as retry-safe
+        unsafe = self._audited(
+            ("retry", plan.loop.nid),
+            lambda: audit_retry_safety(
+                plan.loop, machine.sema,
+                set(plan.private_sites) - set(plan.commutative_sites)))
+        replies = self._run(
+            "doall", machine, loop, bounds, execution,
+            [{"tid": tid, "chunk_lo": first, "chunk_hi": end}
+             for tid, first, end in chunks],
+            retry_safe=not unsafe,
+        )
+        spans = [0.0] * self.ctx.nthreads
+        for _ok, tid, lines, cost, iters, _wall in replies:
             stats = execution.threads[tid]
             stats.sync_cycles += sync.STATIC_CHUNK_SETUP
-            self._merge_sink(stats, sink_payload)
-            spans[tid] = sink_payload[0]
+            spans[tid] = cost[0]
             stats.iterations += iters
             execution.iterations += iters
             machine.output.extend(lines)
-            wid = lane_wids[lane] if lane < len(lane_wids) \
-                else lane % self.session.workers
-            self.session.worker_samples.append(
-                (wid, "doall-chunk", wall[0], wall[1],
-                 {"loop": loop.label, "tid": tid, "iterations": iters})
-            )
-            if tracer:
-                tracer.event("doall-chunk", tid, t0, dur=spans[tid],
-                             loop=loop.label,
-                             iterations=stats.iterations)
-        makespan = max(spans) if spans else 0.0
-        self._finish_accounting(machine, execution, makespan)
-        machine.memory.write_scalar(addr, control.ctype.fmt,
-                                    lo + total * step)
+        return spans
 
-
-class _ProcessDoacrossController(_ProcessMixin, _DoacrossController):
-    """DOACROSS over real worker processes: iteration k runs on worker
-    k mod N; serialized statements synchronize through shared-segment
-    post/wait counters instead of the simulated recurrence's ledger.
-    Workers report per-iteration segment timings so the parent replays
-    the simulated pipelining recurrence for bit-identical cycles."""
-
-    def __init__(self, runner, tloop, session: ProcessSession):
-        super().__init__(runner, tloop)
-        self._init_process(session, kind_doall=False)
-
-    def _parallel_exec(self, machine: Machine, loop: ast.LoopStmt) -> None:
-        reasons = self._dispatch_reasons(machine)
-        if reasons:
-            self._note_fallback(loop, reasons)
-            _DoacrossController._parallel_exec(self, machine, loop)
-            return
-        execution = self.execution
-        execution.executions += 1
-        runner = self.runner
-        nthreads = runner.nthreads
+    def doacross(self, machine: Machine, loop: ast.For,
+                 execution: LoopExecution, clock: PipelineClock) -> None:
+        """Iteration k runs on worker k mod N; serialized statements
+        synchronize through shared-segment post/wait counters.  The
+        streamed per-iteration segments are *replayed* through
+        ``clock``, so modeled cycles are the in-process executor's."""
         session = self.session
-        tracer = self._tracer
-        t0 = machine.cost.cycles
+        nthreads = self.ctx.nthreads
         if loop.init is not None:
             machine.exec_stmt(loop.init)
-        control, addr, lo, hi, step, inclusive = _canonical_bounds(
-            machine, loop
+        bounds = loop_bounds(machine, loop)
+        total = bounds.total
+        slots = session.sync_slots_for(
+            sorted(self.plan.serial_stmt_origins))
+        # the failing condition evaluation is the work of the thread
+        # that would have dequeued iteration ``total``
+        last = doacross_owner(total, 1, nthreads)
+        replies = self._run(
+            "doacross", machine, loop, bounds, execution,
+            [{"tid": tid, "total": total, "final_cond_tid": last,
+              "slots": list(slots.items()),
+              "spin_timeout": session.spin_timeout}
+             for tid in range(nthreads) if tid < total or tid == last],
         )
-        if inclusive:
-            hi += 1
-        total = max(0, -(-(hi - lo) // step))
-        origins = sorted(self.tloop.serial_stmt_origins)
-        slots = session.sync_slots_for(origins)
-        session.zero_slots(slots)
-        globals_map, frame_map, strlits = session.context_maps(machine)
-        tasks = []
-        for tid in range(nthreads):
-            if tid >= total and tid != total % nthreads:
-                continue
-            tasks.append({
-                "label": loop.label, "tid": tid, "nthreads": nthreads,
-                "total": total, "lo": lo, "step": step,
-                "control_nid": control.nid,
-                "final_cond_tid": total % nthreads,
-                "slots": list(slots.items()),
-                "spin_timeout": session.spin_timeout,
-                "globals": globals_map, "frame": frame_map,
-                "strlits": strlits,
-            })
-        replies = session.run_tasks("doacross", tasks) if tasks else []
-        for reply in replies:
-            if reply[0] != "ok":
-                self._raise_task_error(loop, reply)
-        # merge busy work + output (program order = ascending k)
-        lane_wids = session.lane_wids
         per_iter: Dict[int, tuple] = {}
-        for lane, reply in enumerate(replies):
-            _ok, tid, lines, sink_payload, iters, wall = reply
-            stats = execution.threads[tid]
-            self._merge_sink(stats, sink_payload)
+        for _ok, tid, lines, _cost, iters, _wall in replies:
             cursor = 0
             for k, segments, n_lines in iters:
                 per_iter[k] = (tid, segments,
                                lines[cursor:cursor + n_lines])
                 cursor += n_lines
-            wid = lane_wids[lane] if lane < len(lane_wids) \
-                else lane % session.workers
-            session.worker_samples.append(
-                (wid, "doacross-strip", wall[0], wall[1],
-                 {"loop": loop.label, "tid": tid,
-                  "iterations": len(iters)})
-            )
-        # replay the simulated pipelining recurrence over the reported
-        # segments, in global iteration order
-        thread_free = [0.0] * nthreads
-        sync_done: Dict[int, float] = {}
-        for k in range(total):
-            tid, segments, lines = per_iter[k]
-            stats = execution.threads[tid]
-            stats.sync_cycles += sync.DYNAMIC_DEQUEUE
-            stats.iterations += 1
-            execution.iterations += 1
-            machine.output.extend(lines)
-            clock = thread_free[tid] + sync.DYNAMIC_DEQUEUE
-            iter_start = clock
-            for origin, is_serial, cycles in segments:
-                if is_serial:
-                    token = sync_done.get(origin, 0.0)
-                    if token > clock:
-                        stats.wait_cycles += token - clock
-                        if tracer:
-                            tracer.event(
-                                "token-wait", tid, t0 + clock,
-                                dur=token - clock, loop=loop.label,
-                                origin=origin, k=k,
-                            )
-                            tracer.metrics.inc("runtime.token_waits")
-                            tracer.metrics.inc(
-                                "runtime.token_wait_cycles",
-                                token - clock,
-                            )
-                        clock = token
-                    stats.sync_cycles += (
-                        sync.POST_COST + sync.WAIT_CHECK_COST
-                    )
-                    clock += cycles
-                    sync_done[origin] = clock
-                    if tracer:
-                        tracer.event("token-post", tid, t0 + clock,
-                                     loop=loop.label, origin=origin, k=k)
-                        tracer.metrics.inc("runtime.token_posts")
-                else:
-                    clock += cycles
-            if tracer:
-                tracer.event("iteration", tid, t0 + iter_start,
-                             dur=clock - iter_start, loop=loop.label, k=k)
-            thread_free[tid] = clock
-        makespan = max(thread_free) if thread_free else 0.0
-        self._finish_accounting(machine, execution, makespan)
-        machine.memory.write_scalar(addr, control.ctype.fmt,
-                                    lo + total * step)
+        # output and accounting in program order = ascending k
+        replay_pipeline(clock, execution, machine.output,
+                        [per_iter[k] for k in range(total)])
+        bounds.seed(machine, total)

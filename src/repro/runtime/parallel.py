@@ -1,26 +1,17 @@
 """Simulated multithreaded execution of transformed programs.
 
-The paper runs its transformed loops on real cores through GOMP; here N
-*virtual threads* execute on the MiniC machine with a cycle-accounting
-model:
-
-* **DOALL, static chunking** — the iteration space is split into N
-  contiguous chunks; each chunk executes with ``__tid`` bound to its
-  thread and cycles charged to that thread's sink.  Chunks run one
-  after another in simulation, which is sound *because* expansion makes
-  them independent — and that independence is checked, not assumed: a
-  byte-level race detector compares every thread's footprint
-  (this substitutes for the paper's "correct on real hardware"
-  evidence).  Loop makespan = max over threads + fork/join cost.
-
-* **DOACROSS, dynamic chunk=1** — iterations run in program order
-  (iteration k on thread k mod N), so semantics are trivially
-  preserved; the *timing* is modeled with a pipelining recurrence: the
-  statements the pipeline marked as carrying surviving cross-thread
-  dependences (``serial_stmt_origins``) form a serialized section that
-  iteration k may only enter after iteration k-1 left it.  Stall time
-  becomes the thread's ``wait_cycles`` — the paper's
-  ``do_wait``/``cpu_relax`` bars in Figure 12.
+The paper runs its transformed loops on real cores through GOMP; here a
+:class:`ParallelRunner` puts a *controller* on every planned loop of the
+MiniC machine.  The schedule itself is :mod:`repro.runtime.plan`; a
+controller is the guard around it (checkpoint, watchdog, sequential
+recovery) plus the choice of executor.  The in-process executor runs N
+*virtual threads* on the parent machine, chunks or iterations one after
+another with ``__tid`` bound and cycles charged to the running thread's
+sink.  That is sound *because* the plan makes them independent, and the
+independence is checked, not assumed: a byte-level race detector
+compares every thread's footprint (this substitutes for the paper's
+"correct on real hardware" evidence).  The other executor, real worker
+processes, is :class:`repro.runtime.multicore.ProcessExecutor`.
 
 The whole-program clock advances by each loop's *makespan* rather than
 its total work, so end-to-end cycles give the paper's total-program
@@ -29,82 +20,36 @@ speedup (Figure 11b) by simple division.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from contextlib import contextmanager
+from typing import List, Optional, Set, Tuple
 
-from ..diagnostics import (
-    DiagnosableError, DiagnosticSink, diagnostic_of,
-)
+from ..diagnostics import DiagnosableError, DiagnosticSink, diagnostic_of
 from ..frontend import ast
-from ..obs import NULL_TRACER, ensure_tracer
 from ..interp.machine import (
-    BreakSignal, ContinueSignal, CostSink, InterpError, Machine,
-    WatchdogTimeout, observed_engine, resolve_engine,
+    BreakSignal, CostSink, InterpError, Machine, WatchdogTimeout,
+    observed_engine, resolve_engine,
 )
 from ..interp.memory import MemoryError_
 from ..interp.trace import RaceChecker
 from ..analysis.profiler import find_control_decl
-from ..transform.pipeline import (
-    DOALL, TransformResult, TransformedLoop, parse_loop_kind,
-)
+from ..transform.pipeline import DOALL, TransformResult, parse_loop_kind
 from ..transform.rewrite import origin_of
 from . import sync
+from .multicore import (
+    ProcessExecutor, ProcessSession, process_backend_available,
+)
+from .plan import (
+    LoopBounds, LoopPlan, ParallelError, PipelineClock, RaceError,
+    RunContext, body_steps, doacross_iteration, doacross_owner,
+    doall_chunks, doall_iteration, loop_bounds, settle,
+    sync_memory_ledger,
+)
 from .stats import LoopExecution, ParallelOutcome, RecoveryEvent, ThreadStats
-
-
-class ParallelError(DiagnosableError):
-    """The parallel runtime cannot execute a loop as planned."""
-
-    default_code = "RT-PLAN"
-    default_phase = "runtime"
-
-
-class RaceError(ParallelError):
-    """Cross-thread conflict detected in a supposedly-independent loop."""
-
-    default_code = "RT-RACE"
 
 
 #: failures a permissive run recovers from by sequential re-execution.
 #: WatchdogTimeout is an InterpError; injected faults subclass it too.
 RECOVERABLE = (ParallelError, InterpError, MemoryError_)
-
-
-def _canonical_bounds(machine: Machine, loop: ast.For):
-    """(control decl, lo, hi, step, inclusive) of a canonical for loop.
-
-    Every rejection carries the loop label and source location in its
-    diagnostic, so the failure stays attributable even when the loop
-    was reached through nested calls."""
-    control = find_control_decl(loop)
-    if control is None:
-        raise ParallelError(
-            f"loop {loop.label!r} is not canonical (no induction variable)",
-            code="RT-NONCANONICAL", loop=loop.label, loc=loop.loc,
-        )
-    cond = loop.cond
-    if not (isinstance(cond, ast.Binary) and cond.op in ("<", "<=")
-            and isinstance(cond.left, ast.Ident)
-            and cond.left.decl is control):
-        raise ParallelError(
-            f"loop {loop.label!r} condition must be 'i < bound' or "
-            "'i <= bound'",
-            code="RT-NONCANONICAL", loop=loop.label, loc=loop.loc,
-        )
-    step_expr = loop.step
-    if isinstance(step_expr, ast.Unary) and step_expr.op in ("++", "p++"):
-        step = 1
-    elif isinstance(step_expr, ast.Assign) and step_expr.op == "+=":
-        step = int(machine.eval(step_expr.value))
-    else:
-        raise ParallelError(
-            f"loop {loop.label!r} step must be i++ or i += c",
-            code="RT-NONCANONICAL", loop=loop.label, loc=loop.loc,
-        )
-    addr = machine.var_addr(control)
-    lo = int(machine.memory.read_scalar(addr, control.ctype.fmt,
-                                        control.ctype.size))
-    hi = int(machine.eval(cond.right))
-    return control, addr, lo, hi, step, cond.op == "<="
 
 
 class MachineSnapshot:
@@ -172,167 +117,154 @@ class MachineSnapshot:
         memory.invalidate_lookup_cache()
 
 
-def _recover_sequential(
-    runner,
-    machine: Machine,
-    loop: ast.LoopStmt,
-    execution: LoopExecution,
-    snapshot: MachineSnapshot,
-    exc: BaseException,
-    races,
-) -> None:
-    """Permissive-mode recovery: roll the machine back to its pre-loop
-    state and run the loop sequentially on pristine memory.  Injected
-    faults are suspended for the retry (the fault hit the parallel
-    attempt; the fallback models failover to the untransformed path).
-    A watchdog timeout during the retry itself propagates — that is a
-    genuine runaway, not a parallelization artifact."""
-    snapshot.restore(machine)
-    diag = diagnostic_of(exc)
-    if diag.loop is None:
-        diag.loop = loop.label
-    runner.outcome.recoveries.append(
-        RecoveryEvent(loop.label, diag, races=races)
-    )
-    tracer = getattr(runner, "tracer", NULL_TRACER)
-    if tracer:
-        tracer.event("snapshot-rollback", 0, machine.cost.cycles,
-                     loop=loop.label, cause=diag.code)
-        tracer.metrics.inc("runtime.recoveries")
-        if races:
-            tracer.metrics.inc("runtime.races_recovered", len(races))
-        if isinstance(exc, WatchdogTimeout):
-            tracer.event("watchdog-trip", 0, machine.cost.cycles,
-                         loop=loop.label)
-            tracer.metrics.inc("runtime.watchdog_trips")
-    sink = getattr(runner, "sink", None)
-    if sink is not None:
-        sink.emit(diag)
-        sink.warning(
-            "RT-RECOVERED",
-            f"loop {loop.label!r} re-executed sequentially after "
-            f"{diag.code}",
-            loop=loop.label, loc=loop.loc, phase="runtime",
-        )
-    suspend = getattr(runner, "suspend_faults", None)
-    if suspend is not None:
-        suspend()
-    try:
-        machine.exec_loop_sequential(loop)
-    finally:
-        resume = getattr(runner, "resume_faults", None)
-        if resume is not None:
-            resume()
-    # the aborted attempt's loads/stores stay in the thread sinks; sync
-    # the bandwidth ledger so the next execution's diff starts clean
-    from ..interp.machine import COSTS
-    execution._mem_seen = [
-        (execution.threads[t].sink.loads
-         + execution.threads[t].sink.stores) * COSTS["load"]
-        for t in range(execution.nthreads)
-    ]
-
-
-class _BaseController:
-    """Common scheduling scaffolding, plus the robustness guard: in
-    permissive mode (``runner.strict == False``) every parallel loop
+class _LoopController:
+    """One :class:`LoopPlan` under one :class:`RunContext`.  In
+    permissive mode (``ctx.strict == False``) every controlled loop
     execution is checkpointed, and a recoverable failure or a detected
     race rolls back and re-runs the loop sequentially instead of
-    killing the program."""
+    killing the program.  An attempt runs the kind's schedule
+    (:meth:`_execute`) on ``process`` unless there is none or it refuses
+    this execution — then in-process, as virtual threads."""
 
-    def __init__(self, runner: "ParallelRunner", tloop: TransformedLoop):
-        self.runner = runner
-        self.tloop = tloop
-        self.execution = runner.outcome.loops.setdefault(
-            tloop.loop.label, LoopExecution(tloop.loop.label, runner.nthreads)
+    def __init__(self, ctx: RunContext, plan: LoopPlan,
+                 process: Optional[ProcessExecutor] = None):
+        self.ctx = ctx
+        self.plan = plan
+        self.process = process
+        label = plan.loop.label
+        self.execution = ctx.outcome.loops.setdefault(
+            label, LoopExecution(label, ctx.nthreads)
         )
         #: conflicts found by the checker in the most recent region
         self._region_races: List[Tuple[int, str]] = []
-        #: serialized-statement origins whose dropped sync tokens were
-        #: already reported (one diagnostic per origin, not per wait)
-        self._drops_reported: Set[int] = set()
-
-    # The baseline shim runner predates the robustness knobs; default
-    # to strict / no-watchdog / no-faults / no-tracer when absent.
-    @property
-    def _strict(self) -> bool:
-        return getattr(self.runner, "strict", True)
-
-    @property
-    def _tracer(self):
-        return getattr(self.runner, "tracer", NULL_TRACER)
 
     def __call__(self, machine: Machine, loop: ast.LoopStmt) -> None:
-        if self._strict:
-            self._watchdogged(machine, loop, self._parallel_exec)
+        if self.ctx.strict:
+            self._attempt(machine, loop)
             return
         snapshot = MachineSnapshot(machine)
         try:
-            self._watchdogged(machine, loop, self._parallel_exec)
-        except RECOVERABLE as exc:
-            _recover_sequential(
-                self.runner, machine, loop, self.execution, snapshot,
-                exc, self._region_races,
-            )
-            return
-        if self._region_races:
+            self._attempt(machine, loop)
+        except RECOVERABLE as caught:
+            exc = caught
+        else:
             races = self._region_races
+            if not races:
+                return
             exc = RaceError(
                 f"{len(races)} cross-thread conflicts in loop "
                 f"{loop.label!r}",
                 loop=loop.label, loc=loop.loc,
                 data={"races": races[:5]},
             )
-            _recover_sequential(
-                self.runner, machine, loop, self.execution, snapshot,
-                exc, races,
-            )
+        self._recover_sequential(machine, loop, snapshot, exc)
 
-    def _watchdogged(self, machine: Machine, loop: ast.LoopStmt,
-                     body) -> None:
-        """Bound one controlled loop execution by the runner's watchdog
-        (controllers bypass the machine's own per-loop guard)."""
-        budget = getattr(self.runner, "watchdog", None)
-        if budget is None:
-            body(machine, loop)
-            return
-        machine.push_watchdog(budget, loop.label)
+    def _recover_sequential(self, machine: Machine, loop: ast.LoopStmt,
+                            snapshot: MachineSnapshot,
+                            exc: BaseException) -> None:
+        """Permissive-mode recovery: roll the machine back to its
+        pre-loop state and run the loop sequentially on pristine memory.
+        Injected faults are suspended for the retry (the fault hit the
+        parallel attempt; the fallback models failover to the
+        untransformed path).  A watchdog timeout during the retry itself
+        propagates — that is a genuine runaway, not a parallelization
+        artifact."""
+        ctx, races = self.ctx, self._region_races
+        snapshot.restore(machine)
+        diag = diagnostic_of(exc)
+        if diag.loop is None:
+            diag.loop = loop.label
+        ctx.outcome.recoveries.append(
+            RecoveryEvent(loop.label, diag, races=races)
+        )
+        tracer = ctx.tracer
+        if tracer:
+            tracer.event("snapshot-rollback", 0, machine.cost.cycles,
+                         loop=loop.label, cause=diag.code)
+            tracer.metrics.inc("runtime.recoveries")
+            if races:
+                tracer.metrics.inc("runtime.races_recovered", len(races))
+            if isinstance(exc, WatchdogTimeout):
+                tracer.event("watchdog-trip", 0, machine.cost.cycles,
+                             loop=loop.label)
+                tracer.metrics.inc("runtime.watchdog_trips")
+        ctx.sink.emit(diag)
+        ctx.sink.warning(
+            "RT-RECOVERED",
+            f"loop {loop.label!r} re-executed sequentially after "
+            f"{diag.code}",
+            loop=loop.label, loc=loop.loc, phase="runtime",
+        )
+        for injector in ctx.injectors:
+            injector.suspend()
         try:
-            body(machine, loop)
+            machine.exec_loop_sequential(loop)
         finally:
-            machine.pop_watchdog()
+            for injector in ctx.injectors:
+                injector.resume()
+        # the aborted attempt's loads/stores stay in the thread sinks;
+        # sync the ledger so the next execution's diff starts clean
+        sync_memory_ledger(self.execution)
 
-    def _begin_region(self) -> None:
+    def _attempt(self, machine: Machine, loop: ast.LoopStmt) -> None:
+        """One parallel execution, bounded by the run's watchdog
+        (controllers bypass the machine's own per-loop guard)."""
+        process = self.process
+        if process is not None and process.refuses(machine, loop):
+            process = None
+        budget = self.ctx.watchdog
+        if budget is not None:
+            machine.push_watchdog(budget, loop.label)
+        try:
+            self.execution.executions += 1
+            self._execute(machine, loop, process)
+        finally:
+            if budget is not None:
+                machine.pop_watchdog()
+
+    # -- the in-process executor's scaffolding -----------------------------
+    @contextmanager
+    def _virtual_threads(self, machine: Machine, control=None):
+        """A race-checked region in which the parent machine plays the
+        threads.  Yields ``run_as(tid)``: binds ``__tid`` and the cost
+        sink to that thread, returns its stats.  ``control`` (the
+        induction variable) is the scheduler's to write, not a race."""
+        ctx, checker = self.ctx, self.ctx.checker
+        threads = self.execution.threads
+        saved = machine.cost
+
+        def run_as(tid: int) -> ThreadStats:
+            machine.tid = tid
+            machine.cost = threads[tid].sink
+            if checker is not None:
+                checker.current_thread = tid
+            return threads[tid]
+
         self._region_races = []
-        if self.runner.checker is not None:
-            self.runner.checker.begin_region()
-
-    def _end_region(self) -> None:
-        if self.runner.checker is not None:
-            self._region_races = self.runner.checker.end_region()
-            if self._strict:
-                self.runner.outcome.races.extend(self._region_races)
-
-    def _set_thread(self, machine: Machine, tid: int) -> None:
-        machine.tid = tid
-        machine.cost = self.execution.threads[tid].sink
-        if self.runner.checker is not None:
-            self.runner.checker.current_thread = tid
-
-    def _restore(self, machine: Machine, saved: CostSink) -> None:
-        machine.tid = 0
-        machine.cost = saved
-        if self.runner.checker is not None:
-            self.runner.checker.current_thread = 0
+        if checker is not None:
+            if control is not None:
+                addr = machine.var_addr(control)
+                checker.exempt |= set(range(addr, addr + control.ctype.size))
+            checker.begin_region()
+        try:
+            yield run_as
+        finally:
+            if checker is not None:
+                self._region_races = checker.end_region()
+                if ctx.strict:
+                    ctx.outcome.races.extend(self._region_races)
+                checker.current_thread = 0
+            machine.tid = 0
+            machine.cost = saved
 
 
-class _DoallController(_BaseController):
-    """Static chunk scheduling over a canonical for loop."""
+class _DoallController(_LoopController):
+    """Static chunk scheduling over a canonical for loop; the makespan
+    is the longest thread span."""
 
-    def _parallel_exec(self, machine: Machine, loop: ast.For) -> None:
+    def _execute(self, machine: Machine, loop: ast.For,
+                 process: Optional[ProcessExecutor]) -> None:
         execution = self.execution
-        execution.executions += 1
-        nthreads = self.runner.nthreads
         if not isinstance(loop, ast.For):
             raise ParallelError(
                 f"DOALL loop {loop.label!r} must be a canonical for loop",
@@ -340,320 +272,142 @@ class _DoallController(_BaseController):
             )
         if loop.init is not None:
             machine.exec_stmt(loop.init)
-        control, addr, lo, hi, step, inclusive = _canonical_bounds(
-            machine, loop
-        )
-        if inclusive:
-            hi += 1
-        total = max(0, -(-(hi - lo) // step))
-        if self.runner.checker is not None:
-            self.runner.checker.exempt |= set(
-                range(addr, addr + control.ctype.size)
-            )
-        saved = machine.cost
-        t0 = saved.cycles          # program clock at loop entry
-        tracer = self._tracer
-        start_cycles = [0.0] * nthreads
-        self._begin_region()
-        try:
-            for tid in range(nthreads):
-                chunk_lo = tid * total // nthreads
-                chunk_hi = (tid + 1) * total // nthreads
-                if chunk_lo >= chunk_hi:
-                    continue
-                self._set_thread(machine, tid)
-                stats = execution.threads[tid]
+        bounds = loop_bounds(machine, loop)
+        t0 = machine.cost.cycles          # program clock at loop entry
+        chunks = doall_chunks(bounds.total, self.ctx.nthreads)
+        if process is None:
+            spans = self._virtual_chunks(machine, loop, bounds, chunks, t0)
+        else:
+            spans = process.doall(machine, loop, bounds, chunks, execution)
+        tracer = self.ctx.tracer
+        if tracer:
+            for tid, span in enumerate(spans):
+                if span > 0:
+                    tracer.event(
+                        "doall-chunk", tid, t0, dur=span, loop=loop.label,
+                        iterations=execution.threads[tid].iterations,
+                    )
+        settle(machine, execution, max(spans))
+        # leave the control variable at its sequential exit value
+        bounds.seed(machine, bounds.total)
+
+    def _virtual_chunks(self, machine: Machine, loop: ast.For,
+                        bounds: LoopBounds, chunks, t0: float) -> List[float]:
+        """Chunks run one after another, which is sound *because* the
+        plan makes them independent — checked over the region, not
+        assumed.  Returns each thread's span."""
+        tracer = self.ctx.tracer
+        spans = [0.0] * self.ctx.nthreads
+        with self._virtual_threads(machine, bounds.control) as run_as:
+            for tid, first, end in chunks:
+                stats = run_as(tid)
                 stats.sync_cycles += sync.STATIC_CHUNK_SETUP
-                start_cycles[tid] = stats.sink.cycles
-                machine.memory.write_scalar(
-                    addr, control.ctype.fmt, lo + chunk_lo * step
-                )
-                for _k in range(chunk_lo, chunk_hi):
+                start = stats.sink.cycles
+                bounds.seed(machine, first)
+                for k in range(first, end):
                     it_start = stats.sink.cycles if tracer else 0.0
-                    if loop.cond is not None:
-                        machine.eval(loop.cond)
-                    try:
-                        machine.exec_stmt(loop.body)
-                    except ContinueSignal:
-                        pass
-                    except BreakSignal:
-                        raise ParallelError(
-                            f"break inside DOALL loop {loop.label!r}",
-                            code="RT-BREAK", loop=loop.label, loc=loop.loc,
-                        )
-                    if loop.step is not None:
-                        machine.eval(loop.step)
+                    doall_iteration(machine, loop)
                     if tracer:
                         tracer.event(
-                            "iteration", tid,
-                            t0 + (it_start - start_cycles[tid]),
+                            "iteration", tid, t0 + (it_start - start),
                             dur=stats.sink.cycles - it_start,
-                            loop=loop.label, k=_k,
+                            loop=loop.label, k=k,
                         )
                     stats.iterations += 1
-                    execution.iterations += 1
-        finally:
-            self._end_region()
-            self._restore(machine, saved)
-        spans = [
-            execution.threads[t].sink.cycles - start_cycles[t]
-            for t in range(nthreads)
-        ]
-        if tracer:
-            for t in range(nthreads):
-                if spans[t] > 0:
-                    tracer.event(
-                        "doall-chunk", t, t0, dur=spans[t],
-                        loop=loop.label,
-                        iterations=execution.threads[t].iterations,
-                    )
-        makespan = max(spans) if spans else 0.0
-        # shared memory system: N threads' combined traffic cannot beat
-        # the controller's bandwidth, which caps memory-bound loops
-        from ..interp.machine import COSTS
-        mem_cycles = sum(
-            (execution.threads[t].sink.loads
-             + execution.threads[t].sink.stores) * COSTS["load"]
-            for t in range(nthreads)
-        ) - sum(execution._mem_seen)
-        execution._mem_seen = [
-            (execution.threads[t].sink.loads
-             + execution.threads[t].sink.stores) * COSTS["load"]
-            for t in range(nthreads)
-        ]
-        makespan = max(makespan, sync.bandwidth_makespan(mem_cycles))
-        fork = sync.fork_join_cost(nthreads)
-        execution.makespan += makespan
-        execution.runtime_cycles += fork
-        machine.cost.cycles += makespan + fork
-        # leave the control variable at its sequential exit value
-        machine.memory.write_scalar(addr, control.ctype.fmt, lo + total * step)
+                    self.execution.iterations += 1
+                spans[tid] = stats.sink.cycles - start
+        return spans
 
 
-class _DoacrossController(_BaseController):
-    """Dynamic scheduling (chunk size 1) with pipelined serial sections."""
+class _DoacrossController(_LoopController):
+    """Dynamic scheduling with pipelined serial sections: whoever runs
+    the iterations, their segments go through the loop's clock."""
 
-    def _parallel_exec(self, machine: Machine, loop: ast.LoopStmt) -> None:
-        execution = self.execution
-        execution.executions += 1
-        nthreads = self.runner.nthreads
-        serial_origins = self.tloop.serial_stmt_origins
-        saved = machine.cost
-        t0 = saved.cycles          # program clock at loop entry
-        tracer = self._tracer
+    def __init__(self, ctx: RunContext, plan: LoopPlan,
+                 process: Optional[ProcessExecutor] = None):
+        super().__init__(ctx, plan, process)
+        self.clock = PipelineClock(ctx, plan.loop, self.execution)
 
-        thread_free = [0.0] * nthreads
-        #: per serialized-statement origin: finish time of that statement
-        #: in the latest iteration (each carried-dependence chain gets
-        #: its own post/wait token, so independent serial sections
-        #: pipeline independently — input cursor vs output emit)
-        sync_done: Dict[int, float] = {}
-        k = 0
+    def _execute(self, machine: Machine, loop: ast.LoopStmt,
+                 process: Optional[ProcessExecutor]) -> None:
+        clock = self.clock
+        clock.start(machine.cost.cycles)  # program clock at loop entry
+        if process is None:
+            self._virtual_pipeline(machine, loop, clock)
+        else:
+            process.doacross(machine, loop, self.execution, clock)
+        settle(machine, self.execution, clock.makespan)
 
+    def _virtual_pipeline(self, machine: Machine, loop: ast.LoopStmt,
+                          clock: PipelineClock) -> None:
+        """Iterations run in program order, iteration k as thread
+        ``doacross_owner(k)``, so semantics are trivially preserved;
+        only the *timing* is parallel, and that is the clock's."""
+        nthreads, chunk = self.ctx.nthreads, max(1, self.ctx.chunk)
+        checker = self.ctx.checker
+        is_for = isinstance(loop, ast.For)
+        do_while = isinstance(loop, ast.DoWhile)
         control = None
-        addr = None
-        if isinstance(loop, ast.For):
+        if is_for:
             if loop.init is not None:
                 machine.exec_stmt(loop.init)
             control = find_control_decl(loop)
-            if control is not None and self.runner.checker is not None:
-                addr = machine.var_addr(control)
-                self.runner.checker.exempt |= set(
-                    range(addr, addr + control.ctype.size)
-                )
+        steps = body_steps(loop, self.plan.serial_stmt_origins)
+        # serialized sections run in iteration order by construction:
+        # their accesses are ordered, not racing
+        quiet = loud = None
+        if checker is not None:
+            def quiet(_origin: int) -> None:
+                checker.enabled = False
 
-        body = loop.body
-        stmts = body.stmts if isinstance(body, ast.Block) else [body]
-        self._begin_region()
-        try:
-            chunk = max(1, self.runner.chunk)
-            while True:
-                tid = (k // chunk) % nthreads
-                self._set_thread(machine, tid)
-                stats = execution.threads[tid]
-                # evaluate the loop condition as this thread's work
-                if isinstance(loop, ast.DoWhile):
-                    pass  # condition evaluated after the body
-                elif loop.cond is not None:
-                    if not machine.eval(loop.cond):
+            def loud(_origin: int) -> None:
+                checker.enabled = True
+        k = 0
+        with self._virtual_threads(machine, control) as run_as:
+            try:
+                while True:
+                    tid = doacross_owner(k, chunk, nthreads)
+                    stats = run_as(tid)
+                    # the loop condition is this thread's work (a
+                    # do-while evaluates it after the body)
+                    if not do_while and loop.cond is not None \
+                            and not machine.eval(loop.cond):
                         break
-                stats.sync_cycles += sync.DYNAMIC_DEQUEUE
-                segments = self._run_iteration(
-                    machine, stmts, serial_origins, stats
-                )
-                if isinstance(loop, ast.For) and loop.step is not None:
-                    machine.eval(loop.step)
-                stats.iterations += 1
-                execution.iterations += 1
-                # pipelining recurrence: walk the iteration's segments
-                # on this thread's clock; each serialized statement
-                # waits on its own token from the previous iteration
-                clock = thread_free[tid] + sync.DYNAMIC_DEQUEUE
-                iter_start = clock
-                for origin, is_serial, cycles in segments:
-                    if is_serial:
-                        token = sync_done.get(origin, 0.0)
-                        token = self._checked_token(
-                            loop, origin, k, tid, token
-                        )
-                        if token > clock:
-                            stats.wait_cycles += token - clock
-                            if tracer:
-                                tracer.event(
-                                    "token-wait", tid, t0 + clock,
-                                    dur=token - clock, loop=loop.label,
-                                    origin=origin, k=k,
-                                )
-                                tracer.metrics.inc("runtime.token_waits")
-                                tracer.metrics.inc(
-                                    "runtime.token_wait_cycles",
-                                    token - clock,
-                                )
-                            clock = token
-                        stats.sync_cycles += (
-                            sync.POST_COST + sync.WAIT_CHECK_COST
-                        )
-                        clock += cycles
-                        sync_done[origin] = clock
-                        if tracer:
-                            tracer.event(
-                                "token-post", tid, t0 + clock,
-                                loop=loop.label, origin=origin, k=k,
-                            )
-                            tracer.metrics.inc("runtime.token_posts")
-                    else:
-                        clock += cycles
-                if tracer:
-                    tracer.event(
-                        "iteration", tid, t0 + iter_start,
-                        dur=clock - iter_start, loop=loop.label, k=k,
-                    )
-                thread_free[tid] = clock
-                k += 1
-                if isinstance(loop, ast.DoWhile):
-                    if not machine.eval(loop.cond):
+                    stats.sync_cycles += sync.DYNAMIC_DEQUEUE
+                    segments = doacross_iteration(machine, steps, quiet, loud)
+                    if is_for and loop.step is not None:
+                        machine.eval(loop.step)
+                    clock.feed(tid, k, segments)
+                    k += 1
+                    if do_while and not machine.eval(loop.cond):
                         break
-        except BreakSignal:
-            pass
-        finally:
-            self._end_region()
-            self._restore(machine, saved)
-        makespan = max(thread_free) if thread_free else 0.0
-        from ..interp.machine import COSTS
-        mem_cycles = sum(
-            (execution.threads[t].sink.loads
-             + execution.threads[t].sink.stores) * COSTS["load"]
-            for t in range(nthreads)
-        ) - sum(execution._mem_seen)
-        execution._mem_seen = [
-            (execution.threads[t].sink.loads
-             + execution.threads[t].sink.stores) * COSTS["load"]
-            for t in range(nthreads)
-        ]
-        makespan = max(makespan, sync.bandwidth_makespan(mem_cycles))
-        fork = sync.fork_join_cost(nthreads)
-        execution.makespan += makespan
-        execution.runtime_cycles += fork
-        machine.cost.cycles += makespan + fork
-
-    def _run_iteration(
-        self,
-        machine: Machine,
-        stmts: List[ast.Stmt],
-        serial_origins: Set[int],
-        stats: ThreadStats,
-    ) -> List[Tuple[int, bool, float]]:
-        """Execute one iteration statement-by-statement; returns
-        ``(stmt origin, is_serial, cycles)`` segments in order."""
-        segments: List[Tuple[int, bool, float]] = []
-        checker = self.runner.checker
-        try:
-            for stmt in stmts:
-                origin = origin_of(stmt)
-                is_serial = origin in serial_origins
-                if is_serial and checker is not None:
-                    checker.enabled = False
-                before = machine.cost.cycles
-                try:
-                    machine.exec_stmt(stmt)
-                finally:
-                    segments.append(
-                        (origin, is_serial, machine.cost.cycles - before)
-                    )
-                    if is_serial and checker is not None:
-                        checker.enabled = True
-        except ContinueSignal:
-            pass
-        return segments
-
-    def _checked_token(self, loop: ast.LoopStmt, origin: int, k: int,
-                       tid: int, token: float) -> float:
-        """Validate the post/wait token for one serialized statement.
-
-        Fault injectors may drop or garble the token in flight; the
-        runtime cross-checks what the consumer observed against the
-        producer-side ledger (``sync_done``).  A mismatch is a detected
-        synchronization fault: strict mode raises, permissive mode
-        reports it once per statement and repairs from the ledger."""
-        fire = getattr(self.runner, "faults_fire", None)
-        if fire is None:
-            return token
-        observed = fire("doacross-wait", token, loop=loop.label,
-                        origin=origin, k=k, tid=tid)
-        if observed == token:
-            return token
-        if self._strict:
-            raise ParallelError(
-                f"DOACROSS sync token for statement {origin} lost at "
-                f"iteration {k} of loop {loop.label!r}",
-                code="RT-SYNC-DROP", loop=loop.label, loc=loop.loc,
-                data={"origin": origin, "iteration": k},
-            )
-        sink = getattr(self.runner, "sink", None)
-        if sink is not None and origin not in self._drops_reported:
-            self._drops_reported.add(origin)
-            sink.warning(
-                "RT-SYNC-DROP",
-                f"DOACROSS sync token for statement {origin} lost at "
-                f"iteration {k} of loop {loop.label!r}; repaired from "
-                "the producer-side ledger",
-                loop=loop.label, loc=loop.loc,
-                data={"origin": origin, "iteration": k},
-            )
-        return token
+            except BreakSignal:
+                pass
 
 
-class _QuarantineController:
-    """Executes a quarantined loop via its fallback: SpiceC-style
-    runtime privatization when the loop's profile survived, with plain
-    sequential execution as the last resort if even that fails."""
+def loop_controller(ctx: RunContext, plan: LoopPlan,
+                    process: Optional[ProcessExecutor] = None):
+    """The controller that runs ``plan`` under ``ctx``."""
+    kind = _DoallController if plan.kind == DOALL else _DoacrossController
+    return kind(ctx, plan, process)
 
-    def __init__(self, runner: "ParallelRunner", inner, label: str):
-        self.runner = runner
-        self.inner = inner
-        self.label = label
+
+class _QuarantineController(_LoopController):
+    """Executes a quarantined loop via its fallback (SpiceC-style
+    runtime privatization) under the same guard as any other loop, so
+    plain sequential execution is the last resort if even that fails."""
+
+    def __init__(self, ctx: RunContext, plan: LoopPlan, fallback):
+        super().__init__(ctx, plan)
+        self._attempt = fallback
 
     def __call__(self, machine: Machine, loop: ast.LoopStmt) -> None:
-        runner = self.runner
-        if runner.tracer:
-            runner.tracer.event(
-                "quarantine-fallback", 0, machine.cost.cycles,
-                loop=self.label,
-            )
-            runner.tracer.metrics.inc("runtime.quarantine_fallbacks")
-        if runner.strict:
-            self.inner(machine, loop)
-            return
-        snapshot = MachineSnapshot(machine)
-        try:
-            self.inner(machine, loop)
-        except RECOVERABLE as exc:
-            execution = runner.outcome.loops.setdefault(
-                self.label, LoopExecution(self.label, runner.nthreads)
-            )
-            _recover_sequential(
-                runner, machine, loop, execution, snapshot, exc, [],
-            )
+        tracer = self.ctx.tracer
+        if tracer:
+            tracer.event("quarantine-fallback", 0, machine.cost.cycles,
+                         loop=loop.label)
+            tracer.metrics.inc("runtime.quarantine_fallbacks")
+        super().__call__(machine, loop)
 
 
 class ParallelRunner:
@@ -690,13 +444,16 @@ class ParallelRunner:
                                 code="RT-NOPROGRAM")
         self.tresult = tresult
         self.nthreads = nthreads
-        self.chunk = chunk
         self.strict = strict
-        # empty sinks are falsy (len 0) — compare to None explicitly
-        self.sink = sink if sink is not None else DiagnosticSink()
-        self.tracer = ensure_tracer(tracer)
-        self.watchdog = watchdog
         self.outcome = ParallelOutcome(nthreads)
+        self.checker = RaceChecker() if check_races else None
+        #: the one run context every controller of this run shares
+        self.ctx = ctx = RunContext(
+            nthreads, self.outcome, chunk=chunk, checker=self.checker,
+            tracer=tracer, sink=sink, strict=strict, watchdog=watchdog,
+        )
+        self.sink = ctx.sink
+        self.tracer = ctx.tracer
         # backend seam: "process" executes capable loops on real worker
         # processes over one shared-memory segment (multicore module);
         # "simulated" keeps the virtual-thread interleaving.  When the
@@ -707,7 +464,6 @@ class ParallelRunner:
             raise ParallelError(f"unknown backend {backend!r}",
                                 code="RT-BACKEND")
         self.backend = "simulated"
-        self.workers = workers
         self.session = None
         memory = None
         # the parallel runtime needs per-statement watchdog accounting,
@@ -722,34 +478,29 @@ class ParallelRunner:
         eng = ("native" if requested_engine == "native" and not observed
                else observed_engine(requested_engine))
         controlled = tresult.controlled_loops()
-        if session is not None:
-            # adopt a pre-built (possibly pooled) session: the caller
-            # guarantees it was created for this tresult's program and
-            # was reset since its last run
-            self.session = session
-            memory = session.memory
-            self.backend = "process"
-            session.tracer = self.tracer
-            session.sink = self.sink
-        elif requested == "process":
-            from .multicore import ProcessSession, process_backend_available
+        if session is None and requested == "process":
             ok, why = process_backend_available()
-            if not ok:
+            if ok:
+                session = ProcessSession(
+                    tresult.program, tresult.sema, nthreads,
+                    workers=workers, options=mc, engine=requested_engine,
+                    controlled=controlled,
+                )
+            else:
                 self.sink.warning(
                     "MC-UNAVAILABLE",
                     f"process backend unavailable ({why}); "
                     "falling back to simulated", phase="runtime",
                 )
-            else:
-                self.session = ProcessSession(
-                    tresult.program, tresult.sema, nthreads,
-                    workers=workers, options=mc, engine=requested_engine,
-                    controlled=controlled,
-                )
-                memory = self.session.memory
-                self.backend = "process"
-                self.session.tracer = self.tracer
-                self.session.sink = self.sink
+        if session is not None:
+            # a session handed in is pre-built (possibly pooled): the
+            # caller guarantees it was created for this tresult's
+            # program and was reset since its last run
+            self.session = session
+            memory = session.memory
+            self.backend = "process"
+            session.tracer = self.tracer
+            session.sink = self.sink
         self.outcome.backend = self.backend
         try:
             if requested_engine == "native" and check_races:
@@ -762,72 +513,39 @@ class ParallelRunner:
                     "bytecode fallback; pass check_races=False for "
                     "native parent execution", phase="runtime",
                 )
-            declared = {"controlled": controlled} if eng == "native" else {}
             self.machine = Machine(tresult.program, tresult.sema,
                                    max_loop_steps=watchdog, engine=eng,
                                    tracer=self.tracer, memory=memory,
-                                   **declared)
+                                   controlled=controlled)
             self.machine.nthreads = nthreads
             if self.tracer:
                 self.tracer.metrics.set("interp.engine",
                                         self.machine.engine)
                 self.tracer.metrics.set("runtime.backend", self.backend)
-            self.checker: Optional[RaceChecker] = None
-            if check_races:
-                self.checker = RaceChecker()
+            if self.checker is not None:
                 self.machine.observers.append(self.checker)
             for tloop in tresult.loops:
-                if self.session is not None:
-                    from .multicore import (
-                        _ProcessDoacrossController, _ProcessDoallController,
-                    )
-                    controller = (
-                        _ProcessDoallController(self, tloop, self.session)
-                        if tloop.kind == DOALL
-                        else _ProcessDoacrossController(
-                            self, tloop, self.session)
-                    )
-                else:
-                    controller = (
-                        _DoallController(self, tloop)
-                        if tloop.kind == DOALL
-                        else _DoacrossController(self, tloop)
-                    )
-                self.machine.loop_controllers[tloop.loop.nid] = controller
+                plan = LoopPlan.of(tloop)
+                process = None if self.session is None else \
+                    ProcessExecutor(self.session, ctx, plan)
+                self.machine.loop_controllers[tloop.loop.nid] = \
+                    loop_controller(ctx, plan, process)
             self._install_quarantined()
             # machine-level injectors instrument the parent interpreter
             # (and force MC-INSTRUMENTED fallback); process-level chaos
             # targets the worker pool itself and must NOT disarm the
             # process backend — it routes to the session's chaos list
-            self.fault_injectors = []
             for injector in list(fault_injectors or []):
                 if getattr(injector, "process_level", False):
                     injector.runner = self
                     if self.session is not None:
                         self.session.chaos.append(injector)
                 else:
-                    self.fault_injectors.append(injector)
+                    ctx.injectors.append(injector)
                     injector.install(self)
         except BaseException:
-            if self.session is not None:
-                self._release_session()
+            self._release_session()
             raise
-
-    # -- fault-injection hooks --------------------------------------------
-    def suspend_faults(self) -> None:
-        for injector in self.fault_injectors:
-            injector.suspend()
-
-    def resume_faults(self) -> None:
-        for injector in self.fault_injectors:
-            injector.resume()
-
-    def faults_fire(self, point: str, value=None, **ctx):
-        """Give every active injector a chance to perturb ``value`` at a
-        named runtime point (e.g. ``doacross-wait``)."""
-        for injector in self.fault_injectors:
-            value = injector.at(point, value, **ctx)
-        return value
 
     # -- quarantine fallback ----------------------------------------------
     def _install_quarantined(self) -> None:
@@ -850,8 +568,7 @@ class ParallelRunner:
         if not plans:
             return
         from ..baselines.runtime_priv import (
-            AccessControl, _BaselineController, _LoopPlan,
-            _serial_stmts_for,
+            AccessControl, _BaselineController, _serial_stmts_for,
         )
         # private sites are original-program nids; translate to clones
         orig_sites: Set[int] = set()
@@ -862,20 +579,23 @@ class ParallelRunner:
             for node in fn.body.walk():
                 if origin_of(node) in orig_sites:
                     clone_sites.add(node.nid)
-        access_control = AccessControl(self.machine, clone_sites)
-        access_control.checker = self.checker
-        host = _QuarantineHost(self, access_control)
+        access_control = AccessControl(self.machine, clone_sites,
+                                       self.checker)
+        # the fallback runs strict, like the baseline it is: what it
+        # raises is the quarantine controller's to recover from
+        fallback = RunContext(self.nthreads, self.outcome,
+                              checker=self.checker)
         for q, clone_loop in plans:
             # serial statements stay keyed by original nids: the
-            # DOACROSS controller compares origin_of(stmt) against them
+            # DOACROSS schedule compares origin_of(stmt) against them
             serial = _serial_stmts_for(
                 q.loop, q.profile, q.priv.private_sites
             )
-            plan = _LoopPlan(clone_loop, parse_loop_kind(q.loop),
-                             clone_sites, serial)
-            inner = _BaselineController(host, plan)
+            plan = LoopPlan(clone_loop, parse_loop_kind(q.loop), serial,
+                            clone_sites)
+            inner = _BaselineController(fallback, plan, access_control)
             self.machine.loop_controllers[clone_loop.nid] = \
-                _QuarantineController(self, inner, q.label)
+                _QuarantineController(self.ctx, plan, inner)
 
     # -- execution ---------------------------------------------------------
     def run(self, entry: str = "main",
@@ -974,17 +694,6 @@ class ParallelRunner:
             session.pool.release(session)
         else:
             session.close()
-
-
-class _QuarantineHost:
-    """BaselineRunner facade: lets the SpiceC baseline controller run a
-    quarantined loop on the expansion runtime's machine and outcome."""
-
-    def __init__(self, runner: ParallelRunner, access_control):
-        self.nthreads = runner.nthreads
-        self.checker = runner.checker
-        self.outcome = runner.outcome
-        self.access_control = access_control
 
 
 def run_parallel(

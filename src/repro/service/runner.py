@@ -94,8 +94,8 @@ def _sequential_baseline(compiled: CompiledJob, tracer,
     with tracer.phase("sequential-baseline"):
         engine = unobserved_engine(opts.engine)
         # no controller ever sits on the original program's loops
-        declared = {"controlled": frozenset()} if engine == "native" else {}
-        machine = Machine(ctx.program, ctx.sema, engine=engine, **declared)
+        machine = Machine(ctx.program, ctx.sema, engine=engine,
+                          controlled=frozenset())
         exit_code = machine.run(opts.entry)
     baseline = {
         "output": list(machine.output),

@@ -120,6 +120,29 @@ class TestRuntimePrivatization:
         assert again.output == base.output
 
 
+    def test_unprivatized_conflicts_raise_race_error(self):
+        """A plan whose private-site set is deliberately emptied leaves
+        ``buf`` shared between the chunks: the baseline reports that as
+        the expansion runner does — RaceError, RT-RACE, a sample of the
+        conflicts in ``data`` (it used to be a bare RuntimeError)."""
+        from repro.baselines import BaselineRunner
+        from repro.runtime import LoopPlan, RaceError
+        from repro.transform.pipeline import DOALL
+
+        program, sema, _base, _profiles, privs = setup(SRC)
+        assert privs["L"].private_sites          # what the plan drops
+        plan = LoopPlan(ast.find_loop(program, "L"), DOALL)
+        with pytest.raises(RaceError) as caught:
+            BaselineRunner(program, sema, [plan], nthreads=4).run()
+        diag = caught.value.diagnostic
+        assert diag.code == "RT-RACE"
+        assert "runtime privatization left" in str(caught.value)
+        assert 0 < len(diag.data["races"]) <= 5
+        outcome = BaselineRunner(program, sema, [plan], nthreads=4).run(
+            raise_on_race=False)
+        assert len(outcome.races) >= len(diag.data["races"])
+
+
 class TestSyncOnly:
     def test_output_preserved(self):
         program, sema, base, profiles, privs = setup(SRC)

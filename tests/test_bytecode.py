@@ -472,55 +472,17 @@ class TestTrajectorySchema:
         # schema 4: not a native-tier run, so no compile accounting
         assert bench["native"] is None
 
-    def test_schema_1_files_still_readable(self, tmp_path):
+    def test_older_schema_rejected(self, tmp_path):
+        """Schemas 1-3 predate the native tier; their readers are gone
+        and the file is refused like one from the future."""
         from repro.bench import load_trajectory
 
-        legacy = {
-            "schema": 1,
-            "generator": "repro.bench",
-            "timestamp": "2026-01-01T00:00:00",
-            "benchmarks": {"dijkstra": {"seq_cycles": 123.0}},
-            "summary": {"overhead_opt_hmean": 1.1},
-        }
         path = tmp_path / "BENCH_legacy.json"
-        path.write_text(json.dumps(legacy))
-        payload = load_trajectory(str(path))
-        bench = payload["benchmarks"]["dijkstra"]
-        assert bench["engine"] == "ast"
-        assert bench["wall_seconds"] == {}
-        assert payload["engines"] == ["ast"]
-        assert payload["summary"]["wall_seconds_total"] == 0.0
-        assert payload["summary"]["overhead_opt_hmean"] == 1.1
-        # schema-3 normalization applies to schema-1 files too
-        assert bench["backend"] == "simulated"
-        assert bench["wallclock_seconds"] == {}
-        assert payload["backends"] == ["simulated"]
-        assert bench["native"] is None
-
-    def test_schema_2_files_still_readable(self, tmp_path):
-        from repro.bench import load_trajectory
-
-        legacy = {
-            "schema": 2,
-            "generator": "repro.bench",
-            "timestamp": "2026-01-01T00:00:00",
-            "engines": ["bytecode"],
-            "benchmarks": {"dijkstra": {
-                "seq_cycles": 123.0, "engine": "bytecode",
-                "wall_seconds": {"total": 1.5},
-            }},
-            "summary": {"wall_seconds_total": 1.5},
-        }
-        path = tmp_path / "BENCH_s2.json"
-        path.write_text(json.dumps(legacy))
-        payload = load_trajectory(str(path))
-        bench = payload["benchmarks"]["dijkstra"]
-        assert bench["engine"] == "bytecode"           # untouched
-        assert bench["wall_seconds"] == {"total": 1.5}
-        assert bench["backend"] == "simulated"         # normalized
-        assert bench["wallclock_seconds"] == {}
-        assert payload["backends"] == ["simulated"]
-        assert bench["native"] is None                 # schema-4 norm
+        path.write_text(json.dumps({
+            "schema": 3, "benchmarks": {"dijkstra": {"seq_cycles": 123.0}},
+        }))
+        with pytest.raises(ValueError, match="schema 3 is older"):
+            load_trajectory(str(path))
 
     def test_newer_schema_rejected(self, tmp_path):
         from repro.bench import load_trajectory
@@ -558,27 +520,6 @@ class TestTrajectorySchema:
         written = emit_trajectory({}, path=str(target))
         assert written == str(target)
         assert target.exists()
-
-    def test_committed_baselines_still_readable(self):
-        """Every BENCH_*.json checked into baselines/ (older schemas)
-        must load under the schema-4 reader, fully normalized."""
-        import glob
-
-        from repro.bench import TRAJECTORY_SCHEMA, load_trajectory
-
-        root = os.path.join(os.path.dirname(__file__), "..", "baselines")
-        paths = sorted(glob.glob(os.path.join(root, "BENCH_*.json")))
-        assert len(paths) >= 2, "expected committed baseline trajectories"
-        for path in paths:
-            payload = load_trajectory(path)
-            assert payload["schema"] <= TRAJECTORY_SCHEMA
-            assert payload["benchmarks"], path
-            for name, bench in payload["benchmarks"].items():
-                # schema ≤3 files predate the native tier
-                assert bench["native"] is None, (path, name)
-                assert "engine" in bench and "backend" in bench
-                assert "wall_seconds" in bench
-                assert "wallclock_seconds" in bench
 
     def test_native_block_round_trips(self, tmp_path):
         from repro.bench import load_trajectory
