@@ -6,7 +6,7 @@ are enforced, matching the bytecode tier's drop-in contract:
 
 * identical program output and exit code on every kernel;
 * identical simulated cost counters (cycles, instructions, loads,
-  stores) between ``ast`` and the instrumented ``bytecode`` tier;
+  stores) between ``ast`` and the ``bytecode`` tier;
 * zero compile fallbacks (every construct the suite exercises is
   compiled, none interpreted through the walker escape hatch);
 * a geometric-mean end-to-end speedup of at least ``--min-speedup``
@@ -55,12 +55,13 @@ import math
 import os
 import sys
 import time
+from statistics import geometric_mean
 
 from repro.bench import all_benchmarks
 from repro.frontend import parse_and_analyze
 from repro.interp import Machine
 
-ENGINES = ("ast", "bytecode", "bytecode-bare")
+ENGINES = ("ast", "bytecode")
 
 
 def run_once(program, sema, engine):
@@ -99,17 +100,9 @@ def measure(spec, repeat):
             best = min(best, elapsed)
         row[engine] = best
         prints[engine] = fingerprint
-    # the bare tier skips observer fan-out but must still compute the
-    # same answer and charge the same costs
-    row["parity"] = (prints["ast"] == prints["bytecode"]
-                     == prints["bytecode-bare"])
+    row["parity"] = prints["ast"] == prints["bytecode"]
     row["speedup"] = row["ast"] / row["bytecode"]
-    row["speedup_bare"] = row["ast"] / row["bytecode-bare"]
     return row
-
-
-def geomean(values):
-    return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def native_smoke(args):
         print(f"{row['name']:<16} {row['ast']:>8.3f} "
               f"{row['native']:>9.4f} {row['speedup']:>8.1f}x  "
               f"{'OK' if row['parity'] else 'DIVERGED'}")
-    gm = geomean([r["speedup"] for r in rows])
+    gm = geometric_mean([r["speedup"] for r in rows])
     print("-" * len(header))
     print(f"{'geomean':<16} {'':>8} {'':>9} {gm:>8.1f}x")
 
@@ -281,7 +274,7 @@ def _parallel_fingerprint(tresult, nthreads, backend, workers=None,
 def enclosing_loop_entries(tresult, nthreads):
     """How often a run enters a loop that encloses a controlled loop,
     in its own body or through a call — the only loop entries a native
-    parent may still interpret.  Counted on a sequential bare run of
+    parent may still interpret.  Counted on a sequential run of
     the transformed program, by a pass-through controller on each such
     loop."""
     from repro.frontend import ast
@@ -295,8 +288,7 @@ def enclosing_loop_entries(tresult, nthreads):
         entries += 1
         machine.exec_loop_sequential(loop)
 
-    machine = Machine(tresult.program, tresult.sema,
-                      engine="bytecode-bare")
+    machine = Machine(tresult.program, tresult.sema, engine="bytecode")
     machine.nthreads = nthreads
     for loop in ast.iter_loops(tresult.program):
         # the audit's walk: the loop's subtree plus every callee body
@@ -390,7 +382,7 @@ def process_smoke(args):
               f"{row['process']:>8.3f}s {row['process1']:>7.3f}s "
               f"{row['mc_speedup']:>7.2f}x  "
               f"{'OK' if row['parity'] else 'DIVERGED'}")
-    gm = geomean([r["mc_speedup"] for r in rows])
+    gm = geometric_mean([r["mc_speedup"] for r in rows])
     print("-" * len(header))
     print(f"{'geomean':<16} {'':>10} {'':>9} {'':>8} {gm:>7.2f}x")
 
@@ -582,25 +574,20 @@ def main(argv=None):
         rows.append(measure(spec, args.repeat))
 
     header = (f"{'kernel':<16} {'ast(s)':>8} {'bytecode':>9} "
-              f"{'speedup':>8} {'bare':>8} {'speedup':>8}  parity")
+              f"{'speedup':>8}  parity")
     print(header)
     print("-" * len(header))
     for row in rows:
         print(f"{row['name']:<16} {row['ast']:>8.3f} "
-              f"{row['bytecode']:>9.3f} {row['speedup']:>7.2f}x "
-              f"{row['bytecode-bare']:>8.3f} "
-              f"{row['speedup_bare']:>7.2f}x  "
+              f"{row['bytecode']:>9.3f} {row['speedup']:>7.2f}x  "
               f"{'OK' if row['parity'] else 'DIVERGED'}")
-    gm = geomean([r["speedup"] for r in rows])
-    gm_bare = geomean([r["speedup_bare"] for r in rows])
+    gm = geometric_mean([r["speedup"] for r in rows])
     print("-" * len(header))
-    print(f"{'geomean':<16} {'':>8} {'':>9} {gm:>7.2f}x "
-          f"{'':>8} {gm_bare:>7.2f}x")
+    print(f"{'geomean':<16} {'':>8} {'':>9} {gm:>7.2f}x")
 
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"rows": rows, "geomean": gm,
-                       "geomean_bare": gm_bare,
                        "min_speedup": args.min_speedup}, fh, indent=1)
             fh.write("\n")
         print(f"[raw numbers written to {args.json}]", file=sys.stderr)

@@ -325,8 +325,8 @@ def profile_loop(
     Returns a :class:`LoopProfile`; the program's observable behaviour
     (output) is unaffected by profiling.
 
-    ``engine`` picks the interpreter tier; the bare bytecode variant is
-    promoted to instrumented (the profiler is an observer).
+    ``engine`` picks the interpreter tier; ``native`` is promoted to
+    the bytecode closures (the profiler is an observer).
     """
     machine = Machine(program, sema, engine=observed_engine(engine))
     profile = LoopProfile(loop)

@@ -30,7 +30,7 @@ from ..analysis import (
     Breakdown, build_access_classes, classify, compute_breakdown,
     profile_loop,
 )
-from ..interp import Machine, resolve_engine, unobserved_engine
+from ..interp import Machine, resolve_engine
 from ..runtime import run_parallel
 from ..baselines import run_runtime_privatization, run_sync_only
 from ..transform import expand_for_threads
@@ -95,9 +95,8 @@ class BenchmarkResult:
 
 
 def _seq_run(program, sema, engine: str = "ast") -> Machine:
-    # native keeps native: the hardware-speed sequential run is the
-    # measurement (no controller ever sits on the original's loops)
-    machine = Machine(program, sema, engine=unobserved_engine(engine),
+    # no controller ever sits on the original's loops
+    machine = Machine(program, sema, engine=engine,
                       controlled=frozenset())
     machine.exit_code = machine.run()
     return machine
@@ -225,8 +224,7 @@ class Harness:
         for tresult, attr in ((opt, "overhead_opt"), (unopt, "overhead_unopt")):
             # declared like the parallel runs below, which share the
             # program's native context
-            machine = Machine(tresult.program, tresult.sema,
-                              engine=unobserved_engine(eng),
+            machine = Machine(tresult.program, tresult.sema, engine=eng,
                               controlled=tresult.controlled_loops())
             machine.nthreads = 1
             machine.run()

@@ -67,7 +67,7 @@ def _resolve_engine_cli(args) -> str:
     error lists the valid engines), so the failure mode left is a
     bogus environment variable — refuse it with a structured
     ``CLI-ENGINE`` error.  A ``native`` request on a host that cannot
-    compile/load the tier degrades to ``bytecode-bare`` with an
+    compile/load the tier degrades to ``bytecode`` with an
     explicit ``NL-UNAVAILABLE`` warning: loud, never silent.
     """
     from .interp import ENGINE_ENV, resolve_engine
@@ -84,9 +84,9 @@ def _resolve_engine_cli(args) -> str:
         ok, why = native_backend_available()
         if not ok:
             print(f"warning[NL-UNAVAILABLE]: native tier unavailable "
-                  f"({why}); falling back to bytecode-bare",
+                  f"({why}); falling back to bytecode",
                   file=sys.stderr)
-            eng = "bytecode-bare"
+            eng = "bytecode"
     return eng
 
 
@@ -505,10 +505,9 @@ def build_parser() -> argparse.ArgumentParser:
             "--engine", choices=ENGINES, default=None,
             help="execution tier: one of %s (default: $%s, else 'ast'); "
                  "'bytecode' matches 'ast' observation-for-observation, "
-                 "'bytecode-bare' drops observer fan-out for speed, "
                  "'native' compiles analyzed loops to C and runs them "
                  "at hardware speed (needs a C compiler; degrades to "
-                 "bytecode-bare with a warning when unavailable)"
+                 "bytecode with a warning when unavailable)"
                  % (", ".join(ENGINES), ENGINE_ENV),
         )
 

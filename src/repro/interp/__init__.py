@@ -3,7 +3,7 @@
 from .machine import (
     COSTS, ENGINE_ENV, ENGINES, BreakSignal, ContinueSignal, CostSink,
     ExitSignal, Frame, InterpError, Machine, ReturnSignal, WatchdogTimeout,
-    observed_engine, resolve_engine, unobserved_engine,
+    observed_engine, resolve_engine,
 )
 from .memory import Allocation, Memory, MemoryError_, scalar_codec
 from .trace import AccessEvent, FootprintObserver, RaceChecker, RecordingObserver
@@ -23,7 +23,7 @@ def run_source(source: str, entry: str = "main", engine=None):
 __all__ = [
     "Machine", "Memory", "MemoryError_", "Allocation", "CostSink", "COSTS",
     "ENGINES", "ENGINE_ENV", "resolve_engine", "observed_engine",
-    "unobserved_engine", "scalar_codec",
+    "scalar_codec",
     "InterpError", "BreakSignal", "ContinueSignal", "ReturnSignal",
     "ExitSignal", "Frame", "WatchdogTimeout", "RecordingObserver", "FootprintObserver",
     "RaceChecker", "AccessEvent", "run_source",

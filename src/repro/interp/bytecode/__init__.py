@@ -9,25 +9,21 @@ subroutine-threaded code: each node's closure calls its children
 directly, replacing the walker's two dict dispatches and type tests
 per node.
 
-Two compile-time variants:
-
-* ``instrumented`` (engine ``"bytecode"``) — bit-identical cost,
-  observer, watchdog and diagnostic behavior vs the tree walker; used
-  for profiling, race-checked parallel runs and fault injection.
-* ``bare`` (engine ``"bytecode-bare"``) — same cost model (cycles /
-  instructions / loads / stores still match the walker exactly), but
-  no observer fan-out and no per-statement step/watchdog accounting;
-  used for baseline and verified re-runs.
+There is one compiled form: every closure keeps the walker's cost,
+observer fan-out, watchdog and diagnostic behavior bit for bit, and
+reads the three fault hooks (``_stmt_hook`` / ``_tid_hook`` /
+``_store_taps``, attributes of every :class:`~repro.interp.machine.
+Machine`) where the walker does.  A run nothing observes pays an empty
+``for obs in m.observers`` per access and a ``None`` test per
+statement; the tier that makes unobserved runs fast is ``native``.
 
 Select with ``Machine(..., engine="bytecode")``, the CLI ``--engine``
 flag, or ``$REPRO_ENGINE``.
 """
 
-from .compiler import BARE, INSTRUMENTED, Compiler, compiler_for, \
-    invalidate_code
+from .compiler import Compiler, compiler_for, invalidate_code
 from .machine import BytecodeMachine
 
 __all__ = [
-    "BARE", "INSTRUMENTED", "Compiler", "compiler_for",
-    "invalidate_code", "BytecodeMachine",
+    "Compiler", "compiler_for", "invalidate_code", "BytecodeMachine",
 ]

@@ -1,7 +1,7 @@
 """Compiler driver and per-program code caches for the bytecode tier.
 
 A :class:`Compiler` owns the compiled-code tables for one (program,
-sema, variant) triple: nid-keyed closures for expressions, lvalues and
+sema) pair: nid-keyed closures for expressions, lvalues and
 statements, and fn-nid-keyed function runners.  Compiled code is
 machine-independent — closures fetch ``m.cost`` / ``m.memory`` /
 ``m.redirector`` / ``m.observers`` from the machine on every call — so
@@ -32,22 +32,16 @@ from ..machine import InterpError, Machine
 from .exprs import compile_addr, compile_expr
 from .stmts import compile_function, compile_stmt
 
-#: compile-time variants
-INSTRUMENTED = "instrumented"
-BARE = "bare"
-
 
 class Compiler:
     """Lazily lowers one analyzed program to closures, memoized by nid."""
 
     def __init__(self, program: ast.Program, sema: SemaResult,
-                 variant: str = INSTRUMENTED, tracer=None):
+                 tracer=None):
         # weakly: _CODE_CACHE keys on the Program and holds this Compiler,
         # a strong reference back would keep every entry alive for ever
         self._program = weakref.ref(program)
         self.sema = sema
-        self.variant = variant
-        self.instrumented = variant != BARE
         self.tracer = tracer
         self.exprs: Dict[int, object] = {}
         self.addrs: Dict[int, object] = {}
@@ -102,7 +96,7 @@ class Compiler:
             tracer = self.tracer
             if tracer:
                 with tracer.phase("compile-bytecode", cat="compile",
-                                  function=fn.name, variant=self.variant):
+                                  function=fn.name):
                     code = compile_function(self, fn)
             else:
                 code = compile_function(self, fn)
@@ -127,21 +121,19 @@ class Compiler:
 
     def _fallback_stmt(self, s):
         self.fallbacks += 1
-        instrumented = self.instrumented
 
         def run(m):
-            if instrumented:
-                h = m._stmt_hook
-                if h is not None:
-                    h(s)
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
-                dl = m._watchdog_deadline
-                if dl is not None and steps > dl:
-                    m._watchdog_trip(s)
+            h = m._stmt_hook
+            if h is not None:
+                h(s)
+            steps = m._steps + 1
+            m._steps = steps
+            if steps > m.max_steps:
+                raise InterpError(
+                    "step budget exceeded (runaway program?)", s)
+            dl = m._watchdog_deadline
+            if dl is not None and steps > dl:
+                m._watchdog_trip(s)
             m._stmt_dispatch[type(s)](s)
         return run
 
@@ -150,7 +142,7 @@ class Compiler:
 # program-level cache
 # ---------------------------------------------------------------------------
 
-#: Program -> {(id(sema), variant): Compiler}.  The Compiler holds the
+#: Program -> {id(sema): Compiler}.  The Compiler holds the
 #: sema strongly, so the id() key cannot be recycled while the entry
 #: lives; it holds the Program weakly (compiled closures capture AST
 #: nodes below the root, never the root), so the outer mapping dies
@@ -159,29 +151,28 @@ _CODE_CACHE: "weakref.WeakKeyDictionary[ast.Program, dict]" = \
     weakref.WeakKeyDictionary()
 
 
-def compiler_for(program: ast.Program, sema: SemaResult, variant: str,
+def compiler_for(program: ast.Program, sema: SemaResult,
                  tracer=None) -> Compiler:
-    """The shared Compiler for (program, sema, variant); created on
-    first use.  ``tracer`` (when truthy) is adopted so subsequent lazy
-    compiles emit ``compile-bytecode`` phases."""
+    """The shared Compiler for (program, sema); created on first use.
+    ``tracer`` (when truthy) is adopted so subsequent lazy compiles
+    emit ``compile-bytecode`` phases."""
     entry = _CODE_CACHE.get(program)
     if entry is None:
         entry = _CODE_CACHE[program] = {}
-    key = (id(sema), variant)
-    comp = entry.get(key)
+    comp = entry.get(id(sema))
     if comp is None:
-        comp = entry[key] = Compiler(program, sema, variant, tracer)
+        comp = entry[id(sema)] = Compiler(program, sema, tracer)
     elif tracer:
         comp.tracer = tracer
     return comp
 
 
-#: (source fingerprint, variant) -> Compiler, held *strongly*.  Worker
+#: source fingerprint -> Compiler, held *strongly*.  Worker
 #: processes key compiled code on the hash of the program text they
 #: were forked with: tasks carry only the fingerprint (no pickled
 #: program state), and a warm worker reuses its lowered closures across
 #: every task and loop of the same program.
-_HASH_CACHE: Dict[tuple, Compiler] = {}
+_HASH_CACHE: Dict[str, Compiler] = {}
 
 
 def source_fingerprint(text: str) -> str:
@@ -191,21 +182,19 @@ def source_fingerprint(text: str) -> str:
 
 
 def compiler_for_hash(fingerprint: str, program: ast.Program,
-                      sema: SemaResult, variant: str,
-                      tracer=None) -> Compiler:
-    """The Compiler for a (source hash, variant) pair.  ``program`` /
-    ``sema`` supply the AST on a cache miss (or when the hash collides
-    with a different in-memory program object)."""
-    key = (fingerprint, variant)
-    comp = _HASH_CACHE.get(key)
+                      sema: SemaResult, tracer=None) -> Compiler:
+    """The Compiler for a source hash.  ``program`` / ``sema`` supply
+    the AST on a cache miss (or when the hash collides with a different
+    in-memory program object)."""
+    comp = _HASH_CACHE.get(fingerprint)
     if comp is None or comp.program is not program:
-        comp = compiler_for(program, sema, variant, tracer)
-        _HASH_CACHE[key] = comp
+        comp = compiler_for(program, sema, tracer)
+        _HASH_CACHE[fingerprint] = comp
     return comp
 
 
-def precompile(program: ast.Program, sema: SemaResult, variant: str,
-               tracer=None, fingerprint: Optional[str] = None) -> Compiler:
+def precompile(program: ast.Program, sema: SemaResult, tracer=None,
+               fingerprint: Optional[str] = None) -> Compiler:
     """Eagerly lower every function body of ``program`` (the service's
     ``lower`` stage).  The lazy per-node memo stays the steady-state
     path; pre-compiling up front moves all closure-building cost into
@@ -213,10 +202,9 @@ def precompile(program: ast.Program, sema: SemaResult, variant: str,
     work.  Registers under ``fingerprint`` when given, so forked
     workers resolve the same object via :func:`compiler_for_hash`."""
     if fingerprint is not None:
-        comp = compiler_for_hash(fingerprint, program, sema, variant,
-                                 tracer)
+        comp = compiler_for_hash(fingerprint, program, sema, tracer)
     else:
-        comp = compiler_for(program, sema, variant, tracer)
+        comp = compiler_for(program, sema, tracer)
     for fn in program.functions():
         comp.function(fn)
         comp.stmt(fn.body)

@@ -147,7 +147,6 @@ def make_load(c, ctype, site, cheap):
     if isinstance(ctype, ArrayType):
         return _load_array
     size = ctype.size
-    instrumented = c.instrumented
     if isinstance(ctype, StructType):
         if cheap:
             cyc = 2 * REG
@@ -163,36 +162,12 @@ def make_load(c, ctype, site, cheap):
             cost.cycles += cyc
             if not cheap:
                 cost.loads += 1
-            if instrumented:
-                for obs in m.observers:
-                    obs.on_access(site, addr, size, False)
+            for obs in m.observers:
+                obs.on_access(site, addr, size, False)
             return blob
         return load
     unpack = scalar_codec(ctype.fmt).unpack_from
     if cheap:
-        if instrumented:
-            def load(m, addr):
-                r = m.redirector
-                if r is not None:
-                    addr = r(site, addr, size, False)
-                memory = m.memory
-                if memory.check_bounds:
-                    memory.check_access(addr, size)
-                value = unpack(memory.data, addr)[0]
-                for obs in m.observers:
-                    obs.on_access(site, addr, size, False)
-                return value
-        else:
-            def load(m, addr):
-                r = m.redirector
-                if r is not None:
-                    addr = r(site, addr, size, False)
-                memory = m.memory
-                if memory.check_bounds:
-                    memory.check_access(addr, size)
-                return unpack(memory.data, addr)[0]
-        return load
-    if instrumented:
         def load(m, addr):
             r = m.redirector
             if r is not None:
@@ -201,31 +176,30 @@ def make_load(c, ctype, site, cheap):
             if memory.check_bounds:
                 memory.check_access(addr, size)
             value = unpack(memory.data, addr)[0]
-            cost = m.cost
-            cost.cycles += LOAD
-            cost.loads += 1
             for obs in m.observers:
                 obs.on_access(site, addr, size, False)
             return value
-    else:
-        def load(m, addr):
-            r = m.redirector
-            if r is not None:
-                addr = r(site, addr, size, False)
-            memory = m.memory
-            if memory.check_bounds:
-                memory.check_access(addr, size)
-            value = unpack(memory.data, addr)[0]
-            cost = m.cost
-            cost.cycles += LOAD
-            cost.loads += 1
-            return value
+        return load
+
+    def load(m, addr):
+        r = m.redirector
+        if r is not None:
+            addr = r(site, addr, size, False)
+        memory = m.memory
+        if memory.check_bounds:
+            memory.check_access(addr, size)
+        value = unpack(memory.data, addr)[0]
+        cost = m.cost
+        cost.cycles += LOAD
+        cost.loads += 1
+        for obs in m.observers:
+            obs.on_access(site, addr, size, False)
+        return value
     return load
 
 
 def make_store(c, ctype, site, cheap):
     """Compile ``Machine.store(addr, ctype, value, site, cheap)``."""
-    instrumented = c.instrumented
     if isinstance(ctype, ArrayType):
         def store(m, addr, value):
             raise InterpError("cannot store into array value")
@@ -249,37 +223,12 @@ def make_store(c, ctype, site, cheap):
             cost.cycles += cyc
             if not cheap:
                 cost.stores += 1
-            if instrumented:
-                for obs in m.observers:
-                    obs.on_access(site, addr, size, True)
+            for obs in m.observers:
+                obs.on_access(site, addr, size, True)
         return store
     conv = make_convert(ctype)
     pack = scalar_codec(ctype.fmt).pack_into
     if cheap:
-        if instrumented:
-            def store(m, addr, value):
-                r = m.redirector
-                if r is not None:
-                    addr = r(site, addr, size, True)
-                value = conv(value)
-                memory = m.memory
-                if memory.check_bounds:
-                    memory.check_access(addr, size)
-                pack(memory.data, addr, value)
-                for obs in m.observers:
-                    obs.on_access(site, addr, size, True)
-        else:
-            def store(m, addr, value):
-                r = m.redirector
-                if r is not None:
-                    addr = r(site, addr, size, True)
-                value = conv(value)
-                memory = m.memory
-                if memory.check_bounds:
-                    memory.check_access(addr, size)
-                pack(memory.data, addr, value)
-        return store
-    if instrumented:
         def store(m, addr, value):
             r = m.redirector
             if r is not None:
@@ -289,24 +238,24 @@ def make_store(c, ctype, site, cheap):
             if memory.check_bounds:
                 memory.check_access(addr, size)
             pack(memory.data, addr, value)
-            cost = m.cost
-            cost.cycles += STORE
-            cost.stores += 1
             for obs in m.observers:
                 obs.on_access(site, addr, size, True)
-    else:
-        def store(m, addr, value):
-            r = m.redirector
-            if r is not None:
-                addr = r(site, addr, size, True)
-            value = conv(value)
-            memory = m.memory
-            if memory.check_bounds:
-                memory.check_access(addr, size)
-            pack(memory.data, addr, value)
-            cost = m.cost
-            cost.cycles += STORE
-            cost.stores += 1
+        return store
+
+    def store(m, addr, value):
+        r = m.redirector
+        if r is not None:
+            addr = r(site, addr, size, True)
+        value = conv(value)
+        memory = m.memory
+        if memory.check_bounds:
+            memory.check_access(addr, size)
+        pack(memory.data, addr, value)
+        cost = m.cost
+        cost.cycles += STORE
+        cost.stores += 1
+        for obs in m.observers:
+            obs.on_access(site, addr, size, True)
     return store
 
 
@@ -317,33 +266,6 @@ def make_scalar_value(c, ctype, site, cheap, ao):
     size = ctype.size
     unpack = scalar_codec(ctype.fmt).unpack_from
     if cheap:
-        if c.instrumented:
-            def run(m):
-                m.cost.instructions += 1
-                addr = ao(m)
-                r = m.redirector
-                if r is not None:
-                    addr = r(site, addr, size, False)
-                memory = m.memory
-                if memory.check_bounds:
-                    memory.check_access(addr, size)
-                value = unpack(memory.data, addr)[0]
-                for obs in m.observers:
-                    obs.on_access(site, addr, size, False)
-                return value
-        else:
-            def run(m):
-                m.cost.instructions += 1
-                addr = ao(m)
-                r = m.redirector
-                if r is not None:
-                    addr = r(site, addr, size, False)
-                memory = m.memory
-                if memory.check_bounds:
-                    memory.check_access(addr, size)
-                return unpack(memory.data, addr)[0]
-        return run
-    if c.instrumented:
         def run(m):
             m.cost.instructions += 1
             addr = ao(m)
@@ -354,27 +276,27 @@ def make_scalar_value(c, ctype, site, cheap, ao):
             if memory.check_bounds:
                 memory.check_access(addr, size)
             value = unpack(memory.data, addr)[0]
-            cost = m.cost
-            cost.cycles += LOAD
-            cost.loads += 1
             for obs in m.observers:
                 obs.on_access(site, addr, size, False)
             return value
-    else:
-        def run(m):
-            m.cost.instructions += 1
-            addr = ao(m)
-            r = m.redirector
-            if r is not None:
-                addr = r(site, addr, size, False)
-            memory = m.memory
-            if memory.check_bounds:
-                memory.check_access(addr, size)
-            value = unpack(memory.data, addr)[0]
-            cost = m.cost
-            cost.cycles += LOAD
-            cost.loads += 1
-            return value
+        return run
+
+    def run(m):
+        m.cost.instructions += 1
+        addr = ao(m)
+        r = m.redirector
+        if r is not None:
+            addr = r(site, addr, size, False)
+        memory = m.memory
+        if memory.check_bounds:
+            memory.check_access(addr, size)
+        value = unpack(memory.data, addr)[0]
+        cost = m.cost
+        cost.cycles += LOAD
+        cost.loads += 1
+        for obs in m.observers:
+            obs.on_access(site, addr, size, False)
+        return value
     return run
 
 
@@ -643,15 +565,10 @@ def _c_strlit(c, e):
 def _c_ident(c, e):
     decl = e.decl
     if decl is c.tid_decl:
-        if c.instrumented:
-            def run(m):
-                m.cost.instructions += 1
-                h = m._tid_hook
-                return m.tid if h is None else h(e, m.tid)
-        else:
-            def run(m):
-                m.cost.instructions += 1
-                return m.tid
+        def run(m):
+            m.cost.instructions += 1
+            h = m._tid_hook
+            return m.tid if h is None else h(e, m.tid)
         return run
     if decl is c.nthreads_decl:
         def run(m):
@@ -696,72 +613,41 @@ def _c_ident(c, e):
         # check_access has no observable effect besides its perf cache —
         # so the bounds check is elided unless a redirector may have
         # moved the address
-        if c.instrumented:
-            def run(m):
-                m.cost.instructions += 1
-                addr = m.frames[-1].vars.get(decl)
-                if addr is None:
-                    addr = m.var_addr(decl)
-                r = m.redirector
-                memory = m.memory
-                if r is not None:
-                    addr = r(site, addr, size, False)
-                    if memory.check_bounds:
-                        memory.check_access(addr, size)
-                value = unpack(memory.data, addr)[0]
-                for obs in m.observers:
-                    obs.on_access(site, addr, size, False)
-                return value
-        else:
-            def run(m):
-                m.cost.instructions += 1
-                addr = m.frames[-1].vars.get(decl)
-                if addr is None:
-                    addr = m.var_addr(decl)
-                r = m.redirector
-                memory = m.memory
-                if r is not None:
-                    addr = r(site, addr, size, False)
-                    if memory.check_bounds:
-                        memory.check_access(addr, size)
-                return unpack(memory.data, addr)[0]
-        return run
-    if c.instrumented:
         def run(m):
             m.cost.instructions += 1
-            addr = m.globals_frame.vars.get(decl)
+            addr = m.frames[-1].vars.get(decl)
             if addr is None:
                 addr = m.var_addr(decl)
             r = m.redirector
+            memory = m.memory
             if r is not None:
                 addr = r(site, addr, size, False)
-            memory = m.memory
-            if memory.check_bounds:
-                memory.check_access(addr, size)
+                if memory.check_bounds:
+                    memory.check_access(addr, size)
             value = unpack(memory.data, addr)[0]
-            cost = m.cost
-            cost.cycles += LOAD
-            cost.loads += 1
             for obs in m.observers:
                 obs.on_access(site, addr, size, False)
             return value
-    else:
-        def run(m):
-            m.cost.instructions += 1
-            addr = m.globals_frame.vars.get(decl)
-            if addr is None:
-                addr = m.var_addr(decl)
-            r = m.redirector
-            if r is not None:
-                addr = r(site, addr, size, False)
-            memory = m.memory
-            if memory.check_bounds:
-                memory.check_access(addr, size)
-            value = unpack(memory.data, addr)[0]
-            cost = m.cost
-            cost.cycles += LOAD
-            cost.loads += 1
-            return value
+        return run
+
+    def run(m):
+        m.cost.instructions += 1
+        addr = m.globals_frame.vars.get(decl)
+        if addr is None:
+            addr = m.var_addr(decl)
+        r = m.redirector
+        if r is not None:
+            addr = r(site, addr, size, False)
+        memory = m.memory
+        if memory.check_bounds:
+            memory.check_access(addr, size)
+        value = unpack(memory.data, addr)[0]
+        cost = m.cost
+        cost.cycles += LOAD
+        cost.loads += 1
+        for obs in m.observers:
+            obs.on_access(site, addr, size, False)
+        return value
     return run
 
 
@@ -778,64 +664,39 @@ def _fused_incdec(c, e, decl, ctype, delta, post):
     unpack = codec.unpack_from
     pack = codec.pack_into
     conv = make_convert(ctype)
-    if c.instrumented:
-        def run(m):
-            m.cost.instructions += 1
-            addr = m.frames[-1].vars.get(decl)
-            if addr is None:
-                addr = m.var_addr(decl)
-            r = m.redirector
-            memory = m.memory
-            if r is None:
-                old = unpack(memory.data, addr)[0]
-                for obs in m.observers:
-                    obs.on_access(lsite, addr, size, False)
-                m.cost.cycles += ALU
-                v = conv(old + delta)
-                pack(memory.data, addr, v)
-                for obs in m.observers:
-                    obs.on_access(ssite, addr, size, True)
-                return old if post else v
-            la = r(lsite, addr, size, False)
-            if memory.check_bounds:
-                memory.check_access(la, size)
-            old = unpack(memory.data, la)[0]
+
+    def run(m):
+        m.cost.instructions += 1
+        addr = m.frames[-1].vars.get(decl)
+        if addr is None:
+            addr = m.var_addr(decl)
+        r = m.redirector
+        memory = m.memory
+        if r is None:
+            old = unpack(memory.data, addr)[0]
             for obs in m.observers:
-                obs.on_access(lsite, la, size, False)
+                obs.on_access(lsite, addr, size, False)
             m.cost.cycles += ALU
-            sa = r(ssite, addr, size, True)
             v = conv(old + delta)
-            if memory.check_bounds:
-                memory.check_access(sa, size)
-            pack(memory.data, sa, v)
+            pack(memory.data, addr, v)
             for obs in m.observers:
-                obs.on_access(ssite, sa, size, True)
+                obs.on_access(ssite, addr, size, True)
             return old if post else v
-    else:
-        def run(m):
-            m.cost.instructions += 1
-            addr = m.frames[-1].vars.get(decl)
-            if addr is None:
-                addr = m.var_addr(decl)
-            r = m.redirector
-            memory = m.memory
-            if r is None:
-                old = unpack(memory.data, addr)[0]
-                m.cost.cycles += ALU
-                v = conv(old + delta)
-                pack(memory.data, addr, v)
-                return old if post else v
-            la = r(lsite, addr, size, False)
-            if memory.check_bounds:
-                memory.check_access(la, size)
-            old = unpack(memory.data, la)[0]
-            m.cost.cycles += ALU
-            sa = r(ssite, addr, size, True)
-            v = conv(old + delta)
-            if memory.check_bounds:
-                memory.check_access(sa, size)
-            pack(memory.data, sa, v)
-            return old if post else v
+        la = r(lsite, addr, size, False)
+        if memory.check_bounds:
+            memory.check_access(la, size)
+        old = unpack(memory.data, la)[0]
+        for obs in m.observers:
+            obs.on_access(lsite, la, size, False)
+        m.cost.cycles += ALU
+        sa = r(ssite, addr, size, True)
+        v = conv(old + delta)
+        if memory.check_bounds:
+            memory.check_access(sa, size)
+        pack(memory.data, sa, v)
+        for obs in m.observers:
+            obs.on_access(ssite, sa, size, True)
+        return old if post else v
     return run
 
 
@@ -856,38 +717,23 @@ def _c_unary(c, e):
             site = e.nid
             size = ctype.size
             unpack = scalar_codec(ctype.fmt).unpack_from
-            if c.instrumented:
-                def run(m):
-                    m.cost.instructions += 1
-                    addr = int(vo(m))
-                    r = m.redirector
-                    if r is not None:
-                        addr = r(site, addr, size, False)
-                    memory = m.memory
-                    if memory.check_bounds:
-                        memory.check_access(addr, size)
-                    value = unpack(memory.data, addr)[0]
-                    cost = m.cost
-                    cost.cycles += LOAD
-                    cost.loads += 1
-                    for obs in m.observers:
-                        obs.on_access(site, addr, size, False)
-                    return value
-            else:
-                def run(m):
-                    m.cost.instructions += 1
-                    addr = int(vo(m))
-                    r = m.redirector
-                    if r is not None:
-                        addr = r(site, addr, size, False)
-                    memory = m.memory
-                    if memory.check_bounds:
-                        memory.check_access(addr, size)
-                    value = unpack(memory.data, addr)[0]
-                    cost = m.cost
-                    cost.cycles += LOAD
-                    cost.loads += 1
-                    return value
+
+            def run(m):
+                m.cost.instructions += 1
+                addr = int(vo(m))
+                r = m.redirector
+                if r is not None:
+                    addr = r(site, addr, size, False)
+                memory = m.memory
+                if memory.check_bounds:
+                    memory.check_access(addr, size)
+                value = unpack(memory.data, addr)[0]
+                cost = m.cost
+                cost.cycles += LOAD
+                cost.loads += 1
+                for obs in m.observers:
+                    obs.on_access(site, addr, size, False)
+                return value
             return run
         loadf = make_load(c, ctype, e.nid, False)
 
@@ -1097,8 +943,8 @@ def _c_assign(c, e):
     ao = c.addr(target)
     cheap = is_reg_slot(c, target)
     # fat-pointer span corruption taps hang off Member-target assigns
-    # (the only sites SpanCorruptor registers); instrumented only
-    tapped = c.instrumented and isinstance(target, ast.Member)
+    # (the only sites SpanCorruptor registers)
+    tapped = isinstance(target, ast.Member)
     nid = e.nid
     storef = make_store(c, target_t, nid, cheap)
     if e.op == "=":
@@ -1114,44 +960,26 @@ def _c_assign(c, e):
             size = target_t.size
             pack = scalar_codec(target_t.fmt).pack_into
             conv = make_convert(target_t)
-            if c.instrumented:
-                def run(m):
-                    m.cost.instructions += 1
-                    addr = m.frames[-1].vars.get(decl)
-                    if addr is None:
-                        addr = m.var_addr(decl)
-                    value = vo(m)
-                    r = m.redirector
-                    memory = m.memory
-                    if r is not None:
-                        addr = r(nid, addr, size, True)
-                        v = conv(value)
-                        if memory.check_bounds:
-                            memory.check_access(addr, size)
-                        pack(memory.data, addr, v)
-                    else:
-                        pack(memory.data, addr, conv(value))
-                    for obs in m.observers:
-                        obs.on_access(nid, addr, size, True)
-                    return value
-            else:
-                def run(m):
-                    m.cost.instructions += 1
-                    addr = m.frames[-1].vars.get(decl)
-                    if addr is None:
-                        addr = m.var_addr(decl)
-                    value = vo(m)
-                    r = m.redirector
-                    memory = m.memory
-                    if r is not None:
-                        addr = r(nid, addr, size, True)
-                        v = conv(value)
-                        if memory.check_bounds:
-                            memory.check_access(addr, size)
-                        pack(memory.data, addr, v)
-                    else:
-                        pack(memory.data, addr, conv(value))
-                    return value
+
+            def run(m):
+                m.cost.instructions += 1
+                addr = m.frames[-1].vars.get(decl)
+                if addr is None:
+                    addr = m.var_addr(decl)
+                value = vo(m)
+                r = m.redirector
+                memory = m.memory
+                if r is not None:
+                    addr = r(nid, addr, size, True)
+                    v = conv(value)
+                    if memory.check_bounds:
+                        memory.check_access(addr, size)
+                    pack(memory.data, addr, v)
+                else:
+                    pack(memory.data, addr, conv(value))
+                for obs in m.observers:
+                    obs.on_access(nid, addr, size, True)
+                return value
             return run
         if tapped:
             def run(m):
@@ -1269,15 +1097,13 @@ def _c_call(c, e):
     fn = c.sema.functions.get(name) if name else None
     if fn is not None:
         fnid = fn.nid
-        bare = not c.instrumented
 
         def run(m):
             m.cost.instructions += 1
             args = [a(m) for a in arg_ops]
-            if bare:
-                hook = m._native_call
-                if hook is not None:
-                    return hook(fn, args)
+            hook = m._native_call
+            if hook is not None:
+                return hook(fn, args)
             code = fns.get(fnid)
             if code is None:
                 code = c.function(fn)

@@ -9,21 +9,9 @@ consumes the public machine API (the parallel runtime's controllers,
 the profiler, the fault injectors, builtins, permissive recovery)
 works unchanged.
 
-Fault-injection hook points (the bytecode equivalents of the three
-monkey-patch surfaces :mod:`repro.runtime.faults` uses on the walker):
-
-* ``_stmt_hook`` — called with each statement node before it executes
-  (equivalent of wrapping ``exec_stmt``; used by ThreadAborter);
-* ``_tid_hook`` — called with ``(ident_node, tid)`` on every ``__tid``
-  read (equivalent of replacing ``_eval_dispatch[Ident]``; used by
-  CopyIndexSkew);
-* ``_store_taps`` — ``{assign_nid: fn(value) -> value}`` consulted by
-  Member-target assignments before the store (equivalent of wrapping
-  ``store``; used by SpanCorruptor).
-
-All three are instrumented-variant only; the bare variant compiles
-them out along with observer fan-out and per-statement watchdog
-accounting.
+The fault hooks of :mod:`repro.runtime.faults` (``_stmt_hook``,
+``_tid_hook``, ``_store_taps``) are attributes of the base ``Machine``;
+the closures read them at the points the walker does.
 """
 
 from __future__ import annotations
@@ -32,14 +20,16 @@ from typing import List, Optional
 
 from ...frontend import ast
 from ...frontend.sema import SemaResult
-from ..machine import Machine, resolve_engine
-from .compiler import BARE, INSTRUMENTED, compiler_for
+from ..machine import Machine
+from .compiler import compiler_for
 
 
 class BytecodeMachine(Machine):
     """Drop-in ``Machine`` executing compiled closures."""
 
-    #: re-entry hooks the bare closures read at loop entry
+    engine = "bytecode"
+
+    #: re-entry hooks the closures read at loop entry
     #: (``hook(loop) -> ran``) and at direct call sites
     #: (``hook(fn, args) -> result``); bound on ``NativeMachine`` only
     _native_loop = None
@@ -59,20 +49,11 @@ class BytecodeMachine(Machine):
     ):
         super().__init__(program, sema, check_bounds, max_steps,
                          max_loop_steps, memory=memory)
-        name = resolve_engine(engine)
-        if name == "ast":  # direct construction without an engine request
-            name = "bytecode"
-        self.engine = name
-        variant = BARE if name == "bytecode-bare" else INSTRUMENTED
-        self.compiler = compiler_for(program, sema, variant, tracer)
+        self.compiler = compiler_for(program, sema, tracer)
         self._code_exprs = self.compiler.exprs
         self._code_addrs = self.compiler.addrs
         self._code_stmts = self.compiler.stmts
         self._code_fns = self.compiler.fns
-        # fault-injection hook points (see module docstring)
-        self._stmt_hook = None
-        self._tid_hook = None
-        self._store_taps = None
 
     # -- compiled dispatch -------------------------------------------------
     def exec_stmt(self, stmt: ast.Stmt) -> None:

@@ -1,24 +1,16 @@
 """Statement and function compilation for the bytecode tier.
 
-Statement closures come in two compile-time variants:
+Every statement closure begins with the same prologue as
+``Machine.exec_stmt``: the fault-injection hook (``m._stmt_hook``),
+then the step counter, the ``max_steps`` check and the
+watchdog-deadline check, in the walker's order.
 
-* **instrumented** — every statement closure begins with the same
-  prologue as ``Machine.exec_stmt``: the fault-injection hook
-  (``m._stmt_hook``, the bytecode equivalent of wrapping
-  ``exec_stmt``), then the step counter, ``max_steps`` check, and
-  watchdog-deadline check, in the walker's order (hook first, because
-  the walker's wrapper runs before the original method body).
-* **bare** — no per-statement prologue.  Loops keep a per-*iteration*
-  step backstop against ``max_steps`` so runaway programs still
-  terminate with a structured error, but ``max_loop_steps`` watchdog
-  budgets are not honored (bare machines are for baseline/verified
-  re-runs that never install a watchdog).
-
-Loop closures check ``m.loop_controllers`` at run time in both
-variants, so the profiler and the parallel runtime drive candidate
-loops exactly as they do on the tree walker.  An uncontrolled bare
-loop then offers itself to ``m._native_loop`` (``None`` except on a
-``NativeMachine``, whose compiled unit may run the loop instead).
+Loop closures check ``m.loop_controllers`` at run time, so the profiler
+and the parallel runtime drive candidate loops exactly as they do on
+the tree walker.  An uncontrolled loop then offers itself to
+``m._native_loop`` (``None`` except on a ``NativeMachine``, whose
+compiled unit may run the loop instead) before it pushes a watchdog
+and drives: one attribute read per loop *entry*, nothing per iteration.
 """
 
 from __future__ import annotations
@@ -112,175 +104,69 @@ def _make_decl_op(c, decl):
 
 
 # ---------------------------------------------------------------------------
-# statement bodies (no prologue; wrapped below)
+# loop and jump bodies (no prologue; wrapped by compile_stmt)
 # ---------------------------------------------------------------------------
 
-def _c_block(c, s):
-    ops = [c.stmt(child) for child in s.stmts]
-    if not ops:
-        def body(m):
-            pass
-        return body
-    if len(ops) == 1:
-        return _call1(ops[0])
-    ops = tuple(ops)
-
-    def body(m):
-        for op in ops:
-            op(m)
-    return body
-
-
-def _call1(op):
-    def body(m):
-        op(m)
-    return body
-
-
-def _c_expr_stmt(c, s):
-    vo = c.expr(s.expr)
-
-    def body(m):
-        vo(m)
-    return body
-
-
-def _c_decl_stmt(c, s):
-    ops = [_make_decl_op(c, d) for d in s.decls]
-    if len(ops) == 1:
-        op0 = ops[0]
-
-        def body(m):
-            op0(m, m.frames[-1])
-        return body
-    ops = tuple(ops)
-
-    def body(m):
-        frame = m.frames[-1]
-        for op in ops:
-            op(m, frame)
-    return body
-
-
-def _c_if(c, s):
-    co = c.expr(s.cond)
-    to = c.stmt(s.then)
-    if s.els is None:
-        def body(m):
-            m.cost.cycles += ALU
-            if co(m):
-                to(m)
-        return body
-    eo = c.stmt(s.els)
-
-    def body(m):
-        m.cost.cycles += ALU
-        if co(m):
-            to(m)
-        else:
-            eo(m)
-    return body
-
-
 def _wrap_loop(c, s, drive):
-    """Controller check + watchdog push/pop around a loop driver
-    (mirrors ``_check_controller`` + ``_guarded_loop``)."""
+    """Controller check, native re-entry offer, then watchdog push/pop
+    around a loop driver (mirrors ``_check_controller`` +
+    ``_guarded_loop``)."""
     nid = s.nid
     label = s.label
-    if c.instrumented:
-        def body(m):
-            ctrl = m.loop_controllers.get(nid)
-            if ctrl is not None:
-                ctrl(m, s)
-                return
-            mls = m.max_loop_steps
-            if mls is None:
-                drive(m)
-                return
-            m.push_watchdog(mls, label)
-            try:
-                drive(m)
-            finally:
-                m.pop_watchdog()
-    else:
-        def body(m):
-            ctrl = m.loop_controllers.get(nid)
-            if ctrl is not None:
-                ctrl(m, s)
-                return
-            hook = m._native_loop
-            if hook is None or not hook(s):
-                drive(m)
+
+    def body(m):
+        ctrl = m.loop_controllers.get(nid)
+        if ctrl is not None:
+            ctrl(m, s)
+            return
+        hook = m._native_loop
+        if hook is not None and hook(s):
+            return
+        mls = m.max_loop_steps
+        if mls is None:
+            drive(m)
+            return
+        m.push_watchdog(mls, label)
+        try:
+            drive(m)
+        finally:
+            m.pop_watchdog()
     return body
 
 
 def _c_while(c, s):
     co = c.expr(s.cond)
     bo = c.stmt(s.body)
-    if c.instrumented:
-        def drive(m):
-            while True:
-                m.cost.cycles += ALU
-                if not co(m):
-                    break
-                try:
-                    bo(m)
-                except BreakSignal:
-                    break
-                except ContinueSignal:
-                    continue
-    else:
-        def drive(m):
-            while True:
-                m.cost.cycles += ALU
-                if not co(m):
-                    break
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
-                try:
-                    bo(m)
-                except BreakSignal:
-                    break
-                except ContinueSignal:
-                    continue
+
+    def drive(m):
+        while True:
+            m.cost.cycles += ALU
+            if not co(m):
+                break
+            try:
+                bo(m)
+            except BreakSignal:
+                break
+            except ContinueSignal:
+                continue
     return _wrap_loop(c, s, drive)
 
 
 def _c_dowhile(c, s):
     co = c.expr(s.cond)
     bo = c.stmt(s.body)
-    if c.instrumented:
-        def drive(m):
-            while True:
-                try:
-                    bo(m)
-                except BreakSignal:
-                    break
-                except ContinueSignal:
-                    pass
-                m.cost.cycles += ALU
-                if not co(m):
-                    break
-    else:
-        def drive(m):
-            while True:
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
-                try:
-                    bo(m)
-                except BreakSignal:
-                    break
-                except ContinueSignal:
-                    pass
-                m.cost.cycles += ALU
-                if not co(m):
-                    break
+
+    def drive(m):
+        while True:
+            try:
+                bo(m)
+            except BreakSignal:
+                break
+            except ContinueSignal:
+                pass
+            m.cost.cycles += ALU
+            if not co(m):
+                break
     return _wrap_loop(c, s, drive)
 
 
@@ -289,7 +175,6 @@ def _c_for(c, s):
     co = c.expr(s.cond) if s.cond is not None else None
     so = c.expr(s.step) if s.step is not None else None
     bo = c.stmt(s.body)
-    backstop = not c.instrumented
 
     def drive(m):
         if io_ is not None:
@@ -299,12 +184,6 @@ def _c_for(c, s):
                 m.cost.cycles += ALU
                 if not co(m):
                     break
-            if backstop:
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
             try:
                 bo(m)
             except BreakSignal:
@@ -340,11 +219,8 @@ def _c_continue(c, s):
     return body
 
 
+#: the shapes compile_stmt does not fuse with the prologue
 STMT_COMPILERS = {
-    ast.Block: _c_block,
-    ast.ExprStmt: _c_expr_stmt,
-    ast.DeclStmt: _c_decl_stmt,
-    ast.If: _c_if,
     ast.While: _c_while,
     ast.DoWhile: _c_dowhile,
     ast.For: _c_for,
@@ -356,87 +232,86 @@ STMT_COMPILERS = {
 
 def compile_stmt(c, s):
     t = type(s)
-    if c.instrumented:
-        # the hottest statement shapes get the exec_stmt prologue fused
-        # into their own closure (one call per statement saved); the
-        # rest are wrapped generically below
-        if t is ast.ExprStmt:
-            vo = c.expr(s.expr)
+    # the hottest statement shapes get the exec_stmt prologue fused into
+    # their own closure (one call per statement saved); the rest are
+    # wrapped generically below
+    if t is ast.ExprStmt:
+        vo = c.expr(s.expr)
 
-            def run(m):
-                h = m._stmt_hook
-                if h is not None:
-                    h(s)
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
-                dl = m._watchdog_deadline
-                if dl is not None and steps > dl:
-                    m._watchdog_trip(s)
-                vo(m)
-            return run
-        if t is ast.Block:
-            ops = tuple(c.stmt(child) for child in s.stmts)
+        def run(m):
+            h = m._stmt_hook
+            if h is not None:
+                h(s)
+            steps = m._steps + 1
+            m._steps = steps
+            if steps > m.max_steps:
+                raise InterpError(
+                    "step budget exceeded (runaway program?)", s)
+            dl = m._watchdog_deadline
+            if dl is not None and steps > dl:
+                m._watchdog_trip(s)
+            vo(m)
+        return run
+    if t is ast.Block:
+        ops = tuple(c.stmt(child) for child in s.stmts)
 
-            def run(m):
-                h = m._stmt_hook
-                if h is not None:
-                    h(s)
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
-                dl = m._watchdog_deadline
-                if dl is not None and steps > dl:
-                    m._watchdog_trip(s)
-                for op in ops:
-                    op(m)
-            return run
-        if t is ast.If:
-            co = c.expr(s.cond)
-            to = c.stmt(s.then)
-            eo = c.stmt(s.els) if s.els is not None else None
+        def run(m):
+            h = m._stmt_hook
+            if h is not None:
+                h(s)
+            steps = m._steps + 1
+            m._steps = steps
+            if steps > m.max_steps:
+                raise InterpError(
+                    "step budget exceeded (runaway program?)", s)
+            dl = m._watchdog_deadline
+            if dl is not None and steps > dl:
+                m._watchdog_trip(s)
+            for op in ops:
+                op(m)
+        return run
+    if t is ast.If:
+        co = c.expr(s.cond)
+        to = c.stmt(s.then)
+        eo = c.stmt(s.els) if s.els is not None else None
 
-            def run(m):
-                h = m._stmt_hook
-                if h is not None:
-                    h(s)
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
-                dl = m._watchdog_deadline
-                if dl is not None and steps > dl:
-                    m._watchdog_trip(s)
-                m.cost.cycles += ALU
-                if co(m):
-                    to(m)
-                elif eo is not None:
-                    eo(m)
-            return run
-        if t is ast.DeclStmt:
-            ops = tuple(_make_decl_op(c, d) for d in s.decls)
+        def run(m):
+            h = m._stmt_hook
+            if h is not None:
+                h(s)
+            steps = m._steps + 1
+            m._steps = steps
+            if steps > m.max_steps:
+                raise InterpError(
+                    "step budget exceeded (runaway program?)", s)
+            dl = m._watchdog_deadline
+            if dl is not None and steps > dl:
+                m._watchdog_trip(s)
+            m.cost.cycles += ALU
+            if co(m):
+                to(m)
+            elif eo is not None:
+                eo(m)
+        return run
+    if t is ast.DeclStmt:
+        ops = tuple(_make_decl_op(c, d) for d in s.decls)
 
-            def run(m):
-                h = m._stmt_hook
-                if h is not None:
-                    h(s)
-                steps = m._steps + 1
-                m._steps = steps
-                if steps > m.max_steps:
-                    raise InterpError(
-                        "step budget exceeded (runaway program?)", s)
-                dl = m._watchdog_deadline
-                if dl is not None and steps > dl:
-                    m._watchdog_trip(s)
-                frame = m.frames[-1]
-                for op in ops:
-                    op(m, frame)
-            return run
+        def run(m):
+            h = m._stmt_hook
+            if h is not None:
+                h(s)
+            steps = m._steps + 1
+            m._steps = steps
+            if steps > m.max_steps:
+                raise InterpError(
+                    "step budget exceeded (runaway program?)", s)
+            dl = m._watchdog_deadline
+            if dl is not None and steps > dl:
+                m._watchdog_trip(s)
+            frame = m.frames[-1]
+            for op in ops:
+                op(m, frame)
+        return run
     compiler = STMT_COMPILERS.get(t)
     if compiler is None:
         # unknown statement type: defer to the walker dispatch so the
@@ -446,8 +321,6 @@ def compile_stmt(c, s):
         inner_body = inner
     else:
         inner_body = compiler(c, s)
-    if not c.instrumented:
-        return inner_body
 
     def run(m):
         h = m._stmt_hook

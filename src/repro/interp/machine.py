@@ -177,15 +177,11 @@ def scalar_fmt(ctype: CType) -> str:
 # ---------------------------------------------------------------------------
 
 #: available interpreter engines: the tree walker ("ast"), the
-#: instrumented bytecode tier ("bytecode" — observers/watchdog/cost
-#: identical to the walker), the bare bytecode tier
-#: ("bytecode-bare" — same cost model, no observer fan-out and no
-#: per-statement watchdog accounting; for baseline/verified re-runs),
-#: and the native tier ("native" — lowered to C and run at hardware
-#: speed on the segment; per-construct fallback to bytecode-bare).
-ENGINES = ("ast", "bytecode", "bytecode-bare", "native")
-
-_ENGINE_ALIASES = {"bare": "bytecode-bare", "walker": "ast", "tree": "ast"}
+#: bytecode tier ("bytecode" — closures with observers/watchdog/cost
+#: identical to the walker) and the native tier ("native" — lowered to
+#: C and run at hardware speed on the segment; per-construct fallback
+#: to the bytecode closures).
+ENGINES = ("ast", "bytecode", "native")
 
 #: environment variable consulted when no explicit engine is requested
 ENGINE_ENV = "REPRO_ENGINE"
@@ -194,7 +190,6 @@ ENGINE_ENV = "REPRO_ENGINE"
 def resolve_engine(engine: Optional[str] = None) -> str:
     """Resolve an engine request: explicit arg > $REPRO_ENGINE > "ast"."""
     name = engine or os.environ.get(ENGINE_ENV) or "ast"
-    name = _ENGINE_ALIASES.get(name, name)
     if name not in ENGINES:
         raise ValueError(
             f"unknown interpreter engine {name!r}; "
@@ -203,21 +198,12 @@ def resolve_engine(engine: Optional[str] = None) -> str:
     return name
 
 
-def unobserved_engine(engine: Optional[str] = None) -> str:
-    """Engine for a run nothing observes (sequential baselines,
-    overhead measurements): the bare tier is behaviorally identical and
-    the fastest bytecode variant; ``ast`` and ``native`` stay as asked."""
-    name = resolve_engine(engine)
-    return name if name in ("ast", "native") else "bytecode-bare"
-
-
 def observed_engine(engine: Optional[str] = None) -> str:
-    """Engine for a run with observers, store taps or watchdog
-    accounting attached: only the walker and instrumented bytecode fan
-    accesses out — the bare tier has the fan-out compiled out and
-    ``native`` falls back to the bare tier — so both are promoted."""
+    """Engine for a run with observers, fault hooks or a redirector
+    attached from the start: compiled C cannot fan accesses out, so
+    ``native`` is promoted to the closures it would fall back to."""
     name = resolve_engine(engine)
-    return name if name == "ast" else "bytecode"
+    return "bytecode" if name == "native" else name
 
 
 class Machine:
@@ -240,7 +226,7 @@ class Machine:
             if name == "native":
                 from .native import NativeMachine
                 return object.__new__(NativeMachine)
-            if name != "ast":
+            if name == "bytecode":
                 from .bytecode import BytecodeMachine
                 return object.__new__(BytecodeMachine)
         return object.__new__(cls)
@@ -291,6 +277,15 @@ class Machine:
         self.loop_controllers: Dict[int, Callable] = {}
         #: called with the address passed to free() before release
         self.free_hooks: List[Callable[[int], None]] = []
+        # fault-injection hook points (repro.runtime.faults wires them;
+        # every engine that runs Python reads them at the same places)
+        #: called with each statement node before it is counted
+        self._stmt_hook: Optional[Callable] = None
+        #: ``hook(ident_node, tid) -> tid`` on every ``__tid`` read
+        self._tid_hook: Optional[Callable] = None
+        #: ``{assign_nid: fn(value) -> value}`` consulted by
+        #: Member-target assignments for the value that lands in memory
+        self._store_taps: Optional[Dict[int, Callable]] = None
 
         self._strlit_cache: Dict[int, int] = {}
         self._globals_ready = False
@@ -527,6 +522,8 @@ class Machine:
     # statements
     # ======================================================================
     def exec_stmt(self, stmt: ast.Stmt) -> None:
+        if self._stmt_hook is not None:
+            self._stmt_hook(stmt)
         self._steps += 1
         if self._steps > self.max_steps:
             raise InterpError("step budget exceeded (runaway program?)", stmt)
@@ -741,7 +738,8 @@ class Machine:
     def _eval_ident(self, expr: ast.Ident):
         decl = expr.decl
         if decl is self._tid_decl:
-            return self.tid
+            hook = self._tid_hook
+            return self.tid if hook is None else hook(expr, self.tid)
         if decl is self._nthreads_decl:
             return self.nthreads
         if isinstance(decl, ast.FunctionDef):
@@ -902,6 +900,17 @@ class Machine:
             return result_t.wrap(li ^ ri)
         raise InterpError(f"unknown binop {op}", expr)  # pragma: no cover
 
+    def _tapped(self, expr: ast.Assign, value):
+        """What ``expr`` lands in memory: a Member-target value passes
+        through its ``_store_taps`` entry; the assignment expression
+        still yields the untapped value."""
+        taps = self._store_taps
+        if taps is not None and isinstance(expr.target, ast.Member):
+            tap = taps.get(expr.nid)
+            if tap is not None:
+                return tap(value)
+        return value
+
     def _eval_assign(self, expr: ast.Assign):
         target_t = expr.target.ctype
         assert target_t is not None
@@ -909,7 +918,8 @@ class Machine:
         cheap = self._is_reg_slot(expr.target)
         if expr.op == "=":
             value = self.eval(expr.value)
-            self.store(addr, target_t, value, site=expr.nid, cheap=cheap)
+            self.store(addr, target_t, self._tapped(expr, value),
+                       site=expr.nid, cheap=cheap)
             return value if not isinstance(target_t, StructType) else value
         # compound assignment: load-modify-store
         old = self.load(addr, target_t, site=expr.target.nid, cheap=cheap)
@@ -930,7 +940,8 @@ class Machine:
                 # compound assign computes in the common type then narrows
                 pass
             new = self._apply_binop(base_op, old, rhs, fake)
-        self.store(addr, target_t, new, site=expr.nid, cheap=cheap)
+        self.store(addr, target_t, self._tapped(expr, new),
+                   site=expr.nid, cheap=cheap)
         if isinstance(target_t, StructType):
             return new
         return self._convert(new, target_t)

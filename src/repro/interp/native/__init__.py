@@ -5,7 +5,7 @@ Public surface:
 - :func:`native_backend_available` — capability probe with ``NL-*``
   reason codes (mirrors ``process_backend_available``)
 - :class:`NativeMachine` — Machine subclass dispatching into the
-  compiled ``.so`` (falls back per-construct to ``bytecode-bare``)
+  compiled ``.so`` (falls back per-construct to the bytecode closures)
 - :func:`lower_program` — pure codegen (no compiler needed)
 - :data:`NATIVE_ABI_VERSION` — folds into every cache key
 """

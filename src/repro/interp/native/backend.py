@@ -3,7 +3,7 @@
 Mirrors :func:`repro.runtime.multicore.process_backend_available`: a
 cached ``native_backend_available()`` probe with structured ``NL-*``
 reason codes, so callers (CLI, service, tests) can degrade gracefully
-to ``bytecode-bare`` with a diagnostic instead of erroring.
+to ``bytecode`` with a diagnostic instead of erroring.
 
 Compilation runs ``cc -shared -O2 -fPIC -fwrapv`` (cffi's API mode
 needs the same C compiler, so the compiler's presence is the real

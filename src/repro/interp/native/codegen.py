@@ -8,14 +8,17 @@ function can arrive at, the body and body-child (DOACROSS stage) units
 of a loop that may carry a controller, and a chunk driver ``k_<nid>``
 for such a ``for`` (:meth:`Lowerer._emit_entries` is the one rule;
 ``controlled=None`` — any loop may carry one — is its widest case).
-The emitted code replicates the *bare* bytecode tier's observable
-semantics exactly: the same cost accounting (cycles are carried as ``cy8`` =
-cycles x 8 in int64, every COSTS entry being a multiple of 0.125), the
-same wrap/convert rules (two's complement wrapping via truncating
-casts, Python's truncating integer division formula via ``__int128``),
-the same loop step-budget backstops, and the same memory discipline
-(bump allocation with the exact alignment/growth rules of
-:class:`repro.interp.memory.Memory`).
+The emitted code replicates the walker's observable semantics exactly:
+the same cost accounting (cycles are carried as ``cy8`` = cycles x 8 in
+int64, every COSTS entry being a multiple of 0.125), the same
+wrap/convert rules (two's complement wrapping via truncating casts,
+Python's truncating integer division formula via ``__int128``) and the
+same memory discipline (bump allocation with the exact alignment/growth
+rules of :class:`repro.interp.memory.Memory`).  Steps are the one thing
+counted differently: a compiled loop charges ``Env.steps`` once per
+iteration against ``max_steps`` — a backstop that ends a runaway loop
+with the walker's "step budget exceeded" error, not a statement count —
+which is why an armed watchdog keeps a machine out of compiled code.
 
 Values are carried in two C classes: ``'i'`` — int64 two's-complement
 carrier for all integer/pointer types (unsigned-64 / pointer semantics
@@ -27,7 +30,7 @@ Struct blobs (``'s'``) are carried as source addresses and moved with
 
 Anything the emitter cannot reproduce *exactly* raises :class:`NLError`
 with an ``NL-*`` reason code; the whole function then falls back to the
-``bytecode-bare`` closures, which is always semantics-preserving.
+bytecode closures, which is always semantics-preserving.
 """
 
 from __future__ import annotations

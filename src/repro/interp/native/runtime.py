@@ -5,15 +5,15 @@ dispatches function calls, statement units, and DOALL chunk drivers
 into compiled ``.so`` entry points operating directly on the machine's
 flat byte buffer — with zero per-iteration Python inside lowered loop
 nests.  Everything the C code cannot reproduce exactly (per-function
-``NL-*`` lowering failures, active instrumentation hooks, unresolvable
-free variables) falls back to the ``bytecode-bare`` closures this class
-inherits, which is always semantics-preserving.
+``NL-*`` lowering failures, active instrumentation hooks, an armed
+watchdog, unresolvable free variables) falls back to the bytecode
+closures this class inherits, which is always semantics-preserving.
 
 One gate is structural: loop controllers are Python callables, so no
 entry point may run over a controlled loop (``_controllers_clear``) —
 and a function that holds one, ``main`` in every parallel job, is
 interpreted.  The fallback does not stay there: at every loop
-statement and every direct call the bare closures ask the machine
+statement and every direct call the closures ask the machine
 again (the ``_native_loop`` / ``_native_call`` hooks, through the same
 ``_dispatch_unit`` / ``call_function`` that ``exec_stmt`` and
 ``Machine.run`` use), so only statements that enclose a controlled
@@ -26,8 +26,10 @@ on a loop outside that set finds no entry point and its loop runs in
 Python — counted, never wrong.
 
 The C side communicates through one Env struct (see
-``codegen._PRELUDE``): cost counters in cy8 units (cycles x 8), a step
-budget shared with the Python watchdog, and a callback used for heap
+``codegen._PRELUDE``): cost counters in cy8 units (cycles x 8), the
+``max_steps`` budget counted once per loop iteration (compiled code
+cannot count statements against a watchdog deadline, so an armed
+watchdog closes the gate instead), and a callback used for heap
 growth, builtins, non-lowerable call sites and string-literal
 interning.  Callbacks synchronize the Python-side
 :class:`~repro.interp.memory.Memory` with the C bump allocator (one
@@ -100,17 +102,15 @@ def _sign64(v: int) -> int:
 class NativeMachine(BytecodeMachine):
     """Machine whose hot paths run as compiled C on the segment."""
 
+    engine = "native"
+
     def __init__(self, program, sema, check_bounds: bool = True,
                  max_steps: int = 500_000_000,
                  max_loop_steps: Optional[int] = None,
                  engine: Optional[str] = None, tracer=None,
                  memory=None, controlled=None):
-        # the fallback tier is always the bare closures: identical cost
-        # model, no per-statement instrumentation — same as native
         super().__init__(program, sema, check_bounds, max_steps,
-                         max_loop_steps, engine="bytecode-bare",
-                         tracer=tracer, memory=memory)
-        self.engine = "native"
+                         max_loop_steps, tracer=tracer, memory=memory)
         #: NL-* diagnostic when the backend is unavailable (None = ok)
         self.native_diag: Optional[str] = None
         self._low = None
@@ -143,13 +143,18 @@ class NativeMachine(BytecodeMachine):
 
     # -- gates -------------------------------------------------------------
     def _native_ok(self) -> bool:
+        """Compiled code may run: nothing is attached that only the
+        closures can serve — observers, fault hooks, a redirector, or a
+        watchdog (a budget is honored where statements are counted)."""
         return (self._low is not None
                 and self._globals_ready
                 and self.redirector is None
                 and not self.observers
                 and self._stmt_hook is None
                 and self._tid_hook is None
-                and not self._store_taps)
+                and not self._store_taps
+                and self.max_loop_steps is None
+                and self._watchdog_deadline is None)
 
     def _controllers_clear(self, meta) -> bool:
         if not self.loop_controllers:
@@ -394,7 +399,7 @@ class NativeMachine(BytecodeMachine):
 
     # -- Machine contract overrides ---------------------------------------
     def call_function(self, fn: ast.FunctionDef, args: List):
-        """Also the bare closures' ``_native_call`` hook: a direct call
+        """Also the closures' ``_native_call`` hook: a direct call
         in an interpreted function lands in the callee's runner."""
         if self._native_ok():
             meta = self._low.fns.get(fn.nid)
@@ -444,7 +449,7 @@ class NativeMachine(BytecodeMachine):
             super().exec_stmt(stmt)
 
     def _native_loop(self, loop: ast.LoopStmt) -> bool:
-        """The bare closures' loop-entry hook (controller check already
+        """The closures' loop-entry hook (controller check already
         done): False sends the loop to the Python ``drive``."""
         if self._dispatch_unit(loop):
             return True

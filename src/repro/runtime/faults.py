@@ -30,22 +30,14 @@ Injectors:
 Each injector draws from its own ``random.Random(seed)``, so a given
 (seed, program) pair replays the exact same fault schedule.
 
-Injectors hook the machine three different ways, dictated by how the
-interpreter binds its internals: ``exec_stmt`` and ``store`` are looked
-up as instance attributes on every call, so wrapping the attribute
-works; expression evaluation goes through ``_eval_dispatch``, a dict of
-bound methods frozen at ``__init__``, so :class:`CopyIndexSkew` must
-replace the dict entry instead.
-
-The bytecode engine compiles those dispatch surfaces away, so its
-machine exposes dedicated hook points instead (see
-:class:`repro.interp.bytecode.BytecodeMachine`): ``_stmt_hook`` (runs
-before each statement, like wrapping ``exec_stmt``), ``_tid_hook``
-(every ``__tid`` read, like replacing the Ident dispatch entry) and
-``_store_taps`` (per-site store perturbation, like wrapping ``store``).
-Each ``_wire`` branches on ``machine.engine``; chaining order matches
-the walker's wrapper semantics (latest install sees the statement
-first / perturbs the value last).
+Machine-level injectors use one hook surface, three attributes every
+:class:`repro.interp.machine.Machine` initialises to ``None`` and every
+engine that runs Python reads at the same points: ``_stmt_hook`` (runs
+before each statement is counted), ``_tid_hook`` (every ``__tid`` read)
+and ``_store_taps`` (per-site perturbation of the value a Member-target
+assignment stores).  Injectors chain: the latest install sees the
+statement first, perturbs a ``__tid`` read last and a stored value
+first.
 """
 
 from __future__ import annotations
@@ -136,49 +128,30 @@ class SpanCorruptor(FaultInjector):
                         isinstance(node.target, ast.Member) and \
                         node.target.name == SPAN_FIELD:
                     self.sites.add(node.nid)
+        # the assign passes the about-to-be-stored value through the
+        # tap; the assignment expression still yields the uncorrupted one
         machine = runner.machine
-        if machine.engine != "ast":
-            # bytecode tier: per-site store taps.  The compiled assign
-            # passes the about-to-be-stored value through the tap; the
-            # assignment expression still yields the uncorrupted value,
-            # exactly like wrapping machine.store on the walker.
-            taps = machine._store_taps
-            if taps is None:
-                taps = machine._store_taps = {}
+        taps = machine._store_taps
+        if taps is None:
+            taps = machine._store_taps = {}
 
-            def make_tap(site, prev):
-                def tap(value):
-                    if self.armed:
-                        corrupted = int(value) * self.factor
-                        self._record(
-                            f"span store at site {site} corrupted "
-                            f"({int(value)} -> {corrupted})",
-                            site=site, original=int(value),
-                            corrupted=corrupted,
-                        )
-                        value = corrupted
-                    # an earlier-installed injector's tap runs after,
-                    # mirroring the walker's wrapper nesting
-                    return value if prev is None else prev(value)
-                return tap
+        def make_tap(site, prev):
+            def tap(value):
+                if self.armed:
+                    corrupted = int(value) * self.factor
+                    self._record(
+                        f"span store at site {site} corrupted "
+                        f"({int(value)} -> {corrupted})",
+                        site=site, original=int(value),
+                        corrupted=corrupted,
+                    )
+                    value = corrupted
+                # an earlier-installed injector's tap runs after
+                return value if prev is None else prev(value)
+            return tap
 
-            for site in self.sites:
-                taps[site] = make_tap(site, taps.get(site))
-            return
-        original = machine.store
-
-        def store(addr, ctype, value, site, cheap=False):
-            if self.armed and site in self.sites:
-                corrupted = int(value) * self.factor
-                self._record(
-                    f"span store at site {site} corrupted "
-                    f"({int(value)} -> {corrupted})",
-                    site=site, original=int(value), corrupted=corrupted,
-                )
-                value = corrupted
-            original(addr, ctype, value, site, cheap=cheap)
-
-        machine.store = store
+        for site in self.sites:
+            taps[site] = make_tap(site, taps.get(site))
 
 
 class CopyIndexSkew(FaultInjector):
@@ -197,37 +170,16 @@ class CopyIndexSkew(FaultInjector):
         self.rate = rate
 
     def _wire(self, runner) -> None:
+        # the hook only ever sees __tid identifiers, so the rng draws
+        # once per in-region __tid read and never for another ident
         machine = runner.machine
-        if machine.engine != "ast":
-            # bytecode tier: the compiled __tid read calls _tid_hook.
-            # The hook only ever sees tid identifiers, so the rng draw
-            # sequence matches the walker wrapper (which guards on
-            # expr.decl before drawing).
-            prev = machine._tid_hook
+        prev = machine._tid_hook
 
-            def tid_hook(expr, value):
-                if prev is not None:
-                    value = prev(expr, value)
-                if self.armed and machine.nthreads > 1 \
-                        and self._in_region() \
-                        and self.rng.random() < self.rate:
-                    skewed = (int(value) + 1) % machine.nthreads
-                    self._record(
-                        f"__tid read skewed ({int(value)} -> {skewed})",
-                        site=expr.nid,
-                    )
-                    return skewed
-                return value
-
-            machine._tid_hook = tid_hook
-            return
-        original = machine._eval_dispatch[ast.Ident]
-        tid_decl = machine._tid_decl
-
-        def eval_ident(expr):
-            value = original(expr)
-            if self.armed and expr.decl is tid_decl \
-                    and machine.nthreads > 1 and self._in_region() \
+        def tid_hook(expr, value):
+            if prev is not None:
+                value = prev(expr, value)
+            if self.armed and machine.nthreads > 1 \
+                    and self._in_region() \
                     and self.rng.random() < self.rate:
                 skewed = (int(value) + 1) % machine.nthreads
                 self._record(
@@ -237,7 +189,7 @@ class CopyIndexSkew(FaultInjector):
                 return skewed
             return value
 
-        machine._eval_dispatch[ast.Ident] = eval_ident
+        machine._tid_hook = tid_hook
 
 
 class SyncTokenDropper(FaultInjector):
@@ -287,34 +239,9 @@ class ThreadAborter(FaultInjector):
 
     def _wire(self, runner) -> None:
         machine = runner.machine
-        if machine.engine != "ast":
-            # bytecode tier: _stmt_hook runs first in every compiled
-            # statement's prologue, like the walker wrapper which runs
-            # before the original exec_stmt body
-            prev = machine._stmt_hook
+        prev = machine._stmt_hook
 
-            def stmt_hook(stmt):
-                if self.armed and machine.tid == self.target_tid \
-                        and self._in_region():
-                    self.count += 1
-                    if self.count == self.after:
-                        self._record(
-                            f"virtual thread {machine.tid} aborted after "
-                            f"{self.after} statements",
-                            tid=machine.tid, after=self.after,
-                        )
-                        raise ThreadAbortFault(
-                            f"virtual thread {machine.tid} aborted "
-                            "mid-chunk (injected)", stmt,
-                        )
-                if prev is not None:
-                    prev(stmt)
-
-            machine._stmt_hook = stmt_hook
-            return
-        original = machine.exec_stmt
-
-        def exec_stmt(stmt):
+        def stmt_hook(stmt):
             if self.armed and machine.tid == self.target_tid \
                     and self._in_region():
                 self.count += 1
@@ -325,12 +252,13 @@ class ThreadAborter(FaultInjector):
                         tid=machine.tid, after=self.after,
                     )
                     raise ThreadAbortFault(
-                        f"virtual thread {machine.tid} aborted mid-chunk "
-                        "(injected)", stmt,
+                        f"virtual thread {machine.tid} aborted "
+                        "mid-chunk (injected)", stmt,
                     )
-            original(stmt)
+            if prev is not None:
+                prev(stmt)
 
-        machine.exec_stmt = exec_stmt
+        machine._stmt_hook = stmt_hook
 
 
 # ---------------------------------------------------------------------------

@@ -34,8 +34,8 @@ Workers are forked lazily on first dispatch and reused (warm pool)
 across loops and executions.  A task message carries only scalars:
 loop label, tid, chunk bounds, and nid→address maps for the frame in
 scope — no pickled program state.  The worker resolves the loop from
-the fork-inherited AST and executes it on a ``bytecode-bare`` machine
-whose compiled code is memoized by *source hash*
+the fork-inherited AST and executes it on a machine of the session's
+engine whose closures are memoized by *source hash*
 (:func:`repro.interp.bytecode.compiler.compiler_for_hash`), so every
 task on a warm worker reuses the lowered closures.
 
@@ -601,7 +601,7 @@ def _post_token(data, slots: Dict[int, int], origin: int, k: int,
 def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
                  arena_base: int, arena_limit: int, hb_base: int,
                  hb_interval: float,
-                 engine: str = "bytecode-bare",
+                 engine: str = "bytecode",
                  controlled=None) -> None:
     """Worker process entry point.  Serves task messages until an
     ``("exit",)`` sentinel or pipe EOF, then hard-exits — ``os._exit``
@@ -609,19 +609,18 @@ def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
     segment registration is torn down exactly once, by the parent."""
     status = 0
     try:
-        from ..interp.bytecode.compiler import BARE, compiler_for_hash
-        # bare-variant code memoized on the source hash: the machine's
-        # own compiler_for() call resolves to this same object, and a
-        # warm worker reuses it for every task of the program (the
-        # native tier inherits its .so handles + lowering the same way,
-        # via the fork-warm context registry in interp.native.backend)
-        compiler_for_hash(fingerprint, program, sema, BARE)
+        from ..interp.bytecode.compiler import compiler_for_hash
+        # closures memoized on the source hash: the machine's own
+        # compiler_for() call resolves to this same object, and a warm
+        # worker reuses it for every task of the program (the native
+        # tier inherits its .so handles + lowering the same way, via
+        # the fork-warm context registry in interp.native.backend)
+        compiler_for_hash(fingerprint, program, sema)
         memory = mem.Memory(check_bounds=False, buffer=shm.buf,
                             base=arena_base, limit=arena_limit)
-        machine = Machine(
-            program, sema, check_bounds=False, memory=memory,
-            engine="native" if engine == "native" else "bytecode-bare",
-            controlled=controlled)
+        machine = Machine(program, sema, check_bounds=False,
+                          memory=memory, engine=engine,
+                          controlled=controlled)
         decls = _decl_index(program, sema)
         loops: Dict[str, ast.LoopStmt] = {}
         hb = _WorkerHB(shm.buf, hb_base)
@@ -943,9 +942,8 @@ class ProcessSession:
         self.program = program
         self.sema = sema
         #: interpreter tier worker machines run on ("native" dispatches
-        #: chunks/stages into compiled entry points; anything else runs
-        #: the bare bytecode closures)
-        self.engine = engine or "bytecode-bare"
+        #: chunks/stages into compiled entry points)
+        self.engine = engine or "bytecode"
         #: loop nids that may carry a controller (None = any): the set
         #: the native entry points the workers inherit are emitted for
         self.controlled = controlled
@@ -1070,14 +1068,12 @@ class ProcessSession:
     def ensure_pool(self) -> None:
         if self._procs or self.degraded or self.closed:
             return
-        # pre-compile the bare variant before forking: children inherit
-        # the lowered closures copy-on-write instead of each re-lowering
-        from ..interp.bytecode.compiler import BARE, compiler_for_hash
-        comp = compiler_for_hash(self.fingerprint, self.program,
-                                 self.sema, BARE)
-        for fn in self.program.functions():
-            comp.function(fn)
-            comp.stmt(fn.body)
+        if self.engine != "ast":
+            # pre-compile before forking: children inherit the lowered
+            # closures copy-on-write instead of each re-lowering
+            from ..interp.bytecode.compiler import precompile
+            precompile(self.program, self.sema,
+                       fingerprint=self.fingerprint)
         if self.engine == "native":
             # lower + compile + dlopen before forking: children inherit
             # the .so handles and the lowering registry copy-on-write,

@@ -466,17 +466,20 @@ class ParallelRunner:
         self.backend = "simulated"
         self.session = None
         memory = None
-        # the parallel runtime needs per-statement watchdog accounting,
-        # and whatever observes the parent machine (race checker,
-        # machine-level injectors' store taps / statement hooks) needs
-        # the instrumented tier's fan-out.  Only an unobserved native
-        # parent stays native; workers run the requested engine.
+        # whatever watches the parent machine statement by statement or
+        # access by access (race checker, watchdog budget, machine-level
+        # injectors' hooks) needs Python closures.  Only an unobserved
+        # native parent stays native; workers run the requested engine.
         requested_engine = resolve_engine(engine)
-        observed = check_races or any(
-            not getattr(injector, "process_level", False)
-            for injector in fault_injectors or [])
-        eng = ("native" if requested_engine == "native" and not observed
-               else observed_engine(requested_engine))
+        watchers = [why for why, on in (
+            ("race checking", check_races),
+            ("the watchdog", watchdog is not None),
+            ("fault injection", any(
+                not getattr(injector, "process_level", False)
+                for injector in fault_injectors or [])),
+        ) if on]
+        eng = observed_engine(requested_engine) if watchers \
+            else requested_engine
         controlled = tresult.controlled_loops()
         if session is None and requested == "process":
             ok, why = process_backend_available()
@@ -503,15 +506,15 @@ class ParallelRunner:
             session.sink = self.sink
         self.outcome.backend = self.backend
         try:
-            if requested_engine == "native" and check_races:
-                # race observation hooks every access in Python; the
-                # native tier cannot fan accesses out, so the parent
-                # machine is the instrumented bytecode tier instead
+            if eng != requested_engine:
+                # compiled C can neither fan accesses out nor count
+                # statements against a budget
                 self.sink.note(
                     "NL-OBSERVERS",
-                    "race checking keeps the parent machine on the "
-                    "bytecode fallback; pass check_races=False for "
-                    "native parent execution", phase="runtime",
+                    "parent machine kept on the bytecode closures by "
+                    f"{' and '.join(watchers)}; native parent execution "
+                    "needs check_races=False and no watchdog",
+                    phase="runtime",
                 )
             self.machine = Machine(tresult.program, tresult.sema,
                                    max_loop_steps=watchdog, engine=eng,
@@ -736,9 +739,9 @@ def run_parallel(
     ``outcome.trace``.
 
     ``engine`` picks the interpreter tier (see
-    :data:`repro.interp.ENGINES`; defaults to ``$REPRO_ENGINE``).  The
-    bare bytecode variant is promoted to instrumented — the runtime
-    needs the race checker's observer fan-out and watchdog accounting.
+    :data:`repro.interp.ENGINES`; defaults to ``$REPRO_ENGINE``).  A
+    ``native`` parent is promoted to the bytecode closures while the
+    race checker, a watchdog or a machine-level injector watches it.
 
     ``backend="process"`` executes capable parallel loops on real
     worker processes over one OS shared-memory segment (see

@@ -16,7 +16,7 @@ import time
 from typing import List, Optional
 
 from ..diagnostics import Diagnostic, DiagnosticSink
-from ..interp import Machine, unobserved_engine
+from ..interp import Machine
 from ..obs import ensure_tracer
 from ..runtime.parallel import run_parallel
 from .cache import MISS, StageCache
@@ -92,9 +92,8 @@ def _sequential_baseline(compiled: CompiledJob, tracer,
                 tracer.metrics.inc("cache.baseline.hit")
             return hit
     with tracer.phase("sequential-baseline"):
-        engine = unobserved_engine(opts.engine)
         # no controller ever sits on the original program's loops
-        machine = Machine(ctx.program, ctx.sema, engine=engine,
+        machine = Machine(ctx.program, ctx.sema, engine=opts.engine,
                           controlled=frozenset())
         exit_code = machine.run(opts.entry)
     baseline = {

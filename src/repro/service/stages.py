@@ -357,13 +357,11 @@ class StagedCompiler:
 
     def _stage_lower(self, job: Job, ctx: StageContext) -> None:
         """Eagerly build the closure-compiled code every run phase
-        needs: the instrumented + bare variants of the transformed
-        program (parallel run / process workers) and the bare variant
-        of the original (sequential baseline)."""
+        needs: the transformed program's (parallel run and, through the
+        fingerprint, process workers) and the original's (sequential
+        baseline)."""
         from ..frontend import print_program
-        from ..interp.bytecode.compiler import (
-            BARE, INSTRUMENTED, precompile, source_fingerprint,
-        )
+        from ..interp.bytecode.compiler import precompile, source_fingerprint
         result = ctx.result
         ctx.fingerprint = source_fingerprint(print_program(result.program))
         engine = job.options.resolved_engine()
@@ -373,11 +371,9 @@ class StagedCompiler:
         with self.tracer.phase("lower", engine=engine):
             ctx.compilers = {
                 "parallel": precompile(result.program, result.sema,
-                                       INSTRUMENTED, self.tracer),
-                "workers": precompile(result.program, result.sema, BARE,
-                                      self.tracer,
-                                      fingerprint=ctx.fingerprint),
-                "baseline": precompile(ctx.program, ctx.sema, BARE,
+                                       self.tracer,
+                                       fingerprint=ctx.fingerprint),
+                "baseline": precompile(ctx.program, ctx.sema,
                                        self.tracer),
             }
 
@@ -396,11 +392,11 @@ class StagedCompiler:
         ok, reason = native_backend_available()
         if not ok:
             # graceful degradation: the run phase's machines carry the
-            # same probe verdict and fall back to bytecode-bare
+            # same probe verdict and fall back to bytecode
             self.sink.warning(
                 "NL-UNAVAILABLE",
                 f"native backend unavailable ({reason}); the run "
-                f"phase degrades to bytecode-bare",
+                f"phase degrades to bytecode",
                 phase="lower-native")
             return
         so_dir = None

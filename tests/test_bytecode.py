@@ -21,7 +21,7 @@ from repro.interp.memory import HEAP, Memory, MemoryError_
 
 class TestEngineSelection:
     def test_engines_tuple(self):
-        assert ENGINES == ("ast", "bytecode", "bytecode-bare", "native")
+        assert ENGINES == ("ast", "bytecode", "native")
 
     def test_default_is_ast(self, monkeypatch):
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
@@ -29,11 +29,26 @@ class TestEngineSelection:
         assert resolve_engine(None) == "ast"
 
     @pytest.mark.parametrize("alias,canonical", [
-        ("bare", "bytecode-bare"), ("walker", "ast"), ("tree", "ast"),
         ("bytecode", "bytecode"),
     ])
     def test_aliases(self, alias, canonical):
         assert resolve_engine(alias) == canonical
+
+    @pytest.mark.parametrize("spelling", [
+        "bytecode-bare", "bare", "walker", "tree"])
+    def test_removed_spellings_rejected(self, spelling, monkeypatch):
+        """Three engines, three spellings: the bare variant and the
+        aliases get the structured error every unknown name gets."""
+        match = "unknown interpreter engine .*; choose from " \
+            "ast, bytecode, native"
+        with pytest.raises(ValueError, match=match):
+            resolve_engine(spelling)
+        program, sema = parse_and_analyze("int main(void) { return 0; }")
+        with pytest.raises(ValueError, match=match):
+            Machine(program, sema, engine=spelling)
+        monkeypatch.setenv("REPRO_ENGINE", spelling)
+        with pytest.raises(ValueError, match=match):
+            Machine(program, sema)
 
     def test_env_var_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "bytecode")
@@ -54,9 +69,6 @@ class TestEngineSelection:
         bc = Machine(program, sema, engine="bytecode")
         assert isinstance(bc, BytecodeMachine)
         assert bc.engine == "bytecode"
-        bare = Machine(program, sema, engine="bare")
-        assert isinstance(bare, BytecodeMachine)
-        assert bare.engine == "bytecode-bare"
 
     def test_env_var_selects_machine(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "bytecode")
@@ -107,7 +119,6 @@ class TestDifferential:
                 assert machine._low.nl == {}
                 assert machine.native_dispatches > 0
         assert prints["ast"] == prints["bytecode"]
-        assert prints["ast"] == prints["bytecode-bare"]
         if native_ok:
             # everything but the memory footprint: native frames are
             # bump-allocated in C and covered by one spanning Python
@@ -168,19 +179,27 @@ class TestObserverParity:
                               tuple(obs.events))
         assert events["ast"] == events["bytecode"]
 
-    def test_bare_skips_observers_but_matches_costs(self):
-        prints = {}
-        for engine in ("ast", "bytecode-bare"):
-            program, sema = parse_and_analyze(SHAPES_SRC)
-            machine = Machine(program, sema, engine=engine)
+    @pytest.mark.parametrize("engine", ["bytecode", "native"])
+    def test_observer_attached_after_construction_sees_everything(
+            self, engine):
+        """There is no closure variant with the fan-out compiled out:
+        an observer appended to a machine built unobserved — the
+        closures a ``NativeMachine`` falls back to included — receives
+        the walker's access stream, and costs still match."""
+        from repro.interp.native import native_backend_available
+        if engine == "native" and not native_backend_available()[0]:
+            pytest.skip(native_backend_available()[1])
+        program, sema = parse_and_analyze(SHAPES_SRC)
+        seen = {}
+        for name in ("ast", engine):
+            machine = Machine(program, sema, engine=name)
+            assert machine.engine == name
             obs = RecordingObserver()
             machine.observers.append(obs)
-            prints[engine] = _fingerprint(machine, machine.run())
-            if engine == "bytecode-bare":
-                assert obs.events == []   # no fan-out by design
-            else:
-                assert obs.events
-        assert prints["ast"] == prints["bytecode-bare"]
+            seen[name] = (_fingerprint(machine, machine.run())[:6],
+                          tuple(obs.events))
+            assert obs.events
+        assert seen["ast"] == seen[engine]
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +246,7 @@ int main(void) {
 
 
 class TestParallelContract:
-    @pytest.mark.parametrize("engine", ["bytecode", "bytecode-bare"])
+    @pytest.mark.parametrize("engine", ["bytecode"])
     def test_expand_and_run_verified(self, engine):
         outcome = expand_and_run(job=par_job(engine))
         assert outcome.verified
@@ -274,6 +293,59 @@ class TestParallelContract:
         diag = info.value.diagnostic
         assert diag.code == "INTERP-WATCHDOG"
         assert diag.loop == "L"
+
+    def test_armed_watchdog_closes_the_native_gate(self):
+        """Compiled code cannot count statements against a deadline, so
+        a machine with a budget runs its loops in the closures."""
+        from repro.interp import WatchdogTimeout
+        from repro.interp.native import native_backend_available
+        if not native_backend_available()[0]:
+            pytest.skip(native_backend_available()[1])
+        src = ("int main(void) { int i; L: for (i = 0; i < 100000; i++) "
+               "{ } return 0; }")
+        program, sema = parse_and_analyze(src)
+        machine = Machine(program, sema, max_loop_steps=500,
+                          engine="native")
+        with pytest.raises(WatchdogTimeout) as info:
+            machine.run()
+        assert info.value.diagnostic.loop == "L"
+        assert machine.native_dispatches == 0
+        # a budget pushed later (what a loop controller does) closes it
+        # for as long as it is armed
+        machine = Machine(program, sema, engine="native")
+        machine.setup_globals()
+        assert machine._native_ok()
+        machine.push_watchdog(500, "L")
+        assert not machine._native_ok()
+        machine.pop_watchdog()
+        assert machine._native_ok()
+
+    @pytest.mark.parametrize("engine", ["bytecode", "native"])
+    def test_job_watchdog_honored_with_nothing_else_watching(self, engine):
+        """A budget is counted wherever Python runs: with the race
+        checker off a native parent used to ignore ``Job.watchdog`` and
+        complete silently; it now trips like every other engine."""
+        from repro import DiagnosticSink
+        from repro.bench import get
+        from repro.interp import WatchdogTimeout
+        from repro.interp.native import native_backend_available
+        if engine == "native" and not native_backend_available()[0]:
+            pytest.skip(native_backend_available()[1])
+        spec = get("mpeg2-decoder")
+        job = Job(spec.source, list(spec.loop_labels),
+                  CompileOptions(engine=engine), nthreads=2, watchdog=5,
+                  check_races=False)
+        sink = DiagnosticSink()
+        with pytest.raises(WatchdogTimeout) as info:
+            expand_and_run(job=job, sink=sink)
+        diag = info.value.diagnostic
+        assert diag.code == "INTERP-WATCHDOG"
+        assert diag.data["budget"] == 5
+        notes = [d.message for d in sink.by_code("NL-OBSERVERS")]
+        if engine == "native":
+            assert len(notes) == 1 and "watchdog" in notes[0]
+        else:
+            assert notes == []
 
     def test_interp_engine_metric_recorded(self):
         outcome = expand_and_run(job=par_job("bytecode", nthreads=2),
@@ -324,21 +396,25 @@ class TestMutationInvalidation:
 
 class TestCodeCacheLifetime:
     def test_compiled_code_dies_with_its_program(self):
-        """The cache is keyed weakly by the Program; the Compiler it
-        holds must not keep that key alive (both engine variants)."""
+        """The cache is keyed weakly by the Program; the one Compiler
+        it holds per (program, sema) — shared by every machine — must
+        not keep that key alive."""
         import gc
         import weakref
+        from repro.interp.bytecode import compiler_for
         from repro.interp.bytecode.compiler import _CODE_CACHE
         gc.collect()
         before = len(_CODE_CACHE)
         program, sema = parse_and_analyze(PAR_SRC)
         outputs = []
-        for engine in ("bytecode", "bytecode-bare"):
-            machine = Machine(program, sema, engine=engine)
+        for _ in range(2):
+            machine = Machine(program, sema, engine="bytecode")
             machine.run()
             outputs.append(tuple(machine.output))
+            assert machine.compiler is compiler_for(program, sema)
         assert outputs[0] == outputs[1] and outputs[0]
         assert len(_CODE_CACHE) == before + 1
+        assert len(_CODE_CACHE[program]) == 1
         assert machine.compiler.program is program
         alive = weakref.ref(program)
         del program, sema, machine

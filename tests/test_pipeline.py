@@ -510,7 +510,6 @@ class TestProfileStageEngine:
 
     def test_stage_runs_where_its_key_says(self, monkeypatch):
         from repro.interp.bytecode import BytecodeMachine
-        from repro.interp.bytecode.compiler import INSTRUMENTED
         from repro.service import StageCache
         from .byte_oracle import profile_diff
         # one cache: the engine-independent parse and sema artifacts are
@@ -519,14 +518,13 @@ class TestProfileStageEngine:
         walker, compiled = self._compile("ast", cache, monkeypatch)
         assert type(walker) is Machine
         reference = compiled.ctx
-        for engine in ("native", "bytecode-bare"):
+        for engine in ("native", "bytecode"):
             machine, compiled = self._compile(engine, cache, monkeypatch)
             assert compiled.report["sema"] == "hit"
             assert compiled.report["profile"] == "miss"
             ctx = compiled.ctx
             assert ctx.program is reference.program
-            assert isinstance(machine, BytecodeMachine)
-            assert machine.compiler.variant == INSTRUMENTED
+            assert type(machine) is BytecodeMachine
             assert not profile_diff(ctx.profiles["L"],
                                     reference.profiles["L"])
             for field in ("private_sites", "shared_sites",
