@@ -27,7 +27,10 @@ every kernel runs sequentially under the walker and under compiled C
 (``--backend engines``, the default) with bit-identical output/exit
 and identical modeled cost counters, zero ``NL-*`` lowering fallbacks
 (a fallback is a hard failure here), and a geomean wall-clock speedup
-of at least ``--min-native-speedup`` (default 10) over the walker.
+of at least ``--min-native-speedup`` (default 10) over the walker.  It
+also reports the upcalls compiled code made on each kernel's last
+(warm) run, and fails if any was a ``malloc`` or ``free``: those run
+in C.
 With ``--backend process`` the multi-core differential instead runs
 its worker pool on the native tier — DOALL chunks dispatch into the
 compiled entry points — and additionally requires zero accounted
@@ -109,9 +112,14 @@ def measure(spec, repeat):
 # native lowering tier smoke (--engine native)
 # ---------------------------------------------------------------------------
 
+#: builtins compiled code runs itself: an upcall to one is a failure
+HEAP_UPCALLS = ("builtin:malloc", "builtin:free")
+
+
 def run_native_once(program, sema):
     """One sequential native run; any lowering fallback is a failure
-    (the smoke gate's zero-silent-fallback contract)."""
+    (the smoke gate's zero-silent-fallback contract).  Returns
+    (seconds, fingerprint, the machine's upcalls by opcode)."""
     machine = Machine(program, sema, engine="native")
     start = time.perf_counter()
     code = machine.run()
@@ -134,7 +142,7 @@ def run_native_once(program, sema):
         "loads": cost.loads,
         "stores": cost.stores,
     }
-    return elapsed, fingerprint
+    return elapsed, fingerprint, dict(machine.upcalls)
 
 
 def native_smoke(args):
@@ -161,9 +169,11 @@ def native_smoke(args):
         program, sema = parse_and_analyze(spec.source)
         best = math.inf
         for _ in range(args.repeat):
-            elapsed, prints["native"] = run_native_once(program, sema)
+            elapsed, prints["native"], upcalls = run_native_once(
+                program, sema)
             best = min(best, elapsed)
         row["native"] = best
+        row["upcalls"] = upcalls
         row["parity"] = prints["ast"] == prints["native"]
         if not row["parity"]:
             row["diff"] = sorted(
@@ -173,12 +183,13 @@ def native_smoke(args):
         rows.append(row)
 
     header = (f"{'kernel':<16} {'ast(s)':>8} {'native':>9} "
-              f"{'speedup':>9}  parity")
+              f"{'speedup':>9} {'upcalls':>8}  parity")
     print(header)
     print("-" * len(header))
     for row in rows:
         print(f"{row['name']:<16} {row['ast']:>8.3f} "
-              f"{row['native']:>9.4f} {row['speedup']:>8.1f}x  "
+              f"{row['native']:>9.4f} {row['speedup']:>8.1f}x "
+              f"{sum(row['upcalls'].values()):>8}  "
               f"{'OK' if row['parity'] else 'DIVERGED'}")
     gm = geometric_mean([r["speedup"] for r in rows])
     print("-" * len(header))
@@ -198,6 +209,12 @@ def native_smoke(args):
             print(f"FAIL: {row['name']} diverged between walker and "
                   f"native ({', '.join(row.get('diff', []))})",
                   file=sys.stderr)
+            failed = True
+        heap = {k: v for k, v in row["upcalls"].items()
+                if k in HEAP_UPCALLS}
+        if heap:
+            print(f"FAIL: {row['name']} left compiled code for the heap: "
+                  f"{heap}", file=sys.stderr)
             failed = True
     if gm < args.min_native_speedup:
         print(f"FAIL: geomean native speedup {gm:.2f}x < "

@@ -15,6 +15,7 @@ import math
 from typing import Callable, Dict
 
 from . import memory as mem
+from .costs import COSTS
 
 
 def _trace(machine, site: int, addr: int, size: int, is_store: bool) -> None:
@@ -22,17 +23,24 @@ def _trace(machine, site: int, addr: int, size: int, is_store: bool) -> None:
         obs.on_access(site, addr, size, is_store)
 
 
+def malloc_label(node) -> str:
+    """The record label of a block allocated at ``malloc`` call ``node``
+    (the native tier's journal replay labels its blocks the same way)."""
+    return f"malloc@L{node.loc[0]}:{node.loc[1]}"
+
+
 def _bi_malloc(machine, args, node):
     size = int(args[0])
-    machine.cost.cycles += machine_costs(machine)["malloc"]
-    return machine.memory.alloc(size, mem.HEAP, label=f"malloc@L{node.loc[0]}:{node.loc[1]}", tag=node.nid)
+    machine.cost.cycles += COSTS["malloc"]
+    return machine.memory.alloc(size, mem.HEAP, label=malloc_label(node),
+                                tag=node.nid)
 
 
 def _bi_calloc(machine, args, node):
     count, size = int(args[0]), int(args[1])
     total = count * size
-    machine.cost.cycles += machine_costs(machine)["malloc"]
-    machine.cost.cycles += total * machine_costs(machine)["byte_op"]
+    machine.cost.cycles += COSTS["malloc"]
+    machine.cost.cycles += total * COSTS["byte_op"]
     addr = machine.memory.alloc(total, mem.HEAP, label=f"calloc@L{node.loc[0]}:{node.loc[1]}", tag=node.nid)
     machine.memory.write_bytes(addr, b"\0" * max(total, 1))
     _trace(machine, node.nid, addr, total, True)
@@ -41,12 +49,12 @@ def _bi_calloc(machine, args, node):
 
 def _bi_realloc(machine, args, node):
     addr, size = int(args[0]), int(args[1])
-    machine.cost.cycles += machine_costs(machine)["malloc"]
+    machine.cost.cycles += COSTS["malloc"]
     return machine.memory.realloc(addr, size)
 
 
 def _bi_free(machine, args, node):
-    machine.cost.cycles += machine_costs(machine)["free"]
+    machine.cost.cycles += COSTS["free"]
     addr = int(args[0])
     for hook in machine.free_hooks:
         hook(addr)
@@ -56,7 +64,7 @@ def _bi_free(machine, args, node):
 
 def _bi_memset(machine, args, node):
     addr, byte, size = int(args[0]), int(args[1]) & 0xFF, int(args[2])
-    machine.cost.cycles += size * machine_costs(machine)["byte_op"] + 20
+    machine.cost.cycles += size * COSTS["byte_op"] + 20
     if machine.redirector is not None:
         addr = machine.redirector(node.nid, addr, size, True)
     machine.memory.write_bytes(addr, bytes([byte]) * size)
@@ -67,7 +75,7 @@ def _bi_memset(machine, args, node):
 
 def _bi_memcpy(machine, args, node):
     dst, src, size = int(args[0]), int(args[1]), int(args[2])
-    machine.cost.cycles += size * machine_costs(machine)["byte_op"] + 20
+    machine.cost.cycles += size * COSTS["byte_op"] + 20
     if machine.redirector is not None:
         src = machine.redirector(node.nid, src, size, False)
         dst = machine.redirector(node.nid, dst, size, True)
@@ -89,42 +97,42 @@ def _bi_memcpy(machine, args, node):
 def _bi_strlen(machine, args, node):
     addr = int(args[0])
     text = machine.memory.read_cstring(addr)
-    machine.cost.cycles += len(text) * machine_costs(machine)["byte_op"] + 10
+    machine.cost.cycles += len(text) * COSTS["byte_op"] + 10
     _trace(machine, node.nid, addr, len(text) + 1, False)
     return len(text)
 
 
 def _math1(fn: Callable[[float], float], cost_key: str = "fmath"):
     def impl(machine, args, node):
-        machine.cost.cycles += machine_costs(machine)[cost_key]
+        machine.cost.cycles += COSTS[cost_key]
         return fn(float(args[0]))
     return impl
 
 
 def _bi_pow(machine, args, node):
-    machine.cost.cycles += machine_costs(machine)["fmath"]
+    machine.cost.cycles += COSTS["fmath"]
     return math.pow(float(args[0]), float(args[1]))
 
 
 def _bi_abs(machine, args, node):
-    machine.cost.cycles += machine_costs(machine)["alu"]
+    machine.cost.cycles += COSTS["alu"]
     return abs(int(args[0]))
 
 
 def _bi_print_int(machine, args, node):
-    machine.cost.cycles += machine_costs(machine)["print"]
+    machine.cost.cycles += COSTS["print"]
     machine.output.append(str(int(args[0])))
     return None
 
 
 def _bi_print_double(machine, args, node):
-    machine.cost.cycles += machine_costs(machine)["print"]
+    machine.cost.cycles += COSTS["print"]
     machine.output.append(f"{float(args[0]):.6g}")
     return None
 
 
 def _bi_print_str(machine, args, node):
-    machine.cost.cycles += machine_costs(machine)["print"]
+    machine.cost.cycles += COSTS["print"]
     machine.output.append(machine.memory.read_cstring(int(args[0])))
     return None
 
@@ -139,11 +147,6 @@ def _bi_assert_true(machine, args, node):
     if not int(args[0]):
         raise InterpError("assert_true failed", node)
     return None
-
-
-def machine_costs(machine) -> Dict[str, float]:
-    from .machine import COSTS
-    return COSTS
 
 
 BUILTIN_IMPLS: Dict[str, Callable] = {

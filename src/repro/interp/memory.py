@@ -15,7 +15,12 @@ accesses from all workers hit the same bytes):
   live blocks (memory safety violations in transformed programs are
   bugs we want to *catch*, not mask);
 * live-byte and peak accounting per segment kind feeds the paper's
-  Figure 14 (memory usage multiples).
+  Figure 14 (memory usage multiples);
+* the native tier runs ``malloc``/``free`` in C over a mirror of the
+  heap policy: :attr:`Memory.heap_log` carries the heap operations
+  Python makes to that mirror, and :meth:`Memory.replay_alloc` /
+  :meth:`Memory.replay_free` take back the ones C made, re-deciding
+  each under the same policy and refusing any that disagrees.
 
 The byte-level layout is faithful on purpose: the paper's span
 arithmetic (``tid * span / sizeof(*p)``) and benchmarks that recast
@@ -29,6 +34,8 @@ import bisect
 import struct as _struct
 from typing import Dict, List, Optional
 
+from ..diagnostics import DiagnosableError
+
 #: allocation kinds (segments)
 GLOBAL = "global"
 RODATA = "rodata"
@@ -36,6 +43,12 @@ STACK = "stack"
 HEAP = "heap"
 
 _NULL_GUARD = 4096  # first page reserved; address 0 is NULL
+
+#: heap-op log records: ``(HEAP_LIVE | HEAP_FREE, addr, size)``
+HEAP_LIVE = 1
+HEAP_FREE = 2
+#: a longer log is dropped for a rebuild of the mirror it feeds
+_HEAP_LOG_CAP = 4096
 
 #: pre-compiled little-endian codecs, one per scalar struct format.  The
 #: set of formats is the closed set of CType.fmt values ("b"/"h"/"i"/"q"
@@ -55,6 +68,15 @@ def scalar_codec(fmt: str) -> _struct.Struct:
 
 class MemoryError_(Exception):
     """Raised on invalid memory operations (OOB, use-after-free...)."""
+
+
+class HeapReplayError(DiagnosableError):
+    """A heap operation compiled code made is not the one this policy
+    makes: the two spellings of the allocator disagree.  Deliberately
+    not a :class:`MemoryError_` — no runtime recovery may absorb it."""
+
+    default_code = "INTERP-HEAP-REPLAY"
+    default_phase = "interp"
 
 
 class Allocation:
@@ -114,6 +136,10 @@ class Memory:
         #: because real malloc hands back freed addresses.
         self.reuse_heap = reuse_heap
         self._freelist: Dict[int, List[Allocation]] = {}
+        #: heap operations made here since a native heap mirror last
+        #: took them, in order — ``None`` unless a mirror is attached;
+        #: ``[None]`` asks the mirror to rebuild from the records
+        self.heap_log: Optional[list] = None
         # accounting
         self.live_bytes: Dict[str, int] = {GLOBAL: 0, RODATA: 0, STACK: 0, HEAP: 0}
         self.peak_bytes: Dict[str, int] = dict(self.live_bytes)
@@ -133,14 +159,34 @@ class Memory:
         if size < 0:
             raise MemoryError_(f"negative allocation size {size}")
         size = max(size, 1)
+        addr = self._alloc(size, kind, label, tag, None)
+        if self.heap_log is not None and kind == HEAP:
+            self._log_heap(HEAP_LIVE, addr, size)
+        return addr
+
+    def replay_alloc(self, addr: int, size: int, label: str,
+                     tag: int) -> None:
+        """Record the heap block compiled code allocated at ``addr``:
+        the policy of :meth:`alloc` without its byte writes (the block
+        may have been written since), which must choose ``addr`` too."""
+        self._alloc(size, HEAP, label, tag, addr)
+
+    def _alloc(self, size: int, kind: str, label: str, tag: int,
+               placed: Optional[int]) -> int:
         if kind == HEAP and self.reuse_heap:
             bucket = self._freelist.get(size)
             if bucket:
-                record = bucket.pop()
+                record = bucket[-1]
+                if placed is None:
+                    self.data[record.addr:record.end] = b"\0" * record.size
+                elif placed != record.addr:
+                    raise HeapReplayError(
+                        f"compiled malloc({size}) took {placed}, the "
+                        f"free list hands back {record.addr}")
+                bucket.pop()
                 record.live = True
                 record.label = label
                 record.tag = tag
-                self.data[record.addr:record.end] = b"\0" * record.size
                 live = self.live_bytes[kind] + size
                 self.live_bytes[kind] = live
                 if live > self.peak_bytes[kind]:
@@ -150,6 +196,10 @@ class Memory:
                 return record.addr
         addr = (self.brk + 7) & ~7
         end = addr + size
+        if placed is not None and placed != addr:
+            raise HeapReplayError(
+                f"compiled malloc({size}) took {placed}, the bump "
+                f"allocator hands out {addr}")
         if self.limit is not None:
             # buffer mode: the region is fixed — no extend.  Exhaustion
             # is a recoverable runtime condition (the parallel runtime
@@ -173,6 +223,21 @@ class Memory:
         self._hit = record
         return addr
 
+    def _log_heap(self, op: int, addr: int, size: int) -> None:
+        log = self.heap_log
+        if log and log[0] is None:
+            return  # a rebuild is pending: it reads the records anyway
+        if len(log) < _HEAP_LOG_CAP:
+            log.append((op, addr, size))
+        else:
+            self.mark_heap_stale()
+
+    def mark_heap_stale(self) -> None:
+        """The heap records were rewritten wholesale (snapshot restore,
+        region reset, detach): an attached mirror rebuilds from them."""
+        if self.heap_log is not None:
+            self.heap_log[:] = [None]
+
     def reset_region(self, base: int = 0) -> None:
         """Rewind the allocator to an empty region starting at ``base``,
         zeroing everything allocated so far (buffer mode: worker arenas
@@ -190,6 +255,7 @@ class Memory:
         self.peak_bytes = dict(self.live_bytes)
         self.total_allocs = 0
         self.invalidate_lookup_cache()
+        self.mark_heap_stale()
 
     def detach(self) -> None:
         """Buffer mode: replace the shared backing with a private
@@ -202,6 +268,7 @@ class Memory:
         self.data = snap
         self.shared = False
         self.limit = None
+        self.mark_heap_stale()
 
     def free(self, addr: int) -> None:
         """Free a heap block; must be the start of a live heap allocation."""
@@ -212,6 +279,18 @@ class Memory:
             raise MemoryError_(f"invalid free({addr})")
         if record.kind not in (HEAP,):
             raise MemoryError_(f"free of non-heap address {addr} ({record.kind})")
+        self._kill(record)
+        if self.heap_log is not None:
+            self._log_heap(HEAP_FREE, addr, record.size)
+
+    def replay_free(self, addr: int) -> None:
+        """Record a ``free`` compiled code made: ``addr`` must be the
+        start of a live heap block here too."""
+        record = self.find(addr)
+        if record is None or not record.live or record.addr != addr \
+                or record.kind != HEAP:
+            raise HeapReplayError(
+                f"compiled free({addr}) is not of a live heap block")
         self._kill(record)
 
     def _kill(self, record: Allocation) -> None:
@@ -241,6 +320,8 @@ class Memory:
         keep = min(record.size, new_size)
         self.data[new_addr:new_addr + keep] = self.data[addr:addr + keep]
         self._kill(record)
+        if self.heap_log is not None:
+            self._log_heap(HEAP_FREE, addr, record.size)
         return new_addr
 
     # -- lookup -------------------------------------------------------------

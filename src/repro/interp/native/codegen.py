@@ -14,7 +14,8 @@ int64, every COSTS entry being a multiple of 0.125), the same
 wrap/convert rules (two's complement wrapping via truncating casts,
 Python's truncating integer division formula via ``__int128``) and the
 same memory discipline (bump allocation with the exact alignment/growth
-rules of :class:`repro.interp.memory.Memory`).  Steps are the one thing
+rules of :class:`repro.interp.memory.Memory`, and its heap policy for
+``malloc``/``free`` — :data:`_HEAP`).  Steps are the one thing
 counted differently: a compiled loop charges ``Env.steps`` once per
 iteration against ``max_steps`` — a backstop that ends a runaway loop
 with the walker's "step budget exceeded" error, not a statement count —
@@ -43,16 +44,18 @@ from ...frontend.ctypes import (
     ArrayType, CType, FloatType, IntType, PointerType, StructType,
 )
 from ..builtins import BUILTIN_IMPLS
-from ..machine import COSTS
+from ..costs import COSTS
+from ..memory import HEAP_FREE, HEAP_LIVE
 
 #: bump when emitted code or ABI changes shape (part of the .so cache key)
-NATIVE_ABI_VERSION = 4
+NATIVE_ABI_VERSION = 5
 
 # callback opcodes (Env->cb protocol)
 OP_GROW = 1
 OP_BUILTIN = 2
 OP_CALLFB = 3
 OP_STRLIT = 4
+OP_HEAP = 5  # heap journal or mirror table full: replay, resize, go on
 
 # entry return codes
 RC_OK = 0
@@ -80,6 +83,12 @@ _NATIVE_MATH = {
 }
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+
+# heap mirror header slots, then the header length (Env->hm; see _HEAP
+# and runtime._HeapMirror)
+HM_FLAGS, HM_CAP, HM_USED, HM_JN, HM_JCAP, HM_QN, HM_HDR = range(7)
+HM_REUSE = 1  # Memory.reuse_heap
+HM_FREE = 2   # no free hooks attached: free() may run in C
 
 
 def _cy8(key: str) -> int:
@@ -225,6 +234,9 @@ class Lowering:
         #: runtime mirrors this into the ``E->saddr`` cache array
         self.strlits: List[ast.StrLit] = []
         self.strlit_idx: Dict[int, int] = {}
+        #: a malloc/free call site runs in C (``rp_malloc``/``rp_free``
+        #: are in the source, and the runtime attaches a heap mirror)
+        self.heap = False
         self.nl: Dict[str, str] = {}
         self.exports: List[str] = []
         #: loop nids that may carry a controller (None = any loop): the
@@ -285,6 +297,9 @@ typedef struct Env {
   int64_t *gaddr;
   int64_t *daddr;
   int64_t *saddr;
+  int64_t *hm;        /* heap mirror (NULL: malloc/free always upcall) */
+  int64_t *hj;        /* heap journal: C -> Python, 5 int64 a record */
+  int64_t *hq;        /* heap queue: Python -> C, 3 int64 a record */
   void *jbp;
   int64_t (*cb)(void *, int64_t, int64_t, int64_t);
 } Env;
@@ -352,6 +367,124 @@ static int64_t rp_fldiv(int64_t a, int64_t b) {
   if ((a % b != 0) && ((a < 0) != (b < 0))) q--;
   return q;
 }
+"""
+
+
+#: ``malloc``/``free`` in C, emitted only into a translation unit that
+#: has a call site.  ``Memory``'s policy over a mirror of its heap
+#: records: a header, then two insert-only open-addressed tables of
+#: ``hm[HM_CAP]`` slots — heap blocks ``{addr, size, live, next}`` and
+#: size buckets ``{size, top}`` whose chains are ``Memory._freelist``'s
+#: LIFO lists.  Python's own heap operations arrive on the queue
+#: (op 0 resets the tables) and are applied before any decision; every
+#: decision made here goes to the journal for ``Memory`` to replay — a
+#: full journal or a table more than half full first calls back
+#: ``OP_HEAP``, which replays and resizes.  -1 means "take the
+#: ``OP_BUILTIN`` upcall": what only Python can decide exactly.
+_HEAP = f"""
+enum {{ HM_FLAGS = {HM_FLAGS}, HM_CAP = {HM_CAP}, HM_USED = {HM_USED},
+       HM_JN = {HM_JN}, HM_JCAP = {HM_JCAP}, HM_QN = {HM_QN},
+       HM_HDR = {HM_HDR} }};
+
+static int64_t *rp_hfind(int64_t *T, int64_t cap, int w, int64_t key,
+                         int ins) {{
+  uint64_t m = (uint64_t)cap - 1;
+  uint64_t i = (((uint64_t)key * UINT64_C(0x9E3779B97F4A7C15)) >> 29) & m;
+  for (;; i = (i + 1) & m) {{
+    int64_t *s = T + w * i;
+    if (s[0] == key) return s;
+    if (!s[0]) {{
+      if (!ins) return 0;
+      s[0] = key; s[w - 1] = -1;
+      return s;
+    }}
+  }}
+}}
+
+/* block a of sz bytes turns live or free; a free block leaves its
+   bucket first, and a freed one goes on top when blocks are reused */
+static void rp_hset(int64_t *H, int64_t a, int64_t sz, int64_t live) {{
+  int64_t cap = H[HM_CAP], *B = H + HM_HDR, *S = B + 4 * cap;
+  int64_t *s = rp_hfind(B, cap, 4, a, 1), i = (s - B) / 4, *b, *p;
+  if (!s[1]) H[HM_USED] += 1;
+  else if (!s[2] && (b = rp_hfind(S, cap, 2, s[1], 0))) {{
+    for (p = &b[1]; *p >= 0 && *p != i; p = &B[4 * *p + 3]) {{}}
+    if (*p == i) *p = s[3];
+  }}
+  s[1] = sz; s[2] = live; s[3] = -1;
+  if (!live && (H[HM_FLAGS] & {HM_REUSE})) {{
+    b = rp_hfind(S, cap, 2, sz, 1);
+    s[3] = b[1]; b[1] = i;
+  }}
+}}
+
+static void rp_hdrain(Env *E, int64_t *H) {{
+  const int64_t *q = E->hq, *end = q + 3 * H[HM_QN];
+  for (; q < end; q += 3) {{
+    if (q[0]) rp_hset(H, q[1], q[2], q[0] == {HEAP_LIVE});
+    else {{ memset(H + HM_HDR, 0, 48 * (size_t)H[HM_CAP]); H[HM_USED] = 0; }}
+  }}
+  H[HM_QN] = 0;
+}}
+
+static void rp_hlog(Env *E, int64_t *H, int64_t op, int64_t a, int64_t sz,
+                    int64_t nid) {{
+  int64_t *j = E->hj + 5 * H[HM_JN];
+  H[HM_JN] += 1;
+  j[0] = op; j[1] = a; j[2] = sz; j[3] = nid; j[4] = E->brk;
+}}
+
+/* one more decision fits: a journal slot free, the block table at
+   most half full after the queue is applied (else OP_HEAP), and the
+   queue applied */
+static int64_t *rp_hready(Env *E) {{
+  int64_t *H = E->hm;
+  if (H[HM_JN] == H[HM_JCAP] ||
+      2 * (H[HM_USED] + H[HM_QN]) + 2 > H[HM_CAP]) {{
+    if (E->cb((void *)E, {OP_HEAP}, 0, 0)) LJ;
+    H = E->hm;
+  }}
+  if (H[HM_QN]) rp_hdrain(E, H);
+  return H;
+}}
+
+/* Memory.alloc(sz, HEAP): exact-size LIFO reuse (zero-filled), else an
+   8-aligned bump from E->brk that must fit below cap_alloc */
+static int64_t rp_malloc(Env *E, int64_t sz, int64_t nid) {{
+  int64_t *H, *b = 0, a;
+  if (!E->hm || sz < 0) return -1;
+  H = rp_hready(E);
+  if (sz < 1) sz = 1;
+  if (H[HM_FLAGS] & {HM_REUSE})
+    b = rp_hfind(H + HM_HDR + 4 * H[HM_CAP], H[HM_CAP], 2, sz, 0);
+  if (b && b[1] >= 0) {{
+    a = H[HM_HDR + 4 * b[1]];
+    memset(E->M + a, 0, (size_t)sz);
+  }} else {{
+    a = (E->brk + 7) & ~(int64_t)7;
+    if (sz > E->cap_alloc - a) return -1;
+  }}
+  rp_hlog(E, H, {HEAP_LIVE}, a, sz, nid);
+  rp_hset(H, a, sz, 1);
+  if (a + sz > E->brk) E->brk = a + sz;
+  E->cy8 += {_cy8('malloc')};
+  return a;
+}}
+
+/* Memory.free(a) for a live heap block or NULL, with no free hooks */
+static int64_t rp_free(Env *E, int64_t a, int64_t nid) {{
+  int64_t *H = E->hm, *s;
+  if (!H || !(H[HM_FLAGS] & {HM_FREE})) return -1;
+  if (a) {{
+    H = rp_hready(E);
+    s = rp_hfind(H + HM_HDR, H[HM_CAP], 4, a, 0);
+    if (!s || !s[2]) return -1;
+    rp_hlog(E, H, {HEAP_FREE}, a, s[1], nid);
+    rp_hset(H, a, s[1], 0);
+  }}
+  E->cy8 += {_cy8('free')};
+  return 0;
+}}
 """
 
 
@@ -1018,8 +1151,10 @@ class _Emit:
         return self.load_value(a, e.ctype, self.is_reg_slot(e), guarded=True)
 
     def _x_cast(self, e):
-        v = self.expr(e.expr)
+        # counted before the operand, like the walker: an upcall that
+        # raises inside ``(T*)malloc(n)`` leaves the same count
         self.o("ins += 1;")
+        v = self.expr(e.expr)
         to = e.to_type
         if isinstance(to, IntType):
             return self.conv(v, to)
@@ -1104,6 +1239,20 @@ class _Emit:
                f"{site}, 0);")
         return self._decode_result(e.ctype)
 
+    def _heap_call(self, name, e, v: Val) -> Val:
+        """``malloc``/``free`` through ``rp_malloc``/``rp_free``; what
+        they cannot decide exactly takes the upcall, the way
+        ``_native_math`` diverts a domain error."""
+        self.low.result.heap = True
+        t = self.t()
+        self.o(f"{t} = rp_{name}(E, {v.ref}, {e.nid});")
+        self.o(f"if ({t} < 0) {{")
+        r = self._callfb(name, e, [v])
+        if name == "malloc":
+            self.o(f"{t} = {r.ref};")
+        self.o("}")
+        return Val(t, "i", e.ctype) if name == "malloc" else r
+
     def _native_math(self, name, e, vals) -> Val:
         """Emit a math builtin as plain C with guards that divert to
         the Python implementation wherever it would raise (domain
@@ -1176,6 +1325,9 @@ class _Emit:
                 t = self.t()
                 self.o(f"{t} = {vi} < 0 ? -({vi}) : ({vi});")
                 return Val(t, "i", e.ctype)
+            if name in ("malloc", "free") and len(vals) == 1 \
+                    and vals[0].cls == "i":
+                return self._heap_call(name, e, vals[0])
             return self._callfb(name, e, vals)
         fn = sema.functions.get(name) if name else None
         if fn is None:
@@ -1691,7 +1843,8 @@ class Lowerer:
             [m.runner for m in res.fns.values() if m.runner]
         )
         res.source = "\n".join(
-            [_PRELUDE] + fwd + [""] + fns_src + [""] + entries_src +
+            [_PRELUDE] + ([_HEAP] if res.heap else []) + fwd + [""] +
+            fns_src + [""] + entries_src +
             [""] + runners_src + [""]
         )
         res.fingerprint = hashlib.sha256(

@@ -29,35 +29,46 @@ The C side communicates through one Env struct (see
 ``codegen._PRELUDE``): cost counters in cy8 units (cycles x 8), the
 ``max_steps`` budget counted once per loop iteration (compiled code
 cannot count statements against a watchdog deadline, so an armed
-watchdog closes the gate instead), and a callback used for heap
+watchdog closes the gate instead), and a callback used for segment
 growth, builtins, non-lowerable call sites and string-literal
-interning.  Callbacks synchronize the Python-side
-:class:`~repro.interp.memory.Memory` with the C bump allocator (one
-spanning ``native-frames`` stack record per growth region) so Python
-builtins see every native-allocated byte.
+interning.  ``malloc`` and ``free`` do not call back: ``rp_malloc`` /
+``rp_free`` decide them in C over a heap mirror this class owns
+(:class:`_HeapMirror`) and journal each decision.  Every callback and
+every return from compiled code synchronizes the Python-side
+:class:`~repro.interp.memory.Memory` with C (:meth:`_sync_records`):
+the journal replays as record-only heap operations that ``Memory``
+re-decides and checks, and one spanning ``native-frames`` stack record
+per stretch of C frames lets Python builtins see every native-allocated
+byte.  In the other direction, each heap operation Python makes goes
+onto the mirror's queue before control returns to C.  ``upcalls``
+counts the callbacks by opcode, ``heap_ops`` the journaled operations.
 """
 
 from __future__ import annotations
 
 import ctypes
-from typing import List, Optional, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Tuple
 
 from ...frontend import ast
 from .. import memory as mem
-from ..builtins import BUILTIN_IMPLS
+from ..builtins import BUILTIN_IMPLS, malloc_label
 from ..machine import (
-    COSTS, BreakSignal, ContinueSignal, ExitSignal, InterpError,
-    ReturnSignal,
+    BreakSignal, ContinueSignal, InterpError, ReturnSignal,
 )
-from ..memory import MemoryError_
+from ..memory import HEAP_FREE, HEAP_LIVE, MemoryError_
 from ..bytecode.machine import BytecodeMachine
 from .codegen import (
-    OP_BUILTIN, OP_CALLFB, OP_GROW, OP_STRLIT,
+    HM_CAP, HM_FLAGS, HM_FREE, HM_HDR, HM_JCAP, HM_JN, HM_QN, HM_REUSE,
+    HM_USED, OP_BUILTIN, OP_CALLFB, OP_GROW, OP_HEAP, OP_STRLIT,
     RC_BREAK, RC_CONTINUE, RC_FAULT, RC_OK, RC_RETURN,
     RET_BLOB, RET_F64, RET_I64, RET_NONE, RET_U64,
 )
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
+
+_OP_NAMES = {OP_GROW: "grow", OP_CALLFB: "call", OP_STRLIT: "strlit",
+             OP_HEAP: "heap"}
 
 _CBFUNC = ctypes.CFUNCTYPE(ctypes.c_int64, ctypes.c_void_p,
                            ctypes.c_int64, ctypes.c_int64,
@@ -89,9 +100,86 @@ class _Env(ctypes.Structure):
         ("gaddr", ctypes.POINTER(ctypes.c_int64)),
         ("daddr", ctypes.POINTER(ctypes.c_int64)),
         ("saddr", ctypes.POINTER(ctypes.c_int64)),
+        ("hm", ctypes.POINTER(ctypes.c_int64)),
+        ("hj", ctypes.POINTER(ctypes.c_int64)),
+        ("hq", ctypes.POINTER(ctypes.c_int64)),
         ("jbp", ctypes.c_void_p),
         ("cb", _CBFUNC),
     ]
+
+
+def _int64s(n: int):
+    return (ctypes.c_int64 * n)()
+
+
+class _HeapMirror:
+    """The buffers ``rp_malloc``/``rp_free`` decide over (``Env.hm``,
+    ``.hj``, ``.hq``; layout in ``codegen._HEAP``), owned here and never
+    in the segment, so no address moves.  Python keeps the mirror equal
+    to ``Memory`` through the queue: each heap operation Python made
+    goes on it before control returns to C, and a wholesale rewrite of
+    the records (or a table too full for what is queued) becomes one
+    reset followed by every heap block, live ones then free lists."""
+
+    #: journal records between two replays; a full journal calls back
+    #: ``OP_HEAP`` to be replayed
+    JOURNAL = 1024
+
+    def __init__(self, env: _Env):
+        self.env = env
+        self.hj = env.hj = _int64s(5 * self.JOURNAL)
+        self.hq = env.hq = _int64s(3 * 64)
+        self.hm = None
+        self._resize(64)
+        #: call-site nid -> the label its blocks carry in ``Memory``
+        self.labels: Dict[int, str] = {}
+
+    def _resize(self, cap: int):
+        hm = _int64s(HM_HDR + 6 * cap)
+        hm[HM_CAP] = cap
+        hm[HM_JCAP] = self.JOURNAL
+        self.hm = self.env.hm = hm
+
+    def journal(self) -> List[Tuple[int, int, int, int, int]]:
+        """Drain the operations C made, in order: ``(op, addr, size,
+        call nid, brk before)``."""
+        flat = self.hj[:5 * self.hm[HM_JN]]
+        self.hm[HM_JN] = 0
+        return list(zip(*(flat[i::5] for i in range(5))))
+
+    def push(self, memory, flags: int):
+        """Hand C the heap operations Python made since the last push,
+        leaving the block table room for at least one more of C's."""
+        hm = self.hm
+        log = memory.heap_log
+        if (log and log[0] is None) or \
+                2 * (hm[HM_USED] + hm[HM_QN] + len(log)) + 4 > hm[HM_CAP]:
+            self._rebuild(memory)
+        elif log:
+            self._queue(log, hm[HM_QN])
+        log.clear()
+        self.hm[HM_FLAGS] = flags
+
+    def _rebuild(self, memory):
+        blocks = [(HEAP_LIVE, r.addr, r.size) for r in memory._allocs
+                  if r.live and r.kind == mem.HEAP]
+        blocks += [(HEAP_FREE, r.addr, r.size) for bucket in
+                   memory._freelist.values() for r in bucket]
+        cap = self.hm[HM_CAP]
+        while 4 * len(blocks) + 2 > cap:
+            cap *= 2
+        if cap != self.hm[HM_CAP]:
+            self._resize(cap)
+        self._queue([(0, 0, 0)] + blocks, 0)
+
+    def _queue(self, ops, at: int):
+        end = 3 * (at + len(ops))
+        if end > len(self.hq):
+            hq = _int64s(2 * end)
+            hq[:3 * at] = self.hq[:3 * at]
+            self.hq = self.env.hq = hq
+        self.hq[3 * at:end] = [v for op in ops for v in op]
+        self.hm[HM_QN] = at + len(ops)
 
 
 def _sign64(v: int) -> int:
@@ -140,6 +228,14 @@ class NativeMachine(BytecodeMachine):
         #: loop entries that ran the Python ``drive`` instead of a unit
         #: (gate closed, unit not lowered, or a controller inside)
         self.interp_loops = 0
+        #: callbacks compiled code made, by opcode (``builtin:<name>``
+        #: for a builtin), and the heap operations it made in C instead
+        self.upcalls: Counter = Counter()
+        self.heap_ops = 0
+        self._heap: Optional[_HeapMirror] = None
+        if self._low is not None and self._low.heap:
+            self._heap = _HeapMirror(self._env)
+        self.memory.heap_log = [None] if self._heap is not None else None
 
     # -- gates -------------------------------------------------------------
     def _native_ok(self) -> bool:
@@ -233,6 +329,7 @@ class NativeMachine(BytecodeMachine):
             # a callback may re-enter another unit before this one ends
             self._daddr_arr = (ctypes.c_int64 * len(daddr))(*daddr)
             E.daddr = self._daddr_arr
+        self._push_heap()
         self._pending = None
 
     def _commit_costs(self):
@@ -245,19 +342,53 @@ class NativeMachine(BytecodeMachine):
             E.cy8 = E.ins = E.lds = E.sts = 0
 
     def _sync_records(self):
-        """Cover native bump allocations with a Python-side stack
-        record so builtins (memcpy/strlen/...) pass ``check_access``
-        over native-allocated frames, and ``memory.brk`` tracks the C
-        allocator."""
-        E = self._env
+        """Bring ``Memory`` up to date with compiled code.  The heap
+        journal replays in order, each C ``malloc``/``free`` as a
+        record-only allocation or free that ``Memory`` re-decides under
+        its own policy (a disagreement raises ``HeapReplayError``); a
+        bump allocation first gets the ``native-frames`` stack record up
+        to the ``brk`` C saw, so that ``Memory``'s bump pointer stands
+        where C's stood.  A last ``native-frames`` record covers the
+        rest, so builtins (memcpy/strlen/...) pass ``check_access`` over
+        native-allocated frames and ``memory.brk`` tracks C."""
+        heap = self._heap
         memory = self.memory
-        if E.brk > memory.brk:
-            aligned = (memory.brk + 7) & ~7
-            if E.brk > aligned:
-                memory.alloc(E.brk - aligned, mem.STACK,
-                             label="native-frames")
-            else:  # pragma: no cover - brk already aligned to E.brk
-                memory.brk = E.brk
+        if heap is not None and heap.hm[HM_JN]:
+            labels = heap.labels
+            ops = heap.journal()
+            self.heap_ops += len(ops)
+            for op, addr, size, nid, brk in ops:
+                if op != HEAP_LIVE:
+                    memory.replay_free(addr)
+                    continue
+                if addr >= brk > memory.brk:
+                    self._sync_frames(brk)
+                label = labels.get(nid)
+                if label is None:
+                    label = labels[nid] = malloc_label(
+                        self._low.node_by_nid[nid])
+                memory.replay_alloc(addr, size, label, nid)
+        if self._env.brk > memory.brk:
+            self._sync_frames(self._env.brk)
+
+    def _sync_frames(self, brk: int):
+        """Cover C's frames from ``memory.brk`` up to ``brk`` with one
+        ``native-frames`` stack record."""
+        memory = self.memory
+        aligned = (memory.brk + 7) & ~7
+        if brk > aligned:
+            memory.alloc(brk - aligned, mem.STACK, label="native-frames")
+        else:  # pragma: no cover - brk inside the alignment padding
+            memory.brk = brk
+
+    def _push_heap(self):
+        """Before control returns to C: the heap operations Python made
+        go to the mirror, and ``free`` stays an upcall while a free hook
+        is attached."""
+        if self._heap is not None:
+            self._heap.push(self.memory,
+                            (HM_REUSE if self.memory.reuse_heap else 0) |
+                            (0 if self.free_hooks else HM_FREE))
 
     def _exit(self):
         E = self._env
@@ -274,6 +405,8 @@ class NativeMachine(BytecodeMachine):
             self._commit_costs()
             self._steps = E.steps
             self._sync_records()
+            self.upcalls[_OP_NAMES[op] if op != OP_BUILTIN else
+                         "builtin:" + self._low.calls[a].name] += 1
             if op == OP_GROW:
                 memory = self.memory
                 if memory.limit is not None:
@@ -299,6 +432,8 @@ class NativeMachine(BytecodeMachine):
                     self.memory.write_bytes(addr, payload)
                     cache[node.nid] = addr
                 self._saddr_arr[b] = addr
+            elif op == OP_HEAP:
+                pass  # the journal replayed above; the push below resizes
             elif op in (OP_BUILTIN, OP_CALLFB):
                 meta = self._low.calls[a]
                 self._unpin()
@@ -323,6 +458,7 @@ class NativeMachine(BytecodeMachine):
                 self._do_pin()
             E.steps = self._steps
             E.brk = self.memory.brk
+            self._push_heap()
 
     def _decode_call_args(self, meta) -> List:
         E = self._env

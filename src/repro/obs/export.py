@@ -206,16 +206,19 @@ def trace_summary(tracer) -> str:
             ["event", "count"], sup_rows))
 
     # the native parent's controller gate: entry points dispatched vs.
-    # loops that stayed on the Python fallback
+    # loops that stayed on the Python fallback, and the upcalls compiled
+    # code made vs. the heap operations it kept in C
     gate_rows = [
         [label, f"{metrics_all[key]:,g}"]
         for label, key in (
             ("native dispatches", "runtime.parent_native_dispatches"),
             ("interpreted loops", "runtime.parent_interp_loops"),
+            ("upcalls", "runtime.parent_native_upcalls"),
+            ("C heap operations", "runtime.parent_native_heap_ops"),
         ) if key in metrics_all
     ]
     if gate_rows:
-        parts.append("Native parent (controller gate)\n" + _table(
+        parts.append("Native parent (controller gate, upcalls)\n" + _table(
             ["event", "count"], gate_rows))
 
     # stage-cache hit/miss counters (the staged pipeline / serve

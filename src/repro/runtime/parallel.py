@@ -113,8 +113,10 @@ class MachineSnapshot:
         machine._strlit_cache = dict(self.strlit_cache)
         machine.tid = self.tid
         # the allocation table was rewritten wholesale: cached lookup
-        # records may have been truncated out of the address space
+        # records may have been truncated out of the address space, and
+        # a native heap mirror rebuilds from the restored records
         memory.invalidate_lookup_cache()
+        memory.mark_heap_stale()
 
 
 class _LoopController:
@@ -632,6 +634,12 @@ class ParallelRunner:
                             self.machine.native_dispatches)
                 metrics.set("runtime.parent_interp_loops",
                             self.machine.interp_loops)
+                # ... and how often it left compiled code for Python,
+                # beside the heap operations C made on its own
+                metrics.set("runtime.parent_native_upcalls",
+                            sum(self.machine.upcalls.values()))
+                metrics.set("runtime.parent_native_heap_ops",
+                            self.machine.heap_ops)
             for label, ex in outcome.loops.items():
                 prefix = f"runtime.loop.{label}"
                 metrics.set(f"{prefix}.makespan", ex.makespan)

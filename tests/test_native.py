@@ -20,10 +20,11 @@ Everything here skips as one block on hosts without a C toolchain.
 import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bench import all_benchmarks, get
 from repro.diagnostics import DiagnosticSink
-from repro.frontend import parse_and_analyze
+from repro.frontend import ast, parse_and_analyze
 from repro.interp import Machine
 from repro.interp.native import native_backend_available
 from repro.obs import Tracer
@@ -820,3 +821,260 @@ class TestContextRegistry:
         assert metrics["runtime.native_chunks"] == \
             metrics["runtime.worker_tasks"] > 0
         assert metrics.get("runtime.native_fallbacks", 0) == 0
+
+
+# ---------------------------------------------------------------------------
+# malloc and free in C: rp_malloc/rp_free decide over a mirror of the
+# heap policy, Memory replays the journal and re-decides every operation;
+# anything C cannot decide exactly takes the builtin upcall
+# ---------------------------------------------------------------------------
+
+#: ``churn`` allocates ``n`` blocks of ``sz[i]`` bytes and frees them in
+#: ``ord`` order (-1: ``free(NULL)``); it runs from two controlled loops
+#: (the closures drive them and call its runner) and from a loop unit of
+#: the interpreted ``main``, whose own statements malloc and free in
+#: Python between them
+_CHURN_SRC = """
+int n;
+int m;
+int sz[8];
+int ord[10];
+char *slot[8];
+
+int churn(int k) {
+    int i; int s = 0;
+    for (i = 0; i < n; i++) {
+        slot[i] = (char*)malloc(sz[i]);
+        s = s + slot[i][0] + slot[i][sz[i] - 1];
+        slot[i][0] = k + i;
+        slot[i][sz[i] - 1] = k - i;
+    }
+    for (i = 0; i < m; i++) {
+        if (ord[i] < 0) free(0);
+        else free(slot[ord[i]]);
+    }
+    return s;
+}
+
+int main(void) {
+    int k; int t = 0; char *keep; char *hold;
+    L: for (k = 0; k < 2; k++) t = t + churn(k);
+    keep = (char*)malloc(sz[0]);
+    hold = (char*)malloc(sz[n - 1]);
+    keep[0] = 7;
+    free(keep);
+    for (k = 0; k < 2; k++) t = t + churn(k + 2);
+    keep = (char*)malloc(sz[0]);
+    t = t + keep[0];
+    M: for (k = 0; k < 2; k++) t = t + churn(k + 4);
+    free(hold);
+    free(keep);
+    print_int(t);
+    return 0;
+}
+"""
+_churn_program = []
+
+
+@st.composite
+def _churns(draw):
+    """(sizes, free order): 1-64 bytes with repeats likely; the order
+    LIFO, FIFO or shuffled, with ``free(NULL)`` (-1) mixed in."""
+    sizes = draw(st.lists(st.sampled_from((1, 8, 13, 16, 64))
+                          | st.integers(1, 64), min_size=1, max_size=8))
+    order = list(range(len(sizes)))
+    how = draw(st.sampled_from(("lifo", "fifo", "shuffled")))
+    if how == "lifo":
+        order.reverse()
+    elif how == "shuffled":
+        order = draw(st.permutations(order))
+    for at in draw(st.lists(st.integers(0, len(order)), max_size=2)):
+        order.insert(at, -1)
+    return sizes, order
+
+
+def _heap_state(memory):
+    """Every heap record, the free lists in order, and the accounting
+    of everything but the stack (compiled frames are covered by coarse
+    ``native-frames`` records, the walker's by one record per local)."""
+    return {
+        "records": [(r.addr, r.size, r.live, r.label, r.tag)
+                    for r in memory._allocs if r.kind == "heap"],
+        "freelist": {size: [r.addr for r in bucket]
+                     for size, bucket in memory._freelist.items()},
+        "live": {k: v for k, v in memory.live_bytes.items()
+                 if k != "stack"},
+        "peak": {k: v for k, v in memory.peak_bytes.items()
+                 if k != "stack"},
+    }
+
+
+def _machine_fingerprint(machine, code):
+    cost = machine.cost
+    return {"exit": code, "output": list(machine.output),
+            "cycles": cost.cycles, "instructions": cost.instructions,
+            "loads": cost.loads, "stores": cost.stores,
+            "heap": _heap_image(machine.memory)}
+
+
+def _heap_upcalls(machine):
+    return {k: v for k, v in machine.upcalls.items()
+            if k in ("builtin:malloc", "builtin:free")}
+
+
+class TestHeapInC:
+
+    def _churn_run(self, engine, sizes, order):
+        if not _churn_program:
+            _churn_program.append(parse_and_analyze(_CHURN_SRC))
+        program, sema = _churn_program[0]
+        machine = Machine(program, sema, engine=engine)
+        by_name = {d.name: d for d in sema.globals}
+        armed = []
+
+        def through(m, loop):
+            if not armed:  # the drawn inputs, before any allocation
+                armed.append(True)
+                g = m.globals_frame.vars
+                m.memory.write_scalar(g[by_name["n"]], "i", len(sizes))
+                m.memory.write_scalar(g[by_name["m"]], "i", len(order))
+                for i, v in enumerate(sizes):
+                    m.memory.write_scalar(g[by_name["sz"]] + 4 * i, "i", v)
+                for i, v in enumerate(order):
+                    m.memory.write_scalar(g[by_name["ord"]] + 4 * i, "i", v)
+            m.exec_loop_sequential(loop)
+
+        for loop in ast.iter_loops(program):
+            if loop.label in ("L", "M"):
+                machine.loop_controllers[loop.nid] = through
+        code = machine.run()
+        return machine, _machine_fingerprint(machine, code)
+
+    @settings(max_examples=12, deadline=None)
+    @given(_churns())
+    def test_churn_matches_the_walker(self, churn):
+        sizes, order = churn
+        walker, reference = self._churn_run("ast", sizes, order)
+        native, got = self._churn_run("native", sizes, order)
+        assert got == reference
+        assert _heap_state(native.memory) == _heap_state(walker.memory)
+        # the loop units and churn's runner ran the heap in C
+        assert native.heap_ops >= 6 * len(sizes)
+        assert _heap_upcalls(native) == {}
+
+    @pytest.mark.parametrize("body", [
+        "char *p; p = (char*)malloc(8); free(p); free(p);",
+        "char *p; p = (char*)malloc(16); free(p + 1);",
+        "int x; x = 1; free(&x);",
+        "free(&g);",
+        "char *p; p = (char*)malloc(-1);",
+    ], ids=["double", "interior", "stack", "global", "negative"])
+    def test_errors_match_the_walker(self, body):
+        program, sema = parse_and_analyze(
+            "int g;\nint main(void) { " + body + " return 0; }")
+        raised = []
+        for engine in ("ast", "native"):
+            machine = Machine(program, sema, engine=engine)
+            with pytest.raises(Exception) as info:
+                machine.run()
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+        # compiled code decided nothing it could not: one upcall, the
+        # walker's own builtin, raised the walker's own error
+        assert machine.native_dispatches == 1
+        assert sum(_heap_upcalls(machine).values()) == 1
+
+    def test_free_hooks_see_every_free(self):
+        program, sema = parse_and_analyze(
+            "int main(void) { char *p; int i; for (i = 0; i < 4; i++) {"
+            " p = (char*)malloc(8); free(p); } free(0); return 0; }")
+        freed = {}
+        for engine in ("ast", "native"):
+            machine = Machine(program, sema, engine=engine)
+            machine.free_hooks.append(freed.setdefault(engine, []).append)
+            assert machine.run() == 0
+        assert freed["native"] == freed["ast"] and len(freed["ast"]) == 5
+        # a hook only Python can call: every free takes the upcall, no
+        # malloc does
+        assert _heap_upcalls(machine) == {"builtin:free": 5}
+
+    #: the first attempt (n = 40) leaves a free 24-byte block behind
+    #: when the region runs out; the re-run (n = 8) must not get it
+    #: back from a mirror that outlived the rollback
+    EXHAUST_SRC = """
+    int n = 40;
+    char *blk[64];
+    int grab(int k) {
+        int i; char *p; char *u;
+        p = (char*)malloc(24);
+        if (n > 8) { u = (char*)malloc(8); u = (char*)malloc(24); free(u); }
+        for (i = 0; i < n; i++) blk[i] = (char*)malloc(512);
+        for (i = 0; i < n; i = i + 2) free(blk[i]);
+        free(p);
+        return k;
+    }
+    int main(void) {
+        int k; int t = 0;
+        L: for (k = 0; k < 3; k++) t = t + grab(k);
+        print_int(t);
+        return 0;
+    }
+    """
+
+    def _exhaust_run(self, engine, program, sema):
+        from repro.interp.memory import Memory, MemoryError_
+        from repro.runtime import MachineSnapshot
+
+        memory = Memory(buffer=bytearray(1 << 14))
+        machine = Machine(program, sema, engine=engine, memory=memory)
+        n = next(d for d in sema.globals if d.name == "n")
+        errors = []
+
+        def rollback(m, loop):
+            snapshot = MachineSnapshot(m)
+            try:
+                m.exec_loop_sequential(loop)
+            except MemoryError_ as exc:
+                errors.append((type(exc), str(exc)))
+                snapshot.restore(m)
+                m.memory.write_scalar(m.globals_frame.vars[n], "i", 8)
+                m.exec_loop_sequential(loop)
+
+        loop = next(loop for loop in ast.iter_loops(program)
+                    if loop.label == "L")
+        machine.loop_controllers[loop.nid] = rollback
+        code = machine.run()
+        return machine, errors, _machine_fingerprint(machine, code)
+
+    def test_buffer_exhaustion_rolls_back_and_reruns(self):
+        program, sema = parse_and_analyze(self.EXHAUST_SRC)
+        walker, werrors, reference = self._exhaust_run("ast", program,
+                                                       sema)
+        native, nerrors, got = self._exhaust_run("native", program, sema)
+        assert werrors and "memory region exhausted" in werrors[0][1]
+        assert nerrors == werrors
+        assert got == reference
+        assert _heap_state(native.memory) == _heap_state(walker.memory)
+        # the failed malloc took the upcall; after the restore the
+        # rebuilt mirror decided every heap operation of the re-run
+        assert _heap_upcalls(native) == {"builtin:malloc": 1}
+        assert native.heap_ops > 24
+
+    @pytest.mark.parametrize("name,least", [("dijkstra", 1000),
+                                            ("456.hmmer", 1)])
+    def test_kernel_requests_make_no_heap_upcalls(self, name, least):
+        tresult = _expanded(name, "bonded")
+        for _ in range(2):  # the second request is warm
+            tracer = Tracer()
+            runner = ParallelRunner(tresult, NTHREADS, engine="native",
+                                    backend="simulated", check_races=False,
+                                    tracer=tracer)
+            assert runner.run().exit_code == 0
+        machine = runner.machine
+        assert _heap_upcalls(machine) == {}
+        assert machine.heap_ops >= least
+        metrics = tracer.metrics.as_dict()
+        assert metrics["runtime.parent_native_heap_ops"] == \
+            machine.heap_ops
+        assert metrics["runtime.parent_native_upcalls"] == \
+            sum(machine.upcalls.values())
