@@ -1,13 +1,14 @@
 """Bytecode compilation tier for the MiniC machine (DESIGN.md §12).
 
-Lowers each analyzed function, lazily on first call, to a tree of
-Python closures with all static decisions — dispatch, variable frame
-placement, struct field offsets, element sizes, integer wrap masks,
-``struct.Struct`` scalar codecs, cost constants, register-slot
-classification — resolved at compile time.  The result is
-subroutine-threaded code: each node's closure calls its children
-directly, replacing the walker's two dict dispatches and type tests
-per node.
+Translates each analyzed function, lazily on first call, to a tree of
+Python closures.  Every static decision — variable frame placement,
+struct field offsets, element sizes, integer wrap masks, conversions,
+cost charges, register-slot classification, faults — is read from the
+lowered form (:mod:`repro.interp.lowered`), the one the C emitter
+translates too; this package spells it with ``struct.Struct`` scalar
+codecs and fused closures.  The result is subroutine-threaded code:
+each node's closure calls its children directly, replacing the
+walker's two dict dispatches and type tests per node.
 
 There is one compiled form: every closure keeps the walker's cost,
 observer fan-out, watchdog and diagnostic behavior bit for bit, and

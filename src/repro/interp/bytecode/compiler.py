@@ -1,24 +1,24 @@
 """Compiler driver and per-program code caches for the bytecode tier.
 
-A :class:`Compiler` owns the compiled-code tables for one (program,
-sema) pair: nid-keyed closures for expressions, lvalues and
-statements, and fn-nid-keyed function runners.  Compiled code is
-machine-independent — closures fetch ``m.cost`` / ``m.memory`` /
-``m.redirector`` / ``m.observers`` from the machine on every call — so
-one Compiler is shared by every machine executing that program (the
-parallel runtime, the profiler and the harness all construct several
-machines per program; compiling once amortizes the lowering).
+A :class:`Compiler` translates the lowered form of one (program, sema)
+pair (:func:`repro.interp.lowered.form_for`, shared with the C emitter)
+into closures: nid-keyed tables for expressions, lvalues and
+statements, and fn-nid-keyed function runners.  The form decides every
+shape — a malformed node is a ``fault`` record that raises where the
+walker would — so a translation never falls back to the walker.
+Compiled code is machine-independent — closures fetch ``m.cost`` /
+``m.memory`` / ``m.redirector`` / ``m.observers`` from the machine on
+every call — so one Compiler is shared by every machine executing that
+program (the parallel runtime, the profiler and the harness all
+construct several machines per program; compiling once amortizes the
+lowering).
 
 Caches are keyed weakly by the Program object.  Transforms clone
 programs before rewriting, so a compiled program's AST is stable; the
 one in-place mutator in the tree (:mod:`repro.lint.mutate`) calls
-:func:`invalidate_code` after corrupting an AST.
-
-Robustness: per-node compilation is wrapped — if lowering a node
-raises (malformed AST that the walker would only fault on when
-executed), the node gets a fallback closure that defers to the walker
-dispatch at run time, preserving the walker's error behavior and
-timing.  ``Compiler.fallbacks`` counts these for tests.
+:func:`invalidate_code` after corrupting an AST, which drops every
+artifact derived from it: the form, the closures and the native
+context.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from typing import Dict, Optional
 
 from ...frontend import ast
 from ...frontend.sema import SemaResult
-from ..machine import InterpError, Machine
-from .exprs import compile_addr, compile_expr
+from ..lowered import _FORMS, form_for
+from .exprs import EXPR_COMPILERS, compile_lvalue
 from .stmts import compile_function, compile_stmt
 
 
 class Compiler:
-    """Lazily lowers one analyzed program to closures, memoized by nid."""
+    """Lazily translates one program's lowered form to closures,
+    memoized by nid."""
 
     def __init__(self, program: ast.Program, sema: SemaResult,
                  tracer=None):
@@ -43,52 +44,49 @@ class Compiler:
         self._program = weakref.ref(program)
         self.sema = sema
         self.tracer = tracer
+        self.form = form_for(program, sema)
         self.exprs: Dict[int, object] = {}
         self.addrs: Dict[int, object] = {}
         self.stmts: Dict[int, object] = {}
         self.fns: Dict[int, object] = {}
-        #: nodes that fell back to walker dispatch (0 for well-formed
-        #: programs; asserted by the differential tests)
-        self.fallbacks = 0
-        tc = getattr(sema, "thread_context", None) or {}
-        self.tid_decl = tc.get("__tid")
-        self.nthreads_decl = tc.get("__nthreads")
 
     @property
     def program(self) -> Optional[ast.Program]:
         """The program this code was lowered from (None once it died)."""
         return self._program()
 
-    # -- compile entry points (memoized) ---------------------------------
+    # -- translation of records (memoized by their node's nid) -------------
+    def x(self, rec):
+        code = self.exprs.get(rec.node.nid)
+        if code is None:
+            code = self.exprs[rec.node.nid] = \
+                EXPR_COMPILERS[rec.kind](self, rec)
+        return code
+
+    def a(self, rec):
+        return compile_lvalue(self, rec)
+
+    def stmt_rec(self, rec):
+        code = self.stmts.get(rec.node.nid)
+        if code is None:
+            code = self.stmts[rec.node.nid] = compile_stmt(self, rec)
+        return code
+
+    # -- entry points by AST node -------------------------------------------
     def expr(self, e):
         code = self.exprs.get(e.nid)
-        if code is None:
-            try:
-                code = compile_expr(self, e)
-            except Exception:
-                code = self._fallback_expr(e)
-            self.exprs[e.nid] = code
-        return code
+        return code if code is not None else self.x(self.form.expr(e))
 
     def addr(self, e):
         code = self.addrs.get(e.nid)
         if code is None:
-            try:
-                code = compile_addr(self, e)
-            except Exception:
-                code = self._fallback_addr(e)
-            self.addrs[e.nid] = code
+            code = self.addrs[e.nid] = self.a(self.form.addr(e))
         return code
 
     def stmt(self, s):
         code = self.stmts.get(s.nid)
-        if code is None:
-            try:
-                code = compile_stmt(self, s)
-            except Exception:
-                code = self._fallback_stmt(s)
-            self.stmts[s.nid] = code
-        return code
+        return code if code is not None else \
+            self.stmt_rec(self.form.stmt(s))
 
     def function(self, fn):
         code = self.fns.get(fn.nid)
@@ -97,45 +95,11 @@ class Compiler:
             if tracer:
                 with tracer.phase("compile-bytecode", cat="compile",
                                   function=fn.name):
-                    code = compile_function(self, fn)
+                    code = compile_function(self, self.form.function(fn))
             else:
-                code = compile_function(self, fn)
+                code = compile_function(self, self.form.function(fn))
             self.fns[fn.nid] = code
         return code
-
-    # -- fallbacks --------------------------------------------------------
-    def _fallback_expr(self, e):
-        self.fallbacks += 1
-
-        def run(m):
-            m.cost.instructions += 1
-            return m._eval_dispatch[type(e)](e)
-        return run
-
-    def _fallback_addr(self, e):
-        self.fallbacks += 1
-
-        def run(m):
-            return Machine.addr_of(m, e)
-        return run
-
-    def _fallback_stmt(self, s):
-        self.fallbacks += 1
-
-        def run(m):
-            h = m._stmt_hook
-            if h is not None:
-                h(s)
-            steps = m._steps + 1
-            m._steps = steps
-            if steps > m.max_steps:
-                raise InterpError(
-                    "step budget exceeded (runaway program?)", s)
-            dl = m._watchdog_deadline
-            if dl is not None and steps > dl:
-                m._watchdog_trip(s)
-            m._stmt_dispatch[type(s)](s)
-        return run
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +176,17 @@ def precompile(program: ast.Program, sema: SemaResult, tracer=None,
 
 
 def invalidate_code(program: Optional[ast.Program] = None) -> None:
-    """Drop compiled code for ``program`` (or all programs).  Callers
+    """Drop everything derived from ``program`` (or from all programs):
+    its lowered form, its closures and its native context.  Callers
     that mutate an AST in place after it may have been executed (the
-    lint mutators) must invalidate, or stale closures would keep the
+    lint mutators) must invalidate, or stale code would keep the
     pre-mutation semantics alive."""
-    if program is None:
-        _CODE_CACHE.clear()
-        _HASH_CACHE.clear()
-    else:
-        _CODE_CACHE.pop(program, None)
-        for key in [k for k, c in _HASH_CACHE.items()
-                    if c.program is program]:
-            del _HASH_CACHE[key]
+    from ..native import backend
+    for cache in (_FORMS, _CODE_CACHE, backend._CONTEXTS):
+        if program is None:
+            cache.clear()
+        else:
+            cache.pop(program, None)
+    for key in [k for k, c in _HASH_CACHE.items()
+                if program is None or c.program is program]:
+        del _HASH_CACHE[key]

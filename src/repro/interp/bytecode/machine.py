@@ -50,6 +50,9 @@ class BytecodeMachine(Machine):
         super().__init__(program, sema, check_bounds, max_steps,
                          max_loop_steps, memory=memory)
         self.compiler = compiler_for(program, sema, tracer)
+        #: compiled (C) frames in flight beneath the running Python code;
+        #: the function closures add them to their depth check
+        self._cframes = 0
         self._code_exprs = self.compiler.exprs
         self._code_addrs = self.compiler.addrs
         self._code_stmts = self.compiler.stmts

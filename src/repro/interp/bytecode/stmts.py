@@ -1,9 +1,10 @@
-"""Statement and function compilation for the bytecode tier.
+"""Statement and function closures: a translator of the lowered form.
 
-Every statement closure begins with the same prologue as
-``Machine.exec_stmt``: the fault-injection hook (``m._stmt_hook``),
-then the step counter, the ``max_steps`` check and the
-watchdog-deadline check, in the walker's order.
+Every statement closure begins with the prologue of
+``Machine.exec_stmt`` — the fault-injection hook (``m._stmt_hook``),
+the step counter, the ``max_steps`` check and the watchdog deadline, in
+the walker's order — spelled into the closure of each statement shape
+(:data:`_STMT`) rather than called.
 
 Loop closures check ``m.loop_controllers`` at run time, so the profiler
 and the parallel runtime drive candidate loops exactly as they do on
@@ -15,104 +16,143 @@ and drives: one attribute read per loop *entry*, nothing per iteration.
 
 from __future__ import annotations
 
-from ...frontend import ast
-from ...frontend.ctypes import ArrayType, StructType
-from ..machine import (
-    BreakSignal, ContinueSignal, Frame, InterpError, ReturnSignal,
-)
+from ..lowered import Fault
+from ..machine import BreakSignal, ContinueSignal, Frame, ReturnSignal
 from .. import memory as mem
-from .exprs import ALU, CALL, RET, make_store
+from .exprs import make_store, template
+
+#: one statement shape: the prologue, then ``{body}``
+_STMT = """
+def make(s, a, b, c, cy):
+    def run(m):
+        h = m._stmt_hook
+        if h is not None:
+            h(s)
+        steps = m._steps + 1
+        m._steps = steps
+        if steps > m.max_steps:
+            raise InterpError("step budget exceeded (runaway program?)", s)
+        dl = m._watchdog_deadline
+        if dl is not None and steps > dl:
+            m._watchdog_trip(s)
+        {body}
+    return run
+"""
+
+_BODIES = {
+    "expr": "a(m)",
+    "block": "for op in a:\n            op(m)",
+    "decl": "frame = m.frames[-1]\n        for op in a:\n"
+            "            op(m, frame)",
+    "if": "m.cost.cycles += cy\n        if a(m):\n            b(m)\n"
+          "        elif c is not None:\n            c(m)",
+}
 
 
 # ---------------------------------------------------------------------------
-# declarations and initializers
+# declarations, initializers and parameters
 # ---------------------------------------------------------------------------
 
-def _make_init_op(vo, storef, off):
-    """One initializer slot: evaluate, then store at base+offset."""
-    if off:
+def _init_op(c, item):
+    """One flattened initializer slot: evaluate, then store at
+    base + offset (or the walker's error at its position)."""
+    if isinstance(item, Fault):  # a brace list on a scalar
         def op(m, base):
-            value = vo(m)
-            storef(m, base + off, value)
-    else:
-        def op(m, base):
-            value = vo(m)
-            storef(m, base, value)
+            raise item.error()
+        return op
+    vo, off = c.x(item.v), item.off
+    storef = make_store(item.st, item.node.nid)
+
+    def op(m, base):
+        value = vo(m)
+        storef(m, base + off, value)
     return op
 
 
-def _bad_init_op(m, base):
-    raise InterpError("brace initializer on scalar")
+def _local_op(c, x):
+    """Allocate, bind and initialize — or, for a parameter, store the
+    argument into — one local (``Machine._alloc_local`` and
+    ``_init_storage``; a parameter's runs in the caller's frame, before
+    the callee's is pushed)."""
+    d, size, esize, fault = x.decl, x.size, x.esize, x.fault
+    vla = c.x(x.vla) if x.vla is not None else None
+    name, tag = d.name, d.nid
+    inits = tuple(_init_op(c, item) for item in x.init)
+    storef = make_store(x.st, tag) if x.st is not None else None
 
-
-def _gather_init(c, ctype, init, off, ops):
-    """Flatten ``Machine._init_storage`` into (offset, store) slots at
-    compile time.  Walker order: nested brace lists are walked
-    depth-first, so ops are appended in exactly the walker's store
-    order (including a mid-list scalar-brace error at its position)."""
-    if isinstance(init, list):
-        if isinstance(ctype, ArrayType):
-            esize = ctype.elem.size
-            for i, item in enumerate(init):
-                _gather_init(c, ctype.elem, item, off + i * esize, ops)
-        elif isinstance(ctype, StructType):
-            for item, field in zip(init, ctype.fields):
-                _gather_init(c, field.type, item, off + field.offset, ops)
-        else:
-            ops.append(_bad_init_op)
-    else:
-        vo = c.expr(init)
-        storef = make_store(c, ctype, init.nid, False)
-        ops.append(_make_init_op(vo, storef, off))
-
-
-def _make_decl_op(c, decl):
-    """Allocate + initialize one local declaration (mirrors
-    ``Machine._alloc_local`` + ``_init_storage``)."""
-    ctype = decl.ctype
-    size = ctype.size
-    vla = None
-    elem_size = None
-    if size is None and decl.vla_length is not None:
-        vla = c.expr(decl.vla_length)
-        elem_size = ctype.elem.size
-    name = decl.name
-    tag = decl.nid
-    init_ops = None
-    if decl.init is not None:
-        init_ops = []
-        _gather_init(c, ctype, decl.init, 0, init_ops)
-        init_ops = tuple(init_ops)
-
-    def op(m, frame):
+    def op(m, frame, value=None):
         if vla is not None:
-            count = int(vla(m))
-            sz = elem_size * max(count, 1)
-        elif size is None:
-            raise InterpError(f"local {name} has incomplete type", decl)
+            sz = esize * max(int(vla(m)), 1)
+        elif fault is not None:
+            raise fault.error()
         else:
             sz = size
         memory = m.memory
         addr = memory.alloc(sz, mem.STACK, label=name, tag=tag)
-        frame.vars[decl] = addr
+        frame.vars[d] = addr
         # alloc seeds the lookup cache with the new record
         frame.stack_allocs.append(memory._hit)
-        if init_ops is not None:
-            for io_ in init_ops:
-                io_(m, addr)
+        if storef is not None:
+            storef(m, addr, value)
+        for io_ in inits:
+            io_(m, addr)
     return op
 
 
 # ---------------------------------------------------------------------------
-# loop and jump bodies (no prologue; wrapped by compile_stmt)
+# loops and jumps (no prologue; wrapped by compile_stmt)
 # ---------------------------------------------------------------------------
 
-def _wrap_loop(c, s, drive):
+def _loop(c, x):
     """Controller check, native re-entry offer, then watchdog push/pop
-    around a loop driver (mirrors ``_check_controller`` +
-    ``_guarded_loop``)."""
-    nid = s.nid
-    label = s.label
+    around the loop driver (``_check_controller`` + ``_guarded_loop``)."""
+    s, nid, label, cy = x.node, x.node.nid, x.label, x.cy
+    co = c.x(x.c) if x.c is not None else None
+    bo = c.stmt_rec(x.body)
+    if x.how == "while":
+        def drive(m):
+            while True:
+                m.cost.cycles += cy
+                if not co(m):
+                    break
+                try:
+                    bo(m)
+                except BreakSignal:
+                    break
+                except ContinueSignal:
+                    continue
+    elif x.how == "dowhile":
+        def drive(m):
+            while True:
+                try:
+                    bo(m)
+                except BreakSignal:
+                    break
+                except ContinueSignal:
+                    pass
+                m.cost.cycles += cy
+                if not co(m):
+                    break
+    else:
+        io_ = c.stmt_rec(x.init) if x.init is not None else None
+        so = c.x(x.step) if x.step is not None else None
+
+        def drive(m):
+            if io_ is not None:
+                io_(m)
+            while True:
+                if co is not None:
+                    m.cost.cycles += cy
+                    if not co(m):
+                        break
+                try:
+                    bo(m)
+                except BreakSignal:
+                    break
+                except ContinueSignal:
+                    pass
+                if so is not None:
+                    so(m)
 
     def body(m):
         ctrl = m.loop_controllers.get(nid)
@@ -134,257 +174,75 @@ def _wrap_loop(c, s, drive):
     return body
 
 
-def _c_while(c, s):
-    co = c.expr(s.cond)
-    bo = c.stmt(s.body)
-
-    def drive(m):
-        while True:
-            m.cost.cycles += ALU
-            if not co(m):
-                break
-            try:
-                bo(m)
-            except BreakSignal:
-                break
-            except ContinueSignal:
-                continue
-    return _wrap_loop(c, s, drive)
-
-
-def _c_dowhile(c, s):
-    co = c.expr(s.cond)
-    bo = c.stmt(s.body)
-
-    def drive(m):
-        while True:
-            try:
-                bo(m)
-            except BreakSignal:
-                break
-            except ContinueSignal:
-                pass
-            m.cost.cycles += ALU
-            if not co(m):
-                break
-    return _wrap_loop(c, s, drive)
-
-
-def _c_for(c, s):
-    io_ = c.stmt(s.init) if s.init is not None else None
-    co = c.expr(s.cond) if s.cond is not None else None
-    so = c.expr(s.step) if s.step is not None else None
-    bo = c.stmt(s.body)
-
-    def drive(m):
-        if io_ is not None:
-            io_(m)
-        while True:
-            if co is not None:
-                m.cost.cycles += ALU
-                if not co(m):
-                    break
-            try:
-                bo(m)
-            except BreakSignal:
-                break
-            except ContinueSignal:
-                pass
-            if so is not None:
-                so(m)
-    return _wrap_loop(c, s, drive)
-
-
-def _c_return(c, s):
-    if s.expr is None:
+def _return(c, x):
+    if x.v is None:
         def body(m):
             raise ReturnSignal(None)
         return body
-    vo = c.expr(s.expr)
+    vo = c.x(x.v)
 
     def body(m):
         raise ReturnSignal(vo(m))
     return body
 
 
-def _c_break(c, s):
+def _break(c, x):
     def body(m):
         raise BreakSignal()
     return body
 
 
-def _c_continue(c, s):
+def _continue(c, x):
     def body(m):
         raise ContinueSignal()
     return body
 
 
-#: the shapes compile_stmt does not fuse with the prologue
-STMT_COMPILERS = {
-    ast.While: _c_while,
-    ast.DoWhile: _c_dowhile,
-    ast.For: _c_for,
-    ast.Return: _c_return,
-    ast.Break: _c_break,
-    ast.Continue: _c_continue,
-}
+def _fault(c, x):
+    fault = x.fault
+
+    def body(m):
+        raise fault.error()
+    return body
 
 
-def compile_stmt(c, s):
-    t = type(s)
-    # the hottest statement shapes get the exec_stmt prologue fused into
-    # their own closure (one call per statement saved); the rest are
-    # wrapped generically below
-    if t is ast.ExprStmt:
-        vo = c.expr(s.expr)
+_INNER = {"loop": _loop, "return": _return, "break": _break,
+          "continue": _continue, "fault": _fault}
 
-        def run(m):
-            h = m._stmt_hook
-            if h is not None:
-                h(s)
-            steps = m._steps + 1
-            m._steps = steps
-            if steps > m.max_steps:
-                raise InterpError(
-                    "step budget exceeded (runaway program?)", s)
-            dl = m._watchdog_deadline
-            if dl is not None and steps > dl:
-                m._watchdog_trip(s)
-            vo(m)
-        return run
-    if t is ast.Block:
-        ops = tuple(c.stmt(child) for child in s.stmts)
 
-        def run(m):
-            h = m._stmt_hook
-            if h is not None:
-                h(s)
-            steps = m._steps + 1
-            m._steps = steps
-            if steps > m.max_steps:
-                raise InterpError(
-                    "step budget exceeded (runaway program?)", s)
-            dl = m._watchdog_deadline
-            if dl is not None and steps > dl:
-                m._watchdog_trip(s)
-            for op in ops:
-                op(m)
-        return run
-    if t is ast.If:
-        co = c.expr(s.cond)
-        to = c.stmt(s.then)
-        eo = c.stmt(s.els) if s.els is not None else None
-
-        def run(m):
-            h = m._stmt_hook
-            if h is not None:
-                h(s)
-            steps = m._steps + 1
-            m._steps = steps
-            if steps > m.max_steps:
-                raise InterpError(
-                    "step budget exceeded (runaway program?)", s)
-            dl = m._watchdog_deadline
-            if dl is not None and steps > dl:
-                m._watchdog_trip(s)
-            m.cost.cycles += ALU
-            if co(m):
-                to(m)
-            elif eo is not None:
-                eo(m)
-        return run
-    if t is ast.DeclStmt:
-        ops = tuple(_make_decl_op(c, d) for d in s.decls)
-
-        def run(m):
-            h = m._stmt_hook
-            if h is not None:
-                h(s)
-            steps = m._steps + 1
-            m._steps = steps
-            if steps > m.max_steps:
-                raise InterpError(
-                    "step budget exceeded (runaway program?)", s)
-            dl = m._watchdog_deadline
-            if dl is not None and steps > dl:
-                m._watchdog_trip(s)
-            frame = m.frames[-1]
-            for op in ops:
-                op(m, frame)
-        return run
-    compiler = STMT_COMPILERS.get(t)
-    if compiler is None:
-        # unknown statement type: defer to the walker dispatch so the
-        # run-time error (KeyError) is identical
-        def inner(m):
-            m._stmt_dispatch[type(s)](s)
-        inner_body = inner
+def compile_stmt(c, x):
+    kind = x.kind
+    if kind == "expr":
+        a, b, cc = c.x(x.v), None, None
+    elif kind == "block":
+        a, b, cc = tuple(c.stmt_rec(s) for s in x.body), None, None
+    elif kind == "decl":
+        a, b, cc = tuple(_local_op(c, d) for d in x.decls), None, None
+    elif kind == "if":
+        a, b = c.x(x.c), c.stmt_rec(x.t)
+        cc = c.stmt_rec(x.f) if x.f is not None else None
     else:
-        inner_body = compiler(c, s)
-
-    def run(m):
-        h = m._stmt_hook
-        if h is not None:
-            h(s)
-        steps = m._steps + 1
-        m._steps = steps
-        if steps > m.max_steps:
-            raise InterpError("step budget exceeded (runaway program?)", s)
-        dl = m._watchdog_deadline
-        if dl is not None and steps > dl:
-            m._watchdog_trip(s)
-        inner_body(m)
-    return run
+        kind, a, b, cc = "expr", _INNER[kind](c, x), None, None
+    return template(_STMT, body=_BODIES[kind])(x.node, a, b, cc,
+                                                getattr(x, "cy", 0))
 
 
 # ---------------------------------------------------------------------------
 # functions
 # ---------------------------------------------------------------------------
 
-def _make_param_op(c, p):
-    """Allocate + bind-and-store one parameter (mirrors
-    ``_alloc_local`` + the ``store(..., site=param.nid)`` in
-    ``call_function``; runs in the *caller's* frame context, before the
-    callee frame is pushed)."""
-    ctype = p.ctype
-    size = ctype.size
-    vla = None
-    elem_size = None
-    if size is None and p.vla_length is not None:
-        vla = c.expr(p.vla_length)
-        elem_size = ctype.elem.size
-    name = p.name
-    tag = p.nid
-    storef = make_store(c, ctype, p.nid, False)
-
-    def op(m, frame, value):
-        if vla is not None:
-            count = int(vla(m))
-            sz = elem_size * max(count, 1)
-        elif size is None:
-            raise InterpError(f"local {name} has incomplete type", p)
-        else:
-            sz = size
-        memory = m.memory
-        addr = memory.alloc(sz, mem.STACK, label=name, tag=tag)
-        frame.vars[p] = addr
-        # alloc seeds the lookup cache with the new record
-        frame.stack_allocs.append(memory._hit)
-        storef(m, addr, value)
-    return op
-
-
-def compile_function(c, fn):
-    """Compile a whole function to ``run(m, args) -> result`` (mirrors
-    ``Machine.call_function``)."""
-    body_op = c.stmt(fn.body)
-    param_ops = tuple(_make_param_op(c, p) for p in fn.params)
-    name = fn.name
+def compile_function(c, x):
+    """A whole function as ``run(m, args) -> result``
+    (``Machine.call_function``).  The depth check counts the compiled
+    frames a native machine has in flight beneath this call."""
+    body_op = c.stmt_rec(x.body)
+    param_ops = tuple(_local_op(c, p) for p in x.params)
+    fn, overflow, cy_call, cy_ret = x.node, x.overflow, x.cy_call, x.cy_ret
 
     def run(m, args):
-        if len(m.frames) > 250:
-            raise InterpError(f"call stack overflow in {name}")
-        m.cost.cycles += CALL
+        if len(m.frames) + m._cframes > 250:
+            raise overflow.error()
+        m.cost.cycles += cy_call
         frame = Frame(fn)
         for op, value in zip(param_ops, args):
             op(m, frame, value)
@@ -397,6 +255,7 @@ def compile_function(c, fn):
         finally:
             m.frames.pop()
             m.memory.release_stack(frame.stack_allocs)
-        m.cost.cycles += RET
+        m.cost.cycles += cy_ret
         return result
     return run
+

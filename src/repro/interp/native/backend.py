@@ -298,7 +298,7 @@ class NativeContext:
 
 
 #: program -> context, weakly keyed: a context must not reference its
-#: Program strongly (``Lowering.node_by_nid`` leaves the root out), so
+#: Program strongly (a Lowering holds no node above the declarations), so
 #: it is collected with the program — e.g. when the stage cache's
 #: bounded memory tier evicts the ``lower-native`` artifact
 _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()

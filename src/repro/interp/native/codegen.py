@@ -1,37 +1,40 @@
-"""C code generator for the native execution tier.
+"""C emitter for the native execution tier: a translator of the lowered form.
 
-Lowers each analyzed function to a C translation unit operating
-directly on the machine's flat byte buffer, and exports an entry point
-only where the runtime can enter compiled code: a runner ``r_<nid>``
-per function, a unit ``u_<nid>`` per loop that an *interpreted*
-function can arrive at, the body and body-child (DOACROSS stage) units
-of a loop that may carry a controller, and a chunk driver ``k_<nid>``
-for such a ``for`` (:meth:`Lowerer._emit_entries` is the one rule;
-``controlled=None`` — any loop may carry one — is its widest case).
-The emitted code replicates the walker's observable semantics exactly:
-the same cost accounting (cycles are carried as ``cy8`` = cycles x 8 in
-int64, every COSTS entry being a multiple of 0.125), the same
-wrap/convert rules (two's complement wrapping via truncating casts,
-Python's truncating integer division formula via ``__int128``) and the
-same memory discipline (bump allocation with the exact alignment/growth
-rules of :class:`repro.interp.memory.Memory`, and its heap policy for
-``malloc``/``free`` — :data:`_HEAP`).  Steps are the one thing
+Every per-node decision — charges, wrap rule, conversions, operator
+shape, addressing, register slots, faults — comes from
+:mod:`repro.interp.lowered`, the form the closure compiler translates
+too; this module spells it as C on the machine's flat byte buffer, with
+its own carriers: ``'i'`` an int64 two's-complement value for every
+integer and pointer type (unsigned-64 and pointer semantics recovered
+per static type where they matter: compares, division, float
+conversion), ``'f'`` a double (float32 results rounded through
+``(float)`` like ``FloatType.wrap``), ``'s'`` a struct blob carried as
+its source address and moved with ``memmove``.  Costs are carried as
+``cy8`` = cycles x 8 in int64 (every COSTS entry is a multiple of
+0.125); a region guard ``GK`` stands where the walker bounds-checks; a
+``FAULT`` site raises the form's :class:`~repro.interp.lowered.Fault`.
+The memory discipline is :class:`repro.interp.memory.Memory`'s: bump
+allocation with its alignment and growth rules, and its heap policy
+for ``malloc``/``free`` (:data:`_HEAP`).  Steps are the one thing
 counted differently: a compiled loop charges ``Env.steps`` once per
 iteration against ``max_steps`` — a backstop that ends a runaway loop
 with the walker's "step budget exceeded" error, not a statement count —
 which is why an armed watchdog keeps a machine out of compiled code.
 
-Values are carried in two C classes: ``'i'`` — int64 two's-complement
-carrier for all integer/pointer types (unsigned-64 / pointer semantics
-are recovered per *static* type where they matter: compares, division,
-float conversion), and ``'f'`` — double (float32 intermediates are
-rounded through ``(float)`` casts exactly like ``FloatType.wrap``).
-Struct blobs (``'s'``) are carried as source addresses and moved with
-``memmove``.
-
-Anything the emitter cannot reproduce *exactly* raises :class:`NLError`
-with an ``NL-*`` reason code; the whole function then falls back to the
-bytecode closures, which is always semantics-preserving.
+A function, unit or chunk driver whose shapes a carrier cannot hold is
+refused with an ``NL-*`` code (:func:`_refusal`, the carrier limits)
+and runs on the bytecode closures, which is always
+semantics-preserving.  Refusal is decided on the form, before any C is
+written: the function verdicts iterate to a fixpoint (a refused callee
+turns its callers' direct calls into callbacks, which have limits of
+their own), then each function, unit and chunk driver is emitted
+exactly once.  Entry points are exported only where the runtime can
+enter compiled code: a runner ``r_<nid>`` per function, a unit
+``u_<nid>`` per loop an *interpreted* function can arrive at, the body
+and body-child (DOACROSS stage) units of a loop that may carry a
+controller, and a chunk driver ``k_<nid>`` for such a ``for``
+(:meth:`Lowerer._emit_entries` is the one rule; ``controlled=None`` —
+any loop may carry one — is its widest case).
 """
 
 from __future__ import annotations
@@ -40,15 +43,13 @@ import hashlib
 from typing import Dict, List, Optional, Set, Tuple
 
 from ...frontend import ast
-from ...frontend.ctypes import (
-    ArrayType, CType, FloatType, IntType, PointerType, StructType,
-)
-from ..builtins import BUILTIN_IMPLS
+from ...frontend.ctypes import FloatType, IntType, PointerType
 from ..costs import COSTS
+from ..lowered import Fault, cls_of, form_for, u64
 from ..memory import HEAP_FREE, HEAP_LIVE
 
 #: bump when emitted code or ABI changes shape (part of the .so cache key)
-NATIVE_ABI_VERSION = 5
+NATIVE_ABI_VERSION = 6
 
 # callback opcodes (Env->cb protocol)
 OP_GROW = 1
@@ -71,15 +72,14 @@ RET_F64 = 2
 RET_BLOB = 3
 RET_U64 = 4
 
-#: builtins emitted as plain C (same libm the Python implementations
-#: call into, so results are bit-identical); everything else goes
-#: through the callback into the Python implementation
+#: libm builtins emitted as plain C (the same libm the Python
+#: implementations call, so results are bit-identical), with the
+#: argument test under which the Python one raises (a domain error):
+#: those take the callback instead
 _NATIVE_MATH = {
-    "sqrt": ("sqrt", "fmath"), "exp": ("exp", "fmath"),
-    "log": ("log", "fmath"), "sin": ("sin", "fmath"),
-    "cos": ("cos", "fmath"), "floor": ("floor", "falu"),
-    "ceil": ("ceil", "falu"), "fabs": ("fabs", "alu"),
-    "pow": ("pow", "fmath"),
+    "sqrt": "{0} < 0.0", "log": "{0} <= 0.0", "exp": None, "pow": None,
+    "sin": "!isfinite({0})", "cos": "!isfinite({0})",
+    "floor": "!isfinite({0})", "ceil": "!isfinite({0})", "fabs": None,
 }
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -91,12 +91,11 @@ HM_REUSE = 1  # Memory.reuse_heap
 HM_FREE = 2   # no free hooks attached: free() may run in C
 
 
-def _cy8(key: str) -> int:
-    v = COSTS[key] * 8
-    iv = int(v)
-    if iv != v:
-        raise AssertionError(f"COSTS[{key}] is not a multiple of 1/8")
-    return iv
+def _cy8(cycles) -> int:
+    v = cycles * 8
+    if int(v) != v:
+        raise AssertionError(f"{cycles} cycles is not a multiple of 1/8")
+    return int(v)
 
 
 class NLError(Exception):
@@ -109,7 +108,7 @@ class NLError(Exception):
 
 
 class Val:
-    """One evaluated expression: a C reference + value class + CType."""
+    """One evaluated expression: a C reference + carrier class + CType."""
 
     __slots__ = ("ref", "cls", "ct")
 
@@ -119,29 +118,10 @@ class Val:
         self.ct = ct
 
 
-def cls_of(ct) -> str:
-    if isinstance(ct, FloatType):
-        return "f"
-    if isinstance(ct, StructType):
-        return "s"
-    if isinstance(ct, (IntType, PointerType, ArrayType)):
-        return "i"
-    return "v"  # void / unknown
-
-
-def is_u64(ct) -> bool:
-    """Types whose int64 carrier must be reinterpreted as unsigned."""
-    if isinstance(ct, PointerType):
-        return True
-    return isinstance(ct, IntType) and not ct.signed and ct.size == 8
-
-
 def _ilit(v: int) -> str:
     v &= MASK64
     if v >= 1 << 63:
         return f"((int64_t)UINT64_C({v}))"
-    if v == (1 << 63):  # unreachable after the branch above; kept for clarity
-        return "(-INT64_C(9223372036854775807) - 1)"
     return f"INT64_C({v})"
 
 
@@ -157,11 +137,12 @@ def _flit(v: float) -> str:
 
 class FnMeta:
     __slots__ = ("nid", "name", "cname", "runner", "params", "ret_cls",
-                 "ret_u64", "loop_nids", "callees")
+                 "ret_u64", "loop_nids", "callees", "decl")
 
-    def __init__(self, nid, name, cname, runner, params, ret_cls, ret_u64):
-        self.nid = nid
-        self.name = name
+    def __init__(self, decl, cname, runner, params, ret_cls, ret_u64):
+        self.decl = decl
+        self.nid = decl.nid
+        self.name = decl.name
         self.cname = cname
         #: exported zero-arg run wrapper (only for parameterless fns)
         self.runner = runner
@@ -195,23 +176,14 @@ class ChunkMeta:
         self.callees: Set[int] = set()
 
 
-class FaultMeta:
-    __slots__ = ("kind", "msg", "nid")
-
-    def __init__(self, kind: str, msg: str, nid: Optional[int]):
-        self.kind = kind              # "interp" | "memory"
-        self.msg = msg
-        self.nid = nid
-
-
 class CallMeta:
-    __slots__ = ("kind", "name", "nid", "args", "ret")
+    __slots__ = ("kind", "name", "node", "args", "ret")
 
-    def __init__(self, kind: str, name: str, nid: int,
+    def __init__(self, kind: str, name: str, node: ast.Call,
                  args: Tuple, ret: str):
         self.kind = kind              # "builtin" | "user"
         self.name = name
-        self.nid = nid
+        self.node = node
         #: per-arg decode spec: ('i', u64?) / ('f',) / ('s', size)
         self.args = args
         self.ret = ret                # 'i' / 'f' / 'v'
@@ -228,7 +200,8 @@ class Lowering:
         self.units: Dict[int, UnitMeta] = {}
         self.chunks: Dict[int, ChunkMeta] = {}
         self.globals_order: Tuple = ()
-        self.faults: List[FaultMeta] = []
+        #: FAULT site k (1-based; 0 is the region guard) raises faults[k-1]
+        self.faults: List[Fault] = []
         self.calls: List[CallMeta] = []
         #: interned string literals, in first-reference order; the
         #: runtime mirrors this into the ``E->saddr`` cache array
@@ -244,7 +217,8 @@ class Lowering:
         self.controlled: Optional[frozenset] = None
         #: filled by the Lowerer for runtime dispatch
         self.sema = None
-        self.node_by_nid: Dict[int, ast.Node] = {}
+        #: call nid -> the malloc call whose blocks C allocates
+        self.heap_nodes: Dict[int, ast.Call] = {}
         self._closures: Dict[int, frozenset] = {}
 
     def covers(self, controlled: Optional[frozenset]) -> bool:
@@ -467,7 +441,7 @@ static int64_t rp_malloc(Env *E, int64_t sz, int64_t nid) {{
   rp_hlog(E, H, {HEAP_LIVE}, a, sz, nid);
   rp_hset(H, a, sz, 1);
   if (a + sz > E->brk) E->brk = a + sz;
-  E->cy8 += {_cy8('malloc')};
+  E->cy8 += {_cy8(COSTS['malloc'])};
   return a;
 }}
 
@@ -482,16 +456,167 @@ static int64_t rp_free(Env *E, int64_t a, int64_t nid) {{
     rp_hlog(E, H, {HEAP_FREE}, a, s[1], nid);
     rp_hset(H, a, s[1], 0);
   }}
-  E->cy8 += {_cy8('free')};
+  E->cy8 += {_cy8(COSTS['free'])};
   return 0;
 }}
 """
 
 
+# ---------------------------------------------------------------------------
+# carrier limits: what C refuses, decided on the form
+# ---------------------------------------------------------------------------
+
+_IF = ("i", "f")
+#: the child records of each shape, in the walker's evaluation order
+_KIDS = {"addr": "a", "deref": "v", "load": "a", "incdec": "a",
+         "unop": "v", "logic": "lr", "binop": "lr", "assign": "av",
+         "cond": "ctf", "cast": "v", "comma": "lr", "aderef": "v",
+         "aindex": "bi", "amember": ("base",), "acomma": "lr"}
+
+
+def _kids(x):
+    if x.kind == "call":
+        return x.args
+    d = x.__dict__
+    return [d[key] for key in _KIDS.get(x.kind, ())]
+
+
+def _refusal(low: "Lowerer", x, fn=None) -> Optional[str]:
+    """The first ``NL-*`` carrier limit in statement record ``x`` — a
+    function body when ``fn`` (its FnMeta) is given, else a unit — or
+    None.  Each is something the emitter's carriers cannot hold: a
+    function designator or a call through one, a value with no single
+    class, a struct where an int or double must go, a return value whose
+    carrier differs from the function's, a callback beyond the Env
+    channel, a jump or variable a C function body cannot reach."""
+    natives, memo = low.native_fns, low.unit_verdicts
+    bound: Set[ast.VarDecl] = set()
+    depth = [0]
+    if fn is not None:
+        bound.update(p.decl for p in low.form.function(fn.decl).params)
+
+    def need(v, reason="NL-CONV"):
+        return None if v.cls in _IF else reason
+
+    def first(reasons):
+        return next(filter(None, reasons), None)
+
+    def call(x):
+        if x.how in ("libm", "abs"):
+            return first(map(need, x.args))
+        if x.how == "heap":
+            return None
+        callee = natives.get(x.fn.nid) if x.how == "user" else None
+        if callee is not None and len(x.args) >= len(callee.params):
+            return first(
+                ("NL-STRUCT-ARG" if a.cls != "s" else None) if pcls == "s"
+                else need(a) for a, pcls in zip(x.args, callee.params))
+        if len(x.args) > 16:  # a callback: the Env channel's limits
+            return "NL-ARGC"
+        if any(a.cls not in ("i", "f", "s") for a in x.args):
+            return "NL-ARG-CLASS"
+        return "NL-RET-BLOB-FB" if cls_of(x.ct) == "s" else None
+
+    def expr(x):
+        k = x.kind
+        if k == "fn":
+            return "NL-FNDESIG"
+        if k == "call" and x.how == "indirect":
+            return "NL-FNPTR"
+        reason = first(map(expr, _kids(x)))
+        if reason:
+            return reason
+        if k in ("var", "slot"):
+            slot = x.slot if k == "var" else x
+            if fn is not None and slot.local and slot.decl not in bound:
+                return "NL-FREE-VAR"  # a C function sees its own locals
+        elif k == "logic":
+            return need(x.l, "NL-TRUTH") or need(x.r, "NL-TRUTH")
+        elif k == "cond":
+            return need(x.c, "NL-TRUTH") or (
+                "NL-COND-CLASS" if x.cls is None else "NL-COND-SIGN"
+                if x.cls == "i" and u64(x.t.ct) != u64(x.f.ct) else None)
+        elif k == "unop":
+            return need(x.v, "NL-TRUTH" if x.op == "!" else "NL-CONV")
+        elif k in ("binop", "deref", "aderef", "aindex") or (
+                k == "amember" and x.arrow):
+            return first(map(need, _kids(x)))
+        elif (k == "cast" and x.fn is not None) or (
+                k == "assign" and (x.op != "=" or x.st.shape == "scalar")):
+            return need(x.v)
+        elif k == "call":
+            return call(x)
+        return None
+
+    def stmt(x):
+        # a unit's verdict depends on nothing but its statement: a
+        # loop, its body and the body's children share theirs
+        if fn is None:
+            reason = memo.get(x.node.nid, memo)
+            if reason is memo:
+                reason = memo[x.node.nid] = verdict(x)
+            return reason
+        return verdict(x)
+
+    def verdict(x):
+        k = x.kind
+        if k == "expr":
+            return expr(x.v)
+        if k == "block":
+            return first(map(stmt, x.body))
+        if k == "decl":
+            for d in x.decls:
+                reason = (expr(d.vla) or need(d.vla)) if d.vla else None
+                reason = reason or first(
+                    expr(i.v) or (need(i.v) if i.st.shape == "scalar"
+                                  else None)
+                    for i in d.init if i.__class__ is not Fault)
+                if reason:
+                    return reason
+                bound.add(d.decl)
+            return None
+        if k == "if":
+            return expr(x.c) or need(x.c, "NL-TRUTH") or stmt(x.t) or (
+                stmt(x.f) if x.f is not None else None)
+        if k == "loop":
+            reason = (stmt(x.init) if x.init is not None else None) or (
+                expr(x.c) or need(x.c, "NL-TRUTH") if x.c is not None
+                else None)
+            depth[0] += 1
+            reason = reason or stmt(x.body) or (
+                expr(x.step) if x.step is not None else None)
+            depth[0] -= 1
+            return reason
+        if k in ("break", "continue"):
+            return "NL-STRAY-JUMP" if fn is not None and not depth[0] \
+                else None
+        if k != "return" or x.v is None:
+            return None
+        v = x.v
+        reason = expr(v)
+        if reason or fn is None:
+            return reason
+        rc = fn.ret_cls
+        # the walker returns the *raw* value, not one converted to the
+        # declared type: the carriers must already agree
+        if (rc == "f" and v.cls not in _IF) or (rc == "i" and (
+                v.cls != "i" or u64(v.ct) != fn.ret_u64)) or (
+                rc == "s" and (v.cls != "s"
+                               or v.ct.size != fn.decl.ret_type.size)):
+            return "NL-RET-MISMATCH"
+        return None
+
+    return stmt(x)
+
+
+# ---------------------------------------------------------------------------
+# emission
+# ---------------------------------------------------------------------------
+
 class _Emit:
     """Emission context for one function / unit / chunk driver."""
 
-    def __init__(self, low: "Lowerer"):
+    def __init__(self, low: "Lowerer", fn: Optional[FnMeta] = None):
         self.low = low
         self.lines: List[str] = []
         self.ntmp = 0
@@ -499,16 +624,11 @@ class _Emit:
         self.bound: Dict[ast.VarDecl, str] = {}
         #: free (outer-frame) decls, resolved via E->daddr at dispatch
         self.free_order: List[ast.VarDecl] = []
-        self.free_idx: Dict[ast.VarDecl, int] = {}
         self.loop_nids: Set[int] = set()
         self.callees: Set[int] = set()
-        #: loop nid stack for break/continue targets; entries are
-        #: (break_label, continue_label) or None (unit boundary)
-        self.loops: List = []
-        self.in_function = False  # True inside f_<nid> (returns are C returns)
-        self.ret_cls = "v"
-        self.ret_u64 = False
-        self.ret_ct = None
+        #: (break_label, continue_label) of the enclosing loops
+        self.loops: List[Tuple[str, str]] = []
+        self.fn = fn  # inside f_<nid>: returns are C returns
 
     # -- plumbing ---------------------------------------------------------
     def t(self, ctype: str = "int64_t") -> str:
@@ -523,982 +643,536 @@ class _Emit:
     def label(self, name: str):
         self.lines.append(f"{name}:;")
 
-    # -- registries -------------------------------------------------------
-    def fault_site(self, kind: str, msg: str, nid: Optional[int]) -> int:
-        faults = self.low.result.faults
-        faults.append(FaultMeta(kind, msg, nid))
-        return len(faults)  # site 0 is the guard; faults are 1-based
+    def charge(self, cycles, counter: Optional[str] = None):
+        line = f"cy8 += {_cy8(cycles)};" if cycles else ""
+        if counter:
+            line += f" {counter} += 1;"
+        if line:
+            self.o(line.lstrip())
 
-    def call_site(self, kind, name, nid, args, ret) -> int:
+    def fault(self, fault: Fault, cond: Optional[str] = None):
+        faults = self.low.result.faults
+        faults.append(fault)  # site 0 is the guard; faults are 1-based
+        site = f"FAULT({len(faults)});"
+        self.o(f"if ({cond}) {site}" if cond else site)
+
+    def call_site(self, kind, name, node, args, ret) -> int:
         calls = self.low.result.calls
-        calls.append(CallMeta(kind, name, nid, args, ret))
+        calls.append(CallMeta(kind, name, node, args, ret))
         return len(calls) - 1
 
-    # -- variable addressing ---------------------------------------------
-    def var_addr_ref(self, decl: ast.VarDecl) -> str:
-        ref = self.bound.get(decl)
+    def slot(self, x) -> str:
+        ref = self.bound.get(x.decl)
         if ref is not None:
             return ref
-        gidx = self.low.global_idx.get(decl)
-        if gidx is not None:
-            return f"E->gaddr[{gidx}]"
-        if self.in_function:
-            # a C function body can only see its own locals and globals
-            raise NLError("NL-FREE-VAR", decl.name)
-        idx = self.free_idx.get(decl)
-        if idx is None:
-            idx = len(self.free_order)
-            self.free_order.append(decl)
-            self.free_idx[decl] = idx
-        return f"E->daddr[{idx}]"
+        if x.gidx is not None:
+            return f"E->gaddr[{x.gidx}]"
+        if x.decl not in self.free_order:
+            self.free_order.append(x.decl)
+        return f"E->daddr[{self.free_order.index(x.decl)}]"
 
-    # -- conversions ------------------------------------------------------
-    def wrap_int(self, x: str, ct: IntType) -> str:
+    # -- carriers ---------------------------------------------------------
+    @staticmethod
+    def wrap(x: str, ct: IntType) -> str:
+        """The form's two's-complement wrap to ``ct``, as C casts."""
         bits = 8 * ct.size
         if bits == 64:
             return f"(int64_t)(uint64_t)({x})"
-        u = {8: "uint8_t", 16: "uint16_t", 32: "uint32_t"}[bits]
-        s = {8: "int8_t", 16: "int16_t", 32: "int32_t"}[bits]
-        if ct.signed:
-            return f"(int64_t)({s})({u})(uint64_t)({x})"
-        return f"(int64_t)({u})(uint64_t)({x})"
+        sign = "" if ct.signed else "u"
+        return f"(int64_t)({sign}int{bits}_t)(uint{bits}_t)(uint64_t)({x})"
 
-    def to_double(self, v: Val) -> str:
+    @staticmethod
+    def dbl(v: Val) -> str:
         if v.cls == "f":
             return v.ref
-        if is_u64(v.ct):
+        if u64(v.ct):
             return f"(double)(uint64_t)({v.ref})"
         return f"(double)({v.ref})"
 
-    def conv(self, v: Val, target) -> Val:
-        """``make_convert(target)`` applied to ``v`` (carrier domain)."""
-        if isinstance(target, IntType):
-            if v.cls == "f":
-                return Val(self.wrap_int(f"rp_d2i({v.ref})", target),
-                           "i", target)
-            if v.cls != "i":
-                raise NLError("NL-CONV", f"{v.cls}->int")
-            return Val(self.wrap_int(v.ref, target), "i", target)
-        if isinstance(target, FloatType):
-            d = self.to_double(v) if v.cls in ("i", "f") else None
-            if d is None:
-                raise NLError("NL-CONV", f"{v.cls}->float")
-            if target.size == 4:
-                d = f"(double)(float)({d})"
-            return Val(d, "f", target)
-        if isinstance(target, PointerType):
-            if v.cls == "f":
-                return Val(f"rp_d2i({v.ref})", "i", target)
-            if v.cls != "i":
-                raise NLError("NL-CONV", f"{v.cls}->ptr")
-            return Val(v.ref, "i", target)
+    @staticmethod
+    def ival(v: Val) -> str:
+        """Python's ``int(v)`` in the int64 carrier."""
+        return f"rp_d2i({v.ref})" if v.cls == "f" else v.ref
+
+    def conv(self, v: Val, ct) -> Val:
+        """The form's conversion to ``ct`` applied to ``v``."""
+        if isinstance(ct, IntType):
+            return Val(self.wrap(self.ival(v), ct), "i", ct)
+        if isinstance(ct, FloatType):
+            d = self.dbl(v)
+            return Val(f"(double)(float)({d})" if ct.size == 4 else d,
+                       "f", ct)
+        if isinstance(ct, PointerType):
+            return Val(self.ival(v), "i", ct)
         return v
 
-    def truth(self, v: Val) -> str:
-        if v.cls == "f":
-            return f"({v.ref} != 0.0)"
-        if v.cls == "i":
-            return f"({v.ref} != 0)"
-        raise NLError("NL-TRUTH", v.cls)
+    @staticmethod
+    def truth(v: Val) -> str:
+        return f"({v.ref} != 0.0)" if v.cls == "f" else f"({v.ref} != 0)"
 
     # -- memory -----------------------------------------------------------
-    def load_scalar(self, addr: str, ct, cheap: bool, guarded: bool) -> Val:
-        """Scalar read matching ``make_load`` / ``make_scalar_value``:
-        guard where the walker bounds-checks, LOAD cost unless cheap."""
-        if guarded:
-            self.o(f"GK({addr}, {ct.size});")
-        fmt = ct.fmt
-        fn = {
-            "b": "rp_ld_i8", "B": "rp_ld_u8", "h": "rp_ld_i16",
-            "H": "rp_ld_u16", "i": "rp_ld_i32", "I": "rp_ld_u32",
-            "q": "rp_ld_i64", "Q": "rp_ld_i64",
-        }.get(fmt)
-        if fn is not None:
+    _LD = {"b": "i8", "B": "u8", "h": "i16", "H": "u16", "i": "i32",
+           "I": "u32", "q": "i64", "Q": "i64", "f": "f32", "d": "f64"}
+    _ST = {"b": "8", "B": "8", "h": "16", "H": "16", "i": "32", "I": "32",
+           "q": "64", "Q": "64", "f": "f32", "d": "f64"}
+
+    def load(self, addr: str, acc) -> Val:
+        """``Machine.load``: array decay, struct blob or scalar, guarded
+        where the walker bounds-checks."""
+        if acc.shape == "array":
             t = self.t()
-            self.o(f"{t} = {fn}(M + {addr});")
-            out = Val(t, "i", ct)
-        elif fmt == "f":
-            t = self.t("double")
-            self.o(f"{t} = rp_ld_f32(M + {addr});")
-            out = Val(t, "f", ct)
-        elif fmt == "d":
-            t = self.t("double")
-            self.o(f"{t} = rp_ld_f64(M + {addr});")
-            out = Val(t, "f", ct)
+            self.o(f"{t} = {addr};")
+            return Val(t, "i", acc.ct)
+        if acc.guarded:
+            self.o(f"GK({addr}, {acc.size});")
+        if acc.shape == "struct":
+            out = Val(addr, "s", acc.ct)
         else:
-            raise NLError("NL-FMT", fmt)
-        if not cheap:
-            self.o(f"cy8 += {_cy8('load')}; lds += 1;")
+            cls = acc.cls
+            t = self.t("double" if cls == "f" else "int64_t")
+            self.o(f"{t} = rp_ld_{self._LD[acc.fmt]}(M + {addr});")
+            out = Val(t, cls, acc.ct)
+        self.charge(acc.cy, "lds" if acc.count else None)
         return out
 
-    def load_value(self, addr: str, ct, cheap: bool,
-                   guarded: bool = True) -> Val:
-        """``make_load``: scalar, struct blob, or array decay."""
-        if isinstance(ct, ArrayType):
-            return Val(addr, "i", ct)
-        if isinstance(ct, StructType):
-            if guarded:
-                self.o(f"GK({addr}, {ct.size});")
-            if not cheap:
-                self.o(f"cy8 += {_cy8('load') + ct.size}; lds += 1;")
-            return Val(addr, "s", ct)
-        return self.load_scalar(addr, ct, cheap, guarded)
-
-    def store_value(self, addr: str, v: Val, ct, cheap: bool,
-                    guarded: bool = True):
-        """``make_store``: convert + guard + pack + STORE cost."""
-        if isinstance(ct, ArrayType):
-            raise NLError("NL-ARRAY-STORE")
-        if isinstance(ct, StructType):
-            if v.cls != "s":
-                raise NLError("NL-STRUCT-STORE", v.cls)
-            if guarded:
-                self.o(f"GK({addr}, {ct.size});")
-            self.o(f"memmove(M + {addr}, M + {v.ref}, {ct.size});")
-            if not cheap:
-                self.o(f"cy8 += {_cy8('store') + ct.size}; sts += 1;")
+    def store(self, addr: str, v: Val, acc):
+        """``Machine.store``: convert, guard, pack, charge."""
+        if acc.shape == "array" or (acc.shape == "struct" and v.cls != "s"):
+            self.fault(acc.fault)
             return
-        cv = self.conv(v, ct)
-        if guarded:
-            self.o(f"GK({addr}, {ct.size});")
-        fmt = ct.fmt
-        if fmt in ("b", "B"):
-            self.o(f"rp_st_8(M + {addr}, {cv.ref});")
-        elif fmt in ("h", "H"):
-            self.o(f"rp_st_16(M + {addr}, {cv.ref});")
-        elif fmt in ("i", "I"):
-            self.o(f"rp_st_32(M + {addr}, {cv.ref});")
-        elif fmt in ("q", "Q"):
-            self.o(f"rp_st_64(M + {addr}, {cv.ref});")
-        elif fmt == "f":
-            self.o(f"rp_st_f32(M + {addr}, {cv.ref});")
-        elif fmt == "d":
-            self.o(f"rp_st_f64(M + {addr}, {cv.ref});")
+        if acc.shape == "struct":
+            if acc.guarded:
+                self.o(f"GK({addr}, {acc.size});")
+            self.o(f"memmove(M + {addr}, M + {v.ref}, {acc.size});")
         else:
-            raise NLError("NL-FMT", fmt)
-        if not cheap:
-            self.o(f"cy8 += {_cy8('store')}; sts += 1;")
+            cv = self.conv(v, acc.ct)
+            if acc.guarded:
+                self.o(f"GK({addr}, {acc.size});")
+            self.o(f"rp_st_{self._ST[acc.fmt]}(M + {addr}, {cv.ref});")
+        self.charge(acc.cy, "sts" if acc.count else None)
 
-    def alloca(self, size_ref: str, out: str):
+    def alloca(self, size_ref: str) -> str:
         # a grow callback may swap the backing buffer: reload M
-        self.o(f"{out} = rp_alloca(E, {size_ref}); M = E->M;")
-
-    # -- reg-slot analysis (mirrors Machine._is_reg_slot) -----------------
-    def is_reg_slot(self, e) -> bool:
-        if isinstance(e, ast.Ident):
-            d = e.decl
-            return isinstance(d, ast.VarDecl) and \
-                d.storage in ("local", "param") and \
-                not isinstance(d.ctype, ArrayType)
-        if isinstance(e, ast.Index):
-            idx = e.index
-            fixed = isinstance(idx, ast.IntLit) or (
-                isinstance(idx, ast.Ident)
-                and (idx.decl is self.low.tid_decl
-                     or idx.decl is self.low.nthreads_decl))
-            if not fixed:
-                return False
-            base = e.base
-            return isinstance(base, ast.Ident) and \
-                isinstance(base.decl, ast.VarDecl) and \
-                base.decl.storage in ("local", "param")
-        if isinstance(e, ast.Member) and not e.arrow:
-            return self.is_reg_slot(e.base)
-        return False
+        a = self.t()
+        self.o(f"{a} = rp_alloca(E, {size_ref}); M = E->M;")
+        return a
 
     # ======================================================================
-    # expressions
+    # lvalues and expressions
     # ======================================================================
-    def expr(self, e) -> Val:
-        fn = _X.get(type(e))
-        if fn is None:
-            raise NLError("NL-NODE", type(e).__name__)
-        return fn(self, e)
-
-    def addr_of(self, e) -> str:
-        """lvalue address (mirrors ``compile_addr``: no cost, no bump)."""
-        if isinstance(e, ast.Ident):
-            d = e.decl
-            if d is self.low.tid_decl or d is self.low.nthreads_decl:
-                raise NLError("NL-TIDADDR")
-            if not isinstance(d, ast.VarDecl):
-                raise NLError("NL-LVALUE", type(d).__name__)
-            return self.var_addr_ref(d)
-        if isinstance(e, ast.Unary) and e.op == "*":
-            v = self.expr(e.operand)
-            if v.cls != "i":
-                raise NLError("NL-DEREF", v.cls)
-            return v.ref
-        if isinstance(e, ast.Index):
-            b = self.expr(e.base)
-            i = self.expr(e.index)
-            if b.cls != "i" or i.cls != "i":
-                raise NLError("NL-INDEX")
-            esize = e.ctype.size
-            if esize is None:
-                raise NLError("NL-INCOMPLETE")
-            t = self.t()
-            self.o(f"{t} = {b.ref} + {i.ref} * {esize};")
-            return t
-        if isinstance(e, ast.Member):
-            if e.arrow:
-                st = e.base.ctype.decay().pointee
-                fld = st.field(e.name)
-                b = self.expr(e.base)
-                t = self.t()
-                self.o(f"{t} = {b.ref} + {fld.offset};")
-                return t
-            fld = e.base.ctype.field(e.name)
-            base = self.addr_of(e.base)
-            t = self.t()
-            self.o(f"{t} = {base} + {fld.offset};")
-            return t
-        if isinstance(e, ast.Cast):
-            return self.addr_of(e.expr)
-        if isinstance(e, ast.Comma):
-            self.expr(e.left)
-            return self.addr_of(e.right)
-        raise NLError("NL-LVALUE", type(e).__name__)
-
-    # -- shared binop apply (mirrors make_binop_apply) --------------------
-    def binop_apply(self, op: str, l: Val, r: Val, result_ct,
-                    nid: Optional[int], lt, rt) -> Val:
-        if isinstance(lt, PointerType) and isinstance(rt, PointerType) \
-                and op == "-":
-            esize = lt.pointee.size or 1
-            self.o(f"cy8 += {_cy8('ptrdiff')};")
-            t = self.t()
-            self.o(f"{t} = rp_fldiv({l.ref} - {r.ref}, {esize});")
-            return Val(t, "i", result_ct)
-        if isinstance(lt, PointerType) and op in ("+", "-"):
-            esize = lt.pointee.size
-            self.o(f"cy8 += {_cy8('lea')};")
-            if esize is None:
-                site = self.fault_site("interp", "arithmetic on void*", nid)
-                self.o(f"FAULT({site});")
-                return Val("0", "i", result_ct)
-            t = self.t()
-            self.o(f"{t} = {l.ref} {op} {r.ref} * {esize};")
-            return Val(t, "i", result_ct)
-        if isinstance(rt, PointerType) and op == "+":
-            esize = rt.pointee.size
-            self.o(f"cy8 += {_cy8('lea')};")
-            if esize is None:
-                site = self.fault_site("interp", "arithmetic on void*", nid)
-                self.o(f"FAULT({site});")
-                return Val("0", "i", result_ct)
-            t = self.t()
-            self.o(f"{t} = {r.ref} + {l.ref} * {esize};")
-            return Val(t, "i", result_ct)
-        if op in ("==", "!=", "<", "<=", ">", ">="):
-            self.o(f"cy8 += {_cy8('alu')};")
-            t = self.t()
-            if l.cls == "f" or r.cls == "f":
-                self.o(f"{t} = ({self.to_double(l)} {op} "
-                       f"{self.to_double(r)});")
-            else:
-                lu, ru = is_u64(lt), is_u64(rt)
-                if lu and ru:
-                    self.o(f"{t} = ((uint64_t){l.ref} {op} "
-                           f"(uint64_t){r.ref});")
-                elif not lu and not ru:
-                    self.o(f"{t} = ({l.ref} {op} {r.ref});")
-                else:
-                    lc = f"(__int128)(uint64_t){l.ref}" if lu \
-                        else f"(__int128){l.ref}"
-                    rc = f"(__int128)(uint64_t){r.ref}" if ru \
-                        else f"(__int128){r.ref}"
-                    self.o(f"{t} = ({lc} {op} {rc});")
-            return Val(t, "i", result_ct)
-        if isinstance(result_ct, FloatType):
-            ld, rd = self.to_double(l), self.to_double(r)
-            if op == "/":
-                site = self.fault_site("interp", "float division by zero",
-                                       nid)
-                self.o(f"cy8 += {_cy8('fdiv')};")
-                self.o(f"if ({rd} == 0.0) FAULT({site});")
-            elif op in ("+", "-", "*"):
-                self.o(f"cy8 += {_cy8('falu')};")
-            else:
-                raise NLError("NL-FLOAT-OP", op)
-            t = self.t("double")
-            x = f"({ld} {op} {rd})"
-            if result_ct.size == 4:
-                x = f"(double)(float){x}"
-            self.o(f"{t} = {x};")
-            return Val(t, "f", result_ct)
-        # integer domain; operands may still be float (compound assigns)
-        if not isinstance(result_ct, IntType):
-            raise NLError("NL-BINOP-RESULT", str(result_ct))
-        if l.cls == "f" or r.cls == "f":
-            # the walker computes in Python float then wraps via int();
-            # reproduce: to double, C op, truncate, wrap
-            if op in ("+", "-", "*"):
-                self.o(f"cy8 += {_cy8('alu') if op in ('+', '-') else _cy8('imul')};")
-                t = self.t("double")
-                self.o(f"{t} = ({self.to_double(l)} {op} "
-                       f"{self.to_double(r)});")
-                return self.conv(Val(t, "f", result_ct), result_ct)
-            raise NLError("NL-MIXED-OP", op)
-        li, ri = l.ref, r.ref
-        if op in ("+", "-"):
-            self.o(f"cy8 += {_cy8('alu')};")
-            x = f"((uint64_t){li} {op} (uint64_t){ri})"
-        elif op == "*":
-            self.o(f"cy8 += {_cy8('imul')};")
-            x = f"((uint64_t){li} * (uint64_t){ri})"
-        elif op in ("/", "%"):
-            site = self.fault_site("interp", "integer division by zero", nid)
-            self.o(f"cy8 += {_cy8('idiv')};")
-            self.o(f"if ({ri} == 0) FAULT({site});")
-            lc = f"(__int128)(uint64_t){li}" if is_u64(lt) \
-                else f"(__int128){li}"
-            rc = f"(__int128)(uint64_t){ri}" if is_u64(rt) \
-                else f"(__int128){ri}"
-            t = self.t()
-            if op == "/":
-                self.o(f"{t} = {self.wrap_int(f'({lc}) / ({rc})', result_ct)};")
-            else:
-                self.o(f"{{ __int128 q_ = ({lc}) / ({rc}); "
-                       f"{t} = {self.wrap_int(f'({lc}) - q_ * ({rc})', result_ct)}; }}")
-            return Val(t, "i", result_ct)
-        elif op == "<<":
-            self.o(f"cy8 += {_cy8('alu')};")
-            x = f"((uint64_t){li} << ({ri} & 63))"
-        elif op == ">>":
-            self.o(f"cy8 += {_cy8('alu')};")
-            if isinstance(lt, IntType) and not lt.signed:
-                bits = 8 * lt.size
-                m = (1 << bits) - 1
-                x = f"(int64_t)(((uint64_t){li} & UINT64_C({m})) >> ({ri} & 63))"
-            else:
-                x = f"({li} >> ({ri} & 63))"
-        elif op in ("&", "|", "^"):
-            self.o(f"cy8 += {_cy8('alu')};")
-            x = f"((uint64_t){li} {op} (uint64_t){ri})"
-        else:
-            raise NLError("NL-OP", op)
+    def a(self, x) -> str:
+        """An lvalue's address (the walker's ``addr_of``: no cost)."""
+        k = x.kind
+        if k == "slot":
+            return self.slot(x)
+        if k == "aderef":
+            return self.ival(self.x(x.v))
+        if k == "fault":
+            self.fault(x.fault)
+            return "0"
+        if k == "acomma":
+            self.x(x.l)
+            return self.a(x.r)
         t = self.t()
-        self.o(f"{t} = {self.wrap_int(x, result_ct)};")
-        return Val(t, "i", result_ct)
+        if k == "aindex":
+            b, i = self.x(x.b), self.x(x.i)
+            self.o(f"{t} = {self.ival(b)} + {self.ival(i)} * {x.esize};")
+        else:  # amember
+            base = self.ival(self.x(x.base)) if x.arrow else self.a(x.base)
+            self.o(f"{t} = {base} + {x.off};")
+        return t
 
-    # -- expression node emitters -----------------------------------------
-    def _x_intlit(self, e):
+    def x(self, x) -> Val:
         self.o("ins += 1;")
-        return Val(_ilit(e.value), "i", e.ctype)
+        return getattr(self, "_x_" + x.kind)(x)
 
-    def _x_floatlit(self, e):
-        self.o("ins += 1;")
-        return Val(_flit(e.value), "f", e.ctype)
+    def _x_const(self, x):
+        if x.cls == "f":
+            return Val(_flit(x.value), "f", x.ct)
+        return Val(_ilit(x.value), "i", x.ct)
 
-    def _x_strlit(self, e):
-        self.o("ins += 1;")
+    def _x_fault(self, x):
+        self.fault(x.fault)
+        return Val("0", x.cls or "i", x.ct)
+
+    def _x_str(self, x):
         res = self.low.result
-        idx = res.strlit_idx.get(e.nid)
+        nid = x.node.nid
+        idx = res.strlit_idx.get(nid)
         if idx is None:
-            idx = len(res.strlits)
-            res.strlits.append(e)
-            res.strlit_idx[e.nid] = idx
+            idx = res.strlit_idx[nid] = len(res.strlits)
+            res.strlits.append(x.node)
         # first evaluation interns via the callback (walker timing: the
         # RODATA block allocates at first eval, not at dispatch); the
         # wrapper fills saddr[idx] so later evals stay in C
         t = self.t()
-        self.o(f"if (E->saddr[{idx}] < 0) CB({OP_STRLIT}, {e.nid}, {idx});")
+        self.o(f"if (E->saddr[{idx}] < 0) CB({OP_STRLIT}, {nid}, {idx});")
         self.o(f"{t} = E->saddr[{idx}];")
-        return Val(t, "i", e.ctype)
+        return Val(t, "i", x.ct)
 
-    def _x_ident(self, e):
-        d = e.decl
-        if d is self.low.tid_decl:
-            self.o("ins += 1;")
-            t = self.t()
-            self.o(f"{t} = E->tid;")
-            return Val(t, "i", e.ctype)
-        if d is self.low.nthreads_decl:
-            self.o("ins += 1;")
-            t = self.t()
-            self.o(f"{t} = E->nthreads;")
-            return Val(t, "i", e.ctype)
-        if not isinstance(d, ast.VarDecl):
-            raise NLError("NL-FNDESIG", getattr(d, "name", "?"))
-        addr = self.var_addr_ref(d)
-        ct = d.ctype
-        self.o("ins += 1;")
-        if isinstance(ct, ArrayType):
-            t = self.t()
-            self.o(f"{t} = {addr};")
-            return Val(t, "i", ct)
-        cheap = d.storage in ("local", "param")
-        if isinstance(ct, StructType):
-            return self.load_value(addr, ct, cheap, guarded=True)
-        if cheap:
-            # fused local read: no bounds check with no redirector
-            return self.load_scalar(addr, ct, True, guarded=False)
-        return self.load_scalar(addr, ct, False, guarded=True)
+    def _x_tid(self, x):
+        return Val("E->tid", "i", x.ct)
 
-    def _incdec_delta(self, ct) -> Tuple[str, bool]:
-        """(delta C literal, is_float) for ++/--; NL on void*."""
-        if isinstance(ct, PointerType):
-            if ct.pointee.size is None:
-                raise NLError("NL-VOIDPTR")
-            return str(ct.pointee.size), False
-        if isinstance(ct, FloatType):
-            return "1.0", True
-        return "1", False
+    def _x_nthreads(self, x):
+        return Val("E->nthreads", "i", x.ct)
 
-    def _x_unary(self, e):
-        op = e.op
-        if op == "&":
-            # address computation first (mirrors closure order), bump after
-            a = self.addr_of(e.operand)
-            self.o("ins += 1;")
-            return Val(a, "i", e.ctype)
-        if op == "*":
-            v = self.expr(e.operand)
-            self.o("ins += 1;")
-            if v.cls != "i":
-                raise NLError("NL-DEREF", v.cls)
-            return self.load_value(v.ref, e.ctype, False, guarded=True)
-        if op in ("++", "--", "p++", "p--"):
-            post = op.startswith("p")
-            sign = "+" if "++" in op else "-"
-            operand = e.operand
-            ct = operand.ctype
-            fused = (isinstance(operand, ast.Ident)
-                     and isinstance(operand.decl, ast.VarDecl)
-                     and operand.decl.storage in ("local", "param")
-                     and isinstance(ct, (IntType, FloatType, PointerType)))
-            delta, fdelta = self._incdec_delta(ct)
-            self.o("ins += 1;")
-            if fused:
-                addr = self.var_addr_ref(operand.decl)
-                old = self.load_scalar(addr, ct, True, guarded=False)
-                self.o(f"cy8 += {_cy8('alu')};")
-                raw = Val(f"({old.ref} {sign} {delta})",
-                          "f" if fdelta else "i", ct)
-                new = self.conv(raw, ct)
-                nt = self.t("double" if new.cls == "f" else "int64_t")
-                self.o(f"{nt} = {new.ref};")
-                new = Val(nt, new.cls, ct)
-                self.store_value(addr, new, ct, cheap=True, guarded=False)
-                return old if post else new
-            cheap = self.is_reg_slot(operand)
-            a = self.addr_of(operand)
-            old = self.load_value(a, ct, cheap, guarded=True)
-            self.o(f"cy8 += {_cy8('alu')};")
-            raw = Val(f"({old.ref} {sign} {delta})",
-                      "f" if fdelta else "i", ct)
-            self.store_value(a, raw, ct, cheap, guarded=True)
-            return old if post else self.conv(raw, ct)
-        v = self.expr(e.operand)
-        self.o("ins += 1;")
-        self.o(f"cy8 += {_cy8('alu')};")
-        if op == "-":
-            if isinstance(e.ctype, IntType):
-                t = self.t()
-                self.o(f"{t} = {self.wrap_int(f'-(uint64_t)({v.ref})', e.ctype)};")
-                return Val(t, "i", e.ctype)
+    def _x_var(self, x):
+        return self.load(self.slot(x.slot), x.acc)
+
+    def _x_addr(self, x):
+        return Val(self.a(x.a), "i", x.ct)
+
+    def _x_deref(self, x):
+        return self.load(self.ival(self.x(x.v)), x.acc)
+
+    def _x_load(self, x):
+        return self.load(self.a(x.a), x.acc)
+
+    def _x_incdec(self, x):
+        addr = self.slot(x.a) if x.fused else self.a(x.a)
+        old = self.load(addr, x.ld)
+        if x.fault is not None:
+            self.fault(x.fault)
+            return old
+        self.charge(x.cy)
+        delta = _flit(float(x.delta)) if old.cls == "f" else str(x.delta)
+        new = self.conv(Val(f"({old.ref} + {delta})", old.cls, x.ct), x.ct)
+        t = self.t("double" if new.cls == "f" else "int64_t")
+        self.o(f"{t} = {new.ref};")
+        new = Val(t, new.cls, x.ct)
+        self.store(addr, new, x.st)
+        return old if x.post else new
+
+    def _x_unop(self, x):
+        v = self.x(x.v)
+        self.charge(x.cy)
+        if x.op == "-" and x.cls == "f":
             t = self.t("double")
-            self.o(f"{t} = -({self.to_double(v)});")
-            return Val(t, "f", e.ctype)
-        if op == "!":
-            t = self.t()
+            self.o(f"{t} = -({self.dbl(v)});")
+            return Val(t, "f", x.ct)
+        t = self.t()
+        if x.op == "!":
             self.o(f"{t} = {self.truth(v)} ? 0 : 1;")
-            return Val(t, "i", e.ctype)
-        if op == "~":
-            if v.cls != "i":
-                raise NLError("NL-BITNOT", v.cls)
-            t = self.t()
-            self.o(f"{t} = {self.wrap_int(f'~(uint64_t)({v.ref})', e.ctype)};")
-            return Val(t, "i", e.ctype)
-        raise NLError("NL-UNARY", op)
-
-    def _x_binary(self, e):
-        op = e.op
-        if op in ("&&", "||"):
-            self.o("ins += 1;")
-            self.o(f"cy8 += {_cy8('alu')};")
-            t = self.t()
-            l = self.expr(e.left)
-            if op == "&&":
-                self.o(f"{t} = 0;")
-                self.o(f"if ({self.truth(l)}) {{")
-                r = self.expr(e.right)
-                self.o(f"{t} = {self.truth(r)} ? 1 : 0;")
-                self.o("}")
-            else:
-                self.o(f"{t} = 1;")
-                self.o(f"if (!{self.truth(l)}) {{")
-                r = self.expr(e.right)
-                self.o(f"{t} = {self.truth(r)} ? 1 : 0;")
-                self.o("}")
-            return Val(t, "i", e.ctype)
-        self.o("ins += 1;")
-        l = self.expr(e.left)
-        r = self.expr(e.right)
-        lt = e.left.ctype.decay() if e.left.ctype is not None else None
-        rt = e.right.ctype.decay() if e.right.ctype is not None else None
-        return self.binop_apply(op, l, r, e.ctype, e.nid, lt, rt)
-
-    def _x_assign(self, e):
-        target = e.target
-        if e.op == "=":
-            tct = target.ctype
-            fused = (isinstance(target, ast.Ident)
-                     and isinstance(target.decl, ast.VarDecl)
-                     and target.decl.storage in ("local", "param")
-                     and isinstance(tct, (IntType, FloatType, PointerType)))
-            self.o("ins += 1;")
-            if fused:
-                addr = self.var_addr_ref(target.decl)
-                value = self.expr(e.value)
-                self.store_value(addr, value, tct, cheap=True, guarded=False)
-                return value  # unconverted, like the walker
-            addr = self.addr_of(target)
-            value = self.expr(e.value)
-            self.store_value(addr, value, tct,
-                             cheap=self.is_reg_slot(target), guarded=True)
-            return value
-        # compound assignment: load-modify-store
-        op = e.op[:-1]
-        tct = target.ctype
-        if isinstance(tct, (StructType, ArrayType)):
-            raise NLError("NL-COMPOUND", cls_of(tct))
-        self.o("ins += 1;")
-        cheap = self.is_reg_slot(target)
-        a = self.addr_of(target)
-        at = self.t()
-        self.o(f"{at} = {a};")
-        old = self.load_value(at, tct, cheap, guarded=True)
-        rhs = self.expr(e.value)
-        if isinstance(tct, PointerType):
-            # mirrors the dedicated pointer-compound path: LEA charge,
-            # old +/- int(rhs) * esize, raw store, converted result
-            esize = tct.pointee.size
-            if esize is None:
-                site = self.fault_site("interp", "arithmetic on void*",
-                                       e.nid)
-                self.o(f"FAULT({site});")
-                return Val("0", "i", tct)
-            if op not in ("+", "-"):
-                raise NLError("NL-PTR-COMPOUND", op)
-            ri = f"rp_d2i({rhs.ref})" if rhs.cls == "f" else rhs.ref
-            self.o(f"cy8 += {_cy8('lea')};")
-            nt = self.t()
-            self.o(f"{nt} = {old.ref} {op} ({ri}) * {esize};")
-            new = Val(nt, "i", tct)
-            self.store_value(at, new, tct, cheap, guarded=True)
-            return self.conv(new, tct)
-        lt = tct.decay() if tct is not None else None
-        rt = e.value.ctype.decay() if e.value.ctype is not None else None
-        new = self.binop_apply(op, old, rhs, tct, None, lt, rt)
-        self.store_value(at, new, tct, cheap, guarded=True)
-        return self.conv(new, tct)
-
-    def _x_cond(self, e):
-        self.o("ins += 1;")
-        self.o(f"cy8 += {_cy8('alu')};")
-        c = self.expr(e.cond)
-        # one carrier must hold either branch's value: ints promote to
-        # double when the classes mix (documented >2^53 divergence),
-        # but differing 64-bit signedness has no shared carrier
-        tct = e.then.ctype
-        ect = e.els.ctype
-        tcls = cls_of(tct)
-        ecls = cls_of(ect)
-        if "s" in (tcls, ecls) or "v" in (tcls, ecls):
-            raise NLError("NL-COND-CLASS", f"{tcls}/{ecls}")
-        merged = "f" if "f" in (tcls, ecls) else "i"
-        if merged == "i" and is_u64(tct) != is_u64(ect):
-            raise NLError("NL-COND-SIGN")
-        t = self.t("double" if merged == "f" else "int64_t")
-        self.o(f"if ({self.truth(c)}) {{")
-        tv = self.expr(e.then)
-        self.o(f"{t} = {self.to_double(tv) if merged == 'f' else tv.ref};")
-        self.o("} else {")
-        ev = self.expr(e.els)
-        self.o(f"{t} = {self.to_double(ev) if merged == 'f' else ev.ref};")
-        self.o("}")
-        ct = tct if cls_of(tct) == merged else ect
-        return Val(t, merged, ct)
-
-    def _x_index(self, e):
-        b = self.expr(e.base)
-        i = self.expr(e.index)
-        if b.cls != "i" or i.cls != "i":
-            raise NLError("NL-INDEX")
-        esize = e.ctype.size
-        if esize is None:
-            raise NLError("NL-INCOMPLETE")
-        a = self.t()
-        self.o(f"{a} = {b.ref} + {i.ref} * {esize};")
-        self.o("ins += 1;")
-        return self.load_value(a, e.ctype, self.is_reg_slot(e), guarded=True)
-
-    def _x_member(self, e):
-        if e.arrow:
-            st = e.base.ctype.decay().pointee
-            fld = st.field(e.name)
-            b = self.expr(e.base)
-            a = self.t()
-            self.o(f"{a} = {b.ref} + {fld.offset};")
         else:
-            fld = e.base.ctype.field(e.name)
-            base = self.addr_of(e.base)
-            a = self.t()
-            self.o(f"{a} = {base} + {fld.offset};")
-        self.o("ins += 1;")
-        return self.load_value(a, e.ctype, self.is_reg_slot(e), guarded=True)
+            op = "-" if x.op == "-" else "~"
+            self.o(f"{t} = {self.wrap(f'{op}(uint64_t)({v.ref})', x.ct)};")
+        return Val(t, "i", x.ct)
 
-    def _x_cast(self, e):
-        # counted before the operand, like the walker: an upcall that
-        # raises inside ``(T*)malloc(n)`` leaves the same count
-        self.o("ins += 1;")
-        v = self.expr(e.expr)
-        to = e.to_type
-        if isinstance(to, IntType):
-            return self.conv(v, to)
-        if isinstance(to, FloatType):
-            return self.conv(v, to)
-        if isinstance(to, PointerType):
-            # the walker does int(v) with NO mask: negative ints stay
-            # negative (carrier identity); floats truncate
-            if v.cls == "f":
-                return Val(f"rp_d2i({v.ref})", "i", to)
-            if v.cls != "i":
-                raise NLError("NL-CAST", v.cls)
-            return Val(v.ref, "i", to)
-        return Val(v.ref, v.cls, to)
+    def _x_logic(self, x):
+        self.charge(x.cy)
+        t = self.t()
+        l = self.x(x.l)
+        if x.op == "&&":
+            self.o(f"{t} = 0;")
+            self.o(f"if ({self.truth(l)}) {{")
+        else:
+            self.o(f"{t} = 1;")
+            self.o(f"if (!{self.truth(l)}) {{")
+        r = self.x(x.r)
+        self.o(f"{t} = {self.truth(r)} ? 1 : 0;")
+        self.o("}")
+        return Val(t, "i", x.ct)
 
-    def _x_sizeof_type(self, e):
-        if e.of_type.size is None:
-            raise NLError("NL-SIZEOF")
-        self.o("ins += 1;")
-        return Val(_ilit(e.of_type.size), "i", e.ctype)
+    def _x_binop(self, x):
+        l = self.x(x.l)
+        r = self.x(x.r)
+        return self.apply(x.ap, l, r)
 
-    def _x_sizeof_expr(self, e):
-        ct = e.expr.ctype
-        if ct is None or ct.size is None:
-            raise NLError("NL-SIZEOF")
-        self.o("ins += 1;")
-        return Val(_ilit(ct.size), "i", e.ctype)
+    def apply(self, ap, l: Val, r: Val) -> Val:
+        """The form's binop shape on two carriers, charge first."""
+        how, op = ap.how, ap.op
+        if how == "fault":
+            self.fault(ap.fault)
+            return Val("0", ap.cls, ap.ct)
+        self.charge(ap.cy)
+        t = self.t("double" if ap.cls == "f" else "int64_t")
+        li, ri = self.ival(l), self.ival(r)
+        if how == "ptrdiff":
+            self.o(f"{t} = rp_fldiv({li} - {ri}, {ap.esize});")
+        elif how == "ptr":
+            self.o(f"{t} = {li} {op} {ri} * {ap.esize};")
+        elif how == "addptr":
+            self.o(f"{t} = {ri} + {li} * {ap.esize};")
+        elif how == "cmp" and "f" in (l.cls, r.cls):
+            self.o(f"{t} = ({self.dbl(l)} {op} {self.dbl(r)});")
+        elif how == "cmp":
+            lc, rc = self.widen(li, ap.lu, ap.ru), self.widen(ri, ap.ru,
+                                                               ap.lu)
+            self.o(f"{t} = ({lc} {op} {rc});")
+        elif how == "float":
+            ld, rd = self.dbl(l), self.dbl(r)
+            if op == "/":
+                self.fault(ap.zero, f"{rd} == 0.0")
+            v = f"({ld} {op} {rd})"
+            self.o(f"{t} = {v if ap.ct.size == 8 else f'(double)(float){v}'};")
+        elif op in ("/", "%"):
+            self.fault(ap.zero, f"{ri} == 0")
+            lc = f"(__int128)(uint64_t){li}" if ap.lu else f"(__int128){li}"
+            rc = f"(__int128)(uint64_t){ri}" if ap.ru else f"(__int128){ri}"
+            q = f"({lc}) / ({rc})"
+            v = q if op == "/" else f"({lc}) - ({q}) * ({rc})"
+            self.o(f"{t} = {self.wrap(v, ap.ct)};")
+        else:
+            if op == "<<":
+                v = f"(uint64_t){li} << ({ri} & 63)"
+            elif op == ">>" and ap.shr is not None:
+                v = (f"(int64_t)(((uint64_t){li} & UINT64_C({ap.shr}))"
+                     f" >> ({ri} & 63))")
+            elif op == ">>":
+                v = f"{li} >> ({ri} & 63)"
+            else:
+                v = f"(uint64_t){li} {op} (uint64_t){ri}"
+            self.o(f"{t} = {self.wrap(v, ap.ct)};")
+        return Val(t, ap.cls, ap.ct)
 
-    def _x_comma(self, e):
-        self.o("ins += 1;")
-        self.expr(e.left)
-        return self.expr(e.right)
+    @staticmethod
+    def widen(ref: str, mine: bool, other: bool) -> str:
+        """A compare operand: both unsigned compare as uint64, mixed
+        signedness as __int128, both signed as they are."""
+        if mine and other:
+            return f"(uint64_t){ref}"
+        if mine != other:
+            return f"(__int128)(uint64_t){ref}" if mine \
+                else f"(__int128){ref}"
+        return ref
+
+    def _x_assign(self, x):
+        addr = self.slot(x.a) if x.fused else self.a(x.a)
+        if x.op == "=":
+            value = self.x(x.v)
+            self.store(addr, value, x.st)
+            return value  # unconverted, like the walker
+        old = self.load(addr, x.ld)
+        new = self.apply(x.ap, old, self.x(x.v))
+        self.store(addr, new, x.st)
+        return self.conv(new, x.ct)
+
+    def _x_cond(self, x):
+        self.charge(x.cy)
+        c = self.x(x.c)
+        t = self.t("double" if x.cls == "f" else "int64_t")
+        self.o(f"if ({self.truth(c)}) {{")
+        for branch, close in ((x.t, "} else {"), (x.f, "}")):
+            v = self.x(branch)
+            self.o(f"{t} = {self.dbl(v) if x.cls == 'f' else v.ref};")
+            self.o(close)
+        return Val(t, x.cls, x.ct)
+
+    def _x_cast(self, x):
+        v = self.x(x.v)
+        if x.fn is None:
+            return Val(v.ref, v.cls, x.ct)
+        return self.conv(v, x.ct)
+
+    def _x_comma(self, x):
+        self.x(x.l)
+        return self.x(x.r)
 
     # -- calls -------------------------------------------------------------
-    def _arg_spec(self, v: Val):
-        if v.cls == "i":
-            return ("i", is_u64(v.ct))
-        if v.cls == "f":
-            return ("f",)
-        if v.cls == "s":
-            return ("s", v.ct.size)
-        raise NLError("NL-ARG-CLASS", v.cls)
-
     def _encode_args(self, vals):
         specs = []
-        if len(vals) > 16:
-            raise NLError("NL-ARGC", str(len(vals)))
         for i, v in enumerate(vals):
-            spec = self._arg_spec(v)
-            specs.append(spec)
-            if spec[0] == "f":
+            if v.cls == "f":
+                specs.append(("f",))
                 self.o(f"E->dargs[{i}] = {v.ref};")
             else:
+                specs.append(("i", u64(v.ct)) if v.cls == "i"
+                             else ("s", v.ct.size))
                 self.o(f"E->args[{i}] = {v.ref};")
         return tuple(specs)
 
-    def _decode_result(self, ct) -> Val:
-        rcls = cls_of(ct)
-        if rcls == "f":
-            t = self.t("double")
-            self.o(f"{t} = E->dargs[0];")
-            return Val(t, "f", ct)
-        if rcls == "i":
-            t = self.t()
-            self.o(f"{t} = E->args[0];")
-            return Val(t, "i", ct)
-        if rcls == "v":
-            return Val("0", "v", ct)
-        raise NLError("NL-RET-CLASS", rcls)
-
-    def _callfb(self, fn_or_name, e, vals) -> Val:
+    def _callback(self, kind, name, x, vals) -> Val:
         """Route one call site through the Python machine (exact
         semantics for anything the native ABI cannot carry)."""
         specs = self._encode_args(vals)
-        rcls = cls_of(e.ctype)
-        if rcls == "s":
-            raise NLError("NL-RET-BLOB-FB")
-        kind = "builtin" if isinstance(fn_or_name, str) else "user"
-        name = fn_or_name if kind == "builtin" else fn_or_name.name
-        site = self.call_site(kind, name, e.nid, specs, rcls)
+        rcls = cls_of(x.ct)
+        site = self.call_site(kind, name, x.node, specs, rcls)
         self.o(f"CB({OP_CALLFB if kind == 'user' else OP_BUILTIN}, "
                f"{site}, 0);")
-        return self._decode_result(e.ctype)
+        if rcls == "v":
+            return Val("0", "v", x.ct)
+        t = self.t("double" if rcls == "f" else "int64_t")
+        self.o(f"{t} = E->{'dargs' if rcls == 'f' else 'args'}[0];")
+        return Val(t, rcls, x.ct)
 
-    def _heap_call(self, name, e, v: Val) -> Val:
+    def _heap_call(self, x, v: Val) -> Val:
         """``malloc``/``free`` through ``rp_malloc``/``rp_free``; what
         they cannot decide exactly takes the upcall, the way
         ``_native_math`` diverts a domain error."""
         self.low.result.heap = True
+        self.low.result.heap_nodes[x.node.nid] = x.node
         t = self.t()
-        self.o(f"{t} = rp_{name}(E, {v.ref}, {e.nid});")
+        self.o(f"{t} = rp_{x.name}(E, {v.ref}, {x.node.nid});")
         self.o(f"if ({t} < 0) {{")
-        r = self._callfb(name, e, [v])
-        if name == "malloc":
+        r = self._callback("builtin", x.name, x, [v])
+        if x.name == "malloc":
             self.o(f"{t} = {r.ref};")
         self.o("}")
-        return Val(t, "i", e.ctype) if name == "malloc" else r
+        return Val(t, "i", x.ct) if x.name == "malloc" else r
 
-    def _native_math(self, name, e, vals) -> Val:
-        """Emit a math builtin as plain C with guards that divert to
-        the Python implementation wherever it would raise (domain
-        errors -> ValueError, overflow -> OverflowError)."""
-        cfunc, cost_key = _NATIVE_MATH[name]
-        nargs = 2 if name == "pow" else 1
-        if len(vals) < nargs:
-            raise NLError("NL-MATH-ARGC", name)
-        args = [self.to_double(v) for v in vals[:nargs]]
-        a0 = self.t("double")
-        self.o(f"{a0} = {args[0]};")
-        if nargs == 2:
-            a1 = self.t("double")
-            self.o(f"{a1} = {args[1]};")
+    def _native_math(self, x, vals) -> Val:
+        """A libm builtin as plain C, diverting to the Python
+        implementation wherever it would raise (domain errors ->
+        ValueError, overflow -> OverflowError)."""
+        nid, name = x.node.nid, x.name
+        args = []
+        for v in vals[:2 if name == "pow" else 1]:
+            args.append(self.t("double"))
+            self.o(f"{args[-1]} = {self.dbl(v)};")
         t = self.t("double")
-        fallback = None
-        if name == "sqrt":
-            fallback = f"{a0} < 0.0"
-        elif name == "log":
-            fallback = f"{a0} <= 0.0"
-        elif name in ("sin", "cos", "floor", "ceil"):
-            fallback = f"!isfinite({a0})"
         self.o("{")
-        if fallback is not None:
-            self.o(f"if ({fallback}) goto NM{e.nid}_fb;")
-        if nargs == 2:
-            self.o(f"{t} = {cfunc}({a0}, {a1});")
-            self.o(f"if (!isfinite({t}) && isfinite({a0}) && "
-                   f"isfinite({a1})) goto NM{e.nid}_fb;")
-        else:
-            self.o(f"{t} = {cfunc}({a0});")
-            if name in ("exp",):
-                self.o(f"if (!isfinite({t}) && isfinite({a0})) "
-                       f"goto NM{e.nid}_fb;")
-        self.o(f"cy8 += {_cy8(cost_key)};")
-        self.o(f"goto NM{e.nid}_done;")
-        self.label(f"NM{e.nid}_fb")
+        guard = _NATIVE_MATH[name]
+        if guard is not None:
+            self.o(f"if ({guard.format(args[0])}) goto NM{nid}_fb;")
+        self.o(f"{t} = {name}({', '.join(args)});")
+        if name in ("exp", "pow"):
+            finite = " && ".join(f"isfinite({a})" for a in args)
+            self.o(f"if (!isfinite({t}) && {finite}) goto NM{nid}_fb;")
+        self.charge(x.libm)
+        self.o(f"goto NM{nid}_done;")
+        self.label(f"NM{nid}_fb")
         # re-encode through the Python impl so the exception (and its
         # cost charge) is exactly the interpreter's
-        specs = self._encode_args(vals)
-        site = self.call_site("builtin", name, e.nid, specs, "f")
+        site = self.call_site("builtin", name, x.node,
+                              self._encode_args(vals), "f")
         self.o(f"CB({OP_BUILTIN}, {site}, 0);")
         self.o(f"{t} = E->dargs[0];")
-        self.label(f"NM{e.nid}_done")
+        self.label(f"NM{nid}_done")
         self.o("}")
-        return Val(t, "f", e.ctype)
+        return Val(t, "f", x.ct)
 
-    def _x_call(self, e):
-        name = e.callee_name
-        sema = self.low.sema
-        if name is not None and name not in sema.functions:
-            impl = BUILTIN_IMPLS.get(name)
-            if impl is None:
-                self.o("ins += 1;")
-                site = self.fault_site(
-                    "interp", f"unknown function {name!r}", e.nid)
-                self.o(f"FAULT({site});")
-                return Val("0", "v", e.ctype)
-            self.o("ins += 1;")
-            vals = [self.expr(a) for a in e.args]
-            self.o(f"cy8 += {_cy8('builtin')};")
-            if name in _NATIVE_MATH:
-                return self._native_math(name, e, vals)
-            if name in ("abs", "labs"):
-                if not vals:
-                    raise NLError("NL-MATH-ARGC", name)
-                v = vals[0]
-                vi = f"rp_d2i({v.ref})" if v.cls == "f" else v.ref
-                self.o(f"cy8 += {_cy8('alu')};")
-                t = self.t()
-                self.o(f"{t} = {vi} < 0 ? -({vi}) : ({vi});")
-                return Val(t, "i", e.ctype)
-            if name in ("malloc", "free") and len(vals) == 1 \
-                    and vals[0].cls == "i":
-                return self._heap_call(name, e, vals[0])
-            return self._callfb(name, e, vals)
-        fn = sema.functions.get(name) if name else None
-        if fn is None:
-            raise NLError("NL-FNPTR")
-        self.o("ins += 1;")
-        vals = [self.expr(a) for a in e.args]
+    def _x_call(self, x):
+        vals = [self.x(a) for a in x.args]
+        if x.how != "user":
+            self.charge(x.cy)
+        if x.how == "libm":
+            return self._native_math(x, vals)
+        if x.how == "abs":
+            vi = self.ival(vals[0])
+            self.charge(x.abs_cy)
+            t = self.t()
+            self.o(f"{t} = {vi} < 0 ? -({vi}) : ({vi});")
+            return Val(t, "i", x.ct)
+        if x.how == "heap":
+            return self._heap_call(x, vals[0])
+        if x.how == "builtin":
+            return self._callback("builtin", x.name, x, vals)
+        fn = x.fn
         meta = self.low.native_fns.get(fn.nid)
         if meta is None or len(vals) < len(fn.params):
             # callee not lowered, or zip-truncation would leave params
             # without storage: the Python machine reproduces it exactly
-            return self._callfb(fn, e, vals)
-        cargs = []
-        for v, pcls in zip(vals, meta.params):
-            if pcls == "f":
-                cargs.append(self.to_double(v))
-            elif pcls == "i":
-                cargs.append(f"rp_d2i({v.ref})" if v.cls == "f" else v.ref)
-            else:  # 's': source address carrier
-                if v.cls != "s":
-                    raise NLError("NL-STRUCT-ARG", v.cls)
-                cargs.append(v.ref)
+            return self._callback("user", fn.name, x, vals)
+        cargs = [self.dbl(v) if pcls == "f" else
+                 v.ref if pcls == "s" else self.ival(v)
+                 for v, pcls in zip(vals, meta.params)]
         self.callees.add(fn.nid)
-        rcls = meta.ret_cls
-        t = self.t("double" if rcls == "f" else "int64_t")
+        t = self.t("double" if meta.ret_cls == "f" else "int64_t")
         # commit local cost counters so a fault inside the callee (which
         # longjmps past this frame) reports exact totals; reload M in
         # case the callee grew the backing buffer
         self.o("FLUSH;")
         self.o(f"{t} = {meta.cname}(E{''.join(', ' + a for a in cargs)});"
                f" M = E->M;")
-        if rcls == "s":
-            return Val(t, "s", e.ctype)
-        if rcls == "v":
-            return Val(t, "v", e.ctype)
-        return Val(t, rcls, e.ctype)
+        return Val(t, meta.ret_cls, x.ct)
 
     # ======================================================================
     # statements
     # ======================================================================
-    def emit_init(self, base: str, ct, init, off: int):
-        """Flattened initializer stores (mirrors ``_gather_init``)."""
-        if isinstance(init, list):
-            if isinstance(ct, ArrayType):
-                esize = ct.elem.size
-                for i, item in enumerate(init):
-                    self.emit_init(base, ct.elem, item, off + i * esize)
-            elif isinstance(ct, StructType):
-                for item, field in zip(init, ct.fields):
-                    self.emit_init(base, field.type, item,
-                                   off + field.offset)
-            else:
-                raise NLError("NL-BAD-INIT")
-        else:
-            v = self.expr(init)
-            addr = f"({base} + {off})" if off else base
-            self.store_value(addr, v, ct, cheap=False, guarded=True)
-
-    def emit_decl(self, d: ast.VarDecl):
-        ct = d.ctype
-        if ct.size is None and d.vla_length is not None:
-            cnt = self.expr(d.vla_length)
-            ci = f"rp_d2i({cnt.ref})" if cnt.cls == "f" else cnt.ref
+    def local(self, x, value: Optional[Val] = None):
+        """Allocate and bind one local, then initialize it — or store
+        the parameter ``value`` into it."""
+        if x.vla is not None:
             n = self.t()
-            self.o(f"{n} = {ci};")
-            sz = self.t()
-            self.o(f"{sz} = {ct.elem.size} * ({n} < 1 ? 1 : {n});")
-            size_ref = sz
-        elif ct.size is None:
-            raise NLError("NL-INCOMPLETE-LOCAL", d.name)
+            self.o(f"{n} = {self.ival(self.x(x.vla))};")
+            size = f"{x.esize} * ({n} < 1 ? 1 : {n})"
+        elif x.fault is not None:
+            self.fault(x.fault)
+            size = "1"
         else:
-            size_ref = str(ct.size)
-        a = self.t()
-        self.alloca(size_ref, a)
-        self.bound[d] = a
-        if d.init is not None:
-            self.emit_init(a, ct, d.init, 0)
+            size = str(x.size)
+        base = self.bound[x.decl] = self.alloca(size)
+        if value is not None:
+            self.store(base, value, x.st)
+        for item in x.init:
+            if item.__class__ is Fault:
+                self.fault(item)
+            else:
+                addr = f"({base} + {item.off})" if item.off else base
+                self.store(addr, self.x(item.v), item.st)
 
-    def _backstop(self, site: int):
-        self.o(f"E->steps += 1; if (E->steps > E->max_steps) "
-               f"FAULT({site});")
+    def stmt(self, x):
+        k = x.kind
+        if k == "block":
+            for child in x.body:
+                self.stmt(child)
+        elif k == "expr":
+            self.x(x.v)
+        elif k == "decl":
+            for d in x.decls:
+                self.local(d)
+        elif k == "if":
+            self.charge(x.cy)
+            c = self.x(x.c)
+            self.o(f"if ({self.truth(c)}) {{")
+            self.stmt(x.t)
+            if x.f is not None:
+                self.o("} else {")
+                self.stmt(x.f)
+            self.o("}")
+        elif k == "loop":
+            self.emit_loop(x)
+        elif k == "return":
+            self.emit_return(x)
+        elif k in ("break", "continue"):
+            if self.loops:
+                self.o(f"goto {self.loops[-1][k == 'continue']};")
+            else:
+                rc = RC_BREAK if k == "break" else RC_CONTINUE
+                self.o(f"FLUSH; E->jbp = oldjb; return {rc};")
+        else:  # fault
+            self.fault(x.fault)
 
-    def _loop_site(self, s) -> int:
-        return self.fault_site(
-            "interp", "step budget exceeded (runaway program?)", s.nid)
-
-    def emit_while(self, s):
-        self.loop_nids.add(s.nid)
-        site = self._loop_site(s)
-        top, brk = f"W{s.nid}_c", f"W{s.nid}_b"
-        self.loops.append((brk, top))
+    def emit_loop(self, x):
+        nid = x.node.nid
+        self.loop_nids.add(nid)
+        top, cont, brk = f"L{nid}_s", f"L{nid}_c", f"L{nid}_b"
+        if x.init is not None:
+            self.stmt(x.init)
+        self.loops.append((brk, cont if x.how != "while" else top))
         self.label(top)
-        self.o(f"cy8 += {_cy8('alu')};")
-        c = self.expr(s.cond)
-        self.o(f"if (!{self.truth(c)}) goto {brk};")
-        self._backstop(site)
-        self.stmt(s.body)
-        self.o(f"goto {top};")
-        self.label(brk)
-        self.loops.pop()
-
-    def emit_dowhile(self, s):
-        self.loop_nids.add(s.nid)
-        site = self._loop_site(s)
-        top, cont, brk = f"D{s.nid}_s", f"D{s.nid}_c", f"D{s.nid}_b"
-        self.loops.append((brk, cont))
-        self.label(top)
-        self._backstop(site)
-        self.stmt(s.body)
-        self.label(cont)
-        self.o(f"cy8 += {_cy8('alu')};")
-        c = self.expr(s.cond)
-        self.o(f"if ({self.truth(c)}) goto {top};")
-        self.label(brk)
-        self.loops.pop()
-
-    def emit_for(self, s):
-        self.loop_nids.add(s.nid)
-        site = self._loop_site(s)
-        top, cont, brk = f"F{s.nid}_s", f"F{s.nid}_c", f"F{s.nid}_b"
-        if s.init is not None:
-            self.stmt(s.init)
-        self.loops.append((brk, cont))
-        self.label(top)
-        if s.cond is not None:
-            self.o(f"cy8 += {_cy8('alu')};")
-            c = self.expr(s.cond)
+        if x.how != "dowhile" and x.c is not None:
+            self.charge(x.cy)
+            c = self.x(x.c)
             self.o(f"if (!{self.truth(c)}) goto {brk};")
-        self._backstop(site)
-        self.stmt(s.body)
+        self.fault(x.budget, "++E->steps > E->max_steps")
+        self.stmt(x.body)
         self.label(cont)
-        if s.step is not None:
-            self.expr(s.step)
-        self.o(f"goto {top};")
+        if x.how == "dowhile":
+            self.charge(x.cy)
+            c = self.x(x.c)
+            self.o(f"if ({self.truth(c)}) goto {top};")
+        else:
+            if x.step is not None:
+                self.x(x.step)
+            self.o(f"goto {top};")
         self.label(brk)
         self.loops.pop()
 
-    def emit_return(self, s):
-        v = self.expr(s.expr) if s.expr is not None else None
-        if self.in_function:
-            rc = self.ret_cls
+    def emit_return(self, x):
+        v = self.x(x.v) if x.v is not None else None
+        fn = self.fn
+        if fn is not None:
             if v is None:
                 self.o("E->rnone = 1;")
-                carrier = "0.0" if rc == "f" else "0"
+                carrier = "0.0" if fn.ret_cls == "f" else "0"
             else:
                 self.o("E->rnone = 0;")
-                if rc == "f":
-                    if v.cls == "s":
-                        raise NLError("NL-RET-MISMATCH", "s->f")
-                    # int return exprs in a float fn promote through
-                    # double (documented >2^53 divergence)
-                    carrier = self.to_double(v)
-                elif rc == "i":
-                    # the walker returns the *raw* expr value without
-                    # converting to the declared type, so the carrier
-                    # reinterpretation must already agree
-                    if v.cls != "i" or is_u64(v.ct) != self.ret_u64:
-                        raise NLError("NL-RET-MISMATCH",
-                                      f"{v.cls}->{rc}")
-                    carrier = v.ref
-                elif rc == "s":
-                    if v.cls != "s" or self.ret_ct is None or \
-                            v.ct.size != self.ret_ct.size:
-                        raise NLError("NL-RET-MISMATCH",
-                                      f"{v.cls}->{rc}")
-                    carrier = v.ref
-                elif rc == "v":
-                    # value discarded; any consumer NLs at probe time
-                    carrier = f"rp_d2i({v.ref})" if v.cls == "f" else v.ref
-                else:  # pragma: no cover
-                    raise NLError("NL-RET-CLASS", rc)
-            self.o(f"E->depth -= 1; cy8 += {_cy8('ret')};")
+                # an int returned from a float function promotes through
+                # double (documented >2^53 divergence)
+                carrier = self.dbl(v) if fn.ret_cls == "f" else \
+                    self.ival(v) if fn.ret_cls == "v" else v.ref
+            self.o(f"E->depth -= 1; cy8 += {_cy8(self.ret_cy)};")
             self.o(f"FLUSH; return {carrier};")
             return
         # statement-unit return: encode the semantic value for Python
@@ -1510,56 +1184,9 @@ class _Emit:
             self.o(f"E->args[0] = {v.ref}; E->args[1] = {RET_BLOB}; "
                    f"E->args[2] = {v.ct.size};")
         else:
-            kind = RET_U64 if is_u64(v.ct) else RET_I64
+            kind = RET_U64 if u64(v.ct) else RET_I64
             self.o(f"E->args[0] = {v.ref}; E->args[1] = {kind};")
         self.o(f"FLUSH; E->jbp = oldjb; return {RC_RETURN};")
-
-    def stmt(self, s):
-        t = type(s)
-        if t is ast.Block:
-            for child in s.stmts:
-                self.stmt(child)
-        elif t is ast.ExprStmt:
-            self.expr(s.expr)
-        elif t is ast.DeclStmt:
-            for d in s.decls:
-                self.emit_decl(d)
-        elif t is ast.If:
-            self.o(f"cy8 += {_cy8('alu')};")
-            c = self.expr(s.cond)
-            self.o(f"if ({self.truth(c)}) {{")
-            self.stmt(s.then)
-            if s.els is not None:
-                self.o("} else {")
-                self.stmt(s.els)
-            self.o("}")
-        elif t is ast.While:
-            self.emit_while(s)
-        elif t is ast.DoWhile:
-            self.emit_dowhile(s)
-        elif t is ast.For:
-            self.emit_for(s)
-        elif t is ast.Return:
-            self.emit_return(s)
-        elif t is ast.Break:
-            if self.loops:
-                self.o(f"goto {self.loops[-1][0]};")
-            elif self.in_function:
-                raise NLError("NL-STRAY-BREAK")
-            else:
-                self.o(f"FLUSH; E->jbp = oldjb; return {RC_BREAK};")
-        elif t is ast.Continue:
-            if self.loops:
-                self.o(f"goto {self.loops[-1][1]};")
-            elif self.in_function:
-                raise NLError("NL-STRAY-CONTINUE")
-            else:
-                self.o(f"FLUSH; E->jbp = oldjb; return {RC_CONTINUE};")
-        else:
-            raise NLError("NL-STMT", t.__name__)
-
-
-_EMIT_BUGS = (AttributeError, KeyError, TypeError, IndexError)
 
 
 def _unit_prologue(cname: str) -> List[str]:
@@ -1575,29 +1202,28 @@ def _unit_prologue(cname: str) -> List[str]:
     ]
 
 
+#: an emitter or refusal bug: the unit stays on the closures, loudly
+_EMIT_BUGS = (AttributeError, KeyError, TypeError, IndexError)
+
+
 class Lowerer:
     """Drives lowering of one analyzed program to a C translation unit.
 
-    Pass 1 probes every function body against an optimistic registry
-    (all functions assumed lowerable) and iterates to a fixpoint:
-    removing a function may invalidate callers (their native call
-    becomes a callback, which has its own limits).  Pass 2 re-emits the
-    survivors — plus the units and chunk drivers ``controlled`` calls
-    for (:meth:`_emit_entries`) — into the final :class:`Lowering` with
-    clean fault/call registries.
-    """
+    The function verdicts iterate to a fixpoint on the form (every
+    function assumed lowerable; refusing one may refuse callers, whose
+    direct call becomes a callback with limits of its own), then every
+    surviving function — and the units and chunk drivers ``controlled``
+    calls for (:meth:`_emit_entries`) — is emitted once."""
 
     def __init__(self, program: ast.Program, sema,
                  controlled: Optional[frozenset] = None):
         self.program = program
         self.sema = sema
+        self.form = form_for(program, sema)
         self.controlled = controlled
-        self.tid_decl = sema.thread_context.get("__tid")
-        self.nthreads_decl = sema.thread_context.get("__nthreads")
-        self.global_idx: Dict[ast.VarDecl, int] = {
-            d: i for i, d in enumerate(sema.globals)
-        }
         self.native_fns: Dict[int, FnMeta] = {}
+        #: statement nid -> its refusal as (part of) a unit, or None
+        self.unit_verdicts: Dict[int, Optional[str]] = {}
         self.result = Lowering()
         self._nl: Dict[str, str] = {}
 
@@ -1607,104 +1233,86 @@ class Lowerer:
         for p in fn.params:
             if p.vla_length is not None:
                 raise NLError("NL-VLA-PARAM", p.name)
-            if isinstance(p.ctype, ArrayType):
-                raise NLError("NL-ARRAY-PARAM", p.name)
             c = cls_of(p.ctype)
-            if c == "v":
+            if c == "v" or p.ctype.size is None:
                 raise NLError("NL-PARAM-CLASS", p.name)
             params.append(c)
-        rct = fn.ret_type
         runner = None
         if all(c in ("i", "f") for c in params) and len(params) <= 16:
             runner = f"r_{fn.nid}"
-        return FnMeta(fn.nid, fn.name, f"f_{fn.nid}", runner,
-                      tuple(params), cls_of(rct), is_u64(rct))
+        return FnMeta(fn, f"f_{fn.nid}", runner, tuple(params),
+                      cls_of(fn.ret_type), u64(fn.ret_type))
 
     def _fn_sig(self, meta: FnMeta) -> str:
-        parts = ["Env *E"]
-        for i, pcls in enumerate(meta.params):
-            ctype = "double" if pcls == "f" else "int64_t"
-            parts.append(f"{ctype} p{i}")
+        parts = ["Env *E"] + [
+            f"{'double' if pcls == 'f' else 'int64_t'} p{i}"
+            for i, pcls in enumerate(meta.params)]
         ret = "double" if meta.ret_cls == "f" else "int64_t"
         return f"static {ret} {meta.cname}({', '.join(parts)})"
 
-    def _emit_fn_body(self, fn: ast.FunctionDef, meta: FnMeta) -> _Emit:
-        em = _Emit(self)
-        em.in_function = True
-        em.ret_cls = meta.ret_cls
-        em.ret_u64 = meta.ret_u64
-        em.ret_ct = fn.ret_type
-        site = em.fault_site(
-            "interp", f"call stack overflow in {fn.name}", None)
-        em.o(f"if (E->depth > 250) FAULT({site});")
-        em.o(f"cy8 += {_cy8('call')};")
-        em.o("E->depth += 1;")
-        for i, (p, pcls) in enumerate(zip(fn.params, meta.params)):
-            a = em.t()
-            em.alloca(str(p.ctype.size), a)
-            em.bound[p] = a
-            em.store_value(a, Val(f"p{i}", pcls, p.ctype), p.ctype,
-                           cheap=False, guarded=True)
-        em.stmt(fn.body)
-        # implicit fall-off-the-end return (the walker returns None)
-        em.o("E->rnone = 1;")
-        em.o(f"E->depth -= 1; cy8 += {_cy8('ret')};")
-        em.o(f"FLUSH; return {'0.0' if meta.ret_cls == 'f' else '0'};")
-        if em.free_order:  # pragma: no cover - var_addr_ref NLs first
-            raise NLError("NL-FREE-VAR", em.free_order[0].name)
-        return em
-
     def _probe_functions(self):
-        """Optimistic registry, then remove failures to a fixpoint."""
-        bodies = {}
+        """Every function is native until its verdict refuses it."""
         for name, fn in self.sema.functions.items():
-            if fn.body is None:
-                self._nl[f"fn:{name}"] = "NL-NO-BODY"
-                continue
             try:
+                if fn.body is None:
+                    raise NLError("NL-NO-BODY")
+                self.form.function(fn)  # every function designator seen
                 self.native_fns[fn.nid] = self._fn_meta(fn)
-                bodies[fn.nid] = fn
             except NLError as err:
                 self._nl[f"fn:{name}"] = err.reason
         while True:
-            failed = []
-            for nid, fn in bodies.items():
-                if nid not in self.native_fns:
-                    continue
-                self.result = Lowering()  # throwaway probe registries
+            failed = {}
+            for nid, meta in self.native_fns.items():
                 try:
-                    self._emit_fn_body(fn, self.native_fns[nid])
-                except NLError as err:
-                    failed.append((nid, fn.name, err.reason))
+                    reason = _refusal(
+                        self, self.form.function(meta.decl).body, meta)
                 except _EMIT_BUGS:
-                    failed.append((nid, fn.name, "NL-EMIT"))
+                    reason = "NL-EMIT"
+                if reason:
+                    failed[nid] = reason
             if not failed:
-                break
-            for nid, name, reason in failed:
-                del self.native_fns[nid]
-                self._nl[f"fn:{name}"] = reason
+                return
+            for nid, reason in failed.items():
+                self._nl[f"fn:{self.native_fns.pop(nid).name}"] = reason
 
-    # -- final emission ----------------------------------------------------
-    def _finish_fn(self, fn: ast.FunctionDef, meta: FnMeta,
-                   em: _Emit) -> List[str]:
+    def _emit_fn(self, meta: FnMeta) -> List[str]:
+        x = self.form.function(meta.decl)
+        em = _Emit(self, meta)
+        em.ret_cy = x.cy_ret
+        em.fault(x.overflow, "E->depth > 250")
+        em.o(f"cy8 += {_cy8(x.cy_call)};")
+        em.o("E->depth += 1;")
+        for i, (p, pcls) in enumerate(zip(x.params, meta.params)):
+            em.local(p, Val(f"p{i}", pcls, p.ct))
+        em.stmt(x.body)
+        # implicit fall-off-the-end return (the walker returns None)
+        em.o("E->rnone = 1;")
+        em.o(f"E->depth -= 1; cy8 += {_cy8(x.cy_ret)};")
+        em.o(f"FLUSH; return {'0.0' if meta.ret_cls == 'f' else '0'};")
         meta.loop_nids = set(em.loop_nids)
         meta.callees = set(em.callees)
-        self.result.fns[fn.nid] = meta
-        self.result.fn_by_name[fn.name] = fn.nid
+        self.result.fns[meta.nid] = meta
+        self.result.fn_by_name[meta.name] = meta.nid
         return [self._fn_sig(meta) + " {",
                 "  int64_t cy8 = 0, ins = 0, lds = 0, sts = 0;",
                 "  char *M = E->M;",
                 "  (void)M; (void)cy8; (void)ins; (void)lds; (void)sts;",
                 ] + em.lines + ["}"]
 
-    def _emit_runner(self, fn: ast.FunctionDef, meta: FnMeta) -> List[str]:
-        args = []
-        for i, pcls in enumerate(meta.params):
-            args.append(f"E->dargs[{i}]" if pcls == "f"
-                        else f"E->args[{i}]")
+    def _emit_runner(self, meta: FnMeta) -> List[str]:
+        args = [f"E->dargs[{i}]" if pcls == "f" else f"E->args[{i}]"
+                for i, pcls in enumerate(meta.params)]
         call = f"{meta.cname}(E{''.join(', ' + a for a in args)})"
         rtype = "double" if meta.ret_cls == "f" else "int64_t"
-        lines = [
+        if meta.ret_cls == "f":
+            keep = f"E->dargs[0] = r; E->args[1] = {RET_F64};"
+        elif meta.ret_cls == "s":
+            keep = (f"E->args[0] = r; E->args[1] = {RET_BLOB}; "
+                    f"E->args[2] = {meta.decl.ret_type.size};")
+        else:
+            keep = (f"E->args[0] = r; "
+                    f"E->args[1] = {RET_U64 if meta.ret_u64 else RET_I64};")
+        return [
             f"int64_t {meta.runner}(void *ep) {{",
             "  Env *E = (Env *)ep;",
             "  jmp_buf jb; void *oldjb = E->jbp;",
@@ -1713,29 +1321,16 @@ class Lowerer:
             f"  {rtype} r;",
             f"  r = {call};",
             f"  if (E->rnone) {{ E->args[1] = {RET_NONE}; }}",
-        ]
-        if meta.ret_cls == "f":
-            lines.append(f"  else {{ E->dargs[0] = r; "
-                         f"E->args[1] = {RET_F64}; }}")
-        elif meta.ret_cls == "s":
-            lines.append(f"  else {{ E->args[0] = r; "
-                         f"E->args[1] = {RET_BLOB}; "
-                         f"E->args[2] = {fn.ret_type.size}; }}")
-        else:
-            kind = RET_U64 if meta.ret_u64 else RET_I64
-            lines.append(f"  else {{ E->args[0] = r; "
-                         f"E->args[1] = {kind}; }}")
-        lines += [
+            f"  else {{ {keep} }}",
             "  E->jbp = oldjb;",
             f"  return {RC_OK};",
             "}",
         ]
-        return lines
 
     def _emit_unit(self, s: ast.Stmt) -> List[str]:
         cname = f"u_{s.nid}"
         em = _Emit(self)
-        em.stmt(s)
+        em.stmt(self.form.stmt(s))
         meta = UnitMeta(s.nid, cname, tuple(em.free_order))
         meta.loop_nids = set(em.loop_nids)
         meta.callees = set(em.callees)
@@ -1765,16 +1360,17 @@ class Lowerer:
         bounds and the slot address are read once, up front: a callback
         in the body marshals its own arguments through ``E->args``."""
         cname = f"k_{s.nid}"
+        x = self.form.stmt(s)
         em = _Emit(self)
         brk_lbl, cont_lbl = f"KB_{s.nid}", f"KC_{s.nid}"
         em.loops.append((brk_lbl, cont_lbl))
         em.o("for (k_ = k0_; k_ < k1_; k_++) {")
-        if s.cond is not None:
-            em.expr(s.cond)
-        em.stmt(s.body)
+        if x.c is not None:
+            em.x(x.c)
+        em.stmt(x.body)
         em.label(cont_lbl)
-        if s.step is not None:
-            em.expr(s.step)
+        if x.step is not None:
+            em.x(x.step)
         em.o("iters_ += 1;")
         em.o("if (hb_) *hb_ = iters_;")
         em.o("}")
@@ -1783,7 +1379,6 @@ class Lowerer:
         em.label(brk_lbl)
         em.o(f"E->args[6] = iters_; FLUSH; E->jbp = oldjb; "
              f"return {RC_BREAK};")
-        em.loops.pop()
         meta = ChunkMeta(s.nid, cname, tuple(em.free_order), control)
         meta.loop_nids = set(em.loop_nids)
         meta.callees = set(em.callees)
@@ -1799,42 +1394,21 @@ class Lowerer:
 
     # -- driver ------------------------------------------------------------
     def lower(self) -> Lowering:
-        self._probe_functions()
-        while True:  # final pass; restart if a survivor regresses
-            self.result = Lowering()
-            fns_src: List[str] = []
-            runners_src: List[str] = []
-            regressed = None
-            for name, fn in self.sema.functions.items():
-                meta = self.native_fns.get(fn.nid)
-                if meta is None:
-                    continue
-                try:
-                    em = self._emit_fn_body(fn, meta)
-                except (NLError, *_EMIT_BUGS) as err:  # pragma: no cover
-                    reason = err.reason if isinstance(err, NLError) \
-                        else "NL-EMIT"
-                    regressed = (fn.nid, name, reason)
-                    break
-                fns_src += self._finish_fn(fn, meta, em)
-                if meta.runner:
-                    runners_src += self._emit_runner(fn, meta)
-            if regressed is not None:
-                nid, name, reason = regressed
-                del self.native_fns[nid]
-                self._nl[f"fn:{name}"] = reason
-                continue
-            entries_src = self._emit_entries()
-            break
         res = self.result
+        self._probe_functions()
+        fns_src: List[str] = []
+        runners_src: List[str] = []
+        for fn in self.sema.functions.values():
+            meta = self.native_fns.get(fn.nid)
+            if meta is not None:
+                fns_src += self._emit_fn(meta)
+                if meta.runner:
+                    runners_src += self._emit_runner(meta)
+        entries_src = self._emit_entries()
         res.sema = self.sema
         res.controlled = self.controlled
         res.globals_order = tuple(self.sema.globals)
         res.nl = dict(self._nl)
-        # not the Program node itself: the context registry is keyed
-        # weakly on it, and nothing dispatches through the root
-        res.node_by_nid = {n.nid: n for n in self.program.walk()
-                           if n is not self.program}
         fwd = [self._fn_sig(m) + ";" for m in
                (res.fns[k] for k in sorted(res.fns))]
         res.exports = (
@@ -1876,16 +1450,18 @@ class Lowerer:
         src: List[str] = []
         tried: Set[str] = set()
 
-        def emit_once(key: str, emit, *args):
+        def emit_once(key: str, s: ast.Stmt, emit, *args):
             if key in tried:
                 return
             tried.add(key)
             try:
-                src.extend(emit(*args))
-            except NLError as err:
-                self._nl[key] = err.reason
+                reason = _refusal(self, self.form.stmt(s))
+                if reason is None:
+                    src.extend(emit(s, *args))
             except _EMIT_BUGS:
-                self._nl[key] = "NL-EMIT"
+                reason = "NL-EMIT"
+            if reason:
+                self._nl[key] = reason
 
         def hit(meta) -> bool:
             return controlled is None or \
@@ -1893,7 +1469,7 @@ class Lowerer:
 
         def unit(s: ast.Stmt) -> Optional[UnitMeta]:
             if not isinstance(s, ast.DeclStmt):
-                emit_once(f"unit:{s.nid}", self._emit_unit, s)
+                emit_once(f"unit:{s.nid}", s, self._emit_unit)
             return res.units.get(s.nid)
 
         def chunk(loop: ast.For):
@@ -1901,7 +1477,7 @@ class Lowerer:
             if control is None:
                 self._nl[f"chunk:{loop.nid}"] = "NL-CONTROL"
             else:
-                emit_once(f"chunk:{loop.nid}", self._emit_chunk, loop,
+                emit_once(f"chunk:{loop.nid}", loop, self._emit_chunk,
                           control)
 
         def interpreted(s: ast.Stmt):
@@ -1920,11 +1496,7 @@ class Lowerer:
                 if isinstance(child, ast.Stmt):
                     interpreted(child)
 
-        direct = {id(n.func) for n in self.program.walk()
-                  if isinstance(n, ast.Call)}
-        addr_taken = {n.decl.nid for n in self.program.walk()
-                      if isinstance(n, ast.Ident) and id(n) not in direct
-                      and isinstance(n.decl, ast.FunctionDef)}
+        addr_taken = self.form.fn_values
         for fn in self.sema.functions.values():
             if fn.body is None:
                 continue
@@ -1944,22 +1516,3 @@ def lower_program(program: ast.Program, sema,
     if controlled is not None:
         controlled = frozenset(controlled)
     return Lowerer(program, sema, controlled).lower()
-
-
-_X = {
-    ast.IntLit: _Emit._x_intlit,
-    ast.FloatLit: _Emit._x_floatlit,
-    ast.StrLit: _Emit._x_strlit,
-    ast.Ident: _Emit._x_ident,
-    ast.Unary: _Emit._x_unary,
-    ast.Binary: _Emit._x_binary,
-    ast.Assign: _Emit._x_assign,
-    ast.Cond: _Emit._x_cond,
-    ast.Call: _Emit._x_call,
-    ast.Index: _Emit._x_index,
-    ast.Member: _Emit._x_member,
-    ast.Cast: _Emit._x_cast,
-    ast.SizeofType: _Emit._x_sizeof_type,
-    ast.SizeofExpr: _Emit._x_sizeof_expr,
-    ast.Comma: _Emit._x_comma,
-}

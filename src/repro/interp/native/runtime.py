@@ -318,7 +318,8 @@ class NativeMachine(BytecodeMachine):
         E.steps = self._steps
         ms = self.max_steps
         E.max_steps = int(ms) if ms == ms and ms < (1 << 62) else (1 << 62)
-        E.depth = len(self.frames)
+        # the frames beneath: Python's, and C's below a callback
+        E.depth = len(self.frames) + self._cframes
         E.cy8 = E.ins = E.lds = E.sts = 0
         E.fault = -1
         E.rnone = 0
@@ -366,7 +367,7 @@ class NativeMachine(BytecodeMachine):
                 label = labels.get(nid)
                 if label is None:
                     label = labels[nid] = malloc_label(
-                        self._low.node_by_nid[nid])
+                        self._low.heap_nodes[nid])
                 memory.replay_alloc(addr, size, label, nid)
         if self._env.brk > memory.brk:
             self._sync_frames(self._env.brk)
@@ -401,6 +402,9 @@ class NativeMachine(BytecodeMachine):
     def _callback(self, envp, op, a, b) -> int:
         E = self._env
         repin = False
+        cframes = self._cframes
+        # C frames in flight count for the Python code beneath them
+        self._cframes = E.depth - len(self.frames)
         try:
             self._commit_costs()
             self._steps = E.steps
@@ -420,7 +424,7 @@ class NativeMachine(BytecodeMachine):
                 if a > len(data):
                     data.extend(b"\0" * max(a - len(data), 65536))
             elif op == OP_STRLIT:
-                node = self._low.node_by_nid[a]
+                node = self._low.strlits[b]
                 cache = self._strlit_cache
                 addr = cache.get(node.nid)
                 if addr is None:
@@ -439,7 +443,7 @@ class NativeMachine(BytecodeMachine):
                 self._unpin()
                 repin = True
                 args = self._decode_call_args(meta)
-                node = self._low.node_by_nid.get(meta.nid)
+                node = meta.node
                 if op == OP_BUILTIN:
                     impl = BUILTIN_IMPLS[meta.name]
                     result = impl(self, args, node)
@@ -454,6 +458,7 @@ class NativeMachine(BytecodeMachine):
             self._pending = exc
             return 1
         finally:
+            self._cframes = cframes
             if repin or self._pin is None:
                 self._do_pin()
             E.steps = self._steps
@@ -484,12 +489,13 @@ class NativeMachine(BytecodeMachine):
     # -- entry invocation --------------------------------------------------
     def _invoke(self, cname: str, daddr: Optional[List[int]] = None) -> int:
         self.native_dispatches += 1
-        outer = self._daddr_arr
+        outer, depth = self._daddr_arr, self._env.depth
         self._enter(daddr)
         try:
             rc = self._handles[cname](self._env_addr)
         finally:
             self._exit()
+            self._env.depth = depth  # a nested entry: the outer C's depth
             if self._daddr_arr is not outer:
                 self._daddr_arr = outer
                 self._env.daddr = outer
@@ -511,12 +517,7 @@ class NativeMachine(BytecodeMachine):
             self.memory.check_access(addr, size)
             raise InterpError(
                 f"wild access at {addr} (size {size})")  # pragma: no cover
-        meta = self._low.faults[site - 1]
-        node = self._low.node_by_nid.get(meta.nid) \
-            if meta.nid is not None else None
-        if meta.kind == "memory":  # pragma: no cover - none emitted yet
-            raise MemoryError_(meta.msg)
-        raise InterpError(meta.msg, node)
+        raise self._low.faults[site - 1].error()
 
     def _decode_return(self):
         E = self._env
@@ -622,6 +623,7 @@ class NativeMachine(BytecodeMachine):
         E.args[1] = k1
         E.args[6] = 0
         self.native_dispatches += 1
+        depth = E.depth
         self._enter(daddr)
         # hb address needs the pinned base; set after _enter pins
         E.args[4] = (E.M + hb_iter_off) if hb_iter_off else 0
@@ -629,6 +631,7 @@ class NativeMachine(BytecodeMachine):
             rc = self._handles[meta.cname](self._env_addr)
         finally:
             self._exit()
+            E.depth = depth
         if self._pending is not None:
             exc = self._pending
             self._pending = None

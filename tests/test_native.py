@@ -1078,3 +1078,38 @@ class TestHeapInC:
             machine.heap_ops
         assert metrics["runtime.parent_native_upcalls"] == \
             sum(machine.upcalls.values())
+
+
+class TestDepthAcrossCallbacks:
+    """The call-depth limit counts every frame in flight, compiled or
+    interpreted, however often a recursion crosses between the two."""
+
+    #: ``down`` lowers; ``hop`` holds a call through a function pointer
+    #: (``NL-FNPTR``), so each of its calls to ``down`` re-enters C from
+    #: the closures and each of ``down``'s calls to it is a callback
+    SRC = """
+    int down(int n);
+    int idle(int n) { return n; }
+    int hop(int n) {
+        if (n < 0) return (n % 2 ? idle : idle)(n);
+        return down(n);
+    }
+    int down(int n) {
+        if (n == 0) return 0;
+        return hop(n - 1) + 1;
+    }
+    int main(void) { print_int(down(150)); return 0; }
+    """
+
+    def test_mutual_recursion_to_depth_300_overflows_like_the_walker(self):
+        program, sema = parse_and_analyze(self.SRC)
+        raised = {}
+        for engine in ("ast", "native"):
+            machine = Machine(program, sema, engine=engine)
+            with pytest.raises(Exception) as info:
+                machine.run()
+            raised[engine] = (type(info.value), str(info.value))
+        assert raised["ast"][1] == "call stack overflow in down"
+        assert raised["native"] == raised["ast"]
+        assert machine._low.nl == {"fn:hop": "NL-FNPTR"}
+        assert machine.native_dispatches > 100
