@@ -25,13 +25,11 @@ resident-service guarantees:
 ``--engine native`` submits every job on the native lowering tier and
 skips gracefully (exit 0) when the host has no C toolchain.
 
-The cell-by-cell report lands in ``--json``; ``--trajectory`` appends
-the measurement as the additive ``serve`` block of a
-``BENCH_*.json``-style trajectory for cross-commit diffing.
+The cell-by-cell report lands in ``--json``.
 
 Usage:  python scripts/serve_smoke.py [--backend auto|simulated|process]
         [--engine bytecode|native] [--threads N] [--min-ratio R]
-        [--json PATH] [--trajectory PATH]
+        [--json PATH]
 
 Exit status 0 when every assertion holds, 1 otherwise.
 """
@@ -114,9 +112,6 @@ def main(argv=None):
                              "latency ratio (default 5)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the cell-by-cell report here")
-    parser.add_argument("--trajectory", metavar="PATH", default=None,
-                        help="emit a trajectory JSON whose 'serve' "
-                             "block records this measurement")
     args = parser.parse_args(argv)
 
     if args.engine == "native":
@@ -283,7 +278,7 @@ def main(argv=None):
             "native round 1 never invoked the C compiler "
             "(no kernel was actually lowered)")
 
-    serve_block = {
+    report = {
         "backend": backend,
         "engine": args.engine,
         "cc_invocations_cold": cc_cold,
@@ -300,13 +295,9 @@ def main(argv=None):
     }
     if args.json:
         with open(args.json, "w") as fh:
-            json.dump(serve_block, fh, indent=1)
+            json.dump(report, fh, indent=1)
             fh.write("\n")
         print(f"[report written to {args.json}]", file=sys.stderr)
-    if args.trajectory:
-        from repro.bench.trajectory import emit_trajectory
-        path = emit_trajectory({}, args.trajectory, serve=serve_block)
-        print(f"[trajectory written to {path}]", file=sys.stderr)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     return 1 if failures else 0

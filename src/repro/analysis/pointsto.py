@@ -29,7 +29,7 @@ benchmark kernel.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..frontend import ast
 from ..frontend.ctypes import ArrayType, CType, StructType
@@ -75,32 +75,6 @@ class PointsToResult:
 
     def objects_of_access(self, nid: int) -> Set[Obj]:
         return self.access_objects.get(nid, set())
-
-    def pointer_vars_to(self, objs: Set[Obj],
-                        decls: Iterable[ast.VarDecl]) -> Set[ast.VarDecl]:
-        """Declared variables whose stored pointers may reach ``objs``."""
-        out: Set[ast.VarDecl] = set()
-        for decl in decls:
-            if not _contains_pointer(decl.ctype):
-                continue
-            if self.pts_of(("obj", ("var", decl.nid))) & objs:
-                out.add(decl)
-        return out
-
-    def struct_types_to(self, objs: Set[Obj]) -> Set[str]:
-        """Struct type names whose instances' pointer fields may reach
-        ``objs`` (field promotion is decided per struct type)."""
-        out: Set[str] = set()
-        for obj, types in self.object_types.items():
-            if not self.pts_of(("obj", obj)) & objs:
-                continue
-            for ctype in types:
-                base = ctype
-                while isinstance(base, ArrayType):
-                    base = base.elem
-                if isinstance(base, StructType) and _contains_pointer(base):
-                    out.add(base.name)
-        return out
 
 
 class _Solver:

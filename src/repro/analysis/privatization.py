@@ -56,9 +56,6 @@ class PrivatizationResult:
     def is_private(self, site: int) -> bool:
         return site in self.private_sites
 
-    def private_classes(self) -> List[ClassInfo]:
-        return [c for c in self.class_infos if c.private]
-
     def commutative_classes(self) -> List[ClassInfo]:
         return [c for c in self.class_infos if c.commutative]
 

@@ -389,16 +389,20 @@ def static_parallelizability_report(
     graph's conservatism blocks privatization entirely (the paper's
     §4.1 claim)."""
     from .access_classes import build_access_classes
+    from .commutative import upgrade_commutative
     from .privatization import classify
     from .profiler import profile_loop
 
     static_ddg = build_static_ddg(program, sema, loop)
     static_priv = classify(static_ddg, build_access_classes(static_ddg))
 
+    # the profiled side is classified as the pipeline classifies it,
+    # commutative reductions included
     profile = profile_loop(program, sema, loop)
     dynamic_priv = classify(
         profile.ddg, build_access_classes(profile.ddg)
     )
+    upgrade_commutative(program, sema, loop, profile, dynamic_priv)
     return {
         "static_sites": len(static_ddg.sites),
         "static_private": len(static_priv.private_sites),

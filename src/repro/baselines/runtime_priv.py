@@ -232,9 +232,6 @@ class _BaselineController:
         self.schedule = loop_controller(ctx, plan)
 
     def __call__(self, machine: Machine, loop: ast.LoopStmt) -> None:
-        # the access-control epoch counts as an execution beside the
-        # scheduler's own (every recorded baseline trajectory has both)
-        self.schedule.execution.executions += 1
         self.access_control.begin_loop(self.schedule.ctx.nthreads)
         try:
             self.schedule(machine, loop)

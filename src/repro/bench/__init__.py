@@ -6,14 +6,9 @@ from .harness import (
     VerificationError, benchmark_result,
 )
 from .suite import BenchmarkSpec, PaperNumbers, all_benchmarks, get
-from .trajectory import (
-    TRAJECTORY_SCHEMA, emit_trajectory, load_trajectory, trajectory_payload,
-)
 
 __all__ = [
     "BenchmarkSpec", "PaperNumbers", "get", "all_benchmarks",
     "Harness", "BenchmarkResult", "ParallelPoint", "benchmark_result",
     "DEFAULT_HARNESS", "VerificationError", "report",
-    "TRAJECTORY_SCHEMA", "emit_trajectory", "load_trajectory",
-    "trajectory_payload",
 ]

@@ -19,7 +19,6 @@ loudly rather than producing a pretty but wrong speedup.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional
 
 from ..frontend import ast, parse_and_analyze
@@ -80,15 +79,6 @@ class BenchmarkResult:
         self.engine = "ast"
         #: execution backend of the parallel runs ("simulated"/"process")
         self.backend = "simulated"
-        #: host wall-clock seconds per measurement phase, plus "total"
-        self.wall: Dict[str, float] = {}
-        #: host wall-clock seconds of the expansion parallel run, per
-        #: thread count (real end-to-end speedup = wallclock[1]/[n])
-        self.wallclock: Dict[int, float] = {}
-        #: native-tier compile accounting for this benchmark (schema 4):
-        #: {"compile_seconds", "so_cache_hits", "so_cache_misses"};
-        #: ``None`` when the measurements did not run on the native tier
-        self.native: Optional[Dict[str, float]] = None
 
     def point(self, nthreads: int) -> ParallelPoint:
         return self.expansion[nthreads]
@@ -149,22 +139,7 @@ class Harness:
         result = BenchmarkResult(spec)
         result.engine = eng
         result.backend = self.backend
-        wall = result.wall
-        t_start = time.perf_counter()
-        nb = None
-        if eng == "native":
-            from ..interp.native import backend as nb
-            native0 = (nb.SO_CACHE_HITS, nb.SO_CACHE_MISSES,
-                       nb.COMPILE_SECONDS)
-
-        def clock(phase: str, since: float) -> float:
-            now = time.perf_counter()
-            wall[phase] = wall.get(phase, 0.0) + (now - since)
-            return now
-
-        t = time.perf_counter()
         program, sema = parse_and_analyze(spec.source, tracer=tracer)
-        t = clock("frontend", t)
 
         # 1. sequential baseline.  The baseline gets the same standard
         # loop-invariant-code-motion treatment the transform's output
@@ -178,7 +153,6 @@ class Harness:
         result.seq_output = list(seq.output)
         result.seq_cycles = seq.cost.cycles
         result.seq_memory = seq.memory.peak_footprint()
-        t = clock("sequential-baseline", t)
 
         # 2. profiles + classification (one run per candidate loop),
         # on the pristine program (the transform consumes these sites)
@@ -207,7 +181,6 @@ class Harness:
             loop_cycles += base_profile.loop_cycles
         result.seq_loop_cycles = loop_cycles
         result.pct_time = loop_cycles / result.seq_cycles
-        t = clock("profile", t)
 
         # 3. transforms (reusing the profiles)
         opt = expand_for_threads(
@@ -218,7 +191,6 @@ class Harness:
             program, sema, spec.loop_labels, optimize=False, profiles=profiles
         )
         result.num_privatized = opt.num_privatized
-        t = clock("transform", t)
 
         # 4. figure 9: sequential single-core overhead of the transform
         for tresult, attr in ((opt, "overhead_opt"), (unopt, "overhead_unopt")):
@@ -231,7 +203,6 @@ class Harness:
             _check_output(spec, result.seq_output, machine.output,
                           f"transformed({attr})")
             setattr(result, attr, machine.cost.cycles / result.seq_cycles)
-        t = clock("figure9-overheads", t)
 
         # 5. figure 10: runtime privatization sequential overhead
         rt1 = run_runtime_privatization(
@@ -240,20 +211,14 @@ class Harness:
         )
         _check_output(spec, result.seq_output, rt1.output, "rt-priv(N=1)")
         result.overhead_rtpriv = rt1.total_cycles / result.seq_cycles
-        t = clock("figure10-rtpriv", t)
 
-        # 6. figures 11-14: parallel runs.  The expansion run is also
-        # wall-timed: on the process backend wallclock[1]/wallclock[n]
-        # is the real end-to-end host speedup (simulated-cycle speedups
-        # are backend-invariant by the bit-identity contract).
+        # 6. figures 11-14: parallel runs
         from ..service import CompileOptions, Job
         for n in self.thread_counts:
             job = Job(spec.source, spec.loop_labels,
                       CompileOptions(engine=eng), nthreads=n,
                       backend=self.backend, workers=self.workers)
-            t_par = time.perf_counter()
             out = run_parallel(opt, job=job, tracer=tracer)
-            result.wallclock[n] = time.perf_counter() - t_par
             _check_output(spec, result.seq_output, out.output,
                           f"parallel(N={n})")
             point = ParallelPoint(n)
@@ -281,8 +246,6 @@ class Harness:
             rpoint.memory_multiple = rt.peak_memory / result.seq_memory
             result.rtpriv[n] = rpoint
 
-        t = clock("parallel-runs", t)
-
         # 7. sync-only baseline at 8 threads (§4.3's "slowdown instead
         # of speedup" observation)
         so = run_sync_only(program, sema, spec.loop_labels, profiles,
@@ -290,14 +253,6 @@ class Harness:
         _check_output(spec, result.seq_output, so.output, "sync-only")
         so_loop = so.loop_makespan
         result.sync_only_speedup = loop_cycles / so_loop if so_loop else 0.0
-        clock("sync-only", t)
-        wall["total"] = time.perf_counter() - t_start
-        if nb is not None:
-            result.native = {
-                "so_cache_hits": nb.SO_CACHE_HITS - native0[0],
-                "so_cache_misses": nb.SO_CACHE_MISSES - native0[1],
-                "compile_seconds": nb.COMPILE_SECONDS - native0[2],
-            }
         return result
 
 

@@ -13,6 +13,7 @@ without writing Python:
   (span discipline, allocation scaling, privatization races); findings
   are structured ``LINT-*`` diagnostics
 * ``bench``    — run one benchmark (or ``all``) through the harness
+  and print the paper-figure report
 
 Every subcommand accepts ``--trace out.json`` (Chrome trace-event
 JSON: compile-phase spans + per-thread runtime timeline + metrics,
@@ -33,8 +34,8 @@ Examples::
     python -m repro parallel program.c --loop L --backend process --workers 4
     python -m repro lint program.c --fail-on-warning
     python -m repro lint --bench all --fail-on-warning
-    python -m repro bench dijkstra --json BENCH_run.json
-    python -m repro bench all --backend process --json --out baselines/
+    python -m repro bench dijkstra
+    python -m repro bench all --backend process --workers 4
 """
 
 from __future__ import annotations
@@ -457,7 +458,6 @@ def _cmd_bench(args) -> int:
 
     from .bench import Harness, all_benchmarks
     from .bench.report import full_report
-    from .bench.trajectory import emit_trajectory
 
     names = [s.name for s in all_benchmarks()] if args.name == "all" \
         else [args.name]
@@ -472,10 +472,6 @@ def _cmd_bench(args) -> int:
     finally:
         _finish_trace(args, tracer)
     print(full_report(results))
-    if args.json is not None or args.out is not None:
-        path = emit_trajectory(results,
-                               path=(args.json or None) or args.out)
-        print(f"[trajectory written to {path}]", file=sys.stderr)
     return 0
 
 
@@ -678,17 +674,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="run benchmark(s)")
     p_bench.add_argument("name", help="benchmark name or 'all'")
-    p_bench.add_argument(
-        "--json", nargs="?", const="", default=None, metavar="PATH",
-        help="emit a BENCH_<timestamp>.json speedup/overhead trajectory "
-             "(default name when PATH omitted)",
-    )
-    p_bench.add_argument(
-        "--out", metavar="DIR|FILE", default=None,
-        help="destination for the trajectory JSON: a directory (gets "
-             "the generated BENCH_<timestamp>.json name) or an exact "
-             "file path; implies --json",
-    )
     add_trace(p_bench)
     add_engine(p_bench)
     add_backend(p_bench)

@@ -68,15 +68,6 @@ class CType:
     def is_void(self) -> bool:
         return isinstance(self, VoidType)
 
-    @property
-    def is_function(self) -> bool:
-        return isinstance(self, FunctionType)
-
-    @property
-    def is_scalar(self) -> bool:
-        """Scalars are arithmetic values and pointers."""
-        return self.is_arith or self.is_pointer
-
     def decay(self) -> "CType":
         """Array-to-pointer decay; identity for other types."""
         if isinstance(self, ArrayType):

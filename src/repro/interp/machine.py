@@ -141,11 +141,6 @@ class Frame:
         self.stack_allocs: List[mem.Allocation] = []
 
 
-def scalar_fmt(ctype: CType) -> str:
-    """struct format char for a scalar type."""
-    return ctype.fmt  # IntType/FloatType/PointerType all carry .fmt
-
-
 # ---------------------------------------------------------------------------
 # Execution engines
 # ---------------------------------------------------------------------------

@@ -41,11 +41,8 @@ from .codegen import NATIVE_ABI_VERSION, Lowering, lower_program
 #: total C compiler invocations in this process (serve-smoke gate)
 COMPILER_INVOCATIONS = 0
 
-#: process-wide .so cache accounting (the bench harness diffs these
-#: around a benchmark to attribute compiles/hits to it)
+#: units served from the .so cache in this process
 SO_CACHE_HITS = 0
-SO_CACHE_MISSES = 0
-COMPILE_SECONDS = 0.0
 
 #: appended with one line per compiler invocation when set
 CC_LOG_ENV = "REPRO_NATIVE_CC_LOG"
@@ -205,8 +202,7 @@ def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
     and the wall-clock seconds during which a compiler was running
     (each ``CompiledLib.compile_seconds`` stays that process's own:
     the CPU seconds of the compiler and the passes it ran)."""
-    global COMPILER_INVOCATIONS, SO_CACHE_HITS, SO_CACHE_MISSES
-    global COMPILE_SECONDS
+    global COMPILER_INVOCATIONS, SO_CACHE_HITS
     directory = _cache_dir(cache_dir)
     so_paths = [os.path.join(directory, f"{tag}-{so_cache_key(source)}.so")
                 for source, _, tag in units]
@@ -268,9 +264,6 @@ def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
         spent = seconds.pop(so_path, None)  # a repeated unit hits
         if spent is None:
             SO_CACHE_HITS += 1
-        else:
-            SO_CACHE_MISSES += 1
-            COMPILE_SECONDS += spent
         handles, binder = _bind(so_path, exports)
         libs.append(CompiledLib(so_path, handles, spent is None,
                                 spent or 0.0, binder))

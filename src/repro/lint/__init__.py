@@ -3,14 +3,16 @@
 The expansion pipeline's output is executable, and the runtime layers
 (race checker, fault injectors) police it *dynamically* — but a
 miscompilation should not need a lucky interleaving to surface.  This
-package re-checks the paper's structural contracts purely statically,
-on the transformed AST, using the CFG/dataflow framework
-(:mod:`repro.analysis.cfg`, :mod:`repro.analysis.dataflow`) and the
-points-to facts the pipeline already computed:
+package is the one checker of the transformed IR: it re-checks the
+paper's structural contracts purely statically, on the transformed
+AST, using the CFG/dataflow framework (:mod:`repro.analysis.cfg`,
+:mod:`repro.analysis.dataflow`) and the points-to facts the pipeline
+already computed:
 
 * :mod:`repro.lint.rules` — span discipline (Table 3), expansion
-  scaling (Table 1), fat-pointer layout (Figure 4), uninitialized
-  reads;
+  scaling (Table 1), fat-pointer layout (Figure 4), the shape of
+  candidate loops, expanded variables and ``__expand_init``,
+  uninitialized reads, and re-analysis of the whole output;
 * :mod:`repro.lint.races` — the privatization race auditor: copy-index
   well-formedness of every ``__tid`` occurrence, tid-copy resolution of
   every private store, and the §3.2 access-class invariant re-checked

@@ -13,11 +13,19 @@ Each rule re-checks one contract of the expansion transform:
                        :class:`repro.runtime.faults.SpanCorruptor` induces
 ``LINT-ALLOC-SCALE``   every expansion-set allocation multiplies its size
                        by ``__nthreads`` (Table 1)
-``LINT-FATPTR-FIELD``  fat structs keep the Figure 4 layout and fat
+``LINT-FATPTR-FIELD``  fat structs keep the 16-byte Figure 4 layout and fat
                        variables are never address-taken or accessed
                        outside the pointer/span fields
+``LINT-LOOP-SHAPE``    every candidate loop survived the rewrite as a
+                       DOALL/DOACROSS loop that kept its pragma
+``LINT-EXPAND-SHAPE``  VLA-expanded variables declare a ``__nthreads``
+                       length, heap-expanded ones became pointers
+``LINT-INIT-FN``       ``__expand_init`` is the first statement of ``main``
+                       and allocates every heapified global
 ``LINT-UNINIT-READ``   scalar locals read while only the synthetic
                        uninitialized definition reaches (reaching-defs)
+``LINT-REANALYZE``     the transformed program re-analyzes: names resolve,
+                       types check (registered last)
 =====================  =====================================================
 """
 
@@ -29,12 +37,16 @@ from ..analysis.cfg import build_cfg
 from ..analysis.dataflow import ReachingDefinitions, solve
 from ..frontend import ast
 from ..frontend.ctypes import ArrayType, LONG, PointerType, StructType
-from ..transform.expand import _ALLOC_SIZE_ARG, INIT_FN_NAME, NTHREADS
+from ..frontend.sema import SemaError, analyze
+from ..transform.expand import (
+    _ALLOC_SIZE_ARG, INIT_FN_NAME, MODE_HEAP, MODE_VLA, NTHREADS,
+)
 from ..transform.optimize import (
     _SpanLiveness, _span_cells, find_dead_span_stores, is_fat_struct,
 )
+from ..transform.pipeline import DOACROSS, DOALL
 from ..transform.promote import PTR_FIELD, SPAN_FIELD, _lvalue_repr
-from ..transform.rewrite import origin_of
+from ..transform.rewrite import clone_program, origin_of
 from . import LintContext, rule
 
 
@@ -277,6 +289,11 @@ def check_fatptr_fields(ctx: LintContext) -> None:
                 "LINT-FATPTR-FIELD", "error",
                 f"fat struct {fat.name}.{SPAN_FIELD} is not long",
             )
+        if fat.size != 16:
+            ctx.finding(
+                "LINT-FATPTR-FIELD", "error",
+                f"fat struct {fat.name} has size {fat.size}, expected 16",
+            )
     for fn in ctx.program.functions():
         if fn.body is None:
             continue
@@ -302,6 +319,108 @@ def check_fatptr_fields(ctx: LintContext) -> None:
                     f"{node.name!r} in {fn.name}()",
                     node=node,
                 )
+
+
+@rule("LINT-LOOP-SHAPE",
+      "candidate loops keep their loop shape, pragma and kind")
+def check_loop_shape(ctx: LintContext) -> None:
+    for tl in ctx.result.loops:
+        loop = tl.loop
+        if not isinstance(loop, ast.LoopStmt):
+            ctx.finding(
+                "LINT-LOOP-SHAPE", "error",
+                f"candidate loop {loop!r} is not a loop",
+            )
+            continue
+        if not loop.pragmas:
+            ctx.finding(
+                "LINT-LOOP-SHAPE", "error",
+                f"candidate loop {loop.label!r} lost its pragma",
+                node=loop,
+            )
+        if tl.kind not in (DOALL, DOACROSS):
+            ctx.finding(
+                "LINT-LOOP-SHAPE", "error",
+                f"candidate loop {loop.label!r} has kind {tl.kind!r}",
+                node=loop,
+            )
+
+
+@rule("LINT-EXPAND-SHAPE",
+      "expanded variables have their VLA or heap shape")
+def check_expand_shape(ctx: LintContext) -> None:
+    for evar in ctx.result.expansion.expanded_vars.values():
+        decl = evar.decl
+        if evar.mode == MODE_VLA:
+            if not isinstance(decl.ctype, ArrayType) or \
+                    decl.ctype.length is not None:
+                ctx.finding(
+                    "LINT-EXPAND-SHAPE", "error",
+                    f"VLA-expanded {decl.name!r} has type "
+                    f"{decl.ctype!r}, expected an unsized array",
+                    node=decl,
+                )
+            elif decl.vla_length is None or \
+                    not _contains_nthreads(decl.vla_length):
+                ctx.finding(
+                    "LINT-EXPAND-SHAPE", "error",
+                    f"VLA-expanded {decl.name!r} lacks a {NTHREADS} "
+                    "length",
+                    node=decl,
+                )
+        elif evar.mode == MODE_HEAP and \
+                not isinstance(decl.ctype, PointerType):
+            ctx.finding(
+                "LINT-EXPAND-SHAPE", "error",
+                f"heap-expanded {decl.name!r} has type {decl.ctype!r}, "
+                "expected a pointer",
+                node=decl,
+            )
+
+
+@rule("LINT-INIT-FN",
+      "__expand_init runs first and allocates every heapified global")
+def check_init_fn(ctx: LintContext) -> None:
+    heapified = [
+        evar.decl for evar in ctx.result.expansion.expanded_vars.values()
+        if evar.mode == MODE_HEAP and evar.decl.storage == "global"
+    ]
+    if not heapified:
+        return
+    fns = {fn.name: fn for fn in ctx.program.functions()}
+    missing = [name for name in (INIT_FN_NAME, "main") if name not in fns]
+    if missing:
+        ctx.finding(
+            "LINT-INIT-FN", "error",
+            f"globals were heapified but {missing[0]}() is missing",
+        )
+        return
+    init_fn, main = fns[INIT_FN_NAME], fns["main"]
+    first = main.body.stmts[0] if main.body.stmts else None
+    if not (isinstance(first, ast.ExprStmt)
+            and isinstance(first.expr, ast.Call)
+            and first.expr.callee_name == INIT_FN_NAME):
+        ctx.finding(
+            "LINT-INIT-FN", "error",
+            f"main does not call {INIT_FN_NAME} as its first statement",
+        )
+    allocated = {
+        stmt.expr.target.name
+        for stmt in init_fn.body.stmts
+        if isinstance(stmt, ast.ExprStmt)
+        and isinstance(stmt.expr, ast.Assign)
+        and isinstance(stmt.expr.target, ast.Ident)
+        and isinstance(stmt.expr.value, ast.Call)
+        and stmt.expr.value.callee_name == "malloc"
+    }
+    for decl in heapified:
+        if decl.name not in allocated:
+            ctx.finding(
+                "LINT-INIT-FN", "error",
+                f"heapified global {decl.name!r} is never allocated in "
+                f"{INIT_FN_NAME}",
+                node=decl,
+            )
 
 
 @rule("LINT-UNINIT-READ",
@@ -358,3 +477,16 @@ def check_uninit_read(ctx: LintContext) -> None:
                         "reaches",
                         node=elem,
                     )
+
+
+@rule("LINT-REANALYZE", "the transformed program re-analyzes")
+def check_reanalyze(ctx: LintContext) -> None:
+    # on a copy: analysis annotates in place, and a lint only reads
+    clone, _nid_map = clone_program(ctx.program)
+    try:
+        analyze(clone)
+    except SemaError as exc:
+        ctx.finding(
+            "LINT-REANALYZE", "error",
+            f"transformed program fails re-analysis: {exc}",
+        )

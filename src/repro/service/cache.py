@@ -128,10 +128,6 @@ class StageCache:
     def _entry_path(self, stage: str, key: str) -> str:
         return os.path.join(self.root, stage, key[:2], f"{key}.pkl")
 
-    def entry_exists(self, stage: str, key: str) -> bool:
-        return (self.root is not None
-                and os.path.exists(self._entry_path(stage, key)))
-
     # -- core -------------------------------------------------------------
     def get(self, stage: str, key: str, memory_only: bool = False):
         """The artifact for (stage, key), or :data:`MISS`."""
@@ -265,8 +261,3 @@ class StageCache:
                 "hits": dict(self.hits),
                 "misses": dict(self.misses),
             }
-
-    def clear_memory(self) -> None:
-        with self._lock:
-            self._mem.clear()
-            self._volatile.clear()

@@ -11,7 +11,6 @@ from .promote import (
     promote_program,
 )
 from .redirect import RedirectStats, redirect_private_derefs
-from .validate import validate_transform
 from .rewrite import clone_program, origin_of
 
 __all__ = [
@@ -22,6 +21,6 @@ __all__ = [
     "PromotionPlan", "TypePromoter", "promote_program", "TransformError",
     "PTR_FIELD", "SPAN_FIELD",
     "ExpansionResult", "ExpandedVar", "INIT_FN_NAME",
-    "RedirectStats", "redirect_private_derefs", "validate_transform",
+    "RedirectStats", "redirect_private_derefs",
     "clone_program", "origin_of",
 ]

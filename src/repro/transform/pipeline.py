@@ -177,12 +177,6 @@ class TransformResult:
         """Number of dynamic data structures privatized (Table 5)."""
         return self.expansion.num_expanded
 
-    def loop_by_label(self, label: str) -> TransformedLoop:
-        for tl in self.loops:
-            if tl.loop.label == label:
-                return tl
-        raise KeyError(f"no transformed loop labeled {label!r}")
-
     def runtime_priv_loops(self):
         """``(quarantined loop, its clone in the output program)`` for
         every quarantined loop that falls back to runtime privatization

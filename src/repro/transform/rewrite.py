@@ -21,11 +21,6 @@ def origin_of(node: ast.Node) -> int:
     return getattr(node, "origin", node.nid)
 
 
-def set_origin(node: ast.Node, origin: int) -> ast.Node:
-    node.origin = origin
-    return node
-
-
 def inherit_origin(new: ast.Node, old: ast.Node) -> ast.Node:
     """Mark ``new`` as the rewrite of ``old``."""
     new.origin = origin_of(old)

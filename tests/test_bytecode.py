@@ -1,9 +1,8 @@
 """Bytecode execution tier: engine selection, differential equivalence
 against the tree walker over the whole benchmark suite, observer/cost
-parity, the parallel-runtime drop-in contract, the memory fast-path
-caches, and the schema-3 wall-clock trajectory."""
+parity, the parallel-runtime drop-in contract and the memory fast-path
+caches."""
 
-import json
 import os
 
 import pytest
@@ -533,106 +532,3 @@ class TestScalarCodecs:
         memory.data[addr:end] = b"x" * (end - addr)
         with pytest.raises(IndexError):
             memory.read_cstring(addr)
-
-
-# ---------------------------------------------------------------------------
-# schema-4 trajectory (wall clock + engines + backends + native tier)
-# ---------------------------------------------------------------------------
-
-class TestTrajectorySchema:
-    def test_schema_is_4(self):
-        from repro.bench import TRAJECTORY_SCHEMA
-
-        assert TRAJECTORY_SCHEMA == 4
-
-    def test_payload_carries_wall_engine_and_backend(self):
-        from repro.bench import trajectory_payload
-        from repro.bench.harness import Harness
-
-        harness = Harness(thread_counts=(2,), engine="bytecode")
-        res = harness.result("dijkstra")
-        payload = trajectory_payload({"dijkstra": res})
-        assert payload["schema"] == 4
-        assert payload["engines"] == ["bytecode"]
-        assert payload["backends"] == ["simulated"]
-        bench = payload["benchmarks"]["dijkstra"]
-        assert bench["engine"] == "bytecode"
-        assert bench["backend"] == "simulated"
-        wall = bench["wall_seconds"]
-        assert wall["total"] > 0
-        for phase in ("sequential-baseline", "profile", "parallel-runs"):
-            assert wall[phase] > 0
-        assert payload["summary"]["wall_seconds_total"] >= wall["total"]
-        # schema 3: the expansion parallel run is wall-timed per
-        # thread count
-        assert set(bench["wallclock_seconds"]) == {"2"}
-        assert bench["wallclock_seconds"]["2"] > 0
-        # schema 4: not a native-tier run, so no compile accounting
-        assert bench["native"] is None
-
-    def test_older_schema_rejected(self, tmp_path):
-        """Schemas 1-3 predate the native tier; their readers are gone
-        and the file is refused like one from the future."""
-        from repro.bench import load_trajectory
-
-        path = tmp_path / "BENCH_legacy.json"
-        path.write_text(json.dumps({
-            "schema": 3, "benchmarks": {"dijkstra": {"seq_cycles": 123.0}},
-        }))
-        with pytest.raises(ValueError, match="schema 3 is older"):
-            load_trajectory(str(path))
-
-    def test_newer_schema_rejected(self, tmp_path):
-        from repro.bench import load_trajectory
-
-        path = tmp_path / "BENCH_future.json"
-        path.write_text(json.dumps({"schema": 99, "benchmarks": {}}))
-        with pytest.raises(ValueError, match="newer"):
-            load_trajectory(str(path))
-
-    def test_round_trip_through_emit(self, tmp_path):
-        from repro.bench import load_trajectory
-        from repro.bench.trajectory import emit_trajectory
-
-        path = tmp_path / "BENCH_now.json"
-        emit_trajectory({}, path=str(path))
-        payload = load_trajectory(str(path))
-        assert payload["schema"] == 4
-        assert payload["engines"] == []
-
-    def test_emit_into_directory(self, tmp_path):
-        from repro.bench.trajectory import emit_trajectory
-
-        outdir = tmp_path / "artifacts"
-        outdir.mkdir()
-        written = emit_trajectory({}, path=str(outdir))
-        assert written.startswith(str(outdir))
-        name = written[len(str(outdir)) + 1:]
-        assert name.startswith("BENCH_") and name.endswith(".json")
-        assert json.loads((outdir / name).read_text())["schema"] == 4
-
-    def test_emit_creates_parent_dirs(self, tmp_path):
-        from repro.bench.trajectory import emit_trajectory
-
-        target = tmp_path / "a" / "b" / "BENCH_x.json"
-        written = emit_trajectory({}, path=str(target))
-        assert written == str(target)
-        assert target.exists()
-
-    def test_native_block_round_trips(self, tmp_path):
-        from repro.bench import load_trajectory
-        from repro.bench.harness import BenchmarkResult
-        from repro.bench.suite import get
-        from repro.bench.trajectory import emit_trajectory
-
-        res = BenchmarkResult(get("dijkstra"))
-        res.engine = "native"
-        res.native = {"so_cache_hits": 3, "so_cache_misses": 1,
-                      "compile_seconds": 0.25}
-        path = tmp_path / "BENCH_native.json"
-        emit_trajectory({"dijkstra": res}, path=str(path))
-        bench = load_trajectory(str(path))["benchmarks"]["dijkstra"]
-        assert bench["engine"] == "native"
-        assert bench["native"] == {"so_cache_hits": 3,
-                                   "so_cache_misses": 1,
-                                   "compile_seconds": 0.25}

@@ -155,9 +155,12 @@ class TestPipelineDegradation:
         base.run()
         outcome = run_parallel(result, 4, strict=False)
         assert outcome.output == base.output
-        # both loops executed all iterations (A via the priv fallback)
+        # both loops executed all iterations (A via the priv fallback),
+        # each counted once per execution
         assert outcome.loops["A"].iterations == 8
         assert outcome.loops["B"].iterations == 8
+        assert outcome.loops["A"].executions == 1
+        assert outcome.loops["B"].executions == 1
 
     def test_diagnostics_on_result(self):
         program, sema = parse_and_analyze(DOALL_SRC)

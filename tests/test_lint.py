@@ -7,7 +7,9 @@ Three layers:
    rule on the mutated IR — the static mirror of the runtime
    fault-injection tests in ``test_faults.py``;
 2. targeted sabotage of a small program triggers each rule
-   individually;
+   individually, including the transform-shape contracts (candidate
+   loops, expanded variables, ``__expand_init``, re-analysis) beyond
+   the sabotage cases of ``test_validate.py``;
 3. the liveness-based dead span-store analysis finds at least as many
    eliminable stores as the §3.4 emission-time peephole.
 """
@@ -17,11 +19,12 @@ import pytest
 from repro.bench import all_benchmarks, get
 from repro.diagnostics import Diagnostic, DiagnosticSink
 from repro.frontend import ast, parse_and_analyze
+from repro.frontend.ctypes import ArrayType
 from repro.lint import all_rules, run_lint
 from repro.lint.mutate import corrupt_spans, skew_copy_index
 from repro.obs import Tracer
 from repro.transform import expand_for_threads
-from repro.transform.expand import TID
+from repro.transform.expand import INIT_FN_NAME, MODE_HEAP, TID
 from repro.transform.optimize import _span_store, find_dead_span_stores
 from repro.transform.pipeline import OptFlags
 
@@ -31,7 +34,11 @@ ALL_CODES = {
     "LINT-SPAN-CLOBBER",
     "LINT-ALLOC-SCALE",
     "LINT-FATPTR-FIELD",
+    "LINT-LOOP-SHAPE",
+    "LINT-EXPAND-SHAPE",
+    "LINT-INIT-FN",
     "LINT-UNINIT-READ",
+    "LINT-REANALYZE",
     "LINT-RACE-TID-FORM",
     "LINT-RACE-PRIVATE-COPY",
     "LINT-RACE-CLASS-SPLIT",
@@ -68,6 +75,8 @@ def test_rule_registry_is_complete():
     rules = all_rules()
     assert {r.code for r in rules} == ALL_CODES
     assert all(r.title for r in rules)
+    # re-analysis sees what every other rule saw
+    assert rules[-1].code == "LINT-REANALYZE"
 
 
 @pytest.mark.parametrize("name", [s.name for s in all_benchmarks()])
@@ -179,6 +188,55 @@ class TestReportApi:
         assert tracer.metrics.get("lint.findings") == 0
 
 
+def _lose_allocation(result):
+    # the expanded malloc no longer descends from its original site
+    for fn in result.program.functions():
+        if fn.name == INIT_FN_NAME:
+            continue
+        for node in fn.body.walk():
+            if isinstance(node, ast.Call) and node.callee_name == "malloc":
+                node.origin = -1
+
+
+def _grow_fat_struct(result):
+    for fat in result.promoter.fat_structs():
+        fat.size = 24
+
+
+def _unkind_loop(result):
+    result.loops[0].kind = "sequential"
+
+
+def _expanded(result, mode):
+    return [evar.decl for evar in result.expansion.expanded_vars.values()
+            if evar.mode == mode]
+
+
+def _unheap_global(result):
+    for decl in _expanded(result, MODE_HEAP):
+        decl.ctype = ArrayType(decl.ctype.pointee, 4)
+
+
+def _drop_init_alloc(result):
+    result.program.function(INIT_FN_NAME).body.stmts.pop(0)
+
+
+#: sabotage of the transform's output shape -> (mutation, the codes it
+#: trips, words of one message)
+SHAPE_SABOTAGE = {
+    "lost-allocation": (_lose_allocation, {"LINT-ALLOC-SCALE"},
+                        "vanished"),
+    "fat-struct-size": (_grow_fat_struct, {"LINT-FATPTR-FIELD"},
+                        "expected 16"),
+    "loop-kind": (_unkind_loop, {"LINT-LOOP-SHAPE"}, "kind"),
+    "heap-not-pointer": (_unheap_global,
+                         {"LINT-EXPAND-SHAPE", "LINT-REANALYZE"},
+                         "expected a pointer"),
+    "unallocated-global": (_drop_init_alloc, {"LINT-INIT-FN"},
+                           "never allocated"),
+}
+
+
 class TestSabotage:
     """Each rule fires on a targeted corruption — and only it."""
 
@@ -207,8 +265,26 @@ class TestSabotage:
                         node.callee_name == "malloc" and \
                         isinstance(node.args[0], ast.Binary):
                     node.args[0] = node.args[0].left
-        codes = {d.code for d in run_lint(result).findings}
-        assert codes == {"LINT-ALLOC-SCALE"}
+        findings = run_lint(result).findings
+        assert {d.code for d in findings} == {"LINT-ALLOC-SCALE"}
+        assert any("multiply" in d.message for d in findings)
+
+    @pytest.mark.parametrize("case", list(SHAPE_SABOTAGE))
+    def test_transform_shape(self, case):
+        mutate, codes, words = SHAPE_SABOTAGE[case]
+        result = _build()
+        assert run_lint(result).clean
+        mutate(result)
+        sink = DiagnosticSink()
+        findings = run_lint(result, sink=sink).findings
+        assert {d.code for d in findings} == codes
+        assert any(words in d.message for d in findings)
+        assert sink.diagnostics == findings
+        assert all(isinstance(d, Diagnostic) and d.phase == "lint"
+                   and d.severity == "error" for d in findings)
+        # per-loop findings carry the loop label
+        assert all(d.loop == "L" for d in findings
+                   if d.code == "LINT-LOOP-SHAPE")
 
     def test_private_store_without_copy_selection(self):
         # aim every access at copy 0: no __tid left, so the tid-form

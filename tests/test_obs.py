@@ -1,5 +1,5 @@
 """Observability tests: tracer invariants, Chrome export schema,
-disabled-path cost, metrics cross-checks, CLI/trajectory emission."""
+disabled-path cost, metrics cross-checks, CLI trace emission."""
 
 import json
 
@@ -286,43 +286,3 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "Phases" in err and "parse" in err
 
-
-class TestTrajectory:
-    def test_emit_trajectory_payload(self, tmp_path):
-        from repro.bench.harness import BenchmarkResult, ParallelPoint
-        from repro.bench.suite import get
-        from repro.bench.trajectory import emit_trajectory
-
-        res = BenchmarkResult(get("dijkstra"))
-        res.seq_cycles = 1000.0
-        res.seq_loop_cycles = 800.0
-        res.seq_memory = 64
-        res.overhead_opt = 1.2
-        res.overhead_unopt = 2.0
-        res.overhead_rtpriv = 3.5
-        for n in (1, 4):
-            p = ParallelPoint(n)
-            p.loop_speedup = 0.8 * n
-            p.total_speedup = 0.7 * n
-            p.memory_multiple = float(n)
-            p.breakdown = {"work": 100.0 * n, "sync": 5.0,
-                           "wait": 2.0, "runtime": 9.0}
-            res.expansion[n] = p
-            res.rtpriv[n] = ParallelPoint(n)
-        path = tmp_path / "BENCH_test.json"
-        written = emit_trajectory({"dijkstra": res}, path=str(path))
-        assert written == str(path)
-        doc = json.loads(path.read_text())
-        assert doc["schema"] == 4
-        bench = doc["benchmarks"]["dijkstra"]
-        assert bench["overheads"]["expansion_opt"] == 1.2
-        assert bench["expansion"]["4"]["loop_speedup"] == pytest.approx(3.2)
-        assert doc["summary"]["loop_speedup_hmean"]["4"] == pytest.approx(3.2)
-
-    def test_auto_path_name(self, tmp_path, monkeypatch):
-        from repro.bench.trajectory import emit_trajectory
-
-        monkeypatch.chdir(tmp_path)
-        written = emit_trajectory({})
-        assert written.startswith("BENCH_") and written.endswith(".json")
-        assert json.loads((tmp_path / written).read_text())["schema"] == 4
