@@ -8,10 +8,11 @@ resident-service guarantees:
   output, exit code and verification verdict exactly;
 * **100% stage hits on round 2** — the second identical job must do
   zero compile work: ``cache_hits == cache_stages`` on every kernel;
-* **warm session reuse** — on the process backend, round 2 must draw
-  its worker session from the pool (``session_reused``) instead of
-  forking a fresh one (waived with a notice on hosts without the
-  process backend);
+* **warm session reuse** — on the process backend the daemon pools a
+  single session (``--max-sessions 1``), so every kernel runs on it:
+  round 2 must draw it from the pool (``session_reused``) and the
+  daemon must have created exactly one (waived with a notice on hosts
+  without the process backend);
 * **warm latency** — the p50 round-2 daemon request must be at least
   ``--min-ratio`` (default 5) times faster than a cold ``repro
   parallel`` subprocess of the same kernel, demonstrating what the
@@ -20,7 +21,8 @@ resident-service guarantees:
   pointing at an audit file; round 2 must add **zero** C-compiler
   invocations regardless of engine (with ``--engine native`` round 1
   compiles each kernel's ``.so`` exactly once, and the warm round
-  serves every job from the stage cache).
+  serves every job from the stage cache; the pooled workers load each
+  kernel by binding the daemon's ``.so`` and never run the compiler).
 
 ``--engine native`` submits every job on the native lowering tier and
 skips gracefully (exit 0) when the host has no C toolchain.
@@ -141,7 +143,8 @@ def main(argv=None):
         # the daemon appends one line per C-compiler invocation here;
         # the round-boundary counts prove the warm round compiled nothing
         cc_log = os.path.join(tmp, "cc.log")
-        proc = start_daemon(sock, cache_dir, max_sessions=len(specs),
+        # one pooled session serves all the kernels
+        proc = start_daemon(sock, cache_dir, max_sessions=1,
                             extra_env={"REPRO_NATIVE_CC_LOG": cc_log})
 
         def cc_invocations():
@@ -263,6 +266,11 @@ def main(argv=None):
             failures.append(
                 f"warm-daemon speedup {ratio:.1f}x < "
                 f"{args.min_ratio:g}x")
+
+    created = stats["pool"]["created"]
+    if check_reuse and created != 1:
+        failures.append(f"daemon created {created} sessions; one pooled "
+                        "session must serve every kernel")
 
     cc_cold = cc_per_round[0] if cc_per_round else 0
     cc_warm = (cc_per_round[1] - cc_per_round[0]) \

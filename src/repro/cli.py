@@ -668,7 +668,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--max-sessions", type=int, default=4, metavar="N",
-        help="warm process-backend sessions to keep pooled",
+        help="warm process-backend sessions to keep pooled (a "
+             "session serves any program; only concurrent clients "
+             "need more than one)",
     )
     p_serve.set_defaults(func=_cmd_serve)
 

@@ -131,44 +131,37 @@ def compiler_for(program: ast.Program, sema: SemaResult,
     return comp
 
 
-#: source fingerprint -> Compiler, held *strongly*.  Worker
-#: processes key compiled code on the hash of the program text they
-#: were forked with: tasks carry only the fingerprint (no pickled
-#: program state), and a warm worker reuses its lowered closures across
-#: every task and loop of the same program.
-_HASH_CACHE: Dict[str, Compiler] = {}
-
-
 def source_fingerprint(text: str) -> str:
     """Stable content hash for compile memoization across processes."""
     import hashlib
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def compiler_for_hash(fingerprint: str, program: ast.Program,
-                      sema: SemaResult, tracer=None) -> Compiler:
-    """The Compiler for a source hash.  ``program`` / ``sema`` supply
-    the AST on a cache miss (or when the hash collides with a different
-    in-memory program object)."""
-    comp = _HASH_CACHE.get(fingerprint)
-    if comp is None or comp.program is not program:
-        comp = compiler_for(program, sema, tracer)
-        _HASH_CACHE[fingerprint] = comp
-    return comp
+#: program -> :func:`source_fingerprint` of its printed text, dropped
+#: with the program or by :func:`invalidate_code`
+_FINGERPRINTS: "weakref.WeakKeyDictionary[ast.Program, str]" = \
+    weakref.WeakKeyDictionary()
 
 
-def precompile(program: ast.Program, sema: SemaResult, tracer=None,
-               fingerprint: Optional[str] = None) -> Compiler:
+def program_fingerprint(program: ast.Program) -> str:
+    """The content hash of ``program``'s printed text, memoized per
+    program object (the process backend names a program by it)."""
+    fingerprint = _FINGERPRINTS.get(program)
+    if fingerprint is None:
+        from ...frontend import print_program
+        fingerprint = _FINGERPRINTS[program] = \
+            source_fingerprint(print_program(program))
+    return fingerprint
+
+
+def precompile(program: ast.Program, sema: SemaResult,
+               tracer=None) -> Compiler:
     """Eagerly lower every function body of ``program`` (the service's
     ``lower`` stage).  The lazy per-node memo stays the steady-state
     path; pre-compiling up front moves all closure-building cost into
     the cacheable compile step so warm jobs execute without lowering
-    work.  Registers under ``fingerprint`` when given, so forked
-    workers resolve the same object via :func:`compiler_for_hash`."""
-    if fingerprint is not None:
-        comp = compiler_for_hash(fingerprint, program, sema, tracer)
-    else:
-        comp = compiler_for(program, sema, tracer)
+    work."""
+    comp = compiler_for(program, sema, tracer)
     for fn in program.functions():
         comp.function(fn)
         comp.stmt(fn.body)
@@ -177,16 +170,13 @@ def precompile(program: ast.Program, sema: SemaResult, tracer=None,
 
 def invalidate_code(program: Optional[ast.Program] = None) -> None:
     """Drop everything derived from ``program`` (or from all programs):
-    its lowered form, its closures and its native context.  Callers
-    that mutate an AST in place after it may have been executed (the
-    lint mutators) must invalidate, or stale code would keep the
-    pre-mutation semantics alive."""
+    its lowered form, its closures, its fingerprint and its native
+    context.  Callers that mutate an AST in place after it may have
+    been executed (the lint mutators) must invalidate, or stale code
+    would keep the pre-mutation semantics alive."""
     from ..native import backend
-    for cache in (_FORMS, _CODE_CACHE, backend._CONTEXTS):
+    for cache in (_FORMS, _CODE_CACHE, _FINGERPRINTS, backend._CONTEXTS):
         if program is None:
             cache.clear()
         else:
             cache.pop(program, None)
-    for key in [k for k, c in _HASH_CACHE.items()
-                if program is None or c.program is program]:
-        del _HASH_CACHE[key]

@@ -259,12 +259,13 @@ class Memory:
 
     def detach(self) -> None:
         """Buffer mode: replace the shared backing with a private
-        bytearray copy of the region so the address space stays
-        inspectable after the owning segment is closed.  No-op in
-        bytearray mode."""
+        bytearray copy of the allocated span ``[0, brk)`` so the address
+        space stays inspectable after the owning segment is closed (a
+        later :meth:`alloc` extends the copy like any bytearray-mode
+        memory).  No-op in bytearray mode."""
         if not self.shared:
             return
-        snap = bytearray(self.data[:self.limit])
+        snap = bytearray(self.data[:self.brk])
         self.data = snap
         self.shared = False
         self.limit = None

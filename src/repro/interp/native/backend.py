@@ -50,6 +50,12 @@ CC_LOG_ENV = "REPRO_NATIVE_CC_LOG"
 #: override the on-disk .so cache directory
 CACHE_ENV = "REPRO_NATIVE_CACHE"
 
+#: cleared in a process that must never start a compiler (a process
+#: backend worker): there a unit the .so cache misses raises
+#: ``NL-NO-SO`` instead, and the toolchain probe is skipped — a cached
+#: .so is its own proof that the toolchain works
+COMPILES_ALLOWED = True
+
 CFLAGS = ("-shared", "-O2", "-fPIC", "-fwrapv")
 
 _AVAILABLE: Optional[Tuple[bool, str]] = None
@@ -215,6 +221,10 @@ def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
         for (source, _, _), so_path in zip(units, so_paths):
             if so_path in procs or os.path.exists(so_path):
                 continue
+            if not COMPILES_ALLOWED:
+                raise RuntimeError(
+                    f"NL-NO-SO: {so_path} is not in the .so cache and "
+                    f"this process never compiles")
             cc = _find_cc()
             if cc is None:
                 raise RuntimeError("NL-NO-CC: no C compiler on PATH")
@@ -278,8 +288,9 @@ def compile_source(source: str, exports, cache_dir: Optional[str] = None,
 
 
 # ---------------------------------------------------------------------------
-# per-program lowering registry (fork-inherited: the parent lowers and
-# compiles before spawning workers, so warm forks never touch cc)
+# per-program lowering registry (a process backend worker re-lowers an
+# unpickled program and binds the .so its parent compiled; it never
+# compiles one)
 # ---------------------------------------------------------------------------
 
 class NativeContext:
@@ -306,16 +317,17 @@ def native_contexts_for(requests: Sequence[Tuple], cache_dir: Optional[str]
     ``controlled`` is the set of loop nids that may carry a controller
     (``None``: any loop).  Raises ``RuntimeError`` with an ``NL-*``
     reason when the backend is unavailable.  Results are memoized per
-    program object and inherited by forked workers; a memoized context
-    serves only requests its own set covers; any other re-lowers for
-    the union of the two sets, so a program's context only ever widens."""
+    program object; a memoized context serves only requests its own
+    set covers; any other re-lowers for the union of the two sets, so
+    a program's context only ever widens."""
     contexts = [_CONTEXTS.get(program) for program, _, _ in requests]
     missing = [i for i, (ctx, (_, _, controlled))
                in enumerate(zip(contexts, requests))
                if ctx is None or not ctx.lowering.covers(controlled)]
     if not missing:
         return contexts, 0.0
-    ok, reason = native_backend_available()
+    ok, reason = native_backend_available() if COMPILES_ALLOWED \
+        else (True, "")
     if not ok:
         raise RuntimeError(reason)
     lowerings = []

@@ -30,14 +30,20 @@ Segment layout (addresses are plain ints into one flat mapping)::
   call-stack allocations made *inside* a chunk (locals of callees,
   VLA copies).  Reset between tasks; never aliased by the parent.
 
-Workers are forked lazily on first dispatch and reused (warm pool)
-across loops and executions.  A task message carries only scalars:
-loop label, tid, chunk bounds, and nid→address maps for the frame in
-scope — no pickled program state.  The worker resolves the loop from
-the fork-inherited AST and executes it on a machine of the session's
-engine whose closures are memoized by *source hash*
-(:func:`repro.interp.bytecode.compiler.compiler_for_hash`), so every
-task on a warm worker reuses the lowered closures.
+Workers are forked lazily on first dispatch and outlive programs: a
+session is a segment plus its workers, and any idle session serves any
+program.  A task message carries only scalars — the program's key
+``(fingerprint, engine, controlled)``, loop label, tid, chunk bounds,
+and nid→address maps for the frame in scope.  The first task of a
+program a worker has not seen also carries a *load entry*: the pickled
+``(program, sema)`` (one object graph, so nids and sema links
+survive), the engine, the controlled-loop set and the directory of the
+parent's compiled ``.so``.  The worker builds the program's machine
+once and keeps it in a small LRU (:data:`WORKER_PROGRAMS` entries)
+which the parent mirrors per worker, so it knows when to attach one.
+A worker binds the ``.so`` its parent compiled and never invokes the C
+compiler itself: a library missing from that directory is a structured
+``RT-WORKER-CC`` task error.
 
 Process-capability is audited per loop (``MC-*`` reason codes below);
 loops that cannot run safely on workers — e.g. they allocate heap, so
@@ -56,15 +62,17 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
+import pickle
 import random
 import signal
 import struct
 import threading
 import time
 import weakref
+from collections import OrderedDict
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..frontend import ast, print_program
+from ..frontend import ast
 from ..frontend.ctypes import PointerType
 from ..interp import memory as mem
 from ..interp.machine import BreakSignal, CostSink, Frame, Machine
@@ -103,7 +111,7 @@ MC_DEGRADED = "MC-DEGRADED"        # pool lost earlier (worker crash)
 
 # supervision event codes (not fallback reasons: emitted by the
 # supervisor as it walks the recovery/degradation ladder)
-MC_RESTART = "MC-RESTART"          # dead worker respawned from warm image
+MC_RESTART = "MC-RESTART"          # dead worker respawned (re-loads lazily)
 MC_RETRY = "MC-RETRY"              # in-flight chunk/strip re-executed
 MC_SHRINK = "MC-SHRINK"            # restart budget gone; pool shrank
 MC_DEGRADE = "MC-DEGRADE"          # ladder bottom: simulated fallback
@@ -147,6 +155,16 @@ _BACKOFF_MAX_S = 0.002
 #: /dev/shm segment name prefix (leak regression tests grep for it)
 SEGMENT_PREFIX = "repro-mc"
 
+#: programs one worker keeps loaded, least recently used evicted first
+WORKER_PROGRAMS = 8
+
+#: static audit verdicts one session memoizes before it starts over
+AUDIT_MEMO_ENTRIES = 256
+
+#: task error code of a worker whose program's library is not in the
+#: parent's .so directory: a worker never compiles
+RT_WORKER_CC = "RT-WORKER-CC"
+
 
 class WorkerCrash(ParallelError):
     """A worker process died mid-task (signal, hard exit, timeout)."""
@@ -163,8 +181,8 @@ _AVAILABLE: Optional[Tuple[bool, str]] = None
 
 def process_backend_available(recheck: bool = False) -> Tuple[bool, str]:
     """Whether this host can run the process backend: a ``fork`` start
-    method (workers inherit the AST instead of pickling it) and a
-    working POSIX shared-memory mount (``/dev/shm`` on Linux).  The
+    method (workers inherit the mapped segment) and a working POSIX
+    shared-memory mount (``/dev/shm`` on Linux).  The
     probe result is cached; ``recheck=True`` re-probes."""
     global _AVAILABLE
     if _AVAILABLE is not None and not recheck:
@@ -598,31 +616,45 @@ def _post_token(data, slots: Dict[int, int], origin: int, k: int,
     _SLOT.pack_into(data, slots[origin], k + 1)
 
 
-def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
-                 arena_base: int, arena_limit: int, hb_base: int,
-                 hb_interval: float,
-                 engine: str = "bytecode",
-                 controlled=None) -> None:
-    """Worker process entry point.  Serves task messages until an
-    ``("exit",)`` sentinel or pipe EOF, then hard-exits — ``os._exit``
-    skips the multiprocessing atexit machinery, so the fork-inherited
-    segment registration is torn down exactly once, by the parent."""
+def _load_program(entry: dict, shm, arena_base: int,
+                  arena_limit: int) -> tuple:
+    """A worker's first sight of a program: unpickle it, bind the native
+    library the parent compiled (from the parent's ``.so`` directory,
+    never by compiling) and build the machine every later task of the
+    program reuses.  Returns ``(program, sema, machine, decls, loops)``."""
+    program, sema = pickle.loads(entry["blob"])
+    engine, controlled = entry["engine"], entry["controlled"]
+    if engine == "native":
+        from ..interp.native import backend
+        backend.COMPILES_ALLOWED = False
+        if entry["so_dir"] is not None:
+            try:
+                backend.native_context_for(program, sema,
+                                           cache_dir=entry["so_dir"],
+                                           controlled=controlled)
+            except RuntimeError as exc:
+                raise ParallelError(str(exc), code=RT_WORKER_CC) from None
+        # else the parent has no library either: the machine degrades
+        # with an NL-* reason the task replies carry
+    memory = mem.Memory(check_bounds=False, buffer=shm.buf,
+                        base=arena_base, limit=arena_limit)
+    machine = Machine(program, sema, check_bounds=False, memory=memory,
+                      engine=engine, controlled=controlled)
+    return program, sema, machine, _decl_index(program, sema), {}
+
+
+def _worker_main(conn, wid: int, shm, arena_base: int, arena_limit: int,
+                 hb_base: int, hb_interval: float) -> None:
+    """Worker process entry point.  Serves ``(kind, spec, load)`` task
+    messages until an ``("exit",)`` sentinel or pipe EOF, then
+    hard-exits — ``os._exit`` skips the multiprocessing atexit
+    machinery, so the fork-inherited segment registration is torn down
+    exactly once, by the parent."""
     status = 0
     try:
-        from ..interp.bytecode.compiler import compiler_for_hash
-        # closures memoized on the source hash: the machine's own
-        # compiler_for() call resolves to this same object, and a warm
-        # worker reuses it for every task of the program (the native
-        # tier inherits its .so handles + lowering the same way, via
-        # the fork-warm context registry in interp.native.backend)
-        compiler_for_hash(fingerprint, program, sema)
-        memory = mem.Memory(check_bounds=False, buffer=shm.buf,
-                            base=arena_base, limit=arena_limit)
-        machine = Machine(program, sema, check_bounds=False,
-                          memory=memory, engine=engine,
-                          controlled=controlled)
-        decls = _decl_index(program, sema)
-        loops: Dict[str, ast.LoopStmt] = {}
+        #: program key -> (program, sema, machine, decls, loops), in
+        #: least-recently-used order — the order the parent mirrors
+        programs: "OrderedDict[tuple, tuple]" = OrderedDict()
         hb = _WorkerHB(shm.buf, hb_base)
         stop = threading.Event()
 
@@ -643,25 +675,33 @@ def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
                 break
             if msg[0] == "exit":
                 break
-            spec = msg[1]
+            kind, spec, load = msg
             crash = os.environ.get("REPRO_MC_CRASH")
             if crash is not None and crash == str(spec.get("tid")):
                 os._exit(42)
+            key = spec["program"]
             try:
+                if load is not None:
+                    programs[key] = _load_program(load, shm, arena_base,
+                                                  arena_limit)
+                    if len(programs) > WORKER_PROGRAMS:
+                        programs.popitem(last=False)
+                programs.move_to_end(key)
+                program, _sema, machine, decls, loops = programs[key]
                 loop = loops.get(spec["label"])
                 if loop is None:
                     loop = loops[spec["label"]] = ast.find_loop(
                         program, spec["label"])
-                if msg[0] == "doall":
-                    reply = _task_doall(machine, memory, decls, loop,
-                                        arena_base, spec, hb)
+                if kind == "doall":
+                    reply = _task_doall(machine, decls, loop, arena_base,
+                                        spec, hb)
                 else:
-                    reply = _task_doacross(machine, memory, decls, loop,
+                    reply = _task_doacross(machine, decls, loop,
                                            arena_base, spec, conn, hb)
             except _SpinTimeout as exc:
                 reply = ("err", spec.get("tid"), "RT-SYNC-TIMEOUT",
                          str(exc))
-            except ParallelError as exc:     # the body drivers' RT-BREAK
+            except ParallelError as exc:     # RT-BREAK, RT-WORKER-CC
                 reply = ("err", spec.get("tid"), exc.diagnostic.code,
                          str(exc))
             except BaseException as exc:
@@ -681,13 +721,13 @@ def _worker_main(conn, wid: int, shm, program, sema, fingerprint: str,
     os._exit(status)
 
 
-def _bind_task(machine: Machine, memory: mem.Memory,
-               decls: Dict[int, ast.VarDecl], arena_base: int,
-               spec: dict) -> Tuple[int, str]:
+def _bind_task(machine: Machine, decls: Dict[int, ast.VarDecl],
+               arena_base: int, spec: dict) -> Tuple[int, str]:
     """Reset the worker for one task: fresh arena, fresh cost sink,
     frame/global bindings rebuilt from the nid->address maps, and the
     induction variable rebound to an arena-private slot.  Returns the
     private control address and its codec format."""
+    memory = machine.memory
     memory.reset_region(arena_base)
     machine.output = []
     machine.cost = CostSink()
@@ -714,7 +754,7 @@ def _cost4(sink: CostSink, since=(0.0, 0, 0, 0)) -> tuple:
             sink.loads - since[2], sink.stores - since[3])
 
 
-def _task_doall(machine, memory, decls, loop, arena_base, spec, hb):
+def _task_doall(machine, decls, loop, arena_base, spec, hb):
     """One DOALL chunk: iterations [chunk_lo, chunk_hi) with the
     private induction variable pre-seeded (uncosted), each run by the
     same :func:`~repro.runtime.plan.doall_iteration` the in-process
@@ -726,7 +766,8 @@ def _task_doall(machine, memory, decls, loop, arena_base, spec, hb):
     touches the worker-private arena)."""
     tid = spec["tid"]
     hb.status(tid, PHASE_BOUND)
-    caddr, fmt = _bind_task(machine, memory, decls, arena_base, spec)
+    caddr, fmt = _bind_task(machine, decls, arena_base, spec)
+    memory = machine.memory
     chaos = spec.get("chaos") or {}
     if chaos:
         _apply_chaos(hb, chaos)
@@ -775,8 +816,7 @@ def _task_doall(machine, memory, decls, loop, arena_base, spec, hb):
             (t_start, t_end), meta)
 
 
-def _task_doacross(machine, memory, decls, loop, arena_base, spec, conn,
-                   hb):
+def _task_doacross(machine, decls, loop, arena_base, spec, conn, hb):
     """One DOACROSS strip: iterations tid, tid+N, ... of a chunk-1
     dynamic schedule.  Serialized statements wait on / post to 8-byte
     counters in the segment's sync region.
@@ -793,7 +833,8 @@ def _task_doacross(machine, memory, decls, loop, arena_base, spec, conn,
     resumable."""
     tid = spec["tid"]
     hb.status(tid, PHASE_BOUND)
-    caddr, fmt = _bind_task(machine, memory, decls, arena_base, spec)
+    caddr, fmt = _bind_task(machine, decls, arena_base, spec)
+    memory = machine.memory
     chaos = spec.get("chaos") or {}
     if chaos:
         _apply_chaos(hb, chaos)
@@ -920,8 +961,11 @@ def _install_teardown_guards() -> None:
 
 
 class ProcessSession:
-    """Owns the shared segment and the (lazily forked) worker pool for
-    one :class:`~repro.runtime.parallel.ParallelRunner`.
+    """Owns the shared segment and the (lazily forked) worker pool a
+    :class:`~repro.runtime.parallel.ParallelRunner` runs on.  It holds
+    no program: each batch of tasks names its :class:`Shipment`, and a
+    worker loads a program on first sight, so a pooled session serves
+    any program.
 
     The pool is *supervised*: :meth:`run_tasks` hands dispatch to
     :class:`repro.runtime.supervisor.Supervisor`, which multiplexes
@@ -930,23 +974,12 @@ class ProcessSession:
     (``retry_budget`` re-dispatches per task) and walks the degradation
     ladder when budgets run out."""
 
-    def __init__(self, program: ast.Program, sema, nthreads: int,
-                 workers: Optional[int] = None,
-                 options: Optional[dict] = None,
-                 engine: Optional[str] = None,
-                 controlled=None):
+    def __init__(self, nthreads: int, workers: Optional[int] = None,
+                 options: Optional[dict] = None):
         from multiprocessing import shared_memory
         opts = dict(options or {})
         self.nthreads = nthreads
         self.workers = max(1, int(workers or nthreads))
-        self.program = program
-        self.sema = sema
-        #: interpreter tier worker machines run on ("native" dispatches
-        #: chunks/stages into compiled entry points)
-        self.engine = engine or "bytecode"
-        #: loop nids that may carry a controller (None = any): the set
-        #: the native entry points the workers inherit are emitted for
-        self.controlled = controlled
         self.parent_limit = int(opts.get("segment_bytes",
                                          DEFAULT_SEGMENT_BYTES))
         self.arena_bytes = int(opts.get("arena_bytes",
@@ -980,10 +1013,14 @@ class ProcessSession:
             #: the parent machine's memory, handed to ParallelRunner
             self.memory = mem.Memory(buffer=self.shm.buf,
                                      limit=self.parent_limit)
-            self.fingerprint = _fingerprint_for(program)
             self._ctx = multiprocessing.get_context("fork")
             self._procs: List = []
             self._conns: List = []
+            #: wid -> keys of the programs that worker has loaded, in
+            #: its own LRU order (the one dispatch site keeps it)
+            self._loaded: Dict[int, "OrderedDict[tuple, None]"] = {}
+            #: load entries attached so far (worker first sights)
+            self.program_loads = 0
             self._origin_slots: Dict[int, int] = {}
             self.degraded = False
             self.degrade_reason = ""
@@ -1009,8 +1046,9 @@ class ProcessSession:
             #: True when the pool handed out a warm (previously used)
             #: session for the current request
             self.reused = False
-            #: static audit verdicts of the pinned program's loops; they
-            #: depend on nothing :meth:`reset` touches, so they survive it
+            #: static audit verdicts, keyed by program fingerprint and
+            #: loop (nids collide across programs); they depend on
+            #: nothing :meth:`reset` touches, so they survive it
             self.audits: Dict[tuple, object] = {}
         except BaseException:
             try:
@@ -1046,18 +1084,17 @@ class ProcessSession:
         self.memory.data[base:base + HB_BYTES] = b"\0" * HB_BYTES
 
     def _spawn_worker(self, wid: int):
-        """Fork one worker from the warm parent image (the compiled
-        bare-variant closures are inherited copy-on-write)."""
+        """Fork one worker with no program loaded; it loads each one on
+        first sight."""
         parent_conn, child_conn = self._ctx.Pipe()
         self._hb_zero(wid)
+        self._loaded[wid] = OrderedDict()
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, wid, self.shm, self.program, self.sema,
-                  self.fingerprint,
+            args=(child_conn, wid, self.shm,
                   self.arena_base + wid * self.arena_bytes,
                   self.arena_base + (wid + 1) * self.arena_bytes,
-                  self.hb_addr(wid), self.heartbeat_interval,
-                  self.engine, self.controlled),
+                  self.hb_addr(wid), self.heartbeat_interval),
             daemon=True,
             name=f"repro-mc-{wid}",
         )
@@ -1065,27 +1102,24 @@ class ProcessSession:
         child_conn.close()
         return proc, parent_conn
 
+    def load_for(self, wid: int, shipment: "Shipment") -> Optional[dict]:
+        """The load entry worker ``wid`` needs with its next task of
+        ``shipment``'s program, or None when it has the program loaded.
+        Replays the worker's LRU step for that task, so the two stay in
+        step."""
+        loaded = self._loaded[wid]
+        if shipment.key in loaded:
+            loaded.move_to_end(shipment.key)
+            return None
+        loaded[shipment.key] = None
+        if len(loaded) > WORKER_PROGRAMS:
+            loaded.popitem(last=False)
+        self.program_loads += 1
+        return shipment.entry()
+
     def ensure_pool(self) -> None:
         if self._procs or self.degraded or self.closed:
             return
-        if self.engine != "ast":
-            # pre-compile before forking: children inherit the lowered
-            # closures copy-on-write instead of each re-lowering
-            from ..interp.bytecode.compiler import precompile
-            precompile(self.program, self.sema,
-                       fingerprint=self.fingerprint)
-        if self.engine == "native":
-            # lower + compile + dlopen before forking: children inherit
-            # the .so handles and the lowering registry copy-on-write,
-            # so a warm fork never invokes the C compiler
-            from ..interp.native import native_context_for
-            try:
-                native_context_for(self.program, self.sema,
-                                   controlled=self.controlled)
-            except Exception:
-                # workers degrade per-machine with a native_diag; the
-                # task replies carry the NL-* reason
-                pass
         for wid in range(self.workers):
             proc, conn = self._spawn_worker(wid)
             self._procs.append(proc)
@@ -1136,6 +1170,7 @@ class ProcessSession:
                 proc.join(timeout=2.0)
         self._procs = []
         self._conns = []
+        self._loaded = {}
 
     def close(self) -> None:
         """Shut the pool down and release the segment.  The parent
@@ -1197,10 +1232,11 @@ class ProcessSession:
             pass
 
     # -- dispatch ---------------------------------------------------------
-    def run_tasks(self, kind: str, specs: List[dict],
+    def run_tasks(self, kind: str, specs: List[dict], shipment: "Shipment",
                   retry_safe: bool = False) -> List[tuple]:
-        """Send one task per spec (round-robin over live workers) under
-        supervision; collect one reply per task.  Worker deaths are
+        """Send one task per spec of ``shipment``'s program (round-robin
+        over live workers) under supervision; collect one reply per
+        task.  Worker deaths are
         recovered per the retry/degradation ladder; an unrecoverable
         death kills the pool and raises :class:`WorkerCrash`.
         Worker-level task errors come back as ``("err", code, msg)``
@@ -1209,7 +1245,8 @@ class ProcessSession:
         re-execution of chunks that died past their write fence."""
         self.ensure_pool()
         from .supervisor import Supervisor
-        return Supervisor(self, kind, specs, retry_safe=retry_safe).run()
+        return Supervisor(self, kind, specs, shipment,
+                          retry_safe=retry_safe).run()
 
     # -- task-spec helpers ------------------------------------------------
     def sync_slots_for(self, origins: List[int]) -> Dict[int, int]:
@@ -1232,9 +1269,57 @@ class ProcessSession:
         return {origin: self._origin_slots[origin] for origin in origins}
 
 
-def _fingerprint_for(program: ast.Program) -> str:
-    from ..interp.bytecode.compiler import source_fingerprint
-    return source_fingerprint(print_program(program))
+#: program -> (fingerprint, pickled ``(program, sema)``); a blob is
+#: reused only while the program still prints to that fingerprint
+_PICKLED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+class Shipment:
+    """One program as the workers see it: the key every task of it names
+    — ``(fingerprint, engine, controlled)`` — and the load entry a
+    worker meeting it for the first time gets, built on first need."""
+
+    def __init__(self, program: ast.Program, sema, engine: str,
+                 controlled=None):
+        from ..interp.bytecode.compiler import program_fingerprint
+        self.program = program
+        self.sema = sema
+        self.engine = engine
+        #: loop nids that may carry a controller (None = any)
+        self.controlled = None if controlled is None \
+            else frozenset(controlled)
+        self.fingerprint = program_fingerprint(program)
+        self.key = (self.fingerprint, engine, self.controlled)
+        self._entry: Optional[dict] = None
+
+    def entry(self) -> dict:
+        """The load entry: the pickled ``(program, sema)`` (memoized per
+        program), engine, controlled set and — native only — the
+        directory of the parent's ``.so``, compiled here if need be, so
+        the worker binds it instead of compiling."""
+        if self._entry is None:
+            controlled, so_dir = self.controlled, None
+            if self.engine == "native":
+                from ..interp.native import native_context_for
+                try:
+                    ctx = native_context_for(self.program, self.sema,
+                                             controlled=controlled)
+                except Exception:
+                    pass  # the worker's machine degrades, NL-* coded
+                else:
+                    so_dir = os.path.dirname(ctx.lib.path)
+                    # the set the library was lowered for: the worker's
+                    # lowering must name the same .so
+                    controlled = ctx.lowering.controlled
+            memo = _PICKLED.get(self.program)
+            if memo is None or memo[0] != self.fingerprint:
+                memo = _PICKLED[self.program] = (
+                    self.fingerprint,
+                    pickle.dumps((self.program, self.sema),
+                                 pickle.HIGHEST_PROTOCOL))
+            self._entry = {"blob": memo[1], "engine": self.engine,
+                           "controlled": controlled, "so_dir": so_dir}
+        return self._entry
 
 
 # ---------------------------------------------------------------------------
@@ -1260,17 +1345,22 @@ class ProcessExecutor:
     bounds, clock, settle and the fallback stay with the controller."""
 
     def __init__(self, session: ProcessSession, ctx: RunContext,
-                 plan: LoopPlan):
+                 plan: LoopPlan, shipment: Shipment):
         self.session = session
         self.ctx = ctx
         self.plan = plan
+        self.shipment = shipment
         self._kind_doall = plan.kind == DOALL
         self._noted_fallback: Set[str] = set()
 
     def _audited(self, key: tuple, audit):
-        """Static verdicts outlive a session reset: one audit per key."""
+        """Static verdicts outlive a session reset: one audit per key
+        and program fingerprint (bounded: a full memo starts over)."""
         memo = self.session.audits
+        key = (key[0], self.shipment.fingerprint) + key[1:]
         if key not in memo:
+            if len(memo) >= AUDIT_MEMO_ENTRIES:
+                memo.clear()
             memo[key] = audit()
         return memo[key]
 
@@ -1329,6 +1419,7 @@ class ProcessExecutor:
         # pickle-cheap pair lists: no program state crosses the pipe
         frame = machine.frames[-1].vars if machine.frames else {}
         shared = {
+            "program": self.shipment.key,
             "label": loop.label, "nthreads": self.ctx.nthreads,
             "lo": bounds.lo, "step": bounds.step,
             "control_nid": bounds.control.nid,
@@ -1338,7 +1429,8 @@ class ProcessExecutor:
             "strlits": list(machine._strlit_cache.items()),
         }
         replies = session.run_tasks(
-            kind, [dict(shared, **lane) for lane in lanes], **supervision
+            kind, [dict(shared, **lane) for lane in lanes], self.shipment,
+            **supervision
         ) if lanes else []
         for reply in replies:
             if reply[0] != "ok":

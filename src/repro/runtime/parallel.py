@@ -36,7 +36,7 @@ from ..transform.pipeline import DOALL, TransformResult, parse_loop_kind
 from ..transform.rewrite import origin_of
 from . import sync
 from .multicore import (
-    ProcessExecutor, ProcessSession, process_backend_available,
+    ProcessExecutor, ProcessSession, Shipment, process_backend_available,
 )
 from .plan import (
     LoopBounds, LoopPlan, ParallelError, PipelineClock, RaceError,
@@ -486,11 +486,8 @@ class ParallelRunner:
         if session is None and requested == "process":
             ok, why = process_backend_available()
             if ok:
-                session = ProcessSession(
-                    tresult.program, tresult.sema, nthreads,
-                    workers=workers, options=mc, engine=requested_engine,
-                    controlled=controlled,
-                )
+                session = ProcessSession(nthreads, workers=workers,
+                                         options=mc)
             else:
                 self.sink.warning(
                     "MC-UNAVAILABLE",
@@ -498,9 +495,8 @@ class ParallelRunner:
                     "falling back to simulated", phase="runtime",
                 )
         if session is not None:
-            # a session handed in is pre-built (possibly pooled): the
-            # caller guarantees it was created for this tresult's
-            # program and was reset since its last run
+            # a session handed in is pre-built (possibly pooled) and
+            # was reset since its last run; any program runs on it
             self.session = session
             memory = session.memory
             self.backend = "process"
@@ -529,10 +525,14 @@ class ParallelRunner:
                 self.tracer.metrics.set("runtime.backend", self.backend)
             if self.checker is not None:
                 self.machine.observers.append(self.checker)
+            # workers run the requested engine, whatever the parent's
+            shipment = None if self.session is None else Shipment(
+                tresult.program, tresult.sema, requested_engine,
+                controlled)
             for tloop in tresult.loops:
                 plan = LoopPlan.of(tloop)
-                process = None if self.session is None else \
-                    ProcessExecutor(self.session, ctx, plan)
+                process = None if shipment is None else \
+                    ProcessExecutor(self.session, ctx, plan, shipment)
                 self.machine.loop_controllers[tloop.loop.nid] = \
                     loop_controller(ctx, plan, process)
             self._install_quarantined()

@@ -9,10 +9,10 @@ crash-and-abandon dispatch (send everything, then one blocking
 * watches each worker's shared-memory **heartbeat words** (a daemon
   thread in the worker bumps BEAT every ``heartbeat_interval``; a busy
   worker whose beat freezes for ``heartbeat_timeout`` is revoked),
-* **respawns** dead workers from the warm parent image (bounded by
-  ``max_restarts`` per session, with exponential backoff) and re-runs
-  only their in-flight work (bounded by ``retry_budget`` re-dispatches
-  per task), and
+* **respawns** dead workers (bounded by ``max_restarts`` per session,
+  with exponential backoff) and re-runs only their in-flight work
+  (bounded by ``retry_budget`` re-dispatches per task); a replacement
+  starts with no program loaded and loads lazily, like any worker, and
 * walks the **degradation ladder** when budgets run out: respawn →
   reassign to a surviving worker (pool shrink) → simulated fallback,
   each rung emitting structured ``MC-*`` diagnostics and
@@ -92,10 +92,12 @@ class _Lane:
 class Supervisor:
     """Runs one batch of tasks (one loop execution) to completion."""
 
-    def __init__(self, session, kind: str, specs: List[dict],
+    def __init__(self, session, kind: str, specs: List[dict], shipment,
                  retry_safe: bool = False):
         self.session = session
         self.kind = kind
+        #: the program every task of the batch runs
+        self.shipment = shipment
         self.doall = kind == "doall"
         self.retry_safe = retry_safe
         self.lanes = [_Lane(i, spec) for i, spec in enumerate(specs)]
@@ -167,8 +169,11 @@ class Supervisor:
         lane.dispatch_t = time.monotonic()
         self.pending.setdefault(wid, []).append(lane)
         conn = session._conns[wid]
+        # the one dispatch site: first dispatches, retries and
+        # reassignments alike attach the program when ``wid`` lacks it
+        load = session.load_for(wid, self.shipment)
         try:
-            conn.send((self.kind, spec))
+            conn.send((self.kind, spec, load))
         except (OSError, BrokenPipeError):
             pass  # the liveness check picks the death up next tick
 
@@ -403,8 +408,8 @@ class Supervisor:
         self.metrics.inc("runtime.mc_restart")
         self._note(MC_RESTART,
                    f"worker {wid} (exitcode={exitcode}, {reason}) "
-                   f"respawned from the warm image "
-                   f"({session.restarts_used}/{session.max_restarts} "
+                   f"respawned ({session.restarts_used}/"
+                   f"{session.max_restarts} "
                    f"restarts used)")
         session.worker_samples.append(
             (wid, "mc-respawn", t0, t1,

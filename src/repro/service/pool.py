@@ -2,26 +2,26 @@
 
 Forking and tearing down a worker pool per request dominates warm-path
 latency for the process backend.  The pool keeps sessions — shared
-segment + forked workers — alive across requests, keyed by (program
-fingerprint, nthreads, workers): a warm hit costs one segment reset
-instead of a fork storm.
+segment + forked workers — alive across requests, keyed by (nthreads,
+workers) alone: a session holds no program (its workers load each one
+on first sight), so a warm hit costs one segment reset whatever program
+the request runs.
 
 Supervisor integration: the runner releases its session back here
 after every run.  A session the supervisor degraded (worker crashes
 exhausted the restart budget) or closed mid-run is *evicted* — closed
 and dropped — never handed to another request; the next acquire forks
-a fresh pool.  Idle sessions beyond ``max_sessions`` are evicted
-oldest-first, and one key parks at most one session: a second session
-released under the same key evicts the one already idle.
+a fresh pool.  Up to ``max_sessions`` idle sessions park in total,
+several under one key (two concurrent clients each get their own and
+both park again); past that the oldest idle session is evicted.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from typing import Optional
+from typing import List, Optional, Tuple
 
-from ..runtime.multicore import ProcessSession, _fingerprint_for
+from ..runtime.multicore import ProcessSession
 from .job import Job
 
 
@@ -32,52 +32,41 @@ class SessionPool:
                  mc: Optional[dict] = None):
         self.max_sessions = max_sessions
         self.mc = dict(mc or {})
-        self._idle: "OrderedDict[tuple, ProcessSession]" = OrderedDict()
+        #: (key, session) pairs, oldest parked first
+        self._idle: List[Tuple[tuple, ProcessSession]] = []
         self._lock = threading.Lock()
         self.closed = False
         # counters for the daemon's ``stats`` op
         self.created = 0
         self.reuses = 0
         self.evicted = 0
+        #: worker first-sight program loads of released sessions
+        self.program_loads = 0
 
     @staticmethod
-    def _key(fingerprint: str, job: Job) -> tuple:
-        # engine is part of the key: a native-tier session's workers
-        # hold dlopen handles a bare session's workers lack
-        return (fingerprint, job.nthreads,
-                job.workers or job.nthreads,
-                job.options.resolved_engine())
+    def _key(job: Job) -> tuple:
+        return (job.nthreads, job.workers or job.nthreads)
 
     # -- lifecycle ---------------------------------------------------------
-    def acquire(self, tresult, job: Job,
-                fingerprint: Optional[str] = None) -> ProcessSession:
-        """A session for ``tresult`` sized per ``job`` — a reset warm
-        one when available, freshly constructed otherwise.  The session
-        comes back via :meth:`release` (the runner calls it)."""
-        if fingerprint is None:
-            fingerprint = _fingerprint_for(tresult.program)
-        key = self._key(fingerprint, job)
+    def acquire(self, job: Job) -> ProcessSession:
+        """A session sized per ``job`` — the most recently parked warm
+        one under its key, reset, when there is one; freshly constructed
+        otherwise.  The session comes back via :meth:`release` (the
+        runner calls it)."""
+        key = self._key(job)
+        session = None
         with self._lock:
-            session = self._idle.pop(key, None)
-        if session is not None:
-            # the pooled program object may differ from tresult.program
-            # (fresh compile of identical source); workers resolve loops
-            # by nid from their fork-inherited AST, so only identical
-            # object graphs may share a warm pool
-            if session.program is not tresult.program:
-                self._evict(session)
-                session = None
+            for i in range(len(self._idle) - 1, -1, -1):
+                if self._idle[i][0] == key:
+                    session = self._idle.pop(i)[1]
+                    break
         if session is not None:
             session.reset()
             session.reused = True
             self.reuses += 1
             return session
-        session = ProcessSession(
-            tresult.program, tresult.sema, job.nthreads,
-            workers=job.workers, options=self.mc,
-            engine=job.options.resolved_engine(),
-            controlled=tresult.controlled_loops(),
-        )
+        session = ProcessSession(job.nthreads, workers=job.workers,
+                                 options=self.mc)
         session._pool_key = key
         session.pool = self
         session.reused = False
@@ -87,21 +76,20 @@ class SessionPool:
     def release(self, session: ProcessSession) -> None:
         """Take a session back after a run.  Degraded / closed sessions
         are evicted (supervisor verdicts are terminal); healthy ones
-        park for the next acquire."""
-        if session.closed or session.degraded or self.closed:
-            self._evict(session)
-            return
+        park for the next acquire, evicting the oldest idle session
+        when ``max_sessions`` are already parked."""
+        self.program_loads += session.program_loads
+        session.program_loads = 0
         key = getattr(session, "_pool_key", None)
-        if key is None:
+        if session.closed or session.degraded or self.closed \
+                or key is None:
             self._evict(session)
             return
+        displaced = None
         with self._lock:
-            # two concurrent clients of one program both come back under
-            # the same key: the one already parked is displaced
-            displaced = self._idle.pop(key, None)
-            self._idle[key] = session
+            self._idle.append((key, session))
             if len(self._idle) > self.max_sessions:
-                _, displaced = self._idle.popitem(last=False)
+                displaced = self._idle.pop(0)[1]
         if displaced is not None:
             self._evict(displaced)
 
@@ -117,7 +105,7 @@ class SessionPool:
         """Evict every idle session; later releases evict too."""
         with self._lock:
             self.closed = True
-            idle = list(self._idle.values())
+            idle = [session for _, session in self._idle]
             self._idle.clear()
         for session in idle:
             self._evict(session)
@@ -130,5 +118,6 @@ class SessionPool:
                 "created": self.created,
                 "reused": self.reuses,
                 "evicted": self.evicted,
+                "program_loads": self.program_loads,
                 "max_sessions": self.max_sessions,
             }

@@ -138,8 +138,7 @@ def run_job(compiled: CompiledJob, tracer=None,
         from ..runtime.multicore import process_backend_available
         ok, _why = process_backend_available()
         if ok:
-            session = pool.acquire(compiled.result, job,
-                                   fingerprint=compiled.ctx.fingerprint)
+            session = pool.acquire(job)
     outcome = run_parallel(compiled.result, job=job, session=session,
                            sink=sink, tracer=tracer, mc=mc,
                            fault_injectors=fault_injectors)

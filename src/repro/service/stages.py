@@ -118,9 +118,6 @@ class StageContext:
         self.pipeline: Optional[ExpansionPipeline] = None
         #: transient — lower-stage compilers (memory tier only)
         self.compilers: Optional[dict] = None
-        #: content fingerprint of the transformed program (process
-        #: backend + session-pool key); filled by the lower stage
-        self.fingerprint: Optional[str] = None
         #: transient — native contexts (lowering + dlopen'd .so) for
         #: the transformed and original programs; memory tier only,
         #: the .so artifacts themselves are cached on disk beside the
@@ -263,7 +260,6 @@ class StagedCompiler:
             loaded: StageContext = artifact
             ctx.restore(loaded.snapshot())
             ctx.compilers = loaded.compilers
-            ctx.fingerprint = loaded.fingerprint
             ctx.native = loaded.native
             ctx.native_baseline = loaded.native_baseline
         else:
@@ -357,13 +353,10 @@ class StagedCompiler:
 
     def _stage_lower(self, job: Job, ctx: StageContext) -> None:
         """Eagerly build the closure-compiled code every run phase
-        needs: the transformed program's (parallel run and, through the
-        fingerprint, process workers) and the original's (sequential
-        baseline)."""
-        from ..frontend import print_program
-        from ..interp.bytecode.compiler import precompile, source_fingerprint
+        needs: the transformed program's (parallel run) and the
+        original's (sequential baseline)."""
+        from ..interp.bytecode.compiler import precompile
         result = ctx.result
-        ctx.fingerprint = source_fingerprint(print_program(result.program))
         engine = job.options.resolved_engine()
         if engine == "ast":
             ctx.compilers = {}
@@ -371,8 +364,7 @@ class StagedCompiler:
         with self.tracer.phase("lower", engine=engine):
             ctx.compilers = {
                 "parallel": precompile(result.program, result.sema,
-                                       self.tracer,
-                                       fingerprint=ctx.fingerprint),
+                                       self.tracer),
                 "baseline": precompile(ctx.program, ctx.sema,
                                        self.tracer),
             }

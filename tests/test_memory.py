@@ -294,11 +294,24 @@ class TestBufferMode:
         backing, mem = self._mem()
         addr = mem.alloc(16, HEAP)
         mem.write_bytes(addr, b"persist-please!!")
+        other = mem.alloc(40, GLOBAL)
+        mem.write_bytes(other, bytes(range(40)))
+        live = {a.addr: mem.read_bytes(a.addr, a.size)
+                for a in mem._allocs if a.live}
+        brk = mem.brk
         mem.detach()
         assert not mem.shared
+        # only the allocated span is copied, not the whole region
+        assert len(mem.data) <= (brk + 7) & ~7 < len(backing)
         # mutating the old backing no longer affects the memory
         backing[addr] = 0
         assert mem.read_bytes(addr, 16) == b"persist-please!!"
+        assert {a: mem.read_bytes(a, len(b))
+                for a, b in live.items()} == live
+        # a later allocation extends the private copy
+        grown = mem.alloc(1 << 12, HEAP)
+        assert len(mem.data) >= grown + (1 << 12)
+        assert mem.read_bytes(grown, 1 << 12) == bytes(1 << 12)
 
 
 @st.composite

@@ -576,7 +576,7 @@ def _run_process(tresult, nthreads, injectors=None, mc=None,
 
 class TestSupervision:
     """The tentpole contract: the pool self-heals — a dead worker is
-    respawned from the warm parent image, only its in-flight chunk is
+    respawned (and loads its program again), only its in-flight chunk is
     re-run, and the result stays bit-identical without ever leaving
     the process backend."""
 
@@ -811,12 +811,9 @@ class TestSegmentGuards:
         script = tmp_path / "host.py"
         script.write_text(textwrap.dedent("""
             import os, signal, sys
-            from repro.frontend import parse_and_analyze
             from repro.runtime.multicore import ProcessSession
 
-            src = 'int main(void) { return 0; }'
-            program, sema = parse_and_analyze(src)
-            session = ProcessSession(program, sema, 2, workers=2,
+            session = ProcessSession(2, workers=2,
                                      options={"segment_bytes": 1 << 20,
                                               "arena_bytes": 1 << 16})
             print(session.shm.name, flush=True)
@@ -840,15 +837,13 @@ class TestSegmentGuards:
         constructor unlinks it before re-raising."""
         import repro.runtime.multicore as mc
 
-        def boom(program):
+        def boom(*args, **kwargs):
             raise RuntimeError("forced init failure")
 
-        monkeypatch.setattr(mc, "_fingerprint_for", boom)
+        monkeypatch.setattr(mc.mem, "Memory", boom)
         before = self._shm_entries()
-        program, sema = parse_and_analyze(DOALL_SRC)
         with pytest.raises(RuntimeError, match="forced init failure"):
-            mc.ProcessSession(program, sema, 2, workers=2,
-                              options=SMALL_MC)
+            mc.ProcessSession(2, workers=2, options=SMALL_MC)
         assert self._shm_entries() <= before
 
 
@@ -948,11 +943,13 @@ class TestSessionAuditMemo:
     def test_other_program_object_audits_again(self, calls, pool):
         from repro.service import StagedCompiler, run_job
 
-        # no stage cache: each compile builds its own program object,
-        # so the pool evicts the first session instead of sharing it
+        # no stage cache: each compile builds its own program object
+        # (fresh nids) which the one pooled session serves in turn
+        reused = []
         for _ in range(2):
             compiled = StagedCompiler().compile(self._job(DOALL_SRC))
-            assert not run_job(compiled, pool=pool).session_reused
+            reused.append(run_job(compiled, pool=pool).session_reused)
+        assert reused == [False, True]
         assert calls == {"loop": 2, "retry": 2}
 
     def test_other_chunk_size_audits_again(self, calls, pool):
@@ -978,7 +975,7 @@ class TestSessionAuditMemo:
         job = self._job(TWO_LOOPS_SRC)
         m_nid = ast.find_loop(tresult.program, "M").nid
         for drop_m in (False, True, True):
-            session = pool.acquire(tresult, job)
+            session = pool.acquire(job)
             runner = ParallelRunner(tresult, 2, engine="bytecode",
                                     session=session)
             if drop_m:
@@ -999,8 +996,7 @@ class TestSessionAuditMemo:
             run_job(compiled, pool=pool, cache=cache)
         assert calls["retry"] == 1
         # the memoized verdict a third request would dispatch with
-        session = pool.acquire(compiled.result, job,
-                               fingerprint=compiled.ctx.fingerprint)
+        session = pool.acquire(job)
         try:
             assert session.reused
             verdicts = [v for k, v in session.audits.items()
@@ -1008,3 +1004,150 @@ class TestSessionAuditMemo:
             assert len(verdicts) == 1 and verdicts[0]
         finally:
             pool.release(session)
+
+
+# ---------------------------------------------------------------------------
+# sessions outlive programs: first-sight loads, per-program audits
+# ---------------------------------------------------------------------------
+
+CALLEE_SRC = """
+int out[32];
+int f(int x);
+int main(void) {
+    int i;
+    #pragma expand parallel(doall)
+    L: for (i = 0; i < 32; i++) { out[i] = f(i); }
+    int s = 0;
+    for (i = 0; i < 32; i++) s = s + out[i];
+    print_int(s);
+    return 0;
+}
+"""
+
+
+class TestProgramAgnosticSessions:
+    """One pooled session serves any program: each worker loads a
+    program the first time a task of it arrives, audits are memoized per
+    program, and a respawned worker loads again lazily."""
+
+    @pytest.fixture
+    def pool(self):
+        from repro.service import SessionPool
+
+        pool = SessionPool(max_sessions=1, mc=dict(SMALL_MC))
+        yield pool
+        pool.close()
+
+    @staticmethod
+    def _job():
+        from repro.service import CompileOptions, Job
+
+        return Job(DOALL_SRC, ("L",), CompileOptions(engine="bytecode"),
+                   nthreads=2, workers=2, backend="process")
+
+    @staticmethod
+    def _run(pool, tresult, injectors=None):
+        tracer, sink = Tracer(), DiagnosticSink()
+        runner = ParallelRunner(
+            tresult, 2, engine="bytecode", tracer=tracer, sink=sink,
+            session=pool.acquire(TestProgramAgnosticSessions._job()),
+            fault_injectors=injectors)
+        outcome = runner.run()
+        return runner, outcome, tracer, sink
+
+    def test_colliding_nids_keep_their_own_audit(self, pool, monkeypatch):
+        """Two programs whose candidate loops share a nid: the pure
+        callee runs on workers, the allocating one is refused
+        (MC-ALLOC), however the two alternate on one session."""
+        import itertools
+
+        callees = {
+            "pure": "int f(int x) { return x * 3 + 1; }",
+            "alloc": "int f(int x) { int *p = 0; free(p); "
+                     "return x * 3 + 1; }",
+        }
+        parsed = {name: parse_and_analyze(CALLEE_SRC + callee)
+                  for name, callee in callees.items()}
+        floor = next(ast._nid_counter)  # above every nid made so far
+        progs = {}
+        for name, (program, sema) in parsed.items():
+            base = Machine(program, sema, engine="bytecode")
+            base.run()
+            # both transforms number their nodes from the same floor
+            monkeypatch.setattr(ast, "_nid_counter", itertools.count(floor))
+            tresult = expand_for_threads(program, sema, ["L"],
+                                         optimize=True)
+            progs[name] = (base.output, tresult)
+        nids = {name: ast.find_loop(t.program, "L").nid
+                for name, (_, t) in progs.items()}
+        assert nids["pure"] == nids["alloc"]
+        for name in ("pure", "alloc", "pure", "alloc"):
+            expected, tresult = progs[name]
+            _, outcome, _, sink = self._run(pool, tresult)
+            assert outcome.output == expected
+            fallbacks = [d.message for d in sink.by_code("MC-FALLBACK")]
+            if name == "pure":
+                assert fallbacks == []
+            else:
+                assert len(fallbacks) == 1 and "MC-ALLOC" in fallbacks[0]
+        assert pool.stats()["created"] == 1
+
+    def test_respawned_worker_loads_lazily(self, pool):
+        """Program A runs; a worker is killed mid-chunk of program B on
+        the same session and respawned; A runs again.  Outputs stay
+        bit-identical and only the replacement worker loads A again."""
+        from repro.runtime import WorkerKiller
+
+        _, program_a = _prepare(DOALL_SRC)
+        _, program_b = _prepare(CALLEE_SRC
+                                + "int f(int x) { return x * x; }")
+        clean = {}
+        for name, tresult in (("a", program_a), ("b", program_b)):
+            runner, outcome, _, _ = _run_process(tresult, 2)
+            clean[name] = _fingerprint(runner, outcome)
+        loads = []
+        runner, outcome, _, _ = self._run(pool, program_a)
+        assert _fingerprint(runner, outcome) == clean["a"]
+        loads.append(pool.stats()["program_loads"])
+        runner, outcome, tracer, sink = self._run(
+            pool, program_b,
+            injectors=[WorkerKiller(seed=0, task=0, after_iter=0)])
+        assert _fingerprint(runner, outcome) == clean["b"]
+        assert sink.by_code("MC-RESTART")
+        assert tracer.metrics.get("runtime.mc_restart") == 1
+        assert not tracer.metrics.get("runtime.mc_degraded", 0)
+        loads.append(pool.stats()["program_loads"])
+        runner, outcome, _, sink = self._run(pool, program_a)
+        assert _fingerprint(runner, outcome) == clean["a"]
+        assert not sink.by_code("MC-RESTART")
+        loads.append(pool.stats()["program_loads"])
+        # A: both workers; B: the killed worker twice (before and after
+        # its respawn), the other once; A again: the replacement only
+        assert loads == [2, 2 + 3, 2 + 3 + 1]
+        assert pool.stats()["created"] == 1
+
+    def test_worker_never_compiles(self, pool, tmp_path, monkeypatch):
+        """A worker pointed at a .so directory without the program's
+        library replies RT-WORKER-CC; no compiler runs anywhere."""
+        import repro.runtime.multicore as mc
+        from repro.interp.native import native_backend_available
+        from repro.runtime import ParallelError
+
+        if not native_backend_available()[0]:
+            pytest.skip(native_backend_available()[1])
+        real = mc.Shipment.entry
+        monkeypatch.setattr(
+            mc.Shipment, "entry",
+            lambda self: dict(real(self), so_dir=str(tmp_path)))
+        _, tresult = _prepare(DOALL_SRC)
+        # the parent compiles its library while the runner is built
+        runner = ParallelRunner(tresult, 2, engine="native",
+                                check_races=False,
+                                session=pool.acquire(self._job()))
+        cc_log = tmp_path / "cc.log"
+        monkeypatch.setenv("REPRO_NATIVE_CC_LOG", str(cc_log))
+        with pytest.raises(ParallelError) as info:
+            runner.run()
+        assert info.value.diagnostic.code == "RT-WORKER-CC"
+        assert "NL-NO-SO" in str(info.value)
+        assert not cc_log.exists()

@@ -796,7 +796,7 @@ class TestContextRegistry:
         nb._CONTEXTS.pop(program, None)
 
     @needs_process
-    def test_forked_workers_find_the_parents_context(self, monkeypatch):
+    def test_workers_bind_the_parents_library(self, monkeypatch):
         from repro.interp.native import backend as nb
         tresult = _expanded("histogram", "bonded")
         nb._CONTEXTS.pop(tresult.program, None)
@@ -808,13 +808,15 @@ class TestContextRegistry:
         assert nb._CONTEXTS[tresult.program].lowering is \
             runner.machine._low
 
-        def no_relowering(*_args, **_kwargs):
-            raise AssertionError("the registry missed")
+        def no_compiler(*_args, **_kwargs):
+            raise AssertionError("a compiler was started")
 
-        # the pool forks at the first dispatch: from here on, a lookup
-        # that misses (in the parent or in a worker, whose machine then
-        # carries a native_diag and runs fallback chunks) shows
-        monkeypatch.setattr(nb, "lower_program", no_relowering)
+        # the pool forks at the first dispatch and each worker loads the
+        # program on first sight: it re-lowers it and binds the .so the
+        # parent compiled above.  A worker that had to compile would
+        # reply RT-WORKER-CC; one that could not bind would run
+        # fallback chunks
+        monkeypatch.setattr(nb.subprocess, "Popen", no_compiler)
         outcome = runner.run()
         assert outcome.exit_code == 0
         metrics = tracer.metrics.as_dict()

@@ -344,49 +344,100 @@ class TestSessionPool:
         finally:
             pool.close()
 
-    def test_program_identity_mismatch_evicts(self, tmp_path):
+    def test_recompiled_program_reuses_session(self, tmp_path):
         cache = StageCache(root=str(tmp_path))
         pool = SessionPool(max_sessions=2)
         try:
             job, compiled = self._compiled(cache)
-            run_job(compiled, pool=pool, cache=cache)
-            # a recompiled artifact (fresh AST objects) must not adopt
-            # the old session: its forked workers resolve loops by nid
+            first = run_job(compiled, pool=pool, cache=cache)
+            # a recompiled artifact (fresh AST objects, fresh nids) runs
+            # on the same session: its workers load it on first sight
             recompiled = StagedCompiler(cache=None).compile(job)
+            assert recompiled.result.program is not compiled.result.program
             outcome = run_job(recompiled, pool=pool, cache=cache)
-            assert outcome.output == EXPECTED
-            assert not outcome.session_reused
-            assert pool.stats()["evicted"] >= 1
+            assert outcome.output == first.output == EXPECTED
+            assert outcome.session_reused
+            stats = pool.stats()
+            assert (stats["created"], stats["evicted"]) == (1, 0)
+            # two programs, each loaded once by each of the two workers
+            assert stats["program_loads"] == 2 * 2
         finally:
             pool.close()
 
-    def test_same_key_release_evicts_the_displaced_session(self):
-        """Two concurrent clients of one program: both sessions come
-        back under one key, and the one already parked must be closed,
-        not silently dropped with its workers and segment alive."""
+    def test_same_key_sessions_park_until_max_sessions(self):
+        """Concurrent clients of one key each park their session; a
+        release past ``max_sessions`` closes the oldest idle one, and
+        closing the pool leaves no segment behind."""
         def segments():
             return set(glob.glob(
                 f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-*"))
 
         pool = SessionPool(max_sessions=2)
-        job, compiled = self._compiled(None)
+        job = make_job(backend="process", nthreads=2, workers=2)
         before = segments()
         try:
-            first = pool.acquire(compiled.result, job,
-                                 fingerprint=compiled.ctx.fingerprint)
-            second = pool.acquire(compiled.result, job,
-                                  fingerprint=compiled.ctx.fingerprint)
-            assert first is not second
+            first, second, third = (pool.acquire(job) for _ in range(3))
+            assert len({id(first), id(second), id(third)}) == 3
             pool.release(first)
             pool.release(second)
             stats = pool.stats()
-            assert stats["idle"] == 1
-            assert stats["evicted"] == 1
-            assert first.closed and not second.closed
-            assert len(segments() - before) == 1
+            assert (stats["idle"], stats["evicted"]) == (2, 0)
+            assert not first.closed and not second.closed
+            pool.release(third)
+            stats = pool.stats()
+            assert (stats["idle"], stats["evicted"]) == (2, 1)
+            assert first.closed
+            assert not second.closed and not third.closed
+            assert len(segments() - before) == 2
         finally:
             pool.close()
         assert segments() == before
+
+    @pytest.mark.parametrize("engine", ["native", "bytecode"])
+    def test_one_session_serves_three_programs(self, engine):
+        """One pooled session alternates three kernels for two rounds:
+        it is created once, every output is the recorded one, and each
+        worker loads each dispatched program exactly once."""
+        from repro.bench import get
+        from repro.interp.native import native_backend_available
+
+        if engine == "native" and not native_backend_available()[0]:
+            pytest.skip(native_backend_available()[1])
+        expected_dir = os.path.join(os.path.dirname(__file__), os.pardir,
+                                    "perfbench", "expected")
+        kernels = ("dijkstra", "mpeg2-decoder", "histogram")
+        cache = StageCache()
+        pool = SessionPool(max_sessions=1)
+        dispatched, loads = set(), []
+        try:
+            for _round in range(2):
+                for kernel in kernels:
+                    spec = get(kernel)
+                    job = Job(spec.source, tuple(spec.loop_labels),
+                              CompileOptions(engine=engine), nthreads=2,
+                              workers=2, backend="process",
+                              check_races=False)
+                    compiled = StagedCompiler(cache=cache).compile(job)
+                    outcome = run_job(compiled, pool=pool, cache=cache)
+                    with open(os.path.join(expected_dir,
+                                           f"{kernel}.txt")) as fh:
+                        assert "".join(outcome.output) + \
+                            f"\n[exit {outcome.exit_code}]\n" == fh.read()
+                    assert outcome.verified
+                    codes = {d.code for d in outcome.diagnostics}
+                    assert not any(c.startswith("NL-") for c in codes)
+                    if "MC-FALLBACK" not in codes:
+                        dispatched.add(kernel)
+                loads.append(pool.stats()["program_loads"])
+            # every load happened in the first round: none after warm-up
+            assert loads[0] == loads[1]
+            stats = pool.stats()
+            assert stats["created"] == 1 and stats["evicted"] == 0
+            # dijkstra's loop is audited onto the simulated controllers
+            assert dispatched == {"mpeg2-decoder", "histogram"}
+            assert stats["program_loads"] == len(dispatched) * 2
+        finally:
+            pool.close()
 
     def test_closed_pool_creates_nothing(self, tmp_path):
         cache = StageCache(root=str(tmp_path))
@@ -434,7 +485,8 @@ class TestServeDaemon:
         stats = request(daemon.socket_path, {"op": "stats"})["result"]
         assert stats["requests"] >= 2
         assert stats["cache"]["misses"]
-        assert "pool" in stats
+        assert {"created", "reused", "evicted", "program_loads"} \
+            <= set(stats["pool"])
 
     def test_unknown_op_is_protocol_error(self, daemon):
         resp = request(daemon.socket_path, {"op": "teleport"})
@@ -564,24 +616,20 @@ class TestSessionReset:
         program, sema = parse_and_analyze(KERNEL)
         tresult = expand_for_threads(program, sema, ["L1", "L2"])
         job = make_job(backend="process", nthreads=2, workers=2)
-        session = ProcessSession(tresult.program, tresult.sema, 2,
-                                 workers=2)
+        session = ProcessSession(2, workers=2)
         try:
             first = run_parallel(tresult, job=job, session=session)
         finally:
             pass  # adopted sessions are closed by the runner
-        from repro.runtime.multicore import _fingerprint_for
-        session2 = ProcessSession(tresult.program, tresult.sema, 2,
-                                  workers=2)
+        session2 = ProcessSession(2, workers=2)
         pool = SessionPool(max_sessions=1)
         try:
             session2.pool = pool
-            session2._pool_key = pool._key(
-                _fingerprint_for(tresult.program), job)
+            session2._pool_key = pool._key(job)
             second = run_parallel(tresult, job=job, session=session2)
             # the runner released it back to the pool; reset + rerun
             assert pool.stats()["idle"] == 1
-            reacquired = pool.acquire(tresult, job)
+            reacquired = pool.acquire(job)
             assert reacquired is session2
             assert reacquired.reused
             third = run_parallel(tresult, job=job, session=reacquired)
@@ -593,10 +641,7 @@ class TestSessionReset:
     def test_reset_refuses_closed_session(self):
         from repro.runtime.multicore import ProcessSession
         from repro.runtime.parallel import ParallelError
-        program, sema = parse_and_analyze(KERNEL)
-        tresult = expand_for_threads(program, sema, ["L1", "L2"])
-        session = ProcessSession(tresult.program, tresult.sema, 2,
-                                 workers=2)
+        session = ProcessSession(2, workers=2)
         session.close()
         with pytest.raises(ParallelError):
             session.reset()
