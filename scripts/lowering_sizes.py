@@ -4,8 +4,9 @@ Lowers every benchmark kernel through the real ``lower-native`` stage
 (fresh stage cache and ``.so`` cache, so both translation units of the
 job are compiled) and records, for the transformed program and the
 sequential baseline: C source bytes, exported entry points by kind
-(``u_`` units, ``k_`` chunk drivers, ``r_`` runners) and the compiler's
-CPU seconds — plus the size the transformed program would have with
+(``u_`` units, ``k_`` chunk drivers, ``r_`` runners), the compiler's
+CPU seconds, the parts the job built it from and the wall seconds of
+that build run alone — plus the size the transformed program would have with
 entry points for *any* loop (``lower_program(controlled=None)``, pure
 codegen).  Two **count gates**, no timing gate:
 
@@ -33,6 +34,7 @@ from repro.bench import all_benchmarks                        # noqa: E402
 from repro.interp.native import (                             # noqa: E402
     lower_program, native_backend_available,
 )
+from repro.interp.native.backend import start                 # noqa: E402
 from repro.obs import Tracer                                  # noqa: E402
 from repro.service import (                                   # noqa: E402
     CompileOptions, Job, StageCache, StagedCompiler,
@@ -42,7 +44,7 @@ from repro.service import (                                   # noqa: E402
 MAX_SHARE = 0.60
 
 
-def describe(context):
+def describe(context, root):
     lowering = context.lowering
     kinds = {"u_": 0, "k_": 0, "r_": 0}
     for name in lowering.exports:
@@ -53,7 +55,20 @@ def describe(context):
         "units": kinds["u_"], "chunk_drivers": kinds["k_"],
         "runners": kinds["r_"],
         "cc_seconds": round(context.lib.compile_seconds, 3),
+        # one compiler process per part, plus a link when parts > 1
+        "parts": context.lib.parts,
+        "cc_unit_wall_seconds": round(standalone_wall(context, root), 3),
     }
+
+
+def standalone_wall(context, root):
+    """The unit's build alone (same parts, fresh .so cache): wall
+    seconds from its first compiler's start to its last one's exit."""
+    lowering = context.lowering
+    build = start([(lowering.source, lowering.exports, "wall",
+                    lowering.parts)], root, max_parts=context.lib.parts)
+    build.finish()
+    return build.t_done - build.t0
 
 
 def measure(spec, cache_root):
@@ -66,11 +81,14 @@ def measure(spec, cache_root):
     any_loop = lower_program(result.program, result.sema)
     row = {
         "kernel": spec.name,
-        "transformed": describe(compiled.ctx.native),
-        "baseline": describe(compiled.ctx.native_baseline),
+        "transformed": describe(compiled.ctx.native,
+                                os.path.join(cache_root, "alone-t")),
+        "baseline": describe(compiled.ctx.native_baseline,
+                             os.path.join(cache_root, "alone-b")),
         "any_loop_source_bytes": len(any_loop.source),
         "any_loop_exports": len(any_loop.exports),
-        # wall-clock with a compiler running (the two run side by side)
+        # wall-clock inside lower-native with a compiler running (the
+        # baseline started before the profile, so mostly it is done)
         "cc_wall_seconds": round(
             tracer.metrics["native.compile_seconds"], 3),
     }
@@ -98,8 +116,11 @@ def main(argv=None):
                   f"{row['any_loop_source_bytes']}), "
                   f"{t['exports']:2d}/{row['any_loop_exports']} exports;"
                   f" baseline {b['source_bytes']:6d} B, "
-                  f"{b['exports']} exports; cc {t['cc_seconds']:.2f}s + "
-                  f"{b['cc_seconds']:.2f}s in {row['cc_wall_seconds']:.2f}s")
+                  f"{b['exports']} exports; cc {t['cc_seconds']:.2f}s "
+                  f"({t['parts']} parts, {t['cc_unit_wall_seconds']:.2f}s "
+                  f"wall) + {b['cc_seconds']:.2f}s "
+                  f"({b['cc_unit_wall_seconds']:.2f}s wall), "
+                  f"{row['cc_wall_seconds']:.2f}s in lower-native")
             if row["share_of_any_loop"] > MAX_SHARE:
                 failures.append(
                     f"{spec.name}: transformed C is "

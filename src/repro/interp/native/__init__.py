@@ -12,7 +12,7 @@ Public surface:
 
 from .backend import (  # noqa: F401
     COMPILER_INVOCATIONS, NativeContext, compile_source,
-    native_backend_available, native_context_for, native_contexts_for,
+    native_backend_available, native_context_for,
     so_cache_key,
 )
 from .codegen import NATIVE_ABI_VERSION, Lowering, lower_program  # noqa: F401

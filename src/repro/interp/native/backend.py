@@ -7,15 +7,20 @@ to ``bytecode`` with a diagnostic instead of erroring.
 
 Compilation runs ``cc -shared -O2 -fPIC -fwrapv`` (cffi's API mode
 needs the same C compiler, so the compiler's presence is the real
-gate).  :func:`compile_sources` starts every missing compile of a batch
-before it waits for any — a job's two translation units (transformed
-program, sequential baseline) build side by side, one compiler process
-each — and :func:`compile_source` is the batch of one.  Binding
-prefers cffi's ABI-mode ``dlopen`` when cffi is importable and falls
-back to ``ctypes.CDLL``.  Compiled artifacts are cached on disk keyed
-by source hash, ABI version, flags and compiler identity — a warm
-cache hit never invokes the C compiler (asserted by the serve smoke
-test via :data:`COMPILER_INVOCATIONS` / ``$REPRO_NATIVE_CC_LOG``).
+gate).  :func:`start` writes a batch's sources and starts every
+missing compile without waiting; :meth:`Build.finish` waits, links,
+renames and binds, and :meth:`Build.abort` kills, reaps and unlinks —
+so a caller can start a unit early and overlap its compile with other
+work (the stage chain builds a cold job's baseline unit while the
+dependence profile runs).  A large unit compiles as one object per
+core (:data:`PART_LINES`) and links once; its cache key, its
+:data:`COMPILER_INVOCATIONS` count and its ``$REPRO_NATIVE_CC_LOG``
+line stay one per unit.  :func:`compile_sources` is start + finish
+and :func:`compile_source` the batch of one.  Binding prefers cffi's
+ABI-mode ``dlopen`` when cffi is importable and falls back to
+``ctypes.CDLL``.  Compiled artifacts are cached on disk keyed by
+source hash, ABI version, flags and compiler identity — a warm cache
+hit never invokes the C compiler (asserted by the serve smoke test).
 
 Which entry points a translation unit exports depends on where a loop
 controller can sit (``controlled``, see :mod:`.codegen`); the
@@ -28,7 +33,9 @@ from __future__ import annotations
 
 import hashlib
 import os
+import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -57,6 +64,18 @@ CACHE_ENV = "REPRO_NATIVE_CACHE"
 COMPILES_ALLOWED = True
 
 CFLAGS = ("-shared", "-O2", "-fPIC", "-fwrapv")
+
+#: source lines per compiler process: a unit of ``lines`` lines builds
+#: as ``min(cores, lines // PART_LINES)`` objects (one below twice
+#: this).  Measured on the nine kernels (gcc 12.2, 2 cores, wall): a
+#: 1 686-line unit compiles 660 -> 470 ms in two parts, a 1 122-line
+#: one 494 -> 555 ms, and the header every part repeats costs ~25 ms
+PART_LINES = 800
+
+#: a build's temporaries older than this are a dead build's (its Python
+#: was killed before :meth:`Build.abort` ran): the next build in the
+#: directory removes them.  No compile of a kernel comes near it
+STALE_SECONDS = 3600
 
 _AVAILABLE: Optional[Tuple[bool, str]] = None
 _CC_IDENTITY: Optional[str] = None
@@ -135,12 +154,15 @@ class CompiledLib:
     """A loaded .so: uniform ``int64_t f(void *)`` entry handles."""
 
     def __init__(self, path: str, handles: Dict, cache_hit: bool,
-                 compile_seconds: float, binder: str):
+                 compile_seconds: float, binder: str, parts: int = 1):
         self.path = path
         self.handles = handles
         self.cache_hit = cache_hit
+        #: CPU seconds of every compiler process of the unit
         self.compile_seconds = compile_seconds
         self.binder = binder  # "cffi" | "ctypes"
+        #: objects the unit was built from (1 when it hit the cache)
+        self.parts = parts
 
     def __repr__(self):  # pragma: no cover - debug aid
         hit = "hit" if self.cache_hit else "miss"
@@ -199,92 +221,271 @@ def _bind(path: str, exports) -> Tuple[Dict, str]:
     return handles, "ctypes"
 
 
-def compile_sources(units: Sequence[Tuple[str, Sequence[str], str]],
-                    cache_dir: Optional[str] = None
-                    ) -> Tuple[List[CompiledLib], float]:
-    """Compile ``(source, exports, tag)`` units to cached .so files and
-    bind their exports.  Every unit the cache misses gets its compiler
-    process before any is waited for.  Returns the libraries, in order,
-    and the wall-clock seconds during which a compiler was running
-    (each ``CompiledLib.compile_seconds`` stays that process's own:
-    the CPU seconds of the compiler and the passes it ran)."""
-    global COMPILER_INVOCATIONS, SO_CACHE_HITS
-    directory = _cache_dir(cache_dir)
-    so_paths = [os.path.join(directory, f"{tag}-{so_cache_key(source)}.so")
-                for source, _, tag in units]
-    tmp_suffix = f".tmp{os.getpid()}"
-    procs: Dict[str, subprocess.Popen] = {}
-    seconds: Dict[str, float] = {}
-    unstarted_c: Optional[str] = None  # written, its compiler not started
-    t0 = time.perf_counter()
+class _Unit:
+    """One translation unit of a :class:`Build`: the compiler processes
+    it started and the files only they may leave behind."""
+
+    def __init__(self, exports, so_path: str):
+        self.exports = exports
+        self.so_path = so_path
+        self.name = os.path.splitext(os.path.basename(so_path))[0]
+        self.procs: List[subprocess.Popen] = []
+        #: this build's copy of the whole source, its parts, their
+        #: objects and the .so being written: the files a concurrent
+        #: build of the same unit never touches
+        self.temps: List[str] = []
+        self.src: Optional[str] = None
+        self.out: Optional[str] = None
+        self.parts = 1
+        #: summed CPU seconds of its compiler processes (None: a hit)
+        self.seconds: Optional[float] = None
+
+
+def _cores() -> int:
     try:
-        for (source, _, _), so_path in zip(units, so_paths):
-            if so_path in procs or os.path.exists(so_path):
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity API (darwin)
+        return os.cpu_count() or 1
+
+
+def _temp(directory: str, name: str, suffix: str) -> str:
+    """A fresh file name in ``directory``, unique to this build (two
+    builds of one unit, in one process or two, never share one)."""
+    fd, path = tempfile.mkstemp(prefix=name + ".", suffix=suffix,
+                                dir=directory)
+    os.close(fd)
+    return path
+
+
+#: the names :func:`_temp` gives a build's source copy, parts, objects
+#: and unfinished .so
+_TEMP_NAME = re.compile(r"\.[^.]+\.(tmp\.c|so\.tmp|part\d+\.[co])$")
+
+
+def _sweep(directory: str) -> None:
+    """Remove the temporaries of builds that died without aborting."""
+    cutoff = time.time() - STALE_SECONDS
+    for entry in os.scandir(directory):
+        if _TEMP_NAME.search(entry.name):
+            try:
+                if entry.stat().st_mtime < cutoff:
+                    os.unlink(entry.path)
+            except FileNotFoundError:  # another build swept it first
+                pass
+
+
+def _spawn(argv) -> subprocess.Popen:
+    # its own process group, so abort stops cc and every pass it runs;
+    # a signal to the caller's group no longer reaches it, which is why
+    # the caller aborts in a finally (and :func:`_sweep` covers a
+    # caller killed outright)
+    return subprocess.Popen(argv, stdout=subprocess.DEVNULL,
+                            stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+
+
+def _reap(proc: subprocess.Popen) -> Tuple[str, float]:
+    """Wait for one compiler process: its stderr and CPU seconds."""
+    with proc.stderr:
+        stderr = proc.stderr.read()  # to EOF: the compiler is done
+    # reaped here, not by Popen, for the child's own rusage: a wall
+    # clock would charge it the siblings waited for first
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return stderr, usage.ru_utime + usage.ru_stime
+
+
+class Build:
+    """A batch of units whose compilers :func:`start` started.
+
+    :meth:`finish` waits for them, links the parts of a split unit,
+    renames each library into the cache and binds it; :meth:`abort`
+    stops and reaps whatever still runs and removes every file a
+    compiler had not finished.  One of the two always runs before the
+    build is dropped; both may run, and each runs at most once."""
+
+    def __init__(self):
+        self.units: List[_Unit] = []
+        self.cc: Optional[str] = None
+        self.t0 = time.perf_counter()
+        #: when :meth:`finish` saw the last compiler exit (None: none
+        #: ran)
+        self.t_done: Optional[float] = None
+        self._open = True
+
+    @property
+    def compiling(self) -> bool:
+        """Whether a compiler was started for any unit."""
+        return any(unit.procs for unit in self.units)
+
+    def finish(self) -> List[CompiledLib]:
+        """The libraries, in unit order."""
+        global SO_CACHE_HITS
+        try:
+            for unit in self.units:
+                if unit.procs:
+                    self._complete(unit)
+            if self.compiling:
+                self.t_done = time.perf_counter()
+        finally:
+            self.abort()
+        libs = []
+        for unit in self.units:
+            if unit.seconds is None:
+                SO_CACHE_HITS += 1
+            handles, binder = _bind(unit.so_path, unit.exports)
+            libs.append(CompiledLib(unit.so_path, handles,
+                                    unit.seconds is None,
+                                    unit.seconds or 0.0, binder,
+                                    unit.parts))
+        return libs
+
+    def _complete(self, unit: _Unit) -> None:
+        """Wait for a unit's compilers, link its parts, publish it."""
+        unit.seconds = 0.0
+        self._wait(unit, list(unit.procs))
+        if unit.parts > 1:
+            objs = [path for path in unit.temps if path.endswith(".o")]
+            link = _spawn([self.cc, *CFLAGS, "-o", unit.out, *objs])
+            unit.procs.append(link)
+            self._wait(unit, [link])
+        self._verdict(unit, 0)
+        os.replace(unit.out, unit.so_path)  # atomic vs other builds
+
+    @staticmethod
+    def _verdict(unit: _Unit, rc: int) -> None:
+        """Count the unit's compile, keep its source beside the library
+        as ``<name>.c`` (a source cc rejected explains the failure) and
+        log one line, whatever its part count."""
+        global COMPILER_INVOCATIONS
+        COMPILER_INVOCATIONS += 1
+        os.replace(unit.src, os.path.join(os.path.dirname(unit.so_path),
+                                          unit.name + ".c"))
+        log = os.environ.get(CC_LOG_ENV)
+        if log:
+            with open(log, "a") as fh:
+                fh.write(f"{unit.name} rc={rc} {unit.seconds:.3f}s "
+                         f"parts={unit.parts}\n")
+
+    def _wait(self, unit: _Unit, procs) -> None:
+        for proc in procs:
+            stderr, cpu = _reap(proc)
+            unit.seconds += cpu
+            if proc.returncode != 0:
+                self._verdict(unit, proc.returncode)
+                raise RuntimeError(
+                    f"NL-CC-FAIL: {proc.args[0]} exited "
+                    f"{proc.returncode}: {stderr[-2000:]}")
+
+    def abort(self) -> None:
+        """Stop and reap every compiler still running and remove every
+        file of a unit that has no verdict.  Once a build has finished
+        or aborted this does nothing."""
+        if not self._open:
+            return
+        self._open = False
+        for unit in self.units:
+            for proc in unit.procs:
+                if proc.returncode is None:  # never waited for
+                    _stop(proc)
+            for path in unit.temps:
+                if os.path.exists(path):
+                    os.unlink(path)
+
+
+def _stop(proc: subprocess.Popen) -> None:
+    """SIGTERM the compiler's process group — ``cc`` then removes its
+    own temporaries — and reap it; SIGKILL what lingers."""
+    for sig in (signal.SIGTERM, signal.SIGKILL):
+        try:
+            os.killpg(proc.pid, sig)
+        except ProcessLookupError:
+            pass
+        try:
+            proc.communicate(timeout=10)
+            return
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            continue
+
+
+def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
+          max_parts: Optional[int] = None) -> Build:
+    """Start compiling ``(source, exports, tag[, split])`` units to
+    cached .so files; return without waiting for any compiler.
+
+    A unit the cache misses gets its source written and its compiler
+    processes started.  A unit with a ``split`` callable (``k`` ->
+    ``k`` part sources, see :meth:`.codegen.Lowering.parts`) whose
+    source has ``lines >= 2 * PART_LINES`` compiles as ``K =
+    min(cores, max_parts, lines // PART_LINES)`` objects, one ``cc
+    -c`` each, which :meth:`Build.finish` links with one ``cc
+    -shared``.  The cache key is the whole source's hash whatever
+    ``K`` is, so a host with another core count binds the same .so."""
+    directory = _cache_dir(cache_dir)
+    cores = _cores() if max_parts is None else min(_cores(), max_parts)
+    build = Build()
+    try:
+        for source, exports, tag, *rest in units:
+            split = rest[0] if rest else None
+            unit = _Unit(exports, os.path.join(
+                directory, f"{tag}-{so_cache_key(source)}.so"))
+            build.units.append(unit)
+            if os.path.exists(unit.so_path) or any(
+                    u.procs and u.so_path == unit.so_path
+                    for u in build.units):
                 continue
             if not COMPILES_ALLOWED:
                 raise RuntimeError(
-                    f"NL-NO-SO: {so_path} is not in the .so cache and "
-                    f"this process never compiles")
-            cc = _find_cc()
-            if cc is None:
-                raise RuntimeError("NL-NO-CC: no C compiler on PATH")
-            unstarted_c = c_path = os.path.splitext(so_path)[0] + ".c"
-            with open(c_path, "w") as fh:
+                    f"NL-NO-SO: {unit.so_path} is not in the .so cache "
+                    f"and this process never compiles")
+            if build.cc is None:
+                build.cc = _find_cc()
+                if build.cc is None:
+                    raise RuntimeError("NL-NO-CC: no C compiler on PATH")
+                _sweep(directory)
+            cc = build.cc
+            unit.src = _temp(directory, unit.name, ".tmp.c")
+            unit.out = _temp(directory, unit.name, ".so.tmp")
+            unit.temps += [unit.src, unit.out]
+            with open(unit.src, "w") as fh:
                 fh.write(source)
-            procs[so_path] = subprocess.Popen(
-                [cc, *CFLAGS, "-o", so_path + tmp_suffix, c_path],
-                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
-                text=True)
-            unstarted_c = None
-        for so_path, proc in procs.items():
-            with proc.stderr:
-                stderr = proc.stderr.read()  # to EOF: the compiler is done
-            # reaped here, not by Popen, for the child's own rusage: a
-            # wall clock would charge it the siblings waited for first
-            _, status, usage = os.wait4(proc.pid, 0)
-            proc.returncode = os.waitstatus_to_exitcode(status)
-            seconds[so_path] = usage.ru_utime + usage.ru_stime
-            COMPILER_INVOCATIONS += 1
-            log = os.environ.get(CC_LOG_ENV)
-            if log:
-                with open(log, "a") as fh:
-                    name = os.path.splitext(os.path.basename(so_path))[0]
-                    fh.write(f"{name} rc={proc.returncode} "
-                             f"{seconds[so_path]:.3f}s\n")
-            if proc.returncode != 0:
-                raise RuntimeError(
-                    f"NL-CC-FAIL: {proc.args[0]} exited {proc.returncode}: "
-                    f"{stderr[-2000:]}")
-            os.replace(so_path + tmp_suffix, so_path)  # atomic vs others
-    finally:
-        # leave no child and no partial output behind
-        for so_path, proc in procs.items():
-            if proc.returncode is None:  # never waited for
-                proc.kill()
-                proc.communicate()
-            if os.path.exists(so_path + tmp_suffix):
-                os.unlink(so_path + tmp_suffix)
-        # a source no compiler ever read explains no failure: unlike the
-        # .c of a unit cc rejected, it is not worth keeping
-        if unstarted_c is not None and os.path.exists(unstarted_c):
-            os.unlink(unstarted_c)
-    wall = time.perf_counter() - t0 if procs else 0.0
-    libs = []
-    for (_, exports, _), so_path in zip(units, so_paths):
-        spent = seconds.pop(so_path, None)  # a repeated unit hits
-        if spent is None:
-            SO_CACHE_HITS += 1
-        handles, binder = _bind(so_path, exports)
-        libs.append(CompiledLib(so_path, handles, spent is None,
-                                spent or 0.0, binder))
-    return libs, wall
+            if split is not None:
+                unit.parts = max(1, min(cores,
+                                        source.count("\n") // PART_LINES))
+            if unit.parts > 1:
+                argvs = []
+                for i, text in enumerate(split(unit.parts)):
+                    part = _temp(directory, unit.name, f".part{i}.c")
+                    obj = part[:-2] + ".o"
+                    unit.temps += [part, obj]
+                    with open(part, "w") as fh:
+                        fh.write(text)
+                    argvs.append([cc, "-c", *CFLAGS[1:], "-o", obj, part])
+            else:
+                argvs = [[cc, *CFLAGS, "-o", unit.out, unit.src]]
+            for argv in argvs:
+                unit.procs.append(_spawn(argv))
+    except BaseException:
+        build.abort()
+        raise
+    return build
+
+
+def compile_sources(units: Sequence[Tuple], cache_dir: Optional[str] = None
+                    ) -> List[CompiledLib]:
+    """Compile ``(source, exports, tag[, split])`` units to cached .so
+    files and bind their exports: :func:`start` + :meth:`Build.finish`.
+    Every unit the cache misses gets its compiler processes before any
+    is waited for.  Returns the libraries, in order (each
+    ``CompiledLib.compile_seconds`` is that unit's own: the CPU seconds
+    of its compiler processes and the passes they ran)."""
+    return start(units, cache_dir).finish()
 
 
 def compile_source(source: str, exports, cache_dir: Optional[str] = None,
                    tag: str = "native") -> CompiledLib:
     """Compile ``source`` to a cached .so and bind ``exports``."""
-    libs, _wall = compile_sources([(source, exports, tag)], cache_dir)
-    return libs[0]
+    return compile_sources([(source, exports, tag)], cache_dir)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -308,11 +509,38 @@ class NativeContext:
 _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-def native_contexts_for(requests: Sequence[Tuple], cache_dir: Optional[str]
-                        = None) -> Tuple[List[NativeContext], float]:
-    """The (lowered, compiled, bound) native contexts for a batch of
-    ``(program, sema, controlled)`` requests, and the wall-clock seconds
-    a C compiler ran for them (the misses compile side by side).
+class PendingContexts:
+    """Native contexts of a batch whose compilers may still be running
+    (:func:`start_contexts`): :meth:`finish` binds and registers them,
+    :meth:`abort` stops the build."""
+
+    def __init__(self, requests, contexts, missing=(), lowerings=(),
+                 build: Optional[Build] = None):
+        self.requests = requests
+        self.contexts = contexts
+        self.missing = missing
+        self.lowerings = lowerings
+        self.build = build if build is not None else Build()
+
+    def finish(self) -> List[NativeContext]:
+        """The contexts, in request order."""
+        libs = self.build.finish()
+        for i, low, lib in zip(self.missing, self.lowerings, libs):
+            self.contexts[i] = _CONTEXTS[self.requests[i][0]] = \
+                NativeContext(low, lib)
+        return self.contexts
+
+    def abort(self) -> None:
+        self.build.abort()
+
+
+def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
+                   = None, max_parts: Optional[int] = None
+                   ) -> PendingContexts:
+    """Lower a batch of ``(program, sema, controlled)`` requests and
+    start compiling the ones no memoized context serves (every
+    compiler of the batch starts before any is waited for; see
+    :func:`start` for ``max_parts``).
 
     ``controlled`` is the set of loop nids that may carry a controller
     (``None``: any loop).  Raises ``RuntimeError`` with an ``NL-*``
@@ -325,7 +553,7 @@ def native_contexts_for(requests: Sequence[Tuple], cache_dir: Optional[str]
                in enumerate(zip(contexts, requests))
                if ctx is None or not ctx.lowering.covers(controlled)]
     if not missing:
-        return contexts, 0.0
+        return PendingContexts(requests, contexts)
     ok, reason = native_backend_available() if COMPILES_ALLOWED \
         else (True, "")
     if not ok:
@@ -336,17 +564,15 @@ def native_contexts_for(requests: Sequence[Tuple], cache_dir: Optional[str]
         if contexts[i] is not None and controlled is not None:
             controlled = contexts[i].lowering.controlled | controlled
         lowerings.append(lower_program(program, sema, controlled))
-    libs, wall = compile_sources(
-        [(low.source, low.exports, f"prog-{low.fingerprint}")
-         for low in lowerings], cache_dir)
-    for i, low, lib in zip(missing, lowerings, libs):
-        contexts[i] = _CONTEXTS[requests[i][0]] = NativeContext(low, lib)
-    return contexts, wall
+    build = start(
+        [(low.source, low.exports, f"prog-{low.fingerprint}", low.parts)
+         for low in lowerings], cache_dir, max_parts)
+    return PendingContexts(requests, contexts, missing, lowerings, build)
 
 
 def native_context_for(program, sema, cache_dir: Optional[str] = None,
                        controlled=None) -> NativeContext:
-    """:func:`native_contexts_for` for one program."""
-    contexts, _wall = native_contexts_for(
-        [(program, sema, controlled)], cache_dir)
-    return contexts[0]
+    """The (lowered, compiled, bound) native context for one program:
+    :func:`start_contexts` + finish."""
+    return start_contexts([(program, sema, controlled)],
+                          cache_dir).finish()[0]

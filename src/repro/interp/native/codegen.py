@@ -34,7 +34,10 @@ enter compiled code: a runner ``r_<nid>`` per function, a unit
 and body-child (DOACROSS stage) units of a loop that may carry a
 controller, and a chunk driver ``k_<nid>`` for such a ``for``
 (:meth:`Lowerer._emit_entries` is the one rule; ``controlled=None`` —
-any loop may carry one — is its widest case).
+any loop may carry one — is its widest case).  A unit is a header plus
+its top-level definitions, ``f_`` functions being hidden externs, so
+the backend can compile a large one in parts (:meth:`Lowering.parts`);
+every fault exit calls the one out-of-line ``rp_fail``.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from ..lowered import Fault, cls_of, form_for, u64
 from ..memory import HEAP_FREE, HEAP_LIVE
 
 #: bump when emitted code or ABI changes shape (part of the .so cache key)
-NATIVE_ABI_VERSION = 6
+NATIVE_ABI_VERSION = 7
 
 # callback opcodes (Env->cb protocol)
 OP_GROW = 1
@@ -193,7 +196,11 @@ class Lowering:
     """The full result of lowering one program."""
 
     def __init__(self):
-        self.source = ""
+        #: prelude, heap helpers and every ``f_`` prototype: what each
+        #: part of a split unit repeats
+        self.header = ""
+        #: the text of each top-level definition, in source order
+        self.definitions: List[str] = []
         self.fingerprint = ""
         self.fns: Dict[int, FnMeta] = {}
         self.fn_by_name: Dict[str, int] = {}
@@ -220,6 +227,30 @@ class Lowering:
         #: call nid -> the malloc call whose blocks C allocates
         self.heap_nodes: Dict[int, ast.Call] = {}
         self._closures: Dict[int, frozenset] = {}
+
+    @property
+    def source(self) -> str:
+        """The whole translation unit (what the .so cache key hashes)."""
+        return self._join(self.definitions)
+
+    def _join(self, definitions) -> str:
+        return "\n".join([self.header] + definitions) + "\n"
+
+    def parts(self, k: int) -> List[str]:
+        """The unit as ``k`` sources that compile apart and link to the
+        same library: definitions bin-packed by emitted size, biggest
+        first, each onto the lightest part.  (Keeping a caller beside
+        its callees, so the call can still inline, measured no faster
+        at run time on dijkstra, mpeg2-decoder or histogram.)"""
+        bins: List[List[int]] = [[] for _ in range(k)]
+        load = [0] * k
+        for i in sorted(range(len(self.definitions)),
+                        key=lambda i: -len(self.definitions[i])):
+            part = load.index(min(load))
+            bins[part].append(i)
+            load[part] += len(self.definitions[i])
+        return [self._join([self.definitions[i] for i in sorted(b)])
+                for b in bins]
 
     def covers(self, controlled: Optional[frozenset]) -> bool:
         """Whether a caller declaring ``controlled`` may use these
@@ -278,14 +309,27 @@ typedef struct Env {
   int64_t (*cb)(void *, int64_t, int64_t, int64_t);
 } Env;
 
+#define RP_FN __attribute__((visibility("hidden")))
 #define LJ longjmp(*(jmp_buf *)E->jbp, 1)
-#define FAULT(s) do { FLUSH; E->fault = (s); LJ; } while (0)
+#define FAULT(s) rp_fail(E, (s), 0, 0, cy8, ins, lds, sts)
 #define CB(op, a, b) do { FLUSH; if (E->cb((void *)E, (op), (a), (b))) LJ; \
     M = E->M; } while (0)
-#define GK(a, n) do { if (rp_gchk(E, (a), (n))) { E->args[0] = (a); \
-    E->args[1] = (n); FAULT(0); } } while (0)
+#define GK(a, n) do { if (rp_gchk(E, (a), (n))) \
+    rp_fail(E, 0, (a), (n), cy8, ins, lds, sts); } while (0)
 #define FLUSH do { E->cy8 += cy8; E->ins += ins; E->lds += lds; \
     E->sts += sts; cy8 = ins = lds = sts = 0; } while (0)
+
+/* Every fault exit: flush the frame's counters, record the site and
+   leave.  Site 0 is the region guard, which also reports the access
+   (a, n).  Out of line and cold, so a site costs the caller one call. */
+static __attribute__((noreturn, cold, noinline)) void rp_fail(
+    Env *E, int64_t site, int64_t a, int64_t n,
+    int64_t cy8, int64_t ins, int64_t lds, int64_t sts) {
+  if (site == 0) { E->args[0] = a; E->args[1] = n; }
+  E->cy8 += cy8; E->ins += ins; E->lds += lds; E->sts += sts;
+  E->fault = site;
+  LJ;
+}
 
 static int rp_gchk(Env *E, int64_t a, int64_t n) {
   uint64_t lo = E->ck ? 4096u : 0u;
@@ -1248,7 +1292,7 @@ class Lowerer:
             f"{'double' if pcls == 'f' else 'int64_t'} p{i}"
             for i, pcls in enumerate(meta.params)]
         ret = "double" if meta.ret_cls == "f" else "int64_t"
-        return f"static {ret} {meta.cname}({', '.join(parts)})"
+        return f"RP_FN {ret} {meta.cname}({', '.join(parts)})"
 
     def _probe_functions(self):
         """Every function is native until its verdict refuses it."""
@@ -1275,7 +1319,7 @@ class Lowerer:
             for nid, reason in failed.items():
                 self._nl[f"fn:{self.native_fns.pop(nid).name}"] = reason
 
-    def _emit_fn(self, meta: FnMeta) -> List[str]:
+    def _emit_fn(self, meta: FnMeta) -> str:
         x = self.form.function(meta.decl)
         em = _Emit(self, meta)
         em.ret_cy = x.cy_ret
@@ -1293,13 +1337,14 @@ class Lowerer:
         meta.callees = set(em.callees)
         self.result.fns[meta.nid] = meta
         self.result.fn_by_name[meta.name] = meta.nid
-        return [self._fn_sig(meta) + " {",
-                "  int64_t cy8 = 0, ins = 0, lds = 0, sts = 0;",
-                "  char *M = E->M;",
-                "  (void)M; (void)cy8; (void)ins; (void)lds; (void)sts;",
-                ] + em.lines + ["}"]
+        return "\n".join([
+            self._fn_sig(meta) + " {",
+            "  int64_t cy8 = 0, ins = 0, lds = 0, sts = 0;",
+            "  char *M = E->M;",
+            "  (void)M; (void)cy8; (void)ins; (void)lds; (void)sts;",
+        ] + em.lines + ["}"])
 
-    def _emit_runner(self, meta: FnMeta) -> List[str]:
+    def _emit_runner(self, meta: FnMeta) -> str:
         args = [f"E->dargs[{i}]" if pcls == "f" else f"E->args[{i}]"
                 for i, pcls in enumerate(meta.params)]
         call = f"{meta.cname}(E{''.join(', ' + a for a in args)})"
@@ -1312,7 +1357,7 @@ class Lowerer:
         else:
             keep = (f"E->args[0] = r; "
                     f"E->args[1] = {RET_U64 if meta.ret_u64 else RET_I64};")
-        return [
+        return "\n".join([
             f"int64_t {meta.runner}(void *ep) {{",
             "  Env *E = (Env *)ep;",
             "  jmp_buf jb; void *oldjb = E->jbp;",
@@ -1325,9 +1370,9 @@ class Lowerer:
             "  E->jbp = oldjb;",
             f"  return {RC_OK};",
             "}",
-        ]
+        ])
 
-    def _emit_unit(self, s: ast.Stmt) -> List[str]:
+    def _emit_unit(self, s: ast.Stmt) -> str:
         cname = f"u_{s.nid}"
         em = _Emit(self)
         em.stmt(self.form.stmt(s))
@@ -1335,8 +1380,8 @@ class Lowerer:
         meta.loop_nids = set(em.loop_nids)
         meta.callees = set(em.callees)
         self.result.units[s.nid] = meta
-        return (_unit_prologue(cname) + em.lines +
-                [f"  FLUSH; E->jbp = oldjb; return {RC_OK};", "}"])
+        return "\n".join(_unit_prologue(cname) + em.lines + [
+            f"  FLUSH; E->jbp = oldjb; return {RC_OK};", "}"])
 
     @staticmethod
     def _control_of(s: ast.For) -> Optional[ast.VarDecl]:
@@ -1352,7 +1397,7 @@ class Lowerer:
         return None
 
     def _emit_chunk(self, s: ast.For,
-                    control: ast.VarDecl) -> List[str]:
+                    control: ast.VarDecl) -> str:
         """DOALL chunk driver: ``runtime.plan.doall_iteration``'s
         protocol — eval cond (cost only), body, eval step — for k in
         [args[0], args[1]), with the iteration counter mirrored to the
@@ -1390,21 +1435,21 @@ class Lowerer:
             "  hb_ = E->args[4] ? (volatile int64_t *)(intptr_t)"
             "E->args[4] : (volatile int64_t *)0;",
         ]
-        return prologue + em.lines + ["  }", "}"]
+        return "\n".join(prologue + em.lines + ["  }", "}"])
 
     # -- driver ------------------------------------------------------------
     def lower(self) -> Lowering:
         res = self.result
         self._probe_functions()
-        fns_src: List[str] = []
-        runners_src: List[str] = []
+        fns: List[str] = []
+        runners: List[str] = []
         for fn in self.sema.functions.values():
             meta = self.native_fns.get(fn.nid)
             if meta is not None:
-                fns_src += self._emit_fn(meta)
+                fns.append(self._emit_fn(meta))
                 if meta.runner:
-                    runners_src += self._emit_runner(meta)
-        entries_src = self._emit_entries()
+                    runners.append(self._emit_runner(meta))
+        entries = self._emit_entries()
         res.sema = self.sema
         res.controlled = self.controlled
         res.globals_order = tuple(self.sema.globals)
@@ -1416,11 +1461,9 @@ class Lowerer:
             [res.chunks[k].cname for k in sorted(res.chunks)] +
             [m.runner for m in res.fns.values() if m.runner]
         )
-        res.source = "\n".join(
-            [_PRELUDE] + ([_HEAP] if res.heap else []) + fwd + [""] +
-            fns_src + [""] + entries_src +
-            [""] + runners_src + [""]
-        )
+        res.header = "\n".join(
+            [_PRELUDE] + ([_HEAP] if res.heap else []) + fwd + [""])
+        res.definitions = fns + entries + runners
         res.fingerprint = hashlib.sha256(
             (f"abi{NATIVE_ABI_VERSION}\n" + res.source).encode()
         ).hexdigest()[:16]
@@ -1457,7 +1500,7 @@ class Lowerer:
             try:
                 reason = _refusal(self, self.form.stmt(s))
                 if reason is None:
-                    src.extend(emit(s, *args))
+                    src.append(emit(s, *args))
             except _EMIT_BUGS:
                 reason = "NL-EMIT"
             if reason:

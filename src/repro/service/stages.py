@@ -29,11 +29,18 @@ In permissive mode the transform stages run as one monolithic unit
 (quarantine/bisect semantics are whole-transform properties) and only
 a *clean* result — no diagnostics, no quarantined loops — is cached,
 under the ``plan`` key.
+
+A native chain starts the sequential baseline's C compile as soon as
+``sema`` is at hand (that unit depends on nothing else), so on a cold
+job it builds while the profile runs; ``lower-native`` finishes it, and
+:meth:`compile` aborts it if any stage raises.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import time
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import commutative as _commutative
@@ -124,6 +131,9 @@ class StageContext:
         #: stage cache (filled by the lower-native stage)
         self.native = None
         self.native_baseline = None
+        #: transient — the baseline unit's build, started after sema
+        #: and finished by the lower-native stage
+        self.baseline_build = None
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.CHAIN_FIELDS
@@ -208,9 +218,19 @@ class StagedCompiler:
         report: Dict[str, str] = {}
         chain = self._chain_for(job)
         start = self._probe(job, keys, ctx, chain, report)
-        for stage in chain[start:]:
-            self._compute(stage, job, ctx, keys)
-            report[self._label(stage)] = "miss"
+        early = chain[-1] == "lower-native"
+        try:
+            for stage in chain[start:]:
+                if early and stage not in ("parse", "sema"):
+                    early = False
+                    self._start_baseline(ctx)
+                self._compute(stage, job, ctx, keys)
+                report[self._label(stage)] = "miss"
+        finally:
+            # a stage raised before lower-native finished the build
+            if ctx.baseline_build is not None:
+                ctx.baseline_build.abort()
+                ctx.baseline_build = None
         self._note(report)
         return CompiledJob(job, ctx, keys, report)
 
@@ -369,18 +389,40 @@ class StagedCompiler:
                                        self.tracer),
             }
 
+    def _so_dir(self) -> Optional[str]:
+        """The .so cache beside the stage cache (None: the default)."""
+        if self.cache is not None and self.cache.root:
+            return os.path.join(self.cache.root, "native-so")
+        return None
+
+    def _start_baseline(self, ctx: StageContext) -> None:
+        """A native chain is about to compute its first stage after
+        sema (on a cold job: the profile).  The sequential baseline's
+        unit depends on sema alone, so its compiler starts now — one
+        process, leaving the other core to the stages in between — and
+        lower-native finishes it; :meth:`compile` aborts it if a stage
+        raises first."""
+        from ..interp.native import native_backend_available
+        from ..interp.native.backend import start_contexts
+        if not native_backend_available()[0]:
+            return  # lower-native warns and degrades
+        with self.tracer.phase("lower-native", unit="baseline"):
+            ctx.baseline_build = start_contexts(
+                [(ctx.program, ctx.sema, frozenset())],
+                cache_dir=self._so_dir(), max_parts=1)
+
     def _stage_lower_native(self, job: Job, ctx: StageContext) -> None:
         """Lower the transformed + original programs to C — entry
         points for the loops that get a controller, none but the
-        runners for the sequential baseline — compile the two
-        translation units side by side and dlopen them.  The artifact
-        (dlopen handles) lives in the memory tier; the compiled .so is
-        content-cached on disk beside the stage cache, so a daemon
-        restart re-lowers but never re-invokes the C compiler."""
-        import os
-        from ..interp.native import (
-            native_backend_available, native_contexts_for,
-        )
+        runners for the sequential baseline — compile them and dlopen
+        them.  The baseline's compiler started after sema
+        (:meth:`_start_baseline`); the transformed unit's start here.
+        The artifact (dlopen handles) lives in the memory tier; the
+        compiled .so is content-cached on disk beside the stage cache,
+        so a daemon restart re-lowers but never re-invokes the C
+        compiler."""
+        from ..interp.native import native_backend_available
+        from ..interp.native.backend import start_contexts
         ok, reason = native_backend_available()
         if not ok:
             # graceful degradation: the run phase's machines carry the
@@ -391,25 +433,31 @@ class StagedCompiler:
                 f"phase degrades to bytecode",
                 phase="lower-native")
             return
-        so_dir = None
-        if self.cache is not None and self.cache.root:
-            so_dir = os.path.join(self.cache.root, "native-so")
         result = ctx.result
+        early = ctx.baseline_build
         with self.tracer.phase("lower-native"):
-            (ctx.native, ctx.native_baseline), cc_wall = \
-                native_contexts_for(
-                    [(result.program, result.sema,
-                      result.controlled_loops()),
-                     (ctx.program, ctx.sema, frozenset())],
-                    cache_dir=so_dir)
+            pending = start_contexts(
+                [(result.program, result.sema, result.controlled_loops())],
+                cache_dir=self._so_dir())
+            t_cc = pending.build.t0 if pending.build.compiling \
+                else time.perf_counter()
+            (ctx.native,) = pending.finish()
+            (ctx.native_baseline,) = early.finish()
+            ctx.baseline_build = None
         if self.tracer:
             metrics = self.tracer.metrics
             for c in (ctx.native, ctx.native_baseline):
                 metrics.inc("native.so_cache_hit" if c.lib.cache_hit
                             else "native.so_cache_miss")
-            # wall-clock with a compiler running, not the sum over the
-            # two processes: lower-native minus this is codegen time
-            metrics.inc("native.compile_seconds", cc_wall)
+            # wall-clock inside this stage with a compiler running, not
+            # the sum over the processes: lower-native minus this is
+            # codegen time (a baseline finished during the profile
+            # adds nothing)
+            done = [b.build.t_done for b in (pending, early)
+                    if b.build.compiling]
+            if done:
+                metrics.inc("native.compile_seconds",
+                            max(0.0, max(done) - t_cc))
 
     # -- observability ----------------------------------------------------
     def _note(self, report: Dict[str, str]) -> None:

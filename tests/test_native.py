@@ -26,7 +26,7 @@ from repro.bench import all_benchmarks, get
 from repro.diagnostics import DiagnosticSink
 from repro.frontend import ast, parse_and_analyze
 from repro.interp import Machine
-from repro.interp.native import native_backend_available
+from repro.interp.native import lower_program, native_backend_available
 from repro.obs import Tracer
 from repro.runtime import ParallelRunner, process_backend_available
 from repro.service import (
@@ -283,6 +283,259 @@ class TestServeLowerNative:
         outcome = run_job(compiled, cache=cache)
         assert outcome.verified
         assert outcome.exit_code == 0
+
+
+# ---------------------------------------------------------------------------
+# a unit's compile: one object per core, one link, one cache key
+# ---------------------------------------------------------------------------
+
+def _cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+def _leftovers(directory):
+    """Files a build must never leave in the .so directory."""
+    return [name for name in os.listdir(directory)
+            if ".tmp" in name or name.endswith(".o") or ".part" in name]
+
+
+def _exported(path):
+    """The dynamic symbols a library defines."""
+    import shutil
+    import subprocess
+    nm = shutil.which("nm")
+    if nm is None:
+        pytest.skip("no nm on PATH")
+    out = subprocess.run([nm, "-D", "--defined-only", path],
+                         capture_output=True, text=True, check=True)
+    return {line.split()[-1] for line in out.stdout.splitlines()
+            if line.strip()}
+
+
+#: a hand-written unit whose parts are its function lines: g<i> returns i
+_LINES_UNIT = "#include <stdint.h>\n" + "".join(
+    f"int64_t g{i}(void *e) {{ (void)e; return {i}; }}\n"
+    for i in range(12))
+
+
+def _split_lines(k):
+    head, *fns = _LINES_UNIT.splitlines(keepends=True)
+    return [head + "".join(fns[i::k]) for i in range(k)]
+
+
+class TestSplitCompile:
+    """A large unit compiles as ``min(cores, lines // PART_LINES)``
+    objects started together, links once, and is cached under the hash
+    of its whole source: the part count never shows outside the build."""
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_split_and_unsplit_builds_agree(self, name, tmp_path,
+                                            monkeypatch):
+        from repro.interp.native import backend as nb
+        tresult = _expanded(name, "bonded")
+        log = tmp_path / "cc.log"
+        monkeypatch.setenv("REPRO_NATIVE_CC_LOG", str(log))
+        _cores(monkeypatch, 2)
+        runs = {}
+        for shape, part_lines in (("split", nb.PART_LINES),
+                                  ("whole", 10 ** 9)):
+            monkeypatch.setattr(nb, "PART_LINES", part_lines)
+            monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / shape))
+            nb._CONTEXTS.pop(tresult.program, None)
+            runner, outcome, _ = _native_run(name, "bonded", "simulated")
+            _assert_lowered_clean(runner.machine)
+            lib = nb._CONTEXTS[tresult.program].lib
+            runs[shape] = (_fingerprint(runner, outcome),
+                           os.path.basename(lib.path),
+                           _exported(lib.path))
+            assert not _leftovers(str(tmp_path / shape))
+        nb._CONTEXTS.pop(tresult.program, None)
+        # one key, one export table, one behaviour
+        assert runs["split"] == runs["whole"]
+        low = lower_program(tresult.program, tresult.sema,
+                            tresult.controlled_loops())
+        assert set(low.exports) <= runs["split"][2]
+        assert not any(sym.startswith("f_") for sym in runs["split"][2])
+        parts = [line.split()[-1] for line in log.read_text().splitlines()
+                 if line.startswith("prog-")]
+        assert parts == ["parts=2", "parts=1"]
+
+    def test_parts_start_together_and_link_once(self, tmp_path,
+                                                monkeypatch):
+        from repro.interp.native import backend as nb
+        _cores(monkeypatch, 2)
+        monkeypatch.setattr(nb, "PART_LINES", 4)
+        events = []
+        real_popen, real_wait4 = nb.subprocess.Popen, nb.os.wait4
+
+        def popen(argv, *args, **kwargs):
+            events.append(("start", "-c" in argv))
+            return real_popen(argv, *args, **kwargs)
+
+        def wait4(pid, options):
+            events.append(("wait", None))
+            return real_wait4(pid, options)
+
+        monkeypatch.setattr(nb.subprocess, "Popen", popen)
+        monkeypatch.setattr(nb.os, "wait4", wait4)
+        names = [f"g{i}" for i in range(12)]
+        (lib,) = nb.compile_sources(
+            [(_LINES_UNIT, names, "lines", _split_lines)],
+            cache_dir=str(tmp_path))
+        # two `cc -c`, both started before either is waited for, then
+        # one link
+        assert events == [("start", True), ("start", True),
+                          ("wait", None), ("wait", None),
+                          ("start", False), ("wait", None)]
+        assert [lib.handles[n](0) for n in names] == list(range(12))
+        assert lib.compile_seconds > 0
+        assert not _leftovers(str(tmp_path))
+
+    def test_a_unit_below_part_lines_is_one_process(self, tmp_path,
+                                                    monkeypatch):
+        from repro.interp.native import backend as nb
+        _cores(monkeypatch, 8)
+        log = tmp_path / "cc.log"
+        monkeypatch.setenv("REPRO_NATIVE_CC_LOG", str(log))
+        started = []
+        real_popen = nb.subprocess.Popen
+
+        def popen(argv, *args, **kwargs):
+            started.append(argv)
+            return real_popen(argv, *args, **kwargs)
+
+        monkeypatch.setattr(nb.subprocess, "Popen", popen)
+        lines = _LINES_UNIT.count("\n")
+        monkeypatch.setattr(nb, "PART_LINES", lines // 2 + 1)
+        nb.compile_sources([(_LINES_UNIT, ["g1"], "small", _split_lines)],
+                           cache_dir=str(tmp_path / "small"))
+        # and max_parts=1 keeps even a large unit whole
+        monkeypatch.setattr(nb, "PART_LINES", 1)
+        nb.start([(_LINES_UNIT, ["g1"], "capped", _split_lines)],
+                 str(tmp_path / "capped"), max_parts=1).finish()
+        assert [("-shared" in argv, "-c" in argv) for argv in started] \
+            == [(True, False), (True, False)]
+        assert [line.split()[-1] for line in log.read_text().splitlines()] \
+            == ["parts=1", "parts=1"]
+
+    def test_a_worker_on_one_core_binds_a_split_parents_library(
+            self, tmp_path, monkeypatch):
+        """The cache key hashes the whole source, not the parts: a host
+        (or a worker) with another core count finds the same .so."""
+        from repro.interp.native import backend as nb
+        tresult = _expanded("histogram", "bonded")
+        request = [(tresult.program, tresult.sema,
+                    tresult.controlled_loops())]
+        log = tmp_path / "cc.log"
+        monkeypatch.setenv("REPRO_NATIVE_CC_LOG", str(log))
+        _cores(monkeypatch, 2)
+        nb._CONTEXTS.pop(tresult.program, None)
+        (parent,) = nb.start_contexts(request, str(tmp_path)).finish()
+        assert log.read_text().split()[-1] == "parts=2"
+        nb._CONTEXTS.pop(tresult.program, None)
+        _cores(monkeypatch, 1)
+        monkeypatch.setattr(nb, "COMPILES_ALLOWED", False)
+        try:
+            (worker,) = nb.start_contexts(request, str(tmp_path)).finish()
+        finally:
+            nb._CONTEXTS.pop(tresult.program, None)
+        assert worker.lib.cache_hit and worker.lib.path == parent.lib.path
+        assert len(log.read_text().splitlines()) == 1
+
+    def test_a_failing_part_raises_its_stderr_and_reaps_its_sibling(
+            self, tmp_path, monkeypatch):
+        import time
+        from repro.interp.native import backend as nb
+        # args: -c -O2 -fPIC -fwrapv -o OUT SRC; the part holding g0
+        # fails at once, its sibling would run for a minute
+        fake_cc = tmp_path / "cc"
+        fake_cc.write_text(
+            '#!/bin/sh\necho partial > "$6"\n'
+            'if grep -q "g0(" "$7"; then echo "part says: boom" >&2; '
+            'exit 5; fi\nexec sleep 60\n')
+        fake_cc.chmod(0o755)
+        monkeypatch.setattr(nb, "_find_cc", lambda: str(fake_cc))
+        _cores(monkeypatch, 2)
+        monkeypatch.setattr(nb, "PART_LINES", 4)
+        children = []
+        real_popen = nb.subprocess.Popen
+
+        def popen(argv, *args, **kwargs):
+            children.append(real_popen(argv, *args, **kwargs))
+            return children[-1]
+
+        monkeypatch.setattr(nb.subprocess, "Popen", popen)
+        so_dir = tmp_path / "so"
+        t0 = time.perf_counter()
+        with pytest.raises(RuntimeError,
+                           match="NL-CC-FAIL: .* exited 5: part says: boom"):
+            nb.compile_sources([(_LINES_UNIT, ["g0"], "bad",
+                                 _split_lines)], cache_dir=str(so_dir))
+        assert time.perf_counter() - t0 < 30
+        assert [child.returncode for child in children][0] == 5
+        assert len(children) == 2 and children[1].returncode is not None
+        # the failed unit's whole source stays, nothing else does
+        (left,) = os.listdir(str(so_dir))
+        assert left.startswith("bad-") and left.endswith(".c")
+        assert open(so_dir / left).read() == _LINES_UNIT
+
+    def test_two_threads_building_one_unit_both_bind_it(self, tmp_path,
+                                                        monkeypatch):
+        """The daemon's handler threads may build the same unit at once
+        (same source, different labels or options): every temporary
+        name is the build's own."""
+        import threading
+        from repro.interp.native import backend as nb
+        _cores(monkeypatch, 2)
+        monkeypatch.setattr(nb, "PART_LINES", 4)
+        names = [f"g{i}" for i in range(12)]
+        barrier = threading.Barrier(2)
+        got, errors = [], []
+
+        def build():
+            try:
+                barrier.wait()
+                (lib,) = nb.compile_sources(
+                    [(_LINES_UNIT, names, "same", _split_lines)],
+                    cache_dir=str(tmp_path))
+                got.append([lib.handles[n](0) for n in names])
+            except BaseException as exc:  # pragma: no cover - reported
+                errors.append(exc)
+
+        threads = [threading.Thread(target=build) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert not errors
+        assert got == [list(range(12))] * 2
+        assert not _leftovers(str(tmp_path))
+        assert sorted(name.rsplit(".", 1)[1]
+                      for name in os.listdir(str(tmp_path))) == ["c", "so"]
+
+    def test_a_dead_builds_temporaries_are_swept(self, tmp_path,
+                                                 monkeypatch):
+        """A build whose process was killed before it could abort leaves
+        its temporaries: the next build in the directory removes those
+        older than STALE_SECONDS, and a live build's young ones stay."""
+        import time
+        from repro.interp.native import backend as nb
+        dead = ["prog-1.a1b2c3d4.tmp.c", "prog-1.a1b2c3d4.so.tmp",
+                "prog-1.e5f6g7h8.part0.c", "prog-1.e5f6g7h8.part1.o"]
+        live = ["prog-2.i9j0k1l2.so.tmp", "prog-2.i9j0k1l2.part0.o"]
+        kept = ["prog-3.c", "prog-3.so", "prog-3.tmp.notes"]
+        old = time.time() - nb.STALE_SECONDS - 60
+        for name in dead + live + kept:
+            (tmp_path / name).write_text("x")
+        for name in dead + kept:
+            os.utime(str(tmp_path / name), (old, old))
+        nb.compile_source("#include <stdint.h>\n"
+                          "int64_t g(void *e) { return 7; }\n", ["g"],
+                          cache_dir=str(tmp_path), tag="sweep")
+        left = set(os.listdir(str(tmp_path)))
+        assert not left & set(dead)
+        assert set(live + kept) <= left
 
 
 # ---------------------------------------------------------------------------

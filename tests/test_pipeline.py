@@ -542,56 +542,90 @@ def _native_ok():
 
 @pytest.mark.skipif(not _native_ok()[0], reason=_native_ok()[1])
 class TestColdNativeCompile:
-    """The ``lower-native`` stage of a cold job: two translation units
-    (transformed program, sequential baseline), two compiler processes,
-    side by side."""
+    """The two translation units of a cold native job (transformed
+    program, sequential baseline): the baseline's compiler starts before
+    the profile, as one process, the transformed unit's compilers start
+    in ``lower-native``, and nothing of a build outlives the compile."""
 
     @staticmethod
-    def _job():
+    def _job(source=FIGURE1):
         from repro.service import CompileOptions, Job
-        return Job(FIGURE1, ["L"], CompileOptions(engine="native"),
+        return Job(source, ["L"], CompileOptions(engine="native"),
                    check_races=False)
 
     @staticmethod
-    def _spy_on_compilers(monkeypatch):
-        """Every compiler child started from here on, and how many of
-        the earlier ones nobody had waited for yet when each started."""
+    def _spy_on_compilers(monkeypatch, tracer=None):
+        """Every compiler child started from here on, with the names of
+        the spans opened before it started."""
         from repro.interp.native import backend as nb
         real = nb.subprocess.Popen
-        children, live_at_start = [], []
+        children, opened = [], []
 
         def popen(argv, *args, **kwargs):
-            compiling = "-shared" in argv
-            if compiling:
-                live_at_start.append(
-                    sum(child.returncode is None for child in children))
             child = real(argv, *args, **kwargs)
-            if compiling:
+            if "--version" not in argv:
                 children.append(child)
+                opened.append([span.name for span in tracer.spans]
+                              if tracer is not None else [])
             return child
 
         monkeypatch.setattr(nb.subprocess, "Popen", popen)
-        return children, live_at_start
+        return children, opened
+
+    @staticmethod
+    def _leftovers(directory):
+        import os
+        return [name for name in os.listdir(directory)
+                if ".tmp" in name or name.endswith(".o") or ".part" in name]
 
     def test_both_compilers_run_at_once(self, tmp_path, monkeypatch):
+        """The baseline compiles while the profile runs; the transformed
+        unit's parts start together in lower-native."""
+        import os
+        from repro.interp.native import backend as nb
         from repro.obs import Tracer
         from repro.service import StageCache, StagedCompiler
-        children, live_at_start = self._spy_on_compilers(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(nb, "PART_LINES", 200)
         tracer = Tracer()
+        children, opened = self._spy_on_compilers(monkeypatch, tracer)
+        waits, cpu = [], {}
+        real_wait4 = nb.os.wait4
+
+        def wait4(pid, options):
+            waits.append(len(children))
+            reaped = real_wait4(pid, options)
+            cpu[pid] = reaped[2].ru_utime + reaped[2].ru_stime
+            return reaped
+
+        monkeypatch.setattr(nb.os, "wait4", wait4)
         compiled = StagedCompiler(cache=StageCache(root=str(tmp_path)),
                                   tracer=tracer).compile(self._job())
         assert compiled.report["lower-native"] == "miss"
-        # the second compiler started before the first was waited for
-        assert live_at_start == [0, 1]
+        # baseline (one process) before the profile span opened; the
+        # transformed unit's two parts after the plan, before any wait;
+        # then its link
+        first, *parts, link = opened
+        assert "profile" not in first and first[-1] == "lower-native"
+        assert len(parts) == 2 and all("plan" in o for o in parts)
+        assert waits[0] == 3 and "plan" in link
         assert all(child.returncode == 0 for child in children)
         libs = [compiled.ctx.native.lib, compiled.ctx.native_baseline.lib]
         assert not any(lib.cache_hit for lib in libs)
-        # the stage's cc time is wall-clock with a compiler running:
-        # inside the stage's span, no less than the slower process
-        (span,) = [s for s in tracer.spans if s.name == "lower-native"]
+        assert not self._leftovers(str(tmp_path / "native-so"))
+        # the stage's cc time is wall-clock inside lower-native with a
+        # compiler running: inside the stage's span, no less than the
+        # transformed unit's slowest process (a part or the link; CPU
+        # seconds of one process never exceed its wall time).  The
+        # baseline's one process fits between the first lower-native
+        # span's start and the end of the last
+        early, late = [s for s in tracer.spans if s.name == "lower-native"]
         cc_wall = tracer.metrics["native.compile_seconds"]
-        each = [lib.compile_seconds for lib in libs]
-        assert max(each) <= cc_wall <= span.dur_us / 1e6
+        baseline, *transformed = [cpu[child.pid] for child in children]
+        assert max(transformed) <= cc_wall <= late.dur_us / 1e6
+        whole = (late.start_us + late.dur_us - early.start_us) / 1e6
+        assert baseline == libs[1].compile_seconds <= whole
+        assert sum(transformed) == pytest.approx(libs[0].compile_seconds)
 
     def test_failing_compiler_leaves_nothing_behind(self, tmp_path,
                                                     monkeypatch):
@@ -604,42 +638,91 @@ class TestColdNativeCompile:
                            'echo "fake cc: boom" >&2\nexit 3\n')
         fake_cc.chmod(0o755)
         monkeypatch.setattr(nb, "_find_cc", lambda: str(fake_cc))
-        children, live_at_start = self._spy_on_compilers(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        children, _ = self._spy_on_compilers(monkeypatch)
         cache = StageCache(root=str(tmp_path / "cache"))
         with pytest.raises(RuntimeError, match="NL-CC-FAIL.*boom"):
             StagedCompiler(cache=cache).compile(self._job())
-        # both were started; the first failed, the second was reaped
-        # (finished or killed) before the error left the stage
-        assert live_at_start == [0, 1]
-        assert children[0].returncode == 3
-        assert children[1].returncode is not None
+        # both were started, the baseline's before the profile; the
+        # first waited for failed, and the other was reaped (finished or
+        # stopped) before the error left the compile
+        assert len(children) == 2
+        assert all(child.returncode is not None for child in children)
+        assert 3 in [child.returncode for child in children]
+        # no partial .so: the failed unit's .c is all that is kept
         left = os.listdir(str(tmp_path / "cache" / "native-so"))
         assert left and all(name.endswith(".c") for name in left)
+        assert not self._leftovers(str(tmp_path / "cache" / "native-so"))
 
     def test_compiler_that_cannot_start_leaves_no_source_behind(
             self, tmp_path, monkeypatch):
-        """``Popen`` raising on the second unit: its ``.c`` was already
-        written and no compiler will ever read it — it goes, with the
-        first unit's half-built output, and the first child is reaped."""
+        """``Popen`` raising on the transformed unit after the baseline
+        started early: the baseline's child is stopped and reaped, and
+        no source, output or temporary of either unit is left."""
         import os
         from repro.interp.native import backend as nb
+        from repro.service import StageCache, StagedCompiler
         real = nb.subprocess.Popen
         children = []
 
         def popen(argv, *args, **kwargs):
+            if "--version" in argv:
+                return real(argv, *args, **kwargs)
             if children:
                 raise OSError(24, "Too many open files")
             children.append(real(argv, *args, **kwargs))
             return children[0]
 
         monkeypatch.setattr(nb.subprocess, "Popen", popen)
-        unit = "#include <stdint.h>\nint64_t f%d(void *e) { return %d; }\n"
+        cache = StageCache(root=str(tmp_path))
         with pytest.raises(OSError, match="Too many open files"):
-            nb.compile_sources(
-                [(unit % (i, i), [f"f{i}"], f"unit{i}") for i in (1, 2)],
-                cache_dir=str(tmp_path))
+            StagedCompiler(cache=cache).compile(self._job())
         (first,) = children
         assert first.returncode is not None
-        left = sorted(os.listdir(str(tmp_path)))
-        assert len(left) == 1 and left[0].startswith("unit1-")
-        assert left[0].endswith(".c")
+        assert os.listdir(str(tmp_path / "native-so")) == []
+
+    def test_a_profile_that_raises_stops_the_early_build(self, tmp_path,
+                                                         monkeypatch):
+        import os
+        from repro.service import StageCache, StagedCompiler
+        never = FIGURE1.replace("    #pragma", "    if (m > 0) return 0;\n"
+                                "    #pragma")
+        children, _ = self._spy_on_compilers(monkeypatch)
+        cache = StageCache(root=str(tmp_path))
+        with pytest.raises(RuntimeError, match="never executed"):
+            StagedCompiler(cache=cache).compile(self._job(never))
+        (baseline,) = children
+        assert baseline.returncode is not None
+        assert os.listdir(str(tmp_path / "native-so")) == []
+
+    def test_a_warm_profile_starts_the_baseline_first(self, tmp_path,
+                                                      monkeypatch):
+        """Whatever the probe loads, the baseline's compiler starts
+        before the first stage the job computes (here: profile and
+        classify hit, the options changed, the .so cache is gone)."""
+        import shutil
+        from repro.obs import Tracer
+        from repro.service import (
+            CompileOptions, Job, StageCache, StagedCompiler,
+        )
+        first = StagedCompiler(cache=StageCache(root=str(tmp_path))) \
+            .compile(self._job())
+        shutil.rmtree(str(tmp_path / "native-so"))
+        tracer = Tracer()
+        children, opened = self._spy_on_compilers(monkeypatch, tracer)
+        job = Job(FIGURE1, ["L"], CompileOptions(engine="native",
+                                                 opt=False),
+                  check_races=False)
+        compiled = StagedCompiler(cache=StageCache(root=str(tmp_path)),
+                                  tracer=tracer).compile(job)
+        assert compiled.report["classify"] == "hit"
+        assert compiled.report["plan"] == "miss"
+        # the baseline (same unit as the first job's) before the
+        # transform's first span; the transformed unit after the plan
+        first_child, *rest = opened
+        assert first_child == ["lower-native"]
+        assert rest and all("plan" in o for o in rest)
+        assert compiled.ctx.native_baseline.lowering.fingerprint == \
+            first.ctx.native_baseline.lowering.fingerprint
+        assert not compiled.ctx.native_baseline.lib.cache_hit
+        assert not self._leftovers(str(tmp_path / "native-so"))
