@@ -33,7 +33,7 @@ from ..interp import Machine, resolve_engine
 from ..runtime import run_parallel
 from ..baselines import run_runtime_privatization, run_sync_only
 from ..transform import expand_for_threads
-from .suite import BenchmarkSpec, get
+from .suite import EXTRA_SUITE, BenchmarkSpec, get
 
 THREAD_COUNTS = (1, 2, 4, 8)
 
@@ -51,6 +51,9 @@ class ParallelPoint:
         self.total_speedup = 0.0
         self.memory_multiple = 1.0
         self.breakdown: Dict[str, float] = {}
+        #: cross-thread conflicts the run left; a runtime-privatization
+        #: point with any is not applicable and has no speedup
+        self.races = 0
 
 
 class BenchmarkResult:
@@ -212,7 +215,12 @@ class Harness:
         _check_output(spec, result.seq_output, rt1.output, "rt-priv(N=1)")
         result.overhead_rtpriv = rt1.total_cycles / result.seq_cycles
 
-        # 6. figures 11-14: parallel runs
+        # 6. figures 11-14: parallel runs.  The paper's baseline cannot
+        # privatize a reduction only the commutative class makes
+        # race-free: on an extra kernel that needs that class its racy
+        # points are recorded as not applicable; on any other a race
+        # raises
+        strict_rtpriv = spec.suite != EXTRA_SUITE or not opt.commutative_sites
         from ..service import CompileOptions, Job
         for n in self.thread_counts:
             job = Job(spec.source, spec.loop_labels,
@@ -235,16 +243,18 @@ class Harness:
 
             rt = run_runtime_privatization(
                 program, sema, spec.loop_labels, profiles, privs, nthreads=n,
-                engine=eng,
+                engine=eng, raise_on_race=strict_rtpriv,
             )
+            rpoint = result.rtpriv[n] = ParallelPoint(n)
+            rpoint.races = len(rt.races)
+            if rpoint.races:
+                continue
             _check_output(spec, result.seq_output, rt.output,
                           f"rt-priv(N={n})")
-            rpoint = ParallelPoint(n)
             rt_loop = rt.loop_makespan
             rpoint.loop_speedup = loop_cycles / rt_loop if rt_loop else 0.0
             rpoint.total_speedup = result.seq_cycles / rt.total_cycles
             rpoint.memory_multiple = rt.peak_memory / result.seq_memory
-            result.rtpriv[n] = rpoint
 
         # 7. sync-only baseline at 8 threads (§4.3's "slowdown instead
         # of speedup" observation)

@@ -12,7 +12,7 @@ this kernel is the ablation baseline: the loop keeps its carried
 dependences and the runtime race checker fires on every backend.
 """
 
-from ..suite import BenchmarkSpec, PaperNumbers, register
+from ..suite import EXTRA_SUITE, BenchmarkSpec, PaperNumbers, register
 
 SOURCE = r"""
 // histogram + sum + max reduction over a pseudo-random sample buffer
@@ -57,7 +57,7 @@ int main(void) {
 
 register(BenchmarkSpec(
     name="histogram",
-    suite="repro-extra",
+    suite=EXTRA_SUITE,
     source=SOURCE,
     loop_labels=["L"],
     function="main",

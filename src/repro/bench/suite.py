@@ -15,6 +15,10 @@ from __future__ import annotations
 from typing import Dict, List, NamedTuple, Optional
 
 
+#: the suite of a kernel with no counterpart in the paper
+EXTRA_SUITE = "repro-extra"
+
+
 class PaperNumbers(NamedTuple):
     """The values the paper reports, echoed next to ours in reports."""
 

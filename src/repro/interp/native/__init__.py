@@ -11,9 +11,8 @@ Public surface:
 """
 
 from .backend import (  # noqa: F401
-    COMPILER_INVOCATIONS, NativeContext, compile_source,
-    native_backend_available, native_context_for,
-    so_cache_key,
+    COMPILER_INVOCATIONS, NativeContext, native_backend_available,
+    native_context_for, so_cache_key,
 )
 from .codegen import NATIVE_ABI_VERSION, Lowering, lower_program  # noqa: F401
 from .runtime import NativeMachine  # noqa: F401

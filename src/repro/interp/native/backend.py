@@ -15,18 +15,19 @@ work (the stage chain builds a cold job's baseline unit while the
 dependence profile runs).  A large unit compiles as one object per
 core (:data:`PART_LINES`) and links once; its cache key, its
 :data:`COMPILER_INVOCATIONS` count and its ``$REPRO_NATIVE_CC_LOG``
-line stay one per unit.  :func:`compile_sources` is start + finish
-and :func:`compile_source` the batch of one.  Binding prefers cffi's
-ABI-mode ``dlopen`` when cffi is importable and falls back to
-``ctypes.CDLL``.  Compiled artifacts are cached on disk keyed by
-source hash, ABI version, flags and compiler identity — a warm cache
-hit never invokes the C compiler (asserted by the serve smoke test).
+line stay one per unit.  Binding prefers cffi's ABI-mode ``dlopen``
+when cffi is importable and falls back to ``ctypes.CDLL``.  Compiled
+artifacts are cached on disk keyed by source hash, ABI version, flags
+and compiler identity — a warm cache hit never invokes the C compiler
+(asserted by the serve smoke test).
 
 Which entry points a translation unit exports depends on where a loop
 controller can sit (``controlled``, see :mod:`.codegen`); the
 per-program context registry never serves a caller declaring a wider
 set than the one a context was lowered for, and holds a context only
-as long as the program object lives.
+as long as the program object lives.  A process backend worker never
+fills it itself: it adopts its parent's lowering and library
+(:func:`adopt`).
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ CC_LOG_ENV = "REPRO_NATIVE_CC_LOG"
 
 #: override the on-disk .so cache directory
 CACHE_ENV = "REPRO_NATIVE_CACHE"
-
-#: cleared in a process that must never start a compiler (a process
-#: backend worker): there a unit the .so cache misses raises
-#: ``NL-NO-SO`` instead, and the toolchain probe is skipped — a cached
-#: .so is its own proof that the toolchain works
-COMPILES_ALLOWED = True
 
 CFLAGS = ("-shared", "-O2", "-fPIC", "-fwrapv")
 
@@ -127,10 +122,10 @@ def native_backend_available(recheck: bool = False) -> Tuple[bool, str]:
                              "(tried $CC, cc, gcc, clang)")
         return _AVAILABLE
     try:
-        probe = compile_source(
+        (probe,) = start([(
             "#include <stdint.h>\n"
             "int64_t rp_probe(void *e) { (void)e; return 42; }\n",
-            ["rp_probe"], tag="probe")
+            ["rp_probe"], "probe")]).finish()
     except Exception as exc:  # pragma: no cover - host-dependent
         _AVAILABLE = (False, f"NL-LOAD: toolchain probe failed: {exc}")
         return _AVAILABLE
@@ -163,11 +158,6 @@ class CompiledLib:
         self.binder = binder  # "cffi" | "ctypes"
         #: objects the unit was built from (1 when it hit the cache)
         self.parts = parts
-
-    def __repr__(self):  # pragma: no cover - debug aid
-        hit = "hit" if self.cache_hit else "miss"
-        return (f"<CompiledLib {os.path.basename(self.path)} "
-                f"{self.binder} cache-{hit}>")
 
 
 def _cache_dir(explicit: Optional[str]) -> str:
@@ -434,10 +424,6 @@ def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
                     u.procs and u.so_path == unit.so_path
                     for u in build.units):
                 continue
-            if not COMPILES_ALLOWED:
-                raise RuntimeError(
-                    f"NL-NO-SO: {unit.so_path} is not in the .so cache "
-                    f"and this process never compiles")
             if build.cc is None:
                 build.cc = _find_cc()
                 if build.cc is None:
@@ -471,35 +457,21 @@ def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
     return build
 
 
-def compile_sources(units: Sequence[Tuple], cache_dir: Optional[str] = None
-                    ) -> List[CompiledLib]:
-    """Compile ``(source, exports, tag[, split])`` units to cached .so
-    files and bind their exports: :func:`start` + :meth:`Build.finish`.
-    Every unit the cache misses gets its compiler processes before any
-    is waited for.  Returns the libraries, in order (each
-    ``CompiledLib.compile_seconds`` is that unit's own: the CPU seconds
-    of its compiler processes and the passes they ran)."""
-    return start(units, cache_dir).finish()
-
-
-def compile_source(source: str, exports, cache_dir: Optional[str] = None,
-                   tag: str = "native") -> CompiledLib:
-    """Compile ``source`` to a cached .so and bind ``exports``."""
-    return compile_sources([(source, exports, tag)], cache_dir)[0]
-
-
 # ---------------------------------------------------------------------------
-# per-program lowering registry (a process backend worker re-lowers an
-# unpickled program and binds the .so its parent compiled; it never
-# compiles one)
+# per-program lowering registry (a process backend worker adopts its
+# parent's lowering and library; it never lowers or compiles)
 # ---------------------------------------------------------------------------
 
 class NativeContext:
-    """Lowering + compiled library for one program."""
+    """Lowering + compiled library for one program — or, adopted from a
+    parent that has no library, neither, and the parent's ``NL-*``
+    reason."""
 
-    def __init__(self, lowering: Lowering, lib: CompiledLib):
+    def __init__(self, lowering: Optional[Lowering],
+                 lib: Optional[CompiledLib], reason: str = ""):
         self.lowering = lowering
         self.lib = lib
+        self.reason = reason
 
 
 #: program -> context, weakly keyed: a context must not reference its
@@ -547,15 +519,18 @@ def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
     reason when the backend is unavailable.  Results are memoized per
     program object; a memoized context serves only requests its own
     set covers; any other re-lowers for the union of the two sets, so
-    a program's context only ever widens."""
+    a program's context only ever widens.  An adopted context with no
+    library raises its reason."""
     contexts = [_CONTEXTS.get(program) for program, _, _ in requests]
+    for ctx in contexts:
+        if ctx is not None and ctx.lib is None:
+            raise RuntimeError(ctx.reason)
     missing = [i for i, (ctx, (_, _, controlled))
                in enumerate(zip(contexts, requests))
                if ctx is None or not ctx.lowering.covers(controlled)]
     if not missing:
         return PendingContexts(requests, contexts)
-    ok, reason = native_backend_available() if COMPILES_ALLOWED \
-        else (True, "")
+    ok, reason = native_backend_available()
     if not ok:
         raise RuntimeError(reason)
     lowerings = []
@@ -570,9 +545,22 @@ def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
     return PendingContexts(requests, contexts, missing, lowerings, build)
 
 
-def native_context_for(program, sema, cache_dir: Optional[str] = None,
-                       controlled=None) -> NativeContext:
+def native_context_for(program, sema, controlled=None) -> NativeContext:
     """The (lowered, compiled, bound) native context for one program:
-    :func:`start_contexts` + finish."""
-    return start_contexts([(program, sema, controlled)],
-                          cache_dir).finish()[0]
+    :func:`start_contexts` + finish, in the default .so cache."""
+    return start_contexts([(program, sema, controlled)]).finish()[0]
+
+
+def adopt(program, lowering: Optional[Lowering], path: Optional[str],
+          reason: str = "") -> None:
+    """Register a context lowered and compiled in another process (a
+    process backend worker adopting its parent's), so that no request
+    for ``program`` here lowers, probes the toolchain or compiles: bind
+    the library at ``path``, or, when the parent has none, keep its
+    ``NL-*`` ``reason``, which every request then raises.  Raises
+    ``OSError`` when the library cannot be bound."""
+    lib = None
+    if path is not None:
+        handles, binder = _bind(path, lowering.exports)
+        lib = CompiledLib(path, handles, True, 0.0, binder)
+    _CONTEXTS[program] = NativeContext(lowering, lib, reason)

@@ -279,6 +279,12 @@ class Lowering:
         out = self._closures[id(meta)] = frozenset(loops)
         return out
 
+    def __getstate__(self):
+        # pickled for a process backend worker, beside its program: the
+        # worker binds the library built from the C text and never reads
+        # the text, and the closure memo is keyed by id()
+        return dict(self.__dict__, header="", definitions=[], _closures={})
+
 
 _PRELUDE = r"""
 #include <stdint.h>

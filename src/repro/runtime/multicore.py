@@ -36,14 +36,15 @@ program.  A task message carries only scalars — the program's key
 ``(fingerprint, engine, controlled)``, loop label, tid, chunk bounds,
 and nid→address maps for the frame in scope.  The first task of a
 program a worker has not seen also carries a *load entry*: the pickled
-``(program, sema)`` (one object graph, so nids and sema links
-survive), the engine, the controlled-loop set and the directory of the
-parent's compiled ``.so``.  The worker builds the program's machine
-once and keeps it in a small LRU (:data:`WORKER_PROGRAMS` entries)
-which the parent mirrors per worker, so it knows when to attach one.
-A worker binds the ``.so`` its parent compiled and never invokes the C
-compiler itself: a library missing from that directory is a structured
-``RT-WORKER-CC`` task error.
+``(program, sema, lowering)`` (one object graph, so nids, sema links
+and the native lowering's node references survive), the engine, the
+controlled-loop set and the path of the parent's compiled ``.so`` (or
+the ``NL-*`` reason the parent has none).  The worker builds the
+program's machine once and keeps it in a small LRU
+(:data:`WORKER_PROGRAMS` entries) which the parent mirrors per worker,
+so it knows when to attach one.  A worker adopts its parent's lowering
+and library and never lowers, probes the toolchain or compiles: a
+library it cannot bind is a structured ``RT-WORKER-CC`` task error.
 
 Process-capability is audited per loop (``MC-*`` reason codes below);
 loops that cannot run safely on workers — e.g. they allocate heap, so
@@ -161,8 +162,7 @@ WORKER_PROGRAMS = 8
 #: static audit verdicts one session memoizes before it starts over
 AUDIT_MEMO_ENTRIES = 256
 
-#: task error code of a worker whose program's library is not in the
-#: parent's .so directory: a worker never compiles
+#: task error of a worker that cannot bind its parent's library
 RT_WORKER_CC = "RT-WORKER-CC"
 
 
@@ -618,24 +618,20 @@ def _post_token(data, slots: Dict[int, int], origin: int, k: int,
 
 def _load_program(entry: dict, shm, arena_base: int,
                   arena_limit: int) -> tuple:
-    """A worker's first sight of a program: unpickle it, bind the native
-    library the parent compiled (from the parent's ``.so`` directory,
-    never by compiling) and build the machine every later task of the
-    program reuses.  Returns ``(program, sema, machine, decls, loops)``."""
-    program, sema = pickle.loads(entry["blob"])
+    """A worker's first sight of a program: unpickle it, adopt the
+    parent's lowering and library (or its ``NL-*`` reason for having
+    none) — nothing here lowers, probes or compiles — and build the
+    machine its tasks reuse: ``(program, sema, machine, decls, loops)``."""
+    program, sema, lowering = pickle.loads(entry["blob"])
     engine, controlled = entry["engine"], entry["controlled"]
     if engine == "native":
         from ..interp.native import backend
-        backend.COMPILES_ALLOWED = False
-        if entry["so_dir"] is not None:
-            try:
-                backend.native_context_for(program, sema,
-                                           cache_dir=entry["so_dir"],
-                                           controlled=controlled)
-            except RuntimeError as exc:
-                raise ParallelError(str(exc), code=RT_WORKER_CC) from None
-        # else the parent has no library either: the machine degrades
-        # with an NL-* reason the task replies carry
+        try:
+            backend.adopt(program, lowering, entry["lib"], entry["nl"])
+        except Exception as exc:
+            raise ParallelError(
+                f"cannot bind the parent's library {entry['lib']}: {exc}",
+                code=RT_WORKER_CC) from None
     memory = mem.Memory(check_bounds=False, buffer=shm.buf,
                         base=arena_base, limit=arena_limit)
     machine = Machine(program, sema, check_bounds=False, memory=memory,
@@ -782,18 +778,13 @@ def _task_doall(machine, decls, loop, arena_base, spec, hb):
         # else dispatches the whole chunk as one compiled call
         if kill_after is None:
             native = machine.native_chunk(loop.nid)
+        meta["native"] = native is not None
         if native is None:
             low = machine._low
-            meta["native"] = False
-            if kill_after is not None:
-                meta["nl"] = "NL-CHAOS-ITER"
-            else:
-                meta["nl"] = (machine.native_diag
-                              or (low.nl.get(f"chunk:{loop.nid}")
-                                  if low is not None else None)
-                              or "NL-CHUNK-GATE")
-        else:
-            meta["native"] = True
+            meta["nl"] = ("NL-CHAOS-ITER" if kill_after is not None
+                          else machine.native_diag
+                          or (low and low.nl.get(f"chunk:{loop.nid}"))
+                          or "NL-CHUNK-GATE")
     t_start = time.perf_counter_ns()
     memory.write_scalar(caddr, fmt, lo + spec["chunk_lo"] * step)
     hb.status(tid, PHASE_BODY)
@@ -1269,8 +1260,9 @@ class ProcessSession:
         return {origin: self._origin_slots[origin] for origin in origins}
 
 
-#: program -> (fingerprint, pickled ``(program, sema)``); a blob is
-#: reused only while the program still prints to that fingerprint
+#: program -> (fingerprint, lowering, pickled ``(program, sema,
+#: lowering)``); a blob is reused only while the program still prints
+#: to that fingerprint and its native context keeps that lowering
 _PICKLED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -1293,32 +1285,30 @@ class Shipment:
         self._entry: Optional[dict] = None
 
     def entry(self) -> dict:
-        """The load entry: the pickled ``(program, sema)`` (memoized per
-        program), engine, controlled set and — native only — the
-        directory of the parent's ``.so``, compiled here if need be, so
-        the worker binds it instead of compiling."""
+        """The load entry: ``(program, sema, lowering)`` pickled as one
+        object graph (memoized per program), the engine, the controlled
+        set and — native only — the path of the parent's library, built
+        here if need be, or the ``NL-*`` reason there is none.  The
+        worker adopts the lowering and binds the library."""
         if self._entry is None:
-            controlled, so_dir = self.controlled, None
+            lowering = lib = reason = None
             if self.engine == "native":
                 from ..interp.native import native_context_for
                 try:
                     ctx = native_context_for(self.program, self.sema,
-                                             controlled=controlled)
-                except Exception:
-                    pass  # the worker's machine degrades, NL-* coded
-                else:
-                    so_dir = os.path.dirname(ctx.lib.path)
-                    # the set the library was lowered for: the worker's
-                    # lowering must name the same .so
-                    controlled = ctx.lowering.controlled
+                                             controlled=self.controlled)
+                    lowering, lib = ctx.lowering, ctx.lib.path
+                except Exception as exc:
+                    reason = str(exc)  # every task reply carries it
             memo = _PICKLED.get(self.program)
-            if memo is None or memo[0] != self.fingerprint:
+            if memo is None or memo[:2] != (self.fingerprint, lowering):
                 memo = _PICKLED[self.program] = (
-                    self.fingerprint,
-                    pickle.dumps((self.program, self.sema),
+                    self.fingerprint, lowering,
+                    pickle.dumps((self.program, self.sema, lowering),
                                  pickle.HIGHEST_PROTOCOL))
-            self._entry = {"blob": memo[1], "engine": self.engine,
-                           "controlled": controlled, "so_dir": so_dir}
+            self._entry = {"blob": memo[2], "engine": self.engine,
+                           "controlled": self.controlled, "lib": lib,
+                           "nl": reason}
         return self._entry
 
 

@@ -15,14 +15,13 @@ Three layers, each usable on its own:
 
 from .cache import MISS, StageCache, default_cache_root
 from .daemon import ExpansionService, request
-from .job import BACKENDS, CompileOptions, EXPANSION_SOURCES, Job, LAYOUTS, OPT_FIELDS
+from .job import BACKENDS, CompileOptions, Job, LAYOUTS, OPT_FIELDS
 from .pool import SessionPool
 from .runner import JobOutcome, run_job
 from .stages import STAGES, CompiledJob, StagedCompiler, stage_keys
 
 __all__ = [
-    "Job", "CompileOptions", "OPT_FIELDS", "LAYOUTS",
-    "EXPANSION_SOURCES", "BACKENDS",
+    "Job", "CompileOptions", "OPT_FIELDS", "LAYOUTS", "BACKENDS",
     "StageCache", "default_cache_root", "MISS",
     "StagedCompiler", "CompiledJob", "STAGES", "stage_keys",
     "SessionPool",

@@ -24,7 +24,6 @@ OPT_FIELDS = (
 )
 
 LAYOUTS = ("bonded", "interleaved", "adaptive")
-EXPANSION_SOURCES = ("static", "profile")
 BACKENDS = ("simulated", "process")
 
 
@@ -44,14 +43,13 @@ def _opt_tuple(optimize) -> Tuple[bool, ...]:
 @dataclass(frozen=True)
 class CompileOptions:
     """Everything that shapes the compiled artifact (and therefore the
-    stage-cache key): §3.4 optimization toggles, copy layout, expansion
-    set source, entry point, strictness and interpreter tier."""
+    stage-cache key): §3.4 optimization toggles, copy layout, entry
+    point, strictness and interpreter tier."""
 
     #: §3.4 toggles in :data:`OPT_FIELDS` order; build via :meth:`make`
     #: to accept a bool or an :class:`~repro.transform.OptFlags`
     opt: Tuple[bool, ...] = (True, True, True, True, True)
     layout: str = "bonded"
-    expansion_source: str = "static"
     entry: str = "main"
     strict: bool = True
     #: interpreter tier, or None for ``$REPRO_ENGINE`` / the default
@@ -64,10 +62,6 @@ class CompileOptions:
         object.__setattr__(self, "opt", _opt_tuple(self.opt))
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be one of {LAYOUTS}")
-        if self.expansion_source not in EXPANSION_SOURCES:
-            raise ValueError(
-                f"expansion_source must be one of {EXPANSION_SOURCES}"
-            )
 
     @classmethod
     def make(cls, optimize=True, **kwargs) -> "CompileOptions":
@@ -87,7 +81,6 @@ class CompileOptions:
         return {
             "opt": list(self.opt),
             "layout": self.layout,
-            "expansion_source": self.expansion_source,
             "entry": self.entry,
             "strict": self.strict,
             "engine": self.engine,

@@ -9,7 +9,7 @@ everything)::
     sema     = H(parse)
     profile  = H(sema, loop_labels, entry, engine)
     classify = H(profile, cert_schema, commutative)
-    expand   = H(classify, OptFlags, layout, expansion_source, strict)
+    expand   = H(classify, OptFlags, layout, strict)
     optimize = H(expand)
     plan     = H(optimize)
     lower    = H(plan, engine)            [memory tier only]
@@ -88,7 +88,7 @@ def stage_keys(job: Job) -> Dict[str, str]:
                           _commutative.CERT_SCHEMA_VERSION,
                           opts.commutative)
     keys["expand"] = _h(keys["classify"], opts.opt, opts.layout,
-                        opts.expansion_source, opts.strict)
+                        opts.strict)
     keys["optimize"] = _h(keys["expand"])
     keys["plan"] = _h(keys["optimize"])
     keys["lower"] = _h(keys["plan"], engine)
@@ -309,10 +309,10 @@ class StagedCompiler:
         opts = job.options
         pipeline = ExpansionPipeline(
             ctx.program, ctx.sema, list(job.loop_labels),
-            optimize=opts.flags, expansion_source=opts.expansion_source,
-            entry=opts.entry, profiles=ctx.profiles, layout=opts.layout,
-            strict=True, sink=self.sink, tracer=self.tracer,
-            commutative=opts.commutative, engine=opts.resolved_engine(),
+            optimize=opts.flags, entry=opts.entry, profiles=ctx.profiles,
+            layout=opts.layout, strict=True, sink=self.sink,
+            tracer=self.tracer, commutative=opts.commutative,
+            engine=opts.resolved_engine(),
         )
         if ctx.result is not None:
             pipeline.result = ctx.result
@@ -337,7 +337,7 @@ class StagedCompiler:
     def _stage_expand(self, job: Job, ctx: StageContext) -> None:
         pipeline = self._pipeline_for(ctx)
         pipeline.result = None  # stage_expand resets it
-        pipeline.stage_expand(ctx.loops(), ctx.profiles, ctx.privs)
+        pipeline.stage_expand(ctx.loops(), ctx.privs)
         ctx.result = pipeline.result
         ctx.pipeline = pipeline
 
@@ -363,9 +363,8 @@ class StagedCompiler:
         opts = job.options
         result = expand_for_threads(
             ctx.program, ctx.sema, list(job.loop_labels),
-            optimize=opts.flags, expansion_source=opts.expansion_source,
-            entry=opts.entry, layout=opts.layout, strict=False,
-            sink=self.sink, tracer=self.tracer,
+            optimize=opts.flags, entry=opts.entry, layout=opts.layout,
+            strict=False, sink=self.sink, tracer=self.tracer,
             commutative=opts.commutative, engine=opts.resolved_engine(),
         )
         ctx.result = result
@@ -389,7 +388,7 @@ class StagedCompiler:
                                        self.tracer),
             }
 
-    def _so_dir(self) -> Optional[str]:
+    def _native_cache_dir(self) -> Optional[str]:
         """The .so cache beside the stage cache (None: the default)."""
         if self.cache is not None and self.cache.root:
             return os.path.join(self.cache.root, "native-so")
@@ -409,7 +408,7 @@ class StagedCompiler:
         with self.tracer.phase("lower-native", unit="baseline"):
             ctx.baseline_build = start_contexts(
                 [(ctx.program, ctx.sema, frozenset())],
-                cache_dir=self._so_dir(), max_parts=1)
+                cache_dir=self._native_cache_dir(), max_parts=1)
 
     def _stage_lower_native(self, job: Job, ctx: StageContext) -> None:
         """Lower the transformed + original programs to C — entry
@@ -438,7 +437,7 @@ class StagedCompiler:
         with self.tracer.phase("lower-native"):
             pending = start_contexts(
                 [(result.program, result.sema, result.controlled_loops())],
-                cache_dir=self._so_dir())
+                cache_dir=self._native_cache_dir())
             t_cc = pending.build.t0 if pending.build.compiling \
                 else time.perf_counter()
             (ctx.native,) = pending.finish()

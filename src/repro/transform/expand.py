@@ -297,9 +297,11 @@ def _malloc_for(evar: ExpandedVar, like: ast.Node) -> ast.Expr:
 def _init_assignments(
     target: ast.Expr, ctype: CType, init, like: ast.Node
 ) -> List[ast.Stmt]:
-    """Assignments storing an initializer into copy 0 of an expanded
-    variable (only copy 0: private accesses are written-before-read by
-    Definition 5, so the other copies never read initial values)."""
+    """Assignments storing an initializer into ``target``, one copy of an
+    expanded variable: copy 0 of a global (``__expand_init`` runs before
+    any thread), the declaring thread's copy of a local.  Private
+    accesses are written-before-read by Definition 5, so no other copy
+    ever reads an initial value."""
     out: List[ast.Stmt] = []
     if isinstance(init, list):
         if isinstance(ctype, ArrayType):
@@ -325,12 +327,12 @@ def _init_assignments(
     return out
 
 
-def _copy0_lvalue(decl: ast.VarDecl, evar: ExpandedVar,
-                  like: ast.Node) -> ast.Expr:
-    """An lvalue denoting copy 0 of an expanded variable."""
+def _copy_lvalue(decl: ast.VarDecl, copy: ast.Expr,
+                 like: ast.Node) -> ast.Expr:
+    """An lvalue denoting copy ``copy`` of an expanded variable."""
     base: ast.Expr = ast.Ident(decl.name)
     inherit_origin(base, like)
-    return rw.index(base, ast.IntLit(0), like=like)
+    return rw.index(base, copy, like=like)
 
 
 def heapify_globals(
@@ -369,7 +371,7 @@ def heapify_globals(
                     _init_assignments(base, evar.orig_type, saved_init, decl)
                 )
             else:
-                lv = _copy0_lvalue(decl, evar, decl)
+                lv = _copy_lvalue(decl, ast.IntLit(0), decl)
                 init_stmts.extend(
                     _init_assignments(lv, evar.orig_type, saved_init, decl)
                 )
@@ -424,8 +426,8 @@ def _make_vla(decl: ast.VarDecl, result: ExpansionResult) -> ExpandedVar:
 
 def _expand_param(fn: ast.FunctionDef, param: ast.VarDecl,
                   result: ExpansionResult) -> None:
-    """Params are expanded via a shadowing VLA local seeded from the
-    incoming value (copy 0 is the shared copy)."""
+    """Params are expanded via a shadowing VLA local whose calling
+    thread's copy is seeded from the incoming value."""
     original_name = param.name
     param.name = original_name + "__in"
     local = ast.VarDecl(original_name, param.ctype, None, "local")
@@ -435,7 +437,7 @@ def _expand_param(fn: ast.FunctionDef, param: ast.VarDecl,
     result.expanded_vars[param] = evar
     seed = rw.expr_stmt(
         rw.assign(
-            rw.index(ast.Ident(original_name), ast.IntLit(0), like=param),
+            _copy_lvalue(local, _tid(), param),
             ast.Ident(param.name),
             like=param,
         ),
@@ -500,7 +502,8 @@ def _expand_declstmt(stmt: ast.DeclStmt, targets: Set[ast.VarDecl],
             continue
         evar = _make_vla(decl, result)
         if saved_init is not None:
-            lv = _copy0_lvalue(decl, evar, decl)
+            # the declaring thread runs the initializer: its own copy
+            lv = _copy_lvalue(decl, _tid(), decl)
             extra.extend(
                 _init_assignments(lv, evar.orig_type, saved_init, decl)
             )

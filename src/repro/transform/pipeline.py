@@ -317,17 +317,6 @@ def read_only_literal_globals(program: ast.Program,
     return candidates
 
 
-def _normalize_profile_obj(key) -> Optional[Obj]:
-    """Map a profiler object key (segment kind, tag) to the points-to
-    object vocabulary."""
-    kind, tag = key
-    if kind in ("global", "stack"):
-        return ("var", tag)
-    if kind == "heap":
-        return ("heap", tag)
-    return None  # rodata
-
-
 class ExpansionPipeline:
     """Configurable driver; :func:`expand_for_threads` is the one-call API."""
 
@@ -337,7 +326,6 @@ class ExpansionPipeline:
         sema: SemaResult,
         loop_labels: List[str],
         optimize=True,
-        expansion_source: str = "static",
         entry: str = "main",
         profiles: Optional[Dict[str, LoopProfile]] = None,
         layout: str = "bonded",
@@ -347,8 +335,6 @@ class ExpansionPipeline:
         commutative: bool = True,
         engine: Optional[str] = None,
     ):
-        if expansion_source not in ("static", "profile"):
-            raise ValueError("expansion_source must be 'static' or 'profile'")
         if layout not in (ex.BONDED, ex.INTERLEAVED, ex.ADAPTIVE):
             raise ValueError(
                 "layout must be 'bonded', 'interleaved' or 'adaptive'"
@@ -361,7 +347,6 @@ class ExpansionPipeline:
             self.flags.selective_promotion or self.flags.hoisting
             or self.flags.constant_spans or self.flags.trivial_span_elim
         )
-        self.expansion_source = expansion_source
         self.entry = entry
         self.layout = layout
         self._given_profiles = profiles or {}
@@ -504,7 +489,7 @@ class ExpansionPipeline:
         path; the service's :class:`~repro.service.StagedCompiler`
         drives the same stages individually with a cache probe between
         each)."""
-        self.stage_expand(loops, profiles, privs)
+        self.stage_expand(loops, privs)
         self.stage_optimize(loops)
         self.stage_plan(loops, profiles, privs)
         return self.result
@@ -561,7 +546,6 @@ class ExpansionPipeline:
     def stage_expand(
         self,
         loops: List[ast.LoopStmt],
-        profiles: Dict[str, LoopProfile],
         privs: Dict[str, PrivatizationResult],
     ) -> TransformResult:
         """Points-to → promote → heapify/expand → redirect, on a fresh
@@ -590,10 +574,7 @@ class ExpansionPipeline:
             pointsto.object_types.setdefault(("heap", nid), set()).update(types)
         self.result.pointsto = pointsto
 
-        expansion_objs = self._expansion_set(
-            private_sites, pointsto,
-            {label: profiles[label] for label in labels},
-        )
+        expansion_objs = self._expansion_set(private_sites, pointsto)
         self.result.expansion_objs = expansion_objs
 
         redirect_origins = compute_redirect_origins(
@@ -714,23 +695,14 @@ class ExpansionPipeline:
         return self.result
 
     # -- helpers --------------------------------------------------------------
-    def _expansion_set(
-        self,
-        private_sites: Set[int],
-        pointsto: PointsToResult,
-        profiles: Dict[str, LoopProfile],
-    ) -> Set[Obj]:
+    @staticmethod
+    def _expansion_set(private_sites: Set[int],
+                       pointsto: PointsToResult) -> Set[Obj]:
+        """The objects the private sites may touch, by the static
+        points-to sets (the paper's method)."""
         objs: Set[Obj] = set()
-        if self.expansion_source == "static":
-            for site in private_sites:
-                objs |= pointsto.objects_of_access(site)
-        else:
-            for profile in profiles.values():
-                for site in private_sites:
-                    for key in profile.site_objects.get(site, ()):
-                        norm = _normalize_profile_obj(key)
-                        if norm is not None:
-                            objs.add(norm)
+        for site in private_sites:
+            objs |= pointsto.objects_of_access(site)
         # returns-slots and string literals are not expandable storage
         return {o for o in objs if o[0] in ("var", "heap")}
 
@@ -1078,7 +1050,6 @@ def expand_for_threads(
     sema: SemaResult,
     loop_labels: List[str],
     optimize=True,
-    expansion_source: str = "static",
     entry: str = "main",
     profiles: Optional[Dict[str, LoopProfile]] = None,
     layout: str = "bonded",
@@ -1094,10 +1065,8 @@ def expand_for_threads(
     trivial-span elimination, constant spans); ``False`` reproduces the
     paper's un-optimized configuration from Figure 9a.
 
-    ``expansion_source`` picks how the expansion set is derived:
-    ``"static"`` uses the Andersen points-to analysis (the paper's
-    approach), ``"profile"`` uses the objects dynamically observed at
-    private accesses.
+    The expansion set is the static (Andersen) points-to set of the
+    private accesses, the paper's approach.
 
     ``optimize`` also accepts an :class:`OptFlags` for per-optimization
     ablation.  ``layout`` selects bonded (default) or interleaved copy
@@ -1127,10 +1096,9 @@ def expand_for_threads(
     promoted to instrumented bytecode, which observers need).
     """
     pipeline = ExpansionPipeline(
-        program, sema, loop_labels, optimize=optimize,
-        expansion_source=expansion_source, entry=entry, profiles=profiles,
-        layout=layout, strict=strict, sink=sink, tracer=tracer,
-        commutative=commutative, engine=engine,
+        program, sema, loop_labels, optimize=optimize, entry=entry,
+        profiles=profiles, layout=layout, strict=strict, sink=sink,
+        tracer=tracer, commutative=commutative, engine=engine,
     )
     return pipeline.run()
 

@@ -106,6 +106,56 @@ class TestTable1LocalRows:
         check_equivalent(result, base)
 
 
+#: ``v`` is expanded and read as ``v[__tid]`` inside ``f``, which runs
+#: on every thread: its initializer must store the declaring thread's
+#: copy, not copy 0 (the sum is 1520 at any thread count)
+_CALLEE_LOCAL_INIT = """
+int out[32];
+int f(int x) {
+    int *p = (int*)malloc(8); p[0] = x * 3 + 1;
+    int v = p[0];
+    free(p);
+    return v;
+}
+int main(void) {
+    int i; int s = 0;
+    #pragma expand parallel(doall)
+    L: for (i = 0; i < 32; i++) out[i] = f(i);
+    for (i = 0; i < 32; i++) s = s + out[i];
+    print_int(s);
+    return 0;
+}
+"""
+
+
+def _engines_and_backends():
+    from repro.interp.native import native_backend_available
+    from repro.runtime import process_backend_available
+    engines = ["ast", "bytecode"]
+    if native_backend_available()[0]:
+        engines.append("native")
+    backends = ["simulated"]
+    if process_backend_available()[0]:
+        backends.append("process")
+    return [(e, b) for e in engines for b in backends]
+
+
+class TestLocalInitializer:
+    @pytest.mark.parametrize("engine,backend", _engines_and_backends())
+    def test_initializer_stores_the_declaring_threads_copy(self, engine,
+                                                           backend):
+        result, base, text = transform(_CALLEE_LOCAL_INIT)
+        assert "v[__tid] = " in text
+        assert base.output == ["1520"]
+        for nthreads in (1, 2, 4):
+            kwargs = dict(workers=nthreads) if backend == "process" else {}
+            outcome = run_parallel(result, nthreads, engine=engine,
+                                   backend=backend, check_races=False,
+                                   **kwargs)
+            assert outcome.output == base.output, (nthreads,
+                                                   outcome.output)
+
+
 class TestTable1GlobalRows:
     def test_global_scalar_heapified(self):
         src = """

@@ -73,6 +73,25 @@ class TestHarnessMeasurements:
         assert harness.result(TINY.name) is harness._cache[TINY.name]
 
 
+class TestRuntimePrivatizationRaces:
+    """The paper's baseline cannot privatize histogram's reduction,
+    which only the commutative class makes race-free."""
+
+    def test_an_extra_kernel_records_its_races_a_paper_kernel_raises(self):
+        from repro.bench.suite import get
+        from repro.runtime import RaceError
+        spec = get("histogram")
+        harness = Harness(thread_counts=(1, 2), engine="bytecode")
+        result = harness._compute(spec)
+        assert result.rtpriv[1].races == 0
+        assert result.rtpriv[1].loop_speedup > 0
+        assert result.rtpriv[2].races > 0
+        assert result.rtpriv[2].loop_speedup == 0.0
+        assert result.expansion[2].loop_speedup > 1
+        with pytest.raises(RaceError):
+            harness._compute(spec._replace(suite="Synthetic"))
+
+
 class TestVerification:
     def test_check_output_raises(self):
         with pytest.raises(VerificationError):

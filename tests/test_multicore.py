@@ -1127,18 +1127,19 @@ class TestProgramAgnosticSessions:
         assert pool.stats()["created"] == 1
 
     def test_worker_never_compiles(self, pool, tmp_path, monkeypatch):
-        """A worker pointed at a .so directory without the program's
-        library replies RT-WORKER-CC; no compiler runs anywhere."""
+        """A worker shipped the path of a library that is not there
+        replies RT-WORKER-CC; no compiler runs anywhere."""
         import repro.runtime.multicore as mc
         from repro.interp.native import native_backend_available
         from repro.runtime import ParallelError
 
         if not native_backend_available()[0]:
             pytest.skip(native_backend_available()[1])
+        missing = str(tmp_path / "prog-missing.so")
         real = mc.Shipment.entry
         monkeypatch.setattr(
             mc.Shipment, "entry",
-            lambda self: dict(real(self), so_dir=str(tmp_path)))
+            lambda self: dict(real(self), lib=missing))
         _, tresult = _prepare(DOALL_SRC)
         # the parent compiles its library while the runner is built
         runner = ParallelRunner(tresult, 2, engine="native",
@@ -1149,5 +1150,5 @@ class TestProgramAgnosticSessions:
         with pytest.raises(ParallelError) as info:
             runner.run()
         assert info.value.diagnostic.code == "RT-WORKER-CC"
-        assert "NL-NO-SO" in str(info.value)
+        assert missing in str(info.value)
         assert not cc_log.exists()

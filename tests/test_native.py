@@ -380,9 +380,8 @@ class TestSplitCompile:
         monkeypatch.setattr(nb.subprocess, "Popen", popen)
         monkeypatch.setattr(nb.os, "wait4", wait4)
         names = [f"g{i}" for i in range(12)]
-        (lib,) = nb.compile_sources(
-            [(_LINES_UNIT, names, "lines", _split_lines)],
-            cache_dir=str(tmp_path))
+        (lib,) = nb.start([(_LINES_UNIT, names, "lines", _split_lines)],
+                          str(tmp_path)).finish()
         # two `cc -c`, both started before either is waited for, then
         # one link
         assert events == [("start", True), ("start", True),
@@ -408,8 +407,8 @@ class TestSplitCompile:
         monkeypatch.setattr(nb.subprocess, "Popen", popen)
         lines = _LINES_UNIT.count("\n")
         monkeypatch.setattr(nb, "PART_LINES", lines // 2 + 1)
-        nb.compile_sources([(_LINES_UNIT, ["g1"], "small", _split_lines)],
-                           cache_dir=str(tmp_path / "small"))
+        nb.start([(_LINES_UNIT, ["g1"], "small", _split_lines)],
+                 str(tmp_path / "small")).finish()
         # and max_parts=1 keeps even a large unit whole
         monkeypatch.setattr(nb, "PART_LINES", 1)
         nb.start([(_LINES_UNIT, ["g1"], "capped", _split_lines)],
@@ -422,7 +421,8 @@ class TestSplitCompile:
     def test_a_worker_on_one_core_binds_a_split_parents_library(
             self, tmp_path, monkeypatch):
         """The cache key hashes the whole source, not the parts: a host
-        (or a worker) with another core count finds the same .so."""
+        with another core count finds the same .so and compiles
+        nothing."""
         from repro.interp.native import backend as nb
         tresult = _expanded("histogram", "bonded")
         request = [(tresult.program, tresult.sema,
@@ -435,13 +435,15 @@ class TestSplitCompile:
         assert log.read_text().split()[-1] == "parts=2"
         nb._CONTEXTS.pop(tresult.program, None)
         _cores(monkeypatch, 1)
-        monkeypatch.setattr(nb, "COMPILES_ALLOWED", False)
         try:
-            (worker,) = nb.start_contexts(request, str(tmp_path)).finish()
+            (one_core,) = nb.start_contexts(request, str(tmp_path)).finish()
         finally:
             nb._CONTEXTS.pop(tresult.program, None)
-        assert worker.lib.cache_hit and worker.lib.path == parent.lib.path
-        assert len(log.read_text().splitlines()) == 1
+        assert one_core.lib.cache_hit
+        assert one_core.lib.path == parent.lib.path
+        # the parent's line only: no second prog- build
+        (line,) = log.read_text().splitlines()
+        assert line.startswith("prog-") and line.endswith("parts=2")
 
     def test_a_failing_part_raises_its_stderr_and_reaps_its_sibling(
             self, tmp_path, monkeypatch):
@@ -470,8 +472,8 @@ class TestSplitCompile:
         t0 = time.perf_counter()
         with pytest.raises(RuntimeError,
                            match="NL-CC-FAIL: .* exited 5: part says: boom"):
-            nb.compile_sources([(_LINES_UNIT, ["g0"], "bad",
-                                 _split_lines)], cache_dir=str(so_dir))
+            nb.start([(_LINES_UNIT, ["g0"], "bad", _split_lines)],
+                     str(so_dir)).finish()
         assert time.perf_counter() - t0 < 30
         assert [child.returncode for child in children][0] == 5
         assert len(children) == 2 and children[1].returncode is not None
@@ -496,9 +498,9 @@ class TestSplitCompile:
         def build():
             try:
                 barrier.wait()
-                (lib,) = nb.compile_sources(
+                (lib,) = nb.start(
                     [(_LINES_UNIT, names, "same", _split_lines)],
-                    cache_dir=str(tmp_path))
+                    str(tmp_path)).finish()
                 got.append([lib.handles[n](0) for n in names])
             except BaseException as exc:  # pragma: no cover - reported
                 errors.append(exc)
@@ -530,9 +532,9 @@ class TestSplitCompile:
             (tmp_path / name).write_text("x")
         for name in dead + kept:
             os.utime(str(tmp_path / name), (old, old))
-        nb.compile_source("#include <stdint.h>\n"
-                          "int64_t g(void *e) { return 7; }\n", ["g"],
-                          cache_dir=str(tmp_path), tag="sweep")
+        nb.start([("#include <stdint.h>\n"
+                   "int64_t g(void *e) { return 7; }\n", ["g"], "sweep")],
+                 str(tmp_path)).finish()
         left = set(os.listdir(str(tmp_path)))
         assert not left & set(dead)
         assert set(live + kept) <= left
@@ -1065,8 +1067,8 @@ class TestContextRegistry:
             raise AssertionError("a compiler was started")
 
         # the pool forks at the first dispatch and each worker loads the
-        # program on first sight: it re-lowers it and binds the .so the
-        # parent compiled above.  A worker that had to compile would
+        # program on first sight: it adopts the lowering and binds the
+        # .so the parent compiled above.  A worker that had to compile would
         # reply RT-WORKER-CC; one that could not bind would run
         # fallback chunks
         monkeypatch.setattr(nb.subprocess, "Popen", no_compiler)
@@ -1076,6 +1078,90 @@ class TestContextRegistry:
         assert metrics["runtime.native_chunks"] == \
             metrics["runtime.worker_tasks"] > 0
         assert metrics.get("runtime.native_fallbacks", 0) == 0
+
+    @needs_process
+    def test_a_worker_adopts_the_parents_lowering(self, monkeypatch):
+        """A worker's first sight of a native program lowers nothing,
+        probes nothing and compiles nothing: worker 0's side of every
+        task, run in this process on the session's segment, loads the
+        shipped entry and runs a compiled chunk without any of the
+        three."""
+        import repro.runtime.multicore as mc
+        from repro.interp.native import backend as nb
+        tresult = _expanded("histogram", "bonded")
+        reference = _walker_reference("histogram", "bonded")
+        runner = ParallelRunner(tresult, NTHREADS, engine="native",
+                                backend="process", workers=NTHREADS,
+                                check_races=False, mc=dict(SMALL_MC))
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a worker lowered, probed or compiled")
+
+        # the parent built its context with the runner above
+        for name in ("lower_program", "start", "native_backend_available"):
+            monkeypatch.setattr(nb, name, refuse)
+        loaded, metas = {}, []
+
+        def worker_zero(session, kind, specs, shipment, retry_safe=False):
+            assert kind == "doall"
+            base = session.arena_base
+            hb = mc._WorkerHB(session.shm.buf, session.hb_addr(0))
+            session.lane_wids = [0] * len(specs)
+            replies = []
+            for spec in specs:
+                if shipment.key not in loaded:
+                    entry = shipment.entry()
+                    assert entry["nl"] is None
+                    loaded[shipment.key] = mc._load_program(
+                        entry, session.shm, base, base + session.arena_bytes)
+                program, _sema, machine, decls, _loops = loaded[shipment.key]
+                reply = mc._task_doall(
+                    machine, decls, ast.find_loop(program, spec["label"]),
+                    base, spec, hb)
+                metas.append(reply[6])
+                replies.append(reply[:6])
+            return replies
+
+        monkeypatch.setattr(mc.ProcessSession, "run_tasks", worker_zero)
+        outcome = runner.run()
+        assert _fingerprint(runner, outcome) == reference
+        assert len(loaded) == 1 and metas
+        assert all(meta == {"native": True} for meta in metas)
+
+    @needs_process
+    def test_a_parent_without_a_library_ships_its_reason(self, monkeypatch):
+        """No silent fallback: the workers of a parent that has no
+        library run the closures without trying to build one, and every
+        task reports the parent's reason."""
+        from repro.interp.native import backend as nb
+        tresult = _expanded("histogram", "bonded")
+        reason = "NL-NO-CC: no C compiler on PATH (stubbed)"
+        parent = os.getpid()
+
+        def probe(recheck=False):
+            # forked workers inherit this stub: in one, a probe would be
+            # the attempt a worker must never make
+            if os.getpid() != parent:
+                raise AssertionError("a worker probed the toolchain")
+            return (False, reason)
+
+        monkeypatch.setattr(nb, "native_backend_available", probe)
+        nb._CONTEXTS.pop(tresult.program, None)
+        tracer, sink = Tracer(), DiagnosticSink()
+        runner = ParallelRunner(tresult, 2, engine="native",
+                                backend="process", workers=2,
+                                check_races=False, tracer=tracer, sink=sink,
+                                mc=dict(SMALL_MC))
+        assert runner.machine.native_diag == reason
+        outcome = runner.run()
+        assert outcome.output == \
+            _walker_reference("histogram", "bonded")["output"]
+        metrics = tracer.metrics.as_dict()
+        assert metrics["runtime.native_fallbacks"] == \
+            metrics["runtime.worker_tasks"] > 0
+        assert not metrics.get("runtime.native_chunks")
+        notes = sink.by_code("NL-FALLBACK")
+        assert notes and all(reason in note.message for note in notes)
 
 
 # ---------------------------------------------------------------------------

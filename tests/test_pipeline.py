@@ -137,16 +137,6 @@ class TestPipelinePlumbing:
         program, _ = parse_and_analyze(src)
         assert parse_loop_kind(ast.find_loop(program, "L")) == DOACROSS
 
-    def test_expansion_source_profile_matches_static(self):
-        _, _, base1, r_static = run_both(FIGURE1, expansion_source="static")
-        _, _, base2, r_profile = run_both(FIGURE1, expansion_source="profile")
-        assert (len(r_static.expansion.expanded_alloc_origins)
-                == len(r_profile.expansion.expanded_alloc_origins))
-        m = Machine(r_profile.program, r_profile.sema)
-        m.nthreads = 1
-        m.run()
-        assert m.output == base2.output
-
     def test_serial_statements_detected_for_doacross(self):
         src = """
         int acc;

@@ -201,6 +201,17 @@ class TestAccessObjects:
 
 
 @pytest.mark.slow
+def _points_to_obj(key):
+    """A profiler object key (segment kind, tag) in the points-to
+    object vocabulary (None: rodata)."""
+    kind, tag = key
+    if kind in ("global", "stack"):
+        return ("var", tag)
+    if kind == "heap":
+        return ("heap", tag)
+    return None
+
+
 class TestSoundnessAgainstProfile:
     """The static analysis must over-approximate the dynamic truth:
     every object a private site touched at run time must be in its
@@ -212,7 +223,6 @@ class TestSoundnessAgainstProfile:
     ])
     def test_benchmark_soundness(self, name):
         from repro.bench import get
-        from repro.transform.pipeline import _normalize_profile_obj
 
         spec = get(name)
         program, sema = parse_and_analyze(spec.source)
@@ -226,7 +236,7 @@ class TestSoundnessAgainstProfile:
                 if not static:
                     continue  # site form not tracked (conservative path)
                 for key in profile.site_objects.get(site, ()):
-                    norm = _normalize_profile_obj(key)
+                    norm = _points_to_obj(key)
                     if norm is None:
                         continue
                     assert norm in static, (

@@ -84,6 +84,16 @@ def test_fig13_and_14():
     assert "x" in fig14_memory(RESULTS)
 
 
+def test_a_racy_rtpriv_point_renders_not_applicable():
+    r = fake_result("racy")
+    for n in (2, 4, 8):
+        r.rtpriv[n] = ParallelPoint(n)
+        r.rtpriv[n].races = 264
+    fig13 = fig13_rtpriv_speedup({"racy": r})
+    assert "0.90" in fig13 and fig13.count("n/a (264 races)") == 3
+    assert fig14_memory({"racy": r}).count("n/a (264 races)") == 2
+
+
 def test_full_report_contains_all_sections():
     text = full_report(RESULTS)
     for marker in ("Table 4", "Table 5", "Figure 8", "Figure 9",
