@@ -29,6 +29,10 @@ Outputs per candidate loop:
   dynamic alias ground truth used to validate the static points-to
   analysis and by the runtime-privatization baseline.
 
+On the native tier the same observer runs in C, inside the program's
+instrumented unit (:func:`_native_profile`, ``interp/native/tracker.py``):
+the paper's profilers, too, watched compiled binaries.
+
 Loop-control variable accesses (the ``i`` of a canonical ``for``) are
 exempted: the parallel scheduler rebinds the induction variable per
 chunk, exactly as OpenMP-style codegen privatizes control variables, so
@@ -39,10 +43,11 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Set, Tuple
 
+from ..diagnostics import DiagnosticSink
 from ..frontend import ast
 from ..frontend.sema import SemaResult
 from ..interp.machine import (
-    BreakSignal, ContinueSignal, Machine, observed_engine,
+    BreakSignal, ContinueSignal, Machine, observed_engine, resolve_engine,
 )
 from ..interp.shadow import SIZE, Shadow
 from .ddg import ANTI, DDG, FLOW, OUTPUT
@@ -68,8 +73,6 @@ class LoopProfile:
         #: cycles spent inside the loop vs the whole program
         self.loop_cycles = 0.0
         self.total_cycles = 0.0
-        #: per top-level-statement cycles, for DOACROSS sync planning
-        self.stmt_cycles: Dict[int, float] = {}
 
     @property
     def loop_time_fraction(self) -> float:
@@ -300,14 +303,9 @@ class _ProfileController:
 
     def _run_body(self, machine: Machine, body: ast.Stmt) -> None:
         stmts = body.stmts if isinstance(body, ast.Block) else [body]
-        profile = self.profile
         try:
             for stmt in stmts:
-                before = machine.cost.cycles
                 machine.exec_stmt(stmt)
-                profile.stmt_cycles[stmt.nid] = profile.stmt_cycles.get(
-                    stmt.nid, 0.0
-                ) + machine.cost.cycles - before
         except ContinueSignal:
             pass
 
@@ -318,6 +316,7 @@ def profile_loop(
     loop: ast.LoopStmt,
     entry: str = "main",
     engine: Optional[str] = None,
+    sink: Optional[DiagnosticSink] = None,
 ) -> LoopProfile:
     """Run the program once and profile dependences of ``loop``.
 
@@ -325,9 +324,17 @@ def profile_loop(
     Returns a :class:`LoopProfile`; the program's observable behaviour
     (output) is unaffected by profiling.
 
-    ``engine`` picks the interpreter tier; ``native`` is promoted to
-    the bytecode closures (the profiler is an observer).
+    ``engine`` picks the interpreter tier.  ``native`` runs the
+    program's instrumented unit with a C dependence tracker attached
+    (:func:`_native_profile`); where it cannot, the profile runs on the
+    bytecode closures and ``sink`` gets the reason.
     """
+    if resolve_engine(engine) == "native":
+        profile = _native_profile(program, sema, loop, entry,
+                                  sink if sink is not None
+                                  else DiagnosticSink())
+        if profile is not None:
+            return profile
     machine = Machine(program, sema, engine=observed_engine(engine))
     profile = LoopProfile(loop)
     observer = _ProfileObserver(machine, profile)
@@ -335,9 +342,59 @@ def profile_loop(
     machine.observers.append(observer)
     machine.loop_controllers[loop.nid] = controller
     machine.run(entry)
+    return _finished(profile, machine)
+
+
+def _finished(profile: LoopProfile, machine: Machine) -> LoopProfile:
     profile.total_cycles = machine.cost.cycles
     if profile.executions == 0:
         raise RuntimeError(
             "candidate loop never executed; check the loop label/selection"
         )
     return profile
+
+
+def _native_profile(program, sema, loop: ast.LoopStmt, entry: str,
+                    sink: DiagnosticSink) -> Optional[LoopProfile]:
+    """The profile of ``loop`` from one run of the program's
+    instrumented unit (no controller: the unit's loop hooks drive the
+    tracker the way :class:`_ProfileController` drives the observer,
+    and charge what it charges).  None, with a diagnostic, when there is
+    no C compiler or the unit leaves any of the program on the
+    closures; the caller then profiles there."""
+    from ..interp.native.backend import (
+        native_backend_available, native_context_for,
+    )
+    from ..interp.native.runtime import NativeMachine
+    from ..interp.native.tracker import Tracker
+    ok, reason = native_backend_available()
+    if not ok:
+        sink.warning("NL-UNAVAILABLE",
+                     f"native backend unavailable ({reason}); the "
+                     f"profile runs on the bytecode closures",
+                     phase="profile", loop=loop.label)
+        return None
+    tracked = frozenset((loop.nid,))
+    context = native_context_for(program, sema, frozenset(), tracked)
+    # (chunk drivers, which a context widened for a controller may hold,
+    # never run in a sequential run)
+    refused = {where: code for where, code in context.lowering.nl.items()
+               if not where.startswith("chunk:")}
+    if refused:
+        where = min(refused)
+        sink.note(refused[where],
+                  f"the instrumented unit leaves {where} on the closures "
+                  f"({refused[where]}); the profile runs on the bytecode "
+                  f"closures", phase="profile", loop=loop.label)
+        return None
+    machine = NativeMachine(program, sema, controlled=frozenset(),
+                            tracked=tracked)
+    profile = LoopProfile(loop)
+    tracker = Tracker(context.lib.path, loop.nid, context.lowering.labels)
+    try:
+        machine.attach_tracker(tracker)
+        machine.run(entry)
+        tracker.fill(profile)
+    finally:
+        tracker.close()
+    return _finished(profile, machine)

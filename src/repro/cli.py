@@ -159,16 +159,20 @@ def _cmd_profile(args) -> int:
     from .analysis.ddg_io import save_profile, verification_report
     from .frontend import ast
 
+    from .diagnostics import DiagnosticSink
+
     tracer = _make_tracer(args)
     eng = _resolve_engine_cli(args)
+    sink = DiagnosticSink()
     try:
         program, sema = _load(args.file, tracer=tracer)
         loop = ast.find_loop(program, args.loop)
         with tracer.phase("profile", loop=args.loop):
             profile = profile_loop(program, sema, loop, entry=args.entry,
-                                   engine=eng)
+                                   engine=eng, sink=sink)
     finally:
         _finish_trace(args, tracer)
+    _render_diagnostics(sink)
     print(verification_report(program, profile))
     if args.save_ddg:
         save_profile(profile, args.save_ddg)

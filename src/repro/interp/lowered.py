@@ -308,7 +308,7 @@ class Form:
         self._accs[key] = acc
         return acc
 
-    def _slot(self, d) -> Rec:
+    def slot(self, d) -> Rec:
         slot = self._slots.get(d)
         if slot is None:
             slot = self._slots[d] = Rec(
@@ -417,7 +417,7 @@ class Form:
                 return Rec("fault", e, fault=Fault(
                     "thread context variable is not addressable"))
             assert isinstance(d, ast.VarDecl)
-            return self._slot(d)
+            return self.slot(d)
         if isinstance(e, ast.Unary) and e.op == "*":
             return Rec("aderef", e, v=self.expr(e.operand))
         if isinstance(e, ast.Index):
@@ -473,7 +473,7 @@ class Form:
         local = d.storage in ("local", "param")
         cheap = local and not isinstance(ct, ArrayType)
         fused = cheap and scalar(ct)
-        return Rec("var", e, ct, cls_of(ct), slot=self._slot(d), fused=fused,
+        return Rec("var", e, ct, cls_of(ct), slot=self.slot(d), fused=fused,
                    acc=self._acc(ct, cheap, guarded=not fused))
 
     def _x_Unary(self, e):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import bisect
 import struct as _struct
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..diagnostics import DiagnosableError
 
@@ -140,6 +140,9 @@ class Memory:
         #: took them, in order — ``None`` unless a mirror is attached;
         #: ``[None]`` asks the mirror to rebuild from the records
         self.heap_log: Optional[list] = None
+        #: called with each record :meth:`alloc` makes (the native
+        #: profile's tracker keeps its own copy of the records)
+        self.alloc_hook: Optional[Callable[[Allocation], None]] = None
         # accounting
         self.live_bytes: Dict[str, int] = {GLOBAL: 0, RODATA: 0, STACK: 0, HEAP: 0}
         self.peak_bytes: Dict[str, int] = dict(self.live_bytes)
@@ -162,6 +165,8 @@ class Memory:
         addr = self._alloc(size, kind, label, tag, None)
         if self.heap_log is not None and kind == HEAP:
             self._log_heap(HEAP_LIVE, addr, size)
+        if self.alloc_hook is not None:
+            self.alloc_hook(self._hit)
         return addr
 
     def replay_alloc(self, addr: int, size: int, label: str,

@@ -11,8 +11,8 @@ gate).  :func:`start` writes a batch's sources and starts every
 missing compile without waiting; :meth:`Build.finish` waits, links,
 renames and binds, and :meth:`Build.abort` kills, reaps and unlinks —
 so a caller can start a unit early and overlap its compile with other
-work (the stage chain builds a cold job's baseline unit while the
-dependence profile runs).  A large unit compiles as one object per
+work (the stage chain starts the original program's instrumented unit
+as soon as sema is done).  A large unit compiles as one object per
 core (:data:`PART_LINES`) and links once; its cache key, its
 :data:`COMPILER_INVOCATIONS` count and its ``$REPRO_NATIVE_CC_LOG``
 line stay one per unit.  Binding prefers cffi's ABI-mode ``dlopen``
@@ -59,6 +59,12 @@ CC_LOG_ENV = "REPRO_NATIVE_CC_LOG"
 CACHE_ENV = "REPRO_NATIVE_CACHE"
 
 CFLAGS = ("-shared", "-O2", "-fPIC", "-fwrapv")
+
+#: the instrumented unit's flags (its .so key folds them in): it runs
+#: once per candidate loop with the tracker attached, and once as the
+#: sequential baseline, so its compile is the larger share of its cost.
+#: DESIGN.md §17 has the -O0/-O1/-O2 table behind the choice
+TRACED_CFLAGS = ("-shared", "-O0", "-fPIC", "-fwrapv")
 
 #: source lines per compiler process: a unit of ``lines`` lines builds
 #: as ``min(cores, lines // PART_LINES)`` objects (one below twice
@@ -169,11 +175,11 @@ def _cache_dir(explicit: Optional[str]) -> str:
     return path
 
 
-def so_cache_key(source: str) -> str:
+def so_cache_key(source: str, cflags: Sequence[str] = CFLAGS) -> str:
     """Cache key chain: C source (which already folds the program's
     lowered shape + ABI version) + opt flags + compiler identity."""
     blob = "\x00".join([
-        f"abi{NATIVE_ABI_VERSION}", " ".join(CFLAGS), cc_identity(),
+        f"abi{NATIVE_ABI_VERSION}", " ".join(cflags), cc_identity(),
         source,
     ])
     return hashlib.sha256(blob.encode()).hexdigest()[:24]
@@ -215,9 +221,10 @@ class _Unit:
     """One translation unit of a :class:`Build`: the compiler processes
     it started and the files only they may leave behind."""
 
-    def __init__(self, exports, so_path: str):
+    def __init__(self, exports, so_path: str, cflags: Sequence[str]):
         self.exports = exports
         self.so_path = so_path
+        self.cflags = cflags
         self.name = os.path.splitext(os.path.basename(so_path))[0]
         self.procs: List[subprocess.Popen] = []
         #: this build's copy of the whole source, its parts, their
@@ -336,7 +343,7 @@ class Build:
         self._wait(unit, list(unit.procs))
         if unit.parts > 1:
             objs = [path for path in unit.temps if path.endswith(".o")]
-            link = _spawn([self.cc, *CFLAGS, "-o", unit.out, *objs])
+            link = _spawn([self.cc, *unit.cflags, "-o", unit.out, *objs])
             unit.procs.append(link)
             self._wait(unit, [link])
         self._verdict(unit, 0)
@@ -400,8 +407,9 @@ def _stop(proc: subprocess.Popen) -> None:
 
 def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
           max_parts: Optional[int] = None) -> Build:
-    """Start compiling ``(source, exports, tag[, split])`` units to
-    cached .so files; return without waiting for any compiler.
+    """Start compiling ``(source, exports, tag[, split[, cflags]])``
+    units to cached .so files (``cflags`` defaults to :data:`CFLAGS`);
+    return without waiting for any compiler.
 
     A unit the cache misses gets its source written and its compiler
     processes started.  A unit with a ``split`` callable (``k`` ->
@@ -417,8 +425,10 @@ def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
     try:
         for source, exports, tag, *rest in units:
             split = rest[0] if rest else None
+            cflags = rest[1] if len(rest) > 1 else CFLAGS
             unit = _Unit(exports, os.path.join(
-                directory, f"{tag}-{so_cache_key(source)}.so"))
+                directory, f"{tag}-{so_cache_key(source, cflags)}.so"),
+                cflags)
             build.units.append(unit)
             if os.path.exists(unit.so_path) or any(
                     u.procs and u.so_path == unit.so_path
@@ -446,9 +456,9 @@ def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
                     unit.temps += [part, obj]
                     with open(part, "w") as fh:
                         fh.write(text)
-                    argvs.append([cc, "-c", *CFLAGS[1:], "-o", obj, part])
+                    argvs.append([cc, "-c", *cflags[1:], "-o", obj, part])
             else:
-                argvs = [[cc, *CFLAGS, "-o", unit.out, unit.src]]
+                argvs = [[cc, *cflags, "-o", unit.out, unit.src]]
             for argv in argvs:
                 unit.procs.append(_spawn(argv))
     except BaseException:
@@ -509,25 +519,30 @@ class PendingContexts:
 def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
                    = None, max_parts: Optional[int] = None
                    ) -> PendingContexts:
-    """Lower a batch of ``(program, sema, controlled)`` requests and
-    start compiling the ones no memoized context serves (every
-    compiler of the batch starts before any is waited for; see
+    """Lower a batch of ``(program, sema, controlled[, tracked])``
+    requests and start compiling the ones no memoized context serves
+    (every compiler of the batch starts before any is waited for; see
     :func:`start` for ``max_parts``).
 
     ``controlled`` is the set of loop nids that may carry a controller
-    (``None``: any loop).  Raises ``RuntimeError`` with an ``NL-*``
+    (``None``: any loop); ``tracked`` asks for the instrumented unit
+    with the hooks of those candidate loops (built with
+    :data:`TRACED_CFLAGS`).  Raises ``RuntimeError`` with an ``NL-*``
     reason when the backend is unavailable.  Results are memoized per
     program object; a memoized context serves only requests its own
-    set covers; any other re-lowers for the union of the two sets, so
-    a program's context only ever widens.  An adopted context with no
+    sets cover; any other re-lowers for the union of the two, so a
+    program's context only ever widens.  An adopted context with no
     library raises its reason."""
-    contexts = [_CONTEXTS.get(program) for program, _, _ in requests]
+    contexts = [_CONTEXTS.get(request[0]) for request in requests]
     for ctx in contexts:
         if ctx is not None and ctx.lib is None:
             raise RuntimeError(ctx.reason)
-    missing = [i for i, (ctx, (_, _, controlled))
-               in enumerate(zip(contexts, requests))
-               if ctx is None or not ctx.lowering.covers(controlled)]
+    wants = [(request[2], request[3] if len(request) > 3 else None)
+             for request in requests]
+    missing = [i for i, (ctx, (controlled, tracked))
+               in enumerate(zip(contexts, wants))
+               if ctx is None or not ctx.lowering.covers(
+                   controlled, tracked or frozenset())]
     if not missing:
         return PendingContexts(requests, contexts)
     ok, reason = native_backend_available()
@@ -535,20 +550,28 @@ def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
         raise RuntimeError(reason)
     lowerings = []
     for i in missing:
-        program, sema, controlled = requests[i]
-        if contexts[i] is not None and controlled is not None:
-            controlled = contexts[i].lowering.controlled | controlled
-        lowerings.append(lower_program(program, sema, controlled))
+        controlled, tracked = wants[i]
+        old = contexts[i].lowering if contexts[i] is not None else None
+        if old is not None and controlled is not None:
+            controlled = None if old.controlled is None \
+                else old.controlled | controlled
+        if old is not None and old.tracked is not None:
+            tracked = old.tracked | (tracked or frozenset())
+        lowerings.append(lower_program(requests[i][0], requests[i][1],
+                                       controlled, tracked))
     build = start(
-        [(low.source, low.exports, f"prog-{low.fingerprint}", low.parts)
+        [(low.source, low.exports, f"prog-{low.fingerprint}", low.parts,
+          CFLAGS if low.tracked is None else TRACED_CFLAGS)
          for low in lowerings], cache_dir, max_parts)
     return PendingContexts(requests, contexts, missing, lowerings, build)
 
 
-def native_context_for(program, sema, controlled=None) -> NativeContext:
+def native_context_for(program, sema, controlled=None,
+                       tracked=None) -> NativeContext:
     """The (lowered, compiled, bound) native context for one program:
     :func:`start_contexts` + finish, in the default .so cache."""
-    return start_contexts([(program, sema, controlled)]).finish()[0]
+    return start_contexts([(program, sema, controlled, tracked)]
+                          ).finish()[0]
 
 
 def adopt(program, lowering: Optional[Lowering], path: Optional[str],

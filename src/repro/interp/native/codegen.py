@@ -37,7 +37,11 @@ controller, and a chunk driver ``k_<nid>`` for such a ``for``
 any loop may carry one — is its widest case).  A unit is a header plus
 its top-level definitions, ``f_`` functions being hidden externs, so
 the backend can compile a large one in parts (:meth:`Lowering.parts`);
-every fault exit calls the one out-of-line ``rp_fail``.
+every fault exit calls the one out-of-line ``rp_fail``.  ``tracked``
+loops make the *instrumented* unit of a program, which carries the
+dependence profiler in C (:data:`_TRACKER`) and calls it from every
+access, record and boundary of those loops; any other unit is emitted
+exactly as if the hooks did not exist.
 """
 
 from __future__ import annotations
@@ -47,6 +51,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ...frontend import ast
 from ...frontend.ctypes import FloatType, IntType, PointerType
+from .. import memory as mem
+from ..builtins import malloc_label
 from ..costs import COSTS
 from ..lowered import Fault, cls_of, form_for, u64
 from ..memory import HEAP_FREE, HEAP_LIVE
@@ -222,6 +228,12 @@ class Lowering:
         #: loop nids that may carry a controller (None = any loop): the
         #: set the entry points were emitted for
         self.controlled: Optional[frozenset] = None
+        #: an instrumented unit's candidate loops (None: a plain unit,
+        #: which has no hooks and no tracker)
+        self.tracked: Optional[frozenset] = None
+        #: (kind, tag) -> ``Memory`` label of the records the unit's
+        #: hooks make (instrumented units)
+        self.labels: Dict[Tuple[int, int], str] = {}
         #: filled by the Lowerer for runtime dispatch
         self.sema = None
         #: call nid -> the malloc call whose blocks C allocates
@@ -252,9 +264,13 @@ class Lowering:
         return [self._join([self.definitions[i] for i in sorted(b)])
                 for b in bins]
 
-    def covers(self, controlled: Optional[frozenset]) -> bool:
+    def covers(self, controlled: Optional[frozenset],
+               tracked: frozenset = frozenset()) -> bool:
         """Whether a caller declaring ``controlled`` may use these
-        entry points (a narrower lowering never serves a wider set)."""
+        entry points (a narrower lowering never serves a wider set),
+        and the unit has the hooks of every loop in ``tracked``."""
+        if tracked and (self.tracked is None or not tracked <= self.tracked):
+            return False
         if self.controlled is None:
             return True
         return controlled is not None and controlled <= self.controlled
@@ -512,6 +528,384 @@ static int64_t rp_free(Env *E, int64_t a, int64_t nid) {{
 """
 
 
+#: memory record kinds as the tracker numbers them (its summary's
+#: ``kind`` column indexes this)
+TRACKED_KINDS = (mem.GLOBAL, mem.RODATA, mem.STACK, mem.HEAP)
+KIND_STACK = TRACKED_KINDS.index(mem.STACK)
+KIND_HEAP = TRACKED_KINDS.index(mem.HEAP)
+
+#: what an instrumented unit's Env has beyond a plain one's
+_TRACED_ENV = """  void *tr;           /* dependence tracker (NULL: hooks do nothing) */
+  int64_t tcy8;       /* cycles x 8 Python has committed */
+} Env;"""
+
+#: an instrumented unit's hooks, in every part of it.  ``RpTrHead`` is
+#: the tracker state the loop hooks and Python (``tracker._Head``)
+#: share; the access and record hooks are calls into the tracker.
+_TRACKER_HEAD = r"""
+typedef struct RpTrHead {
+  int64_t loop;                  /* the candidate loop profiled */
+  int64_t in_loop, iter, exec;   /* the observer's position */
+  int64_t ex_lo, ex_hi;          /* the control variable's bytes */
+  int64_t executions, iterations, loop_cy8;
+  int64_t fail;                  /* out of memory: tracking stopped */
+} RpTrHead;
+
+#define TR ((RpTrHead *)E->tr)
+#define TA(s, a, n, w) do { if (E->tr) rp_tr_access(E->tr, (s), (a), \
+    (n), (w)); } while (0)
+
+void rp_tr_access(void *tp, int64_t site, int64_t a, int64_t n,
+                  int64_t st);
+void rp_tr_alloc(void *tp, int64_t a, int64_t n, int64_t kind,
+                 int64_t tag);
+
+/* _ProfileController around one execution of the candidate loop: it
+   counts from before the init (enter), exempts the control variable
+   and takes up the iteration count after it (begin), and leaves on
+   the loop's exit or a return through it */
+static inline int64_t rp_tr_on(Env *E, int64_t nid) {
+  return E->tr && TR->loop == nid;
+}
+static inline int64_t rp_tr_enter(Env *E, int64_t cy8) {
+  TR->executions += 1;
+  return E->tcy8 + E->cy8 + cy8;
+}
+static inline int64_t rp_tr_begin(Env *E, int64_t lo, int64_t n) {
+  TR->ex_lo = lo; TR->ex_hi = lo + n;
+  TR->in_loop = 1; TR->exec += 1;
+  return TR->iterations;
+}
+static inline void rp_tr_leave(Env *E, int64_t k, int64_t cy8,
+                               int64_t c0) {
+  TR->iterations = k; TR->in_loop = 0; TR->ex_lo = TR->ex_hi = 0;
+  TR->loop_cy8 += E->tcy8 + E->cy8 + cy8 - c0;
+}
+"""
+
+#: The dependence tracker: ``_ProfileObserver`` over a byte-granular
+#: shadow (a page of ``RpB`` per 4 KiB touched inside the loop), with
+#: the last-writer construction, the per-execution roll-over and the
+#: downward-exposure rule spelled per byte, so it agrees with the cell
+#: shadow and the byte oracle alike.  Records mirror ``Memory``'s
+#: (``Memory.find`` for the objects an access site touched).  One
+#: definition of the unit; ``rp_tr_dump`` hands Python the summary.
+_TRACKER = r"""
+/* stdlib.h's three, declared: the header alone is ~10 ms of a compile */
+void *calloc(size_t, size_t);
+void *realloc(void *, size_t);
+void free(void *);
+
+enum { RP_FLOW = 0, RP_ANTI = 1, RP_OUTPUT = 2 };
+enum { RP_ST = 1, RP_LD = 2, RP_UP = 4, RP_DOWN = 8 };
+#define RP_PG 12
+
+/* per byte: the last in-loop store's site and iteration (none once it
+   belongs to an earlier execution) and the readers since it, each 0
+   for none, else value + 1; and the execution (from 1) that last
+   touched the byte */
+typedef struct { int32_t ws, wi, ex, rd; } RpB;
+typedef struct { int32_t site, first, last, next; } RpRd;
+typedef struct { int64_t addr, end, kind, tag; } RpRec;
+/* per site: accesses, RP_* flags, the object it touched last (key + 1)
+   and when it first counted, then first got each flag */
+typedef struct { int64_t dyn, flags, okey, seq[5]; } RpSite;
+typedef struct { uint64_t *k; int64_t *v; int64_t n, cap; } RpSet;
+
+typedef struct {
+  RpTrHead h;
+  RpB **pg; int64_t npg;
+  RpRd *rd; int64_t nrd, caprd, frd;
+  RpRec *rec; int64_t nrec, caprec, hit;
+  RpSite *site; int64_t nsite;
+  RpSet edges, sobj, objs;   /* values: first-seen order, or size */
+  int64_t seq;               /* first-seen events so far */
+} RpTr;
+
+static void *rp_tr_grow(RpTr *T, void *p, int64_t n, int64_t old,
+                        size_t w) {
+  char *q = (char *)realloc(p, (size_t)n * w);
+  if (!q) { T->h.fail = 1; return 0; }
+  memset(q + (size_t)old * w, 0, (size_t)(n - old) * w);
+  return q;
+}
+
+/* add key (with value v) to S: 1 when it is new */
+static int rp_set_add(RpTr *T, RpSet *S, uint64_t key, int64_t v) {
+  uint64_t m, i;
+  key += 1;
+  if (2 * (S->n + 1) > S->cap) {
+    RpSet N;
+    int64_t j;
+    N.cap = S->cap ? 2 * S->cap : 64; N.n = S->n;
+    N.k = (uint64_t *)calloc((size_t)N.cap, sizeof(uint64_t));
+    N.v = (int64_t *)calloc((size_t)N.cap, sizeof(int64_t));
+    if (!N.k || !N.v) { free(N.k); free(N.v); T->h.fail = 1; return 0; }
+    for (j = 0; j < S->cap; j++) {
+      if (!S->k[j]) continue;
+      for (i = (S->k[j] * UINT64_C(0x9E3779B97F4A7C15)) >> 32 &
+               (uint64_t)(N.cap - 1);
+           N.k[i]; i = (i + 1) & (uint64_t)(N.cap - 1)) {}
+      N.k[i] = S->k[j]; N.v[i] = S->v[j];
+    }
+    free(S->k); free(S->v);
+    *S = N;
+  }
+  m = (uint64_t)S->cap - 1;
+  for (i = (key * UINT64_C(0x9E3779B97F4A7C15)) >> 32 & m;;
+       i = (i + 1) & m) {
+    if (S->k[i] == key) return 0;
+    if (!S->k[i]) { S->k[i] = key; S->v[i] = v; S->n++; return 1; }
+  }
+}
+
+/* Every set and flag remembers when it first held an element, so
+   Python rebuilds the profile's sets and dicts in the observer's
+   insertion order (their iteration order is then the same too). */
+static void rp_tr_edge(RpTr *T, int64_t src, int64_t dst, int kind,
+                       int carried) {
+  T->seq += rp_set_add(T, &T->edges, (uint64_t)src << 33 |
+                       (uint64_t)dst << 3 | (uint64_t)(2 * kind + carried),
+                       T->seq);
+}
+
+static void rp_tr_flag(RpTr *T, RpSite *s, int64_t flag, int i) {
+  if (!(s->flags & flag)) { s->flags |= flag; s->seq[i] = T->seq++; }
+}
+
+static RpSite *rp_tr_site(RpTr *T, int64_t s) {
+  if (s >= T->nsite) {
+    int64_t n = 2 * T->nsite > s + 1 ? 2 * T->nsite : s + 257;
+    RpSite *p = (RpSite *)rp_tr_grow(T, T->site, n, T->nsite,
+                                     sizeof(RpSite));
+    if (!p) return 0;
+    T->site = p; T->nsite = n;
+  }
+  return T->site + s;
+}
+
+/* the shadow byte at a, made when mk (else 0 if never touched) */
+static RpB *rp_tr_byte(RpTr *T, int64_t a, int mk) {
+  int64_t p = a >> RP_PG;
+  if (p >= T->npg) {
+    int64_t n = 2 * T->npg > p + 1 ? 2 * T->npg : p + 64;
+    RpB **d;
+    if (!mk) return 0;
+    d = (RpB **)rp_tr_grow(T, T->pg, n, T->npg, sizeof(RpB *));
+    if (!d) return 0;
+    T->pg = d; T->npg = n;
+  }
+  if (!T->pg[p]) {
+    if (!mk) return 0;
+    T->pg[p] = (RpB *)calloc((size_t)1 << RP_PG, sizeof(RpB));
+    if (!T->pg[p]) { T->h.fail = 1; return 0; }
+  }
+  return T->pg[p] + (a & (((int64_t)1 << RP_PG) - 1));
+}
+
+static void rp_tr_drop(RpTr *T, RpB *b) {
+  int32_t r = b->rd;
+  while (r) {
+    RpRd *n = T->rd + (r - 1);
+    int32_t next = n->next;
+    n->next = (int32_t)T->frd; T->frd = r;
+    r = next;
+  }
+  b->rd = 0;
+}
+
+/* the readers keep their first-read order (the observer's dict) */
+static void rp_tr_read(RpTr *T, RpB *b, int64_t site, int64_t cur) {
+  int32_t r, tail = 0;
+  RpRd *n;
+  for (r = b->rd; r; tail = r, r = T->rd[r - 1].next) {
+    if (T->rd[r - 1].site == site) { T->rd[r - 1].last = (int32_t)cur; return; }
+  }
+  if (T->frd) {
+    r = (int32_t)T->frd; T->frd = T->rd[r - 1].next;
+  } else {
+    if (T->nrd == T->caprd) {
+      int64_t cap = T->caprd ? 2 * T->caprd : 4096;
+      RpRd *p = (RpRd *)rp_tr_grow(T, T->rd, cap, T->caprd, sizeof(RpRd));
+      if (!p) return;
+      T->rd = p; T->caprd = cap;
+    }
+    r = (int32_t)++T->nrd;
+  }
+  n = T->rd + (r - 1);
+  n->site = (int32_t)site; n->first = n->last = (int32_t)cur;
+  n->next = 0;
+  if (tail) T->rd[tail - 1].next = r; else b->rd = r;
+}
+
+/* Memory.find: the record holding a */
+static RpRec *rp_tr_find(RpTr *T, int64_t a) {
+  int64_t lo = 0, hi = T->nrec, mid;
+  RpRec *r;
+  if (T->hit < T->nrec) {
+    r = T->rec + T->hit;
+    if (r->addr <= a && a < r->end) return r;
+  }
+  while (lo < hi) {
+    mid = (lo + hi) / 2;
+    if (T->rec[mid].addr <= a) lo = mid + 1; else hi = mid;
+  }
+  if (!lo || a >= T->rec[lo - 1].end) return 0;
+  T->hit = lo - 1;
+  return T->rec + (lo - 1);
+}
+
+/* Memory.alloc's record (a reused block keeps its place, retagged) */
+void rp_tr_alloc(void *tp, int64_t a, int64_t n, int64_t kind,
+                 int64_t tag) {
+  RpTr *T = (RpTr *)tp;
+  int64_t lo = 0, hi = T->nrec, mid;
+  RpRec *r;
+  if (n < 1) n = 1;
+  while (lo < hi) {
+    mid = (lo + hi) / 2;
+    if (T->rec[mid].addr < a) lo = mid + 1; else hi = mid;
+  }
+  if (lo == T->nrec || T->rec[lo].addr != a) {
+    if (T->nrec == T->caprec) {
+      int64_t cap = T->caprec ? 2 * T->caprec : 256;
+      RpRec *p = (RpRec *)rp_tr_grow(T, T->rec, cap, T->caprec,
+                                     sizeof(RpRec));
+      if (!p) return;
+      T->rec = p; T->caprec = cap;
+    }
+    memmove(T->rec + lo + 1, T->rec + lo,
+            (size_t)(T->nrec - lo) * sizeof(RpRec));
+    T->nrec++;
+  }
+  r = T->rec + lo;
+  r->addr = a; r->end = a + n; r->kind = kind; r->tag = tag;
+}
+
+void rp_tr_access(void *tp, int64_t site, int64_t a, int64_t n,
+                  int64_t st) {
+  RpTr *T = (RpTr *)tp;
+  int64_t x, cur = T->h.iter, lo = T->h.ex_lo, hi = T->h.ex_hi;
+  int32_t ex = (int32_t)T->h.exec;
+  int exposed = 0;
+  RpSite *s;
+  RpRec *rec;
+  RpB *b;
+  if (T->h.fail) return;
+  if (!T->h.in_loop) {
+    /* a store kills what an execution left behind; a load of it makes
+       that store downwards-exposed */
+    for (x = a; x < a + n; x++) {
+      b = rp_tr_byte(T, x, 0);
+      if (!b || !b->ws) continue;
+      if (st) b->ws = 0;
+      else rp_tr_flag(T, T->site + (b->ws - 1), RP_DOWN, 4);
+    }
+    return;
+  }
+  if (!(s = rp_tr_site(T, site))) return;
+  rec = rp_tr_find(T, a);
+  if (rec && s->okey != (rec->kind << 32 | rec->tag) + 1) {
+    uint64_t key = (uint64_t)(rec->kind << 32 | rec->tag);
+    s->okey = (int64_t)key + 1;
+    if (rp_set_add(T, &T->sobj, (uint64_t)site << 34 | key, T->seq)) {
+      T->seq++;
+      rp_set_add(T, &T->objs, key, rec->end - rec->addr);
+    }
+  }
+  if (!s->dyn) s->seq[0] = T->seq++;
+  s->dyn += 1;
+  rp_tr_flag(T, s, st ? RP_ST : RP_LD, st ? 1 : 2);
+  for (x = a; x < a + n; x++) {
+    if (x >= lo && x < hi) continue;
+    if (!(b = rp_tr_byte(T, x, 1))) return;
+    if (st) {
+      int32_t r;
+      if (b->ex != ex) { b->ex = ex; rp_tr_drop(T, b); }
+      else if (b->wi)
+        rp_tr_edge(T, b->ws - 1, site, RP_OUTPUT, b->wi - 1 != cur);
+      for (r = b->rd; r; r = T->rd[r - 1].next) {
+        if (T->rd[r - 1].first < cur)
+          rp_tr_edge(T, T->rd[r - 1].site, site, RP_ANTI, 1);
+        if (T->rd[r - 1].last == cur)
+          rp_tr_edge(T, T->rd[r - 1].site, site, RP_ANTI, 0);
+      }
+      rp_tr_drop(T, b);
+      b->ws = (int32_t)site + 1; b->wi = (int32_t)cur + 1;
+    } else {
+      if (b->ex != ex) { b->ex = ex; rp_tr_drop(T, b); b->wi = 0; }
+      if (b->wi) {
+        rp_tr_edge(T, b->ws - 1, site, RP_FLOW, b->wi - 1 != cur);
+      } else {
+        exposed = 1;
+        if (b->ws) rp_tr_flag(T, T->site + (b->ws - 1), RP_DOWN, 4);
+      }
+      rp_tr_read(T, b, site, cur);
+    }
+  }
+  if (exposed) rp_tr_flag(T, T->site + site, RP_UP, 3);
+}
+
+void *rp_tr_new(void) {
+  RpTr *T = (RpTr *)calloc(1, sizeof(RpTr));
+  if (T) T->h.loop = -1;
+  return T;
+}
+
+void rp_tr_free(void *tp) {
+  RpTr *T = (RpTr *)tp;
+  int64_t i;
+  for (i = 0; i < T->npg; i++) free(T->pg[i]);
+  free(T->pg); free(T->rd); free(T->rec); free(T->site);
+  free(T->edges.k); free(T->edges.v); free(T->sobj.k); free(T->sobj.v);
+  free(T->objs.k); free(T->objs.v);
+  free(T);
+}
+
+/* The summary: counts of sites, edges, site objects and objects, then
+   (nid, accesses, flags, five first-seen stamps) per site, (src, dst,
+   2 * kind + carried, stamp) per edge, (site, kind, tag, stamp) per
+   site object and (kind, tag, 0, size) per object.  Returns its
+   length; writes it only when it fits in cap. */
+int64_t rp_tr_dump(void *tp, int64_t *out, int64_t cap) {
+  RpTr *T = (RpTr *)tp;
+  int64_t i, ns = 0, need;
+  RpSet *sets[3];
+  int w;
+  sets[0] = &T->edges; sets[1] = &T->sobj; sets[2] = &T->objs;
+  for (i = 0; i < T->nsite; i++) ns += T->site[i].dyn > 0;
+  need = 4 + 8 * ns + 4 * (T->edges.n + T->sobj.n + T->objs.n);
+  if (cap < need) return need;
+  *out++ = ns; *out++ = T->edges.n; *out++ = T->sobj.n; *out++ = T->objs.n;
+  for (i = 0; i < T->nsite; i++) {
+    if (T->site[i].dyn <= 0) continue;
+    *out++ = i; *out++ = T->site[i].dyn; *out++ = T->site[i].flags;
+    memcpy(out, T->site[i].seq, sizeof T->site[i].seq);
+    out += 5;
+  }
+  for (w = 0; w < 3; w++) {
+    RpSet *S = sets[w];
+    for (i = 0; i < S->cap; i++) {
+      uint64_t k = S->k[i] - 1;
+      if (!S->k[i]) continue;
+      if (w == 0) {
+        *out++ = (int64_t)(k >> 33); *out++ = (int64_t)(k >> 3 & 0x3FFFFFFF);
+        *out++ = (int64_t)(k & 7);
+      } else if (w == 1) {
+        *out++ = (int64_t)(k >> 34); *out++ = (int64_t)(k >> 32 & 3);
+        *out++ = (int64_t)(k & 0xFFFFFFFF);
+      } else {
+        *out++ = (int64_t)(k >> 32); *out++ = (int64_t)(k & 0xFFFFFFFF);
+        *out++ = 0;
+      }
+      *out++ = S->v[i];
+    }
+  }
+  return need;
+}
+"""
+
+
 # ---------------------------------------------------------------------------
 # carrier limits: what C refuses, decided on the form
 # ---------------------------------------------------------------------------
@@ -678,6 +1072,9 @@ class _Emit:
         self.callees: Set[int] = set()
         #: (break_label, continue_label) of the enclosing loops
         self.loops: List[Tuple[str, str]] = []
+        #: the (on, start cycles, iteration) temps of the enclosing
+        #: tracked loops (an instrumented unit's candidate loops)
+        self.tracked: List[Tuple[str, str, str]] = []
         self.fn = fn  # inside f_<nid>: returns are C returns
 
     # -- plumbing ---------------------------------------------------------
@@ -766,9 +1163,10 @@ class _Emit:
     _ST = {"b": "8", "B": "8", "h": "16", "H": "16", "i": "32", "I": "32",
            "q": "64", "Q": "64", "f": "f32", "d": "f64"}
 
-    def load(self, addr: str, acc) -> Val:
+    def load(self, addr: str, acc, site: int) -> Val:
         """``Machine.load``: array decay, struct blob or scalar, guarded
-        where the walker bounds-checks."""
+        where the walker bounds-checks; an instrumented unit then hands
+        the access to the tracker."""
         if acc.shape == "array":
             t = self.t()
             self.o(f"{t} = {addr};")
@@ -783,10 +1181,11 @@ class _Emit:
             self.o(f"{t} = rp_ld_{self._LD[acc.fmt]}(M + {addr});")
             out = Val(t, cls, acc.ct)
         self.charge(acc.cy, "lds" if acc.count else None)
+        self.trace(site, addr, acc.size, 0)
         return out
 
-    def store(self, addr: str, v: Val, acc):
-        """``Machine.store``: convert, guard, pack, charge."""
+    def store(self, addr: str, v: Val, acc, site: int):
+        """``Machine.store``: convert, guard, pack, charge (and trace)."""
         if acc.shape == "array" or (acc.shape == "struct" and v.cls != "s"):
             self.fault(acc.fault)
             return
@@ -800,12 +1199,27 @@ class _Emit:
                 self.o(f"GK({addr}, {acc.size});")
             self.o(f"rp_st_{self._ST[acc.fmt]}(M + {addr}, {cv.ref});")
         self.charge(acc.cy, "sts" if acc.count else None)
+        self.trace(site, addr, acc.size, 1)
 
-    def alloca(self, size_ref: str) -> str:
+    def alloca(self, size_ref: str, decl: ast.VarDecl) -> str:
         # a grow callback may swap the backing buffer: reload M
         a = self.t()
         self.o(f"{a} = rp_alloca(E, {size_ref}); M = E->M;")
+        self.record(a, size_ref, KIND_STACK, decl.nid, decl.name)
         return a
+
+    # -- the instrumented unit's hooks (nothing elsewhere) ------------------
+    def trace(self, site: int, addr: str, size: int, store: int):
+        if self.low.tracked is not None:
+            self.o(f"TA({site}, {addr}, {size}, {store});")
+
+    def record(self, addr: str, size: str, kind: int, tag: int,
+               label: str):
+        """A new memory record for the tracker (``Memory.alloc``'s)."""
+        if self.low.tracked is not None:
+            self.low.result.labels[kind, tag] = label
+            self.o(f"if (E->tr) rp_tr_alloc(E->tr, {addr}, {size}, "
+                   f"{kind}, {tag});")
 
     # ======================================================================
     # lvalues and expressions
@@ -867,20 +1281,20 @@ class _Emit:
         return Val("E->nthreads", "i", x.ct)
 
     def _x_var(self, x):
-        return self.load(self.slot(x.slot), x.acc)
+        return self.load(self.slot(x.slot), x.acc, x.node.nid)
 
     def _x_addr(self, x):
         return Val(self.a(x.a), "i", x.ct)
 
     def _x_deref(self, x):
-        return self.load(self.ival(self.x(x.v)), x.acc)
+        return self.load(self.ival(self.x(x.v)), x.acc, x.node.nid)
 
     def _x_load(self, x):
-        return self.load(self.a(x.a), x.acc)
+        return self.load(self.a(x.a), x.acc, x.node.nid)
 
     def _x_incdec(self, x):
         addr = self.slot(x.a) if x.fused else self.a(x.a)
-        old = self.load(addr, x.ld)
+        old = self.load(addr, x.ld, x.lsite)
         if x.fault is not None:
             self.fault(x.fault)
             return old
@@ -890,7 +1304,7 @@ class _Emit:
         t = self.t("double" if new.cls == "f" else "int64_t")
         self.o(f"{t} = {new.ref};")
         new = Val(t, new.cls, x.ct)
-        self.store(addr, new, x.st)
+        self.store(addr, new, x.st, x.node.nid)
         return old if x.post else new
 
     def _x_unop(self, x):
@@ -990,11 +1404,11 @@ class _Emit:
         addr = self.slot(x.a) if x.fused else self.a(x.a)
         if x.op == "=":
             value = self.x(x.v)
-            self.store(addr, value, x.st)
+            self.store(addr, value, x.st, x.node.nid)
             return value  # unconverted, like the walker
-        old = self.load(addr, x.ld)
+        old = self.load(addr, x.ld, x.lsite)
         new = self.apply(x.ap, old, self.x(x.v))
-        self.store(addr, new, x.st)
+        self.store(addr, new, x.st, x.node.nid)
         return self.conv(new, x.ct)
 
     def _x_cond(self, x):
@@ -1057,6 +1471,10 @@ class _Emit:
         r = self._callback("builtin", x.name, x, [v])
         if x.name == "malloc":
             self.o(f"{t} = {r.ref};")
+            if self.low.tracked is not None:
+                self.o("} else {")
+                self.record(t, v.ref, KIND_HEAP, x.node.nid,
+                            malloc_label(x.node))
         self.o("}")
         return Val(t, "i", x.ct) if x.name == "malloc" else r
 
@@ -1141,15 +1559,15 @@ class _Emit:
             size = "1"
         else:
             size = str(x.size)
-        base = self.bound[x.decl] = self.alloca(size)
+        base = self.bound[x.decl] = self.alloca(size, x.decl)
         if value is not None:
-            self.store(base, value, x.st)
+            self.store(base, value, x.st, x.decl.nid)
         for item in x.init:
             if item.__class__ is Fault:
                 self.fault(item)
             else:
                 addr = f"({base} + {item.off})" if item.off else base
-                self.store(addr, self.x(item.v), item.st)
+                self.store(addr, self.x(item.v), item.st, item.node.nid)
 
     def stmt(self, x):
         k = x.kind
@@ -1187,19 +1605,32 @@ class _Emit:
         nid = x.node.nid
         self.loop_nids.add(nid)
         top, cont, brk = f"L{nid}_s", f"L{nid}_c", f"L{nid}_b"
+        tracked = self.low.tracked is not None and nid in self.low.tracked
+        if tracked:
+            on, c0, k = self.t(), self.t(), self.t()
+            self.tracked.append((on, c0, k))
+            # the profiler's controller: the execution and its cycles
+            # count from before the init, its iterations from after
+            self.o(f"{on} = rp_tr_on(E, {nid}); {c0} = {k} = 0;")
+            self.o(f"if ({on}) {c0} = rp_tr_enter(E, cy8);")
         if x.init is not None:
             self.stmt(x.init)
+        if tracked:
+            exempt = self.control_span(x.node)
+            self.o(f"if ({on}) {k} = rp_tr_begin(E, {exempt});")
         self.loops.append((brk, cont if x.how != "while" else top))
         self.label(top)
         if x.how != "dowhile" and x.c is not None:
-            self.charge(x.cy)
+            self.loop_charge(x.cy, tracked)
             c = self.x(x.c)
             self.o(f"if (!{self.truth(c)}) goto {brk};")
         self.fault(x.budget, "++E->steps > E->max_steps")
+        if tracked:
+            self.o(f"if ({on}) TR->iter = {k}++;")
         self.stmt(x.body)
         self.label(cont)
         if x.how == "dowhile":
-            self.charge(x.cy)
+            self.loop_charge(x.cy, tracked)
             c = self.x(x.c)
             self.o(f"if ({self.truth(c)}) goto {top};")
         else:
@@ -1208,9 +1639,35 @@ class _Emit:
             self.o(f"goto {top};")
         self.label(brk)
         self.loops.pop()
+        if tracked:
+            self.tracked.pop()
+            self.leave(on, c0, k)
+
+    def loop_charge(self, cy, tracked: bool):
+        """A loop's per-test charge, which the profiler's controller does
+        not make on the loop it drives."""
+        if tracked:
+            self.o(f"if (!{self.tracked[-1][0]}) cy8 += {_cy8(cy)};")
+        else:
+            self.charge(cy)
+
+    def leave(self, on: str, c0: str, k: str):
+        self.o(f"if ({on}) rp_tr_leave(E, {k}, cy8, {c0});")
+
+    def control_span(self, loop: ast.LoopStmt) -> str:
+        """Address and size of the bytes the profiler exempts: the loop's
+        control variable, if it has one."""
+        from ...analysis.profiler import find_control_decl
+        control = find_control_decl(loop)
+        if control is None:
+            return "0, 0"
+        slot = self.low.form.slot(control)
+        return f"{self.slot(slot)}, {control.ctype.size}"
 
     def emit_return(self, x):
         v = self.x(x.v) if x.v is not None else None
+        for hooks in reversed(self.tracked):
+            self.leave(*hooks)
         fn = self.fn
         if fn is not None:
             if v is None:
@@ -1266,11 +1723,13 @@ class Lowerer:
     calls for (:meth:`_emit_entries`) — is emitted once."""
 
     def __init__(self, program: ast.Program, sema,
-                 controlled: Optional[frozenset] = None):
+                 controlled: Optional[frozenset] = None,
+                 tracked: Optional[frozenset] = None):
         self.program = program
         self.sema = sema
         self.form = form_for(program, sema)
         self.controlled = controlled
+        self.tracked = tracked
         self.native_fns: Dict[int, FnMeta] = {}
         #: statement nid -> its refusal as (part of) a unit, or None
         self.unit_verdicts: Dict[int, Optional[str]] = {}
@@ -1458,6 +1917,7 @@ class Lowerer:
         entries = self._emit_entries()
         res.sema = self.sema
         res.controlled = self.controlled
+        res.tracked = self.tracked
         res.globals_order = tuple(self.sema.globals)
         res.nl = dict(self._nl)
         fwd = [self._fn_sig(m) + ";" for m in
@@ -1467,9 +1927,14 @@ class Lowerer:
             [res.chunks[k].cname for k in sorted(res.chunks)] +
             [m.runner for m in res.fns.values() if m.runner]
         )
+        traced = self.tracked is not None
+        prelude = _PRELUDE.replace("} Env;", _TRACED_ENV) if traced \
+            else _PRELUDE
         res.header = "\n".join(
-            [_PRELUDE] + ([_HEAP] if res.heap else []) + fwd + [""])
-        res.definitions = fns + entries + runners
+            [prelude] + ([_HEAP] if res.heap else []) +
+            ([_TRACKER_HEAD] if traced else []) + fwd + [""])
+        res.definitions = ([_TRACKER] if traced else []) + fns + \
+            entries + runners
         res.fingerprint = hashlib.sha256(
             (f"abi{NATIVE_ABI_VERSION}\n" + res.source).encode()
         ).hexdigest()[:16]
@@ -1557,11 +2022,18 @@ class Lowerer:
 
 
 def lower_program(program: ast.Program, sema,
-                  controlled: Optional[frozenset] = None) -> Lowering:
+                  controlled: Optional[frozenset] = None,
+                  tracked: Optional[frozenset] = None) -> Lowering:
     """Lower ``program`` to a C translation unit + dispatch metadata.
 
     ``controlled`` is the set of loop nids that may carry a controller;
-    ``None`` means any loop may (every loop gets the full entry set)."""
+    ``None`` means any loop may (every loop gets the full entry set).
+    ``tracked`` makes the *instrumented* unit: every access, record and
+    the entry, iterations and exit of those loops call the dependence
+    tracker the unit carries (``Env.tr``; without one they do
+    nothing)."""
     if controlled is not None:
         controlled = frozenset(controlled)
-    return Lowerer(program, sema, controlled).lower()
+    if tracked is not None:
+        tracked = frozenset(tracked)
+    return Lowerer(program, sema, controlled, tracked).lower()

@@ -67,6 +67,9 @@ from .codegen import (
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
+#: the label of the stack record that covers a stretch of C frames
+NATIVE_FRAMES = "native-frames"
+
 _OP_NAMES = {OP_GROW: "grow", OP_CALLFB: "call", OP_STRLIT: "strlit",
              OP_HEAP: "heap"}
 
@@ -105,6 +108,9 @@ class _Env(ctypes.Structure):
         ("hq", ctypes.POINTER(ctypes.c_int64)),
         ("jbp", ctypes.c_void_p),
         ("cb", _CBFUNC),
+        # an instrumented unit's two more (a plain one never reads them)
+        ("tr", ctypes.c_void_p),
+        ("tcy8", ctypes.c_int64),
     ]
 
 
@@ -196,7 +202,7 @@ class NativeMachine(BytecodeMachine):
                  max_steps: int = 500_000_000,
                  max_loop_steps: Optional[int] = None,
                  engine: Optional[str] = None, tracer=None,
-                 memory=None, controlled=None):
+                 memory=None, controlled=None, tracked=None):
         super().__init__(program, sema, check_bounds, max_steps,
                          max_loop_steps, tracer=tracer, memory=memory)
         #: NL-* diagnostic when the backend is unavailable (None = ok)
@@ -205,7 +211,8 @@ class NativeMachine(BytecodeMachine):
         self._handles = None
         try:
             from .backend import native_context_for
-            ctx = native_context_for(program, sema, controlled=controlled)
+            ctx = native_context_for(program, sema, controlled=controlled,
+                                     tracked=tracked)
             self._low = ctx.lowering
             self._lib = ctx.lib
             self._handles = ctx.lib.handles
@@ -232,6 +239,9 @@ class NativeMachine(BytecodeMachine):
         #: for a builtin), and the heap operations it made in C instead
         self.upcalls: Counter = Counter()
         self.heap_ops = 0
+        #: the dependence tracker compiled code reports to
+        #: (:meth:`attach_tracker`), also the one observer it serves
+        self.tracker = None
         self._heap: Optional[_HeapMirror] = None
         if self._low is not None and self._low.heap:
             self._heap = _HeapMirror(self._env)
@@ -240,17 +250,28 @@ class NativeMachine(BytecodeMachine):
     # -- gates -------------------------------------------------------------
     def _native_ok(self) -> bool:
         """Compiled code may run: nothing is attached that only the
-        closures can serve — observers, fault hooks, a redirector, or a
-        watchdog (a budget is honored where statements are counted)."""
+        closures can serve — observers (but the tracker compiled code
+        reports to), fault hooks, a redirector, or a watchdog (a budget
+        is honored where statements are counted)."""
         return (self._low is not None
                 and self._globals_ready
                 and self.redirector is None
-                and not self.observers
+                and (not self.observers or self.observers == [self.tracker])
                 and self._stmt_hook is None
                 and self._tid_hook is None
                 and not self._store_taps
                 and self.max_loop_steps is None
                 and self._watchdog_deadline is None)
+
+    def attach_tracker(self, tracker) -> None:
+        """Report every access, record and candidate-loop boundary to
+        ``tracker`` (a :class:`~.tracker.Tracker` of this machine's
+        instrumented unit): compiled code through ``Env.tr``, Python
+        builtins as an observer, ``Memory`` through its hook."""
+        self.tracker = tracker
+        self._env.tr = tracker.ptr
+        self.observers.append(tracker)
+        self.memory.alloc_hook = tracker.on_alloc
 
     def _controllers_clear(self, meta) -> bool:
         if not self.loop_controllers:
@@ -332,6 +353,13 @@ class NativeMachine(BytecodeMachine):
             E.daddr = self._daddr_arr
         self._push_heap()
         self._pending = None
+        self._stamp_cycles()
+
+    def _stamp_cycles(self):
+        """The tracker counts a loop's cycles from ``Env.tcy8`` on: what
+        Python committed, set whenever control goes back to C."""
+        if self.tracker is not None:
+            self._env.tcy8 = int(self.cost.cycles * 8)
 
     def _commit_costs(self):
         E = self._env
@@ -378,7 +406,7 @@ class NativeMachine(BytecodeMachine):
         memory = self.memory
         aligned = (memory.brk + 7) & ~7
         if brk > aligned:
-            memory.alloc(brk - aligned, mem.STACK, label="native-frames")
+            memory.alloc(brk - aligned, mem.STACK, label=NATIVE_FRAMES)
         else:  # pragma: no cover - brk inside the alignment padding
             memory.brk = brk
 
@@ -464,6 +492,7 @@ class NativeMachine(BytecodeMachine):
             E.steps = self._steps
             E.brk = self.memory.brk
             self._push_heap()
+            self._stamp_cycles()
 
     def _decode_call_args(self, meta) -> List:
         E = self._env

@@ -30,10 +30,14 @@ In permissive mode the transform stages run as one monolithic unit
 a *clean* result — no diagnostics, no quarantined loops — is cached,
 under the ``plan`` key.
 
-A native chain starts the sequential baseline's C compile as soon as
-``sema`` is at hand (that unit depends on nothing else), so on a cold
-job it builds while the profile runs; ``lower-native`` finishes it, and
-:meth:`compile` aborts it if any stage raises.
+A native chain starts the original program's *instrumented* unit as
+soon as ``sema`` is at hand (it depends on nothing else): the profile
+runs it with the C dependence tracker attached, and the sequential
+baseline runs the same library with none.  On a cold job the profile
+waits for its compile (every core builds it); when the profile hits,
+it builds beside the stages that still compute and ``lower-native``
+finishes it — unless the baseline's side stage hits too, and nothing
+will run it.  :meth:`compile` aborts a build a raising stage leaves.
 """
 
 from __future__ import annotations
@@ -59,6 +63,9 @@ from .job import Job
 #: only when the job's engine is "native")
 STAGES = ("parse", "sema", "profile", "classify", "expand", "optimize",
           "plan", "lower", "lower-native")
+
+#: the stages that run the dependence profile (strict, permissive)
+_PROFILING = ("profile", "transform")
 
 
 def _h(prev: str, *parts) -> str:
@@ -131,8 +138,8 @@ class StageContext:
         #: stage cache (filled by the lower-native stage)
         self.native = None
         self.native_baseline = None
-        #: transient — the baseline unit's build, started after sema
-        #: and finished by the lower-native stage
+        #: transient — the instrumented unit's build, started after
+        #: sema and finished by the profile or the lower-native stage
         self.baseline_build = None
 
     def snapshot(self) -> dict:
@@ -223,7 +230,8 @@ class StagedCompiler:
             for stage in chain[start:]:
                 if early and stage not in ("parse", "sema"):
                     early = False
-                    self._start_baseline(ctx)
+                    self._start_instrumented(
+                        ctx, keys, profiled=stage in _PROFILING)
                 self._compute(stage, job, ctx, keys)
                 report[self._label(stage)] = "miss"
         finally:
@@ -327,6 +335,7 @@ class StagedCompiler:
             ctx.sema = analyze(ctx.program)
 
     def _stage_profile(self, job: Job, ctx: StageContext) -> None:
+        self._await_instrumented(ctx)
         _, ctx.profiles = self._pipeline_for(ctx).stage_profile(
             ctx.loops())
 
@@ -360,6 +369,7 @@ class StagedCompiler:
     def _stage_transform(self, job: Job, ctx: StageContext) -> None:
         """Permissive mode: profile → plan as one unit, preserving the
         quarantine / bisection / identity-fallback semantics exactly."""
+        self._await_instrumented(ctx)
         opts = job.options
         result = expand_for_threads(
             ctx.program, ctx.sema, list(job.loop_labels),
@@ -394,32 +404,68 @@ class StagedCompiler:
             return os.path.join(self.cache.root, "native-so")
         return None
 
-    def _start_baseline(self, ctx: StageContext) -> None:
+    def _start_instrumented(self, ctx: StageContext, keys,
+                        profiled: bool) -> None:
         """A native chain is about to compute its first stage after
-        sema (on a cold job: the profile).  The sequential baseline's
-        unit depends on sema alone, so its compiler starts now — one
-        process, leaving the other core to the stages in between — and
-        lower-native finishes it; :meth:`compile` aborts it if a stage
-        raises first."""
+        sema.  The original program's instrumented unit — hooks on the
+        job's candidate loops, the dependence tracker beside them —
+        depends on sema alone, so its compiler starts now: on every core
+        when the profile is that stage (it waits for the unit), as one
+        process otherwise, leaving the other core to the stages in
+        between.  With the profile cached, a cached baseline leaves
+        nothing to run the unit, and it is not built at all.
+        :meth:`compile` aborts the build if a stage raises first."""
         from ..interp.native import native_backend_available
         from ..interp.native.backend import start_contexts
+        if not profiled and self.cache is not None and \
+                self.cache.has("baseline", keys["baseline"]):
+            return
         if not native_backend_available()[0]:
-            return  # lower-native warns and degrades
-        with self.tracer.phase("lower-native", unit="baseline"):
+            return  # the profile and lower-native warn and degrade
+        tracked = set()
+        for label in ctx.job.loop_labels:
+            try:
+                tracked.add(ast.find_loop(ctx.program, label).nid)
+            except KeyError:
+                pass  # the profile quarantines or raises
+        with self.tracer.phase("lower-native", unit="instrumented"):
             ctx.baseline_build = start_contexts(
-                [(ctx.program, ctx.sema, frozenset())],
-                cache_dir=self._native_cache_dir(), max_parts=1)
+                [(ctx.program, ctx.sema, frozenset(), frozenset(tracked))],
+                cache_dir=self._native_cache_dir(),
+                max_parts=None if profiled else 1)
+
+    def _await_instrumented(self, ctx: StageContext) -> None:
+        """The profile runs the instrumented unit: wait for its build
+        (the wait is compile time, and counts as such)."""
+        pending = ctx.baseline_build
+        if pending is None:
+            return
+        ctx.baseline_build = None
+        with self.tracer.phase("lower-native", unit="instrumented"):
+            t_wait = time.perf_counter()
+            (ctx.native_baseline,) = pending.finish()
+        self._count_libs(ctx.native_baseline)
+        if self.tracer and pending.build.compiling:
+            self.tracer.metrics.inc(
+                "native.compile_seconds",
+                max(0.0, pending.build.t_done - max(t_wait,
+                                                    pending.build.t0)))
+
+    def _count_libs(self, *contexts) -> None:
+        if self.tracer:
+            for c in contexts:
+                self.tracer.metrics.inc(
+                    "native.so_cache_hit" if c.lib.cache_hit
+                    else "native.so_cache_miss")
 
     def _stage_lower_native(self, job: Job, ctx: StageContext) -> None:
-        """Lower the transformed + original programs to C — entry
-        points for the loops that get a controller, none but the
-        runners for the sequential baseline — compile them and dlopen
-        them.  The baseline's compiler started after sema
-        (:meth:`_start_baseline`); the transformed unit's start here.
-        The artifact (dlopen handles) lives in the memory tier; the
-        compiled .so is content-cached on disk beside the stage cache,
-        so a daemon restart re-lowers but never re-invokes the C
-        compiler."""
+        """Lower the transformed program to C — entry points for the
+        loops that get a controller — compile it and dlopen it, and
+        finish the original's instrumented unit if the profile did not
+        (:meth:`_start_instrumented`).  The artifact (dlopen handles) lives
+        in the memory tier; the compiled .so is content-cached on disk
+        beside the stage cache, so a daemon restart re-lowers but never
+        re-invokes the C compiler."""
         from ..interp.native import native_backend_available
         from ..interp.native.backend import start_contexts
         ok, reason = native_backend_available()
@@ -441,22 +487,22 @@ class StagedCompiler:
             t_cc = pending.build.t0 if pending.build.compiling \
                 else time.perf_counter()
             (ctx.native,) = pending.finish()
-            (ctx.native_baseline,) = early.finish()
-            ctx.baseline_build = None
+            builds = [pending]
+            if early is not None:
+                (ctx.native_baseline,) = early.finish()
+                ctx.baseline_build = None
+                builds.append(early)
+                self._count_libs(ctx.native_baseline)
+        self._count_libs(ctx.native)
         if self.tracer:
-            metrics = self.tracer.metrics
-            for c in (ctx.native, ctx.native_baseline):
-                metrics.inc("native.so_cache_hit" if c.lib.cache_hit
-                            else "native.so_cache_miss")
             # wall-clock inside this stage with a compiler running, not
             # the sum over the processes: lower-native minus this is
-            # codegen time (a baseline finished during the profile
-            # adds nothing)
-            done = [b.build.t_done for b in (pending, early)
-                    if b.build.compiling]
+            # codegen time (a unit finished before this stage adds
+            # nothing)
+            done = [b.build.t_done for b in builds if b.build.compiling]
             if done:
-                metrics.inc("native.compile_seconds",
-                            max(0.0, max(done) - t_cc))
+                self.tracer.metrics.inc("native.compile_seconds",
+                                        max(0.0, max(done) - t_cc))
 
     # -- observability ----------------------------------------------------
     def _note(self, report: Dict[str, str]) -> None:

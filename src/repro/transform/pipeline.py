@@ -507,7 +507,7 @@ class ExpansionPipeline:
                     profile = self._given_profiles.get(label) or \
                         profile_loop(
                             self.program, self.sema, loop, self.entry,
-                            engine=self.engine,
+                            engine=self.engine, sink=self.sink,
                         )
             except PIPELINE_FAULTS as exc:
                 self._quarantine(label, "profile", exc, loop=loop)
@@ -1092,8 +1092,8 @@ def expand_for_threads(
     :class:`TransformedLoop`.
 
     ``engine`` is the interpreter tier the dependence profile runs on
-    (every tier yields the same profile; the bare and native tiers are
-    promoted to instrumented bytecode, which observers need).
+    (every tier yields the same profile; native runs the program's
+    instrumented C unit with the dependence tracker attached).
     """
     pipeline = ExpansionPipeline(
         program, sema, loop_labels, optimize=optimize, entry=entry,

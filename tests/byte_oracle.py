@@ -203,7 +203,7 @@ def oracle_profile_loop(*args, **kwargs):
 #: every observable field of a LoopProfile and of its DDG
 PROFILE_FIELDS = ("iterations", "executions", "site_objects",
                   "object_labels", "object_sizes", "loop_cycles",
-                  "total_cycles", "stmt_cycles")
+                  "total_cycles")
 DDG_FIELDS = ("sites", "edges", "upward_exposed", "downward_exposed",
               "dyn_counts", "store_sites", "load_sites")
 

@@ -475,23 +475,29 @@ class TestOneDriver:
 
 
 class TestProfileStageEngine:
-    """The ``profile`` stage runs on the job's own engine — promoted to
-    instrumented bytecode where the engine has no observer fan-out —
-    which is what its cache key has always said."""
+    """The ``profile`` stage runs on the job's own engine — ``native``
+    on the instrumented unit with its C tracker — which is what its
+    cache key has always said."""
 
     @staticmethod
     def _compile(engine, cache, monkeypatch):
         from repro.analysis import profiler
+        from repro.interp.native import runtime
         from repro.service import CompileOptions, Job, StagedCompiler
         machines = []
-        real_machine = profiler.Machine
 
-        def spy(*args, **kwargs):
-            machine = real_machine(*args, **kwargs)
-            machines.append(machine)
-            return machine
+        def spy_on(module, name):
+            real = getattr(module, name)
 
-        monkeypatch.setattr(profiler, "Machine", spy)
+            def spy(*args, **kwargs):
+                machine = real(*args, **kwargs)
+                machines.append(machine)
+                return machine
+
+            monkeypatch.setattr(module, name, spy)
+
+        spy_on(profiler, "Machine")
+        spy_on(runtime, "NativeMachine")
         job = Job(FIGURE3, ["L"], CompileOptions(engine=engine),
                   check_races=False)
         compiled = StagedCompiler(cache=cache).compile(job)
@@ -500,6 +506,7 @@ class TestProfileStageEngine:
 
     def test_stage_runs_where_its_key_says(self, monkeypatch):
         from repro.interp.bytecode import BytecodeMachine
+        from repro.interp.native import NativeMachine
         from repro.service import StageCache
         from .byte_oracle import profile_diff
         # one cache: the engine-independent parse and sema artifacts are
@@ -514,7 +521,10 @@ class TestProfileStageEngine:
             assert compiled.report["profile"] == "miss"
             ctx = compiled.ctx
             assert ctx.program is reference.program
-            assert type(machine) is BytecodeMachine
+            if engine == "native":
+                assert type(machine) is NativeMachine and machine.tracker
+            else:
+                assert type(machine) is BytecodeMachine
             assert not profile_diff(ctx.profiles["L"],
                                     reference.profiles["L"])
             for field in ("private_sites", "shared_sites",
@@ -533,9 +543,10 @@ def _native_ok():
 @pytest.mark.skipif(not _native_ok()[0], reason=_native_ok()[1])
 class TestColdNativeCompile:
     """The two translation units of a cold native job (transformed
-    program, sequential baseline): the baseline's compiler starts before
-    the profile, as one process, the transformed unit's compilers start
-    in ``lower-native``, and nothing of a build outlives the compile."""
+    program, the original's instrumented unit): the instrumented unit's
+    compilers start before the profile, which runs it, the transformed
+    unit's start in ``lower-native``, and nothing of a build outlives
+    the compile."""
 
     @staticmethod
     def _job(source=FIGURE1):
@@ -569,9 +580,11 @@ class TestColdNativeCompile:
                 if ".tmp" in name or name.endswith(".o") or ".part" in name]
 
     def test_both_compilers_run_at_once(self, tmp_path, monkeypatch):
-        """The baseline compiles while the profile runs; the transformed
-        unit's parts start together in lower-native."""
+        """Each unit's compilers run at once: the instrumented unit's
+        parts start before the profile, which waits for their link; the
+        transformed unit's parts start together in lower-native."""
         import os
+        from repro.frontend import ast
         from repro.interp.native import backend as nb
         from repro.obs import Tracer
         from repro.service import StageCache, StagedCompiler
@@ -579,43 +592,48 @@ class TestColdNativeCompile:
         monkeypatch.setattr(nb, "PART_LINES", 200)
         tracer = Tracer()
         children, opened = self._spy_on_compilers(monkeypatch, tracer)
-        waits, cpu = [], {}
+        waits = []
         real_wait4 = nb.os.wait4
 
         def wait4(pid, options):
             waits.append(len(children))
-            reaped = real_wait4(pid, options)
-            cpu[pid] = reaped[2].ru_utime + reaped[2].ru_stime
-            return reaped
+            return real_wait4(pid, options)
 
         monkeypatch.setattr(nb.os, "wait4", wait4)
         compiled = StagedCompiler(cache=StageCache(root=str(tmp_path)),
                                   tracer=tracer).compile(self._job())
         assert compiled.report["lower-native"] == "miss"
-        # baseline (one process) before the profile span opened; the
-        # transformed unit's two parts after the plan, before any wait;
-        # then its link
-        first, *parts, link = opened
-        assert "profile" not in first and first[-1] == "lower-native"
-        assert len(parts) == 2 and all("plan" in o for o in parts)
-        assert waits[0] == 3 and "plan" in link
+        # the instrumented unit: two parts, then its link, all before
+        # the profile span opened; the transformed unit: two parts
+        # after the plan, before any wait of theirs, then its link
+        assert len(children) == 6
+        instrumented, transformed = opened[:3], opened[3:]
+        assert all("profile" not in o and o[-1] == "lower-native"
+                   for o in instrumented)
+        assert all("plan" in o for o in transformed)
+        assert waits[:2] == [2, 2] and waits[3] == 5
         assert all(child.returncode == 0 for child in children)
-        libs = [compiled.ctx.native.lib, compiled.ctx.native_baseline.lib]
+        baseline = compiled.ctx.native_baseline
+        assert baseline.lowering.tracked == frozenset(
+            (ast.find_loop(compiled.program, "L").nid,))
+        libs = [compiled.ctx.native.lib, baseline.lib]
         assert not any(lib.cache_hit for lib in libs)
+        assert [lib.parts for lib in libs] == [2, 2]
         assert not self._leftovers(str(tmp_path / "native-so"))
-        # the stage's cc time is wall-clock inside lower-native with a
-        # compiler running: inside the stage's span, no less than the
-        # transformed unit's slowest process (a part or the link; CPU
-        # seconds of one process never exceed its wall time).  The
-        # baseline's one process fits between the first lower-native
-        # span's start and the end of the last
-        early, late = [s for s in tracer.spans if s.name == "lower-native"]
+        # the profile ran with no compiler left: the wait for the
+        # instrumented unit is a lower-native span of its own, closed
+        # before the profile span opened
+        spans = [s for s in tracer.spans if not s.depth]
+        names = [s.name for s in spans]
+        wait = names.index("profile") - 1
+        assert names[wait] == "lower-native" and \
+            spans[wait].args == {"unit": "instrumented"}
+        assert spans[wait].end_us <= spans[wait + 1].start_us
+        # the stage's cc time is wall-clock inside lower-native spans
+        # with a compiler running
+        native = [s for s in spans if s.name == "lower-native"]
         cc_wall = tracer.metrics["native.compile_seconds"]
-        baseline, *transformed = [cpu[child.pid] for child in children]
-        assert max(transformed) <= cc_wall <= late.dur_us / 1e6
-        whole = (late.start_us + late.dur_us - early.start_us) / 1e6
-        assert baseline == libs[1].compile_seconds <= whole
-        assert sum(transformed) == pytest.approx(libs[0].compile_seconds)
+        assert 0 < cc_wall <= sum(s.dur_us for s in native) / 1e6
 
     def test_failing_compiler_leaves_nothing_behind(self, tmp_path,
                                                     monkeypatch):
@@ -633,25 +651,40 @@ class TestColdNativeCompile:
         cache = StageCache(root=str(tmp_path / "cache"))
         with pytest.raises(RuntimeError, match="NL-CC-FAIL.*boom"):
             StagedCompiler(cache=cache).compile(self._job())
-        # both were started, the baseline's before the profile; the
-        # first waited for failed, and the other was reaped (finished or
-        # stopped) before the error left the compile
-        assert len(children) == 2
-        assert all(child.returncode is not None for child in children)
-        assert 3 in [child.returncode for child in children]
+        # the instrumented unit's compiler, started before the profile,
+        # failed while the profile waited for it: the error left the
+        # compile before the transformed unit's could start
+        (child,) = children
+        assert child.returncode == 3
         # no partial .so: the failed unit's .c is all that is kept
         left = os.listdir(str(tmp_path / "cache" / "native-so"))
         assert left and all(name.endswith(".c") for name in left)
         assert not self._leftovers(str(tmp_path / "cache" / "native-so"))
 
+    def _warm_profile(self, tmp_path):
+        """Compile once, drop the .so cache: a job with other options
+        then hits its profile, so the instrumented unit builds beside the
+        stages after it (nothing has cached its baseline run)."""
+        import shutil
+        from repro.service import CompileOptions, Job, StageCache, \
+            StagedCompiler
+        StagedCompiler(cache=StageCache(root=str(tmp_path))).compile(
+            self._job())
+        shutil.rmtree(str(tmp_path / "native-so"))
+        return Job(FIGURE1, ["L"], CompileOptions(engine="native",
+                                                  opt=False),
+                   check_races=False)
+
     def test_compiler_that_cannot_start_leaves_no_source_behind(
             self, tmp_path, monkeypatch):
-        """``Popen`` raising on the transformed unit after the baseline
-        started early: the baseline's child is stopped and reaped, and
-        no source, output or temporary of either unit is left."""
+        """``Popen`` raising on the transformed unit after the
+        instrumented unit started early (the profile hit): that child is
+        stopped and reaped, and no source, output or temporary of either
+        unit is left."""
         import os
         from repro.interp.native import backend as nb
         from repro.service import StageCache, StagedCompiler
+        job = self._warm_profile(tmp_path)
         real = nb.subprocess.Popen
         children = []
 
@@ -666,13 +699,33 @@ class TestColdNativeCompile:
         monkeypatch.setattr(nb.subprocess, "Popen", popen)
         cache = StageCache(root=str(tmp_path))
         with pytest.raises(OSError, match="Too many open files"):
-            StagedCompiler(cache=cache).compile(self._job())
+            StagedCompiler(cache=cache).compile(job)
         (first,) = children
         assert first.returncode is not None
         assert os.listdir(str(tmp_path / "native-so")) == []
 
-    def test_a_profile_that_raises_stops_the_early_build(self, tmp_path,
+    def test_a_raising_stage_stops_the_early_build(self, tmp_path,
+                                                   monkeypatch):
+        import os
+        from repro.service import StageCache, StagedCompiler
+        job = self._warm_profile(tmp_path)
+        children, _ = self._spy_on_compilers(monkeypatch)
+
+        def expand(*args):
+            raise RuntimeError("expand broke")
+
+        monkeypatch.setattr(StagedCompiler, "_stage_expand", expand)
+        cache = StageCache(root=str(tmp_path))
+        with pytest.raises(RuntimeError, match="expand broke"):
+            StagedCompiler(cache=cache).compile(job)
+        (instrumented,) = children
+        assert instrumented.returncode is not None
+        assert os.listdir(str(tmp_path / "native-so")) == []
+
+    def test_a_profile_that_raises_keeps_the_unit_it_ran(self, tmp_path,
                                                          monkeypatch):
+        """The profile finished the instrumented unit's build and ran
+        it: its library stays cached, and nothing else was started."""
         import os
         from repro.service import StageCache, StagedCompiler
         never = FIGURE1.replace("    #pragma", "    if (m > 0) return 0;\n"
@@ -681,15 +734,17 @@ class TestColdNativeCompile:
         cache = StageCache(root=str(tmp_path))
         with pytest.raises(RuntimeError, match="never executed"):
             StagedCompiler(cache=cache).compile(self._job(never))
-        (baseline,) = children
-        assert baseline.returncode is not None
-        assert os.listdir(str(tmp_path / "native-so")) == []
+        (instrumented,) = children
+        assert instrumented.returncode == 0
+        assert sorted(name.rsplit(".", 1)[1] for name in os.listdir(
+            str(tmp_path / "native-so"))) == ["c", "so"]
 
     def test_a_warm_profile_starts_the_baseline_first(self, tmp_path,
                                                       monkeypatch):
-        """Whatever the probe loads, the baseline's compiler starts
-        before the first stage the job computes (here: profile and
-        classify hit, the options changed, the .so cache is gone)."""
+        """Whatever the probe loads, the instrumented unit's compiler
+        starts before the first stage the job computes while the
+        baseline's run is not cached (here: profile and classify hit,
+        the options changed, the .so cache is gone)."""
         import shutil
         from repro.obs import Tracer
         from repro.service import (
@@ -716,3 +771,29 @@ class TestColdNativeCompile:
             first.ctx.native_baseline.lowering.fingerprint
         assert not compiled.ctx.native_baseline.lib.cache_hit
         assert not self._leftovers(str(tmp_path / "native-so"))
+
+    def test_a_cached_profile_and_baseline_leave_the_unit_alone(
+            self, tmp_path, monkeypatch):
+        """With the profile and the baseline's run both cached, nothing
+        would run the instrumented unit: the job does not lower, compile
+        or bind it (a fresh process: the memory tier is cold)."""
+        from repro.interp.native import backend as nb
+        from repro.service import StageCache, StagedCompiler, run_job
+        cache = StageCache(root=str(tmp_path))
+        run_job(StagedCompiler(cache=cache).compile(self._job()),
+                cache=cache)
+        lowered, bound = [], []
+        real_lower, real_bind = nb.lower_program, nb._bind
+        monkeypatch.setattr(nb, "lower_program", lambda *a: lowered.append(
+            a[3] if len(a) > 3 else None) or real_lower(*a))
+        monkeypatch.setattr(nb, "_bind", lambda path, exports: bound.append(
+            path) or real_bind(path, exports))
+        children, _ = self._spy_on_compilers(monkeypatch)
+        cache = StageCache(root=str(tmp_path))
+        compiled = StagedCompiler(cache=cache).compile(self._job())
+        assert compiled.report["profile"] == "hit"
+        assert compiled.report["lower-native"] == "miss"
+        assert compiled.ctx.native_baseline is None
+        assert lowered == [None] and len(bound) == 1 and not children
+        outcome = run_job(compiled, cache=cache)
+        assert outcome.verified and lowered == [None]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.analysis.profiler import LoopProfile, _ProfileObserver, profile_loop
 from repro.bench import all_benchmarks, get
+from repro.diagnostics import DiagnosticSink
 from repro.frontend import ast, parse_and_analyze
 from repro.interp.shadow import SIZE, Shadow
 
@@ -101,14 +102,31 @@ class TestShadow:
         assert self.layout(shadow) == [(50, 2), (60, 1), (61, 1), (62, 2)]
 
 
+def _native():
+    from repro.interp.native import native_backend_available
+    return native_backend_available()
+
+
+needs_cc = pytest.mark.skipif(not _native()[0], reason=_native()[1])
+
+
 class TestKernelProfiles:
     @pytest.mark.parametrize("name,label", KERNEL_LOOPS)
     def test_profile_equals_byte_oracle(self, name, label):
+        """The closures' observer and, where the host has a compiler,
+        the instrumented unit's C tracker."""
         program, sema = parse_and_analyze(get(name).source)
         loop = ast.find_loop(program, label)
         got = profile_loop(program, sema, loop, engine="bytecode")
         want = oracle_profile_loop(program, sema, loop, engine="bytecode")
         assert got.ddg.edges and not profile_diff(got, want)
+        if _native()[0]:
+            sink = DiagnosticSink()
+            native = profile_loop(program, sema, loop, engine="native",
+                                  sink=sink)
+            assert not sink.diagnostics
+            assert not profile_diff(native, got)
+            assert not profile_diff(native, want)
 
     def test_walker_and_bytecode_profiles_agree(self):
         program, sema = parse_and_analyze(get("histogram").source)
@@ -168,21 +186,84 @@ def _snapshot(profile):
         s: set(objs) for s, objs in profile.site_objects.items()}
 
 
+class _CTracker:
+    """The instrumented unit's C tracker behind the observer interface
+    the streams drive: the loop boundaries through the state its loop
+    hooks share, accesses through its Python-callable entry, and the
+    32-byte records through ``Memory``'s hook."""
+
+    def __init__(self, path):
+        from repro.interp.native.tracker import Tracker
+        self.tracker = Tracker(path, 0, {})
+        self.head = self.tracker.head
+        for tag in range(BASE // 32, (BASE + 128) // 32):
+            record = _Record(tag)
+            record.addr = 32 * tag
+            self.tracker.on_alloc(record)
+
+    @property
+    def exempt(self):
+        return range(self.head.ex_lo, self.head.ex_hi)
+
+    @exempt.setter
+    def exempt(self, span):
+        self.head.ex_lo, self.head.ex_hi = span.start, span.stop
+
+    def begin_execution(self):
+        self.head.in_loop = 1
+        self.head.exec += 1
+
+    def begin_iteration(self, k):
+        self.head.iter = k
+
+    def end_execution(self):
+        self.head.in_loop = 0
+
+    def on_access(self, *event):
+        self.tracker.on_access(*event)
+
+    @property
+    def profile(self):
+        profile = LoopProfile(None)
+        self.tracker.fill(profile)
+        return profile
+
+
+@pytest.fixture(scope="module")
+def tracker_library():
+    """The library of a tiny program's instrumented unit (every one
+    carries the same tracker), or None without a C compiler."""
+    if not _native()[0]:
+        return None
+    from repro.interp.native.backend import native_context_for
+    program, sema = parse_and_analyze(
+        "int main(void) { int i; L: for (i = 0; i < 2; i++) {} "
+        "return 0; }")
+    loop = ast.find_loop(program, "L")
+    return native_context_for(program, sema, frozenset(),
+                              frozenset((loop.nid,))).lib.path
+
+
 class TestRandomStreams:
     @pytest.mark.parametrize("seed", range(40))
-    def test_observers_agree_after_every_phase(self, seed):
+    def test_observers_agree_after_every_phase(self, seed,
+                                               tracker_library):
+        """The cell shadow, the byte oracle and (with a C compiler) the
+        C tracker."""
         rng = random.Random(seed)
         observers = []
         for cls in (_ProfileObserver, ByteProfileObserver):
             profile = LoopProfile(None)
             observers.append(cls(_Machine(), profile))
+        if tracker_library is not None:
+            observers.append(_CTracker(tracker_library))
 
         def feed(n):
             for event in _accesses(rng, n):
                 for obs in observers:
                     obs.on_access(*event)
-            new, old = (_snapshot(obs.profile) for obs in observers)
-            assert new == old
+            new, *old = (_snapshot(obs.profile) for obs in observers)
+            assert all(new == other for other in old)
 
         feed(rng.randrange(20))          # before the loop first runs
         k = 0
@@ -204,6 +285,85 @@ class TestRandomStreams:
         for byte in range(BASE, BASE + 128):
             for obs in observers:
                 obs.on_access(99, byte, 1, False)
-        new, old = (_snapshot(obs.profile) for obs in observers)
-        assert new == old
+        new, *old = (_snapshot(obs.profile) for obs in observers)
+        assert all(new == other for other in old)
         assert new[0]["edges"], "stream too short to mean anything"
+        if tracker_library is not None:
+            observers[-1].tracker.close()
+
+
+@needs_cc
+class TestNativeProfile:
+    """What only the instrumented unit's run has to get right: accesses
+    Python makes for it, and the two ways it leaves the profile to the
+    closures, each with its code."""
+
+    BUILTINS = """
+    int src[16];
+    int dst[16];
+    int out[8];
+    int main(void) {
+        int i; int k;
+        for (k = 0; k < 16; k++) src[k] = k;
+        L: for (i = 0; i < 8; i++) {
+            memset(dst, 0, 4 * sizeof(int));
+            memcpy(dst + 4, src + i, 8 * sizeof(int));
+            out[i] = dst[4] + dst[11] + i;
+        }
+        print_int(out[7]);
+        return 0;
+    }
+    """
+
+    def test_builtin_accesses_reach_the_tracker(self):
+        from repro.interp.native.backend import _CONTEXTS
+        program, sema = parse_and_analyze(self.BUILTINS)
+        loop = ast.find_loop(program, "L")
+        native = profile_loop(program, sema, loop, engine="native")
+        calls = {c.node.nid: c.name for c in _CONTEXTS[program].lowering.calls
+                 if c.kind == "builtin"}
+        # the builtins are upcalls from C: their sites can only have
+        # reached the profile through the tracker's Python entry
+        memset, memcpy = (nid for name in ("memset", "memcpy")
+                          for nid, n in calls.items() if n == name)
+        assert memset in native.ddg.store_sites
+        assert memcpy in native.ddg.store_sites & native.ddg.load_sites
+        dst = next(d for d in sema.globals if d.name == "dst")
+        assert ("global", dst.nid) in native.site_objects[memcpy]
+        want = profile_loop(program, sema, loop, engine="bytecode")
+        assert not profile_diff(native, want)
+
+    def test_no_compiler_profiles_on_the_closures_with_a_warning(
+            self, monkeypatch):
+        from repro.interp.native import backend as nb
+        monkeypatch.setattr(nb, "native_backend_available", lambda: (
+            False, "NL-NO-CC: no C compiler on PATH (stubbed)"))
+        program, sema = parse_and_analyze(get("histogram").source)
+        loop = ast.find_loop(program, "L")
+        sink = DiagnosticSink()
+        got = profile_loop(program, sema, loop, engine="native", sink=sink)
+        assert [d.code for d in sink.diagnostics] == ["NL-UNAVAILABLE"]
+        assert program not in nb._CONTEXTS
+        assert not profile_diff(
+            got, profile_loop(program, sema, loop, engine="bytecode"))
+
+    def test_a_refused_function_profiles_on_the_closures_with_its_code(
+            self):
+        program, sema = parse_and_analyze("""
+        int helper(int x);
+        int out[8];
+        int main(void) {
+            int i;
+            L: for (i = 0; i < 8; i++) out[i] = 2 * i;
+            print_int(out[7]);
+            return 0;
+        }
+        """)
+        loop = ast.find_loop(program, "L")
+        sink = DiagnosticSink()
+        got = profile_loop(program, sema, loop, engine="native", sink=sink)
+        (note,) = sink.diagnostics
+        assert (note.code, note.severity) == ("NL-NO-BODY", "note")
+        assert "fn:helper" in note.message
+        assert not profile_diff(
+            got, profile_loop(program, sema, loop, engine="bytecode"))
