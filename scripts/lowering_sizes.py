@@ -8,24 +8,30 @@ source bytes, exported entry points by kind (``u_`` units, ``k_``
 chunk drivers, ``r_`` runners), the compiler's CPU seconds, the parts
 the job built it from and the wall seconds of that build run alone —
 plus the size the transformed program would have with entry points for
-*any* loop (``lower_program(controlled=None)``, pure codegen).  Two
+*any* loop (``lower_program(controlled=None)``, pure codegen).  Three
 **count gates**, no timing gate:
 
-* a transformed program's C may not exceed 60 % of its any-loop size
+* a transformed program's C may not exceed 40 % of its any-loop size
   — the entry-point rule is doing its job;
 * the instrumented unit exports nothing but runners — no controller
   ever sits on the original program — and no transformed unit carries
-  a trace hook.
+  a trace hook;
+* no transformed unit carries the ``f_`` body or ``r_`` runner of a
+  function no run can enter in C: one whose loop closure holds a
+  controlled loop and that no unit or chunk driver calls, directly or
+  through a callee (``main`` on every kernel).  Closures and calls are
+  read off the any-loop lowering, which keeps every function.
 
 Usage:  python scripts/lowering_sizes.py [--json PATH]
 
-Exit status 0 when both gates hold on every kernel (or the host has no
-C toolchain: SKIP), 1 otherwise.
+Exit status 0 when all three gates hold on every kernel (or the host
+has no C toolchain: SKIP), 1 otherwise.
 """
 
 import argparse
 import json
 import os
+import re
 import sys
 import tempfile
 
@@ -45,7 +51,7 @@ from repro.service import (                                   # noqa: E402
 )
 
 #: largest allowed transformed-C size, as a share of the any-loop size
-MAX_SHARE = 0.60
+MAX_SHARE = 0.40
 
 
 def describe(context, root):
@@ -77,6 +83,29 @@ def standalone_wall(context, root):
     return build.t_done - build.t0
 
 
+def unenterable_kept(lowering, any_loop):
+    """Names of the functions ``lowering`` keeps that hold a controlled
+    loop and that none of its units or chunk drivers calls."""
+    called = set()
+    stack = [nid for meta in (*lowering.units.values(),
+                              *lowering.chunks.values())
+             for nid in meta.callees]
+    while stack:
+        nid = stack.pop()
+        if nid not in called:
+            called.add(nid)
+            stack.extend(any_loop.fns[nid].callees)
+    kept = []
+    for nid, meta in any_loop.fns.items():
+        if nid in called or lowering.controlled.isdisjoint(
+                any_loop.loop_closure(meta)):
+            continue
+        if re.search(rf"\bf_{nid}\(", lowering.source) or \
+                f"r_{nid}" in lowering.exports:
+            kept.append(meta.name)
+    return kept
+
+
 def measure(spec, cache_root):
     job = Job(spec.source, list(spec.loop_labels),
               CompileOptions(engine="native"), check_races=False)
@@ -93,6 +122,8 @@ def measure(spec, cache_root):
                                  os.path.join(cache_root, "alone-b")),
         "transformed_hooks": compiled.ctx.native.lowering.source.count(
             "rp_tr_"),
+        "unenterable_kept": unenterable_kept(compiled.ctx.native.lowering,
+                                             any_loop),
         "any_loop_source_bytes": len(any_loop.source),
         "any_loop_exports": len(any_loop.exports),
         # wall-clock inside lower-native spans with a compiler running
@@ -144,6 +175,11 @@ def main(argv=None):
                 failures.append(
                     f"{spec.name}: the transformed unit calls the "
                     f"tracker {row['transformed_hooks']} times")
+            if row["unenterable_kept"]:
+                failures.append(
+                    f"{spec.name}: the transformed unit keeps "
+                    f"{row['unenterable_kept']}, which hold a controlled "
+                    f"loop and which no unit or chunk driver calls")
     if args.json:
         os.makedirs(os.path.dirname(os.path.abspath(args.json)),
                     exist_ok=True)

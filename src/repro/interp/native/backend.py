@@ -5,9 +5,10 @@ cached ``native_backend_available()`` probe with structured ``NL-*``
 reason codes, so callers (CLI, service, tests) can degrade gracefully
 to ``bytecode`` with a diagnostic instead of erroring.
 
-Compilation runs ``cc -shared -O2 -fPIC -fwrapv`` (cffi's API mode
-needs the same C compiler, so the compiler's presence is the real
-gate).  :func:`start` writes a batch's sources and starts every
+Compilation runs ``cc -shared -O1 -fPIC -fwrapv`` (:data:`CFLAGS`;
+the instrumented unit's :data:`TRACED_CFLAGS` say ``-O0``) — cffi's API
+mode needs the same C compiler, so the compiler's presence is the real
+gate.  :func:`start` writes a batch's sources and starts every
 missing compile without waiting; :meth:`Build.finish` waits, links,
 renames and binds, and :meth:`Build.abort` kills, reaps and unlinks —
 so a caller can start a unit early and overlap its compile with other
@@ -58,7 +59,12 @@ CC_LOG_ENV = "REPRO_NATIVE_CC_LOG"
 #: override the on-disk .so cache directory
 CACHE_ENV = "REPRO_NATIVE_CACHE"
 
-CFLAGS = ("-shared", "-O2", "-fPIC", "-fwrapv")
+#: a plain unit's flags (the transformed program's, or any bare
+#: ``Machine(engine="native")``'s).  ``-O1``: a cold job waits for the
+#: build, which at ``-O2`` took twice the compiler time for a run that
+#: is a small fraction of the job either way.  DESIGN.md §17 has the
+#: -O0/-O1/-O2 table behind the choice
+CFLAGS = ("-shared", "-O1", "-fPIC", "-fwrapv")
 
 #: the instrumented unit's flags (its .so key folds them in): it runs
 #: once per candidate loop with the tracker attached, and once as the
@@ -68,10 +74,13 @@ TRACED_CFLAGS = ("-shared", "-O0", "-fPIC", "-fwrapv")
 
 #: source lines per compiler process: a unit of ``lines`` lines builds
 #: as ``min(cores, lines // PART_LINES)`` objects (one below twice
-#: this).  Measured on the nine kernels (gcc 12.2, 2 cores, wall): a
-#: 1 686-line unit compiles 660 -> 470 ms in two parts, a 1 122-line
-#: one 494 -> 555 ms, and the header every part repeats costs ~25 ms
-PART_LINES = 800
+#: this).  Measured on the nine kernels (gcc 12.2, 2 cores, wall, best
+#: of 7): every transformed unit, 1 054 to 5 270 lines, builds faster
+#: in two parts at -O1 — histogram's 207 -> 139 ms — and the header
+#: every part repeats costs ~25 ms.  Below 1 000 lines a unit stays
+#: whole: there a split saves at most ~45 ms of wall (histogram's
+#: 856-line instrumented unit, 135 -> 90 ms at -O0) for a sixth more CPU
+PART_LINES = 500
 
 #: a build's temporaries older than this are a dead build's (its Python
 #: was killed before :meth:`Build.abort` ran): the next build in the

@@ -28,8 +28,11 @@ semantics-preserving.  Refusal is decided on the form, before any C is
 written: the function verdicts iterate to a fixpoint (a refused callee
 turns its callers' direct calls into callbacks, which have limits of
 their own), then each function, unit and chunk driver is emitted
-exactly once.  Entry points are exported only where the runtime can
-enter compiled code: a runner ``r_<nid>`` per function, a unit
+at most once: for a declared ``controlled`` set, a function whose loop
+closure holds a controlled loop and that no unit or chunk driver calls
+is not emitted at all (:meth:`Lowerer._unenterable`; no refusal, the
+closures run it).  Entry points are exported only where the runtime
+can enter compiled code: a runner ``r_<nid>`` per function, a unit
 ``u_<nid>`` per loop an *interpreted* function can arrive at, the body
 and body-child (DOACROSS stage) units of a loop that may carry a
 controller, and a chunk driver ``k_<nid>`` for such a ``for``
@@ -209,7 +212,6 @@ class Lowering:
         self.definitions: List[str] = []
         self.fingerprint = ""
         self.fns: Dict[int, FnMeta] = {}
-        self.fn_by_name: Dict[str, int] = {}
         self.units: Dict[int, UnitMeta] = {}
         self.chunks: Dict[int, ChunkMeta] = {}
         self.globals_order: Tuple = ()
@@ -1720,7 +1722,9 @@ class Lowerer:
     function assumed lowerable; refusing one may refuse callers, whose
     direct call becomes a callback with limits of its own), then every
     surviving function — and the units and chunk drivers ``controlled``
-    calls for (:meth:`_emit_entries`) — is emitted once."""
+    calls for (:meth:`_emit_entries`) — is emitted once, and the
+    functions no run can enter in C (:meth:`_unenterable`) are
+    dropped."""
 
     def __init__(self, program: ast.Program, sema,
                  controlled: Optional[frozenset] = None,
@@ -1801,7 +1805,6 @@ class Lowerer:
         meta.loop_nids = set(em.loop_nids)
         meta.callees = set(em.callees)
         self.result.fns[meta.nid] = meta
-        self.result.fn_by_name[meta.name] = meta.nid
         return "\n".join([
             self._fn_sig(meta) + " {",
             "  int64_t cy8 = 0, ins = 0, lds = 0, sts = 0;",
@@ -1906,15 +1909,18 @@ class Lowerer:
     def lower(self) -> Lowering:
         res = self.result
         self._probe_functions()
-        fns: List[str] = []
-        runners: List[str] = []
+        texts: Dict[int, Tuple[str, Optional[str]]] = {}
         for fn in self.sema.functions.values():
             meta = self.native_fns.get(fn.nid)
             if meta is not None:
-                fns.append(self._emit_fn(meta))
-                if meta.runner:
-                    runners.append(self._emit_runner(meta))
+                texts[fn.nid] = (self._emit_fn(meta),
+                                 self._emit_runner(meta) if meta.runner
+                                 else None)
         entries = self._emit_entries()
+        for nid in self._unenterable():
+            del res.fns[nid], texts[nid]
+        fns = [fn for fn, _ in texts.values()]
+        runners = [runner for _, runner in texts.values() if runner]
         res.sema = self.sema
         res.controlled = self.controlled
         res.tracked = self.tracked
@@ -1939,6 +1945,29 @@ class Lowerer:
             (f"abi{NATIVE_ABI_VERSION}\n" + res.source).encode()
         ).hexdigest()[:16]
         return res
+
+    def _unenterable(self) -> Set[int]:
+        """The functions a unit lowered for a declared ``controlled``
+        set need not hold: their loop closure holds a controlled loop,
+        and no unit or chunk driver calls them, directly or through a
+        callee.  With a controller on that loop ``call_function``
+        refuses their runner anyway; with none, the closures run them
+        and re-enter C at their loops, whose units :meth:`_emit_entries`
+        emitted because the function is interpreted.  ``main`` is the
+        one such function of every kernel."""
+        res = self.result
+        if self.controlled is None:
+            return set()
+        called: Set[int] = set()
+        stack = [nid for meta in (*res.units.values(), *res.chunks.values())
+                 for nid in meta.callees]
+        while stack:
+            nid = stack.pop()
+            if nid not in called:
+                called.add(nid)
+                stack.extend(res.fns[nid].callees)
+        return {nid for nid, meta in res.fns.items() if nid not in called
+                and not self.controlled.isdisjoint(res.loop_closure(meta))}
 
     def _emit_entries(self) -> List[str]:
         """Units and chunk drivers, emitted only where the runtime can

@@ -140,7 +140,7 @@ class StageContext:
         self.native_baseline = None
         #: transient — the instrumented unit's build, started after
         #: sema and finished by the profile or the lower-native stage
-        self.baseline_build = None
+        self.instrumented_build = None
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.CHAIN_FIELDS
@@ -236,9 +236,9 @@ class StagedCompiler:
                 report[self._label(stage)] = "miss"
         finally:
             # a stage raised before lower-native finished the build
-            if ctx.baseline_build is not None:
-                ctx.baseline_build.abort()
-                ctx.baseline_build = None
+            if ctx.instrumented_build is not None:
+                ctx.instrumented_build.abort()
+                ctx.instrumented_build = None
         self._note(report)
         return CompiledJob(job, ctx, keys, report)
 
@@ -405,7 +405,7 @@ class StagedCompiler:
         return None
 
     def _start_instrumented(self, ctx: StageContext, keys,
-                        profiled: bool) -> None:
+                            profiled: bool) -> None:
         """A native chain is about to compute its first stage after
         sema.  The original program's instrumented unit — hooks on the
         job's candidate loops, the dependence tracker beside them —
@@ -429,7 +429,7 @@ class StagedCompiler:
             except KeyError:
                 pass  # the profile quarantines or raises
         with self.tracer.phase("lower-native", unit="instrumented"):
-            ctx.baseline_build = start_contexts(
+            ctx.instrumented_build = start_contexts(
                 [(ctx.program, ctx.sema, frozenset(), frozenset(tracked))],
                 cache_dir=self._native_cache_dir(),
                 max_parts=None if profiled else 1)
@@ -437,10 +437,10 @@ class StagedCompiler:
     def _await_instrumented(self, ctx: StageContext) -> None:
         """The profile runs the instrumented unit: wait for its build
         (the wait is compile time, and counts as such)."""
-        pending = ctx.baseline_build
+        pending = ctx.instrumented_build
         if pending is None:
             return
-        ctx.baseline_build = None
+        ctx.instrumented_build = None
         with self.tracer.phase("lower-native", unit="instrumented"):
             t_wait = time.perf_counter()
             (ctx.native_baseline,) = pending.finish()
@@ -479,7 +479,7 @@ class StagedCompiler:
                 phase="lower-native")
             return
         result = ctx.result
-        early = ctx.baseline_build
+        early = ctx.instrumented_build
         with self.tracer.phase("lower-native"):
             pending = start_contexts(
                 [(result.program, result.sema, result.controlled_loops())],
@@ -490,7 +490,7 @@ class StagedCompiler:
             builds = [pending]
             if early is not None:
                 (ctx.native_baseline,) = early.finish()
-                ctx.baseline_build = None
+                ctx.instrumented_build = None
                 builds.append(early)
                 self._count_libs(ctx.native_baseline)
         self._count_libs(ctx.native)

@@ -11,6 +11,7 @@ import pathlib
 import pytest
 
 from repro.bench import get
+from repro.frontend import parse_and_analyze
 from repro.interp.native import backend, codegen, native_backend_available
 from repro.service import CompileOptions, Job, StageCache, StagedCompiler
 
@@ -45,3 +46,20 @@ def test_cold_compile_on_every_core(tmp_path, monkeypatch):
     assert "FAULT(s) do { FLUSH" not in \
         pathlib.Path(codegen.__file__).read_text(), \
         "codegen.py expands FAULT inline again"
+
+
+def test_malloc_and_free_in_c():
+    """Codegen emits every malloc/free call site as ``rp_malloc`` /
+    ``rp_free``, with the builtin upcall only behind their -1.
+    Lowering is pure Python: no C compiler needed."""
+    low = codegen.lower_program(*parse_and_analyze(
+        "int main(void) { char *p; char *q; p = (char*)malloc(8);"
+        " q = (char*)malloc(24); free(p); free(q); free(0);"
+        " return 0; }"))
+    want = {"malloc": 2, "free": 3}
+    for name, n in want.items():
+        assert low.source.count(f"= rp_{name}(E, ") == n, \
+            f"{name}: rp_{name} call sites"
+        assert sum(c.name == name for c in low.calls) == n, \
+            f"{name}: want one upcall site behind each rp_{name}"
+    assert low.heap, "the lowering attaches no heap mirror"

@@ -449,7 +449,7 @@ class TestSplitCompile:
             self, tmp_path, monkeypatch):
         import time
         from repro.interp.native import backend as nb
-        # args: -c -O2 -fPIC -fwrapv -o OUT SRC; the part holding g0
+        # args: -c -O1 -fPIC -fwrapv -o OUT SRC; the part holding g0
         # fails at once, its sibling would run for a minute
         fake_cc = tmp_path / "cc"
         fake_cc.write_text(
@@ -807,6 +807,84 @@ class TestEntryPointRule:
         inner = {n.nid for outer in loops.values()
                  for n in ast.iter_loops(outer.body)}
         assert not (rest - {loop.nid}) & inner
+
+    @pytest.mark.parametrize("name", KERNELS)
+    def test_the_sequential_overhead_run_enters_main_on_the_closures(
+            self, name):
+        # Fig. 9's sequential run: the transformed program on the
+        # entry points of its controlled loops, no controller attached.
+        # ``main`` holds the controlled loop and no unit calls it, so C
+        # has no body and no runner for it: the closures run it and
+        # re-enter C at its loops
+        from repro.interp.native import backend as nb
+        tresult = _expanded(name, "bonded")
+        walker = Machine(tresult.program, tresult.sema, engine="ast")
+        reference = _machine_fingerprint(walker, walker.run())
+        nb._CONTEXTS.pop(tresult.program, None)
+        try:
+            machine = Machine(tresult.program, tresult.sema,
+                              engine="native",
+                              controlled=tresult.controlled_loops())
+            got = _machine_fingerprint(machine, machine.run())
+        finally:
+            nb._CONTEXTS.pop(tresult.program, None)
+        assert got == reference
+        low = machine._low
+        assert low.controlled == tresult.controlled_loops()
+        assert low.nl == {}
+        main = tresult.sema.functions["main"].nid
+        assert main not in low.fns and f"r_{main}" not in low.exports
+        assert machine.native_dispatches > 0
+
+    _HELPER_SRC = """
+    int out[8];
+    int acc;
+    void fill(int r) {
+        int i;
+        #pragma expand parallel(doall)
+        L: for (i = 0; i < 8; i++) out[i] = i * r + 1;
+    }
+    int main(void) {
+        int r; int i;
+        for (r = 0; r < 3; r++) {
+            fill(r);
+            for (i = 0; i < 8; i++) acc += out[i];
+        }
+        print_int(acc);
+        return 0;
+    }
+    """
+
+    def test_a_helper_a_unit_calls_keeps_its_body(self):
+        # ``fill`` holds the controlled loop, but the unit of main's
+        # outer loop calls it: its body and runner stay, main's go
+        from repro.interp.native import backend as nb
+        program, sema = parse_and_analyze(self._HELPER_SRC)
+        tresult = expand_for_threads(program, sema, ["L"], optimize=True)
+        walker = ParallelRunner(tresult, NTHREADS, engine="ast",
+                                backend="simulated", check_races=False)
+        self._same_run_either_way(tresult, _fingerprint(walker,
+                                                        walker.run()),
+                                  "simulated")
+        functions = tresult.sema.functions
+        outer = [s for s in functions["main"].body.stmts
+                 if isinstance(s, ast.For)][0]
+        low = lower_program(tresult.program, tresult.sema,
+                            tresult.controlled_loops())
+        assert functions["fill"].nid in low.units[outer.nid].callees
+        assert functions["fill"].nid in low.fns
+        assert f"r_{functions['fill'].nid}" in low.exports
+        assert functions["main"].nid not in low.fns
+        assert low.nl == {}
+        # no controller: the outer loop's unit runs fill in C
+        walker = Machine(tresult.program, tresult.sema, engine="ast")
+        reference = _machine_fingerprint(walker, walker.run())
+        nb._CONTEXTS.pop(tresult.program, None)
+        machine = Machine(tresult.program, tresult.sema, engine="native",
+                          controlled=tresult.controlled_loops())
+        assert _machine_fingerprint(machine, machine.run()) == reference
+        assert machine.native_diag is None
+        assert machine.native_dispatches == 1 and machine.interp_loops == 0
 
     _NL_UNIT_SRC = """
     int out[8];

@@ -640,7 +640,7 @@ class TestColdNativeCompile:
         import os
         from repro.interp.native import backend as nb
         from repro.service import StageCache, StagedCompiler
-        # args: -shared -O2 -fPIC -fwrapv -o OUT SRC
+        # args: -shared -O1 -fPIC -fwrapv -o OUT SRC
         fake_cc = tmp_path / "cc"
         fake_cc.write_text('#!/bin/sh\necho partial > "$6"\n'
                            'echo "fake cc: boom" >&2\nexit 3\n')
