@@ -3,7 +3,8 @@
 Lowers every benchmark kernel through the real ``lower-native`` stage
 (fresh stage cache and ``.so`` cache, so both translation units of the
 job are compiled) and records, for the transformed program and the
-original's instrumented unit (profile and sequential baseline): C
+original's instrumented unit (the profile's, whose run is the
+sequential baseline): C
 source bytes, exported entry points by kind (``u_`` units, ``k_``
 chunk drivers, ``r_`` runners), the compiler's CPU seconds, the parts
 the job built it from and the wall seconds of that build run alone —
@@ -43,7 +44,7 @@ from repro.interp.native import (                             # noqa: E402
     lower_program, native_backend_available,
 )
 from repro.interp.native.backend import (                     # noqa: E402
-    CFLAGS, TRACED_CFLAGS, start,
+    CFLAGS, TRACED_CFLAGS, native_context_for, start,
 )
 from repro.obs import Tracer                                  # noqa: E402
 from repro.service import (                                   # noqa: E402
@@ -77,8 +78,7 @@ def standalone_wall(context, root):
     lowering = context.lowering
     cflags = CFLAGS if lowering.tracked is None else TRACED_CFLAGS
     build = start([(lowering.source, lowering.exports, "wall",
-                    lowering.parts, cflags)], root,
-                  max_parts=context.lib.parts)
+                    lowering.parts, cflags)], root)
     build.finish()
     return build.t_done - build.t0
 
@@ -118,8 +118,11 @@ def measure(spec, cache_root):
         "kernel": spec.name,
         "transformed": describe(compiled.ctx.native,
                                 os.path.join(cache_root, "alone-t")),
-        "instrumented": describe(compiled.ctx.native_baseline,
-                                 os.path.join(cache_root, "alone-b")),
+        # the context the profile stage registered for the original
+        "instrumented": describe(
+            native_context_for(compiled.program, compiled.sema,
+                               frozenset()),
+            os.path.join(cache_root, "alone-b")),
         "transformed_hooks": compiled.ctx.native.lowering.source.count(
             "rp_tr_"),
         "unenterable_kept": unenterable_kept(compiled.ctx.native.lowering,
@@ -127,8 +130,8 @@ def measure(spec, cache_root):
         "any_loop_source_bytes": len(any_loop.source),
         "any_loop_exports": len(any_loop.exports),
         # wall-clock inside lower-native spans with a compiler running
-        # (the instrumented unit's, which the profile waits for, and the
-        # transformed unit's)
+        # (the instrumented unit's, which the profile stage builds, and
+        # the transformed unit's)
         "cc_wall_seconds": round(
             tracer.metrics["native.compile_seconds"], 3),
     }

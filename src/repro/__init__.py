@@ -129,8 +129,8 @@ def expand_and_run(source: Optional[str] = None, loop_labels=None,
     the tracer is attached as ``outcome.trace``.
 
     ``cache`` (a :class:`repro.service.StageCache`) lets every compile
-    stage and the sequential baseline be probed from / published to the
-    cache, and ``pool`` (a :class:`repro.service.SessionPool`) lets a
+    stage be probed from / published to the cache (the sequential
+    baseline rides in the profile's artifact), and ``pool`` (a :class:`repro.service.SessionPool`) lets a
     process-backend job draw a warm worker session.
     """
     if job is None:
@@ -151,12 +151,11 @@ def expand_and_run(source: Optional[str] = None, loop_labels=None,
     sink = sink if sink is not None else DiagnosticSink()
     compiled = StagedCompiler(cache=cache, tracer=tracer,
                               sink=sink).compile(job)
-    job_outcome = run_job(compiled, tracer=tracer, sink=sink, pool=pool,
-                          cache=cache)
+    job_outcome = run_job(compiled, tracer=tracer, sink=sink, pool=pool)
     return ExpandAndRunOutcome(compiled.result, job_outcome)
 
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 # the service layer resolves __version__ lazily for cache keys, so it
 # imports after the version is bound

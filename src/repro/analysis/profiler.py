@@ -41,11 +41,12 @@ their carried dependences are not real obstacles.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..diagnostics import DiagnosticSink
 from ..frontend import ast
 from ..frontend.sema import SemaResult
+from ..interp.costs import COSTS
 from ..interp.machine import (
     BreakSignal, ContinueSignal, Machine, observed_engine, resolve_engine,
 )
@@ -73,6 +74,12 @@ class LoopProfile:
         #: cycles spent inside the loop vs the whole program
         self.loop_cycles = 0.0
         self.total_cycles = 0.0
+        #: the rest of the run's record: the profiled run is a plain
+        #: sequential run of the program (same output, exit code, cycles
+        #: and peak), so a job's sequential baseline is read off it
+        self.output: List[str] = []
+        self.exit_code: Optional[int] = None
+        self.peak = 0
 
     @property
     def loop_time_fraction(self) -> float:
@@ -253,7 +260,12 @@ def find_control_decl(loop: ast.LoopStmt) -> Optional[ast.VarDecl]:
 
 class _ProfileController:
     """Drives the candidate loop's iterations, bracketing each with
-    iteration markers and attributing cycles to the loop."""
+    iteration markers and attributing cycles to the loop.
+
+    Each condition test is charged as a plain run charges it, so the
+    run's cycles are a plain run's; ``loop_cycles`` leaves those charges
+    out (the start mark moves forward by each), as the parallel drivers
+    of :mod:`repro.runtime.plan`, which never make them, do."""
 
     def __init__(self, observer: _ProfileObserver, profile: LoopProfile):
         self.observer = observer
@@ -273,12 +285,16 @@ class _ProfileController:
             observer.exempt = range(addr, addr + control.ctype.size)
         observer.begin_execution()
         k = profile.iterations
+        cost = machine.cost
+        alu = COSTS["alu"]
         try:
             if isinstance(loop, ast.DoWhile):
                 while True:
                     observer.begin_iteration(k)
                     k += 1
                     self._run_body(machine, loop.body)
+                    cost.cycles += alu
+                    start_cycles += alu
                     if not machine.eval(loop.cond):
                         break
             else:
@@ -286,8 +302,11 @@ class _ProfileController:
                 body = loop.body
                 step = loop.step if isinstance(loop, ast.For) else None
                 while True:
-                    if cond is not None and not machine.eval(cond):
-                        break
+                    if cond is not None:
+                        cost.cycles += alu
+                        start_cycles += alu
+                        if not machine.eval(cond):
+                            break
                     observer.begin_iteration(k)
                     k += 1
                     self._run_body(machine, body)
@@ -321,8 +340,9 @@ def profile_loop(
     """Run the program once and profile dependences of ``loop``.
 
     The given ``program`` must be the analyzed AST containing ``loop``.
-    Returns a :class:`LoopProfile`; the program's observable behaviour
-    (output) is unaffected by profiling.
+    Returns a :class:`LoopProfile`.  Profiling changes nothing the
+    program does: the profile also records the run — output, exit code,
+    cycles, peak — as a plain sequential run would give them.
 
     ``engine`` picks the interpreter tier.  ``native`` runs the
     program's instrumented unit with a C dependence tracker attached
@@ -341,12 +361,15 @@ def profile_loop(
     controller = _ProfileController(observer, profile)
     machine.observers.append(observer)
     machine.loop_controllers[loop.nid] = controller
-    machine.run(entry)
-    return _finished(profile, machine)
+    return _finished(profile, machine, machine.run(entry))
 
 
-def _finished(profile: LoopProfile, machine: Machine) -> LoopProfile:
+def _finished(profile: LoopProfile, machine: Machine,
+              exit_code: int) -> LoopProfile:
     profile.total_cycles = machine.cost.cycles
+    profile.output = list(machine.output)
+    profile.exit_code = exit_code
+    profile.peak = machine.memory.peak_footprint()
     if profile.executions == 0:
         raise RuntimeError(
             "candidate loop never executed; check the loop label/selection"
@@ -393,8 +416,8 @@ def _native_profile(program, sema, loop: ast.LoopStmt, entry: str,
     tracker = Tracker(context.lib.path, loop.nid, context.lowering.labels)
     try:
         machine.attach_tracker(tracker)
-        machine.run(entry)
+        exit_code = machine.run(entry)
         tracker.fill(profile)
     finally:
         tracker.close()
-    return _finished(profile, machine)
+    return _finished(profile, machine, exit_code)

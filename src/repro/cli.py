@@ -281,7 +281,7 @@ def _cmd_parallel(args) -> int:
             print(f"error[PIPE-NO-LOOP]: {exc.args[0]} in {args.file}",
                   file=sys.stderr)
             return 1
-        jo = run_job(compiled, tracer=tracer, sink=sink, cache=cache,
+        jo = run_job(compiled, tracer=tracer, sink=sink,
                      mc=mc or None, fault_injectors=injectors)
     finally:
         _finish_trace(args, tracer)

@@ -10,11 +10,9 @@ the instrumented unit's :data:`TRACED_CFLAGS` say ``-O0``) — cffi's API
 mode needs the same C compiler, so the compiler's presence is the real
 gate.  :func:`start` writes a batch's sources and starts every
 missing compile without waiting; :meth:`Build.finish` waits, links,
-renames and binds, and :meth:`Build.abort` kills, reaps and unlinks —
-so a caller can start a unit early and overlap its compile with other
-work (the stage chain starts the original program's instrumented unit
-as soon as sema is done).  A large unit compiles as one object per
-core (:data:`PART_LINES`) and links once; its cache key, its
+renames and binds, and kills, reaps and unlinks what a failure leaves.
+A large unit compiles as one object per core (:data:`PART_LINES`) and
+links once; its cache key, its
 :data:`COMPILER_INVOCATIONS` count and its ``$REPRO_NATIVE_CC_LOG``
 line stay one per unit.  Binding prefers cffi's ABI-mode ``dlopen``
 when cffi is importable and falls back to ``ctypes.CDLL``.  Compiled
@@ -67,8 +65,9 @@ CACHE_ENV = "REPRO_NATIVE_CACHE"
 CFLAGS = ("-shared", "-O1", "-fPIC", "-fwrapv")
 
 #: the instrumented unit's flags (its .so key folds them in): it runs
-#: once per candidate loop with the tracker attached, and once as the
-#: sequential baseline, so its compile is the larger share of its cost.
+#: once per candidate loop with the tracker attached, the first run
+#: being the job's sequential baseline, so its compile is the larger
+#: share of its cost.
 #: DESIGN.md §17 has the -O0/-O1/-O2 table behind the choice
 TRACED_CFLAGS = ("-shared", "-O0", "-fPIC", "-fwrapv")
 
@@ -83,8 +82,8 @@ TRACED_CFLAGS = ("-shared", "-O0", "-fPIC", "-fwrapv")
 PART_LINES = 500
 
 #: a build's temporaries older than this are a dead build's (its Python
-#: was killed before :meth:`Build.abort` ran): the next build in the
-#: directory removes them.  No compile of a kernel comes near it
+#: was killed before :meth:`Build.finish` could clean up): the next
+#: build in the directory removes them.  No compile of a kernel comes near it
 STALE_SECONDS = 3600
 
 _AVAILABLE: Optional[Tuple[bool, str]] = None
@@ -281,10 +280,10 @@ def _sweep(directory: str) -> None:
 
 
 def _spawn(argv) -> subprocess.Popen:
-    # its own process group, so abort stops cc and every pass it runs;
-    # a signal to the caller's group no longer reaches it, which is why
-    # the caller aborts in a finally (and :func:`_sweep` covers a
-    # caller killed outright)
+    # its own process group, so a failed build stops cc and every pass
+    # it runs; a signal to the caller's group no longer reaches it,
+    # which is why :meth:`Build.finish` cleans up in a finally (and
+    # :func:`_sweep` covers a caller killed outright)
     return subprocess.Popen(argv, stdout=subprocess.DEVNULL,
                             stderr=subprocess.PIPE, text=True,
                             start_new_session=True)
@@ -305,10 +304,9 @@ class Build:
     """A batch of units whose compilers :func:`start` started.
 
     :meth:`finish` waits for them, links the parts of a split unit,
-    renames each library into the cache and binds it; :meth:`abort`
-    stops and reaps whatever still runs and removes every file a
-    compiler had not finished.  One of the two always runs before the
-    build is dropped; both may run, and each runs at most once."""
+    renames each library into the cache and binds it; whatever way it
+    leaves, :meth:`_abort` then stops and reaps what still runs and
+    removes every file a compiler had not finished."""
 
     def __init__(self):
         self.units: List[_Unit] = []
@@ -317,7 +315,6 @@ class Build:
         #: when :meth:`finish` saw the last compiler exit (None: none
         #: ran)
         self.t_done: Optional[float] = None
-        self._open = True
 
     @property
     def compiling(self) -> bool:
@@ -334,7 +331,7 @@ class Build:
             if self.compiling:
                 self.t_done = time.perf_counter()
         finally:
-            self.abort()
+            self._abort()
         libs = []
         for unit in self.units:
             if unit.seconds is None:
@@ -383,13 +380,9 @@ class Build:
                     f"NL-CC-FAIL: {proc.args[0]} exited "
                     f"{proc.returncode}: {stderr[-2000:]}")
 
-    def abort(self) -> None:
+    def _abort(self) -> None:
         """Stop and reap every compiler still running and remove every
-        file of a unit that has no verdict.  Once a build has finished
-        or aborted this does nothing."""
-        if not self._open:
-            return
-        self._open = False
+        file of a unit that has no verdict."""
         for unit in self.units:
             for proc in unit.procs:
                 if proc.returncode is None:  # never waited for
@@ -414,8 +407,8 @@ def _stop(proc: subprocess.Popen) -> None:
             continue
 
 
-def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
-          max_parts: Optional[int] = None) -> Build:
+def start(units: Sequence[Tuple], cache_dir: Optional[str] = None
+          ) -> Build:
     """Start compiling ``(source, exports, tag[, split[, cflags]])``
     units to cached .so files (``cflags`` defaults to :data:`CFLAGS`);
     return without waiting for any compiler.
@@ -424,12 +417,12 @@ def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
     processes started.  A unit with a ``split`` callable (``k`` ->
     ``k`` part sources, see :meth:`.codegen.Lowering.parts`) whose
     source has ``lines >= 2 * PART_LINES`` compiles as ``K =
-    min(cores, max_parts, lines // PART_LINES)`` objects, one ``cc
+    min(cores, lines // PART_LINES)`` objects, one ``cc
     -c`` each, which :meth:`Build.finish` links with one ``cc
     -shared``.  The cache key is the whole source's hash whatever
     ``K`` is, so a host with another core count binds the same .so."""
     directory = _cache_dir(cache_dir)
-    cores = _cores() if max_parts is None else min(_cores(), max_parts)
+    cores = _cores()
     build = Build()
     try:
         for source, exports, tag, *rest in units:
@@ -471,7 +464,7 @@ def start(units: Sequence[Tuple], cache_dir: Optional[str] = None,
             for argv in argvs:
                 unit.procs.append(_spawn(argv))
     except BaseException:
-        build.abort()
+        build._abort()
         raise
     return build
 
@@ -502,8 +495,7 @@ _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 class PendingContexts:
     """Native contexts of a batch whose compilers may still be running
-    (:func:`start_contexts`): :meth:`finish` binds and registers them,
-    :meth:`abort` stops the build."""
+    (:func:`start_contexts`): :meth:`finish` binds and registers them."""
 
     def __init__(self, requests, contexts, missing=(), lowerings=(),
                  build: Optional[Build] = None):
@@ -521,17 +513,12 @@ class PendingContexts:
                 NativeContext(low, lib)
         return self.contexts
 
-    def abort(self) -> None:
-        self.build.abort()
-
 
 def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
-                   = None, max_parts: Optional[int] = None
-                   ) -> PendingContexts:
+                   = None) -> PendingContexts:
     """Lower a batch of ``(program, sema, controlled[, tracked])``
     requests and start compiling the ones no memoized context serves
-    (every compiler of the batch starts before any is waited for; see
-    :func:`start` for ``max_parts``).
+    (every compiler of the batch starts before any is waited for).
 
     ``controlled`` is the set of loop nids that may carry a controller
     (``None``: any loop); ``tracked`` asks for the instrumented unit
@@ -571,7 +558,7 @@ def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
     build = start(
         [(low.source, low.exports, f"prog-{low.fingerprint}", low.parts,
           CFLAGS if low.tracked is None else TRACED_CFLAGS)
-         for low in lowerings], cache_dir, max_parts)
+         for low in lowerings], cache_dir)
     return PendingContexts(requests, contexts, missing, lowerings, build)
 
 

@@ -1646,12 +1646,14 @@ class _Emit:
             self.leave(on, c0, k)
 
     def loop_charge(self, cy, tracked: bool):
-        """A loop's per-test charge, which the profiler's controller does
-        not make on the loop it drives."""
-        if tracked:
-            self.o(f"if (!{self.tracked[-1][0]}) cy8 += {_cy8(cy)};")
-        else:
-            self.charge(cy)
+        """A loop's per-test charge, made as a plain unit makes it; on
+        the profiled loop its start mark moves past the charge, so that
+        the loop's cycles leave the tests out as the profiler's
+        controller does."""
+        self.charge(cy)
+        if tracked and cy:
+            on, c0, _ = self.tracked[-1]
+            self.o(f"if ({on}) {c0} += {_cy8(cy)};")
 
     def leave(self, on: str, c0: str, k: str):
         self.o(f"if ({on}) rp_tr_leave(E, {k}, cy8, {c0});")

@@ -148,15 +148,6 @@ class StageCache:
             self.misses[stage] = self.misses.get(stage, 0) + 1
         return MISS
 
-    def has(self, stage: str, key: str) -> bool:
-        """Whether (stage, key) is cached, without loading or counting
-        it (a damaged entry still counts: its ``get`` misses)."""
-        with self._lock:
-            if (stage, key) in self._mem:
-                return True
-        return self.root is not None and \
-            os.path.exists(self._entry_path(stage, key))
-
     def put(self, stage: str, key: str, value, durable: bool = True,
             nid_floor: int = 0) -> None:
         """Store an artifact.  ``nid_floor`` is the largest AST nid

@@ -9,7 +9,7 @@ requests — compile once, serve many.
 Protocol::
 
     → {"op": "ping"}
-    ← {"ok": true, "result": {"version": "1.8.0", "pid": 1234}}
+    ← {"ok": true, "result": {"version": "1.9.0", "pid": 1234}}
 
     → {"op": "run", "job": {"source": "...", "loop_labels": ["L"],
                              "nthreads": 4, "options": {"strict": true}}}
@@ -226,7 +226,7 @@ class ExpansionService:
                 cache=self.cache, tracer=tracer, sink=sink,
             ).compile(job, keys)
         outcome = run_job(compiled, tracer=tracer, sink=sink,
-                          pool=self.pool, cache=self.cache)
+                          pool=self.pool)
         return outcome.to_dict()
 
     def _op_stats(self, payload: dict) -> dict:

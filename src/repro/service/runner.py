@@ -3,11 +3,11 @@
 :func:`run_job` is the toolchain's one run phase — sequential baseline,
 parallel execution, output verification, speedups — behind
 :func:`repro.expand_and_run`, ``repro parallel``, the serve daemon and
-the benchmarks.  Every piece is cache/pool aware: the baseline is a
-durable side-stage artifact (keyed off the ``sema`` key: it depends
-only on the original program), and a process-backend run draws its
-worker session from a :class:`~repro.service.pool.SessionPool` instead
-of forking per request.
+the benchmarks.  The sequential baseline is the profile's run of the
+original program, which the compiled job (cached or not) carries, and a
+process-backend run draws its worker session from a
+:class:`~repro.service.pool.SessionPool` instead of forking per
+request.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ from ..diagnostics import Diagnostic, DiagnosticSink
 from ..interp import Machine
 from ..obs import ensure_tracer
 from ..runtime.parallel import run_parallel
-from .cache import MISS, StageCache
+from .cache import StageCache
 from .stages import CompiledJob
-
-#: the run-side caches only plain scalars/strings — loadable with no
-#: AST in sight
-_BASELINE_STAGE = "baseline"
 
 
 class JobOutcome:
@@ -78,35 +74,29 @@ class JobOutcome:
         }
 
 
-def _sequential_baseline(compiled: CompiledJob, tracer,
-                         cache: Optional[StageCache]) -> dict:
+def _sequential_baseline(compiled: CompiledJob, tracer) -> dict:
     """The original program's sequential run — output, exit code,
-    modeled cycles — probed from the durable side-stage first."""
+    modeled cycles, peak footprint.  The first profiled loop's profile
+    recorded it; only a job with no profiled loop (no labels, or a
+    permissive job whose loops all quarantined) runs it here."""
     ctx = compiled.ctx
+    profile = next(iter((ctx.profiles or {}).values()), None)
+    if profile is not None:
+        return {"output": list(profile.output),
+                "exit_code": profile.exit_code,
+                "cycles": profile.total_cycles, "peak": profile.peak}
     opts = compiled.job.options
-    key = compiled.keys[_BASELINE_STAGE]
-    if cache is not None:
-        hit = cache.get(_BASELINE_STAGE, key)
-        if hit is not MISS:
-            if tracer:
-                tracer.metrics.inc("cache.baseline.hit")
-            return hit
     with tracer.phase("sequential-baseline"):
         # no controller ever sits on the original program's loops
         machine = Machine(ctx.program, ctx.sema, engine=opts.engine,
                           controlled=frozenset())
         exit_code = machine.run(opts.entry)
-    baseline = {
+    return {
         "output": list(machine.output),
         "exit_code": exit_code,
         "cycles": machine.cost.cycles,
         "peak": machine.memory.peak_footprint(),
     }
-    if cache is not None:
-        cache.put(_BASELINE_STAGE, key, baseline)
-        if tracer:
-            tracer.metrics.inc("cache.baseline.miss")
-    return baseline
 
 
 def run_job(compiled: CompiledJob, tracer=None,
@@ -114,11 +104,13 @@ def run_job(compiled: CompiledJob, tracer=None,
             pool=None, cache: Optional[StageCache] = None,
             mc: Optional[dict] = None,
             fault_injectors: Optional[List] = None) -> JobOutcome:
-    """Run a compiled job: (cached) sequential baseline, parallel
-    execution — on a pooled warm session when the process backend and a
-    pool are available — and output verification.  ``mc`` (process-
-    backend supervision/segment tuning) and ``fault_injectors`` forward
-    to :func:`~repro.runtime.run_parallel`.
+    """Run a compiled job: parallel execution — on a pooled warm
+    session when the process backend and a pool are available — and
+    output verification against the sequential baseline.  ``mc``
+    (process-backend supervision/segment tuning) and
+    ``fault_injectors`` forward to :func:`~repro.runtime.run_parallel`.
+    ``cache`` is accepted for callers that pass the compile's stage
+    cache along; the run phase stores nothing in it.
 
     Strict jobs raise :class:`repro.OutputDivergence` on mismatch;
     permissive jobs record an ``RT-DIVERGED`` diagnostic and return
@@ -131,7 +123,7 @@ def run_job(compiled: CompiledJob, tracer=None,
 
     baseline = None
     if job.verify:
-        baseline = _sequential_baseline(compiled, tracer, cache)
+        baseline = _sequential_baseline(compiled, tracer)
 
     session = None
     if job.backend == "process" and pool is not None:

@@ -15,7 +15,6 @@ everything)::
     lower    = H(plan, engine)            [memory tier only]
     lower-native = H(lower, abi, cflags, cc)  [native engine only;
                                            memory tier + .so disk cache]
-    baseline = H(sema, entry, engine)     [side stage, run phase]
 
 Each chain artifact is a *cumulative context snapshot* — the program,
 sema, profiles and transform state pickled together — so AST object
@@ -30,21 +29,21 @@ In permissive mode the transform stages run as one monolithic unit
 a *clean* result — no diagnostics, no quarantined loops — is cached,
 under the ``plan`` key.
 
-A native chain starts the original program's *instrumented* unit as
-soon as ``sema`` is at hand (it depends on nothing else): the profile
-runs it with the C dependence tracker attached, and the sequential
-baseline runs the same library with none.  On a cold job the profile
-waits for its compile (every core builds it); when the profile hits,
-it builds beside the stages that still compute and ``lower-native``
-finishes it — unless the baseline's side stage hits too, and nothing
-will run it.  :meth:`compile` aborts a build a raising stage leaves.
+The profile stage runs the original program once per candidate loop,
+and each run is a plain sequential run (same output, exit code, cycles
+and peak): the first profiled loop's record is the job's sequential
+baseline, which the ``profiles`` chain field carries to every artifact
+from ``profile`` on (:func:`~repro.service.run_job` reads it).  On a
+native chain the profile stage first builds the original program's
+*instrumented* unit — the hooks of every candidate loop, the C
+dependence tracker beside them — on every core, in a ``lower-native``
+span of its own, and then runs it with the tracker attached.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-import time
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import commutative as _commutative
@@ -58,14 +57,10 @@ from ..transform.pipeline import (
 from .cache import MISS, StageCache
 from .job import Job
 
-#: the chain, shallowest first (``baseline`` is a side stage keyed off
-#: ``sema``, probed by the run phase; ``lower-native`` joins the chain
-#: only when the job's engine is "native")
+#: the chain, shallowest first (``lower-native`` joins the chain only
+#: when the job's engine is "native")
 STAGES = ("parse", "sema", "profile", "classify", "expand", "optimize",
           "plan", "lower", "lower-native")
-
-#: the stages that run the dependence profile (strict, permissive)
-_PROFILING = ("profile", "transform")
 
 
 def _h(prev: str, *parts) -> str:
@@ -110,7 +105,6 @@ def stage_keys(job: Job) -> Dict[str, str]:
     keys["lower-native"] = _h(
         keys["lower"], NATIVE_ABI_VERSION, CFLAGS,
         cc_identity() if engine == "native" else None)
-    keys["baseline"] = _h(keys["sema"], opts.entry, engine)
     return keys
 
 
@@ -132,15 +126,11 @@ class StageContext:
         self.pipeline: Optional[ExpansionPipeline] = None
         #: transient — lower-stage compilers (memory tier only)
         self.compilers: Optional[dict] = None
-        #: transient — native contexts (lowering + dlopen'd .so) for
-        #: the transformed and original programs; memory tier only,
-        #: the .so artifacts themselves are cached on disk beside the
-        #: stage cache (filled by the lower-native stage)
+        #: transient — the transformed program's native context
+        #: (lowering + dlopen'd .so); memory tier only, the .so itself
+        #: is cached on disk beside the stage cache (filled by the
+        #: lower-native stage)
         self.native = None
-        self.native_baseline = None
-        #: transient — the instrumented unit's build, started after
-        #: sema and finished by the profile or the lower-native stage
-        self.instrumented_build = None
 
     def snapshot(self) -> dict:
         return {name: getattr(self, name) for name in self.CHAIN_FIELDS
@@ -225,20 +215,9 @@ class StagedCompiler:
         report: Dict[str, str] = {}
         chain = self._chain_for(job)
         start = self._probe(job, keys, ctx, chain, report)
-        early = chain[-1] == "lower-native"
-        try:
-            for stage in chain[start:]:
-                if early and stage not in ("parse", "sema"):
-                    early = False
-                    self._start_instrumented(
-                        ctx, keys, profiled=stage in _PROFILING)
-                self._compute(stage, job, ctx, keys)
-                report[self._label(stage)] = "miss"
-        finally:
-            # a stage raised before lower-native finished the build
-            if ctx.instrumented_build is not None:
-                ctx.instrumented_build.abort()
-                ctx.instrumented_build = None
+        for stage in chain[start:]:
+            self._compute(stage, job, ctx, keys)
+            report[self._label(stage)] = "miss"
         self._note(report)
         return CompiledJob(job, ctx, keys, report)
 
@@ -289,7 +268,6 @@ class StagedCompiler:
             ctx.restore(loaded.snapshot())
             ctx.compilers = loaded.compilers
             ctx.native = loaded.native
-            ctx.native_baseline = loaded.native_baseline
         else:
             ctx.restore(artifact)
 
@@ -335,7 +313,7 @@ class StagedCompiler:
             ctx.sema = analyze(ctx.program)
 
     def _stage_profile(self, job: Job, ctx: StageContext) -> None:
-        self._await_instrumented(ctx)
+        self._build_instrumented(ctx)
         _, ctx.profiles = self._pipeline_for(ctx).stage_profile(
             ctx.loops())
 
@@ -369,7 +347,7 @@ class StagedCompiler:
     def _stage_transform(self, job: Job, ctx: StageContext) -> None:
         """Permissive mode: profile → plan as one unit, preserving the
         quarantine / bisection / identity-fallback semantics exactly."""
-        self._await_instrumented(ctx)
+        self._build_instrumented(ctx)
         opts = job.options
         result = expand_for_threads(
             ctx.program, ctx.sema, list(job.loop_labels),
@@ -381,9 +359,8 @@ class StagedCompiler:
         ctx.profiles = {tl.loop.label: tl.profile for tl in result.loops}
 
     def _stage_lower(self, job: Job, ctx: StageContext) -> None:
-        """Eagerly build the closure-compiled code every run phase
-        needs: the transformed program's (parallel run) and the
-        original's (sequential baseline)."""
+        """Eagerly build the closure-compiled code of the transformed
+        program, which the parallel run needs."""
         from ..interp.bytecode.compiler import precompile
         result = ctx.result
         engine = job.options.resolved_engine()
@@ -394,80 +371,60 @@ class StagedCompiler:
             ctx.compilers = {
                 "parallel": precompile(result.program, result.sema,
                                        self.tracer),
-                "baseline": precompile(ctx.program, ctx.sema,
-                                       self.tracer),
             }
 
-    def _native_cache_dir(self) -> Optional[str]:
-        """The .so cache beside the stage cache (None: the default)."""
-        if self.cache is not None and self.cache.root:
-            return os.path.join(self.cache.root, "native-so")
-        return None
-
-    def _start_instrumented(self, ctx: StageContext, keys,
-                            profiled: bool) -> None:
-        """A native chain is about to compute its first stage after
-        sema.  The original program's instrumented unit — hooks on the
-        job's candidate loops, the dependence tracker beside them —
-        depends on sema alone, so its compiler starts now: on every core
-        when the profile is that stage (it waits for the unit), as one
-        process otherwise, leaving the other core to the stages in
-        between.  With the profile cached, a cached baseline leaves
-        nothing to run the unit, and it is not built at all.
-        :meth:`compile` aborts the build if a stage raises first."""
-        from ..interp.native import native_backend_available
+    def _build_native(self, request, **span):
+        """Lower, compile and bind one native context — a ``(program,
+        sema, controlled[, tracked])`` request, see
+        :func:`~repro.interp.native.backend.start_contexts` — in a
+        top-level ``lower-native`` span."""
         from ..interp.native.backend import start_contexts
-        if not profiled and self.cache is not None and \
-                self.cache.has("baseline", keys["baseline"]):
+        cache_dir = None
+        if self.cache is not None and self.cache.root:
+            cache_dir = os.path.join(self.cache.root, "native-so")
+        with self.tracer.phase("lower-native", **span):
+            pending = start_contexts([request], cache_dir=cache_dir)
+            (context,) = pending.finish()
+        if self.tracer:
+            metrics = self.tracer.metrics
+            metrics.inc("native.so_cache_hit" if context.lib.cache_hit
+                        else "native.so_cache_miss")
+            build = pending.build
+            if build.compiling:
+                # wall-clock with a compiler running, not the sum over
+                # the processes: lower-native minus this is codegen time
+                metrics.inc("native.compile_seconds",
+                            build.t_done - build.t0)
+        return context
+
+    def _build_instrumented(self, ctx: StageContext) -> None:
+        """A native job profiles on the original program's instrumented
+        unit: the hooks of every candidate loop, the dependence tracker
+        beside them.  Build it for all of them before the first profile,
+        which then finds it in the context registry.  With no C compiler
+        the profile warns and runs on the closures."""
+        from ..interp.native import native_backend_available
+        if ctx.job.options.resolved_engine() != "native" or \
+                not native_backend_available()[0]:
             return
-        if not native_backend_available()[0]:
-            return  # the profile and lower-native warn and degrade
         tracked = set()
         for label in ctx.job.loop_labels:
             try:
                 tracked.add(ast.find_loop(ctx.program, label).nid)
             except KeyError:
                 pass  # the profile quarantines or raises
-        with self.tracer.phase("lower-native", unit="instrumented"):
-            ctx.instrumented_build = start_contexts(
-                [(ctx.program, ctx.sema, frozenset(), frozenset(tracked))],
-                cache_dir=self._native_cache_dir(),
-                max_parts=None if profiled else 1)
-
-    def _await_instrumented(self, ctx: StageContext) -> None:
-        """The profile runs the instrumented unit: wait for its build
-        (the wait is compile time, and counts as such)."""
-        pending = ctx.instrumented_build
-        if pending is None:
-            return
-        ctx.instrumented_build = None
-        with self.tracer.phase("lower-native", unit="instrumented"):
-            t_wait = time.perf_counter()
-            (ctx.native_baseline,) = pending.finish()
-        self._count_libs(ctx.native_baseline)
-        if self.tracer and pending.build.compiling:
-            self.tracer.metrics.inc(
-                "native.compile_seconds",
-                max(0.0, pending.build.t_done - max(t_wait,
-                                                    pending.build.t0)))
-
-    def _count_libs(self, *contexts) -> None:
-        if self.tracer:
-            for c in contexts:
-                self.tracer.metrics.inc(
-                    "native.so_cache_hit" if c.lib.cache_hit
-                    else "native.so_cache_miss")
+        if tracked:
+            self._build_native(
+                (ctx.program, ctx.sema, frozenset(), frozenset(tracked)),
+                unit="instrumented")
 
     def _stage_lower_native(self, job: Job, ctx: StageContext) -> None:
         """Lower the transformed program to C — entry points for the
-        loops that get a controller — compile it and dlopen it, and
-        finish the original's instrumented unit if the profile did not
-        (:meth:`_start_instrumented`).  The artifact (dlopen handles) lives
-        in the memory tier; the compiled .so is content-cached on disk
-        beside the stage cache, so a daemon restart re-lowers but never
-        re-invokes the C compiler."""
+        loops that get a controller — compile it and dlopen it.  The
+        artifact (dlopen handles) lives in the memory tier; the compiled
+        .so is content-cached on disk beside the stage cache, so a
+        daemon restart re-lowers but never re-invokes the C compiler."""
         from ..interp.native import native_backend_available
-        from ..interp.native.backend import start_contexts
         ok, reason = native_backend_available()
         if not ok:
             # graceful degradation: the run phase's machines carry the
@@ -479,30 +436,8 @@ class StagedCompiler:
                 phase="lower-native")
             return
         result = ctx.result
-        early = ctx.instrumented_build
-        with self.tracer.phase("lower-native"):
-            pending = start_contexts(
-                [(result.program, result.sema, result.controlled_loops())],
-                cache_dir=self._native_cache_dir())
-            t_cc = pending.build.t0 if pending.build.compiling \
-                else time.perf_counter()
-            (ctx.native,) = pending.finish()
-            builds = [pending]
-            if early is not None:
-                (ctx.native_baseline,) = early.finish()
-                ctx.instrumented_build = None
-                builds.append(early)
-                self._count_libs(ctx.native_baseline)
-        self._count_libs(ctx.native)
-        if self.tracer:
-            # wall-clock inside this stage with a compiler running, not
-            # the sum over the processes: lower-native minus this is
-            # codegen time (a unit finished before this stage adds
-            # nothing)
-            done = [b.build.t_done for b in builds if b.build.compiling]
-            if done:
-                self.tracer.metrics.inc("native.compile_seconds",
-                                        max(0.0, max(done) - t_cc))
+        ctx.native = self._build_native(
+            (result.program, result.sema, result.controlled_loops()))
 
     # -- observability ----------------------------------------------------
     def _note(self, report: Dict[str, str]) -> None:

@@ -200,10 +200,11 @@ def oracle_profile_loop(*args, **kwargs):
         profiler._ProfileObserver = production
 
 
-#: every observable field of a LoopProfile and of its DDG
+#: every observable field of a LoopProfile (the run's record included)
+#: and of its DDG
 PROFILE_FIELDS = ("iterations", "executions", "site_objects",
                   "object_labels", "object_sizes", "loop_cycles",
-                  "total_cycles")
+                  "total_cycles", "output", "exit_code", "peak")
 DDG_FIELDS = ("sites", "edges", "upward_exposed", "downward_exposed",
               "dyn_counts", "store_sites", "load_sites")
 

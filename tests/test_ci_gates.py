@@ -1,19 +1,25 @@
 """CI's count gates, as tier-1 tests.
 
-Each was an inline script of ``.github/workflows/ci.yml``, so it went
-red only in CI; here it runs with the suite, its assertions unchanged
-in strength.
+Most were inline scripts of ``.github/workflows/ci.yml``, so they went
+red only in CI; here they run with the suite, their assertions
+unchanged in strength.
 """
 
+import io
 import os
 import pathlib
+import tokenize
 
 import pytest
 
 from repro.bench import get
 from repro.frontend import parse_and_analyze
 from repro.interp.native import backend, codegen, native_backend_available
-from repro.service import CompileOptions, Job, StageCache, StagedCompiler
+from repro.service import (
+    CompileOptions, Job, StageCache, StagedCompiler, stage_keys,
+)
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
 _OK, _WHY = native_backend_available()
 
@@ -21,7 +27,7 @@ _OK, _WHY = native_backend_available()
 @pytest.mark.skipif(not _OK, reason=_WHY)
 def test_cold_compile_on_every_core(tmp_path, monkeypatch):
     """A cold native job logs one line per unit: the instrumented unit
-    (the profile waits for it) and the transformed unit, each built as
+    (built by the profile stage) and the transformed unit, each built as
     ``min(cores, lines // PART_LINES)`` objects linked once; every fault
     exit calls ``rp_fail``."""
     log = tmp_path / "cc.log"
@@ -35,7 +41,9 @@ def test_cold_compile_on_every_core(tmp_path, monkeypatch):
              if line.startswith("prog-")]
     assert len(lines) == 2, lines
     cores = len(os.sched_getaffinity(0))
-    instrumented = compiled.ctx.native_baseline.lowering
+    # the profile stage registered the instrumented unit's context for
+    # the original program
+    instrumented = backend._CONTEXTS[compiled.program].lowering
     assert instrumented.tracked
     for low in (compiled.ctx.native.lowering, instrumented):
         parts = max(1, min(cores, low.source.count("\n")
@@ -63,3 +71,50 @@ def test_malloc_and_free_in_c():
         assert sum(c.name == name for c in low.calls) == n, \
             f"{name}: want one upcall site behind each rp_{name}"
     assert low.heap, "the lowering attaches no heap mirror"
+
+
+def _code_tokens(path):
+    """Identifiers and strings, but no comments or docstrings."""
+    prev = tokenize.NEWLINE
+    for tok in tokenize.generate_tokens(
+            io.StringIO(path.read_text()).readline):
+        if tok.type in (tokenize.COMMENT, tokenize.NL):
+            continue
+        if not (tok.type == tokenize.STRING and prev in (
+                tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)):
+            yield tok.string
+        prev = tok.type
+
+
+def test_one_checker_one_benchmark_record():
+    """repro lint is the only checker of the transformed IR and
+    perfbench the only benchmark record: neither the validator nor the
+    BENCH_*.json trajectory comes back, and the allocation scaling test
+    is written once."""
+    bad, defs = [], 0
+    for p in sorted(SRC.rglob("*.py")):
+        toks = list(_code_tokens(p))
+        bad += [f"{p}: {needle!r} in token {tok!r}" for tok in toks
+                for needle in ("validate_transform", "VALID-",
+                               "trajectory", "BENCH_")
+                if needle in tok]
+        defs += sum(a == "def" and b == "_contains_nthreads"
+                    for a, b in zip(toks, toks[1:]))
+    if defs != 1:
+        bad.append(f"{defs} definitions of _contains_nthreads, want 1")
+    assert not bad, "\n".join(bad)
+
+
+def test_the_profile_run_is_the_sequential_baseline():
+    """A job runs its original program once, in the profile stage, which
+    builds the instrumented unit itself: no early build outlives a
+    stage, and no baseline side stage caches a second run."""
+    needles = ("native_baseline", "instrumented_build",
+               "_start_instrumented", "max_parts", "_BASELINE_STAGE")
+    bad = [f"{p}: {needle!r} in {tok!r}"
+           for p in sorted(SRC.rglob("*.py"))
+           for tok in _code_tokens(p) for needle in needles
+           if needle in tok]
+    assert not bad, "\n".join(bad)
+    assert "baseline" not in stage_keys(Job("int main(void) { return 0; }",
+                                            []))

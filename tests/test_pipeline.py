@@ -439,19 +439,45 @@ class TestOneDriver:
     ``StagedCompiler`` + ``run_job``: every ``Job`` field means the same
     thing on both."""
 
+    @staticmethod
+    def _spy_on_run_job(monkeypatch):
+        """The baselines ``run_job`` returns, and the engines of the
+        Machines it builds."""
+        import repro
+        from repro.service import runner
+        baselines, engines = [], []
+        real_run_job, real_machine = repro.run_job, runner.Machine
+
+        def run_job(*args, **kwargs):
+            outcome = real_run_job(*args, **kwargs)
+            baselines.append(outcome.baseline)
+            return outcome
+
+        def machine(*args, **kwargs):
+            engines.append(kwargs["engine"])
+            return real_machine(*args, **kwargs)
+
+        monkeypatch.setattr(repro, "run_job", run_job)
+        monkeypatch.setattr(runner, "Machine", machine)
+        return baselines, engines
+
+    @staticmethod
+    def _plain_run(job) -> dict:
+        from repro.frontend import parse_and_analyze
+        program, sema = parse_and_analyze(job.source)
+        machine = Machine(program, sema, engine=job.options.engine,
+                          controlled=frozenset())
+        exit_code = machine.run(job.options.entry)
+        return {"output": list(machine.output), "exit_code": exit_code,
+                "cycles": machine.cost.cycles,
+                "peak": machine.memory.peak_footprint()}
+
     @pytest.mark.parametrize("job", _driver_cells())
     def test_cache_does_not_change_the_run(self, job, monkeypatch):
         from repro import expand_and_run
-        from repro.service import StageCache, runner
+        from repro.service import StageCache
 
-        baseline_engines = []
-        real_machine = runner.Machine
-
-        def spy(*args, **kwargs):
-            baseline_engines.append(kwargs["engine"])
-            return real_machine(*args, **kwargs)
-
-        monkeypatch.setattr(runner, "Machine", spy)
+        baselines, baseline_engines = self._spy_on_run_job(monkeypatch)
         outcomes = [expand_and_run(job=job, trace=True),
                     expand_and_run(job=job, cache=StageCache(),
                                    trace=True)]
@@ -464,14 +490,34 @@ class TestOneDriver:
         ]
         assert fingerprints[0] == fingerprints[1]
         assert outcomes[0].verified
+        # the profile's run is the baseline: run_job runs nothing itself
+        assert not baseline_engines
+        plain = self._plain_run(job) if job.verify else None
+        assert baselines == [plain, plain]
         for out in outcomes:
             spans = {span.name for span in out.trace.spans}
-            assert ("sequential-baseline" in spans) == job.verify
+            assert "sequential-baseline" not in spans
         if not job.options.commutative:
             assert not outcomes[0].transform.commutative_sites
             assert "RT-RECOVERED" in fingerprints[0][4]
-        if job.options.engine == "native":
-            assert baseline_engines == ["native", "native"]
+
+    def test_a_job_with_no_profiled_loop_runs_its_baseline_once(
+            self, monkeypatch):
+        """A permissive job whose one label names no loop quarantines it
+        before any profile: ``run_job`` runs the original program itself,
+        once per job, under the ``sequential-baseline`` span."""
+        from repro import expand_and_run
+        from repro.service import CompileOptions, Job, StageCache
+        job = Job(FIGURE1, ["NOPE"], CompileOptions(strict=False))
+        baselines, baseline_engines = self._spy_on_run_job(monkeypatch)
+        for cache in (None, StageCache()):
+            out = expand_and_run(job=job, cache=cache, trace=True)
+            assert out.verified and out.transform.quarantined
+            assert [span.name for span in out.trace.spans].count(
+                "sequential-baseline") == 1
+        assert baseline_engines == [job.options.engine] * 2
+        plain = self._plain_run(job)
+        assert baselines == [plain, plain]
 
 
 class TestProfileStageEngine:
@@ -540,19 +586,34 @@ def _native_ok():
     return native_backend_available()
 
 
+def _builds(child, so_name: str) -> bool:
+    """Whether a compiler child worked on the unit whose library is
+    ``so_name`` (each file of a unit's build is named after it)."""
+    import os
+    stem = so_name[:-len(".so")]
+    return any(os.path.basename(arg).startswith(stem + ".")
+               for arg in child.args)
+
+
 @pytest.mark.skipif(not _native_ok()[0], reason=_native_ok()[1])
 class TestColdNativeCompile:
     """The two translation units of a cold native job (transformed
-    program, the original's instrumented unit): the instrumented unit's
-    compilers start before the profile, which runs it, the transformed
-    unit's start in ``lower-native``, and nothing of a build outlives
-    the compile."""
+    program, the original's instrumented unit): the profile stage builds
+    the instrumented unit and runs it, ``lower-native`` builds the
+    transformed unit, and nothing of a build outlives it."""
 
     @staticmethod
     def _job(source=FIGURE1):
         from repro.service import CompileOptions, Job
         return Job(source, ["L"], CompileOptions(engine="native"),
                    check_races=False)
+
+    @staticmethod
+    def _instrumented(compiled):
+        """The instrumented unit's context, which the profile stage
+        registered for the original program."""
+        from repro.interp.native import backend as nb
+        return nb._CONTEXTS[compiled.program]
 
     @staticmethod
     def _spy_on_compilers(monkeypatch, tracer=None):
@@ -581,7 +642,7 @@ class TestColdNativeCompile:
 
     def test_both_compilers_run_at_once(self, tmp_path, monkeypatch):
         """Each unit's compilers run at once: the instrumented unit's
-        parts start before the profile, which waits for their link; the
+        parts start together, and link, before the profile; the
         transformed unit's parts start together in lower-native."""
         import os
         from repro.frontend import ast
@@ -613,16 +674,16 @@ class TestColdNativeCompile:
         assert all("plan" in o for o in transformed)
         assert waits[:2] == [2, 2] and waits[3] == 5
         assert all(child.returncode == 0 for child in children)
-        baseline = compiled.ctx.native_baseline
+        baseline = self._instrumented(compiled)
         assert baseline.lowering.tracked == frozenset(
             (ast.find_loop(compiled.program, "L").nid,))
         libs = [compiled.ctx.native.lib, baseline.lib]
         assert not any(lib.cache_hit for lib in libs)
         assert [lib.parts for lib in libs] == [2, 2]
         assert not self._leftovers(str(tmp_path / "native-so"))
-        # the profile ran with no compiler left: the wait for the
-        # instrumented unit is a lower-native span of its own, closed
-        # before the profile span opened
+        # the profile ran with no compiler left: the instrumented unit's
+        # build is a lower-native span of its own, closed before the
+        # profile span opened
         spans = [s for s in tracer.spans if not s.depth]
         names = [s.name for s in spans]
         wait = names.index("profile") - 1
@@ -651,9 +712,9 @@ class TestColdNativeCompile:
         cache = StageCache(root=str(tmp_path / "cache"))
         with pytest.raises(RuntimeError, match="NL-CC-FAIL.*boom"):
             StagedCompiler(cache=cache).compile(self._job())
-        # the instrumented unit's compiler, started before the profile,
-        # failed while the profile waited for it: the error left the
-        # compile before the transformed unit's could start
+        # the instrumented unit's compiler, run before the profile,
+        # failed: the error left the compile before the transformed
+        # unit's could start
         (child,) = children
         assert child.returncode == 3
         # no partial .so: the failed unit's .c is all that is kept
@@ -661,98 +722,82 @@ class TestColdNativeCompile:
         assert left and all(name.endswith(".c") for name in left)
         assert not self._leftovers(str(tmp_path / "cache" / "native-so"))
 
-    def _warm_profile(self, tmp_path):
-        """Compile once, drop the .so cache: a job with other options
-        then hits its profile, so the instrumented unit builds beside the
-        stages after it (nothing has cached its baseline run)."""
-        import shutil
-        from repro.service import CompileOptions, Job, StageCache, \
-            StagedCompiler
-        StagedCompiler(cache=StageCache(root=str(tmp_path))).compile(
-            self._job())
-        shutil.rmtree(str(tmp_path / "native-so"))
-        return Job(FIGURE1, ["L"], CompileOptions(engine="native",
-                                                  opt=False),
-                   check_races=False)
-
     def test_compiler_that_cannot_start_leaves_no_source_behind(
             self, tmp_path, monkeypatch):
-        """``Popen`` raising on the transformed unit after the
-        instrumented unit started early (the profile hit): that child is
-        stopped and reaped, and no source, output or temporary of either
-        unit is left."""
+        """``Popen`` raising on a cold job's transformed unit, after the
+        instrumented unit was built: no source, output or temporary of
+        the transformed unit is left, and the instrumented unit's
+        library and source are kept."""
         import os
         from repro.interp.native import backend as nb
+        from repro.obs import Tracer
         from repro.service import StageCache, StagedCompiler
-        job = self._warm_profile(tmp_path)
+        tracer = Tracer()
         real = nb.subprocess.Popen
         children = []
 
         def popen(argv, *args, **kwargs):
-            if "--version" in argv:
-                return real(argv, *args, **kwargs)
-            if children:
-                raise OSError(24, "Too many open files")
-            children.append(real(argv, *args, **kwargs))
-            return children[0]
+            if "--version" not in argv:
+                if any(span.name == "plan" for span in tracer.spans):
+                    raise OSError(24, "Too many open files")
+                children.append(real(argv, *args, **kwargs))
+                return children[-1]
+            return real(argv, *args, **kwargs)
 
         monkeypatch.setattr(nb.subprocess, "Popen", popen)
         cache = StageCache(root=str(tmp_path))
         with pytest.raises(OSError, match="Too many open files"):
-            StagedCompiler(cache=cache).compile(job)
-        (first,) = children
-        assert first.returncode is not None
-        assert os.listdir(str(tmp_path / "native-so")) == []
-
-    def test_a_raising_stage_stops_the_early_build(self, tmp_path,
-                                                   monkeypatch):
-        import os
-        from repro.service import StageCache, StagedCompiler
-        job = self._warm_profile(tmp_path)
-        children, _ = self._spy_on_compilers(monkeypatch)
-
-        def expand(*args):
-            raise RuntimeError("expand broke")
-
-        monkeypatch.setattr(StagedCompiler, "_stage_expand", expand)
-        cache = StageCache(root=str(tmp_path))
-        with pytest.raises(RuntimeError, match="expand broke"):
-            StagedCompiler(cache=cache).compile(job)
-        (instrumented,) = children
-        assert instrumented.returncode is not None
-        assert os.listdir(str(tmp_path / "native-so")) == []
+            StagedCompiler(cache=cache, tracer=tracer).compile(self._job())
+        left = sorted(os.listdir(str(tmp_path / "native-so")))
+        assert [name.rsplit(".", 1)[1] for name in left] == ["c", "so"]
+        assert left[0][:-2] == left[1][:-3]
+        assert children and all(c.returncode == 0 and _builds(c, left[1])
+                                for c in children)
 
     def test_a_profile_that_raises_keeps_the_unit_it_ran(self, tmp_path,
                                                          monkeypatch):
-        """The profile finished the instrumented unit's build and ran
-        it: its library stays cached, and nothing else was started."""
+        """The profile stage built the instrumented unit — here in two
+        parts and a link — and ran it: its library stays cached, and no
+        transformed unit was started."""
         import os
+        from repro.interp.native import backend as nb
         from repro.service import StageCache, StagedCompiler
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(nb, "PART_LINES", 200)
         never = FIGURE1.replace("    #pragma", "    if (m > 0) return 0;\n"
                                 "    #pragma")
         children, _ = self._spy_on_compilers(monkeypatch)
         cache = StageCache(root=str(tmp_path))
         with pytest.raises(RuntimeError, match="never executed"):
             StagedCompiler(cache=cache).compile(self._job(never))
-        (instrumented,) = children
-        assert instrumented.returncode == 0
-        assert sorted(name.rsplit(".", 1)[1] for name in os.listdir(
-            str(tmp_path / "native-so"))) == ["c", "so"]
+        left = sorted(os.listdir(str(tmp_path / "native-so")))
+        assert [name.rsplit(".", 1)[1] for name in left] == ["c", "so"]
+        assert len(children) == 3
+        assert all(c.returncode == 0 and _builds(c, left[1])
+                   for c in children)
 
-    def test_a_warm_profile_starts_the_baseline_first(self, tmp_path,
-                                                      monkeypatch):
-        """Whatever the probe loads, the instrumented unit's compiler
-        starts before the first stage the job computes while the
-        baseline's run is not cached (here: profile and classify hit,
-        the options changed, the .so cache is gone)."""
+    def test_a_cached_profile_leaves_the_unit_alone(self, tmp_path,
+                                                    monkeypatch):
+        """With the profile cached (here: profile and classify hit, the
+        options changed) and the .so cache gone, nothing would run the
+        instrumented unit: the job does not lower, compile or bind it,
+        before or in ``run_job`` (a fresh process: the memory tier is
+        cold)."""
         import shutil
+        from repro.interp.native import backend as nb
         from repro.obs import Tracer
         from repro.service import (
-            CompileOptions, Job, StageCache, StagedCompiler,
+            CompileOptions, Job, StageCache, StagedCompiler, run_job,
         )
-        first = StagedCompiler(cache=StageCache(root=str(tmp_path))) \
-            .compile(self._job())
+        cache = StageCache(root=str(tmp_path))
+        run_job(StagedCompiler(cache=cache).compile(self._job()))
         shutil.rmtree(str(tmp_path / "native-so"))
+        lowered, bound = [], []
+        real_lower, real_bind = nb.lower_program, nb._bind
+        monkeypatch.setattr(nb, "lower_program", lambda *a: lowered.append(
+            a[3] if len(a) > 3 else None) or real_lower(*a))
+        monkeypatch.setattr(nb, "_bind", lambda path, exports: bound.append(
+            path) or real_bind(path, exports))
         tracer = Tracer()
         children, opened = self._spy_on_compilers(monkeypatch, tracer)
         job = Job(FIGURE1, ["L"], CompileOptions(engine="native",
@@ -762,38 +807,12 @@ class TestColdNativeCompile:
                                   tracer=tracer).compile(job)
         assert compiled.report["classify"] == "hit"
         assert compiled.report["plan"] == "miss"
-        # the baseline (same unit as the first job's) before the
-        # transform's first span; the transformed unit after the plan
-        first_child, *rest = opened
-        assert first_child == ["lower-native"]
-        assert rest and all("plan" in o for o in rest)
-        assert compiled.ctx.native_baseline.lowering.fingerprint == \
-            first.ctx.native_baseline.lowering.fingerprint
-        assert not compiled.ctx.native_baseline.lib.cache_hit
-        assert not self._leftovers(str(tmp_path / "native-so"))
-
-    def test_a_cached_profile_and_baseline_leave_the_unit_alone(
-            self, tmp_path, monkeypatch):
-        """With the profile and the baseline's run both cached, nothing
-        would run the instrumented unit: the job does not lower, compile
-        or bind it (a fresh process: the memory tier is cold)."""
-        from repro.interp.native import backend as nb
-        from repro.service import StageCache, StagedCompiler, run_job
-        cache = StageCache(root=str(tmp_path))
-        run_job(StagedCompiler(cache=cache).compile(self._job()),
-                cache=cache)
-        lowered, bound = [], []
-        real_lower, real_bind = nb.lower_program, nb._bind
-        monkeypatch.setattr(nb, "lower_program", lambda *a: lowered.append(
-            a[3] if len(a) > 3 else None) or real_lower(*a))
-        monkeypatch.setattr(nb, "_bind", lambda path, exports: bound.append(
-            path) or real_bind(path, exports))
-        children, _ = self._spy_on_compilers(monkeypatch)
-        cache = StageCache(root=str(tmp_path))
-        compiled = StagedCompiler(cache=cache).compile(self._job())
-        assert compiled.report["profile"] == "hit"
-        assert compiled.report["lower-native"] == "miss"
-        assert compiled.ctx.native_baseline is None
-        assert lowered == [None] and len(bound) == 1 and not children
-        outcome = run_job(compiled, cache=cache)
-        assert outcome.verified and lowered == [None]
+        # only the transformed unit: lowered, built after the plan, bound
+        assert lowered == [None] and len(bound) == 1
+        assert opened and all("plan" in o for o in opened)
+        assert compiled.program not in nb._CONTEXTS
+        started = len(children)
+        outcome = run_job(compiled)
+        assert outcome.verified
+        assert lowered == [None] and len(bound) == 1 and \
+            len(children) == started

@@ -363,3 +363,60 @@ class TestBookkeeping:
         """
         p, _ = profile(src)
         assert p.iterations == 4
+
+
+def _native_ok():
+    from repro.interp.native import native_backend_available
+    return native_backend_available()
+
+
+class TestTheProfiledRun:
+    """The profile run is a plain sequential run: each condition test
+    of the profiled loop is charged as a plain run charges it, and
+    ``loop_cycles`` leaves those charges out, as the parallel drivers
+    do."""
+
+    LOOPS = {
+        "for": ("", "L: for (i = 0; i < 6; i++) { x = x + i * i; }", 7),
+        "dowhile": ("i = 0;",
+                    "L: do { x = x + i * i; i++; } while (i < 6);", 6),
+    }
+
+    @staticmethod
+    def _plain(source, engine):
+        from repro.interp import Machine
+        program, sema = parse_and_analyze(source)
+        machine = Machine(program, sema, engine=engine,
+                          controlled=frozenset())
+        return machine, machine.run("main")
+
+    @pytest.mark.parametrize("shape", sorted(LOOPS))
+    @pytest.mark.parametrize("engine", ["ast", "bytecode", pytest.param(
+        "native", marks=pytest.mark.skipif(not _native_ok()[0],
+                                           reason=_native_ok()[1]))])
+    def test_records_a_plain_run(self, engine, shape):
+        from repro.interp.costs import COSTS
+        setup, loop, tests = self.LOOPS[shape]
+        template = """
+        int x;
+        int main(void) {{
+            int i;
+            x = 3; {setup}
+            {loop}
+            print_int(x);
+            return 5;
+        }}
+        """
+        source = template.format(setup=setup, loop=loop)
+        program, sema = parse_and_analyze(source)
+        p = profile_loop(program, sema, ast.find_loop(program, "L"),
+                         engine=engine)
+        plain, exit_code = self._plain(source, engine)
+        assert (p.output, p.exit_code, p.total_cycles, p.peak) == (
+            plain.output, exit_code, plain.cost.cycles,
+            plain.memory.peak_footprint())
+        # the loop's share of the plain run, less one charge per test
+        without, _ = self._plain(template.format(setup=setup, loop=""),
+                                 engine)
+        assert p.loop_cycles == plain.cost.cycles - without.cost.cycles \
+            - tests * COSTS["alu"]

@@ -256,13 +256,25 @@ class TestStagedCompiler:
         StagedCompiler(cache=cache, tracer=tracer2).compile(make_job())
         assert tracer2.metrics.as_dict()["cache.hit"] == len(STAGES) - 1
 
-    def test_cached_baseline(self, tmp_path):
+    def test_cached_profile_carries_the_baseline(self, tmp_path):
+        """A warm job's sequential baseline is its cached profile's
+        record of the run: ``run_job`` runs nothing sequentially and
+        keeps nothing in the cache (a fresh process: disk tier only)."""
         cache = StageCache(root=str(tmp_path))
-        compiled = StagedCompiler(cache=cache).compile(make_job())
-        run_job(compiled, cache=cache)
+        first = run_job(StagedCompiler(cache=cache).compile(make_job()),
+                        cache=cache)
+        fresh = StageCache(root=str(tmp_path))
+        compiled = StagedCompiler(cache=fresh).compile(make_job())
+        assert compiled.report["profile"] == "hit"
         tracer = Tracer()
-        run_job(compiled, tracer=tracer, cache=cache)
-        assert tracer.metrics.as_dict()["cache.baseline.hit"] == 1
+        outcome = run_job(compiled, tracer=tracer, cache=fresh)
+        assert outcome.verified and outcome.baseline == first.baseline
+        assert outcome.baseline["output"] == first.output
+        assert "sequential-baseline" not in {
+            span.name for span in tracer.spans}
+        assert not [name for name in tracer.metrics.as_dict()
+                    if name.startswith("cache.baseline")]
+        assert "baseline" not in os.listdir(str(tmp_path))
 
 
 # ---------------------------------------------------------------------------
