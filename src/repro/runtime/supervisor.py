@@ -107,6 +107,9 @@ class Supervisor:
         self.pending: Dict[int, List[_Lane]] = {}
         #: wid -> (last observed beat value, wall time it changed)
         self.beats: Dict[int, Tuple[int, float]] = {}
+        #: the liveness check's period, and the time it last ran
+        self.poll = max(0.002, min(0.05, session.heartbeat_timeout / 5.0))
+        self.checked = time.monotonic()
         #: wid -> wall time of the last message received
         self.last_msg: Dict[int, float] = {}
         self.metrics = session.tracer.metrics
@@ -124,9 +127,8 @@ class Supervisor:
             session._hb_zero(wid)
         for i, lane in enumerate(self.lanes):
             self._send(lane, live[i % len(live)])
-        poll = max(0.002, min(0.05, session.heartbeat_timeout / 5.0))
         while not all(lane.done for lane in self.lanes):
-            self._drain_ready(poll)
+            self._drain_ready(self.poll)
             self._check_workers()
         session.lane_wids = [lane.wid if lane.wid is not None else 0
                              for lane in self.lanes]
@@ -282,6 +284,16 @@ class Supervisor:
     def _check_workers(self) -> None:
         session = self.session
         now = time.monotonic()
+        # a beat is judged only over time this loop watched it: when the
+        # loop itself ran late (the machine paused the parent, and most
+        # likely the workers with it, or a respawn's fork took long)
+        # every beat's clock moves forward by the time lost, so a worker
+        # gets to beat again before its silence counts
+        lost = now - self.checked - self.poll
+        self.checked = now
+        if lost > 0:
+            self.beats = {wid: (beat, since + lost)
+                          for wid, (beat, since) in self.beats.items()}
         for wid in list(self.pending):
             lanes = self.pending[wid]
             if not lanes:

@@ -688,6 +688,48 @@ int main(void) {
         assert tracer.metrics.get("runtime.mc_restart") == 1
         assert not tracer.metrics.get("runtime.mc_degraded", 0)
 
+    def test_a_paused_machine_revokes_no_one(self, monkeypatch):
+        """The parent and every busy worker stop for longer than the
+        heartbeat timeout (a host that deschedules the whole machine):
+        the beats stood still only while no one could watch them, so no
+        healthy worker is revoked.  Task 0 is held in flight, beating,
+        so the pause always finds a busy worker."""
+        import os
+        import signal
+        from repro.runtime import HeartbeatStaller
+        from repro.runtime import supervisor as sv
+
+        real = sv.Supervisor._check_workers
+        pauses = []
+
+        def check(self):
+            busy = [wid for wid in self.pending
+                    if self.pending[wid] and wid in self.beats]
+            if busy and not pauses:
+                pids = [self.session._procs[wid].pid for wid in busy]
+                for pid in pids:
+                    os.kill(pid, signal.SIGSTOP)
+                try:
+                    time.sleep(0.5)
+                finally:
+                    for pid in pids:
+                        os.kill(pid, signal.SIGCONT)
+                pauses.append(busy)
+            return real(self)
+
+        monkeypatch.setattr(sv.Supervisor, "_check_workers", check)
+        _, tresult = _prepare(DOALL_SRC)
+        runner, outcome, tracer, _ = _run_process(
+            tresult, 4, mc={"heartbeat_timeout": 0.2},
+            injectors=[HeartbeatStaller(seed=0, task=0, duration=0.0,
+                                        hold=1.0)])
+        assert pauses
+        runner2, outcome2, _, _ = _run_process(tresult, 4)
+        assert _fingerprint(runner, outcome) == \
+            _fingerprint(runner2, outcome2)
+        assert not tracer.metrics.get("runtime.mc_restart", 0)
+        assert not tracer.metrics.get("runtime.mc_degraded", 0)
+
     def test_budget_exhaustion_walks_ladder(self, monkeypatch):
         """Every dispatch of task 1 crashes its worker: the supervisor
         burns the retry budget rung by rung (MC-RESTART, MC-RETRY per

@@ -816,3 +816,31 @@ class TestColdNativeCompile:
         assert outcome.verified
         assert lowered == [None] and len(bound) == 1 and \
             len(children) == started
+
+    def test_a_cached_profile_and_baseline_leave_the_unit_alone(
+            self, tmp_path, monkeypatch):
+        """The same job again, with its profile — which carries the
+        baseline's run — cached: nothing would run the instrumented
+        unit, so the job does not lower, compile or bind it (a fresh
+        process: the memory tier is cold)."""
+        from repro.interp.native import backend as nb
+        from repro.service import StageCache, StagedCompiler, run_job
+        cache = StageCache(root=str(tmp_path))
+        run_job(StagedCompiler(cache=cache).compile(self._job()),
+                cache=cache)
+        lowered, bound = [], []
+        real_lower, real_bind = nb.lower_program, nb._bind
+        monkeypatch.setattr(nb, "lower_program", lambda *a: lowered.append(
+            a[3] if len(a) > 3 else None) or real_lower(*a))
+        monkeypatch.setattr(nb, "_bind", lambda path, exports: bound.append(
+            path) or real_bind(path, exports))
+        children, _ = self._spy_on_compilers(monkeypatch)
+        cache = StageCache(root=str(tmp_path))
+        compiled = StagedCompiler(cache=cache).compile(self._job())
+        assert compiled.report["profile"] == "hit"
+        assert compiled.report["lower-native"] == "miss"
+        assert compiled.program not in nb._CONTEXTS
+        assert lowered == [None] and len(bound) == 1 and not children
+        outcome = run_job(compiled, cache=cache)
+        assert outcome.verified and lowered == [None]
+        assert outcome.baseline is not None
