@@ -186,13 +186,14 @@ class BaselineRunner:
     ):
         self.nthreads = nthreads
         self.outcome = ParallelOutcome(nthreads)
-        # the baseline needs observers + the access-control redirector
+        # the baseline needs the race checker's log + the access-control
+        # redirector: closures, not compiled C
         self.machine = Machine(program, sema,
                                engine=observed_engine(engine))
         self.machine.nthreads = nthreads
         self.checker = RaceChecker() if check_races else None
         if self.checker is not None:
-            self.machine.observers.append(self.checker)
+            self.checker.attach(self.machine)
         all_private: Set[int] = set()
         for plan in plans:
             all_private |= plan.private_sites

@@ -19,6 +19,9 @@ from .costs import COSTS
 
 
 def _trace(machine, site: int, addr: int, size: int, is_store: bool) -> None:
+    log = machine.race_log
+    if log is not None:
+        log.add((addr, size, is_store))
     for obs in machine.observers:
         obs.on_access(site, addr, size, is_store)
 

@@ -14,9 +14,11 @@ There is one compiled form: every closure keeps the walker's cost,
 observer fan-out, watchdog and diagnostic behavior bit for bit, and
 reads the three fault hooks (``_stmt_hook`` / ``_tid_hook`` /
 ``_store_taps``, attributes of every :class:`~repro.interp.machine.
-Machine`) where the walker does.  A run nothing observes pays an empty
-``for obs in m.observers`` per access and a ``None`` test per
-statement; the tier that makes unobserved runs fast is ``native``.
+Machine`) where the walker does.  A run nothing observes pays a
+``None`` test of ``m.race_log`` and an empty ``for obs in m.observers``
+per access and a ``None`` test per statement; a race-checked run adds
+one set insertion per access.  The tier that makes unobserved runs fast
+is ``native``.
 
 Select with ``Machine(..., engine="bytecode")``, the CLI ``--engine``
 flag, or ``$REPRO_ENGINE``.

@@ -97,9 +97,12 @@ def make(ao, site, size, unpack, cy):
             addr = r(site, addr, size, False)
         memory = m.memory
         if memory.check_bounds:
-            memory.check_access(addr, size)
+            memory.check_access(addr, size, site)
         value = unpack(memory.data, addr)[0]
         {charge}
+        log = m.race_log
+        if log is not None:
+            log.add((addr, size, False))
         for obs in m.observers:
             obs.on_access(site, addr, size, False)
         return value
@@ -120,9 +123,12 @@ def make(site, size, unpack, cy):
             addr = r(site, addr, size, False)
         memory = m.memory
         if memory.check_bounds:
-            memory.check_access(addr, size)
+            memory.check_access(addr, size, site)
         value = unpack(memory.data, addr)[0]
         {charge}
+        log = m.race_log
+        if log is not None:
+            log.add((addr, size, False))
         for obs in m.observers:
             obs.on_access(site, addr, size, False)
         return value
@@ -138,9 +144,12 @@ def make(site, size, pack, cy, conv):
         value = conv(value)
         memory = m.memory
         if memory.check_bounds:
-            memory.check_access(addr, size)
+            memory.check_access(addr, size, site)
         pack(memory.data, addr, value)
         {charge}
+        log = m.race_log
+        if log is not None:
+            log.add((addr, size, True))
         for obs in m.observers:
             obs.on_access(site, addr, size, True)
     return store
@@ -186,6 +195,9 @@ def make_load(acc, site):
             cost.cycles += cy
             if count:
                 cost.loads += 1
+            log = m.race_log
+            if log is not None:
+                log.add((addr, size, False))
             for obs in m.observers:
                 obs.on_access(site, addr, size, False)
             return blob
@@ -218,6 +230,9 @@ def make_store(acc, site):
             cost.cycles += cy
             if count:
                 cost.stores += 1
+            log = m.race_log
+            if log is not None:
+                log.add((addr, size, True))
             for obs in m.observers:
                 obs.on_access(site, addr, size, True)
         return store
@@ -363,8 +378,11 @@ def _c_var(c, x):
             if r is not None:
                 addr = r(site, addr, size, False)
                 if memory.check_bounds:
-                    memory.check_access(addr, size)
+                    memory.check_access(addr, size, site)
             value = unpack(memory.data, addr)[0]
+            log = m.race_log
+            if log is not None:
+                log.add((addr, size, False))
             for obs in m.observers:
                 obs.on_access(site, addr, size, False)
             return value
@@ -426,26 +444,38 @@ def _fused_incdec(x):
         memory = m.memory
         if r is None:
             old = unpack(memory.data, addr)[0]
+            log = m.race_log
+            if log is not None:
+                log.add((addr, size, False))
             for obs in m.observers:
                 obs.on_access(lsite, addr, size, False)
             m.cost.cycles += cy
             v = conv(old + delta)
             pack(memory.data, addr, v)
+            log = m.race_log
+            if log is not None:
+                log.add((addr, size, True))
             for obs in m.observers:
                 obs.on_access(ssite, addr, size, True)
             return old if post else v
         la = r(lsite, addr, size, False)
         if memory.check_bounds:
-            memory.check_access(la, size)
+            memory.check_access(la, size, lsite)
         old = unpack(memory.data, la)[0]
+        log = m.race_log
+        if log is not None:
+            log.add((la, size, False))
         for obs in m.observers:
             obs.on_access(lsite, la, size, False)
         m.cost.cycles += cy
         sa = r(ssite, addr, size, True)
         v = conv(old + delta)
         if memory.check_bounds:
-            memory.check_access(sa, size)
+            memory.check_access(sa, size, ssite)
         pack(memory.data, sa, v)
+        log = m.race_log
+        if log is not None:
+            log.add((sa, size, True))
         for obs in m.observers:
             obs.on_access(ssite, sa, size, True)
         return old if post else v
@@ -552,10 +582,13 @@ def _fused_assign(x, vo):
             addr = r(nid, addr, size, True)
             v = conv(value)
             if memory.check_bounds:
-                memory.check_access(addr, size)
+                memory.check_access(addr, size, nid)
             pack(memory.data, addr, v)
         else:
             pack(memory.data, addr, conv(value))
+        log = m.race_log
+        if log is not None:
+            log.add((addr, size, True))
         for obs in m.observers:
             obs.on_access(nid, addr, size, True)
         return value

@@ -19,7 +19,9 @@ Execution features the reproduction depends on:
   ``exec_stmt`` / ``eval`` API.
 * **Access observers** — tracing hooks receive every scalar memory
   access with its *site* (AST node id), feeding the dependence
-  profiler and the race checker.
+  profiler.  The race checker is filled inline instead: while it checks
+  a region, ``race_log`` is the current thread's set of distinct
+  ``(addr, size, is_store)`` accesses and each access site adds to it.
 * **Access redirector** — an optional address translation applied to
   loads/stores; the SpiceC-style runtime-privatization baseline is
   implemented as a redirector.
@@ -30,7 +32,7 @@ from __future__ import annotations
 import os
 import sys
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 # each MiniC frame costs many Python frames; give tree-walking headroom
 if sys.getrecursionlimit() < 40000:
@@ -242,6 +244,10 @@ class Machine:
 
         # hooks
         self.observers: List = []
+        #: the current thread's set of distinct ``(addr, size, is_store)``
+        #: accesses while a race checker checks a region, else ``None``
+        #: (:meth:`repro.interp.trace.RaceChecker.attach`)
+        self.race_log: Optional[Set[tuple]] = None
         self.redirector: Optional[Callable[[int, int, int, bool], int]] = None
         self.loop_controllers: Dict[int, Callable] = {}
         #: called with the address passed to free() before release
@@ -430,17 +436,23 @@ class Machine:
                 self.cost.cycles += COSTS["load"] + \
                     ctype.size * COSTS["byte_op"]
                 self.cost.loads += 1
+            log = self.race_log
+            if log is not None:
+                log.add((addr, ctype.size, False))
             for obs in self.observers:
                 obs.on_access(site, addr, ctype.size, False)
             return blob
         if self.memory.check_bounds:
-            self.memory.check_access(addr, ctype.size)
+            self.memory.check_access(addr, ctype.size, site)
         value = self.memory.read_scalar(addr, ctype.fmt, ctype.size)
         if cheap:
             self.cost.cycles += COSTS["reg"]
         else:
             self.cost.cycles += COSTS["load"]
             self.cost.loads += 1
+        log = self.race_log
+        if log is not None:
+            log.add((addr, ctype.size, False))
         for obs in self.observers:
             obs.on_access(site, addr, ctype.size, False)
         return value
@@ -459,6 +471,9 @@ class Machine:
                 self.cost.cycles += COSTS["store"] + \
                     ctype.size * COSTS["byte_op"]
                 self.cost.stores += 1
+            log = self.race_log
+            if log is not None:
+                log.add((addr, ctype.size, True))
             for obs in self.observers:
                 obs.on_access(site, addr, ctype.size, True)
             return
@@ -466,13 +481,16 @@ class Machine:
             raise InterpError("cannot store into array value")
         value = self._convert(value, ctype)
         if self.memory.check_bounds:
-            self.memory.check_access(addr, ctype.size)
+            self.memory.check_access(addr, ctype.size, site)
         self.memory.write_scalar(addr, ctype.fmt, value)
         if cheap:
             self.cost.cycles += COSTS["reg"]
         else:
             self.cost.cycles += COSTS["store"]
             self.cost.stores += 1
+        log = self.race_log
+        if log is not None:
+            log.add((addr, ctype.size, True))
         for obs in self.observers:
             obs.on_access(site, addr, ctype.size, True)
 

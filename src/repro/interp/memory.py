@@ -154,6 +154,11 @@ class Memory:
         #: restore (:meth:`invalidate_lookup_cache`).
         self._hit: Optional[Allocation] = None
         self._hit2: Optional[Allocation] = None
+        #: access site -> the allocation its last bounds check found:
+        #: a site keeps to one block far longer than the whole machine
+        #: does (a loop body walks several arrays in turn).  Dead
+        #: records fail the ``live`` test; dropped with the two above.
+        self._site_hit: Dict[Optional[int], Allocation] = {}
 
     # -- allocation -------------------------------------------------------
     def alloc(self, size: int, kind: str = HEAP, label: str = "",
@@ -338,6 +343,7 @@ class Memory:
         part of the address space."""
         self._hit = None
         self._hit2 = None
+        self._site_hit.clear()
 
     def find(self, addr: int) -> Optional[Allocation]:
         """The allocation containing ``addr``, or None."""
@@ -359,17 +365,25 @@ class Memory:
         self._hit = record
         return record
 
-    def check_access(self, addr: int, size: int) -> Allocation:
-        """Validate that [addr, addr+size) lies in one live allocation."""
+    def check_access(self, addr: int, size: int,
+                     site: Optional[int] = None) -> Allocation:
+        """Validate that [addr, addr+size) lies in one live allocation.
+        ``site`` (the access's node id) keys a per-site lookup cache."""
+        hit = self._site_hit.get(site)
+        if hit is not None and hit.live and hit.addr <= addr \
+                and addr + size <= hit.end:
+            return hit
         hit = self._hit
         if hit is not None and hit.live and hit.addr <= addr \
                 and addr + size <= hit.end:
+            self._site_hit[site] = hit
             return hit
         hit = self._hit2
         if hit is not None and hit.live and hit.addr <= addr \
                 and addr + size <= hit.end:
             self._hit2 = self._hit
             self._hit = hit
+            self._site_hit[site] = hit
             return hit
         if addr == 0:
             raise MemoryError_("NULL dereference")
@@ -382,6 +396,7 @@ class Memory:
             raise MemoryError_(
                 f"out-of-bounds access at {addr}+{size} in {record!r}"
             )
+        self._site_hit[site] = record
         return record
 
     # -- raw byte access -------------------------------------------------------

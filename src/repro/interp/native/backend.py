@@ -493,32 +493,13 @@ class NativeContext:
 _CONTEXTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
-class PendingContexts:
-    """Native contexts of a batch whose compilers may still be running
-    (:func:`start_contexts`): :meth:`finish` binds and registers them."""
-
-    def __init__(self, requests, contexts, missing=(), lowerings=(),
-                 build: Optional[Build] = None):
-        self.requests = requests
-        self.contexts = contexts
-        self.missing = missing
-        self.lowerings = lowerings
-        self.build = build if build is not None else Build()
-
-    def finish(self) -> List[NativeContext]:
-        """The contexts, in request order."""
-        libs = self.build.finish()
-        for i, low, lib in zip(self.missing, self.lowerings, libs):
-            self.contexts[i] = _CONTEXTS[self.requests[i][0]] = \
-                NativeContext(low, lib)
-        return self.contexts
-
-
-def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
-                   = None) -> PendingContexts:
-    """Lower a batch of ``(program, sema, controlled[, tracked])``
-    requests and start compiling the ones no memoized context serves
-    (every compiler of the batch starts before any is waited for).
+def build_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
+                   = None) -> Tuple[List[NativeContext], Build]:
+    """Lower, compile and bind a batch of ``(program, sema,
+    controlled[, tracked])`` requests: the native contexts in request
+    order, and the :class:`Build` that made the ones no memoized context
+    served (every compiler of the batch starts before any is waited
+    for; an empty ``Build`` when nothing was compiled).
 
     ``controlled`` is the set of loop nids that may carry a controller
     (``None``: any loop); ``tracked`` asks for the instrumented unit
@@ -540,7 +521,7 @@ def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
                if ctx is None or not ctx.lowering.covers(
                    controlled, tracked or frozenset())]
     if not missing:
-        return PendingContexts(requests, contexts)
+        return contexts, Build()
     ok, reason = native_backend_available()
     if not ok:
         raise RuntimeError(reason)
@@ -559,15 +540,17 @@ def start_contexts(requests: Sequence[Tuple], cache_dir: Optional[str]
         [(low.source, low.exports, f"prog-{low.fingerprint}", low.parts,
           CFLAGS if low.tracked is None else TRACED_CFLAGS)
          for low in lowerings], cache_dir)
-    return PendingContexts(requests, contexts, missing, lowerings, build)
+    for i, low, lib in zip(missing, lowerings, build.finish()):
+        contexts[i] = _CONTEXTS[requests[i][0]] = NativeContext(low, lib)
+    return contexts, build
 
 
 def native_context_for(program, sema, controlled=None,
                        tracked=None) -> NativeContext:
     """The (lowered, compiled, bound) native context for one program:
-    :func:`start_contexts` + finish, in the default .so cache."""
-    return start_contexts([(program, sema, controlled, tracked)]
-                          ).finish()[0]
+    :func:`build_contexts` in the default .so cache."""
+    (context,), _ = build_contexts([(program, sema, controlled, tracked)])
+    return context
 
 
 def adopt(program, lowering: Optional[Lowering], path: Optional[str],

@@ -251,12 +251,13 @@ class NativeMachine(BytecodeMachine):
     def _native_ok(self) -> bool:
         """Compiled code may run: nothing is attached that only the
         closures can serve — observers (but the tracker compiled code
-        reports to), fault hooks, a redirector, or a watchdog (a budget
-        is honored where statements are counted)."""
+        reports to), a race checker's log, fault hooks, a redirector, or
+        a watchdog (a budget is honored where statements are counted)."""
         return (self._low is not None
                 and self._globals_ready
                 and self.redirector is None
                 and (not self.observers or self.observers == [self.tracker])
+                and self.race_log is None
                 and self._stmt_hook is None
                 and self._tid_hook is None
                 and not self._store_taps

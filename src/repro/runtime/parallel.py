@@ -524,7 +524,7 @@ class ParallelRunner:
                                         self.machine.engine)
                 self.tracer.metrics.set("runtime.backend", self.backend)
             if self.checker is not None:
-                self.machine.observers.append(self.checker)
+                self.checker.attach(self.machine)
             # workers run the requested engine, whatever the parent's
             shipment = None if self.session is None else Shipment(
                 tresult.program, tresult.sema, requested_engine,

@@ -376,20 +376,19 @@ class StagedCompiler:
     def _build_native(self, request, **span):
         """Lower, compile and bind one native context — a ``(program,
         sema, controlled[, tracked])`` request, see
-        :func:`~repro.interp.native.backend.start_contexts` — in a
+        :func:`~repro.interp.native.backend.build_contexts` — in a
         top-level ``lower-native`` span."""
-        from ..interp.native.backend import start_contexts
+        from ..interp.native.backend import build_contexts
         cache_dir = None
         if self.cache is not None and self.cache.root:
             cache_dir = os.path.join(self.cache.root, "native-so")
         with self.tracer.phase("lower-native", **span):
-            pending = start_contexts([request], cache_dir=cache_dir)
-            (context,) = pending.finish()
+            (context,), build = build_contexts([request],
+                                               cache_dir=cache_dir)
         if self.tracer:
             metrics = self.tracer.metrics
             metrics.inc("native.so_cache_hit" if context.lib.cache_hit
                         else "native.so_cache_miss")
-            build = pending.build
             if build.compiling:
                 # wall-clock with a compiler running, not the sum over
                 # the processes: lower-native minus this is codegen time

@@ -155,6 +155,9 @@ class ByteRaceChecker:
         #: scheduler itself rebinds per chunk)
         self.exempt: Set[int] = set()
 
+    def attach(self, machine) -> None:
+        machine.observers.append(self)
+
     def on_access(self, site: int, addr: int, size: int, is_store: bool):
         if not self.enabled:
             return

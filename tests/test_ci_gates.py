@@ -8,6 +8,7 @@ unchanged in strength.
 import io
 import os
 import pathlib
+import re
 import tokenize
 
 import pytest
@@ -84,6 +85,57 @@ def _code_tokens(path):
                 tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT)):
             yield tok.string
         prev = tok.type
+
+
+def test_three_engines_one_closure_form():
+    """The bare variant and the per-engine fault wiring cannot quietly
+    return: identifiers and non-docstring strings only, so prose may
+    still say what was removed."""
+    import repro
+    bad = [] if len(repro.ENGINES) == 3 else [f"{repro.ENGINES=}"]
+    bad += [f"{p}: {needle!r} in token {tok!r}"
+            for p in sorted((SRC / "interp/bytecode").glob("*.py"))
+            for tok in _code_tokens(p)
+            for needle in ("instrumented", "BARE", "variant")
+            if needle in tok]
+    faults = (SRC / "runtime/faults.py").read_text()
+    bad += [f"faults.py branches on the engine again: {needle}"
+            for needle in ('machine.engine != "ast"',
+                           'machine.engine == "ast"')
+            if needle in faults]
+    bad += [f"{p}: unobserved_engine is back"
+            for p in sorted(SRC.rglob("*.py"))
+            if "unobserved_engine" in p.read_text()]
+    assert not bad, "\n".join(bad)
+
+
+#: the inline fill every observer fan-out is paired with
+_RACE_FILL = re.compile(
+    r"^(\s*)log = (\w+)\.race_log\n"
+    r"\1if log is not None:\n"
+    r"\1    log\.add\(\([^\n]*\)\)\n"
+    r"\1for obs in \2\.observers:\n", re.M)
+
+
+def test_the_race_checker_is_filled_inline():
+    """The race checker is no observer: ``RaceChecker.attach`` is the one
+    way to install one, and every access site that fans out to
+    ``observers`` first adds its access to ``race_log``."""
+    bad = [f"{p}: observers.append({arg})"
+           for p in sorted(SRC.rglob("*.py"))
+           for arg in re.findall(r"observers\.append\(([^)]*)\)",
+                                 p.read_text())
+           if "checker" in arg.lower()]
+    for rel, want in (("interp/bytecode/exprs.py", 11),
+                      ("interp/machine.py", 4), ("interp/builtins.py", 1)):
+        text = (SRC / rel).read_text()
+        fanouts = len(re.findall(r"^\s*for obs in \w+\.observers:$",
+                                 text, re.M))
+        paired = len(_RACE_FILL.findall(text))
+        if not fanouts == paired == want:
+            bad.append(f"{rel}: {fanouts} observer fan-outs, {paired} "
+                       f"with a race_log fill before them, want {want}")
+    assert not bad, "\n".join(bad)
 
 
 def test_one_checker_one_benchmark_record():

@@ -154,6 +154,50 @@ class TestAccessChecking:
         with pytest.raises(MemoryError_):
             mem.check_access(a + 4, 8)
 
+    def test_a_site_keeps_its_block(self):
+        mem = Memory()
+        a = mem.alloc(8)
+        b = mem.alloc(8)
+        assert mem.check_access(a, 4, site=1).addr == a
+        assert mem.check_access(b, 4, site=2).addr == b
+        assert mem.check_access(a + 4, 4, site=1).addr == a
+        with pytest.raises(MemoryError_, match="out-of-bounds"):
+            mem.check_access(a + 4, 8, site=1)
+
+    def test_a_site_cache_never_hides_a_freed_block(self):
+        mem = Memory()
+        addr = mem.alloc(8, HEAP)
+        mem.check_access(addr, 4, site=7)
+        mem.free(addr)
+        with pytest.raises(MemoryError_, match="use-after-free"):
+            mem.check_access(addr, 4, site=7)
+
+    def test_a_site_cache_never_hides_a_reallocated_block(self):
+        mem = Memory()
+        addr = mem.alloc(8, HEAP)
+        mem.check_access(addr, 4, site=7)
+        moved = mem.realloc(addr, 64)
+        assert moved != addr
+        with pytest.raises(MemoryError_, match="use-after-free"):
+            mem.check_access(addr, 4, site=7)
+        assert mem.check_access(moved + 32, 4, site=7).addr == moved
+
+    def test_a_restored_snapshot_drops_the_site_cache(self):
+        """A block allocated after the snapshot is truncated out of the
+        address space, still ``live``: only dropping the cache makes the
+        next check at its site a wild access."""
+        from repro.frontend import parse_and_analyze
+        from repro.interp import Machine
+        from repro.runtime.parallel import MachineSnapshot
+        machine = Machine(*parse_and_analyze("int main(void) { return 0; }"))
+        snapshot = MachineSnapshot(machine)
+        mem = machine.memory
+        addr = mem.alloc(8, HEAP)
+        mem.check_access(addr, 8, site=7)
+        snapshot.restore(machine)
+        with pytest.raises(MemoryError_, match="wild access"):
+            mem.check_access(addr, 8, site=7)
+
 
 class TestAccounting:
     def test_live_bytes_tracks_alloc_free(self):

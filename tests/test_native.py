@@ -429,12 +429,12 @@ class TestSplitCompile:
         monkeypatch.setenv("REPRO_NATIVE_CC_LOG", str(log))
         _cores(monkeypatch, 2)
         nb._CONTEXTS.pop(tresult.program, None)
-        (parent,) = nb.start_contexts(request, str(tmp_path)).finish()
+        (parent,), _ = nb.build_contexts(request, str(tmp_path))
         assert log.read_text().split()[-1] == "parts=2"
         nb._CONTEXTS.pop(tresult.program, None)
         _cores(monkeypatch, 1)
         try:
-            (one_core,) = nb.start_contexts(request, str(tmp_path)).finish()
+            (one_core,), _ = nb.build_contexts(request, str(tmp_path))
         finally:
             nb._CONTEXTS.pop(tresult.program, None)
         assert one_core.lib.cache_hit
@@ -1022,13 +1022,16 @@ class TestObserversSeeNativeJobs:
                                 backend="simulated", check_races=True,
                                 fault_injectors=fault_injectors)
         seen = [0]
-        on_access = runner.checker.on_access
 
-        def counting(site, addr, size, is_store):
-            seen[0] += 1
-            on_access(site, addr, size, is_store)
+        class CountingLog(set):
+            """A thread's race log that counts every access site's
+            ``race_log.add``."""
 
-        runner.checker.on_access = counting
+            def add(self, access):
+                seen[0] += 1
+                set.add(self, access)
+
+        runner.checker._logs = [CountingLog() for _ in range(NTHREADS)]
         outcome = runner.run(raise_on_race=False)
         return seen[0], sorted(outcome.races), list(outcome.output)
 

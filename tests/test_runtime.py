@@ -201,10 +201,10 @@ class TestRaceDetection:
         assert outcome.races == []
 
     @staticmethod
-    def _races(monkeypatch, result, checker_cls, **kwargs):
+    def _races(monkeypatch, result, checker_cls, engine, **kwargs):
         from repro.runtime import parallel
         monkeypatch.setattr(parallel, "RaceChecker", checker_cls)
-        outcome = run_parallel(result, 4, engine="bytecode",
+        outcome = run_parallel(result, 4, engine=engine,
                                raise_on_race=False, **kwargs)
         assert len(set(outcome.races)) == len(outcome.races)
         return set(outcome.races)
@@ -221,9 +221,12 @@ class TestRaceDetection:
         program, sema = parse_and_analyze(spec.source)
         ablated = expand_for_threads(program, sema, spec.loop_labels,
                                      commutative=False)
-        want = self._races(monkeypatch, ablated, ByteRaceChecker)
-        assert "write-write" in {kind for _, kind in want}
-        assert self._races(monkeypatch, ablated, RaceChecker) == want
+        for engine in ("bytecode", "ast"):
+            want = self._races(monkeypatch, ablated, ByteRaceChecker,
+                               engine)
+            assert "write-write" in {kind for _, kind in want}
+            assert self._races(monkeypatch, ablated, RaceChecker,
+                               engine) == want
 
     def test_skewed_copy_index_races_match_the_byte_oracle(
             self, monkeypatch):
@@ -232,11 +235,13 @@ class TestRaceDetection:
         from .byte_oracle import ByteRaceChecker
         program, sema = parse_and_analyze(DOALL_SRC)
         result = expand_for_threads(program, sema, ["L"], optimize=False)
-        want, got = (
-            self._races(monkeypatch, result, cls,
-                        fault_injectors=[CopyIndexSkew(seed=3, rate=0.5)])
-            for cls in (ByteRaceChecker, RaceChecker))
-        assert want and got == want
+        for engine in ("bytecode", "ast"):
+            want, got = (
+                self._races(monkeypatch, result, cls, engine,
+                            fault_injectors=[CopyIndexSkew(seed=3,
+                                                           rate=0.5)])
+                for cls in (ByteRaceChecker, RaceChecker))
+            assert want and got == want
 
 
 class TestTimingModel:

@@ -126,6 +126,27 @@ class TestRaceChecker:
         checker.on_access(2, 100, 4, True)   # different region: no clash
         assert not checker.end_region()
 
+    def test_exemptions_end_with_their_region(self):
+        """Bytes exempt in one region are checked in the next (the
+        runtime-privatization baseline frees its copies at commit, and
+        heap reuse hands their addresses to shared data): region 2
+        reports what it would on a fresh checker."""
+        def region_two(checker):
+            checker.begin_region()
+            for tid in (0, 1):
+                checker.current_thread = tid
+                checker.on_access(1, 100, 4, True)
+            return checker.end_region()
+
+        checker = RaceChecker()
+        checker.exempt |= set(range(100, 104))
+        checker.begin_region()
+        checker.on_access(1, 100, 4, True)
+        assert not checker.end_region()
+        got = region_two(checker)
+        assert got == [(b, "write-write") for b in range(100, 104)]
+        assert set(got) == set(region_two(ByteRaceChecker()))
+
     def test_report_is_one_pair_per_byte_in_address_order(self):
         checker = RaceChecker()
         checker.begin_region()
