@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..frontend import ast
 from ..frontend.ctypes import ArrayType, IntType
+from ..frontend.region import loop_region
 from ..frontend.sema import SemaResult
 from .cfg import build_cfg, build_loop_body_cfg
 from .dataflow import (
@@ -356,20 +357,17 @@ def _match_guard(stmt: ast.If) -> Optional[Tuple[
 
 class _RegionWalker:
     """Collect reduction updates and every variable reference from a
-    loop region plus its transitively called function bodies."""
+    loop region: the loop, then the body of each callee it reaches."""
 
-    def __init__(self, sema: SemaResult):
-        self.sema = sema
+    def __init__(self):
         self.updates: List[Update] = []
         #: decl nid -> [Ident occurrences] across the whole region
         self.refs: Dict[int, List[ast.Ident]] = {}
-        self.indirect_call = False
-        self.callees: List[ast.FunctionDef] = []
-        self._seen_fns: Set[int] = set()
         self._seen_updates: Set[int] = set()
 
-    # -- entry points -----------------------------------------------------
-    def walk_loop(self, loop: ast.LoopStmt) -> None:
+    # -- entry point ------------------------------------------------------
+    def walk_region(self, loop: ast.LoopStmt,
+                    callees: List[ast.FunctionDef]) -> None:
         init = getattr(loop, "init", None)
         if init is not None:
             # refs only: a write in the loop header runs once per loop
@@ -379,7 +377,7 @@ class _RegionWalker:
                     self._expr(init.expr)
             elif isinstance(init, ast.DeclStmt):
                 for decl in init.decls:
-                    for leaf in self._init_leaves(decl.init):
+                    for leaf in decl.init_leaves():
                         self._expr(leaf)
             else:
                 self._stmt(init)
@@ -390,13 +388,7 @@ class _RegionWalker:
             if not self._maybe_update(step):
                 self._expr(step)
         self._stmt(loop.body)
-
-    def _walk_fn(self, fn: ast.FunctionDef) -> None:
-        if fn.nid in self._seen_fns:
-            return
-        self._seen_fns.add(fn.nid)
-        self.callees.append(fn)
-        if fn.body is not None:
+        for fn in callees:
             self._stmt(fn.body)
 
     # -- statements -------------------------------------------------------
@@ -410,7 +402,7 @@ class _RegionWalker:
                     self._expr(stmt.expr)
         elif isinstance(stmt, ast.DeclStmt):
             for decl in stmt.decls:
-                for leaf in self._init_leaves(decl.init):
+                for leaf in decl.init_leaves():
                     self._expr(leaf)
         elif isinstance(stmt, ast.If):
             guard = _match_guard(stmt)
@@ -447,17 +439,6 @@ class _RegionWalker:
                 self._expr(stmt.expr)
         # Break / Continue: nothing to record
 
-    @staticmethod
-    def _init_leaves(init) -> List[ast.Expr]:
-        if init is None:
-            return []
-        if isinstance(init, list):
-            out: List[ast.Expr] = []
-            for item in init:
-                out.extend(_RegionWalker._init_leaves(item))
-            return out
-        return [init]
-
     def _maybe_update(self, expr: ast.Expr) -> bool:
         got = _match_update(expr)
         if got is None:
@@ -480,17 +461,6 @@ class _RegionWalker:
         if isinstance(expr, ast.Ident):
             if isinstance(expr.decl, ast.VarDecl):
                 self.refs.setdefault(expr.decl.nid, []).append(expr)
-            return
-        if isinstance(expr, ast.Call):
-            name = expr.callee_name
-            if name is None:
-                self.indirect_call = True
-            else:
-                fn = self.sema.functions.get(name)
-                if fn is not None:
-                    self._walk_fn(fn)
-            for arg in expr.args:
-                self._expr(arg)
             return
         for field in expr._fields:
             child = getattr(expr, field)
@@ -589,7 +559,7 @@ def _address_never_escapes(program: ast.Program, decl: ast.VarDecl) -> bool:
             return False
     for gdecl in program.decls:
         if isinstance(gdecl, ast.VarDecl):
-            for leaf in _RegionWalker._init_leaves(gdecl.init):
+            for leaf in gdecl.init_leaves():
                 if not check(leaf):
                     return False
                 if isinstance(leaf, ast.Ident) and leaf.decl is decl:
@@ -662,9 +632,12 @@ def prove_reductions(
     candidates = _candidate_classes(priv)
     if not candidates:
         return []
-    walker = _RegionWalker(sema)
-    walker.walk_loop(loop)
-    if walker.indirect_call or not walker.updates:
+    region = loop_region(loop, sema.functions)
+    if region.indirect:
+        return []
+    walker = _RegionWalker()
+    walker.walk_region(loop, region.callees)
+    if not walker.updates:
         return []
 
     # group structural updates by accumulator decl
@@ -725,7 +698,7 @@ def prove_reductions(
             continue
         if not _carried_edges_closed(profile, union_sites):
             continue
-        facts = _prove_dataflow(loop, walker.callees, root, updates)
+        facts = _prove_dataflow(loop, region.callees, root, updates)
         if facts is None:
             continue
         facts["objects"] = {

@@ -52,15 +52,6 @@ class ElementInfo:
         self.has_call = has_call
 
 
-def _init_leaves(init) -> List[ast.Expr]:
-    if isinstance(init, list):
-        out: List[ast.Expr] = []
-        for item in init:
-            out.extend(_init_leaves(item))
-        return out
-    return [init]
-
-
 def element_info(elem: Element) -> ElementInfo:
     """Extract variable uses and definitions from one element."""
     uses: Set[int] = set()
@@ -116,7 +107,7 @@ def element_info(elem: Element) -> ElementInfo:
 
     if isinstance(elem, ast.VarDecl):
         if elem.init is not None:
-            for leaf in _init_leaves(elem.init):
+            for leaf in elem.init_leaves():
                 visit(leaf, True)
             defs.append((elem.nid, elem.nid, True))
         else:

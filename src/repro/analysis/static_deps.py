@@ -50,6 +50,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..frontend import ast
+from ..frontend.region import loop_region
 from ..frontend.sema import SemaResult
 from .ddg import ANTI, DDG, FLOW, OUTPUT
 from .pointsto import Obj, PointsToResult, analyze_pointsto
@@ -130,108 +131,81 @@ _MEM_BUILTINS = {
 }
 
 
-def _init_store_leaves(init) -> List[ast.Expr]:
-    """Leaf expressions of an initializer; each is one store site
-    (the machine stores brace initializers element-wise at the leaf
-    expression's nid)."""
-    if isinstance(init, list):
-        out: List[ast.Expr] = []
-        for item in init:
-            out.extend(_init_store_leaves(item))
-        return out
-    return [init]
-
-
 def _collect_accesses(
     loop: ast.LoopStmt,
     pointsto: PointsToResult,
     control: Optional[ast.VarDecl],
-    called_fns: Dict[str, ast.FunctionDef],
+    functions: Dict[str, ast.FunctionDef],
 ) -> List[StaticAccess]:
     out: List[StaticAccess] = []
-    seen_fns: Set[str] = set()
-
-    def visit(root: ast.Node) -> None:
-        for node in root.walk():
-            if isinstance(node, ast.Assign):
+    # the machine profiles the loop's condition, step and body and
+    # everything they call; a ``for`` init runs before profiling starts
+    init = loop.init if isinstance(loop, ast.For) else None
+    before = {id(n) for n in init.walk()} if init is not None else set()
+    for node in loop_region(loop, functions).nodes:
+        if id(node) in before:
+            continue
+        if isinstance(node, ast.Assign):
+            objs = pointsto.objects_of_access(node.nid)
+            if objs:
+                affine = _affine_subscript(node.target, control) \
+                    if isinstance(node.target, ast.Index) else None
+                out.append(StaticAccess(node.nid, True, objs, affine))
+        elif isinstance(node, ast.VarDecl):
+            obj: Obj = ("var", node.nid)
+            if node.storage == "param":
+                # parameter binding stores the argument value
+                out.append(StaticAccess(node.nid, True, {obj}, None))
+            else:
+                # a local declaration executed inside the loop stores its
+                # initializer (site: each leaf expression's nid)
+                for leaf in node.init_leaves():
+                    out.append(StaticAccess(leaf.nid, True, {obj}, None))
+        elif isinstance(node, ast.Unary) and node.op in (
+            "++", "--", "p++", "p--"
+        ):
+            operand = node.operand
+            if isinstance(operand, ast.Ident) and \
+                    isinstance(operand.decl, ast.VarDecl):
+                # increment of a variable writes the variable itself,
+                # not what it points to
+                objs: Set[Obj] = {("var", operand.decl.nid)}
+            else:
+                objs = pointsto.objects_of_access(operand.nid) or set()
+            if objs:
+                out.append(StaticAccess(node.nid, True, objs, None))
+        elif isinstance(node, (ast.Index, ast.Member)) or (
+            isinstance(node, ast.Unary) and node.op == "*"
+        ):
+            if _is_load_position(node):
                 objs = pointsto.objects_of_access(node.nid)
                 if objs:
-                    affine = _affine_subscript(node.target, control) \
-                        if isinstance(node.target, ast.Index) else None
-                    out.append(StaticAccess(node.nid, True, objs, affine))
-            elif isinstance(node, ast.VarDecl):
-                # a local declaration executed inside the loop stores its
-                # initializer (site: the initializer expression's nid)
-                if node.init is not None:
-                    obj: Obj = ("var", node.nid)
-                    for leaf in _init_store_leaves(node.init):
-                        out.append(StaticAccess(leaf.nid, True, {obj}, None))
-            elif isinstance(node, ast.Unary) and node.op in (
-                "++", "--", "p++", "p--"
-            ):
-                operand = node.operand
-                if isinstance(operand, ast.Ident) and \
-                        isinstance(operand.decl, ast.VarDecl):
-                    # increment of a variable writes the variable itself,
-                    # not what it points to
-                    objs: Set[Obj] = {("var", operand.decl.nid)}
-                else:
-                    objs = pointsto.objects_of_access(operand.nid) or set()
+                    affine = _affine_subscript(node, control) \
+                        if isinstance(node, ast.Index) else None
+                    out.append(StaticAccess(node.nid, False, objs, affine))
+        elif isinstance(node, ast.Ident) and \
+                isinstance(node.decl, ast.VarDecl) and \
+                not node.decl.ctype.is_array and _is_load_position(node):
+            # the machine loads every non-array identifier (scalars,
+            # pointers, struct blobs); arrays decay without a load
+            out.append(StaticAccess(
+                node.nid, False, {("var", node.decl.nid)}, None
+            ))
+        elif isinstance(node, ast.Call) and node.callee_name:
+            name = node.callee_name
+            if name in _MEM_BUILTINS:
+                stores, loads = _MEM_BUILTINS[name]
+                objs = pointsto.objects_of_access(node.nid) or set()
                 if objs:
-                    out.append(StaticAccess(node.nid, True, objs, None))
-            elif isinstance(node, (ast.Index, ast.Member)) or (
-                isinstance(node, ast.Unary) and node.op == "*"
-            ):
-                if _is_load_position(node):
-                    objs = pointsto.objects_of_access(node.nid)
-                    if objs:
-                        affine = _affine_subscript(node, control) \
-                            if isinstance(node, ast.Index) else None
-                        out.append(
-                            StaticAccess(node.nid, False, objs, affine)
-                        )
-            elif isinstance(node, ast.Ident) and \
-                    isinstance(node.decl, ast.VarDecl) and \
-                    not node.decl.ctype.is_array and _is_load_position(node):
-                # the machine loads every non-array identifier (scalars,
-                # pointers, struct blobs); arrays decay without a load
+                    if stores:
+                        out.append(StaticAccess(node.nid, True, objs, None))
+                    if loads:
+                        out.append(StaticAccess(node.nid, False, objs, None))
+            elif name == "calloc":
+                # calloc zero-fills its fresh heap object
                 out.append(StaticAccess(
-                    node.nid, False, {("var", node.decl.nid)}, None
+                    node.nid, True, {("heap", node.nid)}, None
                 ))
-            elif isinstance(node, ast.Call) and node.callee_name:
-                name = node.callee_name
-                if name in _MEM_BUILTINS:
-                    stores, loads = _MEM_BUILTINS[name]
-                    objs = pointsto.objects_of_access(node.nid) or set()
-                    if objs:
-                        if stores:
-                            out.append(
-                                StaticAccess(node.nid, True, objs, None))
-                        if loads:
-                            out.append(
-                                StaticAccess(node.nid, False, objs, None))
-                elif name == "calloc":
-                    # calloc zero-fills its fresh heap object
-                    out.append(StaticAccess(
-                        node.nid, True, {("heap", node.nid)}, None
-                    ))
-                fn = called_fns.get(name)
-                if fn is not None and name not in seen_fns:
-                    seen_fns.add(name)
-                    # parameter binding stores the argument values
-                    for param in fn.params:
-                        out.append(StaticAccess(
-                            param.nid, True, {("var", param.nid)}, None
-                        ))
-                    visit(fn.body)
-
-    visit(loop.body)
-    # the machine evaluates the loop condition (and, for ``for`` loops,
-    # the step) while profiling is active; the ``for`` init runs before
-    if loop.cond is not None:
-        visit(loop.cond)
-    if isinstance(loop, ast.For) and loop.step is not None:
-        visit(loop.step)
     return out
 
 
@@ -287,8 +261,8 @@ def build_static_ddg(
     # affine distance reasoning is only meaningful when the induction
     # variable advances by a known constant every iteration
     affine_control = control if delta else None
-    called = dict(sema.functions)
-    accesses = _collect_accesses(loop, pointsto, affine_control, called)
+    accesses = _collect_accesses(loop, pointsto, affine_control,
+                                 sema.functions)
 
     ddg = DDG()
     control_obj = ("var", control.nid) if control is not None else None

@@ -317,12 +317,21 @@ class VarDecl(Node):
         self.vla_length: Optional[Any] = None
 
     def children(self) -> Iterator[Node]:
-        if isinstance(self.init, Node):
-            yield self.init
-        elif isinstance(self.init, list):
-            for item in self.init:
-                if isinstance(item, Node):
-                    yield item
+        return iter(self.init_leaves())
+
+    def init_leaves(self) -> List[Node]:
+        """The initializer's leaf expressions, nested brace lists
+        flattened in order; the machine stores a brace initializer
+        element-wise, each element at its leaf's nid."""
+        out: List[Node] = []
+        pending = [self.init]
+        while pending:
+            item = pending.pop()
+            if isinstance(item, list):
+                pending.extend(reversed(item))
+            elif item is not None:
+                out.append(item)
+        return out
 
     def __repr__(self) -> str:
         return f"<VarDecl {self.name}: {self.ctype!r}>"

@@ -14,11 +14,14 @@ IR the workers will actually execute:
 3. every class's category is re-derived from Definition 5 facts —
    a certified ``commutative`` class must genuinely be conflicting
    (a private or independent class has nothing to merge);
-4. every certified update still exists in the output IR (located by
-   origin), still has a commutative update shape of the certified op
-   group, and — for DOALL — writes the ``__tid`` copy (directly or
-   through hoisted locals, same resolution the race auditor uses);
-5. no access of a commutative-class site escapes its update construct;
+4. every certified update still exists in the loop's region of the
+   output IR (the loop and the callees it reaches,
+   :mod:`repro.frontend.region`; located by origin), still has a
+   commutative update shape of the certified op group, and — for
+   DOALL — writes the ``__tid`` copy (directly or through hoisted
+   locals, same resolution the race auditor uses);
+5. no access of a commutative-class site in that region escapes its
+   update construct;
 6. the identity-initialization and merge-back code the pipeline must
    emit is structurally present around the transformed loop.
 
@@ -37,6 +40,7 @@ from ..analysis.commutative import (
 )
 from ..analysis.ddg import FLOW
 from ..frontend import ast
+from ..frontend.region import loop_region
 from ..transform.rewrite import origin_of
 from . import LintContext, rule
 from .races import _hoist_env, _resolves_tid
@@ -307,13 +311,10 @@ def _verify_loop(ctx: LintContext, tl, cert: Dict[str, object],
     # 4. re-verify each certified update on the output IR
     enforce_tid = tl.kind == "doall"
     update_nodes: List[ast.Node] = []
-    loop_nodes = list(tl.loop.walk())
+    inside = {id(n) for n in tl.loop.walk()}
     fn = _enclosing_function(ctx.program, tl.loop)
-    region: List[ast.Node] = list(loop_nodes)
-    if fn is not None:
-        # certified updates may live in callees reached from the loop
-        region = [n for f in ctx.program.functions() if f.body is not None
-                  for n in f.body.walk()]
+    # certified updates may live in callees reached from the loop
+    region = loop_region(tl.loop, ctx.sema.functions).nodes
     for red in cert.get("reductions", ()):
         group = red.get("op")
         accum: Optional[ast.VarDecl] = None
@@ -364,8 +365,7 @@ def _verify_loop(ctx: LintContext, tl, cert: Dict[str, object],
             fail(f"reduction {red.get('name')!r} certifies identity "
                  f"{expected_identity} but op {group!r} over "
                  f"{accum.ctype} has identity {recomputed}")
-        outside = [n for n in fn.body.walk()
-                   if not any(n is ln for ln in loop_nodes)]
+        outside = [n for n in fn.body.walk() if id(n) not in inside]
         if not any(_init_shape_ok(n, accum, expected_identity, env)
                    for n in outside):
             fail(f"no identity initialization of {red.get('name')!r} "
@@ -377,7 +377,7 @@ def _verify_loop(ctx: LintContext, tl, cert: Dict[str, object],
 
     # 6. no commutative-class access outside a verified update
     allowed = _subtree_ids(update_nodes)
-    for node in loop_nodes:
+    for node in region:
         if origin_of(node) in commutative_sites and id(node) not in allowed:
             fail(f"access at origin {origin_of(node)} belongs to a "
                  "commutative class but sits outside every certified "

@@ -16,9 +16,12 @@ auditor proves that claim structurally, on the output IR:
   :class:`repro.runtime.faults.CopyIndexSkew` injects — aims two
   threads at overlapping copies.
 
-* ``LINT-RACE-PRIVATE-COPY`` — every private store site inside a
-  candidate loop whose points-to objects were expanded must actually
-  select the ``__tid`` copy: its target either mentions ``__tid``
+* ``LINT-RACE-PRIVATE-COPY`` — every private store site in a
+  candidate loop's region (the loop and every callee it reaches,
+  :mod:`repro.frontend.region`) whose points-to objects were expanded
+  must actually select the ``__tid`` copy — an expanded local's
+  materialised initializer and a parameter's seed included: its
+  target either mentions ``__tid``
   directly or roots at a hoisted local (``__privN``/``__baseN``)
   whose initializer resolves to ``__tid`` through the symbolic
   environment of loop-top declarations.  Copy-0 (shared) stores need
@@ -36,6 +39,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..frontend import ast
+from ..frontend.region import loop_region
 from ..transform.expand import NTHREADS, TID
 from ..transform.rewrite import origin_of
 from . import LintContext, rule
@@ -226,7 +230,12 @@ def check_private_copy(ctx: LintContext) -> None:
     expansion_objs = result.expansion_objs
     for tl in result.loops:
         private_sites = tl.priv.private_sites
-        for node in tl.loop.body.walk():
+        region = loop_region(tl.loop, ctx.sema.functions).nodes
+        # the transform materialises an expanded local's initializer (and
+        # a parameter's seed) as an Assign carrying the VarDecl's origin
+        locals_ = {origin_of(n) for n in region
+                   if isinstance(n, ast.VarDecl) and n.storage == "local"}
+        for node in region:
             target: Optional[ast.Expr] = None
             if isinstance(node, ast.Assign):
                 target = node.target
@@ -237,9 +246,16 @@ def check_private_copy(ctx: LintContext) -> None:
             if target is None:
                 continue
             origin = origin_of(node)
-            if origin not in private_sites:
+            if isinstance(node, ast.Assign) and origin in locals_:
+                # a store to the variable itself, profiled at the
+                # initializer expression (or the parameter binding)
+                sites = {origin, origin_of(node.value)}
+                objs = {("var", origin)}
+            else:
+                sites = {origin}
+                objs = ctx.pointsto.objects_of_access(origin)
+            if not sites & private_sites:
                 continue
-            objs = ctx.pointsto.objects_of_access(origin)
             if not objs & expansion_objs:
                 continue  # not backed by expanded storage
             if _resolves_tid(target, env):

@@ -75,6 +75,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..frontend import ast
 from ..frontend.ctypes import PointerType
+from ..frontend.region import loop_region
 from ..interp import memory as mem
 from ..interp.machine import BreakSignal, CostSink, Frame, Machine
 from ..analysis.cfg import build_loop_body_cfg
@@ -104,7 +105,7 @@ MC_BREAK = "MC-BREAK"              # DOACROSS loop may break early
 MC_RETURN = "MC-RETURN"            # return escapes the loop body
 MC_CHUNK = "MC-CHUNK"              # DOACROSS process path needs chunk==1
 MC_STRLIT = "MC-STRLIT"            # un-interned string literal in loop
-MC_INDIRECT = "MC-INDIRECT"        # indirect call — callees unknown
+MC_INDIRECT = "MC-INDIRECT"        # indirect call — may reach any address-taken fn
 MC_NESTED = "MC-NESTED"            # nested controlled loop in subtree
 MC_INSTRUMENTED = "MC-INSTRUMENTED"  # fault injectors / watchdog active
 MC_UNAVAILABLE = "MC-UNAVAILABLE"  # no fork / no shared memory on host
@@ -221,35 +222,6 @@ class LoopAudit:
         return not self.reasons
 
 
-def _walk_subtree(loop: ast.LoopStmt, sema) -> Tuple[
-        List[ast.Node], List[str]]:
-    """All nodes reachable from the loop: its own subtree plus the
-    bodies of every transitively called function.  Returns the node
-    list and any reasons discovered during the walk."""
-    reasons: List[str] = []
-    nodes: List[ast.Node] = []
-    seen_fns: Set[int] = set()
-    functions = getattr(sema, "functions", {}) or {}
-    pending = [loop]
-    while pending:
-        root = pending.pop()
-        for node in root.walk():
-            nodes.append(node)
-            if isinstance(node, ast.Call):
-                name = node.callee_name
-                if name is None:
-                    if MC_INDIRECT not in reasons:
-                        reasons.append(MC_INDIRECT)
-                    continue
-                if name in _ALLOC_BUILTINS and MC_ALLOC not in reasons:
-                    reasons.append(MC_ALLOC)
-                fn = functions.get(name)
-                if fn is not None and fn.nid not in seen_fns:
-                    seen_fns.add(fn.nid)
-                    pending.append(fn.body)
-    return nodes, reasons
-
-
 def _assigned_decls(nodes: List[ast.Node]) -> Set[int]:
     """nids of VarDecls written anywhere in the node set."""
     written: Set[int] = set()
@@ -301,7 +273,12 @@ def audit_loop(loop: ast.LoopStmt, sema, kind_doall: bool,
     controller instead.  Falling back is always correct: the simulated
     controller runs on the same shared buffer.
     """
-    nodes, reasons = _walk_subtree(loop, sema)
+    region = loop_region(loop, sema.functions)
+    nodes = region.nodes
+    reasons = [MC_INDIRECT] if region.indirect else []
+    if any(isinstance(n, ast.Call) and n.callee_name in _ALLOC_BUILTINS
+           for n in nodes):
+        reasons.append(MC_ALLOC)
     strlits = {n.nid for n in nodes if isinstance(n, ast.StrLit)}
     for node in nodes:
         if node is not loop and isinstance(node, ast.LoopStmt) \
@@ -399,7 +376,8 @@ def audit_retry_safety(loop: ast.LoopStmt, sema,
     that write non-local scalars — is conservatively unsafe.
     """
     reasons: List[str] = []
-    nodes, _ = _walk_subtree(loop, sema)
+    region = loop_region(loop, sema.functions)
+    nodes = region.nodes
     control = find_control_decl(loop) if isinstance(loop, ast.For) else None
 
     # -- memory accesses (Index / Member / deref), whole subtree ---------
@@ -464,22 +442,13 @@ def audit_retry_safety(loop: ast.LoopStmt, sema,
         reasons.append(f"scalar read-modify-write (decl {nid})")
 
     # -- callees that write scalars outside their own frame --------------
-    functions = getattr(sema, "functions", {}) or {}
-    seen_fns: Set[int] = set()
-    for node in nodes:
-        if not isinstance(node, ast.Call) or node.callee_name is None:
-            continue
-        fn = functions.get(node.callee_name)
-        if fn is None or fn.nid in seen_fns:
-            continue
-        seen_fns.add(fn.nid)
+    for fn in region.callees:
         local = {p.nid for p in fn.params}
         local |= {n.nid for n in fn.body.walk()
                   if isinstance(n, ast.VarDecl)}
         escaped = _assigned_decls(list(fn.body.walk())) - local
         if escaped:
-            reasons.append(
-                f"callee {node.callee_name!r} writes non-local scalars")
+            reasons.append(f"callee {fn.name!r} writes non-local scalars")
     return reasons
 
 

@@ -34,6 +34,7 @@ from ..analysis.cfg import build_cfg
 from ..analysis.dataflow import Analysis, solve
 from ..frontend import ast
 from ..frontend.ctypes import PointerType, StructType
+from ..frontend.region import loop_region
 from . import rewrite as rw
 from .rewrite import origin_of
 
@@ -75,9 +76,10 @@ def ensure_block_body(loop) -> "ast.Block":
     return loop.body
 
 
-def collect_dirty_decls(body: ast.Block) -> set:
-    """Variables whose *value* may change inside ``body``: direct
-    assignment targets, ++/-- operands, and address-taken variables.
+def collect_dirty_decls(body) -> set:
+    """Variables whose *value* may change inside ``body`` (a subtree, or
+    the nodes of a loop region): direct assignment targets, ++/--
+    operands, and address-taken variables.
     Writing through a pointer (``g[i] = v``, ``*p = v``) does not dirty
     the pointer itself — its value (the address) is unchanged."""
     dirty = set()
@@ -101,7 +103,7 @@ def collect_dirty_decls(body: ast.Block) -> set:
                 continue
             return None
 
-    for node in body.walk():
+    for node in body.walk() if isinstance(body, ast.Node) else body:
         target = None
         if isinstance(node, ast.Assign):
             target = node.target
@@ -195,46 +197,6 @@ def hoist_expanded_bases(loops: List[ast.LoopStmt],
     return count
 
 
-def _global_write_closure(program: ast.Program):
-    """Per function: the set of global VarDecls whose *value* the
-    function (or anything it calls, transitively) may change."""
-    from ..frontend import ast as _ast
-
-    direct = {}
-    calls = {}
-    fns = {fn.name: fn for fn in program.functions()}
-    for name, fn in fns.items():
-        writes = set()
-        callees = set()
-        for node in fn.body.walk():
-            target = None
-            if isinstance(node, _ast.Assign):
-                target = node.target
-            elif isinstance(node, _ast.Unary) and node.op in (
-                "++", "--", "p++", "p--", "&"
-            ):
-                target = node.operand
-            if isinstance(target, _ast.Ident) and \
-                    isinstance(target.decl, _ast.VarDecl) and \
-                    target.decl.storage == "global":
-                writes.add(target.decl)
-            if isinstance(node, _ast.Call) and node.callee_name:
-                callees.add(node.callee_name)
-        direct[name] = writes
-        calls[name] = callees
-    closure = {name: set(w) for name, w in direct.items()}
-    changed = True
-    while changed:
-        changed = False
-        for name in closure:
-            for callee in calls.get(name, ()):
-                extra = closure.get(callee)
-                if extra and not extra <= closure[name]:
-                    closure[name] |= extra
-                    changed = True
-    return closure
-
-
 def licm_globals(program: ast.Program) -> int:  # noqa: C901
     """Hoist loop-invariant loads of global *scalar* variables into
     loop-top locals (what any optimizing compiler's LICM + register
@@ -244,8 +206,9 @@ def licm_globals(program: ast.Program) -> int:  # noqa: C901
 
     Safety: only globals that are never address-taken anywhere are
     candidates (no pointer can alias them), and a loop disqualifies a
-    global if the body — or any function transitively callable from it
-    — may write it.
+    global its region (:mod:`repro.frontend.region`: the loop's header
+    and body and every function they reach, indirect calls included)
+    may write.
     """
     from ..frontend import ast as _ast
     from ..frontend.ctypes import ArrayType, StructType
@@ -257,7 +220,7 @@ def licm_globals(program: ast.Program) -> int:  # noqa: C901
                     isinstance(node.operand, _ast.Ident) and \
                     isinstance(node.operand.decl, _ast.VarDecl):
                 addr_taken.add(node.operand.decl)
-    closure = _global_write_closure(program)
+    functions = {fn.name: fn for fn in program.functions()}
 
     count = 0
     parents = build_parent_blocks(program)
@@ -265,10 +228,8 @@ def licm_globals(program: ast.Program) -> int:  # noqa: C901
         loops = [n for n in fn.body.walk() if isinstance(n, _ast.LoopStmt)]
         for loop in loops:
             body = ensure_block_body(loop)
-            dirty = collect_dirty_decls(body)
-            for node in body.walk():
-                if isinstance(node, _ast.Call) and node.callee_name:
-                    dirty |= closure.get(node.callee_name, set())
+            # whatever the loop can write: header, body and callees
+            dirty = collect_dirty_decls(loop_region(loop, functions).nodes)
             # candidate reads: global scalars, clean, never aliased
             groups = {}
             for node in body.walk():

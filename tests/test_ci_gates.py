@@ -5,6 +5,7 @@ red only in CI; here they run with the suite, their assertions
 unchanged in strength.
 """
 
+import ast
 import io
 import os
 import pathlib
@@ -170,3 +171,45 @@ def test_the_profile_run_is_the_sequential_baseline():
     assert not bad, "\n".join(bad)
     assert "baseline" not in stage_keys(Job("int main(void) { return 0; }",
                                             []))
+
+
+def test_one_scheduler():
+    """One chunk plan, one cost model: each scheduling cost is charged
+    at one call site outside ``runtime/sync.py``, and neither scheduler
+    reaches back into its runner."""
+    text = {p: p.read_text() for d in ("runtime", "baselines")
+            for p in (SRC / d).glob("*.py") if p.name != "sync.py"}
+    bad = [f"{needle!r} has {n} call sites, want 1" for needle in
+           ("bandwidth_makespan(", "fork_join_cost(", "POST_COST")
+           if (n := sum(t.count(needle) for t in text.values())) != 1]
+    bad += [f"{p}: {needle!r} is back" for p, t in text.items()
+            if p.name in ("parallel.py", "multicore.py")
+            for needle in ("getattr(self.runner", "getattr(runner")
+            if needle in t]
+    assert not bad, "\n".join(bad)
+
+
+def test_sessions_outlive_programs():
+    """Workers load each program on first sight: nothing of a program
+    rides the fork, and no pool key pins one."""
+    mc = (SRC / "runtime/multicore.py").read_text()
+    spawn = next(n for n in ast.walk(ast.parse(mc))
+                 if isinstance(n, ast.FunctionDef)
+                 and n.name == "_spawn_worker")
+    body = ast.get_source_segment(mc, spawn)
+    bad = [f"_spawn_worker passes {name}"
+           for name in ("self.program", "self.sema") if name in body]
+    pool = (SRC / "service/pool.py").read_text()
+    if "session.program is not" in pool:
+        bad.append("pool.py evicts a session on program identity")
+    assert not bad, "\n".join(bad)
+
+
+def test_one_loop_region():
+    """What runs inside a loop is decided once, by
+    ``frontend/region.py``: no pass walks a loop's callees by hand."""
+    needles = ("_walk_subtree", "_global_write_closure", "called_fns",
+               "seen_fns", "_seen_fns")
+    bad = [f"{p}: {needle!r}" for p in sorted(SRC.rglob("*.py"))
+           for needle in needles if needle in p.read_text()]
+    assert not bad, "\n".join(bad)

@@ -28,6 +28,8 @@ from repro.transform.expand import INIT_FN_NAME, MODE_HEAP, TID
 from repro.transform.optimize import _span_store, find_dead_span_stores
 from repro.transform.pipeline import OptFlags
 
+from .test_expand import _CALLEE_LOCAL_INIT
+
 ALL_CODES = {
     "LINT-SPAN-MISSING",
     "LINT-SPAN-DEAD",
@@ -301,6 +303,25 @@ class TestSabotage:
                     node.__dict__.update(lit.__dict__)
         codes = {d.code for d in run_lint(result).findings}
         assert codes == {"LINT-RACE-PRIVATE-COPY"}
+
+    def test_callee_initializer_storing_copy_zero(self):
+        # the expanded local's initializer in a callee of the loop, sent
+        # back to copy 0: threads share one initial value, and reads of
+        # copy __tid see garbage
+        result = _build(_CALLEE_LOCAL_INIT)
+        stores = [node for fn in result.program.functions()
+                  for node in fn.body.walk()
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.target, ast.Index)
+                  and isinstance(node.target.base, ast.Ident)
+                  and node.target.base.name == "v"
+                  and isinstance(node.target.index, ast.Ident)
+                  and node.target.index.name == TID]
+        assert len(stores) == 1
+        stores[0].target.index = ast.IntLit(0)
+        findings = run_lint(result).by_code("LINT-RACE-PRIVATE-COPY")
+        assert [d.severity for d in findings] == ["error"]
+        assert findings[0].loop == "L"
 
     def test_split_access_class(self):
         result = _build()

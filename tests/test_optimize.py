@@ -145,6 +145,47 @@ class TestLicmGlobals:
         """)
         assert "int __licm1 = g" not in text
 
+    def test_header_writes_respected(self):
+        # the loop's own header writes g: a load hoisted above the loop
+        # would read g before the init runs
+        moved, _, _, text = self.run_both("""
+        int g;
+        int main(void) {
+            int s = 0;
+            for (g = 0; g < 5; g++) {
+                s = s + g;
+            }
+            print_int(s);
+            return 0;
+        }
+        """)
+        assert "__licm" not in text
+
+    def test_indirect_callee_writes_respected(self):
+        # an indirect call reaches every address-taken function, so
+        # bump's write of g keeps g's load inside the loop
+        from repro import expand_and_run
+
+        outcome = expand_and_run("""
+        int g;
+        int out[8];
+        int bump(int x) { g = g + 1; return x + 1; }
+        int same(int x) { return x; }
+        int main(void) {
+            int i; int s = 0;
+            #pragma expand parallel(doall)
+            L: for (i = 0; i < 8; i++) {
+                int t = (i % 2 ? bump : same)(i);
+                out[i] = t + g;
+            }
+            for (i = 0; i < 8; i++) s = s + out[i];
+            print_int(s);
+            return 0;
+        }
+        """, ["L"], nthreads=1, optimize=True)
+        assert outcome.output == ["48"]
+        assert outcome.verified
+
     def test_address_taken_global_not_hoisted(self):
         moved, _, _, text = self.run_both("""
         int knob;

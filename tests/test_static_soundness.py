@@ -83,3 +83,35 @@ def test_static_still_more_conservative():
     profile = profile_loop(program, sema, loop)
     static = build_static_ddg(program, sema, loop)
     assert len(static.edges) > len(profile.ddg.edges)
+
+
+#: the callee is known only at run time: ``f`` carries a flow on
+#: ``acc[0]`` from one call to the next, ``g`` is the identity
+_INDIRECT = """
+int acc[4];
+int f(int x) { acc[0] = acc[0] + x; return x; }
+int g(int x) { return x; }
+int main(void) {
+    int i;
+    L: for (i = 0; i < 8; i++) acc[1] = acc[1] + (i % 2 ? f : g)(i);
+    print_int(acc[0] + acc[1]);
+    return 0;
+}
+"""
+
+
+def test_indirect_call_reaches_every_address_taken_function():
+    program, sema = parse_and_analyze(_INDIRECT)
+    loop = ast.find_loop(program, "L")
+    profiled = profile_loop(program, sema, loop).ddg
+    static = build_static_ddg(program, sema, loop)
+    f_store = next(n for n in program.function("f").body.walk()
+                   if isinstance(n, ast.Assign))
+    assert any(e.src == f_store.nid and e.carried for e in profiled.edges)
+    assert profiled.sites <= static.sites
+    assert profiled.store_sites <= static.store_sites
+    assert profiled.load_sites <= static.load_sites
+    missing = sorted(e for e in profiled.edges if e not in static.edges)
+    assert not missing, missing
+    assert profiled.upward_exposed <= static.upward_exposed
+    assert profiled.downward_exposed <= static.downward_exposed
